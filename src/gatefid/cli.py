@@ -133,11 +133,11 @@ def _load_unitary(config: RunConfig):
     return serialize.unitary_from_dict(serialize.read_json(config.unitary_path))
 
 
-def _channel_inputs(config: RunConfig, ch, extra: dict | None = None) -> dict:
+def _channel_inputs(ch, u, extra: dict | None = None) -> dict:
+    """What inputs_hash covers: the channel, the --unitary matrix if given."""
     inputs = {"channel": serialize.channel_to_dict(ch)}
-    if config.unitary_path is not None:
-        u = _load_unitary(config)
-        inputs["unitary"] = serialize.matrix_to_pairs(u)
+    if u is not None:
+        inputs["unitary"] = u
     if extra:
         inputs.update(extra)
     return inputs
@@ -196,7 +196,7 @@ def _cmd_fidelity_point(config: RunConfig):
         phi = np.zeros(ch.dim_in, dtype=complex)
         phi[0] = 1.0
     value = gate_fidelity_pure(ch, u, phi)
-    inputs = _channel_inputs(config, ch, {"state": serialize.vector_to_pairs(phi)})
+    inputs = _channel_inputs(ch, u, {"state": serialize.vector_to_pairs(phi)})
     payload = _record("gate_fidelity_point", value, ch.dim_in, inputs)
     return ("json", payload), f"gate fidelity at state: {value:.12g}", True
 
@@ -205,7 +205,7 @@ def _cmd_fidelity_avg(config: RunConfig):
     ch = _load_square_channel(config)
     u = _load_unitary(config)
     value = average_gate_fidelity(ch, u)
-    payload = _record("average_gate_fidelity", value, ch.dim_in, _channel_inputs(config, ch))
+    payload = _record("average_gate_fidelity", value, ch.dim_in, _channel_inputs(ch, u))
     return ("json", payload), f"average gate fidelity: {value:.12g}", True
 
 
@@ -214,7 +214,7 @@ def _cmd_fidelity_stats(config: RunConfig):
     u = _load_unitary(config)
     n = config.n or 100000
     stats = mc_fidelity_stats(ch, u, n, RngSpec(config.seed), threads=_threads(config))
-    inputs = _channel_inputs(config, ch, {"n": n})
+    inputs = _channel_inputs(ch, u, {"n": n})
     payload = _record(
         "fidelity_stats", serialize.stats_to_dict(stats), ch.dim_in, inputs, config.seed
     )
@@ -381,7 +381,7 @@ def _cmd_min_net_min(config: RunConfig):
     u = _load_unitary(config)
     net = serialize.net_from_dict(serialize.read_json(config.net_path))
     est = net_minimum(ch, u, net)
-    inputs = _channel_inputs(config, ch, {"net_seed": net.seed, "net_size": len(net.states)})
+    inputs = _channel_inputs(ch, u, {"net_seed": net.seed, "net_size": len(net.states)})
     payload = _record(
         "net_minimum", serialize.min_estimate_to_dict(est), ch.dim_in, inputs
     )
@@ -411,7 +411,7 @@ def _cmd_min_reference(config: RunConfig):
     ch = _load_square_channel(config)
     u = _load_unitary(config)
     value = reference_minimum(ch, u, n_starts=config.starts, rng=config.seed)
-    inputs = _channel_inputs(config, ch, {"starts": config.starts})
+    inputs = _channel_inputs(ch, u, {"starts": config.starts})
     payload = _record("reference_minimum", value, ch.dim_in, inputs, config.seed)
     summary = f"reference minimum over {config.starts} starts: {value:.9g}"
     return ("json", payload), summary, True

@@ -19,7 +19,6 @@ from .channels import (
     ChoiMatrix,
     CptpReport,
     QuantumChannel,
-    adjoint,
     choi_from_kraus,
     depolarizing,
     kraus_from_choi,

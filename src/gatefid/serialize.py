@@ -3,7 +3,14 @@
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so re-reading an artifact reproduces bit-identical
 numbers and identical inputs produce byte-identical files. Complex
-matrices are stored row-major as [re, im] pairs.
+matrices are stored row-major as [re, im] pairs. They stay numpy arrays
+until bytes are produced: a complex array is encoded a row at a time,
+with the same 17-significant-digit bytes the nested pair lists give, and
+a matrix field is decoded in one numpy conversion.
+
+Channel, state and net files must hold finite numbers. JSON readers
+accept NaN and Infinity tokens, so a non-finite entry is refused at read
+time with a ValueError naming the field and the entry.
 """
 
 from __future__ import annotations
@@ -11,12 +18,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
+from typing import NoReturn
 
 import numpy as np
 
 from .channels import ChoiMatrix, CptpReport, QuantumChannel, kraus_from_choi
 from .minimum import MinEstimate, StateNet
 from .sampling import ConcentrationBound, FidelityStats, RngSpec
+
+# A "%.17g" token that is a bare integer; _fmt_float appends ".0" to these.
+_INTEGRAL_TOKEN = re.compile(r"(?<=[\[,])(-?\d+)(?=[,\]])")
 
 
 def _fmt_float(x: float) -> str:
@@ -26,6 +38,30 @@ def _fmt_float(x: float) -> str:
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"  # keep the token a float on re-parse
     return s
+
+
+def _pairs_text(floats: np.ndarray, row: str) -> str:
+    # floats: a complex array viewed as float64; row: the template of one row
+    if floats.ndim == 1:
+        return row % tuple(floats.tolist())
+    return "[" + ",".join([_pairs_text(sub, row) for sub in floats]) + "]"
+
+
+def _complex_array_text(arr: np.ndarray) -> str:
+    """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
+    if arr.ndim == 0:
+        raise TypeError("cannot serialize a 0-d complex array")
+    floats = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    finite = np.isfinite(floats)
+    if not finite.all():
+        bad = float(floats[~finite][0])
+        raise ValueError(f"cannot serialize non-finite float {bad!r}")
+    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
+    text = _pairs_text(floats, row)
+    # "%.17g" writes a bare integer exactly for integral |x| < 1e17
+    if np.any((np.trunc(floats) == floats) & (np.abs(floats) < 1e17)):
+        text = _INTEGRAL_TOKEN.sub(r"\1.0", text)
+    return text
 
 
 def _emit(obj, out: list) -> None:
@@ -39,6 +75,8 @@ def _emit(obj, out: list) -> None:
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
+        out.append(_complex_array_text(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
@@ -62,7 +100,11 @@ def _emit(obj, out: list) -> None:
 
 
 def dumps_canonical(obj) -> str:
-    """Deterministic JSON text: fixed float format, insertion-ordered keys."""
+    """Deterministic JSON text: fixed float format, insertion-ordered keys.
+
+    A complex numpy array is written as nested [re, im] pairs, byte for byte
+    as the equivalent nested lists of floats.
+    """
     out: list = []
     _emit(obj, out)
     return "".join(out)
@@ -89,20 +131,17 @@ def read_json(path):
 
 
 def matrix_to_pairs(m) -> list:
-    m = np.asarray(m, dtype=complex)
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
-def pairs_to_matrix(rows, field: str) -> np.ndarray:
-    if not isinstance(rows, list) or not rows:
-        raise ValueError(f"field {field!r}: expected a non-empty list of rows")
+def _name_bad_entry(rows, field: str) -> NoReturn:
+    """Raise a ValueError naming the first entry that is not a finite pair."""
     width = None
-    data = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or (width is not None and len(row) != width):
             raise ValueError(f"field {field!r}: row {i} is not a list of width {width}")
         width = len(row)
-        line = []
         for j, entry in enumerate(row):
             if (
                 not isinstance(entry, list)
@@ -112,14 +151,45 @@ def pairs_to_matrix(rows, field: str) -> np.ndarray:
                 raise ValueError(
                     f"field {field!r}: entry ({i},{j}) is not an [re, im] pair"
                 )
-            line.append(complex(float(entry[0]), float(entry[1])))
-        data.append(line)
-    return np.asarray(data, dtype=complex)
+            try:
+                finite = all(math.isfinite(float(x)) for x in entry)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ValueError(f"field {field!r}: entry ({i},{j}) is not finite")
+    raise ValueError(f"field {field!r}: expected rows of [re, im] float64 pairs")
+
+
+def pairs_to_matrix(rows, field: str) -> np.ndarray:
+    """Complex matrix from row-major [re, im] pairs, or from a complex array."""
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2 or rows.dtype.kind != "c":
+            raise ValueError(f"field {field!r}: expected a 2-d complex array")
+        bad = np.argwhere(~np.isfinite(rows))
+        if len(bad):
+            raise ValueError(f"field {field!r}: entry ({bad[0][0]},{bad[0][1]}) is not finite")
+        return np.array(rows, dtype=np.complex128)
+    if not isinstance(rows, list) or not rows:
+        raise ValueError(f"field {field!r}: expected a non-empty list of rows")
+    try:
+        pairs = np.array(rows)
+    except (ValueError, TypeError, OverflowError):  # ragged nesting
+        pairs = None
+    if (
+        pairs is None
+        or pairs.ndim != 3
+        or pairs.shape[2] != 2
+        or pairs.dtype.kind not in "biuf"
+        or not np.isfinite(pairs).all()
+    ):
+        _name_bad_entry(rows, field)
+    # viewing the pairs as complex keeps signed zeros; re + 1j*im would not
+    pairs = np.ascontiguousarray(pairs, dtype=np.float64)
+    return pairs.view(np.complex128)[..., 0]
 
 
 def vector_to_pairs(v) -> list:
-    v = np.asarray(v, dtype=complex)
-    return [[float(z.real), float(z.imag)] for z in v]
+    return matrix_to_pairs(v)
 
 
 def pairs_to_vector(entries, field: str) -> np.ndarray:
@@ -142,11 +212,18 @@ def _positive_int(data: dict, field: str) -> int:
     return value
 
 
+def _finite_float(data: dict, field: str) -> float:
+    value = _require(data, field)
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"field {field!r}: expected a finite number, got {value!r}")
+    return float(value)
+
+
 def channel_to_dict(ch: QuantumChannel) -> dict:
     return {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [matrix_to_pairs(op) for op in ch.kraus],
+        "kraus": [np.asarray(op, dtype=np.complex128) for op in ch.kraus],
     }
 
 
@@ -172,7 +249,7 @@ def choi_to_dict(choi: ChoiMatrix) -> dict:
     return {
         "dim_in": choi.dim_in,
         "dim_out": choi.dim_out,
-        "choi": matrix_to_pairs(choi.matrix),
+        "choi": np.asarray(choi.matrix, dtype=np.complex128),
     }
 
 
@@ -207,7 +284,7 @@ def load_channel(path) -> QuantumChannel:
 
 
 def unitary_to_dict(u) -> dict:
-    return {"unitary": matrix_to_pairs(u)}
+    return {"unitary": np.asarray(u, dtype=np.complex128)}
 
 
 def unitary_from_dict(data: dict) -> np.ndarray:
@@ -242,7 +319,7 @@ def net_to_dict(net: StateNet) -> dict:
 
 def net_from_dict(data: dict) -> StateNet:
     d = _positive_int(data, "d")
-    epsilon = float(_require(data, "epsilon"))
+    epsilon = _finite_float(data, "epsilon")
     metric_id = _require(data, "metric_id")
     if metric_id != "euclidean":
         raise ValueError(f"field 'metric_id': unknown metric {metric_id!r}")
@@ -262,7 +339,7 @@ def net_from_dict(data: dict) -> StateNet:
         epsilon=epsilon,
         metric_id=metric_id,
         states=np.asarray(states),
-        coverage_confidence=float(_require(data, "coverage_confidence")),
+        coverage_confidence=_finite_float(data, "coverage_confidence"),
         seed=int(_require(data, "seed")),
     )
 

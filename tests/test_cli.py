@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from gatefid import serialize
+from gatefid import cli, serialize
 from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
 from gatefid.cli import main
 from gatefid.sampling import REPORT_COLUMNS
@@ -371,3 +373,74 @@ class TestDefaultArtifactPath:
         assert main(["fidelity", "avg", "--p", "0.9", "--d", "2"]) == 0
         assert (tmp_path / "gatefid-fidelity-avg.json").exists()
         assert "gatefid-fidelity-avg.json" in capsys.readouterr().out
+
+
+def _nested_pairs(m):
+    """The [re, im] pair lists the codec wrote before it worked on arrays."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+def _write_channel_with_entry(path, ch, op, i, j, value):
+    """Channel file whose Kraus entry (i, j) of operator op has real part value.
+
+    Written with json.dumps, which emits NaN and Infinity tokens that the
+    canonical writer refuses.
+    """
+    data = {
+        "dim_in": ch.dim_in,
+        "dim_out": ch.dim_out,
+        "kraus": [_nested_pairs(k) for k in ch.kraus],
+    }
+    data["kraus"][op][i][j][0] = value
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+class TestInputBoundary:
+    def test_stats_refuses_nan_entry_before_sampling(self, tmp_path, capsys, monkeypatch):
+        sampled = []
+        monkeypatch.setattr(cli, "mc_fidelity_stats", lambda *a, **k: sampled.append(a))
+        path = _write_channel_with_entry(
+            tmp_path / "nan.json", depolarizing(0.5, 2), 0, 0, 1, float("nan")
+        )
+        code = main(["fidelity", "stats", "--channel", path, "--n", "1000",
+                     "--out", str(tmp_path / "st.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kraus[0]" in err and "entry (0,1)" in err and "not finite" in err
+        assert sampled == []
+        assert not (tmp_path / "st.json").exists()
+
+    def test_validate_refuses_infinite_entry(self, tmp_path, capsys):
+        path = _write_channel_with_entry(
+            tmp_path / "inf.json", depolarizing(0.5, 2), 2, 1, 0, float("-inf")
+        )
+        code = main(["channel", "validate", "--channel", path,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "kraus[2]" in err and "entry (1,0)" in err and "not finite" in err
+
+    def test_unitary_read_once_and_inputs_hash_unchanged(self, tmp_path, monkeypatch):
+        ch = depolarizing(0.8, 2)
+        ch_path = _write_channel(tmp_path / "ch.json", ch)
+        # Pauli X with signed zeros, which the hash must keep
+        u = np.array([[complex(-0.0, 0.0), 1.0], [1.0, complex(0.0, -0.0)]])
+        u_path = tmp_path / "u.json"
+        serialize.write_json(u_path, serialize.unitary_to_dict(u))
+        reads = []
+        real_read = serialize.read_json
+        monkeypatch.setattr(
+            serialize, "read_json", lambda p: reads.append(str(p)) or real_read(p)
+        )
+        out = tmp_path / "st.json"
+        assert main(["fidelity", "stats", "--channel", ch_path, "--unitary", str(u_path),
+                     "--n", "500", "--out", str(out)]) == 0
+        assert reads.count(str(u_path)) == 1
+        expected = serialize.canonical_hash({
+            "channel": {"dim_in": 2, "dim_out": 2,
+                        "kraus": [_nested_pairs(k) for k in ch.kraus]},
+            "unitary": _nested_pairs(u),
+            "n": 500,
+        })
+        assert real_read(out)["inputs_hash"] == expected

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gatefid.channels import ChoiMatrix, choi_from_kraus, depolarizing, validate_cptp
 from gatefid.minimum import StateNet, build_net
@@ -20,9 +21,11 @@ from gatefid.serialize import (
     dumps_canonical,
     load_channel,
     load_operator,
+    matrix_to_pairs,
     net_from_dict,
     net_to_dict,
     pairs_to_matrix,
+    pairs_to_vector,
     read_json,
     state_from_dict,
     state_to_dict,
@@ -258,3 +261,136 @@ class TestRngSpecValidation:
     def test_defaults(self):
         spec = RngSpec(seed=3)
         assert spec.algorithm_id == "pcg64-block4096"
+
+
+def _nested_pairs(m) -> list:
+    """Reference encoder input: the nested [re, im] lists of Python floats."""
+    m = np.asarray(m)
+    if m.ndim == 1:
+        return [[float(z.real), float(z.imag)] for z in m]
+    return [_nested_pairs(row) for row in m]
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _complex_arrays(min_dims, max_dims):
+    shapes = hnp.array_shapes(min_dims=min_dims, max_dims=max_dims, min_side=1, max_side=5)
+    return shapes.flatmap(
+        lambda shape: hnp.arrays(np.float64, shape + (2,), elements=_finite)
+    ).map(lambda pairs: pairs.view(complex)[..., 0])
+
+
+class TestArrayCodec:
+    @given(_complex_arrays(2, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_matrix_bytes_match_nested_lists(self, m):
+        text = dumps_canonical(m)
+        assert text == dumps_canonical(_nested_pairs(m))
+        assert _same_bits(pairs_to_matrix(json.loads(text), "m"), m)
+
+    @given(_complex_arrays(1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_vector_bytes_match_nested_lists(self, v):
+        text = dumps_canonical(v)
+        assert text == dumps_canonical(_nested_pairs(v))
+        assert _same_bits(pairs_to_vector(json.loads(text), "v"), v)
+
+    @pytest.mark.parametrize(
+        "value, token",
+        [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (-3.0, "-3.0"),
+            (1e16, "10000000000000000.0"),
+            (99999999999999984.0, "99999999999999984.0"),
+            (1e17, "1e+17"),
+            (-1e17, "-1e+17"),
+            (5e-324, "4.9406564584124654e-324"),
+            (2.2250738585072009e-308, "2.2250738585072009e-308"),
+            (1.0 / 3.0, "0.33333333333333331"),
+        ],
+    )
+    def test_explicit_tokens(self, value, token):
+        m = np.array([[complex(value, 1.5), complex(-1.5, value)], [value, -value]])
+        text = dumps_canonical(m)
+        assert text == dumps_canonical(_nested_pairs(m))
+        assert text.startswith(f"[[[{token},1.5],[-1.5,{token}]]")
+        assert _same_bits(pairs_to_matrix(json.loads(text), "m"), m)
+
+    def test_signed_zeros_survive_round_trip(self):
+        m = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)],
+                      [complex(-0.0, -0.0), complex(0.0, 0.0)]])
+        text = dumps_canonical({"m": m})
+        assert text == '{"m":[[[0.0,-0.0],[-0.0,0.0]],[[-0.0,-0.0],[0.0,0.0]]]}'
+        back = pairs_to_matrix(json.loads(text)["m"], "m")
+        assert _same_bits(back, m)
+
+    def test_dict_helpers_hash_like_nested_lists(self):
+        ch = depolarizing(0.3, 3)
+        nested = {"dim_in": 3, "dim_out": 3, "kraus": [_nested_pairs(k) for k in ch.kraus]}
+        assert canonical_hash(channel_to_dict(ch)) == canonical_hash(nested)
+        choi = choi_from_kraus(ch)
+        assert dumps_canonical(choi_to_dict(choi)) == dumps_canonical(
+            {"dim_in": 3, "dim_out": 3, "choi": _nested_pairs(choi.matrix)}
+        )
+        assert matrix_to_pairs(choi.matrix) == _nested_pairs(choi.matrix)
+        back = channel_from_dict(channel_to_dict(ch))
+        assert all(_same_bits(a, b) for a, b in zip(back.kraus, ch.kraus))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[[1, 0], [True, False]], [[-2, 0.5], [False, True]]],
+            [[[True, False], [False, True]]],
+            [[[3, -0], [0, 7]]],
+        ],
+    )
+    def test_ints_and_bools_read_as_before(self, rows):
+        expected = np.array(
+            [[complex(float(re), float(im)) for re, im in row] for row in rows]
+        )
+        assert _same_bits(pairs_to_matrix(rows, "m"), expected)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 10**400])
+    def test_non_finite_entry_named(self, bad):
+        rows = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, bad]]]
+        with pytest.raises(ValueError, match=r"'m'.*entry \(1,1\) is not finite"):
+            pairs_to_matrix(rows, "m")
+
+    @pytest.mark.parametrize("bad", [None, "1.0", {"re": 1.0}, [1.0]])
+    def test_non_number_entry_named(self, bad):
+        rows = [[[1.0, 0.0], [0.0, bad]]]
+        with pytest.raises(ValueError, match=r"entry \(0,1\) is not an \[re, im\] pair"):
+            pairs_to_matrix(rows, "m")
+
+    def test_ragged_rows_named(self):
+        with pytest.raises(ValueError, match="row 1"):
+            pairs_to_matrix([[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "m")
+
+    def test_array_input_checked(self):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match=r"'m'.*entry \(1,0\) is not finite"):
+            pairs_to_matrix(m, "m")
+        with pytest.raises(ValueError, match="2-d complex array"):
+            pairs_to_matrix(np.ones(3, dtype=complex), "m")
+
+    def test_encoder_refuses_non_finite_array(self):
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            dumps_canonical({"m": np.array([[1.0, complex(0.0, np.nan)]])})
+
+    def test_non_finite_net_scalars_refused(self):
+        data = net_to_dict(build_net(2, 0.9, rng=5))
+        data["epsilon"] = float("nan")
+        with pytest.raises(ValueError, match="'epsilon'"):
+            net_from_dict(data)
+
+    def test_nan_state_refused_with_entry(self):
+        with pytest.raises(ValueError, match=r"'state'.*entry \(0,1\) is not finite"):
+            state_from_dict({"state": [[1.0, 0.0], [float("nan"), 0.0]]})
