@@ -10,40 +10,18 @@ import argparse
 
 import numpy as np
 
-from gatefid.channels import choi_from_kraus, depolarizing
-from gatefid.nonuniq import build_g_operator, depolarizing_distance, max_epsilon, perturb_channel
-from gatefid.serialize import channel_to_dict, cptp_report_to_dict, write_json
+from gatefid.channels import depolarizing
+from gatefid.nonuniq import pair_certificate, perturb_channel
+from gatefid.serialize import write_json
 
 
 def certify(d: int, p: float, n: int, seed: int, prefix: str) -> None:
-    q = depolarizing(p, d)
-    g = build_g_operator(d)
-    eps = max_epsilon(choi_from_kraus(q), g)
-    pair = perturb_channel(q, eps, g, n_verify=n, rng=seed)
+    pair = perturb_channel(depolarizing(p, d), n_verify=n, rng=seed)
     v = pair.verification
-    dep_dist = depolarizing_distance(pair.r)
-    cert = {
-        "d": d,
-        "p_or_channel_hash": p,
-        "epsilon": pair.epsilon,
-        "max_epsilon": pair.max_epsilon,
-        "fidelity_residual_max": v.fidelity_residual_max,
-        "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": dep_dist,
-        "cptp_reports": {
-            "q": cptp_report_to_dict(v.cptp_q),
-            "r": cptp_report_to_dict(v.cptp_r),
-        },
-        "choi_normalization": "trace_d",
-        "n_samples": v.n_samples,
-        "seed": v.seed,
-        "q": channel_to_dict(pair.q),
-        "r": channel_to_dict(pair.r),
-    }
     out = f"{prefix}-d{d}.json"
-    write_json(out, cert)
+    write_json(out, pair_certificate(pair, p))
     print(f"d={d}: eps={pair.epsilon:.6g}  residual={v.fidelity_residual_max:.2e}  "
-          f"choi distance={v.choi_distance:.6g}  dep distance={dep_dist:.6g}")
+          f"choi distance={v.choi_distance:.6g}  dep distance={v.depolarizing_distance_r:.6g}")
     print(f"  expected choi distance eps*sqrt(6) = {pair.epsilon * np.sqrt(6.0):.6g}")
     print(f"  certificate written to {out}")
 

@@ -31,13 +31,17 @@ from .fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
     FidelityBoundSet,
+    FidelityKernel,
     average_gate_fidelity,
     depolarizing_gate_fidelity,
+    fidelity_kernel,
     gate_fidelity_batch,
     gate_fidelity_pure,
     l2_distance_to_depolarizing,
     phase_min_distance,
     state_fidelity,
+    symmetric_form,
+    uses_symmetric_form,
     variance_bounds,
 )
 from .linalg import (
@@ -71,6 +75,7 @@ from .nonuniq import (
     depolarizing_distance,
     fidelity_equality_conditions,
     max_epsilon,
+    pair_certificate,
     perturb_channel,
     verify_pair,
 )

@@ -36,13 +36,7 @@ from .minimum import (
     net_minimum,
     reference_minimum,
 )
-from .nonuniq import (
-    build_g_operator,
-    depolarizing_distance,
-    max_epsilon,
-    perturb_channel,
-    verify_pair,
-)
+from .nonuniq import pair_certificate, perturb_channel, verify_pair
 from .sampling import (
     DEFAULT_SEED,
     REPORT_COLUMNS,
@@ -278,31 +272,10 @@ def _cmd_nonuniq_construct(config: RunConfig):
         p = config.p if config.p is not None else 0.5
         q = depolarizing(p, d)
         p_or_hash = p
-    g = build_g_operator(d)
-    limit = max_epsilon(choi_from_kraus(q), g)
-    eps = config.epsilon if config.epsilon is not None else limit
     n = config.n or 10000
-    pair = perturb_channel(q, eps, g, n_verify=n, rng=config.seed)
+    pair = perturb_channel(q, config.epsilon, n_verify=n, rng=config.seed)
     v = pair.verification
-    dist_r = depolarizing_distance(pair.r)
-    certificate = {
-        "d": d,
-        "p_or_channel_hash": p_or_hash,
-        "epsilon": pair.epsilon,
-        "max_epsilon": pair.max_epsilon,
-        "fidelity_residual_max": v.fidelity_residual_max,
-        "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": dist_r,
-        "cptp_reports": {
-            "q": serialize.cptp_report_to_dict(v.cptp_q),
-            "r": serialize.cptp_report_to_dict(v.cptp_r),
-        },
-        "choi_normalization": "trace_d",
-        "n_samples": v.n_samples,
-        "seed": v.seed,
-        "q": serialize.channel_to_dict(pair.q),
-        "r": serialize.channel_to_dict(pair.r),
-    }
+    certificate = pair_certificate(pair, p_or_hash)
     ok = (
         v.cptp_q.is_cp
         and v.cptp_q.is_tp
@@ -314,7 +287,7 @@ def _cmd_nonuniq_construct(config: RunConfig):
     summary = (
         f"pair at d={d}, eps={pair.epsilon:.6g} (max {pair.max_epsilon:.6g}): "
         f"fidelity residual {v.fidelity_residual_max:.2e}, choi distance "
-        f"{v.choi_distance:.4g}, depolarizing distance {dist_r:.4g}"
+        f"{v.choi_distance:.4g}, depolarizing distance {v.depolarizing_distance_r:.4g}"
     )
     return ("json", certificate), summary, ok
 
@@ -328,12 +301,11 @@ def _cmd_nonuniq_verify(config: RunConfig):
         raise ValueError("the two channels have different dimensions")
     n = config.n or 10000
     v = verify_pair(q, r, n_samples=n, rng=config.seed, tol=config.tol)
-    dist_r = depolarizing_distance(r)
     payload = {
         "d": q.dim_in,
         "fidelity_residual_max": v.fidelity_residual_max,
         "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": dist_r,
+        "depolarizing_distance_R": v.depolarizing_distance_r,
         "cptp_reports": {
             "q": serialize.cptp_report_to_dict(v.cptp_q),
             "r": serialize.cptp_report_to_dict(v.cptp_r),

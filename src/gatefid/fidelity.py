@@ -7,6 +7,16 @@ Gate fidelity of a channel E against a target unitary U on a pure state,
 its exact Haar average, the constant fidelity of depolarizing channels, and
 two dimension-only variance bounds. Everything is a pure function of its
 inputs.
+
+Pointwise values come from one of two evaluation paths, chosen once per
+(channel, target) pair by fidelity_kernel. The Kraus loop sums
+|<U phi|A_k phi>|^2 over the Kraus operators. The symmetric form evaluates
+F = <phi phi|M|phi phi>, where M (symmetric_form) is the partially
+transposed Choi matrix of U^dag o E restricted to the symmetric subspace,
+of dimension d(d+1)/2. The fidelity sees a channel only through M, which
+is why distinct channels can share a fidelity function. High-rank
+channels at moderate d take the symmetric form (uses_symmetric_form);
+everything else takes the Kraus loop.
 """
 
 from __future__ import annotations
@@ -83,12 +93,129 @@ def _check_square_channel(e: QuantumChannel) -> int:
     return e.dim_in
 
 
-def gate_fidelity_batch(e: QuantumChannel, u, states: np.ndarray) -> np.ndarray:
+# The build of the symmetric form materializes the d^2 x d^2 Choi matrix
+# (16 MB at d = 32, 268 MB at d = 64) and M itself holds (d(d+1)/2)^2
+# entries (4.5 MB at d = 32); above this dimension the Kraus loop, which
+# needs neither, is kept.
+SYMMETRIC_FORM_MAX_DIM = 32
+
+# rows per GEMM in the symmetric form, so the (rows, d(d+1)/2) coordinate
+# blocks stay small next to the state batch
+_SYMMETRIC_CHUNK = 256
+
+
+def uses_symmetric_form(rank: int, d: int) -> bool:
+    """Dispatch rule: the symmetric form for Kraus rank >= d^2/4, above d.
+
+    The Kraus loop costs rank * d^2 per state, the symmetric form about
+    d^4/4. On one 4096-state block (scripts/bench_kernel.py,
+    BENCH_kernel.json) the crossover lies between rank d and d^2/4 at
+    d = 16 and 32, and rank d^2/4 is the smallest rank of the grid at
+    which the symmetric form, build included, wins at every d. At d = 4
+    and 8 it already wins at rank d, but channels of rank <= d keep the
+    Kraus loop, and with it their values to the last bit. Every channel
+    with d above SYMMETRIC_FORM_MAX_DIM takes the Kraus loop too.
+    """
+    return d <= SYMMETRIC_FORM_MAX_DIM and rank > d and 4 * rank >= d * d
+
+
+def _check_target(u, d: int):
+    if u is None:
+        return None
+    u = np.asarray(u, dtype=complex)
+    if u.shape != (d, d):
+        raise ValueError(f"unitary shape {u.shape} does not match dimension {d}")
+    return u
+
+
+def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
+    """The matrix M with F_{E,U}(phi) = <phi phi|M|phi phi>.
+
+    M = P_sym J^T2 P_sym, where J is the Choi matrix of the folded channel
+    rho -> U^dag E(rho) U (Kraus operators U^dag A_k), T2 the partial
+    transpose and P_sym the projector onto the symmetric subspace of
+    C^d (x) C^d. It is returned as a complex d(d+1)/2 square matrix in the
+    orthonormal basis |ii>, (|ij> + |ji>)/sqrt(2) for i < j, ordered as
+    numpy.triu_indices(d). Two channels have the same gate fidelity
+    function against U exactly when their forms are equal.
+    """
+    d = _check_square_channel(e)
+    u = _check_target(u, d)
+    ops = np.stack(e.kraus)
+    if u is not None:
+        ops = u.conj().T @ ops
+    flat = ops.reshape(len(e.kraus), d * d)
+    # Choi matrix J[(i,j),(l,m)] = sum_k B_k[i,j] conj(B_k[l,m]), as one GEMM
+    g = (flat.T @ flat.conj()).reshape(d, d, d, d)
+    i, m = np.triu_indices(d)
+    a1, a2, b1, b2 = i[:, None], m[:, None], i[None, :], m[None, :]
+    # <xy|J^T2|zw> = J[(x,z),(w,y)], summed over both orderings of each pair
+    t = g[a1, b1, b2, a2] + g[a1, b2, b1, a2] + g[a2, b1, b2, a1] + g[a2, b2, b1, a1]
+    scale = np.where(i == m, 0.5, np.sqrt(0.5))
+    return t * np.outer(scale, scale)
+
+
+def _kraus_values(kraus, u, states: np.ndarray) -> np.ndarray:
+    target = states if u is None else states @ u.T
+    total = np.zeros(states.shape[0])
+    for op in kraus:
+        overlap = np.einsum("ni,ni->n", target.conj(), states @ op.T)
+        total += np.abs(overlap) ** 2
+    return total
+
+
+def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarray:
+    i, j = np.triu_indices(d)
+    weight = np.where(i == j, 1.0, np.sqrt(2.0))
+    out = np.empty(states.shape[0])
+    for start in range(0, states.shape[0], _SYMMETRIC_CHUNK):
+        rows = states[start : start + _SYMMETRIC_CHUNK]
+        # coordinates of phi (x) phi in the basis of symmetric_form
+        y = rows[:, i] * rows[:, j] * weight
+        out[start : start + len(rows)] = np.einsum("na,na->n", y.conj(), y @ form.T).real
+    return out
+
+
+@dataclass(frozen=True)
+class FidelityKernel:
+    """Evaluation path of F_{E,U}, chosen once per (channel, target) pair.
+
+    form holds symmetric_form(e, u) when uses_symmetric_form picks it;
+    otherwise it is None and values come from the Kraus loop over e.kraus.
+    Build it with fidelity_kernel and hand it to gate_fidelity_batch for
+    every batch of the same pair.
+    """
+
+    channel: QuantumChannel
+    u: np.ndarray | None
+    form: np.ndarray | None
+
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """Unclamped fidelities of the rows of a complex (n, d) array."""
+        if self.form is None:
+            return _kraus_values(self.channel.kraus, self.u, states)
+        return _symmetric_values(self.form, self.channel.dim_in, states)
+
+
+def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:
+    """Pick the evaluation path for (e, u) and build what it needs."""
+    d = _check_square_channel(e)
+    u = _check_target(u, d)
+    form = symmetric_form(e, u) if uses_symmetric_form(len(e.kraus), d) else None
+    return FidelityKernel(channel=e, u=u, form=form)
+
+
+def gate_fidelity_batch(
+    e: QuantumChannel, u, states: np.ndarray, kernel: FidelityKernel | None = None
+) -> np.ndarray:
     """Gate fidelity of each row of `states`, vectorized over the batch.
 
     For pure states the definition collapses to
-    F = sum_k |<U phi | A_k phi>|^2, one inner product per Kraus operator,
-    which is what this evaluates. u=None means the identity target.
+    F = sum_k |<U phi | A_k phi>|^2, one inner product per Kraus operator.
+    High-rank channels are evaluated instead as the quadratic form of
+    symmetric_form on phi (x) phi; see uses_symmetric_form. u=None means
+    the identity target. Callers evaluating many batches of one pair pass
+    kernel=fidelity_kernel(e, u) so the path is chosen and built once.
     """
     d = _check_square_channel(e)
     states = np.asarray(states, dtype=complex)
@@ -97,18 +224,9 @@ def gate_fidelity_batch(e: QuantumChannel, u, states: np.ndarray) -> np.ndarray:
         states = states[None, :]
     if states.shape[1] != d:
         raise ValueError(f"state dimension {states.shape[1]} != channel dimension {d}")
-    if u is None:
-        target = states
-    else:
-        u = np.asarray(u, dtype=complex)
-        if u.shape != (d, d):
-            raise ValueError(f"unitary shape {u.shape} does not match dimension {d}")
-        target = states @ u.T
-    total = np.zeros(states.shape[0])
-    for op in e.kraus:
-        overlap = np.einsum("ni,ni->n", target.conj(), states @ op.T)
-        total += np.abs(overlap) ** 2
-    out = _clamp_unit(total)
+    if kernel is None:
+        kernel = fidelity_kernel(e, u)
+    out = _clamp_unit(kernel.values(states))
     return out[0] if squeeze else out
 
 

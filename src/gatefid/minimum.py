@@ -18,6 +18,8 @@ from .channels import QuantumChannel
 from .fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
+    FidelityKernel,
+    fidelity_kernel,
     gate_fidelity_batch,
     phase_min_distance,
 )
@@ -175,10 +177,12 @@ def net_minimum(e: QuantumChannel, u, net: StateNet) -> MinEstimate:
     )
 
 
-def _descend(e: QuantumChannel, u, x: np.ndarray, h: float = 1e-6) -> float:
+def _descend(
+    e: QuantumChannel, u, x: np.ndarray, kernel: FidelityKernel, h: float = 1e-6
+) -> float:
     """Projected gradient descent from one start on the unit sphere."""
     d = len(x)
-    val = float(gate_fidelity_batch(e, u, x))
+    val = float(gate_fidelity_batch(e, u, x, kernel=kernel))
     step = 0.25
     for _ in range(400):
         bundle = np.tile(x, (4 * d, 1))
@@ -188,7 +192,7 @@ def _descend(e: QuantumChannel, u, x: np.ndarray, h: float = 1e-6) -> float:
             bundle[4 * j + 2, j] += 1j * h
             bundle[4 * j + 3, j] -= 1j * h
         bundle /= np.linalg.norm(bundle, axis=1, keepdims=True)
-        f = gate_fidelity_batch(e, u, bundle)
+        f = gate_fidelity_batch(e, u, bundle, kernel=kernel)
         grad = (f[0::4] - f[1::4]) / (2 * h) + 1j * (f[2::4] - f[3::4]) / (2 * h)
         grad -= np.real(np.vdot(x, grad)) * x  # radial part is irrelevant
         gnorm = float(np.linalg.norm(grad))
@@ -198,7 +202,7 @@ def _descend(e: QuantumChannel, u, x: np.ndarray, h: float = 1e-6) -> float:
         while step > 1e-14:
             cand = x - step * grad
             cand /= np.linalg.norm(cand)
-            cval = float(gate_fidelity_batch(e, u, cand))
+            cval = float(gate_fidelity_batch(e, u, cand, kernel=kernel))
             if cval < val - 1e-15:
                 x, val = cand, cval
                 step *= 1.3
@@ -228,10 +232,11 @@ def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED)
     spec = as_rng_spec(rng)
     g = generator(spec, TAG_OPTIMIZER)
     d = e.dim_in
+    kernel = fidelity_kernel(e, u)
     best = np.inf
     for _ in range(n_starts):
         z = g.standard_normal(d) + 1j * g.standard_normal(d)
-        best = min(best, _descend(e, u, z / np.linalg.norm(z)))
+        best = min(best, _descend(e, u, z / np.linalg.norm(z), kernel))
     return float(best)
 
 

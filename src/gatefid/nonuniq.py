@@ -6,7 +6,8 @@ of C^d (x) C^d. Adding it to the Choi matrix of any full-rank channel Q
 changes the channel but not a single value of the gate fidelity, because
 the fidelity only probes the symmetric subspace through psi (x) psi. This
 module builds the perturbation, computes the largest admissible strength,
-produces the perturbed partner R, and verifies the pair.
+produces the perturbed partner R, verifies the pair and writes its
+certificate.
 """
 
 from __future__ import annotations
@@ -15,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import serialize
 from .channels import (
     ChoiMatrix,
     CptpReport,
     QuantumChannel,
     choi_from_kraus,
-    depolarizing,
     kraus_from_choi,
     validate_cptp,
 )
@@ -31,6 +32,7 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     schatten_norm,
+    vec,
 )
 from .sampling import DEFAULT_SEED, as_rng_spec, haar_states
 
@@ -105,6 +107,7 @@ class PairVerification:
 
     fidelity_residual_max: float
     choi_distance: float
+    depolarizing_distance_r: float
     cptp_q: CptpReport
     cptp_r: CptpReport
     n_samples: int
@@ -126,19 +129,26 @@ def verify_pair(
     n_samples: int = 10000,
     rng=DEFAULT_SEED,
     tol: float = 1e-9,
+    choi_q: ChoiMatrix | None = None,
 ) -> PairVerification:
-    """Measure how far two channels are from sharing a fidelity function."""
+    """Measure how far two channels are from sharing a fidelity function.
+
+    Each Choi matrix is built once and shared by the distance, the CPTP
+    checks and R's depolarizing distance; choi_q, when the caller already
+    holds choi_from_kraus(q), is used instead of a rebuild.
+    """
     spec = as_rng_spec(rng)
     states = haar_states(q.dim_in, n_samples, spec)
     fq = gate_fidelity_batch(q, None, states)
     fr = gate_fidelity_batch(r, None, states)
-    jq = choi_from_kraus(q).matrix
-    jr = choi_from_kraus(r).matrix
+    jq = choi_from_kraus(q) if choi_q is None else choi_q
+    jr = choi_from_kraus(r)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),
-        choi_distance=schatten_norm(jr - jq, 2),
-        cptp_q=validate_cptp(q, tol),
-        cptp_r=validate_cptp(r, tol),
+        choi_distance=schatten_norm(jr.matrix - jq.matrix, 2),
+        depolarizing_distance_r=depolarizing_distance(jr),
+        cptp_q=validate_cptp(jq, tol),
+        cptp_r=validate_cptp(jr, tol),
         n_samples=n_samples,
         seed=spec.seed,
     )
@@ -146,29 +156,61 @@ def verify_pair(
 
 def perturb_channel(
     q: QuantumChannel,
-    eps: float,
-    g: GOperator,
+    eps: float | None = None,
+    g: GOperator | None = None,
     n_verify: int = 10000,
     rng=DEFAULT_SEED,
 ) -> NonUniqPair:
     """Build R with Choi matrix J(Q) + eps * j_g and verify the pair.
 
-    eps must lie in (0, max_epsilon]; the upper end gives the most
-    distinguishable partner. R is reconstructed through a fresh Kraus
+    eps must lie in (0, max_epsilon] and defaults to max_epsilon, which
+    gives the most distinguishable partner; g defaults to
+    build_g_operator(q.dim_in). R is reconstructed through a fresh Kraus
     extraction so it is a bona fide channel, not just a Choi matrix.
     """
+    if g is None:
+        g = build_g_operator(q.dim_in)
     j_q = choi_from_kraus(q)
     limit = max_epsilon(j_q, g)
+    if eps is None:
+        eps = limit
     if not 0.0 < eps <= limit * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in (0, {limit:.6g}], got {eps}")
     j_r = ChoiMatrix(
         dim_in=q.dim_in, dim_out=q.dim_out, matrix=j_q.matrix + eps * g.j_g
     )
     r = kraus_from_choi(j_r)
-    verification = verify_pair(q, r, n_samples=n_verify, rng=rng)
+    verification = verify_pair(q, r, n_samples=n_verify, rng=rng, choi_q=j_q)
     return NonUniqPair(
         q=q, r=r, epsilon=float(eps), max_epsilon=limit, verification=verification
     )
+
+
+def pair_certificate(pair: NonUniqPair, p_or_channel_hash) -> dict:
+    """The JSON certificate of a constructed pair.
+
+    p_or_channel_hash names the base channel: the depolarizing parameter
+    of Q, or the canonical hash of its file.
+    """
+    v = pair.verification
+    return {
+        "d": pair.q.dim_in,
+        "p_or_channel_hash": p_or_channel_hash,
+        "epsilon": pair.epsilon,
+        "max_epsilon": pair.max_epsilon,
+        "fidelity_residual_max": v.fidelity_residual_max,
+        "choi_distance": v.choi_distance,
+        "depolarizing_distance_R": v.depolarizing_distance_r,
+        "cptp_reports": {
+            "q": serialize.cptp_report_to_dict(v.cptp_q),
+            "r": serialize.cptp_report_to_dict(v.cptp_r),
+        },
+        "choi_normalization": "trace_d",
+        "n_samples": v.n_samples,
+        "seed": v.seed,
+        "q": serialize.channel_to_dict(pair.q),
+        "r": serialize.channel_to_dict(pair.r),
+    }
 
 
 @dataclass(frozen=True)
@@ -220,48 +262,24 @@ def fidelity_equality_conditions(j_diff: np.ndarray, d: int) -> EqualityConditio
     )
 
 
-def _golden_min(f, lo: float, hi: float, tol: float):
-    """Golden-section scan for a unimodal scalar function on [lo, hi].
-
-    Returns (argmin, min). Endpoints are always probed so boundary minima
-    are found exactly.
-    """
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - inv_phi * (b - a)
-    x2 = a + inv_phi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv_phi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv_phi * (b - a)
-            f2 = f(x2)
-    candidates = [(f(lo), lo), (f(hi), hi), (f1, x1), (f2, x2)]
-    best, arg = min(candidates)
-    return arg, best
-
-
-def depolarizing_distance(r: QuantumChannel, tol: float = 1e-10) -> float:
+def depolarizing_distance(r) -> float:
     """Distance from R to the depolarizing family, min_p ||J(R) - J(dep_p)||_2.
 
-    The family is affine in p, so the squared objective is a convex
-    quadratic; a golden-section scan over p in [0, 1] to tolerance 1e-10
-    locates the minimizer including boundary cases. Returns 0 (to float
+    r is a square channel or its Choi matrix. The family is the segment
+    p J(id) + (1 - p) J(mix), p in [0, 1], with J(id) = vec(I) vec(I)^dag
+    and J(mix) = I/d. The squared objective is a convex quadratic in p, so
+    the minimizer is the projection of J(R) - J(mix) onto J(id) - J(mix),
+    whose squared norm is d^2 - 1, clipped to [0, 1]. Returns 0 (to float
     noise) exactly when R is depolarizing.
     """
-    if r.dim_in != r.dim_out:
-        raise ValueError(f"need a square channel, got {r.dim_in}->{r.dim_out}")
-    d = r.dim_in
-    j_r = choi_from_kraus(r).matrix
-    j_id = choi_from_kraus(depolarizing(1.0, d)).matrix
-    j_mix = choi_from_kraus(depolarizing(0.0, d)).matrix
-
-    def objective(p: float) -> float:
-        return schatten_norm(j_r - p * j_id - (1.0 - p) * j_mix, 2)
-
-    _, best = _golden_min(objective, 0.0, 1.0, tol)
-    return float(best)
+    choi = choi_from_kraus(r) if isinstance(r, QuantumChannel) else r
+    if choi.dim_in != choi.dim_out:
+        raise ValueError(f"need a square channel, got {choi.dim_in}->{choi.dim_out}")
+    d = choi.dim_in
+    j_r = choi.matrix
+    v_id = vec(np.eye(d))
+    j_id = np.outer(v_id, v_id)
+    j_mix = np.eye(d * d) / d
+    p = np.vdot(j_id - j_mix, j_r - j_mix).real / (d * d - 1)
+    p = float(np.clip(p, 0.0, 1.0))
+    return schatten_norm(j_r - p * j_id - (1.0 - p) * j_mix, 2)

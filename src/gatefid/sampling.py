@@ -19,6 +19,7 @@ from .channels import QuantumChannel
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
+    fidelity_kernel,
     gate_fidelity_batch,
     variance_bounds,
 )
@@ -101,13 +102,15 @@ def fidelity_samples(
     """Gate fidelity at n Haar states, evaluated block by block.
 
     States are generated and consumed per block so memory stays bounded at
-    large dimension. The returned array is identical for any thread count
+    large dimension. The evaluation path is chosen and built once, before
+    the first block. The returned array is identical for any thread count
     because blocks land at fixed offsets.
     """
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     d = e.dim_in
+    kernel = fidelity_kernel(e, u)
     blocks = [
         (b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(math.ceil(n / BLOCK_SIZE))
     ]
@@ -115,7 +118,7 @@ def fidelity_samples(
     def work(item):
         block, count = item
         states = _haar_block(d, spec, tag, block, count)
-        return block, gate_fidelity_batch(e, u, states)
+        return block, gate_fidelity_batch(e, u, states, kernel=kernel)
 
     out = np.empty(n)
     if threads <= 1 or len(blocks) == 1:

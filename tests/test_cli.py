@@ -6,6 +6,7 @@ import pytest
 from gatefid import cli, serialize
 from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
 from gatefid.cli import main
+from gatefid.fidelity import fidelity_kernel
 from gatefid.sampling import REPORT_COLUMNS
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -155,6 +156,18 @@ class TestFidelityCommands:
         assert main(base + ["--out", str(a), "--threads", "1"]) == 0
         assert main(base + ["--out", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_symmetric_form_stats_are_byte_identical(self, tmp_path):
+        # a full-rank channel at d=16 samples through the symmetric form,
+        # built once before the block loop and shared by the workers
+        assert fidelity_kernel(depolarizing(0.5, 16)).form is not None
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        base = ["fidelity", "stats", "--p", "0.5", "--d", "16", "--n", "20000"]
+        assert main(base + ["--out", str(a), "--threads", "1"]) == 0
+        assert main(base + ["--out", str(b), "--threads", "2"]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        stats = serialize.read_json(a)["value"]
+        assert abs(stats["mean"] - (0.5 + 0.5 / 16)) < 1e-13
 
     def test_stats_payload(self, tmp_path):
         out = tmp_path / "st.json"

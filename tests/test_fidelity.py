@@ -15,13 +15,18 @@ from gatefid.channels import (
 from gatefid.fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
+    SYMMETRIC_FORM_MAX_DIM,
+    FidelityKernel,
     average_gate_fidelity,
     depolarizing_gate_fidelity,
+    fidelity_kernel,
     gate_fidelity_batch,
     gate_fidelity_pure,
     l2_distance_to_depolarizing,
     phase_min_distance,
     state_fidelity,
+    symmetric_form,
+    uses_symmetric_form,
     variance_bounds,
 )
 from gatefid.linalg import partial_transpose, tensor
@@ -187,6 +192,91 @@ class TestGateFidelityPointwise:
         tall = channel_from_kraus((np.zeros((3, 2)),))
         with pytest.raises(ValueError):
             gate_fidelity_pure(tall, None, np.array([1.0, 0.0]))
+
+
+def _sym_isometry(d):
+    # columns |ii> and (|ij> + |ji>)/sqrt(2), i < j, in numpy.triu_indices order
+    rows, cols = np.triu_indices(d)
+    v = np.zeros((d * d, len(rows)))
+    for a, (i, j) in enumerate(zip(rows, cols)):
+        w = 1.0 if i == j else np.sqrt(0.5)
+        v[i * d + j, a] = v[j * d + i, a] = w
+    return v
+
+
+class TestSymmetricForm:
+    @given(
+        st.integers(2, 8).flatmap(
+            lambda d: st.tuples(st.just(d), st.integers(1, d * d))
+        ),
+        st.booleans(),
+        st.integers(0, 10**6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_kraus_loop(self, d_rank, with_target, seed):
+        d, rank = d_rank
+        ch = random_channel(d, rank, rng=seed)
+        u = _haar_unitary(np.random.default_rng(seed + 1), d) if with_target else None
+        states = haar_states(d, 300, rng=seed + 2)
+        kraus = FidelityKernel(channel=ch, u=u, form=None).values(states)
+        form = FidelityKernel(channel=ch, u=u, form=symmetric_form(ch, u)).values(states)
+        assert np.max(np.abs(form - kraus)) <= 1e-13
+
+    def test_is_the_symmetric_block_of_the_partial_transpose(self):
+        rng = np.random.default_rng(74)
+        for d, rank in ((2, 3), (3, 9), (4, 7)):
+            ch = random_channel(d, rank, rng=75 + d)
+            u = _haar_unitary(rng, d)
+            lam = reduce_to_lambda(ch, u)
+            pt = partial_transpose(choi_from_kraus(lam).matrix, d, d, factor="second")
+            v = _sym_isometry(d)
+            expected = v.T @ pt @ v
+            assert np.max(np.abs(symmetric_form(ch, u) - expected)) < 1e-14
+
+    def test_trace_gives_the_average(self):
+        # the Haar average of (phi phi^dag)^(x)2 is P_sym / C(d+1, 2)
+        for d, rank in ((2, 4), (3, 5), (5, 25)):
+            ch = random_channel(d, rank, rng=76 + d)
+            m = symmetric_form(ch)
+            assert abs(np.trace(m).real / (d * (d + 1) / 2) - average_gate_fidelity(ch)) < 1e-14
+
+    @given(st.integers(2, 8).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d))))
+    @settings(max_examples=25, deadline=None)
+    def test_rank_at_most_d_takes_the_kraus_loop(self, d_rank):
+        d, rank = d_rank
+        kernel = fidelity_kernel(random_channel(d, rank, rng=[d, rank]))
+        assert kernel.form is None
+
+    def test_dispatch_rule(self):
+        for d in range(2, 65):
+            for rank in range(1, d + 1):
+                assert not uses_symmetric_form(rank, d)
+            assert uses_symmetric_form(d * d, d) == (d <= SYMMETRIC_FORM_MAX_DIM)
+        u = _haar_unitary(np.random.default_rng(77), 4)
+        assert fidelity_kernel(depolarizing(0.5, 4), u).form is not None
+
+    @given(st.floats(0.0, 1.0), st.integers(2, 8), st.integers(0, 10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_depolarizing_is_constant(self, p, d, seed):
+        ch = depolarizing(p, d)
+        assert fidelity_kernel(ch).form is not None
+        values = gate_fidelity_batch(ch, None, haar_states(d, 500, rng=seed))
+        assert np.max(np.abs(values - (p + (1.0 - p) / d))) <= 1e-13
+
+    def test_kernel_is_reused_across_batches(self):
+        ch = random_channel(4, 16, rng=78)
+        kernel = fidelity_kernel(ch)
+        states = haar_states(4, 1000, rng=79)
+        whole = gate_fidelity_batch(ch, None, states, kernel=kernel)
+        parts = [gate_fidelity_batch(ch, None, states[i : i + 7], kernel=kernel)
+                 for i in range(0, 1000, 7)]
+        assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_shape_guards(self):
+        with pytest.raises(ValueError):
+            symmetric_form(depolarizing(0.5, 2), np.eye(3))
+        with pytest.raises(ValueError):
+            fidelity_kernel(channel_from_kraus((np.zeros((3, 2)),)))
 
 
 class TestAverageGateFidelity:

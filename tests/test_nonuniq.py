@@ -4,13 +4,14 @@ import pytest
 from gatefid.channels import (
     ChoiMatrix,
     adjoint,
+    channel_from_kraus,
     choi_from_kraus,
     depolarizing,
     random_channel,
     unitary_channel,
     validate_cptp,
 )
-from gatefid.fidelity import gate_fidelity_batch
+from gatefid.fidelity import gate_fidelity_batch, symmetric_form
 from gatefid.linalg import (
     antisym_projector,
     partial_trace,
@@ -162,6 +163,14 @@ class TestPerturbChannel:
         assert pair.verification.cptp_r.is_cp and pair.verification.cptp_r.is_tp
         assert pair.verification.choi_distance > 1e-6
 
+    def test_defaults_to_the_largest_strength(self):
+        q = depolarizing(0.6, 4)
+        pair = perturb_channel(q, n_verify=500, rng=107)
+        assert pair.epsilon == pair.max_epsilon
+        assert abs(pair.epsilon - 0.1) < 1e-12
+        explicit = perturb_channel(q, pair.max_epsilon, build_g_operator(4), n_verify=500, rng=107)
+        assert explicit.verification == pair.verification
+
     def test_partial_strength(self):
         g = build_g_operator(4)
         q = depolarizing(0.6, 4)
@@ -206,6 +215,37 @@ class TestPerturbChannel:
         fr = gate_fidelity_batch(pair.r, None, states)
         assert np.std(fr) <= 1e-10
         assert abs(float(np.mean(fr)) - (0.5 + 0.5 / 4.0)) < 1e-10
+
+
+class TestExactTwinCheck:
+    """Sample-free certificate: equal fidelity functions are equal forms.
+
+    The fidelity sees a channel only through symmetric_form, so
+    ||M_Q - M_R|| = 0 certifies the pair at every state, where the
+    Monte-Carlo residual checks only the sampled ones.
+    """
+
+    @pytest.mark.parametrize(
+        "d, make_q",
+        [
+            (4, lambda: depolarizing(0.5, 4)),
+            (5, lambda: _full_rank_channel(5, 94)),
+            (16, lambda: depolarizing(0.5, 16)),
+        ],
+    )
+    def test_twin_forms_agree(self, d, make_q):
+        pair = perturb_channel(make_q(), n_verify=500, rng=104)
+        assert pair.verification.fidelity_residual_max <= 1e-10
+        assert pair.verification.choi_distance > 1e-4
+        m_q = symmetric_form(pair.q)
+        m_r = symmetric_form(pair.r)
+        assert m_q.shape == (d * (d + 1) // 2,) * 2
+        assert schatten_norm(m_q - m_r, 2) <= 1e-13
+
+    def test_distinct_fidelity_functions_have_distinct_forms(self):
+        m_a = symmetric_form(depolarizing(0.9, 4))
+        m_b = symmetric_form(depolarizing(0.8, 4))
+        assert schatten_norm(m_a - m_b, 2) > 1e-2
 
 
 class TestVerifyPair:
@@ -295,9 +335,31 @@ class TestDepolarizingDistance:
         got = depolarizing_distance(unitary_channel(PAULI_X))
         assert abs(got - np.sqrt(3.0)) < 1e-9
 
-    def test_shape_guard(self):
-        from gatefid.channels import channel_from_kraus
+    def test_interior_minimum_beats_grid_oracle(self):
+        # a slightly rotated depolarizing channel sits off the family, with
+        # its nearest member strictly inside p in (0, 1)
+        h = np.random.default_rng(105).standard_normal((3, 3))
+        vals, vecs = np.linalg.eigh(h + h.T)
+        u = (vecs * np.exp(0.1j * vals)) @ vecs.conj().T
+        ch = channel_from_kraus(tuple(u @ op for op in depolarizing(0.6, 3).kraus))
+        j = choi_from_kraus(ch).matrix
+        j_id = choi_from_kraus(depolarizing(1.0, 3)).matrix
+        j_mix = choi_from_kraus(depolarizing(0.0, 3)).matrix
+        grid = np.linspace(0.0, 1.0, 10_001)
+        values = [schatten_norm(j - p * j_id - (1.0 - p) * j_mix, 2) for p in grid]
+        best = int(np.argmin(values))
+        assert 0 < best < len(grid) - 1
+        got = depolarizing_distance(ch)
+        assert got <= values[best] + 1e-12
+        assert abs(got - values[best]) < 1e-6
 
+    def test_accepts_the_choi_matrix(self):
+        ch = random_channel(4, 5, rng=106)
+        assert depolarizing_distance(choi_from_kraus(ch)) == depolarizing_distance(ch)
+
+    def test_shape_guard(self):
         tall = channel_from_kraus((np.zeros((3, 2)),))
         with pytest.raises(ValueError):
             depolarizing_distance(tall)
+        with pytest.raises(ValueError):
+            depolarizing_distance(choi_from_kraus(tall))
