@@ -22,6 +22,7 @@ everything else takes the Kraus loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,12 @@ def _check_target(u, d: int):
     return u
 
 
+def _folded_kraus(e: QuantumChannel, u) -> np.ndarray:
+    """Stacked Kraus operators U^dag A_k of the folded channel U^dag o E."""
+    ops = np.stack(e.kraus)
+    return ops if u is None else u.conj().T @ ops
+
+
 def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     """The matrix M with F_{E,U}(phi) = <phi phi|M|phi phi>.
 
@@ -140,10 +147,7 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     function against U exactly when their forms are equal.
     """
     d = _check_square_channel(e)
-    u = _check_target(u, d)
-    ops = np.stack(e.kraus)
-    if u is not None:
-        ops = u.conj().T @ ops
+    ops = _folded_kraus(e, _check_target(u, d))
     flat = ops.reshape(len(e.kraus), d * d)
     # Choi matrix J[(i,j),(l,m)] = sum_k B_k[i,j] conj(B_k[l,m]), as one GEMM
     g = (flat.T @ flat.conj()).reshape(d, d, d, d)
@@ -176,6 +180,26 @@ def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarra
     return out
 
 
+def _kraus_gradient(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # c_k = <phi|B_k|phi>; grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi)
+    b_phi = ops @ phi
+    bh_phi = (phi.conj() @ ops).conj()
+    c = b_phi @ phi.conj()
+    return 2.0 * (c.conj() @ b_phi + c @ bh_phi)
+
+
+def _symmetric_gradient(form: np.ndarray, d: int, phi: np.ndarray) -> np.ndarray:
+    # F = y^dag M y with y_a = w_a phi_i phi_j, so dF/dconj(phi_l) sums
+    # w_a (My)_a over the pairs a = (i, j) containing l, twice when i = j = l
+    i, j = np.triu_indices(d)
+    weight = np.where(i == j, 1.0, np.sqrt(2.0))
+    z = weight * (form @ (phi[i] * phi[j] * weight))
+    t = np.zeros((d, d), dtype=complex)
+    t[i, j] = z
+    t[j, i] += z
+    return 2.0 * (t @ phi.conj())
+
+
 @dataclass(frozen=True)
 class FidelityKernel:
     """Evaluation path of F_{E,U}, chosen once per (channel, target) pair.
@@ -195,6 +219,25 @@ class FidelityKernel:
         if self.form is None:
             return _kraus_values(self.channel.kraus, self.u, states)
         return _symmetric_values(self.form, self.channel.dim_in, states)
+
+    @cached_property
+    def _folded(self) -> np.ndarray:
+        return _folded_kraus(self.channel, self.u)
+
+    def gradient(self, phi: np.ndarray) -> np.ndarray:
+        """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at a state phi.
+
+        B_k = U^dag A_k. F is read as a real function of (Re phi, Im phi)
+        and extended off the unit sphere as the degree-4 polynomial above;
+        the result packs it as dF/dRe phi + i dF/dIm phi, a complex (d,)
+        vector. Its component along phi is 4F, so callers descending on
+        the sphere remove the radial part. Both evaluation paths give the
+        same vector up to rounding.
+        """
+        phi = np.asarray(phi, dtype=complex)
+        if self.form is None:
+            return _kraus_gradient(self._folded, phi)
+        return _symmetric_gradient(self.form, self.channel.dim_in, phi)
 
 
 def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:
@@ -315,7 +358,14 @@ def phase_min_distance(phi: np.ndarray, psi: np.ndarray):
     """
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
-    overlap = np.abs(np.sum(phi.conj() * psi, axis=-1))
-    gap = np.clip(2.0 - 2.0 * overlap, 0.0, None)
-    out = np.sqrt(gap)
+    out = overlap_distance(np.abs(np.sum(phi.conj() * psi, axis=-1)))
     return float(out) if out.ndim == 0 else out
+
+
+def overlap_distance(overlap):
+    """Phase-minimized distance sqrt(2 - 2 |<phi|psi>|) from overlap moduli.
+
+    The one expression behind every phase-minimized distance of the
+    package; rounding that pushes 2 - 2|<phi|psi>| below zero is clipped.
+    """
+    return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))

@@ -21,6 +21,7 @@ from .fidelity import (
     FidelityKernel,
     fidelity_kernel,
     gate_fidelity_batch,
+    overlap_distance,
     phase_min_distance,
 )
 from .sampling import (
@@ -59,11 +60,27 @@ class StateNet:
     seed: int
 
 
+# rows per overlap GEMM in _min_distances, so the (rows, net size) overlap
+# matrix stays a few MB however large the net grows
+_DISTANCE_CHUNK = 256
+
+
 def _min_distances(points: np.ndarray, net_states: np.ndarray) -> np.ndarray:
     """Distance from each point (row) to its nearest net state."""
-    overlap = np.abs(points.conj() @ net_states.T)
-    gap = np.clip(2.0 - 2.0 * overlap.max(axis=1), 0.0, None)
-    return np.sqrt(gap)
+    best = np.empty(len(points))
+    for start in range(0, len(points), _DISTANCE_CHUNK):
+        rows = points[start : start + _DISTANCE_CHUNK]
+        best[start : start + len(rows)] = np.abs(rows.conj() @ net_states.T).max(axis=1)
+    return overlap_distance(best)
+
+
+def _with_room(net: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """net if row n fits, else a copy of its n rows with doubled capacity, at most cap."""
+    if n < len(net):
+        return net
+    grown = np.empty((min(2 * len(net), cap), net.shape[1]), dtype=net.dtype)
+    grown[:n] = net[:n]
+    return grown
 
 
 def build_net(
@@ -78,13 +95,18 @@ def build_net(
     """Greedy random packing with a statistical coverage certificate.
 
     Haar candidates are kept when at least epsilon away from every kept
-    state; packing stops after stop_rejections consecutive rejections.
-    Coverage is then validated on fresh samples: certifying miss mass at
-    most miss_tolerance (default 1 - confidence) at the requested
-    confidence needs ceil(ln(1/(1-confidence)) / miss_tolerance)
-    consecutive covered samples. An uncovered sample joins the net and the
-    count restarts. Exhausting max_states raises NetCoverageError rather
-    than returning a net that missed validation.
+    state; packing stops after stop_rejections consecutive rejections,
+    counted across sampling blocks. Coverage is then validated on fresh
+    samples: certifying miss mass at most miss_tolerance (default
+    1 - confidence) at the requested confidence needs
+    ceil(ln(1/(1-confidence)) / miss_tolerance) consecutive covered
+    samples. An uncovered sample joins the net and the count restarts.
+    The distances of one validation block are all taken against the net
+    as it stood at the start of that block, so a state added by repair
+    covers no later sample of the same block; the rule is kept because it
+    fixes which states the net holds, and so its bytes. Exhausting
+    max_states raises NetCoverageError rather than returning a net that
+    missed validation.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
@@ -96,29 +118,53 @@ def build_net(
         miss_tolerance = 1.0 - confidence
     if not 0.0 < miss_tolerance < 1.0:
         raise ValueError(f"miss tolerance must lie in (0, 1), got {miss_tolerance}")
+    if max_states < 0:
+        raise ValueError(f"state budget must be non-negative, got {max_states}")
+    if stop_rejections < 1:
+        raise ValueError(f"need at least one rejection to stop, got {stop_rejections}")
     spec = as_rng_spec(rng)
 
-    kept: list[np.ndarray] = []
-    matrix = np.zeros((0, d), dtype=complex)
+    # grows by doubling up to one row past the budget, so the state that
+    # breaks it still fits and a generous budget reserves no memory up front
+    cap = max_states + 1
+    net = np.empty((min(cap, 256), d), dtype=complex)
+    n = 0
     rejections = 0
     block = 0
     while rejections < stop_rejections:
         candidates = _haar_block(d, spec, TAG_NET, block, BLOCK_SIZE)
         block += 1
-        for row in candidates:
-            if len(kept) == 0 or float(_min_distances(row[None, :], matrix)[0]) >= epsilon:
-                kept.append(row)
-                matrix = np.asarray(kept)
+        for start in range(0, len(candidates), _DISTANCE_CHUNK):
+            chunk = candidates[start : start + _DISTANCE_CHUNK]
+            # a candidate is kept when it is epsilon away from the net as it
+            # stood before this chunk and from the states this chunk added
+            base = n
+            if n:
+                survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
+            else:
+                survivors = range(len(chunk))
+            last = -1
+            for i in survivors:
+                rejections += i - last - 1  # the candidates between survivors
+                last = i
+                if rejections >= stop_rejections:
+                    break
+                if n > base and _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon:
+                    rejections += 1
+                    continue
+                net = _with_room(net, n, cap)
+                net[n] = chunk[i]
+                n += 1
                 rejections = 0
-                if len(kept) > max_states:
+                if n > max_states:
                     raise NetCoverageError(
                         f"packing exceeded the {max_states}-state budget at d={d}, "
                         f"epsilon={epsilon}; enlarge max_states or epsilon"
                     )
             else:
-                rejections += 1
-                if rejections >= stop_rejections:
-                    break
+                rejections += len(chunk) - last - 1
+            if rejections >= stop_rejections:
+                break
 
     needed = math.ceil(math.log(1.0 / (1.0 - confidence)) / miss_tolerance)
     streak = 0
@@ -126,27 +172,30 @@ def build_net(
     while streak < needed:
         samples = _haar_block(d, spec, TAG_VALIDATE, vblock, BLOCK_SIZE)
         vblock += 1
-        dists = _min_distances(samples, matrix)
-        for i, dist in enumerate(dists):
-            if dist <= epsilon:
-                streak += 1
-                if streak >= needed:
-                    break
-            else:
-                kept.append(samples[i])
-                matrix = np.asarray(kept)
-                streak = 0
-                if len(kept) > max_states:
-                    raise NetCoverageError(
-                        f"coverage repair exceeded the {max_states}-state budget at "
-                        f"d={d}, epsilon={epsilon}"
-                    )
+        dists = _min_distances(samples, net[:n])
+        last = -1
+        for i in np.flatnonzero(~(dists <= epsilon)).tolist():
+            streak += i - last - 1  # the covered samples between misses
+            last = i
+            if streak >= needed:
+                break
+            net = _with_room(net, n, cap)
+            net[n] = samples[i]
+            n += 1
+            streak = 0
+            if n > max_states:
+                raise NetCoverageError(
+                    f"coverage repair exceeded the {max_states}-state budget at "
+                    f"d={d}, epsilon={epsilon}"
+                )
+        else:
+            streak += len(samples) - last - 1
     achieved = 1.0 - (1.0 - miss_tolerance) ** needed
     return StateNet(
         d=d,
         epsilon=float(epsilon),
         metric_id="euclidean",
-        states=matrix,
+        states=net[:n].copy(),
         coverage_confidence=achieved,
         seed=spec.seed,
     )
@@ -177,23 +226,12 @@ def net_minimum(e: QuantumChannel, u, net: StateNet) -> MinEstimate:
     )
 
 
-def _descend(
-    e: QuantumChannel, u, x: np.ndarray, kernel: FidelityKernel, h: float = 1e-6
-) -> float:
+def _descend(e: QuantumChannel, u, x: np.ndarray, kernel: FidelityKernel) -> float:
     """Projected gradient descent from one start on the unit sphere."""
-    d = len(x)
     val = float(gate_fidelity_batch(e, u, x, kernel=kernel))
     step = 0.25
     for _ in range(400):
-        bundle = np.tile(x, (4 * d, 1))
-        for j in range(d):
-            bundle[4 * j + 0, j] += h
-            bundle[4 * j + 1, j] -= h
-            bundle[4 * j + 2, j] += 1j * h
-            bundle[4 * j + 3, j] -= 1j * h
-        bundle /= np.linalg.norm(bundle, axis=1, keepdims=True)
-        f = gate_fidelity_batch(e, u, bundle, kernel=kernel)
-        grad = (f[0::4] - f[1::4]) / (2 * h) + 1j * (f[2::4] - f[3::4]) / (2 * h)
+        grad = kernel.gradient(x)
         grad -= np.real(np.vdot(x, grad)) * x  # radial part is irrelevant
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12:
@@ -280,8 +318,7 @@ def phase_min_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """All pairwise phase-minimized distances between two state batches."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    overlap = np.abs(a.conj() @ b.T)
-    return np.sqrt(np.clip(2.0 - 2.0 * overlap, 0.0, None))
+    return overlap_distance(np.abs(a.conj() @ b.T))
 
 
 __all__ = [

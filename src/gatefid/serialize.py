@@ -60,7 +60,11 @@ def _complex_array_text(arr: np.ndarray) -> str:
     text = _pairs_text(floats, row)
     # "%.17g" writes a bare integer exactly for integral |x| < 1e17
     if np.any((np.trunc(floats) == floats) & (np.abs(floats) < 1e17)):
-        text = _INTEGRAL_TOKEN.sub(r"\1.0", text)
+        # split puts the captured tokens at odd indices; appending there
+        # avoids a per-match template expansion in re.sub
+        parts = _INTEGRAL_TOKEN.split(text)
+        parts[1::2] = [token + ".0" for token in parts[1::2]]
+        text = "".join(parts)
     return text
 
 

@@ -279,6 +279,51 @@ class TestSymmetricForm:
             fidelity_kernel(channel_from_kraus((np.zeros((3, 2)),)))
 
 
+def _tangent(x, g):
+    # drop the radial part; the phase direction i x carries none already
+    return g - np.real(np.vdot(x, g)) * x
+
+
+def _fd_gradient(ch, u, x, h=1e-6):
+    """Central differences of F(x / |x|) along each Re and Im coordinate."""
+    d = len(x)
+    steps = np.concatenate([np.eye(d), 1j * np.eye(d)]) * h
+    plus = x + steps
+    minus = x - steps
+    plus /= np.linalg.norm(plus, axis=1, keepdims=True)
+    minus /= np.linalg.norm(minus, axis=1, keepdims=True)
+    diff = (gate_fidelity_batch(ch, u, plus) - gate_fidelity_batch(ch, u, minus)) / (2 * h)
+    return diff[:d] + 1j * diff[d:]
+
+
+class TestKernelGradient:
+    @pytest.mark.parametrize(
+        "d,rank,symmetric",
+        [(2, 1, False), (3, 2, False), (4, 4, False), (16, 3, False),
+         (3, 9, True), (4, 5, True), (5, 25, True), (6, 9, True)],
+    )
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_matches_finite_differences(self, d, rank, symmetric, with_target):
+        ch = random_channel(d, rank, rng=[80, d, rank])
+        rng = np.random.default_rng([81, d, rank])
+        u = _haar_unitary(rng, d) if with_target else None
+        kernel = fidelity_kernel(ch, u)
+        assert (kernel.form is not None) == symmetric
+        for x in haar_states(d, 3, rng=8200 + 100 * d + rank):
+            got = _tangent(x, kernel.gradient(x))
+            assert np.max(np.abs(got - _tangent(x, _fd_gradient(ch, u, x)))) < 1e-6
+
+    def test_paths_agree_and_radial_part_is_4f(self):
+        ch = random_channel(4, 16, rng=83)
+        u = _haar_unitary(np.random.default_rng(84), 4)
+        kraus = FidelityKernel(channel=ch, u=u, form=None)
+        form = FidelityKernel(channel=ch, u=u, form=symmetric_form(ch, u))
+        for x in haar_states(4, 5, rng=85):
+            g = kraus.gradient(x)
+            assert np.max(np.abs(g - form.gradient(x))) < 1e-13
+            assert abs(np.real(np.vdot(x, g)) - 4 * gate_fidelity_batch(ch, u, x)) < 1e-13
+
+
 class TestAverageGateFidelity:
     def test_unitary_is_one(self):
         rng = np.random.default_rng(74)

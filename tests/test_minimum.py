@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from gatefid.channels import (
     amplitude_damping,
     depolarizing,
     identity_channel,
+    phase_spread_unitary,
     random_channel,
     unitary_channel,
 )
@@ -24,9 +27,82 @@ from gatefid.minimum import (
     phase_min_distance_matrix,
     reference_minimum,
 )
-from gatefid.sampling import haar_states
+from gatefid.sampling import (
+    BLOCK_SIZE,
+    TAG_NET,
+    TAG_VALIDATE,
+    _haar_block,
+    as_rng_spec,
+    haar_states,
+)
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _reference_build_net(
+    d, epsilon, rng, max_states=2000, confidence=0.99, miss_tolerance=None, stop_rejections=200
+):
+    """The per-candidate packing and validation loop build_net replaced.
+
+    Returns the states, the coverage confidence and the number of states
+    coverage repair added; raises NetCoverageError("packing") or
+    NetCoverageError("coverage repair") where build_net must raise.
+    """
+
+    def nearest(points, net):
+        overlap = np.abs(points.conj() @ net.T)
+        return np.sqrt(np.clip(2.0 - 2.0 * overlap.max(axis=1), 0.0, None))
+
+    if miss_tolerance is None:
+        miss_tolerance = 1.0 - confidence
+    spec = as_rng_spec(rng)
+    kept = []
+    matrix = np.zeros((0, d), dtype=complex)
+    rejections = 0
+    block = 0
+    while rejections < stop_rejections:
+        candidates = _haar_block(d, spec, TAG_NET, block, BLOCK_SIZE)
+        block += 1
+        for row in candidates:
+            if len(kept) == 0 or float(nearest(row[None, :], matrix)[0]) >= epsilon:
+                kept.append(row)
+                matrix = np.asarray(kept)
+                rejections = 0
+                if len(kept) > max_states:
+                    raise NetCoverageError("packing")
+            else:
+                rejections += 1
+                if rejections >= stop_rejections:
+                    break
+    packed = len(kept)
+    needed = math.ceil(math.log(1.0 / (1.0 - confidence)) / miss_tolerance)
+    streak = 0
+    vblock = 0
+    while streak < needed:
+        samples = _haar_block(d, spec, TAG_VALIDATE, vblock, BLOCK_SIZE)
+        vblock += 1
+        dists = nearest(samples, matrix)
+        for i, dist in enumerate(dists):
+            if dist <= epsilon:
+                streak += 1
+                if streak >= needed:
+                    break
+            else:
+                kept.append(samples[i])
+                matrix = np.asarray(kept)
+                streak = 0
+                if len(kept) > max_states:
+                    raise NetCoverageError("coverage repair")
+    achieved = 1.0 - (1.0 - miss_tolerance) ** needed
+    return matrix, achieved, len(kept) - packed
+
+
+def _assert_matches_reference(d, eps, seed, **kwargs):
+    states, confidence, repaired = _reference_build_net(d, eps, seed, **kwargs)
+    net = build_net(d, eps, rng=seed, **kwargs)
+    assert net.states.tobytes() == states.tobytes()
+    assert net.coverage_confidence == confidence
+    return repaired
 
 
 class TestBuildNet:
@@ -87,6 +163,63 @@ class TestBuildNet:
         loose = build_net(2, 0.9, rng=13, confidence=0.9)
         tight = build_net(2, 0.9, rng=13, confidence=0.99)
         assert tight.coverage_confidence > loose.coverage_confidence
+
+
+class TestBuildNetOracle:
+    """build_net keeps the states of the per-candidate loop, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "d,eps,seed",
+        [(d, eps, seed) for d in (2, 3, 4) for eps in (0.5, 0.9) for seed in (1, 2)]
+        + [(2, 0.3, 3), (3, 0.35, 4), (4, 0.6, 5)],
+    )
+    def test_matches_per_candidate_loop(self, d, eps, seed):
+        _assert_matches_reference(d, eps, seed)
+
+    @pytest.mark.parametrize("eps,seed,stop", [(0.3, 5, 5000), (0.2, 6, 9000)])
+    def test_rejection_streak_crosses_blocks(self, eps, seed, stop):
+        # more consecutive rejections than one block holds
+        assert stop > BLOCK_SIZE
+        _assert_matches_reference(2, eps, seed, stop_rejections=stop)
+
+    @pytest.mark.parametrize("eps,seed,stop", [(0.8, 6, 20), (0.6, 9, 50)])
+    def test_coverage_repair(self, eps, seed, stop):
+        # an early stop leaves holes that validation must fill
+        assert _assert_matches_reference(3, eps, seed, stop_rejections=stop) > 0
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_short_validation_streak(self, seed):
+        # six covered samples certify here, so misses often land right
+        # where a streak would complete
+        repaired = _assert_matches_reference(
+            3, 0.6, seed, confidence=0.75, miss_tolerance=0.25, stop_rejections=3
+        )
+        assert repaired > 0
+
+    @pytest.mark.parametrize(
+        "kwargs,phase",
+        [
+            (dict(d=3, eps=0.05, seed=10, max_states=50), "packing"),
+            (dict(d=2, eps=0.1, seed=7, max_states=60, stop_rejections=30), "packing"),
+            (dict(d=3, eps=0.6, seed=9, max_states=60, stop_rejections=50), "coverage repair"),
+        ],
+    )
+    def test_budget_errors(self, kwargs, phase):
+        with pytest.raises(NetCoverageError, match=phase):
+            _assert_matches_reference(**kwargs)
+        with pytest.raises(NetCoverageError, match=f"^{phase} exceeded"):
+            build_net(kwargs.pop("d"), kwargs.pop("eps"), rng=kwargs.pop("seed"), **kwargs)
+
+    def test_generous_budget_reserves_nothing(self):
+        # the buffer grows with the net, so a budget far beyond memory is
+        # only a bound; 313 states also take the buffer through two doublings
+        _assert_matches_reference(3, 0.3, 0, max_states=10**12)
+
+    def test_rejects_empty_budget_and_stop(self):
+        with pytest.raises(ValueError):
+            build_net(2, 0.5, max_states=-1)
+        with pytest.raises(ValueError):
+            build_net(2, 0.5, stop_rejections=0)
 
 
 class TestNetMinimum:
@@ -172,6 +305,13 @@ class TestReferenceMinimum:
         a = reference_minimum(ch, None, n_starts=4, rng=28)
         b = reference_minimum(ch, None, n_starts=4, rng=28)
         assert a == b
+
+    def test_phase_spread_unitary_reaches_cos2_1(self):
+        # eigenphases spread over [-1, 1]: F = |sum_k p_k e^{i t_k}|^2 is
+        # smallest with half the weight on each end, cos^2(1)
+        ch = phase_spread_unitary(16, np.random.default_rng([3, 16]))
+        got = reference_minimum(ch, None, n_starts=8, rng=3)
+        assert abs(got - math.cos(1.0) ** 2) < 1e-8
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
