@@ -3,15 +3,15 @@
 
 Layers: build_net(3, 0.2) and reference_minimum on a d=16 phase-spread
 unitary with 8 starts, the inputs of the min-search workload, each the
-median of --repeats runs after one warm-up. They run in a fresh
+median of REPEATS runs after one warm-up. They run in a fresh
 interpreter against each tree's src/, and the same interpreter records
-reference_minimum at the first --value-jobs job seeds of every --seeds
-entry (perfbench's job_seed), so the two trees' reference values can be
+reference_minimum at the first VALUE_JOBS job seeds of every entry of
+SEEDS (perfbench's job_seed), so the two trees' reference values can be
 compared where perfbench only shows differing sha256.
 
-End to end: for each workload in --workloads and each seed in --seeds,
-one `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` run
-per tree, from that tree's own checkout, alternating which side runs
+End to end: for each of the four workloads and each seed in SEEDS, one
+`perfbench/run.py --workload W --seed S --seconds 20 --trace 0` run per
+tree, from that tree's own checkout, alternating which side runs
 first. Every job index both runs reached has its artifacts' sha256
 compared. Medians, inclusive quartiles and per-pair wins of setup_s,
 job_s and peak_rss_mb go to BENCH_minimum.json with the machine
@@ -19,7 +19,7 @@ fingerprint (core count, BLAS name and BLAS thread count); the claim is
 job_s on min-search.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
-    PYTHONPATH=src python3 scripts/bench_minimum.py --baseline /tmp/parent --seeds 31-40
+    PYTHONPATH=src python3 scripts/bench_minimum.py --baseline /tmp/parent
 """
 
 import argparse
@@ -37,9 +37,15 @@ from child import fingerprint, job_seed  # bench_kernel put perfbench/ on sys.pa
 METRICS = ("setup_s", "job_s", "peak_rss_mb")
 JOB_LINE = re.compile(r"^# job (\d+) traced=\d [\d.]+ s .* sha256 (.*)$")
 NET_D, NET_EPS, REF_D, REF_STARTS = 3, 0.2, 16, 8
+WORKLOADS = ("min-search", "stats-lowrank", "sweep-unitary", "twin-dense")
+SEEDS = range(31, 41)
+REPEATS = 5
+VALUE_JOBS = 3  # job seeds per entry of SEEDS whose reference values are compared
+VALUE_SEEDS = [job_seed(s, k) for s in SEEDS for k in range(VALUE_JOBS)]
+OUT = ROOT / "BENCH_minimum.json"
 
 
-def layers(repeats: int, value_seeds: list) -> dict:
+def layers() -> dict:
     """Layer times and reference values of the gatefid found on sys.path."""
     import numpy as np
 
@@ -50,9 +56,9 @@ def layers(repeats: int, value_seeds: list) -> dict:
         return phase_spread_unitary(REF_D, np.random.default_rng([seed, REF_D]))
 
     ch = unitary(1)
-    net_s, net = _median_time(lambda: build_net(NET_D, NET_EPS, rng=1), repeats)
-    ref_s, _ = _median_time(lambda: reference_minimum(ch, None, REF_STARTS, rng=1), repeats)
-    values = {str(s): reference_minimum(unitary(s), None, REF_STARTS, rng=s) for s in value_seeds}
+    net_s, net = _median_time(lambda: build_net(NET_D, NET_EPS, rng=1), REPEATS)
+    ref_s, _ = _median_time(lambda: reference_minimum(ch, None, REF_STARTS, rng=1), REPEATS)
+    values = {str(s): reference_minimum(unitary(s), None, REF_STARTS, rng=s) for s in VALUE_SEEDS}
     return {
         "build_net_s": round(net_s, 6),
         "net_states": len(net.states),
@@ -61,10 +67,9 @@ def layers(repeats: int, value_seeds: list) -> dict:
     }
 
 
-def run_layers(tree: Path, repeats: int, value_seeds: list) -> dict:
+def run_layers(tree: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable, __file__, "--layers-only", "--repeats", str(repeats),
-           "--value-seeds", ",".join(map(str, value_seeds))]
+    cmd = [sys.executable, __file__, "--layers-only"]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -124,50 +129,33 @@ def compare_artifacts(runs: list) -> dict:
             for name, n in compared.items()}
 
 
-def parse_seeds(text: str) -> list:
-    if "-" in text:
-        low, high = text.split("-")
-        return list(range(int(low), int(high) + 1))
-    return [int(x) for x in text.split(",")]
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--seeds", default="31-40", help="perfbench seeds, '31-40' or '1,2'")
-    ap.add_argument("--workloads", default="min-search")
-    ap.add_argument("--repeats", type=int, default=5)
-    ap.add_argument("--value-jobs", type=int, default=3,
-                    help="job seeds per --seeds entry whose reference values are compared")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_minimum.json"))
     ap.add_argument("--layers-only", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--value-seeds", default="", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.layers_only:
-        value_seeds = [int(s) for s in args.value_seeds.split(",") if s]
-        print(json.dumps(layers(args.repeats, value_seeds)))
+        print(json.dumps(layers()))
         return
     if args.baseline is None:
         ap.error("--baseline is required")
 
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
-    seeds = parse_seeds(args.seeds)
-    value_seeds = [job_seed(s, k) for s in seeds for k in range(args.value_jobs)]
-    layer = {side: run_layers(tree, args.repeats, value_seeds) for side, tree in trees.items()}
+    layer = {side: run_layers(tree) for side, tree in trees.items()}
     ref_diff = max(
         abs(layer["parent"]["reference_values"][s] - layer["change"]["reference_values"][s])
         for s in layer["parent"]["reference_values"]
-    ) if value_seeds else None
+    )
     for side in trees:
         print(f"{side}: build_net {layer[side]['build_net_s']:.4f}s "
               f"reference_minimum {layer[side]['reference_minimum_s']:.4f}s", flush=True)
 
     end_to_end = {}
     artifacts = {}
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         runs = []
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             run = {"seed": seed, "first": order[0]}
             for side in order:
@@ -176,7 +164,7 @@ def main() -> None:
             print(f"{workload} seed {seed}: job_s parent {run['parent']['metrics']['job_s']} "
                   f"change {run['change']['metrics']['job_s']}", flush=True)
         end_to_end[workload] = {
-            "seeds": seeds,
+            "seeds": list(SEEDS),
             "first_in_pair": [r["first"] for r in runs],
             "failed_of_attempted": {
                 side: "{}/{}".format(*[sum(r[side]["failed_attempted"][i] for r in runs)
@@ -187,26 +175,23 @@ def main() -> None:
         }
         artifacts[workload] = compare_artifacts(runs)
 
-    claim = None
-    if "min-search" in end_to_end:
-        job = end_to_end["min-search"]["job_s"]
-        wins = int(job["change_wins"].split("/")[0])
-        claim = {
-            "metric": "job_s",
-            "workload": "min-search",
-            "rule": "change wins >= 9/10 of alternating pairs and the median falls by more "
-                    "than the parent's IQR",
-            "change_wins": job["change_wins"],
-            "parent_median_s": job["parent_q1_median_q3"][1],
-            "change_median_s": job["change_q1_median_q3"][1],
-            "median_diff_s": job["median_diff"],
-            "parent_iqr_s": job["parent_iqr"],
-            "met": wins >= 0.9 * len(seeds) and -job["median_diff"] > job["parent_iqr"],
-        }
+    job = end_to_end["min-search"]["job_s"]
+    wins = int(job["change_wins"].split("/")[0])
+    claim = {
+        "metric": "job_s",
+        "workload": "min-search",
+        "rule": "change wins >= 9/10 of alternating pairs and the median falls by more "
+                "than the parent's IQR",
+        "change_wins": job["change_wins"],
+        "parent_median_s": job["parent_q1_median_q3"][1],
+        "change_median_s": job["change_q1_median_q3"][1],
+        "median_diff_s": job["median_diff"],
+        "parent_iqr_s": job["parent_iqr"],
+        "met": wins >= 0.9 * len(SEEDS) and -job["median_diff"] > job["parent_iqr"],
+    }
     record = {
         "topic": "minimum",
-        "harness": f"PYTHONPATH=src python3 scripts/bench_minimum.py --baseline PARENT "
-                   f"--seeds {args.seeds} --workloads {args.workloads} --repeats {args.repeats}",
+        "harness": "PYTHONPATH=src python3 scripts/bench_minimum.py --baseline PARENT",
         "machine": fingerprint(),
         "layers": {
             "inputs": f"build_net({NET_D}, {NET_EPS}, rng=1); reference_minimum of "
@@ -215,16 +200,15 @@ def main() -> None:
                for side in trees},
         },
         "reference_values": {
-            "job_seeds": len(value_seeds),
+            "job_seeds": len(VALUE_SEEDS),
             "max_abs_diff": ref_diff,
         },
         "end_to_end": end_to_end,
         "artifacts": artifacts,
         "claim": claim,
     }
-    out = Path(args.out)
-    out.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {out}")
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":

@@ -188,18 +188,6 @@ def _kraus_gradient(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return 2.0 * (c.conj() @ b_phi + c @ bh_phi)
 
 
-def _symmetric_gradient(form: np.ndarray, d: int, phi: np.ndarray) -> np.ndarray:
-    # F = y^dag M y with y_a = w_a phi_i phi_j, so dF/dconj(phi_l) sums
-    # w_a (My)_a over the pairs a = (i, j) containing l, twice when i = j = l
-    i, j = np.triu_indices(d)
-    weight = np.where(i == j, 1.0, np.sqrt(2.0))
-    z = weight * (form @ (phi[i] * phi[j] * weight))
-    t = np.zeros((d, d), dtype=complex)
-    t[i, j] = z
-    t[j, i] += z
-    return 2.0 * (t @ phi.conj())
-
-
 @dataclass(frozen=True)
 class FidelityKernel:
     """Evaluation path of F_{E,U}, chosen once per (channel, target) pair.
@@ -231,13 +219,10 @@ class FidelityKernel:
         and extended off the unit sphere as the degree-4 polynomial above;
         the result packs it as dF/dRe phi + i dF/dIm phi, a complex (d,)
         vector. Its component along phi is 4F, so callers descending on
-        the sphere remove the radial part. Both evaluation paths give the
-        same vector up to rounding.
+        the sphere remove the radial part. It is computed from the folded
+        Kraus operators on either evaluation path.
         """
-        phi = np.asarray(phi, dtype=complex)
-        if self.form is None:
-            return _kraus_gradient(self._folded, phi)
-        return _symmetric_gradient(self.form, self.channel.dim_in, phi)
+        return _kraus_gradient(self._folded, np.asarray(phi, dtype=complex))
 
 
 def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:

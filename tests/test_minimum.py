@@ -207,8 +207,9 @@ class TestBuildNetOracle:
     def test_budget_errors(self, kwargs, phase):
         with pytest.raises(NetCoverageError, match=phase):
             _assert_matches_reference(**kwargs)
+        budget = {k: v for k, v in kwargs.items() if k not in ("d", "eps", "seed")}
         with pytest.raises(NetCoverageError, match=f"^{phase} exceeded"):
-            build_net(kwargs.pop("d"), kwargs.pop("eps"), rng=kwargs.pop("seed"), **kwargs)
+            build_net(kwargs["d"], kwargs["eps"], rng=kwargs["seed"], **budget)
 
     def test_generous_budget_reserves_nothing(self):
         # the buffer grows with the net, so a budget far beyond memory is
