@@ -37,7 +37,6 @@ from .fidelity import (
     fidelity_kernel,
     gate_fidelity_batch,
     gate_fidelity_pure,
-    l2_distance_to_depolarizing,
     phase_min_distance,
     state_fidelity,
     symmetric_form,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .channels import (
     validate_cptp,
 )
 from .fidelity import (
+    LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
     gate_fidelity_pure,
     variance_bounds,
@@ -58,40 +58,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Everything a single CLI invocation needs, flags already resolved."""
-
-    command: str
-    channel_path: str | None = None
-    q_path: str | None = None
-    r_path: str | None = None
-    unitary_path: str | None = None
-    state_path: str | None = None
-    net_path: str | None = None
-    d: int | None = None
-    qubits: int | None = None
-    p: float | None = None
-    epsilon: float | None = None
-    q_mass: float | None = None
-    avg: float | None = None
-    n: int | None = None
-    seed: int = DEFAULT_SEED
-    tol: float = 1e-9
-    lipschitz_k: float | None = None
-    starts: int = 8
-    max_states: int = 2000
-    confidence: float = 0.99
-    d_list: tuple = (2, 4, 8, 16, 32, 64, 128, 256)
-    eps_grid: tuple = (0.25, 0.1, 0.05)
-    to_form: str | None = None
-    out: str | None = None
-    format: str = "json"
-    threads: int = 0
+# Every handler takes the parsed namespace, which holds exactly the flags
+# its subcommand declares, and returns (kind, payload, summary, ok): kind is
+# "json" or "csv", the format of the artifact written from payload.
 
 
-def _threads(config: RunConfig) -> int:
-    return config.threads if config.threads > 0 else (os.cpu_count() or 1)
+def _threads(args) -> int:
+    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
 
 
 def _record(quantity: str, value, d: int, inputs: dict, seed=None) -> dict:
@@ -106,12 +79,12 @@ def _record(quantity: str, value, d: int, inputs: dict, seed=None) -> dict:
     return rec
 
 
-def _load_square_channel(config: RunConfig):
+def _load_square_channel(args):
     """Channel from --channel, or depolarizing(--p, --d) as a shorthand."""
-    if config.channel_path is not None:
-        ch = serialize.load_channel(config.channel_path)
-    elif config.p is not None and config.d is not None:
-        ch = depolarizing(config.p, config.d)
+    if args.channel_path is not None:
+        ch = serialize.load_channel(args.channel_path)
+    elif args.p is not None and args.d is not None:
+        ch = depolarizing(args.p, args.d)
     else:
         raise ValueError("need --channel FILE, or --p and --d for a depolarizing channel")
     if ch.dim_in != ch.dim_out:
@@ -121,10 +94,10 @@ def _load_square_channel(config: RunConfig):
     return ch
 
 
-def _load_unitary(config: RunConfig):
-    if config.unitary_path is None:
+def _load_unitary(args):
+    if args.unitary_path is None:
         return None
-    return serialize.unitary_from_dict(serialize.read_json(config.unitary_path))
+    return serialize.unitary_from_dict(serialize.read_json(args.unitary_path))
 
 
 def _channel_inputs(ch, u, extra: dict | None = None) -> dict:
@@ -137,93 +110,101 @@ def _channel_inputs(ch, u, extra: dict | None = None) -> dict:
     return inputs
 
 
-def _cmd_channel_validate(config: RunConfig):
-    obj = serialize.load_operator(config.channel_path)
-    report = validate_cptp(obj, config.tol)
-    d = obj.dim_in
+def _pair_holds(v, residual_tol: float) -> bool:
+    """Both channels CPTP, fidelities equal within residual_tol, Choi matrices apart."""
+    return (
+        v.cptp_q.is_cp
+        and v.cptp_q.is_tp
+        and v.cptp_r.is_cp
+        and v.cptp_r.is_tp
+        and v.fidelity_residual_max <= residual_tol
+        and v.choi_distance > 1e-6
+    )
+
+
+def _cmd_channel_validate(args):
+    # one read: the parsed file is both decoded and hashed
+    data = serialize.read_json(args.channel_path)
+    obj = serialize.operator_from_dict(data, args.channel_path)
+    report = validate_cptp(obj, args.tol)
     payload = _record(
         "cptp_report",
         serialize.cptp_report_to_dict(report),
-        d,
-        {"path_content": serialize.read_json(config.channel_path)},
+        obj.dim_in,
+        {"path_content": data},
     )
     ok = report.is_cp and report.is_tp
     summary = (
-        f"cptp check at tol {config.tol:g}: is_cp={report.is_cp} is_tp={report.is_tp} "
+        f"cptp check at tol {args.tol:g}: is_cp={report.is_cp} is_tp={report.is_tp} "
         f"min_eig={report.min_eigenvalue:.3e} tp_residual={report.tp_residual:.3e}"
     )
-    return ("json", payload), summary, ok
+    return "json", payload, summary, ok
 
 
-def _cmd_channel_make_depolarizing(config: RunConfig):
-    if config.p is None or config.d is None:
-        raise ValueError("make-depolarizing needs --p and --d")
-    ch = depolarizing(config.p, config.d)
+def _cmd_channel_make_depolarizing(args):
+    ch = depolarizing(args.p, args.d)
     payload = serialize.channel_to_dict(ch)
     summary = (
-        f"depolarizing channel p={config.p:g} d={config.d} "
+        f"depolarizing channel p={args.p:g} d={args.d} "
         f"({len(ch.kraus)} Kraus operators)"
     )
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_channel_convert(config: RunConfig):
-    obj = serialize.load_operator(config.channel_path)
-    if config.to_form == "choi":
+def _cmd_channel_convert(args):
+    obj = serialize.load_operator(args.channel_path)
+    if args.to_form == "choi":
         choi = obj if not hasattr(obj, "kraus") else choi_from_kraus(obj)
         payload = serialize.choi_to_dict(choi)
-    elif config.to_form == "kraus":
+    else:
         ch = kraus_from_choi(obj) if hasattr(obj, "matrix") else obj
         payload = serialize.channel_to_dict(ch)
-    else:
-        raise ValueError(f"unknown conversion target {config.to_form!r}")
-    summary = f"converted {config.channel_path} to {config.to_form} form"
-    return ("json", payload), summary, True
+    summary = f"converted {args.channel_path} to {args.to_form} form"
+    return "json", payload, summary, True
 
 
-def _cmd_fidelity_point(config: RunConfig):
-    ch = _load_square_channel(config)
-    u = _load_unitary(config)
-    if config.state_path is not None:
-        phi = serialize.state_from_dict(serialize.read_json(config.state_path))
+def _cmd_fidelity_point(args):
+    ch = _load_square_channel(args)
+    u = _load_unitary(args)
+    if args.state_path is not None:
+        phi = serialize.state_from_dict(serialize.read_json(args.state_path))
     else:
         phi = np.zeros(ch.dim_in, dtype=complex)
         phi[0] = 1.0
     value = gate_fidelity_pure(ch, u, phi)
     inputs = _channel_inputs(ch, u, {"state": serialize.vector_to_pairs(phi)})
     payload = _record("gate_fidelity_point", value, ch.dim_in, inputs)
-    return ("json", payload), f"gate fidelity at state: {value:.12g}", True
+    return "json", payload, f"gate fidelity at state: {value:.12g}", True
 
 
-def _cmd_fidelity_avg(config: RunConfig):
-    ch = _load_square_channel(config)
-    u = _load_unitary(config)
+def _cmd_fidelity_avg(args):
+    ch = _load_square_channel(args)
+    u = _load_unitary(args)
     value = average_gate_fidelity(ch, u)
     payload = _record("average_gate_fidelity", value, ch.dim_in, _channel_inputs(ch, u))
-    return ("json", payload), f"average gate fidelity: {value:.12g}", True
+    return "json", payload, f"average gate fidelity: {value:.12g}", True
 
 
-def _cmd_fidelity_stats(config: RunConfig):
-    ch = _load_square_channel(config)
-    u = _load_unitary(config)
-    n = config.n or 100000
-    stats = mc_fidelity_stats(ch, u, n, RngSpec(config.seed), threads=_threads(config))
-    inputs = _channel_inputs(ch, u, {"n": n})
+def _cmd_fidelity_stats(args):
+    ch = _load_square_channel(args)
+    u = _load_unitary(args)
+    stats = mc_fidelity_stats(ch, u, args.n, RngSpec(args.seed), threads=_threads(args))
+    inputs = _channel_inputs(ch, u, {"n": args.n})
     payload = _record(
-        "fidelity_stats", serialize.stats_to_dict(stats), ch.dim_in, inputs, config.seed
+        "fidelity_stats", serialize.stats_to_dict(stats), ch.dim_in, inputs, args.seed
     )
     summary = (
-        f"fidelity over {n} Haar states: mean={stats.mean:.9g} "
+        f"fidelity over {args.n} Haar states: mean={stats.mean:.9g} "
         f"std={np.sqrt(stats.variance):.3e} min={stats.min:.9g} max={stats.max:.9g}"
     )
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_bounds_variance(config: RunConfig):
-    if config.qubits is not None:
-        d = 2**config.qubits
-    elif config.d is not None:
-        d = config.d
+def _cmd_bounds_variance(args):
+    if args.qubits is not None:
+        d = 2**args.qubits
+    elif args.d is not None:
+        d = args.d
     else:
         raise ValueError("need --d or --qubits")
     bounds = variance_bounds(d)
@@ -237,70 +218,49 @@ def _cmd_bounds_variance(config: RunConfig):
         f"variance bounds at d={d}: exact={bounds.variance_bound_exact:.6g} "
         f"concentration={bounds.variance_bound_concentration:.6g}"
     )
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_bounds_levy(config: RunConfig):
-    if config.d is None or config.epsilon is None:
-        raise ValueError("need --d and --eps")
-    kwargs = {}
-    if config.lipschitz_k is not None:
-        kwargs["K"] = config.lipschitz_k
-    bound = levy_bound(config.d, config.epsilon, **kwargs)
+def _cmd_bounds_levy(args):
+    bound = levy_bound(args.d, args.epsilon, K=args.lipschitz_k)
     payload = _record(
         "levy_bound",
         serialize.concentration_to_dict(bound),
-        config.d,
-        {"d": config.d, "epsilon": config.epsilon, "K": bound.K},
+        args.d,
+        {"d": args.d, "epsilon": args.epsilon, "K": bound.K},
     )
     summary = (
-        f"levy bound at d={config.d}, eps={config.epsilon:g}: "
+        f"levy bound at d={args.d}, eps={args.epsilon:g}: "
         f"two_sided={bound.two_sided_bound:.6g} one_sided={bound.one_sided_bound:.6g}"
     )
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_nonuniq_construct(config: RunConfig):
-    if config.channel_path is not None:
-        q = serialize.load_channel(config.channel_path)
+def _cmd_nonuniq_construct(args):
+    if args.channel_path is not None:
+        q = serialize.load_channel(args.channel_path)
         if q.dim_in != q.dim_out:
             raise ValueError("the construction needs a square channel")
-        d = q.dim_in
         p_or_hash = serialize.canonical_hash(serialize.channel_to_dict(q))
     else:
-        d = config.d if config.d is not None else 4
-        p = config.p if config.p is not None else 0.5
-        q = depolarizing(p, d)
-        p_or_hash = p
-    n = config.n or 10000
-    pair = perturb_channel(q, config.epsilon, n_verify=n, rng=config.seed)
+        q = depolarizing(args.p, args.d)
+        p_or_hash = args.p
+    pair = perturb_channel(q, args.epsilon, n_verify=args.n, rng=args.seed)
     v = pair.verification
-    certificate = pair_certificate(pair, p_or_hash)
-    ok = (
-        v.cptp_q.is_cp
-        and v.cptp_q.is_tp
-        and v.cptp_r.is_cp
-        and v.cptp_r.is_tp
-        and v.fidelity_residual_max <= 1e-10
-        and v.choi_distance > 1e-6
-    )
     summary = (
-        f"pair at d={d}, eps={pair.epsilon:.6g} (max {pair.max_epsilon:.6g}): "
+        f"pair at d={q.dim_in}, eps={pair.epsilon:.6g} (max {pair.max_epsilon:.6g}): "
         f"fidelity residual {v.fidelity_residual_max:.2e}, choi distance "
         f"{v.choi_distance:.4g}, depolarizing distance {v.depolarizing_distance_r:.4g}"
     )
-    return ("json", certificate), summary, ok
+    return "json", pair_certificate(pair, p_or_hash), summary, _pair_holds(v, 1e-10)
 
 
-def _cmd_nonuniq_verify(config: RunConfig):
-    if config.q_path is None or config.r_path is None:
-        raise ValueError("need --q and --r channel files")
-    q = serialize.load_channel(config.q_path)
-    r = serialize.load_channel(config.r_path)
+def _cmd_nonuniq_verify(args):
+    q = serialize.load_channel(args.q_path)
+    r = serialize.load_channel(args.r_path)
     if (q.dim_in, q.dim_out) != (r.dim_in, r.dim_out):
         raise ValueError("the two channels have different dimensions")
-    n = config.n or 10000
-    v = verify_pair(q, r, n_samples=n, rng=config.seed, tol=config.tol)
+    v = verify_pair(q, r, n_samples=args.n, rng=args.seed, tol=args.tol)
     payload = {
         "d": q.dim_in,
         "fidelity_residual_max": v.fidelity_residual_max,
@@ -313,45 +273,34 @@ def _cmd_nonuniq_verify(config: RunConfig):
         "n_samples": v.n_samples,
         "seed": v.seed,
     }
-    ok = (
-        v.cptp_q.is_cp
-        and v.cptp_q.is_tp
-        and v.cptp_r.is_cp
-        and v.cptp_r.is_tp
-        and v.fidelity_residual_max <= max(config.tol, 1e-10)
-        and v.choi_distance > 1e-6
-    )
+    ok = _pair_holds(v, max(args.tol, 1e-10))
     verdict = "identical fidelity functions" if ok else "verification FAILED"
     summary = (
-        f"{verdict}: residual {v.fidelity_residual_max:.2e} over {n} states, "
+        f"{verdict}: residual {v.fidelity_residual_max:.2e} over {args.n} states, "
         f"choi distance {v.choi_distance:.4g}"
     )
-    return ("json", payload), summary, ok
+    return "json", payload, summary, ok
 
 
-def _cmd_min_net_build(config: RunConfig):
-    if config.d is None or config.epsilon is None:
-        raise ValueError("need --d and --eps")
+def _cmd_min_net_build(args):
     net = build_net(
-        config.d,
-        config.epsilon,
-        rng=config.seed,
-        max_states=config.max_states,
-        confidence=config.confidence,
+        args.d,
+        args.epsilon,
+        rng=args.seed,
+        max_states=args.max_states,
+        confidence=args.confidence,
     )
     summary = (
-        f"net at d={config.d}, eps={config.epsilon:g}: {len(net.states)} states, "
+        f"net at d={args.d}, eps={args.epsilon:g}: {len(net.states)} states, "
         f"coverage confidence {net.coverage_confidence:.4g}"
     )
-    return ("json", serialize.net_to_dict(net)), summary, True
+    return "json", serialize.net_to_dict(net), summary, True
 
 
-def _cmd_min_net_min(config: RunConfig):
-    if config.net_path is None:
-        raise ValueError("need --net FILE")
-    ch = _load_square_channel(config)
-    u = _load_unitary(config)
-    net = serialize.net_from_dict(serialize.read_json(config.net_path))
+def _cmd_min_net_min(args):
+    ch = _load_square_channel(args)
+    u = _load_unitary(args)
+    net = serialize.net_from_dict(serialize.read_json(args.net_path))
     est = net_minimum(ch, u, net)
     inputs = _channel_inputs(ch, u, {"net_seed": net.seed, "net_size": len(net.states)})
     payload = _record(
@@ -361,97 +310,63 @@ def _cmd_min_net_min(config: RunConfig):
         f"net minimum {est.net_min:.9g}, lipschitz lower bound "
         f"{est.lipschitz_lower_bound:.9g} ({len(net.states)} states)"
     )
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_min_effective(config: RunConfig):
-    if config.avg is None or config.q_mass is None or config.d is None:
-        raise ValueError("need --avg, --q and --d")
-    low, high = effective_minimum(config.avg, config.q_mass, config.d)
-    eps = effective_epsilon(config.q_mass, config.d)
+def _cmd_min_effective(args):
+    low, high = effective_minimum(args.avg, args.q_mass, args.d)
+    eps = effective_epsilon(args.q_mass, args.d)
     value = {"low": low, "high": high, "epsilon": eps}
     payload = _record(
-        "effective_minimum", value, config.d,
-        {"avg": config.avg, "Q": config.q_mass, "d": config.d},
+        "effective_minimum", value, args.d,
+        {"avg": args.avg, "Q": args.q_mass, "d": args.d},
     )
     note = " (vacuous at this d)" if low == 0.0 else ""
     summary = f"effective minimum in [{low:.9g}, {high:.9g}], eps={eps:.4g}{note}"
-    return ("json", payload), summary, True
+    return "json", payload, summary, True
 
 
-def _cmd_min_reference(config: RunConfig):
-    ch = _load_square_channel(config)
-    u = _load_unitary(config)
-    value = reference_minimum(ch, u, n_starts=config.starts, rng=config.seed)
-    inputs = _channel_inputs(ch, u, {"starts": config.starts})
-    payload = _record("reference_minimum", value, ch.dim_in, inputs, config.seed)
-    summary = f"reference minimum over {config.starts} starts: {value:.9g}"
-    return ("json", payload), summary, True
+def _cmd_min_reference(args):
+    ch = _load_square_channel(args)
+    u = _load_unitary(args)
+    value = reference_minimum(ch, u, n_starts=args.starts, rng=args.seed)
+    inputs = _channel_inputs(ch, u, {"starts": args.starts})
+    payload = _record("reference_minimum", value, ch.dim_in, inputs, args.seed)
+    summary = f"reference minimum over {args.starts} starts: {value:.9g}"
+    return "json", payload, summary, True
 
 
-def _cmd_report_convergence(config: RunConfig):
-    n = config.n or 100000
+def _cmd_report_convergence(args):
     rows = convergence_report(
         lambda d, g: phase_spread_unitary(d, g),
-        list(config.d_list),
-        n,
-        RngSpec(config.seed),
-        eps_grid=tuple(config.eps_grid),
-        threads=_threads(config),
+        list(args.d_list),
+        args.n,
+        RngSpec(args.seed),
+        eps_grid=tuple(args.eps_grid),
+        threads=_threads(args),
     )
-    stds = [r["std"] for r in rows[:: len(config.eps_grid)]]
-    dims = [r["d"] for r in rows[:: len(config.eps_grid)]]
+    stds = [r["std"] for r in rows[:: len(args.eps_grid)]]
+    dims = [r["d"] for r in rows[:: len(args.eps_grid)]]
     slope = float(np.polyfit(np.log(dims), np.log(stds), 1)[0]) if len(dims) > 1 else 0.0
     summary = (
-        f"convergence report over d={list(config.d_list)}: "
+        f"convergence report over d={list(args.d_list)}: "
         f"std falls from {stds[0]:.4g} to {stds[-1]:.4g}, log-log slope {slope:.3f}"
     )
-    if config.format == "json":
-        return ("json", rows), summary, True
-    return ("csv", rows, REPORT_COLUMNS), summary, True
+    return args.format, rows, summary, True
 
 
-_HANDLERS = {
-    "channel validate": _cmd_channel_validate,
-    "channel make-depolarizing": _cmd_channel_make_depolarizing,
-    "channel convert": _cmd_channel_convert,
-    "fidelity point": _cmd_fidelity_point,
-    "fidelity avg": _cmd_fidelity_avg,
-    "fidelity stats": _cmd_fidelity_stats,
-    "bounds variance": _cmd_bounds_variance,
-    "bounds levy": _cmd_bounds_levy,
-    "nonuniq construct": _cmd_nonuniq_construct,
-    "nonuniq verify": _cmd_nonuniq_verify,
-    "min net-build": _cmd_min_net_build,
-    "min net-min": _cmd_min_net_min,
-    "min effective": _cmd_min_effective,
-    "min reference": _cmd_min_reference,
-    "report convergence": _cmd_report_convergence,
-}
-
-
-def _default_out(config: RunConfig) -> str:
-    ext = "csv" if config.format == "csv" else "json"
-    return "gatefid-" + config.command.replace(" ", "-") + "." + ext
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command: write its artifact, print its summary line."""
-    handler = _HANDLERS.get(config.command)
-    if handler is None:
-        print(f"unknown command {config.command!r}", file=sys.stderr)
-        return 1
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command: write its artifact, print its summary line."""
     try:
-        artifact, summary, ok = handler(config)
+        kind, payload, summary, ok = args.handler(args)
     except (ValueError, OSError, NetCoverageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out = config.out or _default_out(config)
-    if artifact[0] == "csv":
-        _, rows, columns = artifact
-        serialize.write_csv(out, rows, columns)
+    out = args.out or f"gatefid-{args.group}-{args.action}.{kind}"
+    if kind == "csv":
+        serialize.write_csv(out, payload, REPORT_COLUMNS)
     else:
-        serialize.write_json(out, artifact[1])
+        serialize.write_json(out, payload)
     print(f"{summary} [{out}]")
     return 0 if ok else 2
 
@@ -480,15 +395,36 @@ def _float_list(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _add_common(parser, seed_default: int) -> None:
+def _command(sub, name: str, handler, help: str):
+    """One leaf subcommand: its parser, its --out flag and its handler.
+
+    Abbreviated flags are refused: with them, --n would silently mean --net
+    on a command that reads no sample count.
+    """
+    parser = sub.add_parser(name, help=help, allow_abbrev=False)
+    parser.add_argument("--out", default=None,
+                        help="artifact path (default gatefid-GROUP-ACTION.json, .csv for CSV)")
+    parser.set_defaults(handler=handler)
+    return parser
+
+
+def _add_seed(parser, seed_default: int) -> None:
     parser.add_argument("--seed", type=lambda s: int(s, 0), default=seed_default,
                         help=f"rng seed (default {seed_default}, or GATEFID_SEED)")
-    parser.add_argument("--n", type=int, default=None, help="sample count")
-    parser.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
-    parser.add_argument("--out", default=None, help="artifact path")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
+
+
+def _add_n(parser, default: int) -> None:
+    parser.add_argument("--n", type=int, default=default,
+                        help=f"sample count (default {default})")
+
+
+def _add_threads(parser) -> None:
     parser.add_argument("--threads", type=int, default=0,
                         help="sampling workers (0 = available parallelism)")
+
+
+def _add_tol(parser) -> None:
+    parser.add_argument("--tol", type=float, default=1e-9, help="validation tolerance")
 
 
 def _add_channel_source(parser) -> None:
@@ -502,130 +438,122 @@ def _add_channel_source(parser) -> None:
 
 
 def build_parser() -> _Parser:
+    # a malformed GATEFID_SEED is refused here, whatever the command
     seed_default = _env_default_seed()
     parser = _Parser(prog="gatefid", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 
     channel = groups.add_parser("channel", help="channel I/O and validation")
     channel_sub = channel.add_subparsers(dest="action", required=True, metavar="ACTION")
-    c_validate = channel_sub.add_parser("validate", help="CPTP check of a channel file")
+    c_validate = _command(channel_sub, "validate", _cmd_channel_validate,
+                          "CPTP check of a channel file")
     c_validate.add_argument("--channel", dest="channel_path", required=True)
-    _add_common(c_validate, seed_default)
-    c_make = channel_sub.add_parser("make-depolarizing", help="write a depolarizing channel")
+    _add_tol(c_validate)
+    c_make = _command(channel_sub, "make-depolarizing", _cmd_channel_make_depolarizing,
+                      "write a depolarizing channel")
     c_make.add_argument("--p", type=float, required=True)
     c_make.add_argument("--d", type=int, required=True)
-    _add_common(c_make, seed_default)
-    c_convert = channel_sub.add_parser("convert", help="switch between kraus and choi form")
+    c_convert = _command(channel_sub, "convert", _cmd_channel_convert,
+                         "switch between kraus and choi form")
     c_convert.add_argument("--channel", dest="channel_path", required=True)
     c_convert.add_argument("--to", dest="to_form", choices=("kraus", "choi"), required=True)
-    _add_common(c_convert, seed_default)
 
     fid = groups.add_parser("fidelity", help="gate fidelity quantities")
     fid_sub = fid.add_subparsers(dest="action", required=True, metavar="ACTION")
-    f_point = fid_sub.add_parser("point", help="fidelity at one pure state")
+    f_point = _command(fid_sub, "point", _cmd_fidelity_point, "fidelity at one pure state")
     _add_channel_source(f_point)
     f_point.add_argument("--state", dest="state_path", default=None,
                          help="state JSON file (default basis state 0)")
-    _add_common(f_point, seed_default)
-    f_avg = fid_sub.add_parser("avg", help="closed-form Haar average")
+    f_avg = _command(fid_sub, "avg", _cmd_fidelity_avg, "closed-form Haar average")
     _add_channel_source(f_avg)
-    _add_common(f_avg, seed_default)
-    f_stats = fid_sub.add_parser("stats", help="Monte-Carlo fidelity statistics")
+    f_stats = _command(fid_sub, "stats", _cmd_fidelity_stats,
+                       "Monte-Carlo fidelity statistics")
     _add_channel_source(f_stats)
-    _add_common(f_stats, seed_default)
+    _add_seed(f_stats, seed_default)
+    _add_n(f_stats, 100000)
+    _add_threads(f_stats)
 
     bounds = groups.add_parser("bounds", help="closed-form bounds")
     bounds_sub = bounds.add_subparsers(dest="action", required=True, metavar="ACTION")
-    b_var = bounds_sub.add_parser("variance", help="variance bounds at a dimension")
+    b_var = _command(bounds_sub, "variance", _cmd_bounds_variance,
+                     "variance bounds at a dimension")
     b_var.add_argument("--d", type=int, default=None)
     b_var.add_argument("--qubits", type=int, default=None, help="use d = 2**qubits")
-    _add_common(b_var, seed_default)
-    b_levy = bounds_sub.add_parser("levy", help="concentration tail bound")
+    b_levy = _command(bounds_sub, "levy", _cmd_bounds_levy, "concentration tail bound")
     b_levy.add_argument("--d", type=int, required=True)
     b_levy.add_argument("--eps", dest="epsilon", type=float, required=True)
-    b_levy.add_argument("--k", dest="lipschitz_k", type=float, default=None,
+    b_levy.add_argument("--k", dest="lipschitz_k", type=float, default=LIPSCHITZ_CONSTANT,
                         help="Lipschitz constant (default 3*sqrt(2))")
-    _add_common(b_levy, seed_default)
 
     nonuniq = groups.add_parser("nonuniq", help="same-fidelity channel pairs")
     nonuniq_sub = nonuniq.add_subparsers(dest="action", required=True, metavar="ACTION")
-    nq_make = nonuniq_sub.add_parser("construct", help="build and certify a pair")
-    nq_make.add_argument("--d", type=int, default=None, help="dimension (default 4)")
-    nq_make.add_argument("--p", type=float, default=None,
+    nq_make = _command(nonuniq_sub, "construct", _cmd_nonuniq_construct,
+                       "build and certify a pair")
+    nq_make.add_argument("--d", type=int, default=4, help="dimension (default 4)")
+    nq_make.add_argument("--p", type=float, default=0.5,
                          help="depolarizing parameter of Q (default 0.5)")
     nq_make.add_argument("--channel", dest="channel_path", default=None,
                          help="full-rank base channel instead of depolarizing")
     nq_make.add_argument("--eps", dest="epsilon", type=float, default=None,
                          help="perturbation strength (default: the maximum)")
-    _add_common(nq_make, seed_default)
-    nq_verify = nonuniq_sub.add_parser("verify", help="check a stored pair")
+    _add_seed(nq_make, seed_default)
+    _add_n(nq_make, 10000)
+    nq_verify = _command(nonuniq_sub, "verify", _cmd_nonuniq_verify, "check a stored pair")
     nq_verify.add_argument("--q", dest="q_path", required=True)
     nq_verify.add_argument("--r", dest="r_path", required=True)
-    _add_common(nq_verify, seed_default)
+    _add_seed(nq_verify, seed_default)
+    _add_n(nq_verify, 10000)
+    _add_tol(nq_verify)
 
     minimum = groups.add_parser("min", help="minimum fidelity estimation")
     minimum_sub = minimum.add_subparsers(dest="action", required=True, metavar="ACTION")
-    m_build = minimum_sub.add_parser("net-build", help="build and persist a state net")
+    m_build = _command(minimum_sub, "net-build", _cmd_min_net_build,
+                       "build and persist a state net")
     m_build.add_argument("--d", type=int, required=True)
     m_build.add_argument("--eps", dest="epsilon", type=float, required=True)
     m_build.add_argument("--max-states", dest="max_states", type=int, default=2000)
     m_build.add_argument("--confidence", type=float, default=0.99)
-    _add_common(m_build, seed_default)
-    m_net = minimum_sub.add_parser("net-min", help="minimum over a stored net")
+    _add_seed(m_build, seed_default)
+    m_net = _command(minimum_sub, "net-min", _cmd_min_net_min, "minimum over a stored net")
     _add_channel_source(m_net)
     m_net.add_argument("--net", dest="net_path", required=True)
-    _add_common(m_net, seed_default)
-    m_eff = minimum_sub.add_parser("effective", help="concentration interval")
+    m_eff = _command(minimum_sub, "effective", _cmd_min_effective, "concentration interval")
     m_eff.add_argument("--avg", type=float, required=True)
     m_eff.add_argument("--q", dest="q_mass", type=float, required=True,
                        help="tolerated Haar mass Q")
     m_eff.add_argument("--d", type=int, required=True)
-    _add_common(m_eff, seed_default)
-    m_ref = minimum_sub.add_parser("reference", help="multi-start descent minimum")
+    m_ref = _command(minimum_sub, "reference", _cmd_min_reference,
+                     "multi-start descent minimum")
     _add_channel_source(m_ref)
     m_ref.add_argument("--starts", type=int, default=8)
-    _add_common(m_ref, seed_default)
+    _add_seed(m_ref, seed_default)
 
     report = groups.add_parser("report", help="tabular experiment reports")
     report_sub = report.add_subparsers(dest="action", required=True, metavar="ACTION")
-    r_conv = report_sub.add_parser("convergence", help="fidelity spread versus dimension")
+    r_conv = _command(report_sub, "convergence", _cmd_report_convergence,
+                      "fidelity spread versus dimension")
     r_conv.add_argument("--d-list", dest="d_list", type=_int_list,
                         default=(2, 4, 8, 16, 32, 64, 128, 256))
     r_conv.add_argument("--eps-grid", dest="eps_grid", type=_float_list,
                         default=(0.25, 0.1, 0.05))
-    _add_common(r_conv, seed_default)
+    r_conv.add_argument("--format", choices=("json", "csv"), default="csv")
+    _add_seed(r_conv, seed_default)
+    _add_n(r_conv, 100000)
+    _add_threads(r_conv)
 
     return parser
 
 
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    command = f"{ns.group} {ns.action}"
-    fmt = getattr(ns, "format", None)
-    if fmt is None:
-        fmt = "csv" if ns.group == "report" else "json"
-    config = RunConfig(command=command, format=fmt)
-    for name in (
-        "channel_path", "q_path", "r_path", "unitary_path", "state_path", "net_path",
-        "d", "qubits", "p", "epsilon", "q_mass", "avg", "n", "seed", "tol",
-        "lipschitz_k", "starts", "max_states", "confidence", "d_list", "eps_grid",
-        "to_form", "out", "threads",
-    ):
-        if hasattr(ns, name):
-            setattr(config, name, getattr(ns, name))
-    return config
-
-
 def main(argv=None) -> int:
     try:
-        # parser construction can fail too, on a malformed GATEFID_SEED
         parser = build_parser()
-        ns = parser.parse_args(argv)
+        args = parser.parse_args(argv)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except SystemExit as ex:  # --help prints and exits 0
         return 0 if ex.code in (None, 0) else int(ex.code)
-    return run(config_from_args(ns))
+    return run(args)
 
 
 if __name__ == "__main__":

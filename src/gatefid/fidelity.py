@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import QuantumChannel, reduce_to_lambda
+from .channels import QuantumChannel
 from .linalg import hermitian_eig, schatten_norm
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
@@ -37,6 +37,10 @@ LIPSCHITZ_CONSTANT = 3.0 * np.sqrt(2.0)
 CONCENTRATION_C = 1.0 / (81.0 * np.pi**3 * np.log(2.0))
 
 _RANGE_TOL = 1e-8
+
+# How far U^dag U may sit from the identity (spectral norm) for a target U,
+# as channels.unitary_channel allows.
+_UNITARY_TOL = 1e-10
 
 
 def _clamp_unit(values, tol: float = _RANGE_TOL):
@@ -126,6 +130,8 @@ def _check_target(u, d: int):
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match dimension {d}")
+    if schatten_norm(u.conj().T @ u - np.eye(d), np.inf) > _UNITARY_TOL:
+        raise ValueError(f"target matrix is not unitary within {_UNITARY_TOL:g}")
     return u
 
 
@@ -274,8 +280,9 @@ def average_gate_fidelity(e: QuantumChannel, u=None) -> float:
     an isometry mixing gives the same sum.
     """
     d = _check_square_channel(e)
-    lam = e if u is None else reduce_to_lambda(e, u)
-    total = sum(abs(np.trace(op)) ** 2 for op in lam.kraus)
+    u = _check_target(u, d)
+    ops = e.kraus if u is None else _folded_kraus(e, u)
+    total = sum(abs(np.trace(op)) ** 2 for op in ops)
     return _clamp_unit((total + d) / (d * d + d))
 
 
@@ -320,18 +327,6 @@ def variance_bounds(d: int) -> FidelityBoundSet:
     return FidelityBoundSet(
         d=d, variance_bound_exact=float(exact), variance_bound_concentration=conc
     )
-
-
-def l2_distance_to_depolarizing(e: QuantumChannel, stats) -> float:
-    """L2 distance of the fidelity function from the best constant fit.
-
-    Equals the standard deviation of the gate fidelity under Haar states,
-    read off a Monte-Carlo summary computed for (e, identity). Zero exactly
-    when the channel's fidelity function is constant, as for depolarizing
-    channels.
-    """
-    _check_square_channel(e)
-    return float(np.sqrt(max(stats.variance, 0.0)))
 
 
 def phase_min_distance(phi: np.ndarray, psi: np.ndarray):

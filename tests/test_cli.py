@@ -34,6 +34,24 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         assert main(["channel", "validate"]) == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "avg", "--p", "0.9", "--d", "2", "--threads", "2"],
+            ["fidelity", "avg", "--p", "0.9", "--d", "2", "--format", "csv"],
+            ["bounds", "levy", "--d", "8", "--eps", "0.1", "--seed", "3"],
+            ["nonuniq", "construct", "--d", "4", "--tol", "1e-3"],
+            ["min", "net-min", "--p", "0.9", "--d", "2", "--net", "net.json", "--n", "10"],
+            ["channel", "make-depolarizing", "--p", "0.5", "--d", "2", "--seed", "3"],
+        ],
+        ids=["threads", "format", "seed", "tol", "n", "seed-on-make"],
+    )
+    def test_flag_the_command_does_not_read(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "gatefid" in capsys.readouterr().out
@@ -387,6 +405,13 @@ class TestDefaultArtifactPath:
         assert (tmp_path / "gatefid-fidelity-avg.json").exists()
         assert "gatefid-fidelity-avg.json" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_extension_follows_the_artifact_kind(self, fmt, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "convergence", "--d-list", "2", "--eps-grid", "0.25",
+                     "--n", "500", "--format", fmt]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == [f"gatefid-report-convergence.{fmt}"]
+
 
 def _nested_pairs(m):
     """The [re, im] pair lists the codec wrote before it worked on arrays."""
@@ -457,3 +482,47 @@ class TestInputBoundary:
             "n": 500,
         })
         assert real_read(out)["inputs_hash"] == expected
+
+    def test_validate_reads_once_and_hashes_the_raw_json(self, tmp_path, monkeypatch):
+        path = tmp_path / "ch.json"
+        # hand-written numbers, not in canonical 17-digit form
+        path.write_text(
+            '{"dim_in": 1, "dim_out": 1, "kraus": [[[[0.6, 0]]], [[[0, 8e-1]]]]}',
+            encoding="utf-8",
+        )
+        reads = []
+        real_read = serialize.read_json
+        monkeypatch.setattr(
+            serialize, "read_json", lambda p: reads.append(str(p)) or real_read(p)
+        )
+        out = tmp_path / "r.json"
+        assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 0
+        assert reads == [str(path)]
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        expected = serialize.canonical_hash({"path_content": raw})
+        assert real_read(out)["inputs_hash"] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "point"],
+            ["fidelity", "avg"],
+            ["fidelity", "stats", "--n", "100"],
+            ["min", "net-min", "--net", "NET"],
+            ["min", "reference", "--starts", "1"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_non_unitary_target_refused(self, argv, tmp_path, capsys):
+        u_path = tmp_path / "u.json"
+        serialize.write_json(u_path, serialize.unitary_to_dict(np.array([[1.0, 0.5], [0.0, 1.0]])))
+        net_path = tmp_path / "net.json"
+        assert main(["min", "net-build", "--d", "2", "--eps", "0.7",
+                     "--out", str(net_path)]) == 0
+        argv = [str(net_path) if a == "NET" else a for a in argv]
+        out = tmp_path / "out.json"
+        code = main(argv + ["--p", "0.9", "--d", "2", "--unitary", str(u_path),
+                            "--out", str(out)])
+        assert code == 2
+        assert "error: target matrix is not unitary within 1e-10" in capsys.readouterr().err
+        assert not out.exists()

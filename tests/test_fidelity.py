@@ -22,7 +22,6 @@ from gatefid.fidelity import (
     fidelity_kernel,
     gate_fidelity_batch,
     gate_fidelity_pure,
-    l2_distance_to_depolarizing,
     phase_min_distance,
     state_fidelity,
     symmetric_form,
@@ -356,6 +355,15 @@ class TestAverageGateFidelity:
         mixed = channel_from_kraus(tuple(np.einsum("ij,jkl->ikl", w, stacked)))
         assert abs(average_gate_fidelity(ch) - average_gate_fidelity(mixed)) < 1e-12
 
+    def test_target_folds_like_reduce_to_lambda(self):
+        rng = np.random.default_rng(81)
+        for d in (2, 3, 5):
+            for rank in (1, d, d * d):
+                ch = random_channel(d, rank, rng=int(rng.integers(10**6)))
+                u = _haar_unitary(rng, d)
+                folded = average_gate_fidelity(reduce_to_lambda(ch, u))
+                assert abs(average_gate_fidelity(ch, u) - folded) < 1e-15
+
     def test_depolarizing_helper_validates(self):
         assert abs(depolarizing_gate_fidelity(0.9, 2) - 0.95) < 1e-15
         assert depolarizing_gate_fidelity(1.0, 7) == 1.0
@@ -364,6 +372,28 @@ class TestAverageGateFidelity:
             depolarizing_gate_fidelity(-0.2, 2)
         with pytest.raises(ValueError):
             depolarizing_gate_fidelity(0.5, 1)
+
+
+class TestTargetCheck:
+    NOT_UNITARY = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ch, u: average_gate_fidelity(ch, u),
+            lambda ch, u: gate_fidelity_pure(ch, u, np.array([1.0, 0.0])),
+            lambda ch, u: fidelity_kernel(ch, u),
+            lambda ch, u: symmetric_form(ch, u),
+        ],
+        ids=["average", "pointwise", "kernel", "symmetric_form"],
+    )
+    def test_non_unitary_target_refused(self, call):
+        with pytest.raises(ValueError, match="target matrix is not unitary within 1e-10"):
+            call(depolarizing(0.9, 2), self.NOT_UNITARY)
+
+    def test_near_unitary_target_accepted(self):
+        u = PAULI_X + 1e-12
+        assert abs(average_gate_fidelity(unitary_channel(PAULI_X), u) - 1.0) < 1e-12
 
 
 class TestVarianceBounds:
@@ -413,18 +443,6 @@ class TestVarianceBounds:
 
 
 class TestDistanceHelpers:
-    def test_depolarizing_distance_is_zero(self):
-        ch = depolarizing(0.6, 2)
-        stats = mc_fidelity_stats(ch, None, 5000, rng=84)
-        assert l2_distance_to_depolarizing(ch, stats) < 1e-12
-
-    def test_matches_sample_std(self):
-        ch = unitary_channel(PAULI_X)
-        stats = mc_fidelity_stats(ch, None, 5000, rng=85)
-        got = l2_distance_to_depolarizing(ch, stats)
-        assert abs(got - np.sqrt(stats.variance)) < 1e-15
-        assert got > 0.1  # the bit flip has genuinely spread fidelity
-
     def test_phase_min_distance_range(self):
         rng = np.random.default_rng(86)
         phis = np.stack([_rand_state(rng, 3) for _ in range(50)])

@@ -24,6 +24,7 @@ from gatefid.serialize import (
     matrix_to_pairs,
     net_from_dict,
     net_to_dict,
+    operator_from_dict,
     pairs_to_matrix,
     pairs_to_vector,
     read_json,
@@ -150,6 +151,16 @@ class TestChannelSerialization:
         write_json(path, {"dim_in": 2})
         with pytest.raises(ValueError, match="neither 'kraus' nor 'choi'"):
             load_operator(path)
+
+    def test_operator_from_dict_decodes_both_forms(self):
+        ch = depolarizing(0.4, 2)
+        choi = choi_from_kraus(ch)
+        back = operator_from_dict(channel_to_dict(ch), "k.json")
+        assert all(np.array_equal(a, b) for a, b in zip(back.kraus, ch.kraus))
+        back = operator_from_dict(choi_to_dict(choi), "c.json")
+        assert np.array_equal(back.matrix, choi.matrix)
+        with pytest.raises(ValueError, match="odd.json: neither 'kraus' nor 'choi'"):
+            operator_from_dict({"dim_in": 2}, "odd.json")
 
     def test_malformed_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
