@@ -129,6 +129,48 @@ def compare_artifacts(runs: list) -> dict:
             for name, n in compared.items()}
 
 
+def paired_runs(trees: dict, workload: str, seeds) -> dict:
+    """One perfbench pair per seed, alternating which side runs first."""
+    runs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        run = {"seed": seed, "first": order[0]}
+        for side in order:
+            run[side] = run_perfbench(trees[side], workload, seed)
+        runs.append(run)
+        print(f"{workload} seed {seed}: job_s parent {run['parent']['metrics']['job_s']} "
+              f"change {run['change']['metrics']['job_s']}", flush=True)
+    return {
+        "seeds": list(seeds),
+        "first_in_pair": [r["first"] for r in runs],
+        "failed_of_attempted": {
+            side: "{}/{}".format(*[sum(r[side]["failed_attempted"][i] for r in runs)
+                                   for i in (0, 1)])
+            for side in trees
+        },
+        **summarize(runs),
+        "artifacts": compare_artifacts(runs),
+    }
+
+
+def job_s_claim(record: dict, workload: str) -> dict:
+    """The gain rule applied to job_s of one workload's paired runs."""
+    job = record["job_s"]
+    wins = int(job["change_wins"].split("/")[0])
+    return {
+        "metric": "job_s",
+        "workload": workload,
+        "rule": "change wins >= 9/10 of alternating pairs and the median falls by more "
+                "than the parent's IQR",
+        "change_wins": job["change_wins"],
+        "parent_median_s": job["parent_q1_median_q3"][1],
+        "change_median_s": job["change_q1_median_q3"][1],
+        "median_diff_s": job["median_diff"],
+        "parent_iqr_s": job["parent_iqr"],
+        "met": wins >= 0.9 * len(record["seeds"]) and -job["median_diff"] > job["parent_iqr"],
+    }
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
@@ -151,44 +193,9 @@ def main() -> None:
         print(f"{side}: build_net {layer[side]['build_net_s']:.4f}s "
               f"reference_minimum {layer[side]['reference_minimum_s']:.4f}s", flush=True)
 
-    end_to_end = {}
-    artifacts = {}
-    for workload in WORKLOADS:
-        runs = []
-        for i, seed in enumerate(SEEDS):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            run = {"seed": seed, "first": order[0]}
-            for side in order:
-                run[side] = run_perfbench(trees[side], workload, seed)
-            runs.append(run)
-            print(f"{workload} seed {seed}: job_s parent {run['parent']['metrics']['job_s']} "
-                  f"change {run['change']['metrics']['job_s']}", flush=True)
-        end_to_end[workload] = {
-            "seeds": list(SEEDS),
-            "first_in_pair": [r["first"] for r in runs],
-            "failed_of_attempted": {
-                side: "{}/{}".format(*[sum(r[side]["failed_attempted"][i] for r in runs)
-                                       for i in (0, 1)])
-                for side in trees
-            },
-            **summarize(runs),
-        }
-        artifacts[workload] = compare_artifacts(runs)
-
-    job = end_to_end["min-search"]["job_s"]
-    wins = int(job["change_wins"].split("/")[0])
-    claim = {
-        "metric": "job_s",
-        "workload": "min-search",
-        "rule": "change wins >= 9/10 of alternating pairs and the median falls by more "
-                "than the parent's IQR",
-        "change_wins": job["change_wins"],
-        "parent_median_s": job["parent_q1_median_q3"][1],
-        "change_median_s": job["change_q1_median_q3"][1],
-        "median_diff_s": job["median_diff"],
-        "parent_iqr_s": job["parent_iqr"],
-        "met": wins >= 0.9 * len(SEEDS) and -job["median_diff"] > job["parent_iqr"],
-    }
+    end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
+    artifacts = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
+    claim = job_s_claim(end_to_end["min-search"], "min-search")
     record = {
         "topic": "minimum",
         "harness": "PYTHONPATH=src python3 scripts/bench_minimum.py --baseline PARENT",

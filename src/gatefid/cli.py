@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import serialize
+from . import _blas, serialize
 from .channels import (
     choi_from_kraus,
     depolarizing,
@@ -79,8 +79,16 @@ def _record(quantity: str, value, d: int, inputs: dict, seed=None) -> dict:
     return rec
 
 
+def _check_one_channel_source(args) -> None:
+    """--channel names the whole channel, so --p or --d beside it is a conflict."""
+    given = [flag for flag, value in (("--p", args.p), ("--d", args.d)) if value is not None]
+    if args.channel_path is not None and given:
+        raise UsageError(f"--channel conflicts with {' and '.join(given)}")
+
+
 def _load_square_channel(args):
     """Channel from --channel, or depolarizing(--p, --d) as a shorthand."""
+    _check_one_channel_source(args)
     if args.channel_path is not None:
         ch = serialize.load_channel(args.channel_path)
     elif args.p is not None and args.d is not None:
@@ -201,6 +209,8 @@ def _cmd_fidelity_stats(args):
 
 
 def _cmd_bounds_variance(args):
+    if args.qubits is not None and args.d is not None:
+        raise UsageError("--d conflicts with --qubits")
     if args.qubits is not None:
         d = 2**args.qubits
     elif args.d is not None:
@@ -237,14 +247,16 @@ def _cmd_bounds_levy(args):
 
 
 def _cmd_nonuniq_construct(args):
+    _check_one_channel_source(args)
     if args.channel_path is not None:
         q = serialize.load_channel(args.channel_path)
         if q.dim_in != q.dim_out:
             raise ValueError("the construction needs a square channel")
         p_or_hash = serialize.canonical_hash(serialize.channel_to_dict(q))
     else:
-        q = depolarizing(args.p, args.d)
-        p_or_hash = args.p
+        p = 0.5 if args.p is None else args.p
+        q = depolarizing(p, 4 if args.d is None else args.d)
+        p_or_hash = p
     pair = perturb_channel(q, args.epsilon, n_verify=args.n, rng=args.seed)
     v = pair.verification
     summary = (
@@ -359,6 +371,9 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command: write its artifact, print its summary line."""
     try:
         kind, payload, summary, ok = args.handler(args)
+    except UsageError as err:
+        print(f"usage error: {err}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, NetCoverageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -489,8 +504,8 @@ def build_parser() -> _Parser:
     nonuniq_sub = nonuniq.add_subparsers(dest="action", required=True, metavar="ACTION")
     nq_make = _command(nonuniq_sub, "construct", _cmd_nonuniq_construct,
                        "build and certify a pair")
-    nq_make.add_argument("--d", type=int, default=4, help="dimension (default 4)")
-    nq_make.add_argument("--p", type=float, default=0.5,
+    nq_make.add_argument("--d", type=int, default=None, help="dimension (default 4)")
+    nq_make.add_argument("--p", type=float, default=None,
                          help="depolarizing parameter of Q (default 0.5)")
     nq_make.add_argument("--channel", dest="channel_path", default=None,
                          help="full-rank base channel instead of depolarizing")
@@ -545,6 +560,7 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    _blas.pin_single_thread()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)

@@ -166,10 +166,10 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
 
 
 def _kraus_values(kraus, u, states: np.ndarray) -> np.ndarray:
-    target = states if u is None else states @ u.T
+    target = (states if u is None else states @ u.T).conj()
     total = np.zeros(states.shape[0])
     for op in kraus:
-        overlap = np.einsum("ni,ni->n", target.conj(), states @ op.T)
+        overlap = np.einsum("ni,ni->n", target, states @ op.T)
         total += np.abs(overlap) ** 2
     return total
 

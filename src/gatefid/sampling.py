@@ -72,9 +72,20 @@ def generator(spec: RngSpec, *key: int) -> np.random.Generator:
 
 
 def _haar_block(d: int, spec: RngSpec, tag: int, block: int, count: int) -> np.ndarray:
+    """count Haar states, bit for bit (a + 1j*b) / np.linalg.norm(a + 1j*b, axis=1)
+    with a, b the block's two standard normal draws, in two block-sized buffers."""
     g = generator(spec, tag, block)
-    z = g.standard_normal((count, d)) + 1j * g.standard_normal((count, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((count, d), dtype=complex)
+    z.real = g.standard_normal((count, d))
+    z.imag = g.standard_normal((count, d))
+    # the squared row norms exactly as np.linalg.norm forms them
+    work = np.conjugate(z)
+    np.multiply(work, z, out=work)
+    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
+    # dividing by a real equals multiplying both parts by its reciprocal
+    parts = z.view(np.float64).reshape(count, 2 * d)
+    parts *= inv_norm[:, None]
+    return z
 
 
 def haar_random_state(d: int, rng) -> np.ndarray:

@@ -52,6 +52,28 @@ class TestUsageErrors:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--p", "0.9", "--d", "2"], ["--p", "0.9"], ["--d", "2"]],
+        ids=["p-and-d", "p", "d"],
+    )
+    @pytest.mark.parametrize(
+        "command", [["fidelity", "avg"], ["nonuniq", "construct"]], ids=["avg", "construct"]
+    )
+    def test_channel_file_conflicts_with_shorthand(self, command, flags, tmp_path,
+                                                   monkeypatch, capsys):
+        path = _write_channel(tmp_path / "dep.json", depolarizing(0.5, 4))
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--channel", path] + flags) == 1
+        assert "conflicts with" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["dep.json"]
+
+    def test_dimension_conflicts_with_qubits(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["bounds", "variance", "--d", "4", "--qubits", "3"]) == 1
+        assert "--d conflicts with --qubits" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "gatefid" in capsys.readouterr().out
@@ -303,6 +325,13 @@ class TestNonUniqCommands:
                      "--n", "500", "--out", str(out)])
         assert code == 2
         assert "FAILED" in capsys.readouterr().out
+
+    def test_construct_defaults_to_depolarizing_d4(self, tmp_path):
+        default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
+        assert main(["nonuniq", "construct", "--n", "500", "--out", str(default)]) == 0
+        assert main(["nonuniq", "construct", "--d", "4", "--p", "0.5", "--n", "500",
+                     "--out", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
 
     def test_construct_rejects_rank_deficient_base(self, tmp_path, capsys):
         code = main(["nonuniq", "construct", "--d", "4", "--p", "1.0",

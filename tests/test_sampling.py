@@ -20,10 +20,14 @@ from gatefid.sampling import (
     LEVY_C1,
     REPORT_COLUMNS,
     RngSpec,
+    TAG_MAIN,
     TAG_PILOT,
+    TAG_VALIDATE,
+    _haar_block,
     as_rng_spec,
     convergence_report,
     empirical_deviation_fraction,
+    generator,
     fidelity_samples,
     haar_random_state,
     haar_states,
@@ -83,6 +87,20 @@ class TestHaarStates:
         short = haar_states(2, BLOCK_SIZE, rng=6)
         long = haar_states(2, BLOCK_SIZE + 500, rng=6)
         assert np.array_equal(long[:BLOCK_SIZE], short)
+
+    @pytest.mark.parametrize("count", [1, 7, BLOCK_SIZE])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 16, 17, 64, 100, 128, 256])
+    def test_block_stream_is_pinned(self, d, count):
+        # the bytes behind ALGORITHM_ID: normalized a + 1j*b from the
+        # block's two standard normal draws, normed by np.linalg.norm
+        spec = RngSpec(11)
+        for tag, block in ((TAG_MAIN, 0), (TAG_VALIDATE, 5)):
+            g = generator(spec, tag, block)
+            z = g.standard_normal((count, d)) + 1j * g.standard_normal((count, d))
+            expected = z / np.linalg.norm(z, axis=1, keepdims=True)
+            got = _haar_block(d, spec, tag, block, count)
+            assert got.dtype == expected.dtype and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     def test_tags_give_disjoint_streams(self):
         a = haar_states(2, 10, rng=7, tag=0)
