@@ -16,13 +16,11 @@ from .channels import (
     channel_from_kraus,
     channels_close,
     choi_from_kraus,
-    compose,
     depolarizing,
     identity_channel,
     kraus_from_choi,
     phase_spread_unitary,
     random_channel,
-    reduce_to_lambda,
     unitary_channel,
     unitary_operator_basis,
     validate_cptp,
@@ -85,9 +83,7 @@ from .sampling import (
     FidelityStats,
     RngSpec,
     convergence_report,
-    empirical_deviation_fraction,
     fidelity_samples,
-    haar_random_state,
     haar_states,
     levy_bound,
     mc_fidelity_stats,

@@ -155,25 +155,6 @@ def adjoint(ch: QuantumChannel) -> QuantumChannel:
     return channel_from_kraus(tuple(op.conj().T for op in ch.kraus))
 
 
-def compose(second: QuantumChannel, first: QuantumChannel) -> QuantumChannel:
-    """Channel rho -> second(first(rho)).
-
-    The product Kraus family is pruned through a Choi round trip when it
-    exceeds dim_in * dim_out operators, so repeated composition cannot blow
-    up the representation size.
-    """
-    if first.dim_out != second.dim_in:
-        raise ValueError(
-            f"cannot compose: first outputs dim {first.dim_out}, "
-            f"second expects dim {second.dim_in}"
-        )
-    ops = tuple(b @ a for b in second.kraus for a in first.kraus)
-    ch = QuantumChannel(dim_in=first.dim_in, dim_out=second.dim_out, kraus=ops)
-    if len(ops) > ch.dim_in * ch.dim_out:
-        ch = kraus_from_choi(choi_from_kraus(ch))
-    return ch
-
-
 def unitary_channel(u: np.ndarray, atol: float = 1e-10) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
@@ -186,15 +167,6 @@ def unitary_channel(u: np.ndarray, atol: float = 1e-10) -> QuantumChannel:
 
 def identity_channel(d: int) -> QuantumChannel:
     return unitary_channel(np.eye(d))
-
-
-def reduce_to_lambda(e: QuantumChannel, u: np.ndarray) -> QuantumChannel:
-    """Fold the target unitary into the channel: rho -> U^dag E(rho) U.
-
-    Gate fidelity of (E, U) equals gate fidelity of the reduced channel
-    against the identity, which is what most estimators here consume.
-    """
-    return compose(unitary_channel(np.asarray(u).conj().T), e)
 
 
 def _pauli_strings(n: int):

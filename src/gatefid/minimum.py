@@ -22,7 +22,6 @@ from .fidelity import (
     fidelity_kernel,
     gate_fidelity_batch,
     overlap_distance,
-    phase_min_distance,
 )
 from .sampling import (
     BLOCK_SIZE,
@@ -83,13 +82,64 @@ def _with_room(net: np.ndarray, n: int, cap: int) -> np.ndarray:
     return grown
 
 
+def _grow(
+    net: np.ndarray, n: int, cap: int, spec, tag: int, epsilon: float, stop: int, phase: str
+) -> tuple:
+    """Add each sample of stream tag lying epsilon or more from the net.
+
+    Each sample is measured against the net as it stands at that sample,
+    states added earlier in the same block included; the pass ends after
+    stop samples in a row were not added, counted across blocks. Returns
+    the buffer and its row count. A net past cap - 1 states raises
+    NetCoverageError naming the phase.
+    """
+    d = net.shape[1]
+    misses = 0
+    block = 0
+    while misses < stop:
+        samples = _haar_block(d, spec, tag, block, BLOCK_SIZE)
+        block += 1
+        for start in range(0, len(samples), _DISTANCE_CHUNK):
+            chunk = samples[start : start + _DISTANCE_CHUNK]
+            # a sample is added when it is epsilon away from the net as it
+            # stood before this chunk and from the states this chunk added
+            base = n
+            if n:
+                survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
+            else:
+                survivors = range(len(chunk))
+            last = -1
+            for i in survivors:
+                misses += i - last - 1  # the samples between survivors
+                last = i
+                if misses >= stop:
+                    break
+                if n > base and _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon:
+                    misses += 1
+                    continue
+                net = _with_room(net, n, cap)
+                net[n] = chunk[i]
+                n += 1
+                misses = 0
+                if n >= cap:
+                    hint = "; enlarge max_states or epsilon" if phase == "packing" else ""
+                    raise NetCoverageError(
+                        f"{phase} exceeded the {cap - 1}-state budget at d={d}, "
+                        f"epsilon={epsilon}{hint}"
+                    )
+            else:
+                misses += len(chunk) - last - 1
+            if misses >= stop:
+                break
+    return net, n
+
+
 def build_net(
     d: int,
     epsilon: float,
     rng=DEFAULT_SEED,
     max_states: int = 2000,
     confidence: float = 0.99,
-    miss_tolerance: float | None = None,
     stop_rejections: int = 200,
 ) -> StateNet:
     """Greedy random packing with a statistical coverage certificate.
@@ -97,27 +147,20 @@ def build_net(
     Haar candidates are kept when at least epsilon away from every kept
     state; packing stops after stop_rejections consecutive rejections,
     counted across sampling blocks. Coverage is then validated on fresh
-    samples: certifying miss mass at most miss_tolerance (default
-    1 - confidence) at the requested confidence needs
-    ceil(ln(1/(1-confidence)) / miss_tolerance) consecutive covered
-    samples. An uncovered sample joins the net and the count restarts.
-    The distances of one validation block are all taken against the net
-    as it stood at the start of that block, so a state added by repair
-    covers no later sample of the same block; the rule is kept because it
-    fixes which states the net holds, and so its bytes. Exhausting
-    max_states raises NetCoverageError rather than returning a net that
-    missed validation.
+    samples: certifying miss mass at most 1 - confidence at that
+    confidence needs ceil(ln(1/(1-confidence)) / (1-confidence))
+    consecutive covered samples, a sample being covered when it lies
+    closer than epsilon to the net. An uncovered sample joins the net and
+    the count restarts; later samples are measured against the net so
+    repaired, by the same pass that packs. Exhausting max_states raises
+    NetCoverageError rather than returning a net that missed validation.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    if miss_tolerance is None:
-        miss_tolerance = 1.0 - confidence
-    if not 0.0 < miss_tolerance < 1.0:
-        raise ValueError(f"miss tolerance must lie in (0, 1), got {miss_tolerance}")
     if max_states < 0:
         raise ValueError(f"state budget must be non-negative, got {max_states}")
     if stop_rejections < 1:
@@ -128,75 +171,16 @@ def build_net(
     # breaks it still fits and a generous budget reserves no memory up front
     cap = max_states + 1
     net = np.empty((min(cap, 256), d), dtype=complex)
-    n = 0
-    rejections = 0
-    block = 0
-    while rejections < stop_rejections:
-        candidates = _haar_block(d, spec, TAG_NET, block, BLOCK_SIZE)
-        block += 1
-        for start in range(0, len(candidates), _DISTANCE_CHUNK):
-            chunk = candidates[start : start + _DISTANCE_CHUNK]
-            # a candidate is kept when it is epsilon away from the net as it
-            # stood before this chunk and from the states this chunk added
-            base = n
-            if n:
-                survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
-            else:
-                survivors = range(len(chunk))
-            last = -1
-            for i in survivors:
-                rejections += i - last - 1  # the candidates between survivors
-                last = i
-                if rejections >= stop_rejections:
-                    break
-                if n > base and _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon:
-                    rejections += 1
-                    continue
-                net = _with_room(net, n, cap)
-                net[n] = chunk[i]
-                n += 1
-                rejections = 0
-                if n > max_states:
-                    raise NetCoverageError(
-                        f"packing exceeded the {max_states}-state budget at d={d}, "
-                        f"epsilon={epsilon}; enlarge max_states or epsilon"
-                    )
-            else:
-                rejections += len(chunk) - last - 1
-            if rejections >= stop_rejections:
-                break
-
-    needed = math.ceil(math.log(1.0 / (1.0 - confidence)) / miss_tolerance)
-    streak = 0
-    vblock = 0
-    while streak < needed:
-        samples = _haar_block(d, spec, TAG_VALIDATE, vblock, BLOCK_SIZE)
-        vblock += 1
-        dists = _min_distances(samples, net[:n])
-        last = -1
-        for i in np.flatnonzero(~(dists <= epsilon)).tolist():
-            streak += i - last - 1  # the covered samples between misses
-            last = i
-            if streak >= needed:
-                break
-            net = _with_room(net, n, cap)
-            net[n] = samples[i]
-            n += 1
-            streak = 0
-            if n > max_states:
-                raise NetCoverageError(
-                    f"coverage repair exceeded the {max_states}-state budget at "
-                    f"d={d}, epsilon={epsilon}"
-                )
-        else:
-            streak += len(samples) - last - 1
-    achieved = 1.0 - (1.0 - miss_tolerance) ** needed
+    net, n = _grow(net, 0, cap, spec, TAG_NET, epsilon, stop_rejections, "packing")
+    miss = 1.0 - confidence
+    needed = math.ceil(math.log(1.0 / miss) / miss)
+    net, n = _grow(net, n, cap, spec, TAG_VALIDATE, epsilon, needed, "coverage repair")
     return StateNet(
         d=d,
         epsilon=float(epsilon),
         metric_id="euclidean",
         states=net[:n].copy(),
-        coverage_confidence=achieved,
+        coverage_confidence=1.0 - (1.0 - miss) ** needed,
         seed=spec.seed,
     )
 
@@ -298,39 +282,3 @@ def effective_minimum(avg: float, q: float, d: int) -> tuple:
         raise ValueError(f"average must lie in [0, 1], got {avg}")
     eps = effective_epsilon(q, d)
     return (max(0.0, avg - eps), float(avg))
-
-
-def nearest_net_distance(net: StateNet, states: np.ndarray) -> np.ndarray:
-    """Distance from each given state to the nearest net member.
-
-    Exposed for coverage spot checks; uses the same phase-minimized metric
-    as construction, so nearest_net_distance(net, net.states) is zero.
-    """
-    states = np.asarray(states, dtype=complex)
-    if states.ndim == 1:
-        states = states[None, :]
-    if states.shape[1] != net.d:
-        raise ValueError(f"state dimension {states.shape[1]} != net dimension {net.d}")
-    return _min_distances(states, net.states)
-
-
-def phase_min_distance_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All pairwise phase-minimized distances between two state batches."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    return overlap_distance(np.abs(a.conj() @ b.T))
-
-
-__all__ = [
-    "NetCoverageError",
-    "StateNet",
-    "MinEstimate",
-    "build_net",
-    "net_minimum",
-    "reference_minimum",
-    "effective_epsilon",
-    "effective_minimum",
-    "nearest_net_distance",
-    "phase_min_distance",
-    "phase_min_distance_matrix",
-]

@@ -4,7 +4,7 @@ Sample streams are carved into fixed blocks of 4096 states. Block b of a
 run with seed s draws from PCG64 seeded by SeedSequence(s, spawn_key=(tag,
 b)), so the stream is reproducible across platforms and independent of how
 blocks are distributed over worker threads. Distinct tags keep the main,
-pilot, net-building and validation sample spaces disjoint.
+net-building and validation sample spaces disjoint.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ LEVY_C1 = 1.0 / (9.0 * np.pi**3 * np.log(2.0))
 
 # stream tags; see module docstring
 TAG_MAIN = 0
-TAG_PILOT = 1
 TAG_VALIDATE = 2
 TAG_OPTIMIZER = 3
 TAG_FAMILY = 4
@@ -88,13 +87,6 @@ def _haar_block(d: int, spec: RngSpec, tag: int, block: int, count: int) -> np.n
     return z
 
 
-def haar_random_state(d: int, rng) -> np.ndarray:
-    """One Haar-random pure state: 2d standard normals, normalized."""
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    return _haar_block(d, as_rng_spec(rng), TAG_MAIN, 0, 1)[0]
-
-
 def haar_states(d: int, n: int, rng, tag: int = TAG_MAIN) -> np.ndarray:
     """n Haar-random states as rows of an (n, d) array."""
     if d < 1 or n < 1:
@@ -108,7 +100,7 @@ def haar_states(d: int, n: int, rng, tag: int = TAG_MAIN) -> np.ndarray:
 
 
 def fidelity_samples(
-    e: QuantumChannel, u, n: int, rng, tag: int = TAG_MAIN, threads: int = 1
+    e: QuantumChannel, u, n: int, rng, threads: int = 1
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
@@ -128,7 +120,7 @@ def fidelity_samples(
 
     def work(item):
         block, count = item
-        states = _haar_block(d, spec, tag, block, count)
+        states = _haar_block(d, spec, TAG_MAIN, block, count)
         return block, gate_fidelity_batch(e, u, states, kernel=kernel)
 
     out = np.empty(n)
@@ -201,8 +193,8 @@ def levy_bound(
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if K <= 0:
         raise ValueError(f"Lipschitz constant must be positive, got {K}")
     two = 4.0 * math.exp(-2.0 * d * c1 * epsilon**2 / K**2)
@@ -213,36 +205,6 @@ def levy_bound(
         two_sided_bound=two,
         one_sided_bound=0.5 * two,
     )
-
-
-def empirical_deviation_fraction(
-    e: QuantumChannel,
-    u,
-    epsilon: float,
-    n: int,
-    rng,
-    average=None,
-    threads: int = 1,
-) -> float:
-    """Fraction of n Haar samples with |F(phi) - average| >= epsilon.
-
-    The center defaults to the closed-form Haar average. Passing
-    average="pilot" estimates it first from a 10x larger disjoint sample
-    stream, for callers who want a fully empirical reference; passing a
-    number uses that number.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    spec = as_rng_spec(rng)
-    if average is None:
-        average = average_gate_fidelity(e, u)
-    elif isinstance(average, str):
-        if average != "pilot":
-            raise ValueError(f"unknown averaging mode {average!r}")
-        pilot = fidelity_samples(e, u, 10 * n, spec, tag=TAG_PILOT, threads=threads)
-        average = float(np.mean(pilot))
-    f = fidelity_samples(e, u, n, spec, threads=threads)
-    return float(np.mean(np.abs(f - average) >= epsilon))
 
 
 REPORT_COLUMNS = (

@@ -120,8 +120,10 @@ def canonical_hash(obj) -> str:
 
 
 def write_json(path, obj) -> None:
+    # encoded before the file is opened, so a failed encode leaves no file
+    text = dumps_canonical(obj)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -412,7 +414,7 @@ def write_csv(path, rows, columns) -> None:
             return _fmt_float(float(value))
         return str(value)
 
+    lines = [",".join(columns)]
+    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(row[c]) for c in columns) + "\n")
+        fh.write("\n".join(lines) + "\n")

@@ -10,13 +10,11 @@ from gatefid.channels import (
     channel_from_kraus,
     channels_close,
     choi_from_kraus,
-    compose,
     depolarizing,
     identity_channel,
     kraus_from_choi,
     phase_spread_unitary,
     random_channel,
-    reduce_to_lambda,
     unitary_channel,
     unitary_operator_basis,
     validate_cptp,
@@ -267,51 +265,6 @@ class TestAdjoint:
         ch = random_channel(4, 3, rng=33)
         out = apply_channel(adjoint(ch), np.eye(4).astype(complex))
         assert np.max(np.abs(out - np.eye(4))) < 1e-10
-
-
-class TestCompose:
-    def test_unitary_inverse(self):
-        rng = np.random.default_rng(40)
-        u = _haar_unitary(rng, 3)
-        ch = compose(unitary_channel(u.conj().T), unitary_channel(u))
-        assert channels_close(ch, identity_channel(3), atol=1e-10)
-
-    def test_depolarizing_semigroup(self):
-        # dep(p1) after dep(p2) acts as dep(p1 p2)
-        ch = compose(depolarizing(0.8, 2), depolarizing(0.5, 2))
-        assert channels_close(ch, depolarizing(0.4, 2), atol=1e-10)
-
-    def test_composition_prunes_kraus_count(self):
-        ch = compose(depolarizing(0.8, 2), depolarizing(0.5, 2))
-        assert len(ch.kraus) <= 4
-
-    def test_action_matches_sequential_application(self):
-        rng = np.random.default_rng(41)
-        first = random_channel(2, 2, rng=42)
-        second = random_channel(2, 3, rng=43)
-        both = compose(second, first)
-        rho = _rand_density(rng, 2)
-        assert np.max(
-            np.abs(
-                apply_channel(both, rho)
-                - apply_channel(second, apply_channel(first, rho))
-            )
-        ) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            compose(identity_channel(3), identity_channel(2))
-
-    def test_reduce_to_lambda_of_unitary_is_identity(self):
-        rng = np.random.default_rng(44)
-        u = _haar_unitary(rng, 3)
-        lam = reduce_to_lambda(unitary_channel(u), u)
-        assert channels_close(lam, identity_channel(3), atol=1e-10)
-
-    def test_reduce_against_identity_is_noop(self):
-        ch = depolarizing(0.6, 2)
-        lam = reduce_to_lambda(ch, np.eye(2))
-        assert channels_close(lam, ch, atol=1e-12)
 
 
 class TestChannelProperties:

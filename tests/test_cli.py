@@ -531,6 +531,17 @@ class TestInputBoundary:
         expected = serialize.canonical_hash({"path_content": raw})
         assert real_read(out)["inputs_hash"] == expected
 
+    @pytest.mark.parametrize("eps", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "command", [["min", "net-build", "--d", "2"], ["bounds", "levy", "--d", "8"]],
+        ids=["net-build", "levy"],
+    )
+    def test_non_finite_epsilon_refused(self, command, eps, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--eps", eps]) == 2
+        assert "epsilon must be positive and finite" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -9,7 +9,6 @@ from gatefid.channels import (
     depolarizing,
     identity_channel,
     random_channel,
-    reduce_to_lambda,
     unitary_channel,
 )
 from gatefid.fidelity import (
@@ -155,7 +154,7 @@ class TestGateFidelityPointwise:
         rng = np.random.default_rng(68)
         ch = random_channel(3, 3, rng=69)
         u = _haar_unitary(rng, 3)
-        lam = reduce_to_lambda(ch, u)
+        lam = channel_from_kraus([u.conj().T @ a for a in ch.kraus])
         phis = np.stack([_rand_state(rng, 3) for _ in range(50)])
         direct = gate_fidelity_batch(ch, u, phis)
         folded = gate_fidelity_batch(lam, None, phis)
@@ -226,7 +225,7 @@ class TestSymmetricForm:
         for d, rank in ((2, 3), (3, 9), (4, 7)):
             ch = random_channel(d, rank, rng=75 + d)
             u = _haar_unitary(rng, d)
-            lam = reduce_to_lambda(ch, u)
+            lam = channel_from_kraus([u.conj().T @ a for a in ch.kraus])
             pt = partial_transpose(choi_from_kraus(lam).matrix, d, d, factor="second")
             v = _sym_isometry(d)
             expected = v.T @ pt @ v
@@ -361,7 +360,8 @@ class TestAverageGateFidelity:
             for rank in (1, d, d * d):
                 ch = random_channel(d, rank, rng=int(rng.integers(10**6)))
                 u = _haar_unitary(rng, d)
-                folded = average_gate_fidelity(reduce_to_lambda(ch, u))
+                lam = channel_from_kraus([u.conj().T @ a for a in ch.kraus])
+                folded = average_gate_fidelity(lam)
                 assert abs(average_gate_fidelity(ch, u) - folded) < 1e-15
 
     def test_depolarizing_helper_validates(self):

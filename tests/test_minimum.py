@@ -15,6 +15,7 @@ from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
     gate_fidelity_batch,
+    phase_min_distance,
     state_fidelity,
 )
 from gatefid.minimum import (
@@ -22,9 +23,7 @@ from gatefid.minimum import (
     build_net,
     effective_epsilon,
     effective_minimum,
-    nearest_net_distance,
     net_minimum,
-    phase_min_distance_matrix,
     reference_minimum,
 )
 from gatefid.sampling import (
@@ -39,10 +38,11 @@ from gatefid.sampling import (
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def _reference_build_net(
-    d, epsilon, rng, max_states=2000, confidence=0.99, miss_tolerance=None, stop_rejections=200
-):
-    """The per-candidate packing and validation loop build_net replaced.
+def _reference_build_net(d, epsilon, rng, max_states=2000, confidence=0.99, stop_rejections=200):
+    """The per-sample packing and validation loop build_net replaced.
+
+    Both halves measure each sample against the net as it stands at that
+    sample and add it when it lies epsilon or more away.
 
     Returns the states, the coverage confidence and the number of states
     coverage repair added; raises NetCoverageError("packing") or
@@ -53,8 +53,7 @@ def _reference_build_net(
         overlap = np.abs(points.conj() @ net.T)
         return np.sqrt(np.clip(2.0 - 2.0 * overlap.max(axis=1), 0.0, None))
 
-    if miss_tolerance is None:
-        miss_tolerance = 1.0 - confidence
+    miss = 1.0 - confidence
     spec = as_rng_spec(rng)
     kept = []
     matrix = np.zeros((0, d), dtype=complex)
@@ -75,25 +74,24 @@ def _reference_build_net(
                 if rejections >= stop_rejections:
                     break
     packed = len(kept)
-    needed = math.ceil(math.log(1.0 / (1.0 - confidence)) / miss_tolerance)
+    needed = math.ceil(math.log(1.0 / (1.0 - confidence)) / miss)
     streak = 0
     vblock = 0
     while streak < needed:
         samples = _haar_block(d, spec, TAG_VALIDATE, vblock, BLOCK_SIZE)
         vblock += 1
-        dists = nearest(samples, matrix)
-        for i, dist in enumerate(dists):
-            if dist <= epsilon:
+        for row in samples:
+            if float(nearest(row[None, :], matrix)[0]) < epsilon:
                 streak += 1
                 if streak >= needed:
                     break
             else:
-                kept.append(samples[i])
+                kept.append(row)
                 matrix = np.asarray(kept)
                 streak = 0
                 if len(kept) > max_states:
                     raise NetCoverageError("coverage repair")
-    achieved = 1.0 - (1.0 - miss_tolerance) ** needed
+    achieved = 1.0 - (1.0 - miss) ** needed
     return matrix, achieved, len(kept) - packed
 
 
@@ -117,7 +115,7 @@ class TestBuildNet:
     def test_packing_separation(self):
         # kept states honor the epsilon separation pairwise
         net = build_net(2, 0.7, rng=6)
-        gram = phase_min_distance_matrix(net.states, net.states)
+        gram = phase_min_distance(net.states[:, None, :], net.states[None, :, :])
         off = gram[~np.eye(len(net.states), dtype=bool)]
         assert np.min(off) >= net.epsilon - 1e-9
 
@@ -146,8 +144,8 @@ class TestBuildNet:
         # fresh batch must be near 1
         net = build_net(2, 0.6, rng=11)
         fresh = haar_states(2, 2000, rng=12)
-        dists = nearest_net_distance(net, fresh)
-        assert np.mean(dists <= net.epsilon) >= 0.95
+        dists = phase_min_distance(fresh[:, None, :], net.states[None, :, :]).min(axis=1)
+        assert np.mean(dists < net.epsilon) >= 0.95
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,8 +154,19 @@ class TestBuildNet:
             build_net(2, 0.0)
         with pytest.raises(ValueError):
             build_net(2, 0.5, confidence=1.0)
-        with pytest.raises(ValueError):
-            build_net(2, 0.5, miss_tolerance=0.0)
+        for eps in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                build_net(2, eps)
+
+    def test_repair_covers_later_samples_of_its_block(self):
+        # one packing rejection stops at 2 states; repair adds the third,
+        # which covers every later validation sample
+        net = build_net(2, 0.9, rng=8, stop_rejections=1)
+        assert len(net.states) == 3
+
+    def test_repair_after_early_stop_fits_the_budget(self):
+        net = build_net(2, 0.5, rng=8, stop_rejections=1)
+        assert net.coverage_confidence >= 0.99
 
     def test_tighter_miss_tolerance_grows_confidence(self):
         loose = build_net(2, 0.9, rng=13, confidence=0.9)
@@ -192,7 +201,7 @@ class TestBuildNetOracle:
         # six covered samples certify here, so misses often land right
         # where a streak would complete
         repaired = _assert_matches_reference(
-            3, 0.6, seed, confidence=0.75, miss_tolerance=0.25, stop_rejections=3
+            3, 0.6, seed, confidence=0.75, stop_rejections=3
         )
         assert repaired > 0
 
@@ -201,7 +210,7 @@ class TestBuildNetOracle:
         [
             (dict(d=3, eps=0.05, seed=10, max_states=50), "packing"),
             (dict(d=2, eps=0.1, seed=7, max_states=60, stop_rejections=30), "packing"),
-            (dict(d=3, eps=0.6, seed=9, max_states=60, stop_rejections=50), "coverage repair"),
+            (dict(d=3, eps=0.6, seed=9, max_states=19, stop_rejections=50), "coverage repair"),
         ],
     )
     def test_budget_errors(self, kwargs, phase):
@@ -316,7 +325,7 @@ class TestReferenceMinimum:
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
-            reference_minimum(depolarizing(0.5, 64), None)
+            reference_minimum(identity_channel(33), None)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -415,21 +424,12 @@ class TestEffective:
 
 
 class TestDistanceHelpers:
-    def test_nearest_net_distance_zero_on_members(self):
-        net = build_net(2, 0.6, rng=38)
-        dists = nearest_net_distance(net, net.states)
-        assert np.max(dists) < 1e-7
-
-    def test_dimension_guard(self):
-        net = build_net(2, 0.6, rng=39)
-        with pytest.raises(ValueError):
-            nearest_net_distance(net, haar_states(3, 5, rng=40))
-
     def test_phase_min_distance_matrix(self):
+        # broadcasting gives all pairwise distances between two batches
         a = haar_states(3, 4, rng=41)
         b = haar_states(3, 6, rng=42)
-        m = phase_min_distance_matrix(a, b)
+        m = phase_min_distance(a[:, None, :], b[None, :, :])
         assert m.shape == (4, 6)
-        self_m = phase_min_distance_matrix(a, a)
+        self_m = phase_min_distance(a[:, None, :], a[None, :, :])
         assert np.max(np.abs(np.diag(self_m))) < 1e-7
         assert np.max(np.abs(self_m - self_m.T)) < 1e-12

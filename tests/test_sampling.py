@@ -21,15 +21,12 @@ from gatefid.sampling import (
     REPORT_COLUMNS,
     RngSpec,
     TAG_MAIN,
-    TAG_PILOT,
     TAG_VALIDATE,
     _haar_block,
     as_rng_spec,
     convergence_report,
-    empirical_deviation_fraction,
     generator,
     fidelity_samples,
-    haar_random_state,
     haar_states,
     levy_bound,
     mc_fidelity_stats,
@@ -67,12 +64,12 @@ class TestHaarStates:
         assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-12
 
     def test_single_state(self):
-        v = haar_random_state(4, rng=2)
+        v = haar_states(4, 1, rng=2)[0]
         assert v.shape == (4,)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
     def test_dimension_one(self):
-        v = haar_random_state(1, rng=3)
+        v = haar_states(1, 1, rng=3)[0]
         assert abs(abs(v[0]) - 1.0) < 1e-12
 
     def test_determinism(self):
@@ -146,8 +143,6 @@ class TestHaarStates:
             haar_states(0, 5, rng=1)
         with pytest.raises(ValueError):
             haar_states(2, 0, rng=1)
-        with pytest.raises(ValueError):
-            haar_random_state(0, rng=1)
 
 
 class TestFidelitySamples:
@@ -272,45 +267,11 @@ class TestLevyBound:
             levy_bound(1, 0.1)
         with pytest.raises(ValueError):
             levy_bound(4, 0.0)
+        for eps in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                levy_bound(4, eps)
         with pytest.raises(ValueError):
             levy_bound(4, 0.1, K=0.0)
-
-
-class TestDeviationFraction:
-    def test_depolarizing_never_deviates(self):
-        frac = empirical_deviation_fraction(depolarizing(0.6, 4), None, 0.01, 5000, rng=50)
-        assert frac == 0.0
-
-    def test_unitary_never_deviates(self):
-        ch = identity_channel(3)
-        assert empirical_deviation_fraction(ch, None, 0.01, 5000, rng=51) == 0.0
-
-    def test_respects_levy_bound(self):
-        ch = random_channel(16, 4, rng=52)
-        eps = 0.1
-        frac = empirical_deviation_fraction(ch, None, eps, 20_000, rng=53)
-        bound = levy_bound(16, eps).two_sided_bound
-        slack = 5.0 * np.sqrt(max(frac * (1 - frac), 1e-8) / 20_000)
-        assert frac <= min(1.0, bound) + slack
-
-    def test_pilot_mode_matches_closed_form_for_depolarizing(self):
-        ch = depolarizing(0.5, 2)
-        a = empirical_deviation_fraction(ch, None, 0.05, 2000, rng=54)
-        b = empirical_deviation_fraction(ch, None, 0.05, 2000, rng=54, average="pilot")
-        assert a == b == 0.0
-
-    def test_explicit_average(self):
-        ch = unitary_channel(PAULI_X)
-        frac = empirical_deviation_fraction(ch, None, 0.25, 5000, rng=55, average=1.0 / 3.0)
-        assert 0.0 < frac < 1.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            empirical_deviation_fraction(depolarizing(0.5, 2), None, 0.0, 100, rng=56)
-        with pytest.raises(ValueError):
-            empirical_deviation_fraction(
-                depolarizing(0.5, 2), None, 0.1, 100, rng=56, average="median"
-            )
 
 
 def _dep_family(d, gen):
@@ -323,11 +284,13 @@ def _spread_family(d, gen):
 
 class TestConvergenceReport:
     def test_depolarizing_family_has_zero_std(self):
-        rows = convergence_report(_dep_family, [2, 4], 2000, rng=60, eps_grid=(0.1,))
-        assert len(rows) == 2
-        for row in rows:
-            assert row["std"] <= 1e-12
-            assert row["emp_fraction"] == 0.0
+        # the identity channel is the p = 1 member: F = 1 at every state
+        for family in (_dep_family, lambda d, gen: identity_channel(d)):
+            rows = convergence_report(family, [2, 4], 2000, rng=60, eps_grid=(0.1,))
+            assert len(rows) == 2
+            for row in rows:
+                assert row["std"] <= 1e-12
+                assert row["emp_fraction"] == 0.0
 
     def test_columns_are_pinned(self):
         rows = convergence_report(_dep_family, [2], 500, rng=61, eps_grid=(0.25, 0.1))

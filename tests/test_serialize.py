@@ -267,6 +267,13 @@ class TestCsv:
         value = float(p1.read_text().splitlines()[1].split(",")[0])
         assert _bits(value) == _bits(1.0 / 3.0)
 
+    def test_failed_encode_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(tmp_path / "out.csv", [{"a": float("inf")}], columns=("a",))
+        with pytest.raises(ValueError, match="non-finite"):
+            write_json(tmp_path / "out.json", {"a": float("nan")})
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRngSpecValidation:
     def test_defaults(self):
