@@ -14,6 +14,7 @@ factor). With row-major vectorization this is J = sum_k vec(A_k) vec(A_k)^dag.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +122,8 @@ def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
     The trace-preservation residual is taken on the partial trace over the
     output (first) factor, which must equal the input-space identity.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance tol must be non-negative and finite, got {tol}")
     choi = choi_from_kraus(obj) if isinstance(obj, QuantumChannel) else obj
     j = choi.matrix
     gap = schatten_norm(j - j.conj().T, np.inf)

@@ -36,7 +36,7 @@ from .minimum import (
     net_minimum,
     reference_minimum,
 )
-from .nonuniq import pair_certificate, perturb_channel, verify_pair
+from .nonuniq import pair_certificate, perturb_channel, verification_fields, verify_pair
 from .sampling import (
     DEFAULT_SEED,
     REPORT_COLUMNS,
@@ -135,12 +135,7 @@ def _cmd_channel_validate(args):
     data = serialize.read_json(args.channel_path)
     obj = serialize.operator_from_dict(data, args.channel_path)
     report = validate_cptp(obj, args.tol)
-    payload = _record(
-        "cptp_report",
-        serialize.cptp_report_to_dict(report),
-        obj.dim_in,
-        {"path_content": data},
-    )
+    payload = _record("cptp_report", report, obj.dim_in, {"path_content": data})
     ok = report.is_cp and report.is_tp
     summary = (
         f"cptp check at tol {args.tol:g}: is_cp={report.is_cp} is_tp={report.is_tp} "
@@ -180,7 +175,7 @@ def _cmd_fidelity_point(args):
         phi = np.zeros(ch.dim_in, dtype=complex)
         phi[0] = 1.0
     value = gate_fidelity_pure(ch, u, phi)
-    inputs = _channel_inputs(ch, u, {"state": serialize.vector_to_pairs(phi)})
+    inputs = _channel_inputs(ch, u, {"state": phi})
     payload = _record("gate_fidelity_point", value, ch.dim_in, inputs)
     return "json", payload, f"gate fidelity at state: {value:.12g}", True
 
@@ -198,9 +193,7 @@ def _cmd_fidelity_stats(args):
     u = _load_unitary(args)
     stats = mc_fidelity_stats(ch, u, args.n, RngSpec(args.seed), threads=_threads(args))
     inputs = _channel_inputs(ch, u, {"n": args.n})
-    payload = _record(
-        "fidelity_stats", serialize.stats_to_dict(stats), ch.dim_in, inputs, args.seed
-    )
+    payload = _record("fidelity_stats", stats, ch.dim_in, inputs, args.seed)
     summary = (
         f"fidelity over {args.n} Haar states: mean={stats.mean:.9g} "
         f"std={np.sqrt(stats.variance):.3e} min={stats.min:.9g} max={stats.max:.9g}"
@@ -234,10 +227,7 @@ def _cmd_bounds_variance(args):
 def _cmd_bounds_levy(args):
     bound = levy_bound(args.d, args.epsilon, K=args.lipschitz_k)
     payload = _record(
-        "levy_bound",
-        serialize.concentration_to_dict(bound),
-        args.d,
-        {"d": args.d, "epsilon": args.epsilon, "K": bound.K},
+        "levy_bound", bound, args.d, {"d": args.d, "epsilon": args.epsilon, "K": bound.K}
     )
     summary = (
         f"levy bound at d={args.d}, eps={args.epsilon:g}: "
@@ -275,13 +265,7 @@ def _cmd_nonuniq_verify(args):
     v = verify_pair(q, r, n_samples=args.n, rng=args.seed, tol=args.tol)
     payload = {
         "d": q.dim_in,
-        "fidelity_residual_max": v.fidelity_residual_max,
-        "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": v.depolarizing_distance_r,
-        "cptp_reports": {
-            "q": serialize.cptp_report_to_dict(v.cptp_q),
-            "r": serialize.cptp_report_to_dict(v.cptp_r),
-        },
+        **verification_fields(v),
         "n_samples": v.n_samples,
         "seed": v.seed,
     }
@@ -306,7 +290,7 @@ def _cmd_min_net_build(args):
         f"net at d={args.d}, eps={args.epsilon:g}: {len(net.states)} states, "
         f"coverage confidence {net.coverage_confidence:.4g}"
     )
-    return "json", serialize.net_to_dict(net), summary, True
+    return "json", net, summary, True
 
 
 def _cmd_min_net_min(args):
@@ -315,9 +299,7 @@ def _cmd_min_net_min(args):
     net = serialize.net_from_dict(serialize.read_json(args.net_path))
     est = net_minimum(ch, u, net)
     inputs = _channel_inputs(ch, u, {"net_seed": net.seed, "net_size": len(net.states)})
-    payload = _record(
-        "net_minimum", serialize.min_estimate_to_dict(est), ch.dim_in, inputs
-    )
+    payload = _record("net_minimum", est, ch.dim_in, inputs)
     summary = (
         f"net minimum {est.net_min:.9g}, lipschitz lower bound "
         f"{est.lipschitz_lower_bound:.9g} ({len(net.states)} states)"
@@ -371,17 +353,17 @@ def run(args: argparse.Namespace) -> int:
     """Execute one parsed command: write its artifact, print its summary line."""
     try:
         kind, payload, summary, ok = args.handler(args)
+        out = args.out or f"gatefid-{args.group}-{args.action}.{kind}"
+        if kind == "csv":
+            serialize.write_csv(out, payload, REPORT_COLUMNS)
+        else:
+            serialize.write_json(out, payload)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
     except (ValueError, OSError, NetCoverageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    out = args.out or f"gatefid-{args.group}-{args.action}.{kind}"
-    if kind == "csv":
-        serialize.write_csv(out, payload, REPORT_COLUMNS)
-    else:
-        serialize.write_json(out, payload)
     print(f"{summary} [{out}]")
     return 0 if ok else 2
 

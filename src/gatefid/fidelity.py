@@ -21,6 +21,7 @@ everything else takes the Kraus loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -315,10 +316,16 @@ class FidelityBoundSet:
 def variance_bounds(d: int) -> FidelityBoundSet:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    dd = float(d)
-    exact = (8 * dd**3 + 16 * dd**2 + 4 * dd) / (
-        (dd**2 + 2 * dd + 1) * (dd**2 + 5 * dd + 1)
-    )
+    try:
+        dd = float(d)
+        exact = (8 * dd**3 + 16 * dd**2 + 4 * dd) / (
+            (dd**2 + 2 * dd + 1) * (dd**2 + 5 * dd + 1)
+        )
+    except OverflowError:
+        exact = math.inf
+    # the float denominator overflows from d = 2**256 on, the numerator from 2**341
+    if not 0.0 < exact < math.inf:
+        raise ValueError(f"d must be below about 2**256, got log2(d) = {math.log2(d):.6g}")
     c = CONCENTRATION_C
     # log2(d)/ln2 rather than ln(c*d) in the numerator: the latter reading
     # does not reproduce the quoted 50-qubit figure, the former does.

@@ -138,17 +138,20 @@ def verify_pair(
     holds choi_from_kraus(q), is used instead of a rebuild.
     """
     spec = as_rng_spec(rng)
+    jq = choi_from_kraus(q) if choi_q is None else choi_q
+    jr = choi_from_kraus(r)
+    # checked before sampling, so a refused tol costs no samples
+    cptp_q = validate_cptp(jq, tol)
+    cptp_r = validate_cptp(jr, tol)
     states = haar_states(q.dim_in, n_samples, spec)
     fq = gate_fidelity_batch(q, None, states)
     fr = gate_fidelity_batch(r, None, states)
-    jq = choi_from_kraus(q) if choi_q is None else choi_q
-    jr = choi_from_kraus(r)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),
         choi_distance=schatten_norm(jr.matrix - jq.matrix, 2),
         depolarizing_distance_r=depolarizing_distance(jr),
-        cptp_q=validate_cptp(jq, tol),
-        cptp_r=validate_cptp(jr, tol),
+        cptp_q=cptp_q,
+        cptp_r=cptp_r,
         n_samples=n_samples,
         seed=spec.seed,
     )
@@ -186,6 +189,16 @@ def perturb_channel(
     )
 
 
+def verification_fields(v: PairVerification) -> dict:
+    """The evidence keys shared by a pair certificate and a verify artifact."""
+    return {
+        "fidelity_residual_max": v.fidelity_residual_max,
+        "choi_distance": v.choi_distance,
+        "depolarizing_distance_R": v.depolarizing_distance_r,
+        "cptp_reports": {"q": v.cptp_q, "r": v.cptp_r},
+    }
+
+
 def pair_certificate(pair: NonUniqPair, p_or_channel_hash) -> dict:
     """The JSON certificate of a constructed pair.
 
@@ -198,13 +211,7 @@ def pair_certificate(pair: NonUniqPair, p_or_channel_hash) -> dict:
         "p_or_channel_hash": p_or_channel_hash,
         "epsilon": pair.epsilon,
         "max_epsilon": pair.max_epsilon,
-        "fidelity_residual_max": v.fidelity_residual_max,
-        "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": v.depolarizing_distance_r,
-        "cptp_reports": {
-            "q": serialize.cptp_report_to_dict(v.cptp_q),
-            "r": serialize.cptp_report_to_dict(v.cptp_r),
-        },
+        **verification_fields(v),
         "choi_normalization": "trace_d",
         "n_samples": v.n_samples,
         "seed": v.seed,

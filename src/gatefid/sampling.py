@@ -195,8 +195,8 @@ def levy_bound(
         raise ValueError(f"dimension must be at least 2, got {d}")
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
-    if K <= 0:
-        raise ValueError(f"Lipschitz constant must be positive, got {K}")
+    if not 0 < K < math.inf:
+        raise ValueError(f"Lipschitz constant K must be positive and finite, got {K}")
     two = 4.0 * math.exp(-2.0 * d * c1 * epsilon**2 / K**2)
     return ConcentrationBound(
         d=d,

@@ -6,7 +6,10 @@ numbers and identical inputs produce byte-identical files. Complex
 matrices are stored row-major as [re, im] pairs. They stay numpy arrays
 until bytes are produced: a complex array is encoded a row at a time,
 with the same 17-significant-digit bytes the nested pair lists give, and
-a matrix field is decoded in one numpy conversion.
+a matrix field is decoded in one numpy conversion. A result record (a
+dataclass instance) is written as a JSON object of its fields in
+declaration order, so the dataclass is the one statement of its
+artifact's keys.
 
 Channel, state and net files must hold finite numbers. JSON readers
 accept NaN and Infinity tokens, so a non-finite entry is refused at read
@@ -15,6 +18,7 @@ time with a ValueError naming the field and the entry.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,9 +27,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channels import ChoiMatrix, CptpReport, QuantumChannel, kraus_from_choi
-from .minimum import MinEstimate, StateNet
-from .sampling import ConcentrationBound, FidelityStats, RngSpec
+from .channels import ChoiMatrix, QuantumChannel, kraus_from_choi
+from .minimum import StateNet
 
 # A "%.17g" token that is a bare integer; _fmt_float appends ".0" to these.
 _INTEGRAL_TOKEN = re.compile(r"(?<=[\[,])(-?\d+)(?=[,\]])")
@@ -99,6 +102,9 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(value, out)
         out.append("}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # the field order is the artifact's key order
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -107,7 +113,8 @@ def dumps_canonical(obj) -> str:
     """Deterministic JSON text: fixed float format, insertion-ordered keys.
 
     A complex numpy array is written as nested [re, im] pairs, byte for byte
-    as the equivalent nested lists of floats.
+    as the equivalent nested lists of floats; a dataclass instance as an
+    object of its fields in declaration order.
     """
     out: list = []
     _emit(obj, out)
@@ -134,11 +141,6 @@ def read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed JSON in {path}: {err}") from None
-
-
-def matrix_to_pairs(m) -> list:
-    m = np.ascontiguousarray(m, dtype=np.complex128)
-    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
 def _name_bad_entry(rows, field: str) -> NoReturn:
@@ -192,10 +194,6 @@ def pairs_to_matrix(rows, field: str) -> np.ndarray:
     # viewing the pairs as complex keeps signed zeros; re + 1j*im would not
     pairs = np.ascontiguousarray(pairs, dtype=np.float64)
     return pairs.view(np.complex128)[..., 0]
-
-
-def vector_to_pairs(v) -> list:
-    return matrix_to_pairs(v)
 
 
 def pairs_to_vector(entries, field: str) -> np.ndarray:
@@ -296,19 +294,11 @@ def load_channel(path) -> QuantumChannel:
     return obj
 
 
-def unitary_to_dict(u) -> dict:
-    return {"unitary": np.asarray(u, dtype=np.complex128)}
-
-
 def unitary_from_dict(data: dict) -> np.ndarray:
     m = pairs_to_matrix(_require(data, "unitary"), "unitary")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"field 'unitary': expected a square matrix, got {m.shape}")
     return m
-
-
-def state_to_dict(v) -> dict:
-    return {"state": vector_to_pairs(v)}
 
 
 def state_from_dict(data: dict) -> np.ndarray:
@@ -317,17 +307,6 @@ def state_from_dict(data: dict) -> np.ndarray:
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"field 'state': norm {norm:.12g} is not 1")
     return v
-
-
-def net_to_dict(net: StateNet) -> dict:
-    return {
-        "d": net.d,
-        "epsilon": net.epsilon,
-        "metric_id": net.metric_id,
-        "states": [vector_to_pairs(s) for s in net.states],
-        "coverage_confidence": net.coverage_confidence,
-        "seed": net.seed,
-    }
 
 
 def net_from_dict(data: dict) -> StateNet:
@@ -339,80 +318,33 @@ def net_from_dict(data: dict) -> StateNet:
     raw = _require(data, "states")
     if not isinstance(raw, list) or not raw:
         raise ValueError("field 'states': expected a non-empty list")
-    states = []
-    for i, entry in enumerate(raw):
-        v = pairs_to_vector(entry, f"states[{i}]")
-        if len(v) != d:
-            raise ValueError(f"field 'states[{i}]': expected length {d}, got {len(v)}")
-        if abs(float(np.linalg.norm(v)) - 1.0) > 1e-12:
-            raise ValueError(f"field 'states[{i}]': not a unit vector")
-        states.append(v)
+    try:
+        states = pairs_to_matrix(raw, "states")
+    except ValueError:
+        states = None
+    if states is None or states.shape[1] != d:
+        # a state of the wrong length or form: name the first one
+        for i, entry in enumerate(raw):
+            v = pairs_to_vector(entry, f"states[{i}]")
+            if len(v) != d:
+                raise ValueError(f"field 'states[{i}]': expected length {d}, got {len(v)}")
+    off_unit = np.flatnonzero(np.abs(np.linalg.norm(states, axis=1) - 1.0) > 1e-12)
+    if len(off_unit):
+        raise ValueError(f"field 'states[{off_unit[0]}]': not a unit vector")
     return StateNet(
         d=d,
         epsilon=epsilon,
         metric_id=metric_id,
-        states=np.asarray(states),
+        states=states,
         coverage_confidence=_finite_float(data, "coverage_confidence"),
         seed=int(_require(data, "seed")),
     )
 
 
-def rng_spec_to_dict(spec: RngSpec) -> dict:
-    return {"seed": spec.seed, "algorithm_id": spec.algorithm_id}
-
-
-def stats_to_dict(stats: FidelityStats) -> dict:
-    return {
-        "n": stats.n,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "min": stats.min,
-        "max": stats.max,
-        "stderr": stats.stderr,
-        "seed": rng_spec_to_dict(stats.seed),
-    }
-
-
-def cptp_report_to_dict(report: CptpReport) -> dict:
-    return {
-        "is_cp": report.is_cp,
-        "is_tp": report.is_tp,
-        "min_eigenvalue": report.min_eigenvalue,
-        "tp_residual": report.tp_residual,
-        "hermiticity_gap": report.hermiticity_gap,
-        "tolerance": report.tolerance,
-    }
-
-
-def concentration_to_dict(bound: ConcentrationBound) -> dict:
-    return {
-        "d": bound.d,
-        "epsilon": bound.epsilon,
-        "K": bound.K,
-        "two_sided_bound": bound.two_sided_bound,
-        "one_sided_bound": bound.one_sided_bound,
-    }
-
-
-def min_estimate_to_dict(est: MinEstimate) -> dict:
-    return {
-        "net_min": est.net_min,
-        "lipschitz_lower_bound": est.lipschitz_lower_bound,
-        "argmin_state": vector_to_pairs(est.argmin_state),
-        "method": est.method,
-    }
-
-
 def write_csv(path, rows, columns) -> None:
     """Write dict rows in a fixed column order with deterministic floats."""
     def cell(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, (int, np.integer)):
-            return str(int(value))
-        if isinstance(value, (float, np.floating)):
-            return _fmt_float(float(value))
-        return str(value)
+        return value if isinstance(value, str) else dumps_canonical(value)
 
     lines = [",".join(columns)]
     lines += [",".join(cell(row[c]) for c in columns) for row in rows]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gatefid import cli, serialize
+from gatefid import cli, nonuniq, serialize
 from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
 from gatefid.cli import main
 from gatefid.fidelity import fidelity_kernel
@@ -166,7 +166,7 @@ class TestFidelityCommands:
     def test_avg_with_unitary_target(self, tmp_path):
         ch_path = _write_channel(tmp_path / "x.json", unitary_channel(PAULI_X))
         u_path = tmp_path / "u.json"
-        serialize.write_json(u_path, serialize.unitary_to_dict(PAULI_X))
+        serialize.write_json(u_path, {"unitary": PAULI_X})
         out = tmp_path / "avg.json"
         assert main(["fidelity", "avg", "--channel", ch_path,
                      "--unitary", str(u_path), "--out", str(out)]) == 0
@@ -181,9 +181,8 @@ class TestFidelityCommands:
     def test_point_with_state_file(self, tmp_path):
         ch_path = _write_channel(tmp_path / "x.json", unitary_channel(PAULI_X))
         state_path = tmp_path / "s.json"
-        serialize.write_json(
-            state_path, serialize.state_to_dict(np.array([1.0, 1.0]) / np.sqrt(2.0))
-        )
+        state = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+        serialize.write_json(state_path, {"state": state})
         out = tmp_path / "pt.json"
         assert main(["fidelity", "point", "--channel", ch_path,
                      "--state", str(state_path), "--out", str(out)]) == 0
@@ -494,7 +493,7 @@ class TestInputBoundary:
         # Pauli X with signed zeros, which the hash must keep
         u = np.array([[complex(-0.0, 0.0), 1.0], [1.0, complex(0.0, -0.0)]])
         u_path = tmp_path / "u.json"
-        serialize.write_json(u_path, serialize.unitary_to_dict(u))
+        serialize.write_json(u_path, {"unitary": u})
         reads = []
         real_read = serialize.read_json
         monkeypatch.setattr(
@@ -543,6 +542,38 @@ class TestInputBoundary:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["bounds", "levy", "--d", "8", "--eps", "0.1", "--k", "nan"], "Lipschitz constant K"),
+            (["bounds", "levy", "--d", "8", "--eps", "0.1", "--k", "inf"], "Lipschitz constant K"),
+            (["bounds", "variance", "--qubits", "256"], "d must be below"),
+            (["bounds", "variance", "--qubits", "341"], "d must be below"),
+            (["bounds", "variance", "--qubits", "342"], "d must be below"),
+            (["bounds", "variance", "--d", "9" * 400], "d must be below"),
+            (["channel", "validate", "--channel", "CH", "--tol", "nan"], "tolerance tol"),
+            (["channel", "validate", "--channel", "CH", "--tol", "-0.5"], "tolerance tol"),
+            (["nonuniq", "verify", "--q", "CH", "--r", "CH", "--tol", "nan"], "tolerance tol"),
+            (["fidelity", "avg", "--p", "0.9", "--d", "2", "--out", "missing/avg.json"],
+             "missing/avg.json"),
+        ],
+        ids=["k-nan", "k-inf", "qubits-256", "qubits-341", "qubits-342", "d-huge",
+             "validate-tol-nan", "validate-tol-negative", "verify-tol-nan", "out-dir-missing"],
+    )
+    def test_bad_input_refused_at_the_boundary(self, argv, named, tmp_path, monkeypatch, capsys):
+        ch_path = _write_channel(tmp_path / "ch.json", depolarizing(0.5, 4))
+        monkeypatch.chdir(tmp_path)
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("states were sampled before the tolerance check")
+
+        monkeypatch.setattr(nonuniq, "haar_states", no_sampling)
+        argv = [ch_path if a == "CH" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["fidelity", "point"],
@@ -555,7 +586,8 @@ class TestInputBoundary:
     )
     def test_non_unitary_target_refused(self, argv, tmp_path, capsys):
         u_path = tmp_path / "u.json"
-        serialize.write_json(u_path, serialize.unitary_to_dict(np.array([[1.0, 0.5], [0.0, 1.0]])))
+        u = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+        serialize.write_json(u_path, {"unitary": u})
         net_path = tmp_path / "net.json"
         assert main(["min", "net-build", "--d", "2", "--eps", "0.7",
                      "--out", str(net_path)]) == 0

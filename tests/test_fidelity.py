@@ -441,6 +441,13 @@ class TestVarianceBounds:
         with pytest.raises(ValueError):
             variance_bounds(1)
 
+    def test_refuses_dimensions_past_double_range(self):
+        # the last finite exact bound keeps its bits
+        assert variance_bounds(2**255).variance_bound_exact == 1.3817869688151111e-76
+        for d in (2**256, 2**341, 2**342, 10**400):
+            with pytest.raises(ValueError, match=r"d must be below about 2\*\*256"):
+                variance_bounds(d)
+
 
 class TestDistanceHelpers:
     def test_phase_min_distance_range(self):

@@ -272,6 +272,9 @@ class TestLevyBound:
                 levy_bound(4, eps)
         with pytest.raises(ValueError):
             levy_bound(4, 0.1, K=0.0)
+        for k in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="Lipschitz constant K"):
+                levy_bound(4, 0.1, K=k)
 
 
 def _dep_family(d, gen):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gatefid.channels import ChoiMatrix, choi_from_kraus, depolarizing, validate_cptp
-from gatefid.minimum import StateNet, build_net
+from gatefid.minimum import StateNet, build_net, net_minimum
 from gatefid.sampling import RngSpec, levy_bound, mc_fidelity_stats
 from gatefid.serialize import (
     canonical_hash,
@@ -16,23 +16,16 @@ from gatefid.serialize import (
     channel_to_dict,
     choi_from_dict,
     choi_to_dict,
-    concentration_to_dict,
-    cptp_report_to_dict,
     dumps_canonical,
     load_channel,
     load_operator,
-    matrix_to_pairs,
     net_from_dict,
-    net_to_dict,
     operator_from_dict,
     pairs_to_matrix,
     pairs_to_vector,
     read_json,
     state_from_dict,
-    state_to_dict,
-    stats_to_dict,
     unitary_from_dict,
-    unitary_to_dict,
     write_csv,
     write_json,
 )
@@ -40,6 +33,11 @@ from gatefid.serialize import (
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def _text_round_trip(obj):
+    """obj as a reader sees it: written to canonical JSON text and parsed back."""
+    return json.loads(dumps_canonical(obj))
 
 
 class TestCanonicalJson:
@@ -76,6 +74,8 @@ class TestCanonicalJson:
             dumps_canonical({"x": object()})
         with pytest.raises(TypeError):
             dumps_canonical({1: "non-string key"})
+        with pytest.raises(TypeError):
+            dumps_canonical(StateNet)  # a record class, not a record
 
     def test_key_order_is_insertion_order(self):
         assert dumps_canonical({"b": 1, "a": 2}) == '{"b":1,"a":2}'
@@ -172,7 +172,7 @@ class TestChannelSerialization:
 class TestSmallObjects:
     def test_unitary_round_trip(self):
         h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        back = unitary_from_dict(unitary_to_dict(h))
+        back = unitary_from_dict(_text_round_trip({"unitary": h.astype(complex)}))
         assert np.array_equal(back, h.astype(complex))
 
     def test_unitary_must_be_square(self):
@@ -181,7 +181,7 @@ class TestSmallObjects:
 
     def test_state_round_trip(self):
         v = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-        back = state_from_dict(state_to_dict(v))
+        back = state_from_dict(_text_round_trip({"state": v}))
         assert np.max(np.abs(back - v)) < 1e-16
 
     def test_state_norm_check(self):
@@ -190,34 +190,53 @@ class TestSmallObjects:
 
     def test_stats_dict_carries_seed(self):
         stats = mc_fidelity_stats(depolarizing(0.7, 2), None, 500, rng=11)
-        data = stats_to_dict(stats)
+        data = _text_round_trip(stats)
         assert data["seed"] == {"seed": 11, "algorithm_id": "pcg64-block4096"}
         assert data["n"] == 500
-        assert set(data) == {"n", "mean", "variance", "min", "max", "stderr", "seed"}
+        assert list(data) == ["n", "mean", "variance", "min", "max", "stderr", "seed"]
 
     def test_cptp_report_dict(self):
-        data = cptp_report_to_dict(validate_cptp(depolarizing(0.5, 2)))
+        data = _text_round_trip(validate_cptp(depolarizing(0.5, 2)))
         assert data["is_cp"] is True and data["is_tp"] is True
-        assert set(data) == {
+        assert list(data) == [
             "is_cp",
             "is_tp",
             "min_eigenvalue",
             "tp_residual",
             "hermiticity_gap",
             "tolerance",
-        }
+        ]
 
     def test_concentration_dict(self):
-        data = concentration_to_dict(levy_bound(1024, 0.1))
+        data = _text_round_trip(levy_bound(1024, 0.1))
         assert data["d"] == 1024 and data["epsilon"] == 0.1
         assert data["one_sided_bound"] == data["two_sided_bound"] / 2.0
+        assert list(data) == ["d", "epsilon", "K", "two_sided_bound", "one_sided_bound"]
+
+    def test_min_estimate_dict(self):
+        net = build_net(2, 0.9, rng=5)
+        est = net_minimum(depolarizing(0.5, 2), None, net)
+        data = _text_round_trip(est)
+        assert list(data) == ["net_min", "lipschitz_lower_bound", "argmin_state", "method"]
+        assert _same_bits(pairs_to_vector(data["argmin_state"], "argmin_state"), est.argmin_state)
+
+    def test_state_net_dict(self):
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
+        assert list(data) == [
+            "d",
+            "epsilon",
+            "metric_id",
+            "states",
+            "coverage_confidence",
+            "seed",
+        ]
 
 
 class TestNetSerialization:
     def test_round_trip(self, tmp_path):
         net = build_net(2, 0.9, rng=5)
         path = tmp_path / "net.json"
-        write_json(path, net_to_dict(net))
+        write_json(path, net)
         back = net_from_dict(read_json(path))
         assert isinstance(back, StateNet)
         assert back.d == net.d and back.epsilon == net.epsilon
@@ -225,21 +244,34 @@ class TestNetSerialization:
         assert np.array_equal(back.states, net.states)
 
     def test_unknown_metric_rejected(self):
-        data = net_to_dict(build_net(2, 0.9, rng=5))
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
         data["metric_id"] = "chebyshev"
         with pytest.raises(ValueError, match="'metric_id'"):
             net_from_dict(data)
 
     def test_non_unit_state_rejected(self):
-        data = net_to_dict(build_net(2, 0.9, rng=5))
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
         data["states"][0][0] = [2.0, 0.0]
         with pytest.raises(ValueError, match=r"states\[0\]"):
             net_from_dict(data)
 
     def test_wrong_length_state_rejected(self):
-        data = net_to_dict(build_net(2, 0.9, rng=5))
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
         data["states"][0] = [[1.0, 0.0]]
         with pytest.raises(ValueError, match=r"states\[0\]"):
+            net_from_dict(data)
+
+    def test_later_bad_state_named(self):
+        data = _text_round_trip(build_net(2, 0.7, rng=5))
+        last = len(data["states"]) - 1
+        data["states"][last][1] = [0.0, 3.0]
+        with pytest.raises(ValueError, match=rf"'states\[{last}\]': not a unit vector"):
+            net_from_dict(data)
+        data["states"][2] = data["states"][2][:1]
+        with pytest.raises(ValueError, match=r"'states\[2\]': expected length 2, got 1"):
+            net_from_dict(data)
+        data["states"][1] = [[1.0, "x"], [0.0, 0.0]]
+        with pytest.raises(ValueError, match=r"'states\[1\]'.*not an \[re, im\] pair"):
             net_from_dict(data)
 
 
@@ -357,7 +389,6 @@ class TestArrayCodec:
         assert dumps_canonical(choi_to_dict(choi)) == dumps_canonical(
             {"dim_in": 3, "dim_out": 3, "choi": _nested_pairs(choi.matrix)}
         )
-        assert matrix_to_pairs(choi.matrix) == _nested_pairs(choi.matrix)
         back = channel_from_dict(channel_to_dict(ch))
         assert all(_same_bits(a, b) for a, b in zip(back.kraus, ch.kraus))
 
@@ -404,7 +435,7 @@ class TestArrayCodec:
             dumps_canonical({"m": np.array([[1.0, complex(0.0, np.nan)]])})
 
     def test_non_finite_net_scalars_refused(self):
-        data = net_to_dict(build_net(2, 0.9, rng=5))
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
         data["epsilon"] = float("nan")
         with pytest.raises(ValueError, match="'epsilon'"):
             net_from_dict(data)
