@@ -44,10 +44,11 @@ def _median_time(fn, repeats: int):
 def measure(d: int, rank: int, rows: int, repeats: int, seed: int) -> dict:
     ch = random_channel(d, rank, rng=[seed, d, rank])
     states = haar_states(d, rows, seed)
-    kraus = FidelityKernel(channel=ch, u=None, form=None)
+    ops = np.stack(ch.kraus)
+    kraus = FidelityKernel(ops=ops, form=None)
     kraus_s, kraus_f = _median_time(lambda: kraus.values(states), repeats)
     build_s, form = _median_time(lambda: symmetric_form(ch), repeats)
-    sym = FidelityKernel(channel=ch, u=None, form=form)
+    sym = FidelityKernel(ops=ops, form=form)
     sym_s, sym_f = _median_time(lambda: sym.values(states), repeats)
     return {
         "d": d,

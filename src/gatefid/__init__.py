@@ -34,7 +34,6 @@ from .fidelity import (
     depolarizing_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
-    gate_fidelity_pure,
     phase_min_distance,
     state_fidelity,
     symmetric_form,

@@ -24,6 +24,10 @@ from .linalg import hermitian_eig, partial_trace, schatten_norm, unvec, vec
 DEFAULT_ATOL = 1e-9
 RANK_TOL = 1e-10
 
+# How far U^dag U may sit from the identity (spectral norm) for a unitary,
+# here and for the target U of a gate fidelity.
+_UNITARY_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class QuantumChannel:
@@ -84,11 +88,11 @@ def choi_from_kraus(ch: QuantumChannel) -> ChoiMatrix:
     return ChoiMatrix(dim_in=ch.dim_in, dim_out=ch.dim_out, matrix=j)
 
 
-def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> QuantumChannel:
+def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     """Extract a canonical Kraus representation from a Choi matrix.
 
-    Eigenvalues at or below rank_tol are dropped; an eigenvalue below
-    -rank_tol (relative to the largest) means the map is not completely
+    Eigenvalues at or below RANK_TOL are dropped; an eigenvalue below
+    -RANK_TOL (relative to the largest) means the map is not completely
     positive and is rejected. Kraus operators come out ordered by
     descending eigenvalue with the first nonzero component of each
     eigenvector rotated to the positive real axis, so equal Choi matrices
@@ -97,13 +101,13 @@ def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> QuantumChan
     eig = hermitian_eig(choi.matrix)
     vals = eig.eigenvalues
     scale = max(1.0, float(vals[-1]))
-    if vals[0] < -rank_tol * scale:
+    if vals[0] < -RANK_TOL * scale:
         raise ValueError(
             f"Choi matrix has negative eigenvalue {vals[0]:.3e}, map is not CP"
         )
     ops = []
     for i in range(len(vals) - 1, -1, -1):
-        if vals[i] <= rank_tol:
+        if vals[i] <= RANK_TOL:
             break
         col = eig.eigenvectors[:, i]
         anchor = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
@@ -111,7 +115,7 @@ def kraus_from_choi(choi: ChoiMatrix, rank_tol: float = RANK_TOL) -> QuantumChan
         col = col * phase.conj()
         ops.append(unvec(np.sqrt(vals[i]) * col, choi.dim_out, choi.dim_in))
     if not ops:
-        raise ValueError("Choi matrix has no eigenvalue above rank_tol")
+        raise ValueError("Choi matrix has no eigenvalue above RANK_TOL")
     return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
 
 
@@ -158,12 +162,12 @@ def adjoint(ch: QuantumChannel) -> QuantumChannel:
     return channel_from_kraus(tuple(op.conj().T for op in ch.kraus))
 
 
-def unitary_channel(u: np.ndarray, atol: float = 1e-10) -> QuantumChannel:
+def unitary_channel(u: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     d = u.shape[0]
     if u.shape != (d, d):
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
-    if schatten_norm(u.conj().T @ u - np.eye(d), np.inf) > atol:
+    if schatten_norm(u.conj().T @ u - np.eye(d), np.inf) > _UNITARY_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     return QuantumChannel(dim_in=d, dim_out=d, kraus=(u,))
 
@@ -248,10 +252,10 @@ def random_channel(d: int, kraus_rank: int, rng) -> QuantumChannel:
     return channel_from_kraus(tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_rank)))
 
 
-def phase_spread_unitary(d: int, rng, spread: float = 1.0) -> QuantumChannel:
+def phase_spread_unitary(d: int, rng) -> QuantumChannel:
     """Random unitary channel whose phases stay spread as d grows.
 
-    Eigenphases are equispaced on [-spread, spread] in a Haar-random
+    Eigenphases are equispaced on [-1, 1] in a Haar-random
     eigenbasis. Unlike a fully Haar unitary, the spectrum does not fill the
     circle, so the gate fidelity against the identity keeps an O(1) mean
     while its per-state fluctuations shrink like 1/sqrt(d). Used as the
@@ -261,7 +265,7 @@ def phase_spread_unitary(d: int, rng, spread: float = 1.0) -> QuantumChannel:
     raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     q, r = np.linalg.qr(raw)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar phase fix
-    phases = np.exp(1j * np.linspace(-spread, spread, d))
+    phases = np.exp(1j * np.linspace(-1.0, 1.0, d))
     return unitary_channel((q * phases) @ q.conj().T)
 
 

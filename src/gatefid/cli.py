@@ -25,7 +25,7 @@ from .channels import (
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
-    gate_fidelity_pure,
+    gate_fidelity_batch,
     variance_bounds,
 )
 from .minimum import (
@@ -174,7 +174,7 @@ def _cmd_fidelity_point(args):
     else:
         phi = np.zeros(ch.dim_in, dtype=complex)
         phi[0] = 1.0
-    value = gate_fidelity_pure(ch, u, phi)
+    value = float(gate_fidelity_batch(ch, u, phi))
     inputs = _channel_inputs(ch, u, {"state": phi})
     payload = _record("gate_fidelity_point", value, ch.dim_in, inputs)
     return "json", payload, f"gate fidelity at state: {value:.12g}", True
@@ -211,12 +211,7 @@ def _cmd_bounds_variance(args):
     else:
         raise ValueError("need --d or --qubits")
     bounds = variance_bounds(d)
-    value = {
-        "variance_bound_exact": bounds.variance_bound_exact,
-        "variance_bound_concentration": bounds.variance_bound_concentration,
-        "C": bounds.C,
-    }
-    payload = _record("variance_bounds", value, d, {"d": d})
+    payload = _record("variance_bounds", bounds, d, {"d": d})
     summary = (
         f"variance bounds at d={d}: exact={bounds.variance_bound_exact:.6g} "
         f"concentration={bounds.variance_bound_concentration:.6g}"

@@ -8,26 +8,26 @@ its exact Haar average, the constant fidelity of depolarizing channels, and
 two dimension-only variance bounds. Everything is a pure function of its
 inputs.
 
+F depends on (E, U) only through the folded channel U^dag o E, whose Kraus
+operators are B_k = U^dag A_k, and every reader of a pair works from them.
 Pointwise values come from one of two evaluation paths, chosen once per
-(channel, target) pair by fidelity_kernel. The Kraus loop sums
-|<U phi|A_k phi>|^2 over the Kraus operators. The symmetric form evaluates
-F = <phi phi|M|phi phi>, where M (symmetric_form) is the partially
-transposed Choi matrix of U^dag o E restricted to the symmetric subspace,
-of dimension d(d+1)/2. The fidelity sees a channel only through M, which
-is why distinct channels can share a fidelity function. High-rank
-channels at moderate d take the symmetric form (uses_symmetric_form);
-everything else takes the Kraus loop.
+pair by fidelity_kernel. The Kraus loop sums |<phi|B_k phi>|^2. The
+symmetric form evaluates F = <phi phi|M|phi phi>, where M (symmetric_form)
+is the partially transposed Choi matrix of U^dag o E restricted to the
+symmetric subspace, of dimension d(d+1)/2. The fidelity sees a channel
+only through M, which is why distinct channels can share a fidelity
+function. High-rank channels at moderate d take the symmetric form
+(uses_symmetric_form); everything else takes the Kraus loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import _UNITARY_TOL, QuantumChannel
 from .linalg import hermitian_eig, schatten_norm
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
@@ -38,10 +38,6 @@ LIPSCHITZ_CONSTANT = 3.0 * np.sqrt(2.0)
 CONCENTRATION_C = 1.0 / (81.0 * np.pi**3 * np.log(2.0))
 
 _RANGE_TOL = 1e-8
-
-# How far U^dag U may sit from the identity (spectral norm) for a target U,
-# as channels.unitary_channel allows.
-_UNITARY_TOL = 1e-10
 
 
 def _clamp_unit(values, tol: float = _RANGE_TOL):
@@ -78,10 +74,10 @@ def _psd_sqrt(m: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(vals)) @ v.conj().T
 
 
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray, tol: float = _RANGE_TOL) -> float:
+def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = _check_state_matrix(rho, tol)
-    sigma = _check_state_matrix(sigma, tol)
+    rho = _check_state_matrix(rho, _RANGE_TOL)
+    sigma = _check_state_matrix(sigma, _RANGE_TOL)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     root = _psd_sqrt(rho)
@@ -89,14 +85,6 @@ def state_fidelity(rho: np.ndarray, sigma: np.ndarray, tol: float = _RANGE_TOL) 
     vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     total = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
     return _clamp_unit(total * total)
-
-
-def _check_square_channel(e: QuantumChannel) -> int:
-    if e.dim_in != e.dim_out:
-        raise ValueError(
-            f"gate fidelity needs a square channel, got {e.dim_in} -> {e.dim_out}"
-        )
-    return e.dim_in
 
 
 # The build of the symmetric form materializes the d^2 x d^2 Choi matrix
@@ -136,8 +124,17 @@ def _check_target(u, d: int):
     return u
 
 
-def _folded_kraus(e: QuantumChannel, u) -> np.ndarray:
-    """Stacked Kraus operators U^dag A_k of the folded channel U^dag o E."""
+def _fold(e: QuantumChannel, u) -> np.ndarray:
+    """Stacked Kraus operators B_k = U^dag A_k of the folded channel U^dag o E.
+
+    The one place a (channel, target) pair is checked: E must be square
+    and U, unless None (the identity target), a unitary of E's dimension.
+    """
+    if e.dim_in != e.dim_out:
+        raise ValueError(
+            f"gate fidelity needs a square channel, got {e.dim_in} -> {e.dim_out}"
+        )
+    u = _check_target(u, e.dim_in)
     ops = np.stack(e.kraus)
     return ops if u is None else u.conj().T @ ops
 
@@ -153,9 +150,13 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     numpy.triu_indices(d). Two channels have the same gate fidelity
     function against U exactly when their forms are equal.
     """
-    d = _check_square_channel(e)
-    ops = _folded_kraus(e, _check_target(u, d))
-    flat = ops.reshape(len(e.kraus), d * d)
+    return _form_of(_fold(e, u))
+
+
+def _form_of(ops: np.ndarray) -> np.ndarray:
+    # symmetric_form of the folded operators B_k, stacked as (rank, d, d)
+    rank, d, _ = ops.shape
+    flat = ops.reshape(rank, d * d)
     # Choi matrix J[(i,j),(l,m)] = sum_k B_k[i,j] conj(B_k[l,m]), as one GEMM
     g = (flat.T @ flat.conj()).reshape(d, d, d, d)
     i, m = np.triu_indices(d)
@@ -166,11 +167,11 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     return t * np.outer(scale, scale)
 
 
-def _kraus_values(kraus, u, states: np.ndarray) -> np.ndarray:
-    target = (states if u is None else states @ u.T).conj()
+def _kraus_values(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
+    bra = states.conj()
     total = np.zeros(states.shape[0])
-    for op in kraus:
-        overlap = np.einsum("ni,ni->n", target, states @ op.T)
+    for op in ops:
+        overlap = np.einsum("ni,ni->n", bra, states @ op.T)
         total += np.abs(overlap) ** 2
     return total
 
@@ -199,25 +200,21 @@ def _kraus_gradient(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
 class FidelityKernel:
     """Evaluation path of F_{E,U}, chosen once per (channel, target) pair.
 
-    form holds symmetric_form(e, u) when uses_symmetric_form picks it;
-    otherwise it is None and values come from the Kraus loop over e.kraus.
-    Build it with fidelity_kernel and hand it to gate_fidelity_batch for
-    every batch of the same pair.
+    ops holds the folded Kraus operators B_k = U^dag A_k, stacked as a
+    complex (rank, d, d) array. form holds symmetric_form(e, u) when
+    uses_symmetric_form picks it; otherwise it is None and values come from
+    the Kraus loop over ops. Build it with fidelity_kernel and hand it to
+    gate_fidelity_batch for every batch of the same pair.
     """
 
-    channel: QuantumChannel
-    u: np.ndarray | None
+    ops: np.ndarray
     form: np.ndarray | None
 
     def values(self, states: np.ndarray) -> np.ndarray:
         """Unclamped fidelities of the rows of a complex (n, d) array."""
         if self.form is None:
-            return _kraus_values(self.channel.kraus, self.u, states)
-        return _symmetric_values(self.form, self.channel.dim_in, states)
-
-    @cached_property
-    def _folded(self) -> np.ndarray:
-        return _folded_kraus(self.channel, self.u)
+            return _kraus_values(self.ops, states)
+        return _symmetric_values(self.form, self.ops.shape[-1], states)
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
         """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at a state phi.
@@ -229,15 +226,15 @@ class FidelityKernel:
         the sphere remove the radial part. It is computed from the folded
         Kraus operators on either evaluation path.
         """
-        return _kraus_gradient(self._folded, np.asarray(phi, dtype=complex))
+        return _kraus_gradient(self.ops, np.asarray(phi, dtype=complex))
 
 
 def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:
     """Pick the evaluation path for (e, u) and build what it needs."""
-    d = _check_square_channel(e)
-    u = _check_target(u, d)
-    form = symmetric_form(e, u) if uses_symmetric_form(len(e.kraus), d) else None
-    return FidelityKernel(channel=e, u=u, form=form)
+    ops = _fold(e, u)
+    rank, d, _ = ops.shape
+    form = _form_of(ops) if uses_symmetric_form(rank, d) else None
+    return FidelityKernel(ops=ops, form=form)
 
 
 def gate_fidelity_batch(
@@ -246,28 +243,24 @@ def gate_fidelity_batch(
     """Gate fidelity of each row of `states`, vectorized over the batch.
 
     For pure states the definition collapses to
-    F = sum_k |<U phi | A_k phi>|^2, one inner product per Kraus operator.
-    High-rank channels are evaluated instead as the quadratic form of
-    symmetric_form on phi (x) phi; see uses_symmetric_form. u=None means
-    the identity target. Callers evaluating many batches of one pair pass
-    kernel=fidelity_kernel(e, u) so the path is chosen and built once.
+    F = sum_k |<phi | U^dag A_k phi>|^2, one inner product per folded Kraus
+    operator. High-rank channels are evaluated instead as the quadratic
+    form of symmetric_form on phi (x) phi; see uses_symmetric_form. u=None
+    means the identity target; a 1-D state gives a scalar. Callers
+    evaluating many batches of one pair pass kernel=fidelity_kernel(e, u),
+    which is then read in place of e and u.
     """
-    d = _check_square_channel(e)
+    if kernel is None:
+        kernel = fidelity_kernel(e, u)
+    d = kernel.ops.shape[-1]
     states = np.asarray(states, dtype=complex)
     squeeze = states.ndim == 1
     if squeeze:
         states = states[None, :]
     if states.shape[1] != d:
         raise ValueError(f"state dimension {states.shape[1]} != channel dimension {d}")
-    if kernel is None:
-        kernel = fidelity_kernel(e, u)
     out = _clamp_unit(kernel.values(states))
     return out[0] if squeeze else out
-
-
-def gate_fidelity_pure(e: QuantumChannel, u, phi: np.ndarray) -> float:
-    """F_{E,U} at a single pure state, phase-invariant in phi."""
-    return float(gate_fidelity_batch(e, u, np.asarray(phi)))
 
 
 def average_gate_fidelity(e: QuantumChannel, u=None) -> float:
@@ -280,9 +273,8 @@ def average_gate_fidelity(e: QuantumChannel, u=None) -> float:
     The value is a gauge invariant of the channel: any Kraus set related by
     an isometry mixing gives the same sum.
     """
-    d = _check_square_channel(e)
-    u = _check_target(u, d)
-    ops = e.kraus if u is None else _folded_kraus(e, u)
+    ops = _fold(e, u)
+    d = ops.shape[-1]
     total = sum(abs(np.trace(op)) ** 2 for op in ops)
     return _clamp_unit((total + d) / (d * d + d))
 
@@ -307,7 +299,6 @@ class FidelityBoundSet:
     expression is loose or meaningless at small d.
     """
 
-    d: int
     variance_bound_exact: float
     variance_bound_concentration: float
     C: float = CONCENTRATION_C
@@ -332,7 +323,7 @@ def variance_bounds(d: int) -> FidelityBoundSet:
     raw = (4.0 + np.log(c) + np.log2(dd) / np.log(2.0)) / (c * dd)
     conc = 0.25 if raw <= 0.0 else min(float(raw), 0.25)
     return FidelityBoundSet(
-        d=d, variance_bound_exact=float(exact), variance_bound_concentration=conc
+        variance_bound_exact=float(exact), variance_bound_concentration=conc
     )
 
 

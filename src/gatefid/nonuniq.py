@@ -25,7 +25,6 @@ from .channels import (
     kraus_from_choi,
     validate_cptp,
 )
-from .fidelity import gate_fidelity_batch
 from .linalg import (
     antisym_projector,
     hermitian_eig,
@@ -34,7 +33,7 @@ from .linalg import (
     schatten_norm,
     vec,
 )
-from .sampling import DEFAULT_SEED, as_rng_spec, haar_states
+from .sampling import DEFAULT_SEED, as_rng_spec, fidelity_samples
 
 FULL_RANK_TOL = 1e-10
 
@@ -135,7 +134,8 @@ def verify_pair(
 
     Each Choi matrix is built once and shared by the distance, the CPTP
     checks and R's depolarizing distance; choi_q, when the caller already
-    holds choi_from_kraus(q), is used instead of a rebuild.
+    holds choi_from_kraus(q), is used instead of a rebuild. The residual
+    is taken over fidelity_samples at the seed, as `fidelity stats` draws.
     """
     spec = as_rng_spec(rng)
     jq = choi_from_kraus(q) if choi_q is None else choi_q
@@ -143,9 +143,8 @@ def verify_pair(
     # checked before sampling, so a refused tol costs no samples
     cptp_q = validate_cptp(jq, tol)
     cptp_r = validate_cptp(jr, tol)
-    states = haar_states(q.dim_in, n_samples, spec)
-    fq = gate_fidelity_batch(q, None, states)
-    fr = gate_fidelity_batch(r, None, states)
+    fq = fidelity_samples(q, None, n_samples, spec)
+    fr = fidelity_samples(r, None, n_samples, spec)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),
         choi_distance=schatten_norm(jr.matrix - jq.matrix, 2),

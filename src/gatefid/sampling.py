@@ -183,13 +183,12 @@ class ConcentrationBound:
 
 
 def levy_bound(
-    d: int, epsilon: float, K: float = LIPSCHITZ_CONSTANT, c1: float = LEVY_C1
+    d: int, epsilon: float, K: float = LIPSCHITZ_CONSTANT
 ) -> ConcentrationBound:
-    """P[|F - F_mean| >= eps] <= 4 exp(-2 d c1 eps^2 / K^2).
+    """P[|F - F_mean| >= eps] <= 4 exp(-2 d c1 eps^2 / K^2), c1 = LEVY_C1.
 
     With the fidelity Lipschitz constant K = 3 sqrt(2) the exponent reduces
-    to -d eps^2 / (81 pi^3 ln 2). The constant c1 is exposed because sharper
-    values exist; the default is the conservative classical one.
+    to -d eps^2 / (81 pi^3 ln 2). c1 is the conservative classical constant.
     """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
@@ -197,7 +196,7 @@ def levy_bound(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < K < math.inf:
         raise ValueError(f"Lipschitz constant K must be positive and finite, got {K}")
-    two = 4.0 * math.exp(-2.0 * d * c1 * epsilon**2 / K**2)
+    two = 4.0 * math.exp(-2.0 * d * LEVY_C1 * epsilon**2 / K**2)
     return ConcentrationBound(
         d=d,
         epsilon=float(epsilon),
@@ -240,11 +239,19 @@ def convergence_report(
     honesty about vacuous bounds is part of the point of the report.
     """
     d_list = list(d_list)
+    if not d_list:
+        raise ValueError("d_list must name at least one dimension")
     if d_list != sorted(d_list):
         raise ValueError("d_list must be ascending")
+    if not eps_grid:
+        raise ValueError("eps_grid must hold at least one epsilon")
+    if n < 2:
+        raise ValueError(f"need at least 2 samples for a variance, got {n}")
     spec = as_rng_spec(rng)
+    # every bound is formed before the first sample, so a bad d or eps costs none
+    bounds = [(d, variance_bounds(d), [levy_bound(d, eps) for eps in eps_grid]) for d in d_list]
     rows = []
-    for d in d_list:
+    for d, var_bounds, levys in bounds:
         ch = e_family(d, generator(spec, TAG_FAMILY, d))
         if ch.dim_in != d or ch.dim_out != d:
             raise ValueError(f"family returned a {ch.dim_in}->{ch.dim_out} channel at d={d}")
@@ -252,9 +259,7 @@ def convergence_report(
         avg = average_gate_fidelity(ch)
         mean = float(np.mean(f))
         var = float(np.var(f, ddof=1))
-        bounds = variance_bounds(d)
-        for eps in eps_grid:
-            levy = levy_bound(d, eps)
+        for eps, levy in zip(eps_grid, levys):
             rows.append(
                 {
                     "d": d,
@@ -262,8 +267,8 @@ def convergence_report(
                     "mean": mean,
                     "variance": var,
                     "std": float(np.sqrt(var)),
-                    "var_bound_exact": bounds.variance_bound_exact,
-                    "var_bound_conc": bounds.variance_bound_concentration,
+                    "var_bound_exact": var_bounds.variance_bound_exact,
+                    "var_bound_conc": var_bounds.variance_bound_concentration,
                     "eps": float(eps),
                     "levy_bound": levy.two_sided_bound,
                     "emp_fraction": float(np.mean(np.abs(f - avg) >= eps)),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gatefid import cli, nonuniq, serialize
+from gatefid import cli, nonuniq, sampling, serialize
 from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
 from gatefid.cli import main
 from gatefid.fidelity import fidelity_kernel
@@ -425,6 +425,30 @@ class TestReportCommand:
         assert main(args + ["--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--d-list", ""], "d_list must name at least one dimension"),
+            (["--d-list", "0"], "dimension must be at least 2, got 0"),
+            (["--n", "1"], "need at least 2 samples for a variance, got 1"),
+            (["--eps-grid", ""], "eps_grid must hold at least one epsilon"),
+            (["--eps-grid", "0.1,inf"], "epsilon must be positive and finite, got inf"),
+        ],
+        ids=["empty-d-list", "d-zero", "n-one", "empty-eps-grid", "eps-inf"],
+    )
+    def test_bad_input_refused_before_sampling(self, flags, named, tmp_path, monkeypatch,
+                                               capsys):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("states were sampled before the input check")
+
+        monkeypatch.setattr(sampling, "fidelity_samples", no_sampling)
+        monkeypatch.chdir(tmp_path)
+        argv = ["report", "convergence", "--d-list", "2,4", "--n", "100"] + flags
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDefaultArtifactPath:
     def test_default_filename(self, tmp_path, monkeypatch, capsys):
@@ -566,7 +590,7 @@ class TestInputBoundary:
         def no_sampling(*args, **kwargs):
             raise AssertionError("states were sampled before the tolerance check")
 
-        monkeypatch.setattr(nonuniq, "haar_states", no_sampling)
+        monkeypatch.setattr(nonuniq, "fidelity_samples", no_sampling)
         argv = [ch_path if a == "CH" else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatefid import fidelity
 from gatefid.channels import (
     channel_from_kraus,
     choi_from_kraus,
@@ -20,7 +21,6 @@ from gatefid.fidelity import (
     depolarizing_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
-    gate_fidelity_pure,
     phase_min_distance,
     state_fidelity,
     symmetric_form,
@@ -108,7 +108,7 @@ class TestGateFidelityPointwise:
         ch = unitary_channel(u)
         for _ in range(10):
             phi = _rand_state(rng, 3)
-            assert abs(gate_fidelity_pure(ch, u, phi) - 1.0) < 1e-12
+            assert abs(float(gate_fidelity_batch(ch, u, phi)) - 1.0) < 1e-12
 
     def test_depolarizing_is_constant(self):
         rng = np.random.default_rng(65)
@@ -121,9 +121,9 @@ class TestGateFidelityPointwise:
 
     def test_bit_flip_on_basis_state(self):
         ch = unitary_channel(PAULI_X)
-        assert gate_fidelity_pure(ch, None, np.array([1.0, 0.0])) < 1e-15
+        assert float(gate_fidelity_batch(ch, None, np.array([1.0, 0.0]))) < 1e-15
         plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert abs(gate_fidelity_pure(ch, None, plus) - 1.0) < 1e-12
+        assert abs(float(gate_fidelity_batch(ch, None, plus)) - 1.0) < 1e-12
 
     @given(st.floats(0.0, 2.0 * np.pi), st.integers(0, 10**6))
     @settings(max_examples=25, deadline=None)
@@ -131,8 +131,8 @@ class TestGateFidelityPointwise:
         rng = np.random.default_rng(seed)
         ch = random_channel(2, 2, rng=seed)
         phi = _rand_state(rng, 2)
-        a = gate_fidelity_pure(ch, None, phi)
-        b = gate_fidelity_pure(ch, None, np.exp(1j * theta) * phi)
+        a = float(gate_fidelity_batch(ch, None, phi))
+        b = float(gate_fidelity_batch(ch, None, np.exp(1j * theta) * phi))
         assert abs(a - b) < 1e-12
 
     def test_matches_state_fidelity_for_unitary_target(self):
@@ -146,19 +146,22 @@ class TestGateFidelityPointwise:
             from gatefid.channels import apply_channel
 
             expected = state_fidelity(target, apply_channel(ch, rho))
-            got = gate_fidelity_pure(ch, u, phi)
+            got = float(gate_fidelity_batch(ch, u, phi))
             # the Uhlmann evaluation of the pure target is the noisy side
             assert abs(got - expected) < 1e-6
 
     def test_folding_the_target_preserves_values(self):
-        rng = np.random.default_rng(68)
-        ch = random_channel(3, 3, rng=69)
-        u = _haar_unitary(rng, 3)
-        lam = channel_from_kraus([u.conj().T @ a for a in ch.kraus])
-        phis = np.stack([_rand_state(rng, 3) for _ in range(50)])
-        direct = gate_fidelity_batch(ch, u, phis)
-        folded = gate_fidelity_batch(lam, None, phis)
-        assert np.max(np.abs(direct - folded)) < 1e-12
+        # rank 3 takes the Kraus loop, rank 9 the symmetric form
+        for rank in (3, 9):
+            rng = np.random.default_rng(68)
+            ch = random_channel(3, rank, rng=69)
+            u = _haar_unitary(rng, 3)
+            lam = channel_from_kraus([u.conj().T @ a for a in ch.kraus])
+            phis = np.stack([_rand_state(rng, 3) for _ in range(50)])
+            assert (fidelity_kernel(ch, u).form is None) == (rank == 3)
+            direct = gate_fidelity_batch(ch, u, phis)
+            folded = gate_fidelity_batch(lam, None, phis)
+            assert np.array_equal(direct, folded)
 
     def test_choi_bilinear_identity(self):
         # F(phi) = tr[ PT(J) (phi phi^dag (x) phi phi^dag) ] with the partial
@@ -171,25 +174,25 @@ class TestGateFidelityPointwise:
             phi = _rand_state(rng, 3)
             proj = np.outer(phi, phi.conj())
             expected = float(np.trace(pt @ tensor(proj, proj)).real)
-            assert abs(gate_fidelity_pure(ch, None, phi) - expected) < 1e-10
+            assert abs(float(gate_fidelity_batch(ch, None, phi)) - expected) < 1e-10
 
     def test_batch_matches_loop(self):
         rng = np.random.default_rng(72)
         ch = random_channel(2, 3, rng=73)
         phis = np.stack([_rand_state(rng, 2) for _ in range(20)])
         batch = gate_fidelity_batch(ch, None, phis)
-        single = [gate_fidelity_pure(ch, None, phi) for phi in phis]
+        single = [float(gate_fidelity_batch(ch, None, phi)) for phi in phis]
         assert np.max(np.abs(batch - np.array(single))) < 1e-14
 
     def test_shape_guards(self):
         ch = depolarizing(0.5, 2)
         with pytest.raises(ValueError):
-            gate_fidelity_pure(ch, None, np.array([1.0, 0.0, 0.0]))
+            float(gate_fidelity_batch(ch, None, np.array([1.0, 0.0, 0.0])))
         with pytest.raises(ValueError):
-            gate_fidelity_pure(ch, np.eye(3), np.array([1.0, 0.0]))
+            float(gate_fidelity_batch(ch, np.eye(3), np.array([1.0, 0.0])))
         tall = channel_from_kraus((np.zeros((3, 2)),))
         with pytest.raises(ValueError):
-            gate_fidelity_pure(tall, None, np.array([1.0, 0.0]))
+            float(gate_fidelity_batch(tall, None, np.array([1.0, 0.0])))
 
 
 def _sym_isometry(d):
@@ -216,8 +219,9 @@ class TestSymmetricForm:
         ch = random_channel(d, rank, rng=seed)
         u = _haar_unitary(np.random.default_rng(seed + 1), d) if with_target else None
         states = haar_states(d, 300, rng=seed + 2)
-        kraus = FidelityKernel(channel=ch, u=u, form=None).values(states)
-        form = FidelityKernel(channel=ch, u=u, form=symmetric_form(ch, u)).values(states)
+        ops = fidelity_kernel(ch, u).ops
+        kraus = FidelityKernel(ops=ops, form=None).values(states)
+        form = FidelityKernel(ops=ops, form=symmetric_form(ch, u)).values(states)
         assert np.max(np.abs(form - kraus)) <= 1e-13
 
     def test_is_the_symmetric_block_of_the_partial_transpose(self):
@@ -269,6 +273,17 @@ class TestSymmetricForm:
         parts = [gate_fidelity_batch(ch, None, states[i : i + 7], kernel=kernel)
                  for i in range(0, 1000, 7)]
         assert np.array_equal(whole, np.concatenate(parts))
+
+    def test_target_checked_once_per_kernel(self, monkeypatch):
+        calls = []
+        real = fidelity._check_target
+        monkeypatch.setattr(
+            fidelity, "_check_target", lambda u, d: calls.append(d) or real(u, d)
+        )
+        u = _haar_unitary(np.random.default_rng(86), 4)
+        kernel = fidelity_kernel(random_channel(4, 16, rng=87), u)
+        assert kernel.form is not None
+        assert calls == [4]
 
     def test_shape_guards(self):
         with pytest.raises(ValueError):
@@ -381,7 +396,7 @@ class TestTargetCheck:
         "call",
         [
             lambda ch, u: average_gate_fidelity(ch, u),
-            lambda ch, u: gate_fidelity_pure(ch, u, np.array([1.0, 0.0])),
+            lambda ch, u: float(gate_fidelity_batch(ch, u, np.array([1.0, 0.0]))),
             lambda ch, u: fidelity_kernel(ch, u),
             lambda ch, u: symmetric_form(ch, u),
         ],
