@@ -12,9 +12,7 @@ from .channels import (
     QuantumChannel,
     adjoint,
     amplitude_damping,
-    apply_channel,
     channel_from_kraus,
-    channels_close,
     choi_from_kraus,
     depolarizing,
     identity_channel,
@@ -35,13 +33,11 @@ from .fidelity import (
     fidelity_kernel,
     gate_fidelity_batch,
     phase_min_distance,
-    state_fidelity,
     symmetric_form,
     uses_symmetric_form,
     variance_bounds,
 )
 from .linalg import (
-    EigDecomposition,
     antisym_projector,
     hermitian_eig,
     partial_trace,
@@ -49,7 +45,6 @@ from .linalg import (
     schatten_norm,
     swap_matrix,
     sym_projector,
-    tensor,
     unvec,
     vec,
 )

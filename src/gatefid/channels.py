@@ -28,6 +28,10 @@ RANK_TOL = 1e-10
 # here and for the target U of a gate fidelity.
 _UNITARY_TOL = 1e-10
 
+# Largest dense complex operator built: 2 GiB, which admits the d^2 x d^2
+# Choi matrix at d = 64 (268 MB) and refuses it at d = 128 (4.3 GB).
+MAX_DENSE_BYTES = 2**31
+
 
 @dataclass(frozen=True)
 class QuantumChannel:
@@ -79,8 +83,19 @@ def channel_from_kraus(ops) -> QuantumChannel:
     return QuantumChannel(dim_in=d_in, dim_out=d_out, kraus=kraus)
 
 
+def _check_dense_budget(side: int, what: str) -> None:
+    """Refuse a side x side complex operator above MAX_DENSE_BYTES, before allocating it."""
+    need = 16 * side * side
+    if need > MAX_DENSE_BYTES:
+        raise ValueError(
+            f"the {what} needs {need / 2**30:.3g} GiB, above the "
+            f"{MAX_DENSE_BYTES / 2**30:g} GiB dense-operator limit"
+        )
+
+
 def choi_from_kraus(ch: QuantumChannel) -> ChoiMatrix:
     n = ch.dim_in * ch.dim_out
+    _check_dense_budget(n, f"{n}x{n} Choi matrix")
     j = np.zeros((n, n), dtype=complex)
     for op in ch.kraus:
         v = vec(op)
@@ -98,8 +113,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     eigenvector rotated to the positive real axis, so equal Choi matrices
     give identical tuples up to eigenspace degeneracy.
     """
-    eig = hermitian_eig(choi.matrix)
-    vals = eig.eigenvalues
+    vals, vecs = hermitian_eig(choi.matrix)
     scale = max(1.0, float(vals[-1]))
     if vals[0] < -RANK_TOL * scale:
         raise ValueError(
@@ -109,7 +123,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     for i in range(len(vals) - 1, -1, -1):
         if vals[i] <= RANK_TOL:
             break
-        col = eig.eigenvectors[:, i]
+        col = vecs[:, i]
         anchor = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
         phase = col[anchor] / abs(col[anchor])
         col = col * phase.conj()
@@ -143,18 +157,6 @@ def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
         hermiticity_gap=gap,
         tolerance=tol,
     )
-
-
-def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho)
-    if rho.shape != (ch.dim_in, ch.dim_in):
-        raise ValueError(
-            f"state shape {rho.shape} does not match channel input dim {ch.dim_in}"
-        )
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for op in ch.kraus:
-        out += op @ rho @ op.conj().T
-    return out
 
 
 def adjoint(ch: QuantumChannel) -> QuantumChannel:
@@ -219,6 +221,8 @@ def depolarizing(p: float, d: int) -> QuantumChannel:
         raise ValueError(f"depolarizing parameter must lie in [0, 1], got {p}")
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
+    # d^2 Kraus operators of d x d entries: as large as a d^2 x d^2 operator
+    _check_dense_budget(d * d, f"Kraus set of the d={d} depolarizing channel")
     basis = unitary_operator_basis(d)
     ops = [np.sqrt(p + (1.0 - p) / d**2) * basis[0]]
     w = np.sqrt(1.0 - p) / d
@@ -267,12 +271,3 @@ def phase_spread_unitary(d: int, rng) -> QuantumChannel:
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar phase fix
     phases = np.exp(1j * np.linspace(-1.0, 1.0, d))
     return unitary_channel((q * phases) @ q.conj().T)
-
-
-def channels_close(a: QuantumChannel, b: QuantumChannel, atol: float = 1e-9) -> bool:
-    """Equality of the maps themselves: compare Choi matrices, not Kraus lists."""
-    if (a.dim_in, a.dim_out) != (b.dim_in, b.dim_out):
-        return False
-    ja = choi_from_kraus(a).matrix
-    jb = choi_from_kraus(b).matrix
-    return schatten_norm(ja - jb, np.inf) <= atol

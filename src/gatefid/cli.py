@@ -86,7 +86,7 @@ def _check_one_channel_source(args) -> None:
         raise UsageError(f"--channel conflicts with {' and '.join(given)}")
 
 
-def _load_square_channel(args):
+def _load_channel(args):
     """Channel from --channel, or depolarizing(--p, --d) as a shorthand."""
     _check_one_channel_source(args)
     if args.channel_path is not None:
@@ -95,10 +95,6 @@ def _load_square_channel(args):
         ch = depolarizing(args.p, args.d)
     else:
         raise ValueError("need --channel FILE, or --p and --d for a depolarizing channel")
-    if ch.dim_in != ch.dim_out:
-        raise ValueError(
-            f"this command needs a square channel, got {ch.dim_in}->{ch.dim_out}"
-        )
     return ch
 
 
@@ -167,7 +163,7 @@ def _cmd_channel_convert(args):
 
 
 def _cmd_fidelity_point(args):
-    ch = _load_square_channel(args)
+    ch = _load_channel(args)
     u = _load_unitary(args)
     if args.state_path is not None:
         phi = serialize.state_from_dict(serialize.read_json(args.state_path))
@@ -181,7 +177,7 @@ def _cmd_fidelity_point(args):
 
 
 def _cmd_fidelity_avg(args):
-    ch = _load_square_channel(args)
+    ch = _load_channel(args)
     u = _load_unitary(args)
     value = average_gate_fidelity(ch, u)
     payload = _record("average_gate_fidelity", value, ch.dim_in, _channel_inputs(ch, u))
@@ -189,7 +185,7 @@ def _cmd_fidelity_avg(args):
 
 
 def _cmd_fidelity_stats(args):
-    ch = _load_square_channel(args)
+    ch = _load_channel(args)
     u = _load_unitary(args)
     stats = mc_fidelity_stats(ch, u, args.n, RngSpec(args.seed), threads=_threads(args))
     inputs = _channel_inputs(ch, u, {"n": args.n})
@@ -289,7 +285,7 @@ def _cmd_min_net_build(args):
 
 
 def _cmd_min_net_min(args):
-    ch = _load_square_channel(args)
+    ch = _load_channel(args)
     u = _load_unitary(args)
     net = serialize.net_from_dict(serialize.read_json(args.net_path))
     est = net_minimum(ch, u, net)
@@ -316,7 +312,7 @@ def _cmd_min_effective(args):
 
 
 def _cmd_min_reference(args):
-    ch = _load_square_channel(args)
+    ch = _load_channel(args)
     u = _load_unitary(args)
     value = reference_minimum(ch, u, n_starts=args.starts, rng=args.seed)
     inputs = _channel_inputs(ch, u, {"starts": args.starts})
@@ -327,7 +323,7 @@ def _cmd_min_reference(args):
 
 def _cmd_report_convergence(args):
     rows = convergence_report(
-        lambda d, g: phase_spread_unitary(d, g),
+        phase_spread_unitary,
         list(args.d_list),
         args.n,
         RngSpec(args.seed),

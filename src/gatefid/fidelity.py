@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _UNITARY_TOL, QuantumChannel
-from .linalg import hermitian_eig, schatten_norm
+from .linalg import schatten_norm
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
 # metric on unit vectors, valid for every channel and every dimension.
@@ -40,51 +40,17 @@ CONCENTRATION_C = 1.0 / (81.0 * np.pi**3 * np.log(2.0))
 _RANGE_TOL = 1e-8
 
 
-def _clamp_unit(values, tol: float = _RANGE_TOL):
-    """Clip to [0, 1] after checking nothing sits outside by more than tol."""
+def _clamp_unit(values):
+    """Clip to [0, 1] after checking nothing sits outside by more than _RANGE_TOL."""
     arr = np.asarray(values, dtype=float)
     low = float(arr.min())
     high = float(arr.max())
-    if low < -tol or high > 1.0 + tol:
+    if low < -_RANGE_TOL or high > 1.0 + _RANGE_TOL:
         raise ValueError(
             f"value outside [0, 1] beyond tolerance: range [{low:.6e}, {high:.6e}]"
         )
     clipped = np.clip(arr, 0.0, 1.0)
     return clipped if clipped.ndim else float(clipped)
-
-
-def _check_state_matrix(m: np.ndarray, tol: float) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"a density matrix must be square, got shape {m.shape}")
-    if abs(np.trace(m).real - 1.0) > tol or abs(np.trace(m).imag) > tol:
-        raise ValueError(f"trace {np.trace(m):.6g} is not 1 within {tol:.1e}")
-    if schatten_norm(m - m.conj().T, np.inf) > tol:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0]) < -tol:
-        raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
-    return 0.5 * (m + m.conj().T)
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    # small negative eigenvalues are float noise, clamp before the root
-    eig = hermitian_eig(m, rtol=1e-8)
-    vals = np.clip(eig.eigenvalues, 0.0, None)
-    v = eig.eigenvectors
-    return (v * np.sqrt(vals)) @ v.conj().T
-
-
-def state_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity F(rho, sigma) = (tr sqrt(sqrt(rho) sigma sqrt(rho)))^2."""
-    rho = _check_state_matrix(rho, _RANGE_TOL)
-    sigma = _check_state_matrix(sigma, _RANGE_TOL)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
-    root = _psd_sqrt(rho)
-    inner = root @ sigma @ root
-    vals = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    total = float(np.sum(np.sqrt(np.clip(vals, 0.0, None))))
-    return _clamp_unit(total * total)
 
 
 # The build of the symmetric form materializes the d^2 x d^2 Choi matrix
@@ -279,12 +245,21 @@ def average_gate_fidelity(e: QuantumChannel, u=None) -> float:
     return _clamp_unit((total + d) / (d * d + d))
 
 
+def _check_dim(d) -> None:
+    """Refuse a dimension below 2, or one too large to convert to a float."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    try:
+        float(d)
+    except OverflowError:
+        raise ValueError(f"d must be below 2**1024, got log2(d) = {math.log2(d):.6g}") from None
+
+
 def depolarizing_gate_fidelity(p: float, d: int) -> float:
     """Constant fidelity value p + (1 - p)/d of the depolarizing channel."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing parameter must lie in [0, 1], got {p}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     return p + (1.0 - p) / d
 
 

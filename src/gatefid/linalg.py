@@ -2,26 +2,14 @@
 
 Everything here works on plain numpy arrays. Bipartite operations take the
 two factor dimensions explicitly and assume row-major (C) ordering, so
-``vec(A)`` is ``A.reshape(-1)`` and ``tensor(A, B)`` is ``np.kron(A, B)``.
+``vec(A)`` is ``A.reshape(-1)`` and C^d1 (x) C^d2 is the ``np.kron`` order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 HERMITICITY_RTOL = 1e-10
-
-
-def tensor(*ops: np.ndarray) -> np.ndarray:
-    """Kronecker product of one or more operators, left to right."""
-    if not ops:
-        raise ValueError("tensor() needs at least one operator")
-    out = np.asarray(ops[0])
-    for op in ops[1:]:
-        out = np.kron(out, np.asarray(op))
-    return out
 
 
 def _check_bipartite(m: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
@@ -38,7 +26,7 @@ def _check_bipartite(m: np.ndarray, dim_first: int, dim_second: int) -> np.ndarr
 def partial_trace(
     m: np.ndarray, dim_first: int, dim_second: int, factor: str = "second"
 ) -> np.ndarray:
-    """Trace out one tensor factor of an operator on C^d1 (x) C^d2.
+    """Trace out one factor of an operator on C^d1 (x) C^d2.
 
     ``factor`` names the factor that is traced away: tracing the second
     factor of A (x) B returns tr(B) * A.
@@ -55,7 +43,7 @@ def partial_trace(
 def partial_transpose(
     m: np.ndarray, dim_first: int, dim_second: int, factor: str = "second"
 ) -> np.ndarray:
-    """Transpose one tensor factor: A (x) B -> A (x) B^T for factor='second'."""
+    """Transpose one factor: A (x) B -> A (x) B^T for factor='second'."""
     m = _check_bipartite(m, dim_first, dim_second)
     t = m.reshape(dim_first, dim_second, dim_first, dim_second)
     if factor == "second":
@@ -81,33 +69,24 @@ def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 def schatten_norm(m: np.ndarray, p) -> float:
-    """Schatten p-norm for p in {1, 2, inf}.
+    """Schatten p-norm for p in {2, inf}.
 
-    p=1 is the trace norm, p=2 the Frobenius norm, p=inf the largest
-    singular value. Other orders are not needed here and are rejected.
+    p=2 is the Frobenius norm, p=inf the largest singular value. Other
+    orders are not needed here and are rejected.
     """
     m = np.asarray(m)
     if p == 2:
         return float(np.linalg.norm(m))
-    if p == 1:
-        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
     if p in (np.inf, "inf"):
         return float(np.linalg.norm(m, 2))
-    raise ValueError(f"unsupported Schatten order {p!r}, use 1, 2 or inf")
+    raise ValueError(f"unsupported Schatten order {p!r}, use 2 or inf")
 
 
-@dataclass(frozen=True)
-class EigDecomposition:
-    """Eigensystem of a Hermitian matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns, eigenvectors[:, i] <-> eigenvalues[i]
-
-
-def hermitian_eig(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> EigDecomposition:
+def hermitian_eig(m: np.ndarray) -> tuple:
     """Eigendecomposition that refuses matrices far from Hermitian.
 
-    The input is accepted when ||M - M^dag||_inf <= rtol * max(1, ||M||_inf)
+    Returns (eigenvalues ascending, eigenvectors as columns) like eigh.
+    The input is accepted when ||M - M^dag||_inf <= HERMITICITY_RTOL * max(1, ||M||_inf)
     and then symmetrized before calling eigh, so tiny round-off asymmetry
     cannot leak into the spectrum.
     """
@@ -116,14 +95,13 @@ def hermitian_eig(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> EigDecomposi
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     gap = schatten_norm(m - m.conj().T, np.inf)
     scale = max(1.0, schatten_norm(m, np.inf))
-    if gap > rtol * scale:
+    if gap > HERMITICITY_RTOL * scale:
         raise ValueError(
             f"matrix is not Hermitian: ||M - M^dag||_inf = {gap:.3e} "
-            f"exceeds {rtol:.1e} * max(1, ||M||_inf) = {rtol * scale:.3e}"
+            f"exceeds {HERMITICITY_RTOL:.1e} * max(1, ||M||_inf) = {HERMITICITY_RTOL * scale:.3e}"
         )
     sym = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(sym)
-    return EigDecomposition(eigenvalues=vals, eigenvectors=vecs)
+    return np.linalg.eigh(sym)
 
 
 def swap_matrix(d: int) -> np.ndarray:

@@ -19,6 +19,7 @@ from .fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
     FidelityKernel,
+    _check_dim,
     fidelity_kernel,
     gate_fidelity_batch,
     overlap_distance,
@@ -243,8 +244,6 @@ def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED)
     consistent reference, not ground truth. Restricted to d <= 32 where
     multi-start coverage of the sphere is still meaningful.
     """
-    if e.dim_in != e.dim_out:
-        raise ValueError(f"need a square channel, got {e.dim_in}->{e.dim_out}")
     if e.dim_in > REFERENCE_DIM_LIMIT:
         raise ValueError(
             f"reference minimizer is limited to d <= {REFERENCE_DIM_LIMIT}, got {e.dim_in}"
@@ -266,8 +265,7 @@ def effective_epsilon(q: float, d: int) -> float:
     """Deviation scale epsilon_{Q,d} = sqrt(ln(2/Q) / (C d)) from concentration."""
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile mass must lie in (0, 1), got {q}")
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     return float(np.sqrt(np.log(2.0 / q) / (CONCENTRATION_C * d)))
 
 

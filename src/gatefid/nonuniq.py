@@ -21,6 +21,7 @@ from .channels import (
     ChoiMatrix,
     CptpReport,
     QuantumChannel,
+    _check_dense_budget,
     choi_from_kraus,
     kraus_from_choi,
     validate_cptp,
@@ -71,6 +72,7 @@ def build_g_operator(d: int) -> GOperator:
     """
     if d < 4:
         raise ValueError(f"the construction needs dimension >= 4, got {d}")
+    _check_dense_budget(d * d, f"d={d} perturbation direction G")
     alpha = [_pair_state(d, 0, 1), _pair_state(d, 0, 2), _pair_state(d, 0, 3)]
     beta = [_pair_state(d, 2, 3), _pair_state(d, 1, 3), _pair_state(d, 1, 2)]
     s = np.zeros((d * d, d * d), dtype=complex)
@@ -92,7 +94,8 @@ def max_epsilon(j_q: ChoiMatrix, g: GOperator) -> float:
             f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, "
             f"perturbation lives at d={g.d}"
         )
-    lam_min = float(hermitian_eig(j_q.matrix).eigenvalues[0])
+    vals, _ = hermitian_eig(j_q.matrix)
+    lam_min = float(vals[0])
     if lam_min <= FULL_RANK_TOL:
         raise ValueError(
             f"channel is not full rank: smallest Choi eigenvalue {lam_min:.3e}"
@@ -249,8 +252,7 @@ def fidelity_equality_conditions(j_diff: np.ndarray, d: int) -> EqualityConditio
     j_diff = np.asarray(j_diff)
     if j_diff.shape != (d * d, d * d):
         raise ValueError(f"expected a {d * d}x{d * d} matrix, got {j_diff.shape}")
-    eig = hermitian_eig(j_diff)
-    vals, vecs = eig.eigenvalues, eig.eigenvectors
+    vals, vecs = hermitian_eig(j_diff)
     pos = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
     neg = (vecs * np.clip(-vals, 0.0, None)) @ vecs.conj().T
     marg_pos = partial_trace(pos, d, d, factor="first")

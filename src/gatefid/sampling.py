@@ -18,6 +18,7 @@ import numpy as np
 from .channels import QuantumChannel
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
+    _check_dim,
     average_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
@@ -190,8 +191,7 @@ def levy_bound(
     With the fidelity Lipschitz constant K = 3 sqrt(2) the exponent reduces
     to -d eps^2 / (81 pi^3 ln 2). c1 is the conservative classical constant.
     """
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
+    _check_dim(d)
     if not 0 < epsilon < math.inf:
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < K < math.inf:

@@ -169,14 +169,7 @@ def _name_bad_entry(rows, field: str) -> NoReturn:
 
 
 def pairs_to_matrix(rows, field: str) -> np.ndarray:
-    """Complex matrix from row-major [re, im] pairs, or from a complex array."""
-    if isinstance(rows, np.ndarray):
-        if rows.ndim != 2 or rows.dtype.kind != "c":
-            raise ValueError(f"field {field!r}: expected a 2-d complex array")
-        bad = np.argwhere(~np.isfinite(rows))
-        if len(bad):
-            raise ValueError(f"field {field!r}: entry ({bad[0][0]},{bad[0][1]}) is not finite")
-        return np.array(rows, dtype=np.complex128)
+    """Complex matrix from JSON-decoded row-major [re, im] pairs."""
     if not isinstance(rows, list) or not rows:
         raise ValueError(f"field {field!r}: expected a non-empty list of rows")
     try:

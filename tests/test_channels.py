@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatefid import channels as channels_module
 from gatefid.channels import (
+    MAX_DENSE_BYTES,
+    _check_dense_budget,
     adjoint,
     amplitude_damping,
-    apply_channel,
     channel_from_kraus,
-    channels_close,
     choi_from_kraus,
     depolarizing,
     identity_channel,
@@ -19,10 +20,20 @@ from gatefid.channels import (
     unitary_operator_basis,
     validate_cptp,
 )
-from gatefid.linalg import partial_trace, schatten_norm, tensor, vec
+from gatefid.linalg import partial_trace, schatten_norm, vec
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+
+def _apply(ch, rho):
+    """ch(rho) = sum_k A_k rho A_k^dag, from the definition."""
+    return sum(a @ rho @ a.conj().T for a in ch.kraus)
+
+
+def _choi_distance(a, b) -> float:
+    """Spectral-norm distance of two maps, compared through their Choi matrices."""
+    return schatten_norm(choi_from_kraus(a).matrix - choi_from_kraus(b).matrix, np.inf)
 
 
 def _rand_state(rng, d):
@@ -57,7 +68,7 @@ class TestChoiConstruction:
     def test_unitary_channel_rotates_identity_choi(self):
         j_x = choi_from_kraus(unitary_channel(PAULI_X)).matrix
         j_id = choi_from_kraus(identity_channel(2)).matrix
-        rot = tensor(PAULI_X, np.eye(2))
+        rot = np.kron(PAULI_X, np.eye(2))
         assert np.max(np.abs(j_x - rot @ j_id @ rot.conj().T)) < 1e-14
 
     def test_trace_is_input_dimension(self):
@@ -73,9 +84,9 @@ class TestChoiConstruction:
             j = choi_from_kraus(ch).matrix
             rho = _rand_density(rng, d)
             contracted = partial_trace(
-                j @ tensor(np.eye(d), rho.T), d, d, factor="second"
+                j @ np.kron(np.eye(d), rho.T), d, d, factor="second"
             )
-            direct = apply_channel(ch, rho)
+            direct = _apply(ch, rho)
             assert np.max(np.abs(contracted - direct)) < 1e-12
 
 
@@ -93,7 +104,7 @@ class TestKrausFromChoi:
         for seed, d, rank in ((0, 2, 2), (1, 3, 4), (2, 4, 3)):
             ch = random_channel(d, rank, rng=seed)
             back = kraus_from_choi(choi_from_kraus(ch))
-            assert channels_close(ch, back, atol=1e-9)
+            assert _choi_distance(ch, back) <= 1e-9
             assert len(back.kraus) <= rank
 
     def test_canonical_output_is_deterministic(self):
@@ -160,18 +171,18 @@ class TestDepolarizing:
     def test_p_one_is_identity(self):
         rng = np.random.default_rng(21)
         rho = _rand_density(rng, 3)
-        out = apply_channel(depolarizing(1.0, 3), rho)
+        out = _apply(depolarizing(1.0, 3), rho)
         assert np.max(np.abs(out - rho)) < 1e-12
 
     def test_p_zero_is_maximally_mixing(self):
         rng = np.random.default_rng(22)
         rho = _rand_density(rng, 2)
-        out = apply_channel(depolarizing(0.0, 2), rho)
+        out = _apply(depolarizing(0.0, 2), rho)
         assert np.max(np.abs(out - np.eye(2) / 2.0)) < 1e-12
 
     def test_half_on_ground_state(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        out = apply_channel(depolarizing(0.5, 2), rho)
+        out = _apply(depolarizing(0.5, 2), rho)
         assert np.max(np.abs(out - np.diag([0.75, 0.25]))) < 1e-12
 
     @given(st.floats(0.0, 1.0), st.sampled_from([2, 3, 4]), st.integers(0, 10**6))
@@ -179,7 +190,7 @@ class TestDepolarizing:
     def test_action_formula(self, p, d, seed):
         rng = np.random.default_rng(seed)
         rho = _rand_density(rng, d)
-        out = apply_channel(depolarizing(p, d), rho)
+        out = _apply(depolarizing(p, d), rho)
         expected = p * rho + (1.0 - p) * np.eye(d) / d
         assert np.max(np.abs(out - expected)) < 1e-12
 
@@ -257,13 +268,13 @@ class TestAdjoint:
         for _ in range(20):
             rho = _rand_density(rng, 3)
             sigma = _rand_density(rng, 3)
-            lhs = np.trace(apply_channel(ch, rho) @ sigma)
-            rhs = np.trace(rho @ apply_channel(adj, sigma))
+            lhs = np.trace(_apply(ch, rho) @ sigma)
+            rhs = np.trace(rho @ _apply(adj, sigma))
             assert abs(lhs - rhs) < 1e-12
 
     def test_adjoint_of_tp_is_unital(self):
         ch = random_channel(4, 3, rng=33)
-        out = apply_channel(adjoint(ch), np.eye(4).astype(complex))
+        out = _apply(adjoint(ch), np.eye(4).astype(complex))
         assert np.max(np.abs(out - np.eye(4))) < 1e-10
 
 
@@ -273,7 +284,7 @@ class TestChannelProperties:
         ch = random_channel(3, 4, rng=51)
         for _ in range(50):
             rho = _rand_density(rng, 3)
-            out = apply_channel(ch, rho)
+            out = _apply(ch, rho)
             assert np.linalg.eigvalsh(out)[0] > -1e-12
             assert abs(np.trace(out) - 1.0) < 1e-12
 
@@ -284,14 +295,14 @@ class TestChannelProperties:
         w = _haar_unitary(rng, 3)
         stacked = np.stack(ch.kraus)
         mixed = channel_from_kraus(tuple(np.einsum("ij,jkl->ikl", w, stacked)))
-        assert channels_close(ch, mixed, atol=1e-10)
+        assert _choi_distance(ch, mixed) <= 1e-10
 
     def test_amplitude_damping(self):
         ch = amplitude_damping(0.3)
         report = validate_cptp(ch)
         assert report.is_cp and report.is_tp
         excited = np.diag([0.0, 1.0]).astype(complex)
-        out = apply_channel(ch, excited)
+        out = _apply(ch, excited)
         assert np.max(np.abs(out - np.diag([0.3, 0.7]))) < 1e-12
         with pytest.raises(ValueError):
             amplitude_damping(1.5)
@@ -309,10 +320,25 @@ class TestChannelProperties:
         assert len(ch.kraus) == 5
         assert ch.dim_in == ch.dim_out == 3
 
-    def test_channels_close_dimension_guard(self):
-        assert not channels_close(identity_channel(2), identity_channel(3))
-        assert channels_close(identity_channel(2), identity_channel(2))
 
-    def test_apply_shape_guard(self):
-        with pytest.raises(ValueError):
-            apply_channel(identity_channel(2), np.eye(3))
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError("allocated past the dense-operator budget check")
+
+
+class TestDenseBudget:
+    def test_d64_admitted_d128_refused(self):
+        _check_dense_budget(64 * 64, "d=64 operator")
+        assert 16 * (64 * 64) ** 2 <= MAX_DENSE_BYTES < 16 * (128 * 128) ** 2
+        with pytest.raises(ValueError, match=r"the d=128 operator needs 4 GiB"):
+            _check_dense_budget(128 * 128, "d=128 operator")
+
+    def test_choi_refused_before_allocation(self, monkeypatch):
+        ch = unitary_channel(np.eye(256))
+        monkeypatch.setattr(np, "zeros", _refuse_allocation)
+        with pytest.raises(ValueError, match=r"65536x65536 Choi matrix needs 64 GiB"):
+            validate_cptp(ch)
+
+    def test_depolarizing_refused_before_basis(self, monkeypatch):
+        monkeypatch.setattr(channels_module, "unitary_operator_basis", _refuse_allocation)
+        with pytest.raises(ValueError, match=r"d=256 depolarizing channel needs 64 GiB"):
+            depolarizing(0.5, 256)

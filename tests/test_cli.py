@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gatefid import cli, nonuniq, sampling, serialize
+from gatefid import channels, cli, nonuniq, sampling, serialize
 from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
 from gatefid.cli import main
 from gatefid.fidelity import fidelity_kernel
@@ -574,6 +574,9 @@ class TestInputBoundary:
             (["bounds", "variance", "--qubits", "341"], "d must be below"),
             (["bounds", "variance", "--qubits", "342"], "d must be below"),
             (["bounds", "variance", "--d", "9" * 400], "d must be below"),
+            (["bounds", "levy", "--d", "9" * 400, "--eps", "0.1"], "d must be below 2**1024"),
+            (["min", "effective", "--avg", "0.9", "--q", "0.01", "--d", "9" * 400],
+             "d must be below 2**1024"),
             (["channel", "validate", "--channel", "CH", "--tol", "nan"], "tolerance tol"),
             (["channel", "validate", "--channel", "CH", "--tol", "-0.5"], "tolerance tol"),
             (["nonuniq", "verify", "--q", "CH", "--r", "CH", "--tol", "nan"], "tolerance tol"),
@@ -581,6 +584,7 @@ class TestInputBoundary:
              "missing/avg.json"),
         ],
         ids=["k-nan", "k-inf", "qubits-256", "qubits-341", "qubits-342", "d-huge",
+             "levy-d-huge", "effective-d-huge",
              "validate-tol-nan", "validate-tol-negative", "verify-tol-nan", "out-dir-missing"],
     )
     def test_bad_input_refused_at_the_boundary(self, argv, named, tmp_path, monkeypatch, capsys):
@@ -622,3 +626,61 @@ class TestInputBoundary:
         assert code == 2
         assert "error: target matrix is not unitary within 1e-10" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestSizeAndShapeBoundary:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "point"],
+            ["fidelity", "avg"],
+            ["fidelity", "stats", "--n", "100"],
+            ["min", "net-min", "--net", "NET"],
+            ["min", "reference", "--starts", "1"],
+        ],
+        ids=lambda argv: argv[1],
+    )
+    def test_non_square_channel_refused(self, argv, tmp_path, monkeypatch, capsys):
+        # an isometry C^2 -> C^3 is a valid channel, but no gate fidelity has one
+        ch_path = _write_channel(tmp_path / "wide.json", channel_from_kraus([np.eye(3)[:, :2]]))
+        net_path = tmp_path / "net.json"
+        assert main(["min", "net-build", "--d", "2", "--eps", "0.7",
+                     "--out", str(net_path)]) == 0
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("states were sampled before the shape check")
+
+        monkeypatch.setattr(sampling, "_haar_block", no_sampling)
+        argv = [str(net_path) if a == "NET" else a for a in argv]
+        out = tmp_path / "out.json"
+        assert main(argv + ["--channel", ch_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: gate fidelity needs a square channel, got 2 -> 3")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["channel", "validate", "--channel", "CH"], "65536x65536 Choi matrix needs 64 GiB"),
+            (["fidelity", "avg", "--p", "0.9", "--d", "256"], "d=256 depolarizing channel"),
+            (["nonuniq", "construct", "--channel", "CH"], "d=256 perturbation direction G"),
+        ],
+        ids=["validate", "avg", "construct"],
+    )
+    def test_dense_budget_refused_before_allocation(self, argv, named, tmp_path, monkeypatch,
+                                                    capsys):
+        ch_path = _write_channel(tmp_path / "ch.json", unitary_channel(np.eye(256)))
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the dense-operator budget check")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        monkeypatch.setattr(channels, "unitary_operator_basis", refuse)
+        argv = [ch_path if a == "CH" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "2 GiB" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]

@@ -16,7 +16,6 @@ from gatefid.fidelity import (
     average_gate_fidelity,
     gate_fidelity_batch,
     phase_min_distance,
-    state_fidelity,
 )
 from gatefid.minimum import (
     NetCoverageError,
@@ -357,8 +356,6 @@ class TestSandwich:
     def test_mixed_states_cannot_undershoot(self):
         # fidelity is affine in the state, so the minimum over density
         # matrices is attained on pure states; mixtures never dip below
-        from gatefid.channels import apply_channel
-
         ch = amplitude_damping(0.3)
         ref = reference_minimum(ch, None, n_starts=6, rng=34)
         rng = np.random.default_rng(35)
@@ -368,13 +365,10 @@ class TestSandwich:
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
             t = rng.uniform()
-            rho = t * np.outer(a, a.conj()) + (1 - t) * np.outer(b, b.conj())
             mixed = t * gate_fidelity_batch(ch, None, a) + (1 - t) * gate_fidelity_batch(
                 ch, None, b
             )
             assert mixed >= ref - 1e-8
-            # Uhlmann fidelity of the mixed pair is even larger
-            assert state_fidelity(rho, apply_channel(ch, rho)) >= mixed - 1e-7
 
 
 class TestEffective:

@@ -17,7 +17,6 @@ from gatefid.linalg import (
     partial_trace,
     partial_transpose,
     schatten_norm,
-    tensor,
 )
 from gatefid.nonuniq import (
     build_g_operator,
@@ -87,6 +86,14 @@ class TestGOperator:
             with pytest.raises(ValueError):
                 build_g_operator(d)
 
+    def test_refused_above_dense_budget_before_allocation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the dense-operator budget check")
+
+        monkeypatch.setattr(np, "zeros", refuse)
+        with pytest.raises(ValueError, match=r"d=256 perturbation direction G needs 64 GiB"):
+            build_g_operator(256)
+
     def test_perturbation_is_fidelity_invisible_pointwise(self):
         # tr[ PT(j_g) (psi psi (x) psi psi) ] = 0 for every product state
         g = build_g_operator(4)
@@ -94,7 +101,7 @@ class TestGOperator:
         pt = g.s  # partial transpose of j_g is s itself
         for psi in states:
             proj = np.outer(psi, psi.conj())
-            value = np.trace(pt @ tensor(proj, proj))
+            value = np.trace(pt @ np.kron(proj, proj))
             assert abs(value) < 1e-12
 
 

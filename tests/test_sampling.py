@@ -13,6 +13,7 @@ from gatefid.fidelity import (
     average_gate_fidelity,
     phase_min_distance,
 )
+from gatefid.minimum import effective_epsilon
 from gatefid.sampling import (
     ALGORITHM_ID,
     BLOCK_SIZE,
@@ -275,6 +276,17 @@ class TestLevyBound:
         for k in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="Lipschitz constant K"):
                 levy_bound(4, 0.1, K=k)
+
+    def test_dimension_beyond_float_range_refused(self):
+        # levy_bound and effective_epsilon both form a float from d
+        for huge in (2**1024, 10**400):
+            with pytest.raises(ValueError, match=r"d must be below 2\*\*1024, got log2\(d\)"):
+                levy_bound(huge, 0.1)
+            with pytest.raises(ValueError, match=r"d must be below 2\*\*1024, got log2\(d\)"):
+                effective_epsilon(0.01, huge)
+        # the largest power of two a float holds still gets a value
+        assert levy_bound(2**1023, 0.1).two_sided_bound == 0.0
+        assert effective_epsilon(0.01, 2**1023) > 0.0
 
 
 def _dep_family(d, gen):
