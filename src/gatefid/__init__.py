@@ -59,14 +59,12 @@ from .minimum import (
     reference_minimum,
 )
 from .nonuniq import (
-    GOperator,
     NonUniqPair,
     PairVerification,
     build_g_operator,
     depolarizing_distance,
     fidelity_equality_conditions,
     max_epsilon,
-    pair_certificate,
     perturb_channel,
     verify_pair,
 )

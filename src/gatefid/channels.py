@@ -28,7 +28,7 @@ RANK_TOL = 1e-10
 # here and for the target U of a gate fidelity.
 _UNITARY_TOL = 1e-10
 
-# Largest dense complex operator built: 2 GiB, which admits the d^2 x d^2
+# Largest dense array built: 2 GiB, which admits the d^2 x d^2 complex
 # Choi matrix at d = 64 (268 MB) and refuses it at d = 128 (4.3 GB).
 MAX_DENSE_BYTES = 2**31
 
@@ -85,10 +85,15 @@ def channel_from_kraus(ops) -> QuantumChannel:
 
 def _check_dense_budget(side: int, what: str) -> None:
     """Refuse a side x side complex operator above MAX_DENSE_BYTES, before allocating it."""
-    need = 16 * side * side
+    _check_budget(16 * side * side, what)
+
+
+def _check_budget(need: int, what: str) -> None:
+    """Refuse an array of need bytes above MAX_DENSE_BYTES, before allocating it."""
     if need > MAX_DENSE_BYTES:
+        gib = need / 2**30 if need < 2**1024 else math.inf  # beyond float range
         raise ValueError(
-            f"the {what} needs {need / 2**30:.3g} GiB, above the "
+            f"the {what} needs {gib:.3g} GiB, above the "
             f"{MAX_DENSE_BYTES / 2**30:g} GiB dense-operator limit"
         )
 

@@ -36,10 +36,9 @@ from .minimum import (
     net_minimum,
     reference_minimum,
 )
-from .nonuniq import pair_certificate, perturb_channel, verification_fields, verify_pair
+from .nonuniq import perturb_channel, verify_pair
 from .sampling import (
     DEFAULT_SEED,
-    REPORT_COLUMNS,
     RngSpec,
     convergence_report,
     levy_bound,
@@ -126,12 +125,22 @@ def _pair_holds(v, residual_tol: float) -> bool:
     )
 
 
+def _verification_fields(v) -> dict:
+    """The evidence keys shared by a pair certificate and a verify artifact."""
+    return {
+        "fidelity_residual_max": v.fidelity_residual_max,
+        "choi_distance": v.choi_distance,
+        "depolarizing_distance_R": v.depolarizing_distance_r,
+        "cptp_reports": {"q": v.cptp_q, "r": v.cptp_r},
+    }
+
+
 def _cmd_channel_validate(args):
-    # one read: the parsed file is both decoded and hashed
-    data = serialize.read_json(args.channel_path)
-    obj = serialize.operator_from_dict(data, args.channel_path)
+    # one read; the decoded operator is what inputs_hash covers
+    obj = serialize.load_operator(args.channel_path)
     report = validate_cptp(obj, args.tol)
-    payload = _record("cptp_report", report, obj.dim_in, {"path_content": data})
+    to_dict = serialize.channel_to_dict if hasattr(obj, "kraus") else serialize.choi_to_dict
+    payload = _record("cptp_report", report, obj.dim_in, {"path_content": to_dict(obj)})
     ok = report.is_cp and report.is_tp
     summary = (
         f"cptp check at tol {args.tol:g}: is_cp={report.is_cp} is_tp={report.is_tp} "
@@ -231,8 +240,6 @@ def _cmd_nonuniq_construct(args):
     _check_one_channel_source(args)
     if args.channel_path is not None:
         q = serialize.load_channel(args.channel_path)
-        if q.dim_in != q.dim_out:
-            raise ValueError("the construction needs a square channel")
         p_or_hash = serialize.canonical_hash(serialize.channel_to_dict(q))
     else:
         p = 0.5 if args.p is None else args.p
@@ -245,18 +252,29 @@ def _cmd_nonuniq_construct(args):
         f"fidelity residual {v.fidelity_residual_max:.2e}, choi distance "
         f"{v.choi_distance:.4g}, depolarizing distance {v.depolarizing_distance_r:.4g}"
     )
-    return "json", pair_certificate(pair, p_or_hash), summary, _pair_holds(v, 1e-10)
+    # p_or_hash names Q: its depolarizing parameter, or the hash of its file
+    cert = {
+        "d": q.dim_in,
+        "p_or_channel_hash": p_or_hash,
+        "epsilon": pair.epsilon,
+        "max_epsilon": pair.max_epsilon,
+        **_verification_fields(v),
+        "choi_normalization": "trace_d",
+        "n_samples": v.n_samples,
+        "seed": v.seed,
+        "q": serialize.channel_to_dict(pair.q),
+        "r": serialize.channel_to_dict(pair.r),
+    }
+    return "json", cert, summary, _pair_holds(v, 1e-10)
 
 
 def _cmd_nonuniq_verify(args):
     q = serialize.load_channel(args.q_path)
     r = serialize.load_channel(args.r_path)
-    if (q.dim_in, q.dim_out) != (r.dim_in, r.dim_out):
-        raise ValueError("the two channels have different dimensions")
     v = verify_pair(q, r, n_samples=args.n, rng=args.seed, tol=args.tol)
     payload = {
         "d": q.dim_in,
-        **verification_fields(v),
+        **_verification_fields(v),
         "n_samples": v.n_samples,
         "seed": v.seed,
     }
@@ -346,7 +364,7 @@ def run(args: argparse.Namespace) -> int:
         kind, payload, summary, ok = args.handler(args)
         out = args.out or f"gatefid-{args.group}-{args.action}.{kind}"
         if kind == "csv":
-            serialize.write_csv(out, payload, REPORT_COLUMNS)
+            serialize.write_csv(out, payload, tuple(payload[0]))
         else:
             serialize.write_json(out, payload)
     except UsageError as err:

@@ -124,7 +124,13 @@ def _form_of(ops: np.ndarray) -> np.ndarray:
     rank, d, _ = ops.shape
     flat = ops.reshape(rank, d * d)
     # Choi matrix J[(i,j),(l,m)] = sum_k B_k[i,j] conj(B_k[l,m]), as one GEMM
-    g = (flat.T @ flat.conj()).reshape(d, d, d, d)
+    return _sym_block((flat.T @ flat.conj()).reshape(d, d, d, d))
+
+
+def _sym_block(g: np.ndarray) -> np.ndarray:
+    # P_sym g^T2 P_sym in the basis of symmetric_form, for a Choi-space
+    # operator g[i, j, l, m] = J[(i,j),(l,m)] on C^d (x) C^d
+    d = g.shape[0]
     i, m = np.triu_indices(d)
     a1, a2, b1, b2 = i[:, None], m[:, None], i[None, :], m[None, :]
     # <xy|J^T2|zw> = J[(x,z),(w,y)], summed over both orderings of each pair

@@ -82,14 +82,8 @@ def schatten_norm(m: np.ndarray, p) -> float:
     raise ValueError(f"unsupported Schatten order {p!r}, use 2 or inf")
 
 
-def hermitian_eig(m: np.ndarray) -> tuple:
-    """Eigendecomposition that refuses matrices far from Hermitian.
-
-    Returns (eigenvalues ascending, eigenvectors as columns) like eigh.
-    The input is accepted when ||M - M^dag||_inf <= HERMITICITY_RTOL * max(1, ||M||_inf)
-    and then symmetrized before calling eigh, so tiny round-off asymmetry
-    cannot leak into the spectrum.
-    """
+def _check_hermitian(m: np.ndarray) -> np.ndarray:
+    """m as an array, refused unless ||M - M^dag||_inf <= HERMITICITY_RTOL * max(1, ||M||_inf)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -100,6 +94,17 @@ def hermitian_eig(m: np.ndarray) -> tuple:
             f"matrix is not Hermitian: ||M - M^dag||_inf = {gap:.3e} "
             f"exceeds {HERMITICITY_RTOL:.1e} * max(1, ||M||_inf) = {HERMITICITY_RTOL * scale:.3e}"
         )
+    return m
+
+
+def hermitian_eig(m: np.ndarray) -> tuple:
+    """Eigendecomposition that refuses matrices far from Hermitian.
+
+    Returns (eigenvalues ascending, eigenvectors as columns) like eigh.
+    An accepted input (see _check_hermitian) is symmetrized before calling
+    eigh, so tiny round-off asymmetry cannot leak into the spectrum.
+    """
+    m = _check_hermitian(m)
     sym = 0.5 * (m + m.conj().T)
     return np.linalg.eigh(sym)
 

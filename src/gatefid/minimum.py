@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _check_budget
 from .fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
@@ -167,6 +167,7 @@ def build_net(
     if stop_rejections < 1:
         raise ValueError(f"need at least one rejection to stop, got {stop_rejections}")
     spec = as_rng_spec(rng)
+    _check_budget(16 * BLOCK_SIZE * d, f"{BLOCK_SIZE}-state Haar block at d={d}")
 
     # grows by doubling up to one row past the budget, so the state that
     # breaks it still fits and a generous budget reserves no memory up front
@@ -266,7 +267,10 @@ def effective_epsilon(q: float, d: int) -> float:
     if not 0.0 < q < 1.0:
         raise ValueError(f"quantile mass must lie in (0, 1), got {q}")
     _check_dim(d)
-    return float(np.sqrt(np.log(2.0 / q) / (CONCENTRATION_C * d)))
+    eps = float(np.sqrt(np.log(2.0 / q) / (CONCENTRATION_C * d)))
+    if not math.isfinite(eps):
+        raise ValueError(f"quantile mass q={q!r} is too small: 2/q overflows")
+    return eps
 
 
 def effective_minimum(avg: float, q: float, d: int) -> tuple:

@@ -6,8 +6,7 @@ of C^d (x) C^d. Adding it to the Choi matrix of any full-rank channel Q
 changes the channel but not a single value of the gate fidelity, because
 the fidelity only probes the symmetric subspace through psi (x) psi. This
 module builds the perturbation, computes the largest admissible strength,
-produces the perturbed partner R, verifies the pair and writes its
-certificate.
+produces the perturbed partner R and verifies the pair.
 """
 
 from __future__ import annotations
@@ -16,18 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
 from .channels import (
     ChoiMatrix,
     CptpReport,
     QuantumChannel,
+    _check_budget,
     _check_dense_budget,
     choi_from_kraus,
     kraus_from_choi,
     validate_cptp,
 )
+from .fidelity import _sym_block
 from .linalg import (
-    antisym_projector,
+    _check_hermitian,
     hermitian_eig,
     partial_trace,
     partial_transpose,
@@ -39,21 +39,6 @@ from .sampling import DEFAULT_SEED, as_rng_spec, fidelity_samples
 FULL_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class GOperator:
-    """Fidelity-invisible perturbation direction in Choi space.
-
-    j_g is the Hermitian traceless Choi-space direction; s is its partial
-    transpose, supported on the antisymmetric subspace. Both partial traces
-    of j_g vanish, so adding eps * j_g to a channel's Choi matrix preserves
-    trace preservation for every eps.
-    """
-
-    d: int
-    j_g: np.ndarray
-    s: np.ndarray
-
-
 def _pair_state(d: int, i: int, j: int) -> np.ndarray:
     """The antisymmetric combination (|ij> - |ji>)/sqrt(2)."""
     v = np.zeros(d * d, dtype=complex)
@@ -62,13 +47,16 @@ def _pair_state(d: int, i: int, j: int) -> np.ndarray:
     return v
 
 
-def build_g_operator(d: int) -> GOperator:
-    """Construct the perturbation direction on C^d (x) C^d, d >= 4.
+def build_g_operator(d: int) -> np.ndarray:
+    """The fidelity-invisible perturbation direction j_g on C^d (x) C^d, d >= 4.
 
     Three pairs of orthonormal antisymmetric vectors built from basis
     states 0..3 are cross-coupled into S = sum_i (|a_i><b_i| + |b_i><a_i|);
-    the perturbation is the partial transpose of S. Dimensions above 4
-    simply carry the same vectors embedded in the first four basis states.
+    j_g, a Hermitian traceless d^2 x d^2 matrix, is the partial transpose
+    of S, and S is partial_transpose(j_g, d, d). Both partial traces of j_g
+    vanish, so adding eps * j_g to a channel's Choi matrix preserves trace
+    preservation for every eps. Dimensions above 4 simply carry the same
+    vectors embedded in the first four basis states.
     """
     if d < 4:
         raise ValueError(f"the construction needs dimension >= 4, got {d}")
@@ -78,21 +66,23 @@ def build_g_operator(d: int) -> GOperator:
     s = np.zeros((d * d, d * d), dtype=complex)
     for a, b in zip(alpha, beta):
         s += np.outer(a, b.conj()) + np.outer(b, a.conj())
-    j_g = partial_transpose(s, d, d, factor="second")
-    return GOperator(d=d, j_g=j_g, s=s)
+    return partial_transpose(s, d, d, factor="second")
 
 
-def max_epsilon(j_q: ChoiMatrix, g: GOperator) -> float:
+def max_epsilon(j_q: ChoiMatrix, g: np.ndarray) -> float:
     """Largest perturbation strength keeping J(Q) + eps * j_g positive.
 
     Equals lambda_min(J(Q)) / ||j_g||_inf, with both operators in the same
     trace-d Choi normalization, which makes the ratio convention-free. Q
     must be full rank; a singular Choi matrix admits no two-sided slack.
+    g is the direction j_g of build_g_operator(d), with J(Q) a d -> d Choi
+    matrix.
     """
-    if (j_q.dim_in, j_q.dim_out) != (g.d, g.d):
+    d = j_q.dim_in
+    if j_q.dim_out != d or np.shape(g) != (d * d, d * d):
         raise ValueError(
             f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, "
-            f"perturbation lives at d={g.d}"
+            f"perturbation has shape {np.shape(g)}"
         )
     vals, _ = hermitian_eig(j_q.matrix)
     lam_min = float(vals[0])
@@ -100,7 +90,7 @@ def max_epsilon(j_q: ChoiMatrix, g: GOperator) -> float:
         raise ValueError(
             f"channel is not full rank: smallest Choi eigenvalue {lam_min:.3e}"
         )
-    return lam_min / schatten_norm(g.j_g, np.inf)
+    return lam_min / schatten_norm(g, np.inf)
 
 
 @dataclass(frozen=True)
@@ -140,6 +130,9 @@ def verify_pair(
     holds choi_from_kraus(q), is used instead of a rebuild. The residual
     is taken over fidelity_samples at the seed, as `fidelity stats` draws.
     """
+    if (q.dim_in, q.dim_out) != (r.dim_in, r.dim_out):
+        raise ValueError("the two channels have different dimensions")
+    _check_budget(8 * n_samples, f"array of {n_samples} fidelity samples")
     spec = as_rng_spec(rng)
     jq = choi_from_kraus(q) if choi_q is None else choi_q
     jr = choi_from_kraus(r)
@@ -162,7 +155,7 @@ def verify_pair(
 def perturb_channel(
     q: QuantumChannel,
     eps: float | None = None,
-    g: GOperator | None = None,
+    g: np.ndarray | None = None,
     n_verify: int = 10000,
     rng=DEFAULT_SEED,
 ) -> NonUniqPair:
@@ -173,6 +166,9 @@ def perturb_channel(
     build_g_operator(q.dim_in). R is reconstructed through a fresh Kraus
     extraction so it is a bona fide channel, not just a Choi matrix.
     """
+    if q.dim_in != q.dim_out:
+        raise ValueError("the construction needs a square channel")
+    _check_budget(8 * n_verify, f"array of {n_verify} fidelity samples")
     if g is None:
         g = build_g_operator(q.dim_in)
     j_q = choi_from_kraus(q)
@@ -182,7 +178,7 @@ def perturb_channel(
     if not 0.0 < eps <= limit * (1.0 + 1e-12):
         raise ValueError(f"eps must lie in (0, {limit:.6g}], got {eps}")
     j_r = ChoiMatrix(
-        dim_in=q.dim_in, dim_out=q.dim_out, matrix=j_q.matrix + eps * g.j_g
+        dim_in=q.dim_in, dim_out=q.dim_out, matrix=j_q.matrix + eps * g
     )
     r = kraus_from_choi(j_r)
     verification = verify_pair(q, r, n_samples=n_verify, rng=rng, choi_q=j_q)
@@ -191,53 +187,17 @@ def perturb_channel(
     )
 
 
-def verification_fields(v: PairVerification) -> dict:
-    """The evidence keys shared by a pair certificate and a verify artifact."""
-    return {
-        "fidelity_residual_max": v.fidelity_residual_max,
-        "choi_distance": v.choi_distance,
-        "depolarizing_distance_R": v.depolarizing_distance_r,
-        "cptp_reports": {"q": v.cptp_q, "r": v.cptp_r},
-    }
-
-
-def pair_certificate(pair: NonUniqPair, p_or_channel_hash) -> dict:
-    """The JSON certificate of a constructed pair.
-
-    p_or_channel_hash names the base channel: the depolarizing parameter
-    of Q, or the canonical hash of its file.
-    """
-    v = pair.verification
-    return {
-        "d": pair.q.dim_in,
-        "p_or_channel_hash": p_or_channel_hash,
-        "epsilon": pair.epsilon,
-        "max_epsilon": pair.max_epsilon,
-        **verification_fields(v),
-        "choi_normalization": "trace_d",
-        "n_samples": v.n_samples,
-        "seed": v.seed,
-        "q": serialize.channel_to_dict(pair.q),
-        "r": serialize.channel_to_dict(pair.r),
-    }
-
-
 @dataclass(frozen=True)
 class EqualityConditionsReport:
-    """Split of a Choi-space difference against the two sufficient conditions
-    for fidelity invisibility.
+    """The two conditions under which a Choi-space difference X is
+    fidelity-invisible.
 
-    positive_part - negative_part reconstructs the input (condition 1 is
-    about both parts having matching output marginals, reported here as
-    matrices plus their gap). antisym_residual is the norm of the partial
-    transpose restricted to the symmetric subspace; zero means condition 2
-    holds and the difference cannot show up in any gate fidelity value.
+    marginal_gap is ||tr_out X||_inf; zero means adding X keeps trace
+    preservation. antisym_residual is ||P_sym X^T2 P_sym||_2, the norm of
+    the partial transpose restricted to the symmetric subspace; zero means
+    X cannot show up in any gate fidelity value.
     """
 
-    positive_part: np.ndarray
-    negative_part: np.ndarray
-    marginal_positive: np.ndarray
-    marginal_negative: np.ndarray
     marginal_gap: float
     antisym_residual: float
 
@@ -245,28 +205,16 @@ class EqualityConditionsReport:
 def fidelity_equality_conditions(j_diff: np.ndarray, d: int) -> EqualityConditionsReport:
     """Diagnose whether a Hermitian Choi-space difference is fidelity-invisible.
 
-    The PSD split is the canonical eigenvalue-sign decomposition. The
-    condition-2 residual is ||(I - P_a) (partial transpose of j_diff)
-    (I - P_a)||_2 with P_a the antisymmetric projector.
+    The residual is the symmetric-form block of X, so it equals
+    ||M_Q - M_R||_2 (see fidelity.symmetric_form) when X = J(Q) - J(R).
     """
     j_diff = np.asarray(j_diff)
     if j_diff.shape != (d * d, d * d):
         raise ValueError(f"expected a {d * d}x{d * d} matrix, got {j_diff.shape}")
-    vals, vecs = hermitian_eig(j_diff)
-    pos = (vecs * np.clip(vals, 0.0, None)) @ vecs.conj().T
-    neg = (vecs * np.clip(-vals, 0.0, None)) @ vecs.conj().T
-    marg_pos = partial_trace(pos, d, d, factor="first")
-    marg_neg = partial_trace(neg, d, d, factor="first")
-    pt = partial_transpose(j_diff, d, d, factor="second")
-    p_sym = np.eye(d * d) - antisym_projector(d)
-    residual = schatten_norm(p_sym @ pt @ p_sym, 2)
+    _check_hermitian(j_diff)
     return EqualityConditionsReport(
-        positive_part=pos,
-        negative_part=neg,
-        marginal_positive=marg_pos,
-        marginal_negative=marg_neg,
-        marginal_gap=schatten_norm(marg_pos - marg_neg, np.inf),
-        antisym_residual=residual,
+        marginal_gap=schatten_norm(partial_trace(j_diff, d, d, factor="first"), np.inf),
+        antisym_residual=schatten_norm(_sym_block(j_diff.reshape(d, d, d, d)), 2),
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel
+from .channels import QuantumChannel, _check_budget, _check_dense_budget
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     _check_dim,
@@ -113,6 +113,7 @@ def fidelity_samples(
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
+    _check_budget(8 * n, f"array of {n} fidelity samples")
     d = e.dim_in
     kernel = fidelity_kernel(e, u)
     blocks = [
@@ -196,7 +197,16 @@ def levy_bound(
         raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     if not 0 < K < math.inf:
         raise ValueError(f"Lipschitz constant K must be positive and finite, got {K}")
-    two = 4.0 * math.exp(-2.0 * d * LEVY_C1 * epsilon**2 / K**2)
+    try:
+        with np.errstate(all="ignore"):  # a NaN exponent is handled below
+            exponent = -2.0 * d * LEVY_C1 * epsilon**2 / K**2
+    except OverflowError:  # epsilon**2 or K**2 above float range
+        exponent = math.nan
+    if math.isnan(exponent):  # or both squares below it
+        # the ratio squared as a product of Python floats saturates to inf or 0
+        ratio = float(epsilon) / float(K)
+        exponent = -2.0 * d * float(LEVY_C1) * (ratio * ratio)
+    two = 4.0 * math.exp(exponent)
     return ConcentrationBound(
         d=d,
         epsilon=float(epsilon),
@@ -204,21 +214,6 @@ def levy_bound(
         two_sided_bound=two,
         one_sided_bound=0.5 * two,
     )
-
-
-REPORT_COLUMNS = (
-    "d",
-    "n",
-    "mean",
-    "variance",
-    "std",
-    "var_bound_exact",
-    "var_bound_conc",
-    "eps",
-    "levy_bound",
-    "emp_fraction",
-    "seed",
-)
 
 
 def convergence_report(
@@ -247,9 +242,11 @@ def convergence_report(
         raise ValueError("eps_grid must hold at least one epsilon")
     if n < 2:
         raise ValueError(f"need at least 2 samples for a variance, got {n}")
+    _check_budget(8 * n, f"array of {n} fidelity samples")
     spec = as_rng_spec(rng)
-    # every bound is formed before the first sample, so a bad d or eps costs none
+    # every bound and size check runs before the first sample, so bad input costs none
     bounds = [(d, variance_bounds(d), [levy_bound(d, eps) for eps in eps_grid]) for d in d_list]
+    _check_dense_budget(d_list[-1], f"d={d_list[-1]} family unitary")  # the largest
     rows = []
     for d, var_bounds, levys in bounds:
         ch = e_family(d, generator(spec, TAG_FAMILY, d))

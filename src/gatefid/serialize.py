@@ -262,21 +262,14 @@ def choi_from_dict(data: dict) -> ChoiMatrix:
     return ChoiMatrix(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
 
 
-def operator_from_dict(data, source) -> QuantumChannel | ChoiMatrix:
-    """Decode a parsed channel file in either Kraus or Choi form.
-
-    source names the file in the error for data holding neither form.
-    """
+def load_operator(path) -> QuantumChannel | ChoiMatrix:
+    """Read a channel file in either Kraus or Choi form."""
+    data = read_json(path)
     if isinstance(data, dict) and "kraus" in data:
         return channel_from_dict(data)
     if isinstance(data, dict) and "choi" in data:
         return choi_from_dict(data)
-    raise ValueError(f"{source}: neither 'kraus' nor 'choi' field present")
-
-
-def load_operator(path) -> QuantumChannel | ChoiMatrix:
-    """Read a channel file in either Kraus or Choi form."""
-    return operator_from_dict(read_json(path), path)
+    raise ValueError(f"{path}: neither 'kraus' nor 'choi' field present")
 
 
 def load_channel(path) -> QuantumChannel:

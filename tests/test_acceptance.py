@@ -252,7 +252,7 @@ def test_criterion_7_minimum_estimation():
 def test_criterion_8_equality_conditions():
     g = build_g_operator(4)
     eps = 0.1
-    passing = fidelity_equality_conditions(eps * g.j_g, 4)
+    passing = fidelity_equality_conditions(eps * g, 4)
     invisible_ok = (
         passing.antisym_residual <= 1e-12 and passing.marginal_gap <= 1e-12
     )
@@ -305,6 +305,6 @@ def test_choi_perturbation_stays_cptp_at_limit():
     g = build_g_operator(4)
     j_q = choi_from_kraus(q)
     eps = max_epsilon(j_q, g)
-    report = validate_cptp(ChoiMatrix(4, 4, j_q.matrix + eps * g.j_g), tol=1e-9)
+    report = validate_cptp(ChoiMatrix(4, 4, j_q.matrix + eps * g), tol=1e-9)
     assert report.is_cp and report.is_tp
     assert abs(report.min_eigenvalue) < 1e-9

@@ -4,11 +4,20 @@ import numpy as np
 import pytest
 
 from gatefid import channels, cli, nonuniq, sampling, serialize
-from gatefid.channels import channel_from_kraus, choi_from_kraus, depolarizing, unitary_channel
+from gatefid.channels import (
+    QuantumChannel,
+    channel_from_kraus,
+    choi_from_kraus,
+    depolarizing,
+    unitary_channel,
+)
 from gatefid.cli import main
 from gatefid.fidelity import fidelity_kernel
-from gatefid.sampling import REPORT_COLUMNS
 
+CONVERGENCE_COLUMNS = (
+    "d", "n", "mean", "variance", "std", "var_bound_exact", "var_bound_conc",
+    "eps", "levy_bound", "emp_fraction", "seed",
+)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -399,7 +408,7 @@ class TestReportCommand:
         assert main(["report", "convergence", "--d-list", "2,4", "--eps-grid", "0.25",
                      "--n", "2000", "--out", str(out)]) == 0
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == ",".join(REPORT_COLUMNS)
+        assert lines[0] == ",".join(CONVERGENCE_COLUMNS)
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "2"
         assert lines[2].split(",")[0] == "4"
@@ -410,7 +419,7 @@ class TestReportCommand:
                      "--n", "1000", "--format", "json", "--out", str(out)]) == 0
         rows = serialize.read_json(out)
         assert isinstance(rows, list) and len(rows) == 2
-        assert tuple(rows[0].keys()) == REPORT_COLUMNS
+        assert tuple(rows[0].keys()) == CONVERGENCE_COLUMNS
 
     def test_summary_mentions_slope(self, tmp_path, capsys):
         assert main(["report", "convergence", "--d-list", "2,4,8", "--eps-grid", "0.25",
@@ -535,13 +544,17 @@ class TestInputBoundary:
         })
         assert real_read(out)["inputs_hash"] == expected
 
-    def test_validate_reads_once_and_hashes_the_raw_json(self, tmp_path, monkeypatch):
+    def test_validate_reads_once_and_hashes_the_decoded_operator(self, tmp_path, monkeypatch):
         path = tmp_path / "ch.json"
         # hand-written numbers, not in canonical 17-digit form
         path.write_text(
             '{"dim_in": 1, "dim_out": 1, "kraus": [[[[0.6, 0]]], [[[0, 8e-1]]]]}',
             encoding="utf-8",
         )
+        kraus_path = _write_channel(tmp_path / "k.json", depolarizing(0.5, 2))
+        choi_path = tmp_path / "c.json"
+        choi = choi_from_kraus(depolarizing(0.5, 2))
+        serialize.write_json(choi_path, serialize.choi_to_dict(choi))
         reads = []
         real_read = serialize.read_json
         monkeypatch.setattr(
@@ -550,9 +563,14 @@ class TestInputBoundary:
         out = tmp_path / "r.json"
         assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 0
         assert reads == [str(path)]
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        expected = serialize.canonical_hash({"path_content": raw})
+        decoded = QuantumChannel(1, 1, (np.array([[0.6 + 0j]]), np.array([[0.8j]])))
+        expected = serialize.canonical_hash({"path_content": serialize.channel_to_dict(decoded)})
         assert real_read(out)["inputs_hash"] == expected
+        # a canonical file's hash is that of its parsed JSON, as before
+        for canonical in (kraus_path, str(choi_path)):
+            assert main(["channel", "validate", "--channel", canonical, "--out", str(out)]) == 0
+            raw = json.loads(open(canonical, encoding="utf-8").read())
+            assert real_read(out)["inputs_hash"] == serialize.canonical_hash({"path_content": raw})
 
     @pytest.mark.parametrize("eps", ["inf", "nan"])
     @pytest.mark.parametrize(
@@ -577,6 +595,8 @@ class TestInputBoundary:
             (["bounds", "levy", "--d", "9" * 400, "--eps", "0.1"], "d must be below 2**1024"),
             (["min", "effective", "--avg", "0.9", "--q", "0.01", "--d", "9" * 400],
              "d must be below 2**1024"),
+            (["min", "effective", "--avg", "0.5", "--q", "1e-320", "--d", "4"],
+             "quantile mass q=1e-320 is too small"),
             (["channel", "validate", "--channel", "CH", "--tol", "nan"], "tolerance tol"),
             (["channel", "validate", "--channel", "CH", "--tol", "-0.5"], "tolerance tol"),
             (["nonuniq", "verify", "--q", "CH", "--r", "CH", "--tol", "nan"], "tolerance tol"),
@@ -584,7 +604,7 @@ class TestInputBoundary:
              "missing/avg.json"),
         ],
         ids=["k-nan", "k-inf", "qubits-256", "qubits-341", "qubits-342", "d-huge",
-             "levy-d-huge", "effective-d-huge",
+             "levy-d-huge", "effective-d-huge", "effective-q-tiny",
              "validate-tol-nan", "validate-tol-negative", "verify-tol-nan", "out-dir-missing"],
     )
     def test_bad_input_refused_at_the_boundary(self, argv, named, tmp_path, monkeypatch, capsys):
@@ -684,3 +704,54 @@ class TestSizeAndShapeBoundary:
         assert err.startswith("error: ") and named in err and "2 GiB" in err
         assert "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["fidelity", "stats", "--p", "0.5", "--d", "2", "--n", "1000000000000"],
+             "array of 1000000000000 fidelity samples needs 7.45e+03 GiB"),
+            (["nonuniq", "construct", "--n", "1000000000000"],
+             "array of 1000000000000 fidelity samples"),
+            (["nonuniq", "verify", "--q", "CH", "--r", "CH", "--n", "1000000000000"],
+             "array of 1000000000000 fidelity samples"),
+            (["report", "convergence", "--d-list", "2", "--n", "1000000000000"],
+             "array of 1000000000000 fidelity samples"),
+            (["min", "net-build", "--d", "100000000", "--eps", "0.5"],
+             "4096-state Haar block at d=100000000 needs 6.1e+03 GiB"),
+            (["report", "convergence", "--d-list", "100000000", "--n", "10"],
+             "d=100000000 family unitary needs 1.49e+08 GiB"),
+        ],
+        ids=["stats-n", "construct-n", "verify-n", "report-n", "net-build-d", "report-d"],
+    )
+    def test_sizes_refused_before_allocation(self, argv, named, tmp_path, monkeypatch, capsys):
+        ch_path = _write_channel(tmp_path / "ch.json", depolarizing(0.5, 4))
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the size check")
+
+        # the next allocating call after each check
+        monkeypatch.setattr(sampling, "fidelity_kernel", refuse)
+        monkeypatch.setattr(nonuniq, "build_g_operator", refuse)
+        monkeypatch.setattr(nonuniq, "choi_from_kraus", refuse)
+        monkeypatch.setattr(cli, "phase_spread_unitary", refuse)
+        monkeypatch.setattr(np, "empty", refuse)
+        argv = [ch_path if a == "CH" else a for a in argv]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "2 GiB" in err
+        assert "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]
+
+
+class TestLevyOverflow:
+    @pytest.mark.parametrize(
+        "flags, two_sided",
+        [(["--eps", "1e200"], 0.0), (["--eps", "0.1", "--k", "1e200"], 4.0)],
+        ids=["eps-huge", "k-huge"],
+    )
+    def test_squares_beyond_float_range(self, flags, two_sided, tmp_path, capsys):
+        out = tmp_path / "levy.json"
+        assert main(["bounds", "levy", "--d", "8", *flags, "--out", str(out)]) == 0
+        assert serialize.read_json(out)["value"]["two_sided_bound"] == two_sided
+        assert "Traceback" not in capsys.readouterr().err

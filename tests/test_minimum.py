@@ -103,6 +103,21 @@ def _assert_matches_reference(d, eps, seed, **kwargs):
 
 
 class TestBuildNet:
+    def test_dimension_above_budget_refused_before_allocation(self, monkeypatch):
+        # one 4096-state complex Haar block fills the 2 GiB budget at d = 32768
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(np, "empty", admitted)
+        with pytest.raises(Admitted):
+            build_net(32768, 0.5)
+        for d in (32769, 10**8):
+            with pytest.raises(ValueError, match=rf"4096-state Haar block at d={d} needs"):
+                build_net(d, 0.5)
+
     def test_small_qubit_net(self):
         net = build_net(2, 0.9, rng=5)
         assert 1 < len(net.states) < 50
@@ -405,6 +420,14 @@ class TestEffective:
             effective_epsilon(0.01, 1)
         with pytest.raises(ValueError):
             effective_minimum(1.5, 0.01, 1024)
+
+    def test_quantile_mass_too_small_refused(self):
+        # 2/q overflows to inf, which no artifact can hold
+        with pytest.raises(ValueError, match=r"quantile mass q=1e-320 is too small"):
+            effective_epsilon(1e-320, 4)
+        with pytest.raises(ValueError, match=r"quantile mass q=1e-320"):
+            effective_minimum(0.5, 1e-320, 4)
+        assert math.isfinite(effective_epsilon(1e-300, 4))
 
     def test_quantile_consistency(self):
         # at most a q mass of states sits below avg - eps_q

@@ -1,6 +1,13 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from gatefid import nonuniq
 from gatefid.channels import (
     ChoiMatrix,
     adjoint,
@@ -17,6 +24,7 @@ from gatefid.linalg import (
     partial_trace,
     partial_transpose,
     schatten_norm,
+    sym_projector,
 )
 from gatefid.nonuniq import (
     build_g_operator,
@@ -29,6 +37,20 @@ from gatefid.nonuniq import (
 from gatefid.sampling import haar_states
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work began before the input check")
+
+
+def test_import_leaves_serialize_unloaded():
+    # the library builds and checks pairs; only the CLI writes artifacts
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, gatefid; print('gatefid.serialize' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "False"
 
 
 def _full_rank_channel(d, seed):
@@ -43,25 +65,25 @@ class TestGOperator:
     def test_hermitian_traceless(self):
         for d in (4, 5, 7):
             g = build_g_operator(d)
-            assert np.max(np.abs(g.j_g - g.j_g.conj().T)) < 1e-14
-            assert abs(np.trace(g.j_g)) < 1e-14
+            assert np.max(np.abs(g - g.conj().T)) < 1e-14
+            assert abs(np.trace(g)) < 1e-14
 
     def test_both_partial_traces_vanish(self):
         for d in (4, 6):
             g = build_g_operator(d)
             for factor in ("first", "second"):
-                marg = partial_trace(g.j_g, d, d, factor=factor)
+                marg = partial_trace(g, d, d, factor=factor)
                 assert np.max(np.abs(marg)) < 1e-14
 
     def test_s_supported_on_antisymmetric_subspace(self):
-        g = build_g_operator(4)
+        s = partial_transpose(build_g_operator(4), 4, 4)
         p = antisym_projector(4)
-        assert np.array_equal(p @ g.s @ p, g.s)
+        assert np.array_equal(p @ s @ p, s)
 
     def test_s_spectrum(self):
         # six nonzero eigenvalues, three at +1 and three at -1
         g = build_g_operator(4)
-        vals = np.linalg.eigvalsh(g.s)
+        vals = np.linalg.eigvalsh(partial_transpose(g, 4, 4))
         nonzero = vals[np.abs(vals) > 1e-12]
         assert len(nonzero) == 6
         assert np.allclose(np.sort(nonzero), [-1, -1, -1, 1, 1, 1], atol=1e-12)
@@ -69,17 +91,18 @@ class TestGOperator:
     def test_operator_norms(self):
         # frozen regression values: sup norm 1, Frobenius norm sqrt(6)
         g = build_g_operator(4)
-        assert abs(schatten_norm(g.j_g, np.inf) - 1.0) < 1e-12
-        assert abs(schatten_norm(g.j_g, 2) - np.sqrt(6.0)) < 1e-12
+        assert abs(schatten_norm(g, np.inf) - 1.0) < 1e-12
+        assert abs(schatten_norm(g, 2) - np.sqrt(6.0)) < 1e-12
 
     def test_embedding_keeps_norms(self):
         g = build_g_operator(6)
-        assert abs(schatten_norm(g.j_g, np.inf) - 1.0) < 1e-12
-        assert abs(schatten_norm(g.j_g, 2) - np.sqrt(6.0)) < 1e-12
+        assert abs(schatten_norm(g, np.inf) - 1.0) < 1e-12
+        assert abs(schatten_norm(g, 2) - np.sqrt(6.0)) < 1e-12
 
     def test_partial_transpose_links_the_two_forms(self):
         g = build_g_operator(4)
-        assert np.array_equal(partial_transpose(g.s, 4, 4, factor="second"), g.j_g)
+        s = partial_transpose(g, 4, 4)
+        assert np.array_equal(partial_transpose(s, 4, 4, factor="second"), g)
 
     def test_small_dimension_rejected(self):
         for d in (2, 3):
@@ -98,7 +121,7 @@ class TestGOperator:
         # tr[ PT(j_g) (psi psi (x) psi psi) ] = 0 for every product state
         g = build_g_operator(4)
         states = haar_states(4, 200, rng=90)
-        pt = g.s  # partial transpose of j_g is s itself
+        pt = partial_transpose(g, 4, 4)
         for psi in states:
             proj = np.outer(psi, psi.conj())
             value = np.trace(pt @ np.kron(proj, proj))
@@ -125,13 +148,23 @@ class TestMaxEpsilon:
         with pytest.raises(ValueError, match="mismatch"):
             max_epsilon(j, g)
 
+    def test_wrong_shape_direction_refused(self):
+        j = choi_from_kraus(depolarizing(0.5, 4))
+        for g in (np.zeros((16, 9)), np.zeros(256), build_g_operator(5)):
+            with pytest.raises(ValueError, match=r"dimension mismatch: .* has shape"):
+                max_epsilon(j, g)
+        # a 2 -> 8 Choi matrix is 16 x 16 too, but not a d = 4 one
+        wide = choi_from_kraus(channel_from_kraus([np.eye(8)[:, :2]]))
+        with pytest.raises(ValueError, match=r"dimension mismatch: Choi is 2->8"):
+            max_epsilon(wide, build_g_operator(4))
+
     def test_perturbed_choi_stays_cptp_at_limit(self):
         g = build_g_operator(4)
         for seed in (91, 92):
             q = _full_rank_channel(4, seed)
             j_q = choi_from_kraus(q)
             eps = max_epsilon(j_q, g)
-            shifted = ChoiMatrix(4, 4, j_q.matrix + eps * g.j_g)
+            shifted = ChoiMatrix(4, 4, j_q.matrix + eps * g)
             report = validate_cptp(shifted, tol=1e-9)
             assert report.is_cp and report.is_tp
 
@@ -142,7 +175,7 @@ class TestMaxEpsilon:
         q = depolarizing(0.5, 4)
         j_q = choi_from_kraus(q)
         eps = max_epsilon(j_q, g)
-        shifted = ChoiMatrix(4, 4, j_q.matrix + 1.5 * eps * g.j_g)
+        shifted = ChoiMatrix(4, 4, j_q.matrix + 1.5 * eps * g)
         report = validate_cptp(shifted, tol=1e-9)
         assert not report.is_cp
 
@@ -183,6 +216,13 @@ class TestPerturbChannel:
         q = depolarizing(0.6, 4)
         pair = perturb_channel(q, 0.04, g, n_verify=2000, rng=96)
         assert abs(pair.verification.choi_distance - 0.04 * np.sqrt(6.0)) < 1e-10
+
+    def test_non_square_channel_refused_before_g(self, monkeypatch):
+        monkeypatch.setattr(nonuniq, "build_g_operator", _refuse)
+        monkeypatch.setattr(nonuniq, "choi_from_kraus", _refuse)
+        wide = channel_from_kraus([np.eye(3)[:, :2]])
+        with pytest.raises(ValueError, match="the construction needs a square channel"):
+            perturb_channel(wide)
 
     def test_epsilon_validation(self):
         g = build_g_operator(4)
@@ -264,6 +304,12 @@ class TestVerifyPair:
         assert v.n_samples == 500
         assert v.seed == 102
 
+    def test_mismatched_dimensions_refused_before_choi_or_states(self, monkeypatch):
+        monkeypatch.setattr(nonuniq, "fidelity_samples", _refuse)
+        monkeypatch.setattr(nonuniq, "choi_from_kraus", _refuse)
+        with pytest.raises(ValueError, match="the two channels have different dimensions"):
+            verify_pair(depolarizing(0.5, 4), random_channel(5, 3, 1))
+
     def test_distinct_fidelity_functions_show_up(self):
         v = verify_pair(
             unitary_channel(np.eye(2)), unitary_channel(PAULI_X), n_samples=500, rng=103
@@ -275,17 +321,9 @@ class TestVerifyPair:
 class TestEqualityConditions:
     def test_perturbation_direction_passes(self):
         g = build_g_operator(4)
-        report = fidelity_equality_conditions(0.125 * g.j_g, 4)
+        report = fidelity_equality_conditions(0.125 * g, 4)
         assert report.antisym_residual <= 1e-12
         assert report.marginal_gap <= 1e-12
-        rebuilt = report.positive_part - report.negative_part
-        assert np.max(np.abs(rebuilt - 0.125 * g.j_g)) < 1e-12
-
-    def test_parts_are_psd(self):
-        g = build_g_operator(4)
-        report = fidelity_equality_conditions(g.j_g, 4)
-        assert np.linalg.eigvalsh(report.positive_part)[0] > -1e-12
-        assert np.linalg.eigvalsh(report.negative_part)[0] > -1e-12
 
     def test_depolarizing_difference_fails_condition_two(self):
         # dep(0.9) and dep(0.8) have different fidelity functions, and the
@@ -297,6 +335,36 @@ class TestEqualityConditions:
         # closed form: 0.1 * (1 - 1/d) * sqrt(d^2 - d + ... ) evaluated at
         # d=4 gives 0.1 sqrt(d - 1 + (d - 1)^2 / d^2) * ... pinned numerically
         assert abs(report.antisym_residual - 0.23717082451262844) < 1e-9
+
+    def test_closed_forms_without_eigendecomposition(self, monkeypatch):
+        monkeypatch.setattr(nonuniq, "hermitian_eig", _refuse)
+        monkeypatch.setattr(np.linalg, "eigh", _refuse)
+        report = fidelity_equality_conditions(np.zeros((16, 16)), 4)
+        assert [f.name for f in dataclasses.fields(report)] == [
+            "marginal_gap", "antisym_residual",
+        ]
+        for d, seed in ((3, 110), (4, 111), (6, 112)):
+            q = random_channel(d, 3, rng=seed)
+            r = random_channel(d, 5, rng=seed + 10)
+            x = choi_from_kraus(q).matrix - 0.7 * choi_from_kraus(r).matrix
+            report = fidelity_equality_conditions(x, d)
+            marginal = partial_trace(x, d, d, factor="first")
+            assert report.marginal_gap == schatten_norm(marginal, np.inf)
+            assert report.marginal_gap > 0.1  # 0.3 I survives the trace
+            # the residual is the distance between symmetric forms ...
+            x = choi_from_kraus(q).matrix - choi_from_kraus(r).matrix
+            m_diff = symmetric_form(q) - symmetric_form(r)
+            residual = fidelity_equality_conditions(x, d).antisym_residual
+            assert abs(residual - schatten_norm(m_diff, 2)) <= 1e-12
+            # ... and the projector sandwich on any Hermitian operator
+            h = np.random.default_rng(seed).standard_normal((d * d, d * d, 2)) @ [1, 1j]
+            h = h + h.conj().T
+            p_sym = sym_projector(d)
+            sandwich = p_sym @ partial_transpose(h, d, d) @ p_sym
+            residual = fidelity_equality_conditions(h, d).antisym_residual
+            assert abs(residual - schatten_norm(sandwich, 2)) <= 1e-12 * schatten_norm(h, 2)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            fidelity_equality_conditions(np.triu(np.ones((16, 16))), 4)
 
     def test_zero_difference(self):
         report = fidelity_equality_conditions(np.zeros((16, 16)), 4)

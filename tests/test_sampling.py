@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gatefid import sampling
 from gatefid.channels import (
     depolarizing,
     identity_channel,
@@ -19,7 +22,6 @@ from gatefid.sampling import (
     BLOCK_SIZE,
     DEFAULT_SEED,
     LEVY_C1,
-    REPORT_COLUMNS,
     RngSpec,
     TAG_MAIN,
     TAG_VALIDATE,
@@ -172,6 +174,22 @@ class TestFidelitySamples:
         f = fidelity_samples(ch, None, 5000, rng=25)
         assert np.all(f >= 0.0) and np.all(f <= 1.0)
 
+    def test_count_above_budget_refused_before_allocation(self, monkeypatch):
+        # 8 n bytes of float64 results: 2**28 samples fill the 2 GiB budget
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args, **kwargs):
+            raise Admitted
+
+        monkeypatch.setattr(sampling, "fidelity_kernel", admitted)
+        ch = depolarizing(0.5, 2)
+        with pytest.raises(Admitted):
+            fidelity_samples(ch, None, 2**28, rng=26)
+        for n in (2**28 + 1, 10**12):
+            with pytest.raises(ValueError, match=rf"array of {n} fidelity samples needs"):
+                fidelity_samples(ch, None, n, rng=26)
+
 
 class TestMcStats:
     def test_depolarizing_constancy(self):
@@ -288,6 +306,14 @@ class TestLevyBound:
         assert levy_bound(2**1023, 0.1).two_sided_bound == 0.0
         assert effective_epsilon(0.01, 2**1023) > 0.0
 
+    def test_squares_beyond_float_range(self):
+        # epsilon**2 or K**2 leaves float range; the bound is still formed
+        assert levy_bound(8, 1e200).two_sided_bound == 0.0
+        assert levy_bound(8, 0.1, K=1e200).two_sided_bound == 4.0
+        assert levy_bound(8, 0.1, K=1e-200).two_sided_bound == 0.0
+        # both squares underflow to 0: the ratio, 1, still gives the bound
+        assert levy_bound(8, 1e-300, K=1e-300).two_sided_bound == 4.0 * math.exp(-16.0 * LEVY_C1)
+
 
 def _dep_family(d, gen):
     return depolarizing(0.8, d)
@@ -311,7 +337,22 @@ class TestConvergenceReport:
         rows = convergence_report(_dep_family, [2], 500, rng=61, eps_grid=(0.25, 0.1))
         assert len(rows) == 2
         for row in rows:
-            assert tuple(row.keys()) == REPORT_COLUMNS
+            assert tuple(row.keys()) == (
+                "d", "n", "mean", "variance", "std", "var_bound_exact", "var_bound_conc",
+                "eps", "levy_bound", "emp_fraction", "seed",
+            )
+
+    def test_family_unitary_above_budget_refused_before_any_family(self):
+        # a d x d complex unitary fills the 2 GiB budget just above d = 11585
+        def no_family(d, gen):
+            raise AssertionError("a family channel was built before the size check")
+
+        with pytest.raises(AssertionError, match="before the size check"):
+            convergence_report(no_family, [2, 11585], 10, rng=63)
+        with pytest.raises(ValueError, match=r"the d=11586 family unitary needs 2 GiB"):
+            convergence_report(no_family, [2, 11585, 11586], 10, rng=63)
+        with pytest.raises(ValueError, match=r"d=100000000 family unitary needs 1\.49e\+08 GiB"):
+            convergence_report(no_family, [10**8], 10, rng=63)
 
     def test_std_shrinks_for_spread_family(self):
         rows = convergence_report(_spread_family, [2, 8, 32], 4000, rng=62, eps_grid=(0.1,))

@@ -20,7 +20,6 @@ from gatefid.serialize import (
     load_channel,
     load_operator,
     net_from_dict,
-    operator_from_dict,
     pairs_to_matrix,
     pairs_to_vector,
     read_json,
@@ -152,15 +151,18 @@ class TestChannelSerialization:
         with pytest.raises(ValueError, match="neither 'kraus' nor 'choi'"):
             load_operator(path)
 
-    def test_operator_from_dict_decodes_both_forms(self):
+    def test_load_operator_decodes_both_forms(self, tmp_path):
         ch = depolarizing(0.4, 2)
         choi = choi_from_kraus(ch)
-        back = operator_from_dict(_text_round_trip(channel_to_dict(ch)), "k.json")
+        write_json(tmp_path / "k.json", channel_to_dict(ch))
+        write_json(tmp_path / "c.json", choi_to_dict(choi))
+        back = load_operator(tmp_path / "k.json")
         assert all(np.array_equal(a, b) for a, b in zip(back.kraus, ch.kraus))
-        back = operator_from_dict(_text_round_trip(choi_to_dict(choi)), "c.json")
+        back = load_operator(tmp_path / "c.json")
         assert np.array_equal(back.matrix, choi.matrix)
+        write_json(tmp_path / "odd.json", {"dim_in": 2})
         with pytest.raises(ValueError, match="odd.json: neither 'kraus' nor 'choi'"):
-            operator_from_dict({"dim_in": 2}, "odd.json")
+            load_operator(tmp_path / "odd.json")
 
     def test_malformed_json_reports_path(self, tmp_path):
         path = tmp_path / "broken.json"
