@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hermitian_eig, partial_trace, schatten_norm, unvec, vec
+from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm, unvec, vec
 
 DEFAULT_ATOL = 1e-9
 RANK_TOL = 1e-10
@@ -149,9 +149,8 @@ def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
         raise ValueError(f"tolerance tol must be non-negative and finite, got {tol}")
     choi = choi_from_kraus(obj) if isinstance(obj, QuantumChannel) else obj
     j = choi.matrix
-    gap = schatten_norm(j - j.conj().T, np.inf)
-    vals = np.linalg.eigvalsh(0.5 * (j + j.conj().T))
-    min_eig = float(vals[0])
+    gap, sym = _hermitian_part(j)
+    min_eig = float(np.linalg.eigvalsh(sym)[0])
     marginal = partial_trace(j, choi.dim_out, choi.dim_in, factor="first")
     tp_residual = schatten_norm(marginal - np.eye(choi.dim_in), np.inf)
     return CptpReport(
@@ -183,18 +182,19 @@ def identity_channel(d: int) -> QuantumChannel:
     return unitary_channel(np.eye(d))
 
 
-def _pauli_strings(n: int):
-    one = [
-        np.eye(2, dtype=complex),
-        np.array([[0, 1], [1, 0]], dtype=complex),
-        np.array([[0, -1j], [1j, 0]], dtype=complex),
-        np.array([[1, 0], [0, -1]], dtype=complex),
-    ]
-    for combo in itertools.product(one, repeat=n):
-        op = combo[0]
-        for factor in combo[1:]:
-            op = np.kron(op, factor)
-        yield op
+def _pauli_strings(n: int) -> np.ndarray:
+    # the 4^n Pauli strings as np.kron chains, first factor slowest: one
+    # broadcast product per factor, each entry the same product as kron's
+    one = np.array(
+        [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+        dtype=complex,
+    )
+    ops = one if n else np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n - 1):
+        count, side, _ = ops.shape
+        pairs = ops[:, None, :, None, :, None] * one[None, :, None, :, None, :]
+        ops = pairs.reshape(4 * count, 2 * side, 2 * side)
+    return ops
 
 
 def _clock_shift(d: int):

@@ -82,19 +82,33 @@ def schatten_norm(m: np.ndarray, p) -> float:
     raise ValueError(f"unsupported Schatten order {p!r}, use 2 or inf")
 
 
+def _hermitian_part(m: np.ndarray) -> tuple:
+    """(||M - M^dag||_inf, 0.5 (M + M^dag)) of a square matrix.
+
+    A finite matrix equal to its adjoint entry for entry has a gap of
+    exactly 0.0, so the SVD that measures the gap runs only on one that is
+    not.
+    """
+    adj = m.conj().T
+    exact = np.isfinite(m).all() and np.array_equal(m, adj)
+    gap = 0.0 if exact else schatten_norm(m - adj, np.inf)
+    return gap, 0.5 * (m + adj)
+
+
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """m as an array, refused unless ||M - M^dag||_inf <= HERMITICITY_RTOL * max(1, ||M||_inf)."""
+    """0.5 (M + M^dag), refused unless ||M - M^dag||_inf <= HERMITICITY_RTOL * max(1, ||M||_inf)."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    gap = schatten_norm(m - m.conj().T, np.inf)
-    scale = max(1.0, schatten_norm(m, np.inf))
-    if gap > HERMITICITY_RTOL * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: ||M - M^dag||_inf = {gap:.3e} "
-            f"exceeds {HERMITICITY_RTOL:.1e} * max(1, ||M||_inf) = {HERMITICITY_RTOL * scale:.3e}"
-        )
-    return m
+    gap, sym = _hermitian_part(m)
+    if gap:
+        scale = max(1.0, schatten_norm(m, np.inf))
+        if gap > HERMITICITY_RTOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: ||M - M^dag||_inf = {gap:.3e} "
+                f"exceeds {HERMITICITY_RTOL:.1e} * max(1, ||M||_inf) = {HERMITICITY_RTOL * scale:.3e}"
+            )
+    return sym
 
 
 def hermitian_eig(m: np.ndarray) -> tuple:
@@ -104,9 +118,7 @@ def hermitian_eig(m: np.ndarray) -> tuple:
     An accepted input (see _check_hermitian) is symmetrized before calling
     eigh, so tiny round-off asymmetry cannot leak into the spectrum.
     """
-    m = _check_hermitian(m)
-    sym = 0.5 * (m + m.conj().T)
-    return np.linalg.eigh(sym)
+    return np.linalg.eigh(_check_hermitian(m))
 
 
 def swap_matrix(d: int) -> np.ndarray:

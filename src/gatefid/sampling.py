@@ -202,10 +202,13 @@ def levy_bound(
             exponent = -2.0 * d * LEVY_C1 * epsilon**2 / K**2
     except OverflowError:  # epsilon**2 or K**2 above float range
         exponent = math.nan
-    if math.isnan(exponent):  # or both squares below it
+    if math.isnan(exponent):  # or both squares below it, or -2 d above it
         # the ratio squared as a product of Python floats saturates to inf or 0
         ratio = float(epsilon) / float(K)
-        exponent = -2.0 * d * float(LEVY_C1) * (ratio * ratio)
+        square = ratio * ratio
+        # a square that underflows to 0 leaves |exponent| below 1e-17 at every
+        # d < 2**1024, where -2 d c1 may be -inf and -inf * 0 NaN; exp gives 1
+        exponent = -2.0 * d * float(LEVY_C1) * square if square else 0.0
     two = 4.0 * math.exp(exponent)
     return ConcentrationBound(
         d=d,

@@ -22,7 +22,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import re
 from typing import NoReturn
 
 import numpy as np
@@ -30,8 +29,10 @@ import numpy as np
 from .channels import ChoiMatrix, QuantumChannel, kraus_from_choi
 from .minimum import StateNet
 
-# A "%.17g" token that is a bare integer; _fmt_float appends ".0" to these.
-_INTEGRAL_TOKEN = re.compile(r"(?<=[\[,])(-?\d+)(?=[,\]])")
+# How _fmt_float writes an entry of each class, as a template piece: a
+# signed zero literally, another integral |x| < 1e17 as "%.1f" (the
+# "%.17g" digits and ".0"), anything else as "%.17g".
+_ENTRY_PIECES = ("0.0", "-0.0", "%.1f", "%.17g")
 
 
 def _fmt_float(x: float) -> str:
@@ -50,6 +51,34 @@ def _pairs_text(floats: np.ndarray, row: str) -> str:
     return "[" + ",".join([_pairs_text(sub, row) for sub in floats]) + "]"
 
 
+def _classed_text(floats: np.ndarray, integral: np.ndarray) -> str:
+    # floats: a complex array viewed as float64; integral: its entries
+    # that "%.17g" writes as bare integers. One template piece per pair,
+    # then one % over the entries that are not zero.
+    zero = floats == 0
+    kind = np.where(zero, np.signbit(floats), np.where(integral, 2, 3))
+    pair = (4 * kind[..., 0::2] + kind[..., 1::2]).reshape(-1)
+    # the brackets a pair closes: one per trailing axis that ends at it
+    shape = floats.shape[:-1] + (floats.shape[-1] // 2,)
+    ends = np.arange(1, pair.size + 1)
+    closes = 0
+    span = 1
+    for size in reversed(shape):
+        span *= size
+        closes = closes + (ends % span == 0)
+    depth = len(shape)
+    lookup = [
+        f"[{real},{imag}]" + "]" * c + "," + "[" * c
+        for c in range(depth + 1)
+        for real in _ENTRY_PIECES
+        for imag in _ENTRY_PIECES
+    ]
+    pieces = [lookup[i] for i in (16 * closes + pair).tolist()]
+    # the last pair closes every bracket; drop the separator after it
+    template = "[" * depth + "".join(pieces)[: -(depth + 1)]
+    return template % tuple(floats[~zero].tolist())
+
+
 def _complex_array_text(arr: np.ndarray) -> str:
     """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
     if arr.ndim == 0:
@@ -59,16 +88,12 @@ def _complex_array_text(arr: np.ndarray) -> str:
     if not finite.all():
         bad = float(floats[~finite][0])
         raise ValueError(f"cannot serialize non-finite float {bad!r}")
-    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
-    text = _pairs_text(floats, row)
     # "%.17g" writes a bare integer exactly for integral |x| < 1e17
-    if np.any((np.trunc(floats) == floats) & (np.abs(floats) < 1e17)):
-        # split puts the captured tokens at odd indices; appending there
-        # avoids a per-match template expansion in re.sub
-        parts = _INTEGRAL_TOKEN.split(text)
-        parts[1::2] = [token + ".0" for token in parts[1::2]]
-        text = "".join(parts)
-    return text
+    integral = (np.trunc(floats) == floats) & (np.abs(floats) < 1e17)
+    if integral.any():
+        return _classed_text(floats, integral)
+    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
+    return _pairs_text(floats, row)
 
 
 def _emit(obj, out: list) -> None:
