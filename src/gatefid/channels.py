@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm, unvec, vec
+from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm, unvec
 
 DEFAULT_ATOL = 1e-9
 RANK_TOL = 1e-10
@@ -98,13 +98,23 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
+def _choi_gemm(ops: np.ndarray) -> np.ndarray:
+    """sum_k vec(A_k) vec(A_k)^dag of operators stacked as (rank, d_out, d_in).
+
+    One GEMM, J[(i,j),(l,m)] = sum_k A_k[i,j] conj(A_k[l,m]); the product
+    is Hermitian only up to its rounding.
+    """
+    flat = ops.reshape(ops.shape[0], -1)
+    return flat.T @ flat.conj()
+
+
 def choi_from_kraus(ch: QuantumChannel) -> ChoiMatrix:
+    """The Choi matrix, symmetrized so that it equals its adjoint exactly."""
     n = ch.dim_in * ch.dim_out
     _check_dense_budget(n, f"{n}x{n} Choi matrix")
-    j = np.zeros((n, n), dtype=complex)
-    for op in ch.kraus:
-        v = vec(op)
-        j += np.outer(v, v.conj())
+    j = _choi_gemm(np.stack(ch.kraus))
+    j += j.conj().T
+    j *= 0.5
     return ChoiMatrix(dim_in=ch.dim_in, dim_out=ch.dim_out, matrix=j)
 
 

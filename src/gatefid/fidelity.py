@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _UNITARY_TOL, QuantumChannel
+from .channels import _UNITARY_TOL, QuantumChannel, _choi_gemm
 from .linalg import schatten_norm
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
@@ -121,10 +121,8 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
 
 def _form_of(ops: np.ndarray) -> np.ndarray:
     # symmetric_form of the folded operators B_k, stacked as (rank, d, d)
-    rank, d, _ = ops.shape
-    flat = ops.reshape(rank, d * d)
-    # Choi matrix J[(i,j),(l,m)] = sum_k B_k[i,j] conj(B_k[l,m]), as one GEMM
-    return _sym_block((flat.T @ flat.conj()).reshape(d, d, d, d))
+    d = ops.shape[-1]
+    return _sym_block(_choi_gemm(ops).reshape(d, d, d, d))
 
 
 def _sym_block(g: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .channels import (
 from .fidelity import _sym_block
 from .linalg import (
     _check_hermitian,
-    hermitian_eig,
     partial_trace,
     partial_transpose,
     schatten_norm,
@@ -84,8 +83,7 @@ def max_epsilon(j_q: ChoiMatrix, g: np.ndarray) -> float:
             f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, "
             f"perturbation has shape {np.shape(g)}"
         )
-    vals, _ = hermitian_eig(j_q.matrix)
-    lam_min = float(vals[0])
+    lam_min = float(np.linalg.eigvalsh(_check_hermitian(j_q.matrix))[0])
     if lam_min <= FULL_RANK_TOL:
         raise ValueError(
             f"channel is not full rank: smallest Choi eigenvalue {lam_min:.3e}"

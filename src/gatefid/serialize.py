@@ -19,6 +19,7 @@ time with a ValueError naming the field and the entry.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -51,6 +52,18 @@ def _pairs_text(floats: np.ndarray, row: str) -> str:
     return "[" + ",".join([_pairs_text(sub, row) for sub in floats]) + "]"
 
 
+@functools.cache
+def _pair_pieces(depth: int) -> tuple:
+    # a pair's template piece and the separator after it, indexed by
+    # 16 * (brackets it closes) + 4 * (class of re) + (class of im)
+    return tuple(
+        f"[{real},{imag}]" + "]" * c + "," + "[" * c
+        for c in range(depth + 1)
+        for real in _ENTRY_PIECES
+        for imag in _ENTRY_PIECES
+    )
+
+
 def _classed_text(floats: np.ndarray, integral: np.ndarray) -> str:
     # floats: a complex array viewed as float64; integral: its entries
     # that "%.17g" writes as bare integers. One template piece per pair,
@@ -67,12 +80,7 @@ def _classed_text(floats: np.ndarray, integral: np.ndarray) -> str:
         span *= size
         closes = closes + (ends % span == 0)
     depth = len(shape)
-    lookup = [
-        f"[{real},{imag}]" + "]" * c + "," + "[" * c
-        for c in range(depth + 1)
-        for real in _ENTRY_PIECES
-        for imag in _ENTRY_PIECES
-    ]
+    lookup = _pair_pieces(depth)
     pieces = [lookup[i] for i in (16 * closes + pair).tolist()]
     # the last pair closes every bracket; drop the separator after it
     template = "[" * depth + "".join(pieces)[: -(depth + 1)]

@@ -337,7 +337,7 @@ class TestEqualityConditions:
         assert abs(report.antisym_residual - 0.23717082451262844) < 1e-9
 
     def test_closed_forms_without_eigendecomposition(self, monkeypatch):
-        monkeypatch.setattr(nonuniq, "hermitian_eig", _refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _refuse)
         monkeypatch.setattr(np.linalg, "eigh", _refuse)
         report = fidelity_equality_conditions(np.zeros((16, 16)), 4)
         assert [f.name for f in dataclasses.fields(report)] == [
