@@ -202,13 +202,16 @@ def levy_bound(
             exponent = -2.0 * d * LEVY_C1 * epsilon**2 / K**2
     except OverflowError:  # epsilon**2 or K**2 above float range
         exponent = math.nan
-    if math.isnan(exponent):  # or both squares below it, or -2 d above it
+    ratio = float(epsilon) / float(K)
+    if math.isinf(2.0 * d):
+        # -2 d overflows to -inf, which made the bound 0, or NaN against a
+        # square that underflows to 0; d times the ratio, then the ratio
+        # again, saturates only where the bound is 0 and underflows only
+        # where it is 4
+        exponent = -2.0 * float(LEVY_C1) * (ratio * d * ratio)
+    elif math.isnan(exponent):  # or both squares below it
         # the ratio squared as a product of Python floats saturates to inf or 0
-        ratio = float(epsilon) / float(K)
-        square = ratio * ratio
-        # a square that underflows to 0 leaves |exponent| below 1e-17 at every
-        # d < 2**1024, where -2 d c1 may be -inf and -inf * 0 NaN; exp gives 1
-        exponent = -2.0 * d * float(LEVY_C1) * square if square else 0.0
+        exponent = -2.0 * d * float(LEVY_C1) * (ratio * ratio)
     two = 4.0 * math.exp(exponent)
     return ConcentrationBound(
         d=d,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,60 @@ class TestChoiConstruction:
             )
             direct = _apply(ch, rho)
             assert np.max(np.abs(contracted - direct)) < 1e-12
+
+
+def _outer_sum_choi(ch) -> np.ndarray:
+    """Reference Choi matrix: sum_k vec(A_k) vec(A_k)^dag, one outer product at a time."""
+    n = ch.dim_in * ch.dim_out
+    j = np.zeros((n, n), dtype=complex)
+    for op in ch.kraus:
+        j += np.outer(vec(op), vec(op).conj())
+    return j
+
+
+def _isometry_map(d_in, d_out, rank, seed):
+    g = np.random.default_rng(seed)
+    raw = g.standard_normal((d_out * rank, d_in)) + 1j * g.standard_normal((d_out * rank, d_in))
+    q, _ = np.linalg.qr(raw)
+    return channel_from_kraus([q[k * d_out : (k + 1) * d_out] for k in range(rank)])
+
+
+class TestChoiGemm:
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            random_channel(3, 4, rng=20),
+            random_channel(4, 16, rng=21),
+            random_channel(5, 2, rng=22),
+            _isometry_map(2, 3, 4, 23),
+            depolarizing(0.3, 4),
+        ],
+        ids=["d3-rank4", "d4-full", "d5-rank2", "2to3", "depolarizing"],
+    )
+    def test_exactly_hermitian_and_equal_to_outer_sum(self, ch):
+        j = choi_from_kraus(ch).matrix
+        assert j.shape == (ch.dim_in * ch.dim_out,) * 2
+        assert np.array_equal(j, j.conj().T)
+        assert np.max(np.abs(j - _outer_sum_choi(ch))) <= 1e-14
+        assert validate_cptp(ch).hermiticity_gap == 0.0
+
+    def test_exactly_hermitian_choi_validated_without_svd(self, monkeypatch):
+        # only the Choi-size SVD is refused: the small TP residual keeps its own
+        ch = random_channel(3, 5, rng=24)
+        expected = validate_cptp(ch)
+        svd = np.linalg._linalg.svd
+
+        def refuse_choi_size(a, *args, **kwargs):
+            if np.shape(a)[-1] == 9:
+                raise AssertionError("an SVD ran on the exactly Hermitian Choi matrix")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg._linalg, "svd", refuse_choi_size)
+        monkeypatch.setattr(np.linalg, "svd", refuse_choi_size)
+        assert validate_cptp(ch) == expected
+        assert expected.hermiticity_gap == 0.0 and expected.is_cp and expected.is_tp
+        back = kraus_from_choi(choi_from_kraus(ch))
+        assert np.max(np.abs(choi_from_kraus(back).matrix - choi_from_kraus(ch).matrix)) < 1e-12
 
 
 class TestKrausFromChoi:
@@ -213,6 +269,28 @@ class TestDepolarizing:
             )
             assert np.max(np.abs(gram - d * np.eye(d * d))) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pauli_basis_bitwise_equal_to_kron_chains(self, n):
+        one = [
+            np.eye(2, dtype=complex),
+            np.array([[0, 1], [1, 0]], dtype=complex),
+            np.array([[0, -1j], [1j, 0]], dtype=complex),
+            np.array([[1, 0], [0, -1]], dtype=complex),
+        ]
+        reference = []
+        for combo in itertools.product(one, repeat=n):
+            op = combo[0]
+            for factor in combo[1:]:
+                op = np.kron(op, factor)
+            reference.append(op)
+        basis = unitary_operator_basis(2**n)
+        assert len(basis) == len(reference) == 4**n
+        for got, want in zip(basis, reference):
+            assert got.shape == want.shape
+            assert np.array_equal(
+                np.ascontiguousarray(got).view(np.uint64), want.view(np.uint64)
+            )
+
     def test_basis_twirl_depolarizes(self):
         rng = np.random.default_rng(23)
         for d in (2, 3, 4):
@@ -335,8 +413,11 @@ class TestDenseBudget:
     def test_choi_refused_before_allocation(self, monkeypatch):
         ch = unitary_channel(np.eye(256))
         monkeypatch.setattr(np, "zeros", _refuse_allocation)
-        with pytest.raises(ValueError, match=r"65536x65536 Choi matrix needs 64 GiB"):
-            validate_cptp(ch)
+        monkeypatch.setattr(np, "stack", _refuse_allocation)
+        monkeypatch.setattr(channels_module, "_choi_gemm", _refuse_allocation)
+        for build in (choi_from_kraus, validate_cptp):
+            with pytest.raises(ValueError, match=r"65536x65536 Choi matrix needs 64 GiB"):
+                build(ch)
 
     def test_depolarizing_refused_before_basis(self, monkeypatch):
         monkeypatch.setattr(channels_module, "unitary_operator_basis", _refuse_allocation)

@@ -283,6 +283,12 @@ class TestBoundsCommands:
         assert abs(value["two_sided_bound"] - 0.009685944790848831) < 1e-15
         assert value["one_sided_bound"] == value["two_sided_bound"] / 2.0
 
+    def test_levy_huge_d_tiny_eps(self, tmp_path):
+        out = tmp_path / "l.json"
+        assert main(["bounds", "levy", "--d", str(2**1023), "--eps", "1e-170",
+                     "--out", str(out)]) == 0
+        assert serialize.read_json(out)["value"]["two_sided_bound"] == 4.0
+
     def test_levy_custom_k(self, tmp_path):
         out = tmp_path / "l.json"
         assert main(["bounds", "levy", "--d", "1000", "--eps", "0.1", "--k", "2.0",

@@ -190,6 +190,10 @@ def _char_poly_eigs_3x3(m):
     return np.sort(np.array(eigs))
 
 
+def _refuse_svd(*args, **kwargs):
+    raise AssertionError("an SVD ran on an exactly Hermitian matrix")
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         vals, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]))
@@ -228,6 +232,30 @@ class TestHermitianEig:
         m[0, 1] = 1e-13
         vals, vecs = hermitian_eig(m)
         assert np.allclose(vals, [1.0, 2.0]) and vecs.shape == (2, 2)
+
+    def test_exactly_hermitian_takes_no_svd(self, monkeypatch):
+        # the gap of a matrix equal to its adjoint is 0.0 without an SVD,
+        # and its eigendecomposition is eigh of the matrix as given
+        m = _rand_hermitian(np.random.default_rng(12), 9)
+        assert np.array_equal(m, m.conj().T)
+        expected = np.linalg.eigh(m)
+        monkeypatch.setattr(np.linalg._linalg, "svd", _refuse_svd)
+        monkeypatch.setattr(np.linalg, "svd", _refuse_svd)
+        vals, vecs = hermitian_eig(m)
+        assert np.array_equal(vals, expected[0]) and np.array_equal(vecs, expected[1])
+
+    def test_non_hermitian_refused_with_same_message(self):
+        m = _rand_hermitian(np.random.default_rng(13), 4)
+        m[0, 1] += 1e-3
+        gap = schatten_norm(m - m.conj().T, np.inf)
+        scale = max(1.0, schatten_norm(m, np.inf))
+        message = (
+            f"matrix is not Hermitian: ||M - M^dag||_inf = {gap:.3e} "
+            f"exceeds 1.0e-10 * max(1, ||M||_inf) = {1e-10 * scale:.3e}"
+        )
+        with pytest.raises(ValueError) as err:
+            hermitian_eig(m)
+        assert str(err.value) == message
 
     @given(st.integers(0, 10**6))
     @settings(max_examples=30, deadline=None)

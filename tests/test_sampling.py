@@ -314,6 +314,38 @@ class TestLevyBound:
         # both squares underflow to 0: the ratio, 1, still gives the bound
         assert levy_bound(8, 1e-300, K=1e-300).two_sided_bound == 4.0 * math.exp(-16.0 * LEVY_C1)
 
+    def test_huge_d_with_vanishing_ratio(self):
+        # -2 d overflows to -inf while (eps/K)^2 underflows to 0: the exponent
+        # is below 1e-30 in size, so the bound is 4, not -inf * 0 = NaN
+        bound = levy_bound(2**1023, 1e-170)
+        assert bound.two_sided_bound == 4.0 and bound.one_sided_bound == 2.0
+        assert levy_bound(2**1023 - 1, 1e-170).two_sided_bound == 4.0  # rounds up
+        # a subnormal or tiny square no longer turns the bound into 0
+        for eps, k in ((1e-170, 1e-10), (1e-155, 1.0)):
+            exponent = -2.0 * LEVY_C1 * (2.0**1023 * (eps / k)) * (eps / k)
+            assert 3.0 < levy_bound(2**1023, eps, K=k).two_sided_bound
+            assert math.isclose(
+                levy_bound(2**1023, eps, K=k).two_sided_bound,
+                4.0 * math.exp(exponent),
+                rel_tol=1e-15,
+            )
+
+    @pytest.mark.parametrize(
+        "d, eps, k",
+        [
+            (8, 1e200, LIPSCHITZ_CONSTANT),
+            (8, 0.1, 1e200),
+            (8, 1e-300, 1e-300),
+            (2**1023, 1e-170, 1e-170),
+            (2**1023, 1e-170, 1e-200),
+        ],
+    )
+    def test_fallback_keeps_its_bits(self, d, eps, k):
+        # inputs that reach the ratio fallback and gave a number before
+        ratio = float(eps) / float(k)
+        before = 4.0 * math.exp(-2.0 * d * float(LEVY_C1) * (ratio * ratio))
+        assert levy_bound(d, eps, K=k).two_sided_bound == before
+
 
 def _dep_family(d, gen):
     return depolarizing(0.8, d)

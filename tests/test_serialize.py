@@ -375,6 +375,22 @@ class TestArrayCodec:
         assert text.startswith(f"[[[{token},1.5],[-1.5,{token}]]")
         assert _same_bits(pairs_to_matrix(json.loads(text), "m"), m)
 
+    @pytest.mark.parametrize("shape", [(9,), (4, 5), (3, 2, 4)], ids=["1d", "2d", "3d"])
+    def test_classed_template_matches_per_entry_reference(self, shape):
+        # integral and zero entries take the per-entry template; every
+        # token must still be the one _fmt_float writes for that float
+        specials = [0.0, -0.0, 1e16, -1e16, 99999999999999984.0, 1e17, -1e17,
+                    5e-324, -5e-324, 2.2250738585072009e-308, -3.0, 0.25, 1.0 / 3.0]
+        rng = np.random.default_rng(len(shape))
+        floats = rng.choice(specials, size=shape + (2,))
+        flat = floats.reshape(-1, 2)
+        flat[:3] = rng.standard_normal((3, 2))  # a run with no integral entry
+        flat[-2:] = 0.0  # and one of zeros only
+        m = floats.view(complex)[..., 0]
+        text = dumps_canonical(m)
+        assert text == dumps_canonical(_nested_pairs(m))
+        assert _same_bits(np.array(json.loads(text)).view(complex)[..., 0], m)
+
     def test_signed_zeros_survive_round_trip(self):
         m = np.array([[complex(0.0, -0.0), complex(-0.0, 0.0)],
                       [complex(-0.0, -0.0), complex(0.0, 0.0)]])
