@@ -9,6 +9,13 @@ reference_minimum at the first VALUE_JOBS job seeds of every entry of
 SEEDS (perfbench's job_seed), so the two trees' reference values can be
 compared where perfbench only shows differing sha256.
 
+Chunk scan: in a fresh interpreter on this tree's src/, with BLAS pinned
+to one thread as the CLI pins it, one 256-sample chunk is decided against
+a SCAN_NET-state net at each d in SCAN_DIMS by both routes of
+minimum._far: _min_distances (np.abs of the complex overlap) and the real
+Gram matrix of lifted states, the chunk's lift included. Each time is the
+median of SCAN_REPEATS runs; the table backs minimum.LIFT_MAX_DIM.
+
 End to end: for each of the four workloads and each seed in SEEDS, one
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` run per
 tree, from that tree's own checkout, alternating which side runs
@@ -20,6 +27,8 @@ job_s on min-search.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_minimum.py --baseline /tmp/parent
+
+With --scan-only it prints the chunk-scan table and writes nothing.
 """
 
 import argparse
@@ -32,7 +41,7 @@ import sys
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
-from child import fingerprint, job_seed  # bench_kernel put perfbench/ on sys.path
+from child import blas_threads, fingerprint, job_seed  # bench_kernel put perfbench/ on sys.path
 
 METRICS = ("setup_s", "job_s", "peak_rss_mb")
 JOB_LINE = re.compile(r"^# job (\d+) traced=\d [\d.]+ s .* sha256 (.*)$")
@@ -42,6 +51,9 @@ SEEDS = range(31, 41)
 REPEATS = 5
 VALUE_JOBS = 3  # job seeds per entry of SEEDS whose reference values are compared
 VALUE_SEEDS = [job_seed(s, k) for s in SEEDS for k in range(VALUE_JOBS)]
+SCAN_DIMS = (2, 3, 4, 6, 8, 12, 16)
+SCAN_NET = 1500
+SCAN_REPEATS = 41
 OUT = ROOT / "BENCH_minimum.json"
 
 
@@ -67,9 +79,43 @@ def layers() -> dict:
     }
 
 
-def run_layers(tree: Path) -> dict:
+def scan_table() -> dict:
+    """Both routes of one chunk scan per d, at one BLAS thread."""
+    from gatefid._blas import pin_single_thread
+    from gatefid.minimum import _DISTANCE_CHUNK, LIFT_MAX_DIM, _far, _lift
+    from gatefid.sampling import haar_states
+
+    pin_single_thread()
+    rows = []
+    for d in SCAN_DIMS:
+        net = haar_states(d, SCAN_NET, rng=d)
+        chunk = haar_states(d, _DISTANCE_CHUNK, rng=1000 + d)
+        lifted_net = _lift(net)
+        exact_s, exact = _median_time(lambda: _far(chunk, net, NET_EPS), SCAN_REPEATS)
+        lift_s, lifted = _median_time(
+            lambda: _far(chunk, net, NET_EPS, (_lift(chunk), lifted_net)), SCAN_REPEATS
+        )
+        if not (exact == lifted).all():
+            raise RuntimeError(f"the two routes decide differently at d={d}")
+        rows.append({
+            "d": d,
+            "abs_ms": round(1e3 * exact_s, 4),
+            "lift_ms": round(1e3 * lift_s, 4),
+            "speedup": round(exact_s / lift_s, 2),
+            "lifted_in_grow": d <= LIFT_MAX_DIM,
+        })
+    return {
+        "inputs": f"one {_DISTANCE_CHUNK}-sample chunk against a {SCAN_NET}-state net, "
+                  f"epsilon {NET_EPS}; lift_ms includes lifting the chunk",
+        "blas_threads": blas_threads(),
+        "rows": rows,
+    }
+
+
+def run_fresh(tree: Path, flag: str) -> dict:
+    """The JSON line that this script prints under flag, run on tree's src/."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable, __file__, "--layers-only"]
+    cmd = [sys.executable, __file__, flag]
     out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
 
@@ -175,16 +221,24 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
     ap.add_argument("--layers-only", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--scan-only", action="store_true", help="print the chunk-scan table")
     args = ap.parse_args()
 
     if args.layers_only:
         print(json.dumps(layers()))
         return
+    if args.scan_only:
+        print(json.dumps(scan_table()))
+        return
     if args.baseline is None:
         ap.error("--baseline is required")
 
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
-    layer = {side: run_layers(tree) for side, tree in trees.items()}
+    layer = {side: run_fresh(tree, "--layers-only") for side, tree in trees.items()}
+    scan = run_fresh(ROOT, "--scan-only")
+    for row in scan["rows"]:
+        print(f"chunk scan d={row['d']}: np.abs {row['abs_ms']} ms, lift {row['lift_ms']} ms",
+              flush=True)
     ref_diff = max(
         abs(layer["parent"]["reference_values"][s] - layer["change"]["reference_values"][s])
         for s in layer["parent"]["reference_values"]
@@ -206,6 +260,7 @@ def main() -> None:
             **{side: {k: v for k, v in layer[side].items() if k != "reference_values"}
                for side in trees},
         },
+        "chunk_scan": scan,
         "reference_values": {
             "job_seeds": len(VALUE_SEEDS),
             "max_abs_diff": ref_diff,

@@ -41,16 +41,21 @@ _RANGE_TOL = 1e-8
 
 
 def _clamp_unit(values):
-    """Clip to [0, 1] after checking nothing sits outside by more than _RANGE_TOL."""
+    """Clip to [0, 1] after checking nothing sits outside by more than _RANGE_TOL.
+
+    Values already inside [0, 1] are returned without a copy; NaN fails
+    that test and takes the clip as before.
+    """
     arr = np.asarray(values, dtype=float)
     low = float(arr.min())
     high = float(arr.max())
-    if low < -_RANGE_TOL or high > 1.0 + _RANGE_TOL:
-        raise ValueError(
-            f"value outside [0, 1] beyond tolerance: range [{low:.6e}, {high:.6e}]"
-        )
-    clipped = np.clip(arr, 0.0, 1.0)
-    return clipped if clipped.ndim else float(clipped)
+    if not 0.0 <= low <= high <= 1.0:
+        if low < -_RANGE_TOL or high > 1.0 + _RANGE_TOL:
+            raise ValueError(
+                f"value outside [0, 1] beyond tolerance: range [{low:.6e}, {high:.6e}]"
+            )
+        arr = np.clip(arr, 0.0, 1.0)
+    return arr if arr.ndim else float(arr)
 
 
 # The build of the symmetric form materializes the d^2 x d^2 Choi matrix

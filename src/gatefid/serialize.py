@@ -242,6 +242,14 @@ def _positive_int(data: dict, field: str) -> int:
     return value
 
 
+def _seed(data: dict) -> int:
+    """The 'seed' field, refused unless an int that as_rng_spec accepts."""
+    value = _require(data, "seed")
+    if not isinstance(value, int) or isinstance(value, bool) or not 0 <= value < 2**64:
+        raise ValueError(f"field 'seed': expected an integer in [0, 2**64), got {value!r}")
+    return value
+
+
 def _finite_float(data: dict, field: str) -> float:
     value = _require(data, field)
     if not isinstance(value, (int, float)) or not math.isfinite(value):
@@ -356,7 +364,7 @@ def net_from_dict(data: dict) -> StateNet:
         metric_id=metric_id,
         states=states,
         coverage_confidence=_finite_float(data, "coverage_confidence"),
-        seed=int(_require(data, "seed")),
+        seed=_seed(data),
     )
 
 

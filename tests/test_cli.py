@@ -654,6 +654,23 @@ class TestInputBoundary:
         assert not out.exists()
 
 
+    def test_net_with_bad_seed_refused(self, tmp_path, capsys):
+        # the seed goes into inputs_hash, so a coerced one would hash a seed no file holds
+        net_path = tmp_path / "net.json"
+        assert main(["min", "net-build", "--d", "2", "--eps", "0.7",
+                     "--out", str(net_path)]) == 0
+        data = serialize.read_json(net_path)
+        data["seed"] = 1.5
+        serialize.write_json(net_path, data)
+        out = tmp_path / "out.json"
+        code = main(["min", "net-min", "--p", "0.9", "--d", "2", "--net", str(net_path),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: field 'seed': expected an integer") and "1.5" in err
+        assert not out.exists()
+
+
 class TestSizeAndShapeBoundary:
     @pytest.mark.parametrize(
         "argv",

@@ -330,6 +330,59 @@ class TestAverageGateFidelity:
             depolarizing_gate_fidelity(0.5, 1)
 
 
+def _clip_always(values):
+    """_clamp_unit as it was before values inside [0, 1] skipped the clip."""
+    arr = np.asarray(values, dtype=float)
+    low = float(arr.min())
+    high = float(arr.max())
+    if low < -1e-8 or high > 1.0 + 1e-8:
+        raise ValueError(
+            f"value outside [0, 1] beyond tolerance: range [{low:.6e}, {high:.6e}]"
+        )
+    clipped = np.clip(arr, 0.0, 1.0)
+    return clipped if clipped.ndim else float(clipped)
+
+
+class TestClampUnit:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0.25, 0.5, 1.0]),
+            np.array([-0.0, 0.0, 1.0]),
+            np.array([-1e-9, 0.5]),
+            np.array([0.5, 1.0 + 1e-9]),
+            np.array([0.5, np.nan]),
+            np.array([[0.1, 0.9], [0.0, 1.0]]),
+            [0.2, 0.4],
+            np.array(0.3),
+            0.3,
+            -0.0,
+            1.0 + 5e-9,
+            np.float64(0.7),
+            float("nan"),
+            1,
+        ],
+        ids=lambda v: repr(v).replace(" ", ""),
+    )
+    def test_same_values_dtype_and_type_as_the_clip(self, values):
+        got = fidelity._clamp_unit(values)
+        want = _clip_always(values)
+        assert type(got) is type(want)
+        if isinstance(want, float):
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [np.array([0.5, -2e-8]), 1.5, np.array([[0.0, 1.1]])])
+    def test_out_of_range_message_unchanged(self, values):
+        with pytest.raises(ValueError) as want:
+            _clip_always(values)
+        with pytest.raises(ValueError, match=r"^value outside \[0, 1\] beyond tolerance") as got:
+            fidelity._clamp_unit(values)
+        assert str(got.value) == str(want.value)
+
+
 class TestTargetCheck:
     NOT_UNITARY = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
 

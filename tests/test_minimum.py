@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gatefid import minimum
 from gatefid.channels import (
     amplitude_damping,
     depolarizing,
@@ -18,7 +19,11 @@ from gatefid.fidelity import (
     phase_min_distance,
 )
 from gatefid.minimum import (
+    LIFT_MAX_DIM,
     NetCoverageError,
+    _far,
+    _lift,
+    _min_distances,
     build_net,
     effective_epsilon,
     effective_minimum,
@@ -235,15 +240,95 @@ class TestBuildNetOracle:
             build_net(kwargs["d"], kwargs["eps"], rng=kwargs["seed"], **budget)
 
     def test_generous_budget_reserves_nothing(self):
-        # the buffer grows with the net, so a budget far beyond memory is
-        # only a bound; 313 states also take the buffer through two doublings
+        # the buffers grow with the net, the lifted one too, so a budget far
+        # beyond memory is only a bound; 313 states also take the buffers
+        # through two doublings
         _assert_matches_reference(3, 0.3, 0, max_states=10**12)
+
+    @pytest.mark.parametrize(
+        "d,eps,seed",
+        [(1, 0.5, 1), (LIFT_MAX_DIM, 0.9, 1), (LIFT_MAX_DIM + 1, 1.2, 3), (2, 1.5, 4),
+         (3, 1.5, 5), (3, math.sqrt(2.0), 6)],
+        ids=["d1", "last-lifted-d", "first-unlifted-d", "eps1.5-d2", "eps1.5-d3", "eps-sqrt2"],
+    )
+    def test_dimension_and_epsilon_edges(self, d, eps, seed, monkeypatch):
+        # d = 1 has one state up to phase; at epsilon >= sqrt(2) no two
+        # states lie epsilon apart, so every net holds one state
+        lifted = []
+        monkeypatch.setattr(minimum, "_lift", lambda states: lifted.append(1) or _lift(states))
+        _assert_matches_reference(d, eps, seed)
+        assert bool(lifted) == (d <= LIFT_MAX_DIM)
+        if d == 1 or eps >= math.sqrt(2.0):
+            assert len(build_net(d, eps, rng=seed).states) == 1
+
+    def test_lifted_buffers_double(self):
+        # 743 states take both buffers 256 -> 512 -> 1024 rows; a 600-state
+        # budget caps the second doubling at 601 rows
+        _assert_matches_reference(2, 0.05, 7)
+        assert len(build_net(2, 0.05, rng=7).states) == 743
+        with pytest.raises(NetCoverageError, match="^packing exceeded the 600-state"):
+            build_net(2, 0.05, rng=7, max_states=600)
 
     def test_rejects_empty_budget_and_stop(self):
         with pytest.raises(ValueError):
             build_net(2, 0.5, max_states=-1)
         with pytest.raises(ValueError):
             build_net(2, 0.5, stop_rejections=0)
+
+
+class TestLiftedScan:
+    """_far through the real lift decides as _min_distances(...) >= epsilon."""
+
+    @pytest.mark.parametrize("d", range(1, LIFT_MAX_DIM + 1))
+    def test_lift_gram_is_squared_overlap(self, d):
+        phi = haar_states(d, 300, rng=5000 + d)
+        psi = haar_states(d, 200, rng=5100 + d)
+        lifted = _lift(phi) @ _lift(psi).T
+        assert lifted.shape == (300, 200) and _lift(phi).shape == (300, d * d)
+        assert np.max(np.abs(lifted - np.abs(phi.conj() @ psi.T) ** 2)) < 1e-15
+
+    @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
+    def test_decisions_on_random_pairs(self, d):
+        # 1000 samples x 100 one-state nets = 10^5 pairs per epsilon; the
+        # grid adds epsilons equal to computed pair distances, which put
+        # pairs on the edge itself
+        points = haar_states(d, 1000, rng=5200 + d)
+        net = haar_states(d, 100, rng=5300 + d)
+        lifted_points, lifted_net = _lift(points), _lift(net)
+        ties = _min_distances(points[:5], net[:1])
+        for eps in [0.05, 0.3, 0.7, 1.0, 1.3, math.sqrt(2.0), 1.5, *ties]:
+            for k in range(len(net)):
+                one = slice(k, k + 1)
+                got = _far(points, net[one], eps, (lifted_points, lifted_net[one]))
+                assert np.array_equal(got, _min_distances(points, net[one]) >= eps)
+
+    @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
+    def test_edge_is_decided_exactly(self, d, monkeypatch):
+        # points at |<phi|psi>| = 1 - eps^2/2 sit on the lifted edge, so the
+        # exact check decides them; points off the edge never call it
+        eps = 0.6
+        t = 1.0 - eps * eps / 2.0
+        phi = haar_states(d, 1, rng=5500 + d)
+        others = haar_states(d, 64, rng=5600 + d)
+        perp = others - (others @ phi[0].conj())[:, None] * phi
+        perp /= np.linalg.norm(perp, axis=1, keepdims=True)
+        phase = np.exp(2j * np.pi * np.random.default_rng(d).uniform(size=(64, 1)))
+        points = phase * (t * phi + math.sqrt(1.0 - t * t) * perp)
+        want = _min_distances(points, phi) >= eps
+        calls = []
+
+        def counted(p, n):
+            calls.append(len(p))
+            return _min_distances(p, n)
+
+        monkeypatch.setattr(minimum, "_min_distances", counted)
+        got = _far(points, phi, eps, (_lift(points), _lift(phi)))
+        assert np.array_equal(got, want)
+        assert calls == [64]  # once, on all the points
+        calls.clear()
+        _far(points, phi, 0.5, (_lift(points), _lift(phi)))
+        _far(others, phi, eps, (_lift(others), _lift(phi)))
+        assert calls == []
 
 
 class TestNetMinimum:

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -262,6 +263,26 @@ class TestNetSerialization:
         data["states"][0] = [[1.0, 0.0]]
         with pytest.raises(ValueError, match=r"states\[0\]"):
             net_from_dict(data)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "7", -3, 2**70], ids=repr)
+    def test_bad_seed_refused(self, seed):
+        # a seed that as_rng_spec would refuse, or that int() would coerce
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
+        data["seed"] = seed
+        message = f"field 'seed': expected an integer in [0, 2**64), got {seed!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            net_from_dict(data)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, tmp_path, seed):
+        data = _text_round_trip(build_net(2, 0.9, rng=5))
+        data["seed"] = seed
+        net = net_from_dict(data)
+        assert net.seed == seed and type(net.seed) is int
+        path = tmp_path / "net.json"
+        write_json(path, data)
+        write_json(tmp_path / "again.json", net)
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_later_bad_state_named(self):
         data = _text_round_trip(build_net(2, 0.7, rng=5))
