@@ -9,12 +9,16 @@ reference_minimum at the first VALUE_JOBS job seeds of every entry of
 SEEDS (perfbench's job_seed), so the two trees' reference values can be
 compared where perfbench only shows differing sha256.
 
-Chunk scan: in a fresh interpreter on this tree's src/, with BLAS pinned
-to one thread as the CLI pins it, one 256-sample chunk is decided against
-a SCAN_NET-state net at each d in SCAN_DIMS by both routes of
-minimum._far: _min_distances (np.abs of the complex overlap) and the real
-Gram matrix of lifted states, the chunk's lift included. Each time is the
-median of SCAN_REPEATS runs; the table backs minimum.LIFT_MAX_DIM.
+Scan routes: in a fresh interpreter on this tree's src/, with BLAS
+pinned to one thread as the CLI pins it, both routes of the net scan,
+_min_distances (np.abs of the complex overlap) and minimum._far (the real
+Gram matrix of lifted states), are timed two ways. Chunk scan: one
+256-sample chunk against a SCAN_NET-state net at each d in SCAN_DIMS, the
+chunk's lift included, the median of SCAN_REPEATS runs. Net build: whole
+build_net calls at each (d, epsilon) of NET_BUILDS, forced onto each
+route through minimum.LIFT_MAX_DIM, the median of REPEATS runs, with the
+tracemalloc peak of one more run; both routes must give the same net.
+The two tables back minimum.LIFT_MAX_DIM.
 
 End to end: for each of the four workloads and each seed in SEEDS, one
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` run per
@@ -27,8 +31,6 @@ job_s on min-search.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_minimum.py --baseline /tmp/parent
-
-With --scan-only it prints the chunk-scan table and writes nothing.
 """
 
 import argparse
@@ -54,6 +56,11 @@ VALUE_SEEDS = [job_seed(s, k) for s in SEEDS for k in range(VALUE_JOBS)]
 SCAN_DIMS = (2, 3, 4, 6, 8, 12, 16)
 SCAN_NET = 1500
 SCAN_REPEATS = 41
+# min-search's net, large and small nets up to the last lifted d, then
+# nets above it: at larger d only an epsilon near sqrt(2) keeps a net
+# within the 2000-state budget
+NET_BUILDS = ((3, 0.2), (4, 0.6), (6, 0.6), (8, 0.7), (8, 0.9), (12, 1.0), (16, 1.2),
+              (64, 1.36), (256, 1.405))
 OUT = ROOT / "BENCH_minimum.json"
 
 
@@ -79,22 +86,25 @@ def layers() -> dict:
     }
 
 
-def scan_table() -> dict:
-    """Both routes of one chunk scan per d, at one BLAS thread."""
+def scan_tables() -> dict:
+    """Both routes of the net scan, per chunk and per build_net, at one BLAS thread."""
     from gatefid._blas import pin_single_thread
-    from gatefid.minimum import _DISTANCE_CHUNK, LIFT_MAX_DIM, _far, _lift
-    from gatefid.sampling import haar_states
 
     pin_single_thread()
+    return {"chunk_scan": chunk_scan(), "net_build": net_build()}
+
+
+def chunk_scan() -> dict:
+    from gatefid.minimum import _DISTANCE_CHUNK, LIFT_MAX_DIM, _far, _lift, _min_distances
+    from gatefid.sampling import haar_states
+
     rows = []
     for d in SCAN_DIMS:
         net = haar_states(d, SCAN_NET, rng=d)
         chunk = haar_states(d, _DISTANCE_CHUNK, rng=1000 + d)
         lifted_net = _lift(net)
-        exact_s, exact = _median_time(lambda: _far(chunk, net, NET_EPS), SCAN_REPEATS)
-        lift_s, lifted = _median_time(
-            lambda: _far(chunk, net, NET_EPS, (_lift(chunk), lifted_net)), SCAN_REPEATS
-        )
+        exact_s, exact = _median_time(lambda: _min_distances(chunk, net) >= NET_EPS, SCAN_REPEATS)
+        lift_s, lifted = _median_time(lambda: _far(chunk, net, lifted_net, NET_EPS), SCAN_REPEATS)
         if not (exact == lifted).all():
             raise RuntimeError(f"the two routes decide differently at d={d}")
         rows.append({
@@ -107,6 +117,39 @@ def scan_table() -> dict:
     return {
         "inputs": f"one {_DISTANCE_CHUNK}-sample chunk against a {SCAN_NET}-state net, "
                   f"epsilon {NET_EPS}; lift_ms includes lifting the chunk",
+        "blas_threads": blas_threads(),
+        "rows": rows,
+    }
+
+
+def net_build() -> dict:
+    import tracemalloc
+
+    from gatefid import minimum
+
+    limit = minimum.LIFT_MAX_DIM
+    rows = []
+    for d, eps in NET_BUILDS:
+        row = {"d": d, "epsilon": eps, "lifted_in_grow": d <= limit}
+        nets = set()
+        for route, lift_max in (("abs", d - 1), ("lift", d)):
+            minimum.LIFT_MAX_DIM = lift_max
+            seconds, net = _median_time(lambda: minimum.build_net(d, eps, rng=1), REPEATS)
+            tracemalloc.start()
+            minimum.build_net(d, eps, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            row[f"{route}_s"] = round(seconds, 5)
+            row[f"{route}_peak_mb"] = round(peak / 2**20, 2)
+            nets.add(net.states.tobytes())
+        minimum.LIFT_MAX_DIM = limit
+        if len(nets) != 1:
+            raise RuntimeError(f"the two routes build different nets at d={d}")
+        row["states"] = len(net.states)
+        rows.append(row)
+    return {
+        "inputs": "build_net(d, epsilon, rng=1) with each route forced; peak_mb is the "
+                  "tracemalloc peak of one build",
         "blas_threads": blas_threads(),
         "rows": rows,
     }
@@ -221,14 +264,14 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
     ap.add_argument("--layers-only", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--scan-only", action="store_true", help="print the chunk-scan table")
+    ap.add_argument("--scan-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.layers_only:
         print(json.dumps(layers()))
         return
     if args.scan_only:
-        print(json.dumps(scan_table()))
+        print(json.dumps(scan_tables()))
         return
     if args.baseline is None:
         ap.error("--baseline is required")
@@ -236,9 +279,13 @@ def main() -> None:
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
     layer = {side: run_fresh(tree, "--layers-only") for side, tree in trees.items()}
     scan = run_fresh(ROOT, "--scan-only")
-    for row in scan["rows"]:
+    for row in scan["chunk_scan"]["rows"]:
         print(f"chunk scan d={row['d']}: np.abs {row['abs_ms']} ms, lift {row['lift_ms']} ms",
               flush=True)
+    for row in scan["net_build"]["rows"]:
+        print(f"net build d={row['d']} eps={row['epsilon']}: "
+              f"np.abs {row['abs_s']} s {row['abs_peak_mb']} MB, "
+              f"lift {row['lift_s']} s {row['lift_peak_mb']} MB", flush=True)
     ref_diff = max(
         abs(layer["parent"]["reference_values"][s] - layer["change"]["reference_values"][s])
         for s in layer["parent"]["reference_values"]
@@ -260,7 +307,7 @@ def main() -> None:
             **{side: {k: v for k, v in layer[side].items() if k != "reference_values"}
                for side in trees},
         },
-        "chunk_scan": scan,
+        **scan,
         "reference_values": {
             "job_seeds": len(VALUE_SEEDS),
             "max_abs_diff": ref_diff,

@@ -64,13 +64,16 @@ class StateNet:
 # matrix stays a few MB however large the net grows
 _DISTANCE_CHUNK = 256
 
-# _grow scans the net through _lift only up to this dimension. One chunk
-# of 256 samples against a 1500-state net at 1 BLAS thread, its lift
-# included (scripts/bench_minimum.py, chunk_scan in BENCH_minimum.json),
-# takes 0.69 ms lifted against 2.16 ms through np.abs at d = 2, 1.89
-# against 2.49 ms at d = 8 and 3.15 against 2.73 ms at d = 12: the real
-# GEMM grows as d^4 where the complex one grows as d^2. At d = 8 a lifted
-# chunk holds 128 kB and a lifted 2000-state net 1 MB.
+# _grow scans the net through _lift only up to this dimension. Whole
+# builds at one BLAS thread (scripts/bench_minimum.py, net_build in
+# BENCH_minimum.json), np.abs against lift: build_net(3, 0.2), 1587
+# states, 210 against 117 ms; build_net(8, 0.7), 1312 states, 171 against
+# 142 ms; a small net pays for lifting each chunk: build_net(8, 0.9), 86
+# states, 9.2 against 10.3 ms. Above d = 8 the real GEMM, whose work per
+# pair of states grows as d^2 where the complex one grows as d, lost on
+# every net measured: 10 against 12 ms at d = 12, 28 against 118 ms at
+# d = 64, and 0.13 against 1.4 s at d = 256, where the build peaked at
+# 402 MB against 33 MB. A lifted row is d^2 doubles, 2 GiB at d = 16384.
 LIFT_MAX_DIM = 8
 
 # a lifted maximum this close to the threshold is decided by _min_distances;
@@ -100,22 +103,17 @@ def _lift(states: np.ndarray) -> np.ndarray:
     return np.concatenate((states.real**2 + states.imag**2, cross.real, cross.imag), axis=1)
 
 
-def _far(points: np.ndarray, net: np.ndarray, epsilon: float, lifted=None) -> np.ndarray:
-    """Mask of the points epsilon or more from every net state.
+def _far(points: np.ndarray, net: np.ndarray, lifted_net: np.ndarray, epsilon: float):
+    """_min_distances(points, net) >= epsilon, bit for bit, through the lift.
 
-    Always _min_distances(points, net) >= epsilon. lifted, the pair
-    (_lift(points), _lift(net)), decides instead by the real Gram matrix:
-    a point is far when its largest squared overlap lies below
-    (1 - epsilon^2/2)^2, signed so that epsilon^2 > 2 leaves no point far.
-    Maxima within _LIFT_MARGIN of that edge are decided by _min_distances,
-    so the mask is the one it gives, bit for bit.
+    lifted_net is _lift(net). A point is far when its largest squared
+    overlap, a row max of the real Gram matrix, lies below (1 - epsilon^2/2)^2,
+    signed so that epsilon^2 > 2 leaves no point far. Maxima within
+    _LIFT_MARGIN of that edge are decided by _min_distances.
     """
-    if lifted is None:
-        return _min_distances(points, net) >= epsilon
-    lifted_points, lifted_net = lifted
     edge = 1.0 - 0.5 * float(epsilon) * float(epsilon)
     edge *= abs(edge)
-    best = (lifted_points @ lifted_net.T).max(axis=1)
+    best = (_lift(points) @ lifted_net.T).max(axis=1)
     far = best < edge
     near = np.flatnonzero(np.abs(best - edge) <= _LIFT_MARGIN)
     if len(near):
@@ -125,12 +123,10 @@ def _far(points: np.ndarray, net: np.ndarray, epsilon: float, lifted=None) -> np
     return far
 
 
-def _with_room(net: np.ndarray, n: int, cap: int) -> np.ndarray:
-    """net if row n fits, else a copy of its n rows with doubled capacity, at most cap."""
-    if n < len(net):
-        return net
-    grown = np.empty((min(2 * len(net), cap), net.shape[1]), dtype=net.dtype)
-    grown[:n] = net[:n]
+def _regrown(buf: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """A new buffer of rows rows holding the first n rows of buf."""
+    grown = np.empty((rows, buf.shape[1]), dtype=buf.dtype)
+    grown[:n] = buf[:n]
     return grown
 
 
@@ -143,14 +139,13 @@ def _grow(
     states added earlier in the same block included; the pass ends after
     stop samples in a row were not added, counted across blocks. Returns
     the buffer and its row count. A net past cap - 1 states raises
-    NetCoverageError naming the phase. Up to LIFT_MAX_DIM the net is also
-    kept lifted, each chunk is lifted once, and _far decides through them.
+    NetCoverageError naming the phase.
     """
     d = net.shape[1]
-    lifted = None
-    if d <= LIFT_MAX_DIM:
-        lifted = np.empty((len(net), d * d))
-        lifted[:n] = _lift(net[:n])
+    # up to LIFT_MAX_DIM, the net's first `lifted_n` states, lifted; it
+    # catches up before each chunk scan and has the net buffer's capacity
+    lifted = np.empty((0, d * d))
+    lifted_n = 0
     misses = 0
     block = 0
     while misses < stop:
@@ -158,31 +153,31 @@ def _grow(
         block += 1
         for start in range(0, len(samples), _DISTANCE_CHUNK):
             chunk = samples[start : start + _DISTANCE_CHUNK]
-            lifted_chunk = None if lifted is None else _lift(chunk)
             # a sample is added when it is epsilon away from the net as it
             # stood before this chunk and from the states this chunk added
             base = n
-            if n:
-                pair = None if lifted is None else (lifted_chunk, lifted[:n])
-                survivors = np.flatnonzero(_far(chunk, net[:n], epsilon, pair)).tolist()
-            else:
+            if not n:
                 survivors = range(len(chunk))
+            elif d > LIFT_MAX_DIM:
+                survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
+            else:
+                if len(lifted) < n:
+                    lifted = _regrown(lifted, lifted_n, len(net))
+                lifted[lifted_n:n] = _lift(net[lifted_n:n])
+                lifted_n = n
+                survivors = np.flatnonzero(_far(chunk, net[:n], lifted[:n], epsilon)).tolist()
             last = -1
             for i in survivors:
                 misses += i - last - 1  # the samples between survivors
                 last = i
                 if misses >= stop:
                     break
-                if n > base:
-                    pair = None if lifted is None else (lifted_chunk[i : i + 1], lifted[base:n])
-                    if not _far(chunk[i : i + 1], net[base:n], epsilon, pair)[0]:
-                        misses += 1
-                        continue
-                net = _with_room(net, n, cap)
+                if n > base and _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon:
+                    misses += 1
+                    continue
+                if n == len(net):
+                    net = _regrown(net, n, min(2 * len(net), cap))
                 net[n] = chunk[i]
-                if lifted is not None:
-                    lifted = _with_room(lifted, n, cap)
-                    lifted[n] = lifted_chunk[i]
                 n += 1
                 misses = 0
                 if n >= cap:

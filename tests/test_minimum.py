@@ -262,8 +262,9 @@ class TestBuildNetOracle:
             assert len(build_net(d, eps, rng=seed).states) == 1
 
     def test_lifted_buffers_double(self):
-        # 743 states take both buffers 256 -> 512 -> 1024 rows; a 600-state
-        # budget caps the second doubling at 601 rows
+        # 743 states take the net buffer 256 -> 512 -> 1024 rows and the
+        # lifted one after it; a 600-state budget caps the second doubling
+        # at 601 rows
         _assert_matches_reference(2, 0.05, 7)
         assert len(build_net(2, 0.05, rng=7).states) == 743
         with pytest.raises(NetCoverageError, match="^packing exceeded the 600-state"):
@@ -294,12 +295,12 @@ class TestLiftedScan:
         # pairs on the edge itself
         points = haar_states(d, 1000, rng=5200 + d)
         net = haar_states(d, 100, rng=5300 + d)
-        lifted_points, lifted_net = _lift(points), _lift(net)
+        lifted_net = _lift(net)
         ties = _min_distances(points[:5], net[:1])
         for eps in [0.05, 0.3, 0.7, 1.0, 1.3, math.sqrt(2.0), 1.5, *ties]:
             for k in range(len(net)):
                 one = slice(k, k + 1)
-                got = _far(points, net[one], eps, (lifted_points, lifted_net[one]))
+                got = _far(points, net[one], lifted_net[one], eps)
                 assert np.array_equal(got, _min_distances(points, net[one]) >= eps)
 
     @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
@@ -322,12 +323,12 @@ class TestLiftedScan:
             return _min_distances(p, n)
 
         monkeypatch.setattr(minimum, "_min_distances", counted)
-        got = _far(points, phi, eps, (_lift(points), _lift(phi)))
+        got = _far(points, phi, _lift(phi), eps)
         assert np.array_equal(got, want)
         assert calls == [64]  # once, on all the points
         calls.clear()
-        _far(points, phi, 0.5, (_lift(points), _lift(phi)))
-        _far(others, phi, eps, (_lift(others), _lift(phi)))
+        _far(points, phi, _lift(phi), 0.5)
+        _far(others, phi, _lift(phi), eps)
         assert calls == []
 
 
