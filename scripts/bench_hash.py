@@ -1,0 +1,239 @@
+#!/usr/bin/env python3
+"""Time the input hash and read before and after a change, then end to end.
+
+Layers, on the inputs of the stats-lowrank workload (its rank-4 random
+channel at d = 256, written once by the workload's setup to an 11.9 MB
+file that both trees read): canonical_hash of the inputs `fidelity stats` hashes, and
+load_operator of the file. Each is the median of REPEATS runs after one
+warm-up, in a fresh interpreter against each tree's src/ with BLAS
+pinned to one thread as the CLI pins it.
+
+Artifacts: in a fresh interpreter against each tree, every CLI command
+runs once on fixed small inputs, and every benchmark workload runs
+ARTIFACT_JOBS jobs at ARTIFACT_SEED. Each artifact's bytes are compared
+between the trees twice: as they are, and with the value of every
+inputs_hash and p_or_channel_hash field set aside. The hash values that
+move are listed with their old and new digests.
+
+End to end: paired `perfbench/run.py --trace 0` runs of all four
+workloads, as scripts/bench_minimum.py makes them (its paired_runs and
+job_s_claim). Medians, inclusive quartiles and per-pair wins of setup_s,
+job_s and peak_rss_mb go to BENCH_hash.json with the machine fingerprint
+(core count, BLAS name and BLAS thread count); the claim is job_s on
+stats-lowrank.
+
+    git archive --prefix=parent/ PARENT | tar -x -C /tmp
+    PYTHONPATH=src python3 scripts/bench_hash.py --baseline /tmp/parent
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_kernel import ROOT, _median_time
+from bench_minimum import WORKLOADS, job_s_claim, paired_runs
+from child import blas_threads, fingerprint, run_job  # bench_kernel put perfbench/ on sys.path
+from workloads import STATS_D, STATS_N, STATS_RANK
+from workloads import WORKLOADS as SPECS
+
+STATS_SEED = 1
+SEEDS = range(71, 81)
+REPEATS = 7
+ARTIFACT_SEED, ARTIFACT_JOBS = 5, 2
+HASH_FIELD = re.compile(rb'"(inputs_hash|p_or_channel_hash)":"([0-9a-f]{64})"')
+OUT = ROOT / "BENCH_hash.json"
+
+# Every CLI command once, on inputs the commands before it write.
+CLI_COMMANDS = (
+    ("channel make-depolarizing", "channel make-depolarizing --p 0.5 --d 2 --out dep2.json"),
+    ("channel make-depolarizing d=4",
+     "channel make-depolarizing --p 0.5 --d 4 --out dep4.json"),
+    ("channel validate", "channel validate --channel dep2.json --out validate.json"),
+    ("channel convert", "channel convert --channel dep2.json --to choi --out choi2.json"),
+    ("channel validate (choi)", "channel validate --channel choi2.json --out validate-choi.json"),
+    ("fidelity point", "fidelity point --channel dep2.json --unitary x.json --out point.json"),
+    ("fidelity avg", "fidelity avg --channel dep2.json --out avg.json"),
+    ("fidelity avg --p --d", "fidelity avg --p 0.9 --d 2 --out avg-pd.json"),
+    ("fidelity stats",
+     "fidelity stats --channel dep2.json --n 1000 --seed 1 --threads 1 --out stats.json"),
+    ("bounds variance", "bounds variance --d 8 --out variance.json"),
+    ("bounds levy", "bounds levy --d 8 --eps 0.1 --out levy.json"),
+    ("nonuniq construct", "nonuniq construct --d 4 --p 0.5 --n 100 --seed 1 --out twin.json"),
+    ("nonuniq construct --channel",
+     "nonuniq construct --channel dep4.json --n 100 --seed 1 --out twin-channel.json"),
+    ("nonuniq verify", "nonuniq verify --q q.json --r r.json --n 100 --seed 1 --out verify.json"),
+    ("min net-build", "min net-build --d 2 --eps 0.7 --seed 3 --out net.json"),
+    ("min net-min", "min net-min --channel dep2.json --net net.json --out netmin.json"),
+    ("min effective", "min effective --avg 0.99 --q 0.01 --d 1024 --out effective.json"),
+    ("min reference",
+     "min reference --channel dep2.json --starts 2 --seed 1 --out reference.json"),
+    ("report convergence",
+     "report convergence --d-list 2,4 --n 500 --seed 1 --threads 1 --out conv.csv"),
+)
+
+
+def layers(channel_path: Path) -> dict:
+    """Hash and read times of the gatefid found on sys.path, BLAS at one thread."""
+    from gatefid import _blas, cli, serialize
+
+    _blas.pin_single_thread()
+    read_s, ch = _median_time(lambda: serialize.load_operator(channel_path), REPEATS)
+    # the inputs `fidelity stats --channel FILE --n STATS_N` hashes
+    inputs = cli._channel_inputs(ch, None, {"n": STATS_N})
+    hash_s, digest = _median_time(lambda: serialize.canonical_hash(inputs), REPEATS)
+    return {
+        "canonical_hash_s": round(hash_s, 6),
+        "load_operator_s": round(read_s, 6),
+        "inputs_hash": digest,
+        "blas_threads": blas_threads(),
+    }
+
+
+def _digests(path: Path) -> dict:
+    data = path.read_bytes()
+    return {
+        "sha256": hashlib.sha256(data).hexdigest(),
+        "hashes_aside_sha256": hashlib.sha256(HASH_FIELD.sub(rb'"\1":""', data)).hexdigest(),
+        "hash_fields": [m.group(2).decode() for m in HASH_FIELD.finditer(data)],
+    }
+
+
+def artifacts(workdir: Path) -> dict:
+    """Artifact digests of every CLI command and every workload, of the gatefid on sys.path."""
+    import numpy as np
+
+    from gatefid import cli, serialize
+
+    out = {}
+    cli_dir = workdir / "cli"
+    cli_dir.mkdir()
+    serialize.write_json(cli_dir / "x.json", {"unitary": np.array([[0, 1], [1, 0]], complex)})
+    for label, command in CLI_COMMANDS:
+        argv = command.split()
+        argv = [str(cli_dir / a) if a.endswith((".json", ".csv")) else a for a in argv]
+        code = cli.main(argv)
+        artifact = Path(argv[-1])
+        out[f"cli {label}"] = {"exit": code, **_digests(artifact)}
+        if label == "nonuniq construct":
+            cert = serialize.read_json(artifact)
+            for side in ("q", "r"):
+                serialize.write_json(cli_dir / f"{side}.json", cert[side])
+    for name, workload in sorted(SPECS.items()):
+        job_dir = workdir / name
+        job_dir.mkdir()
+        workload.setup(job_dir, ARTIFACT_SEED)
+        for job in range(ARTIFACT_JOBS):
+            codes = run_job(workload, job_dir, ARTIFACT_SEED, job)["codes"]
+            for artifact in workload.artifacts:
+                out[f"{name} job {job} {artifact}"] = {
+                    "exit": codes, **_digests(job_dir / artifact)
+                }
+    return out
+
+
+def compare_digests(parent: dict, change: dict) -> dict:
+    rows = {}
+    for key in parent:
+        a, b = parent[key], change[key]
+        row = {
+            "exit_equal": a["exit"] == b["exit"],
+            "bytes_equal": a["sha256"] == b["sha256"],
+            "bytes_equal_hashes_aside": a["hashes_aside_sha256"] == b["hashes_aside_sha256"],
+        }
+        if a["hash_fields"] != b["hash_fields"]:
+            row["hash_moves"] = [
+                {"parent": old, "change": new} for old, new in zip(a["hash_fields"],
+                                                                   b["hash_fields"])
+            ]
+        rows[key] = row
+    return {
+        "all_equal_hashes_aside": all(
+            r["exit_equal"] and r["bytes_equal_hashes_aside"] for r in rows.values()
+        ),
+        "bytes_equal": sorted(k for k, r in rows.items() if r["bytes_equal"]),
+        "only_hashes_differ": {k: r.get("hash_moves") for k, r in rows.items()
+                               if not r["bytes_equal"] and r["bytes_equal_hashes_aside"]},
+        "other_differences": sorted(k for k, r in rows.items()
+                                    if not (r["exit_equal"] and r["bytes_equal_hashes_aside"])),
+    }
+
+
+def run_fresh(tree: Path, *flags) -> dict:
+    """The JSON line that this script prints under flags, run on tree's src/."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    cmd = [sys.executable, __file__, *map(str, flags)]
+    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--layers-only", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--artifacts-only", type=Path, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+
+    if args.layers_only:
+        print(json.dumps(layers(args.layers_only)))
+        return
+    if args.artifacts_only:
+        print(json.dumps(artifacts(args.artifacts_only)))
+        return
+    if args.baseline is None:
+        ap.error("--baseline is required")
+
+    trees = {"parent": args.baseline.resolve(), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-hash-") as tmp:
+        SPECS["stats-lowrank"].setup(Path(tmp), STATS_SEED)
+        channel_path = Path(tmp) / "channel.json"
+        channel_bytes = channel_path.stat().st_size
+        layer = {side: run_fresh(tree, "--layers-only", channel_path)
+                 for side, tree in trees.items()}
+        produced = {}
+        for side, tree in trees.items():
+            workdir = Path(tmp) / side
+            workdir.mkdir()
+            produced[side] = run_fresh(tree, "--artifacts-only", workdir)
+    for side in trees:
+        print(f"{side}: {layer[side]}", flush=True)
+    compared = compare_digests(produced["parent"], produced["change"])
+    print(f"artifacts equal with hashes set aside: {compared['all_equal_hashes_aside']}; "
+          f"differing otherwise: {compared['other_differences']}", flush=True)
+
+    end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
+    perfbench_sha256 = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
+    claim = job_s_claim(end_to_end["stats-lowrank"], "stats-lowrank")
+    claim["median_fall"] = round(-claim["median_diff_s"] / claim["parent_median_s"], 4)
+    record = {
+        "topic": "hash",
+        "harness": "PYTHONPATH=src python3 scripts/bench_hash.py --baseline PARENT",
+        "machine": fingerprint(),
+        "layers": {
+            "inputs": f"random_channel({STATS_D}, {STATS_RANK}, {STATS_SEED}) written to a "
+                      f"{channel_bytes} byte file; canonical_hash of the inputs of "
+                      f"`fidelity stats --n {STATS_N}`",
+            **layer,
+        },
+        "artifacts": {
+            "cli_inputs": "dep2.json = depolarizing(0.5, 2), dep4.json = depolarizing(0.5, 4), "
+                          "x.json = Pauli X, net.json = net-build --d 2 --eps 0.7 --seed 3",
+            "workload_seed": ARTIFACT_SEED,
+            "workload_jobs": ARTIFACT_JOBS,
+            **compared,
+        },
+        "end_to_end": end_to_end,
+        "perfbench_artifact_sha256": perfbench_sha256,
+        "claim": claim,
+    }
+    OUT.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {OUT}")
+
+
+if __name__ == "__main__":
+    main()

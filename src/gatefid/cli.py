@@ -307,7 +307,8 @@ def _cmd_min_net_min(args):
     u = _load_unitary(args)
     net = serialize.net_from_dict(serialize.read_json(args.net_path))
     est = net_minimum(ch, u, net)
-    inputs = _channel_inputs(ch, u, {"net_seed": net.seed, "net_size": len(net.states)})
+    net_inputs = {"states": net.states, "epsilon": net.epsilon, "seed": net.seed}
+    inputs = _channel_inputs(ch, u, {"net": net_inputs})
     payload = _record("net_minimum", est, ch.dim_in, inputs)
     summary = (
         f"net minimum {est.net_min:.9g}, lipschitz lower bound "

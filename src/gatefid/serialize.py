@@ -11,6 +11,11 @@ dataclass instance) is written as a JSON object of its fields in
 declaration order, so the dataclass is the one statement of its
 artifact's keys.
 
+canonical_hash digests the same canonical JSON, except that each complex
+array stands as {"dtype":"complex128","shape":[...],"sha256":"<hex>"},
+the hex being the sha256 of its C-order little-endian complex128 bytes:
+an array is hashed at the cost of its bytes, not of its decimal text.
+
 Channel, state and net files must hold finite numbers. JSON readers
 accept NaN and Infinity tokens, so a non-finite entry is refused at read
 time with a ValueError naming the field and the entry.
@@ -87,15 +92,21 @@ def _classed_text(floats: np.ndarray, integral: np.ndarray) -> str:
     return template % tuple(floats[~zero].tolist())
 
 
-def _complex_array_text(arr: np.ndarray) -> str:
-    """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
+def _finite_floats(arr: np.ndarray) -> np.ndarray:
+    """A complex array's C-order little-endian float64 view, refused if not finite."""
     if arr.ndim == 0:
         raise TypeError("cannot serialize a 0-d complex array")
-    floats = np.ascontiguousarray(arr, dtype=np.complex128).view(np.float64)
+    floats = np.ascontiguousarray(arr, dtype="<c16").view("<f8")
     finite = np.isfinite(floats)
     if not finite.all():
         bad = float(floats[~finite][0])
         raise ValueError(f"cannot serialize non-finite float {bad!r}")
+    return floats
+
+
+def _complex_array_text(arr: np.ndarray) -> str:
+    """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
+    floats = _finite_floats(arr)
     # "%.17g" writes a bare integer exactly for integral |x| < 1e17
     integral = (np.trunc(floats) == floats) & (np.abs(floats) < 1e17)
     if integral.any():
@@ -104,7 +115,15 @@ def _complex_array_text(arr: np.ndarray) -> str:
     return _pairs_text(floats, row)
 
 
-def _emit(obj, out: list) -> None:
+def _array_digest(arr: np.ndarray) -> str:
+    """The canonical JSON that stands for a complex array in canonical_hash."""
+    digest = hashlib.sha256(_finite_floats(arr)).hexdigest()
+    shape = ",".join(str(n) for n in arr.shape)
+    return f'{{"dtype":"complex128","shape":[{shape}],"sha256":"{digest}"}}'
+
+
+def _emit(obj, out: list, array) -> None:
+    # array: the text that stands for a complex ndarray
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -116,13 +135,13 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
-        out.append(_complex_array_text(obj))
+        out.append(array(obj))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(item, out)
+            _emit(item, out, array)
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
@@ -133,11 +152,11 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             out.append(json.dumps(key))
             out.append(":")
-            _emit(value, out)
+            _emit(value, out, array)
         out.append("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # the field order is the artifact's key order
-        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out)
+        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, array)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -150,13 +169,20 @@ def dumps_canonical(obj) -> str:
     object of its fields in declaration order.
     """
     out: list = []
-    _emit(obj, out)
+    _emit(obj, out, _complex_array_text)
     return "".join(out)
 
 
 def canonical_hash(obj) -> str:
-    """sha256 over the canonical serialization, as a hex digest."""
-    return hashlib.sha256(dumps_canonical(obj).encode("utf-8")).hexdigest()
+    """sha256 of the canonical JSON, as a hex digest.
+
+    Each complex numpy array enters as {"dtype":"complex128","shape":[...],
+    "sha256":"<hex of its C-order little-endian bytes>"}, so its layout,
+    byte order and decimal text do not matter, and a signed zero does.
+    """
+    out: list = []
+    _emit(obj, out, _array_digest)
+    return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
 
 
 def write_json(path, obj) -> None:
@@ -252,7 +278,12 @@ def _seed(data: dict) -> int:
 
 def _finite_float(data: dict, field: str) -> float:
     value = _require(data, field)
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
+    # a JSON true is a bool, not a number; an int past float range overflows
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:
+        finite = False
+    if not finite:
         raise ValueError(f"field {field!r}: expected a finite number, got {value!r}")
     return float(value)
 

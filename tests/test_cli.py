@@ -1,4 +1,6 @@
+import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -373,6 +375,24 @@ class TestMinCommands:
         assert abs(est["net_min"] - 0.85) < 1e-9
         assert est["method"] == "net-scan"
 
+    def test_net_min_hash_covers_the_net(self, tmp_path):
+        net_path = tmp_path / "net.json"
+        assert main(["min", "net-build", "--d", "2", "--eps", "0.7", "--seed", "3",
+                     "--out", str(net_path)]) == 0
+        data = serialize.read_json(net_path)
+
+        def inputs_hash(net_data):
+            serialize.write_json(net_path, net_data)
+            out = tmp_path / "min.json"
+            assert main(["min", "net-min", "--p", "0.7", "--d", "2",
+                         "--net", str(net_path), "--out", str(out)]) == 0
+            return serialize.read_json(out)["inputs_hash"]
+
+        moved = json.loads(json.dumps(data))
+        moved["states"][0] = [[0.6, 0.0], [0.0, 0.8]]
+        variants = [data, {**data, "epsilon": 0.35}, moved, {**data, "seed": 4}]
+        assert len({inputs_hash(v) for v in variants}) == len(variants)
+
     def test_net_build_determinism(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["min", "net-build", "--d", "2", "--eps", "0.8", "--seed", "5"]
@@ -485,6 +505,15 @@ def _nested_pairs(m):
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
+def _digest_json(m):
+    """What stands for a complex array in inputs_hash, built with struct and hashlib."""
+    m = np.asarray(m)
+    raw = b"".join(struct.pack("<dd", z.real, z.imag) for z in m.flat)
+    shape = ",".join(str(n) for n in m.shape)
+    digest = hashlib.sha256(raw).hexdigest()
+    return f'{{"dtype":"complex128","shape":[{shape}],"sha256":"{digest}"}}'
+
+
 def _write_channel_with_entry(path, ch, op, i, j, value):
     """Channel file whose Kraus entry (i, j) of operator op has real part value.
 
@@ -542,13 +571,11 @@ class TestInputBoundary:
         assert main(["fidelity", "stats", "--channel", ch_path, "--unitary", str(u_path),
                      "--n", "500", "--out", str(out)]) == 0
         assert reads.count(str(u_path)) == 1
-        expected = serialize.canonical_hash({
-            "channel": {"dim_in": 2, "dim_out": 2,
-                        "kraus": [_nested_pairs(k) for k in ch.kraus]},
-            "unitary": _nested_pairs(u),
-            "n": 500,
-        })
-        assert real_read(out)["inputs_hash"] == expected
+        # recomputed without gatefid: each array enters as its shape and byte digest
+        kraus = ",".join(_digest_json(k) for k in ch.kraus)
+        text = (f'{{"channel":{{"dim_in":2,"dim_out":2,"kraus":[{kraus}]}},'
+                f'"unitary":{_digest_json(u)},"n":500}}')
+        assert real_read(out)["inputs_hash"] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_validate_reads_once_and_hashes_the_decoded_operator(self, tmp_path, monkeypatch):
         path = tmp_path / "ch.json"
@@ -572,11 +599,15 @@ class TestInputBoundary:
         decoded = QuantumChannel(1, 1, (np.array([[0.6 + 0j]]), np.array([[0.8j]])))
         expected = serialize.canonical_hash({"path_content": serialize.channel_to_dict(decoded)})
         assert real_read(out)["inputs_hash"] == expected
-        # a canonical file's hash is that of its parsed JSON, as before
-        for canonical in (kraus_path, str(choi_path)):
+        # a canonical file's hash is that of its decoded arrays, not of its pair lists
+        for canonical, field in ((kraus_path, "kraus"), (str(choi_path), "choi")):
             assert main(["channel", "validate", "--channel", canonical, "--out", str(out)]) == 0
             raw = json.loads(open(canonical, encoding="utf-8").read())
-            assert real_read(out)["inputs_hash"] == serialize.canonical_hash({"path_content": raw})
+            arrays = np.array(raw[field]).view(complex)[..., 0]
+            decoded = {**raw, field: list(arrays) if field == "kraus" else arrays}
+            got = real_read(out)["inputs_hash"]
+            assert got == serialize.canonical_hash({"path_content": decoded})
+            assert got != serialize.canonical_hash({"path_content": raw})
 
     @pytest.mark.parametrize("eps", ["inf", "nan"])
     @pytest.mark.parametrize(
@@ -668,6 +699,23 @@ class TestInputBoundary:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: field 'seed': expected an integer") and "1.5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["epsilon", "coverage_confidence"])
+    @pytest.mark.parametrize("value", [True, 10**400], ids=["true", "1e400-int"])
+    def test_net_scalar_that_is_no_float_refused(self, field, value, tmp_path, capsys):
+        net_path = tmp_path / "net.json"
+        assert main(["min", "net-build", "--d", "2", "--eps", "0.7",
+                     "--out", str(net_path)]) == 0
+        data = serialize.read_json(net_path)
+        data[field] = value
+        serialize.write_json(net_path, data)
+        out = tmp_path / "out.json"
+        code = main(["min", "net-min", "--p", "0.9", "--d", "2", "--net", str(net_path),
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: field '{field}': expected a finite number, got {value!r}")
         assert not out.exists()
 
 

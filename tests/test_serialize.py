@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -344,6 +345,15 @@ def _nested_pairs(m) -> list:
     return [_nested_pairs(row) for row in m]
 
 
+def _digest_json(m) -> str:
+    """What stands for a complex array in canonical_hash, built with struct and hashlib."""
+    m = np.asarray(m)
+    raw = b"".join(struct.pack("<dd", z.real, z.imag) for z in m.flat)
+    shape = ",".join(str(n) for n in m.shape)
+    digest = hashlib.sha256(raw).hexdigest()
+    return f'{{"dtype":"complex128","shape":[{shape}],"sha256":"{digest}"}}'
+
+
 def _same_bits(a, b) -> bool:
     a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -357,6 +367,45 @@ def _complex_arrays(min_dims, max_dims):
     return shapes.flatmap(
         lambda shape: hnp.arrays(np.float64, shape + (2,), elements=_finite)
     ).map(lambda pairs: pairs.view(complex)[..., 0])
+
+
+class TestArrayDigest:
+    """canonical_hash takes a complex array by its dtype, shape and bytes."""
+
+    @given(_complex_arrays(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_hash_is_sha256_of_digest_json(self, m):
+        expected = hashlib.sha256(f'{{"m":{_digest_json(m)}}}'.encode()).hexdigest()
+        assert canonical_hash({"m": m}) == expected
+
+    def test_layout_and_byte_order_do_not_matter(self):
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
+        wide = np.zeros((8, 15), dtype=complex)
+        wide[::2, ::3] = m
+        strided = wide[::2, ::3]
+        assert not strided.flags.c_contiguous
+        copies = [np.asfortranarray(m), strided, m.astype(">c16"), m.astype(complex)]
+        assert {canonical_hash(c) for c in copies} == {canonical_hash(m)}
+
+    def test_signed_zero_changes_the_hash(self):
+        m = np.array([[1.0, 0.0], [complex(0.0, -0.5), 1.0]])
+        flipped = m.copy()
+        flipped[0, 1] = complex(-0.0, 0.0)
+        assert np.array_equal(m, flipped)
+        assert canonical_hash(m) != canonical_hash(flipped)
+
+    def test_shape_changes_the_hash(self):
+        m = np.arange(16, dtype=float) + 0.5j
+        square, wide = m.reshape(4, 4), m.reshape(2, 8)
+        assert square.tobytes() == wide.tobytes()
+        assert canonical_hash(square) != canonical_hash(wide)
+
+    def test_non_finite_array_refused(self):
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            canonical_hash({"m": np.array([[1.0, complex(0.0, np.nan)]])})
+        with pytest.raises(ValueError, match="non-finite float -inf"):
+            canonical_hash([np.array([-np.inf + 0j])])
 
 
 class TestArrayCodec:
@@ -420,10 +469,14 @@ class TestArrayCodec:
         back = pairs_to_matrix(json.loads(text)["m"], "m")
         assert _same_bits(back, m)
 
-    def test_dict_helpers_hash_like_nested_lists(self):
+    def test_dict_helpers_hash_arrays_by_bytes(self):
         ch = depolarizing(0.3, 3)
+        kraus = ",".join(_digest_json(k) for k in ch.kraus)
+        text = f'{{"dim_in":3,"dim_out":3,"kraus":[{kraus}]}}'
+        assert canonical_hash(channel_to_dict(ch)) == hashlib.sha256(text.encode()).hexdigest()
+        # nested lists are not arrays: they are hashed by their decimal text
         nested = {"dim_in": 3, "dim_out": 3, "kraus": [_nested_pairs(k) for k in ch.kraus]}
-        assert canonical_hash(channel_to_dict(ch)) == canonical_hash(nested)
+        assert canonical_hash(channel_to_dict(ch)) != canonical_hash(nested)
         choi = choi_from_kraus(ch)
         assert dumps_canonical(choi_to_dict(choi)) == dumps_canonical(
             {"dim_in": 3, "dim_out": 3, "choi": _nested_pairs(choi.matrix)}
