@@ -32,7 +32,6 @@ from .fidelity import (
     depolarizing_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
-    phase_min_distance,
     symmetric_form,
     uses_symmetric_form,
     variance_bounds,

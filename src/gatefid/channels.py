@@ -242,7 +242,8 @@ def depolarizing(p: float, d: int) -> QuantumChannel:
     ops = [np.sqrt(p + (1.0 - p) / d**2) * basis[0]]
     w = np.sqrt(1.0 - p) / d
     ops.extend(w * b for b in basis[1:])
-    return channel_from_kraus(ops)
+    # the scaled operators are fresh complex arrays: no copy through channel_from_kraus
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(ops))
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:

@@ -311,19 +311,6 @@ def variance_bounds(d: int) -> FidelityBoundSet:
     )
 
 
-def phase_min_distance(phi: np.ndarray, psi: np.ndarray):
-    """Euclidean distance between pure states minimized over global phase.
-
-    min_c ||phi - c psi||_2 over unit scalars c, in closed form
-    sqrt(2 - 2 |<phi|psi>|). Accepts single vectors or (n, d) batches and
-    broadcasts rowwise.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    psi = np.asarray(psi, dtype=complex)
-    out = overlap_distance(np.abs(np.sum(phi.conj() * psi, axis=-1)))
-    return float(out) if out.ndim == 0 else out
-
-
 def overlap_distance(overlap):
     """Phase-minimized distance sqrt(2 - 2 |<phi|psi>|) from overlap moduli.
 

@@ -68,27 +68,22 @@ def build_g_operator(d: int) -> np.ndarray:
     return partial_transpose(s, d, d, factor="second")
 
 
-def max_epsilon(j_q: ChoiMatrix, g: np.ndarray) -> float:
+def max_epsilon(j_q: ChoiMatrix) -> float:
     """Largest perturbation strength keeping J(Q) + eps * j_g positive.
 
-    Equals lambda_min(J(Q)) / ||j_g||_inf, with both operators in the same
-    trace-d Choi normalization, which makes the ratio convention-free. Q
-    must be full rank; a singular Choi matrix admits no two-sided slack.
-    g is the direction j_g of build_g_operator(d), with J(Q) a d -> d Choi
-    matrix.
+    Equals lambda_min(J(Q)) / ||j_g||_inf, and ||j_g||_inf is 1 at every d
+    (the d = 4 block, embedded), so it is lambda_min(J(Q)) of the d -> d
+    Choi matrix. Q must be full rank; a singular Choi matrix admits no
+    two-sided slack.
     """
-    d = j_q.dim_in
-    if j_q.dim_out != d or np.shape(g) != (d * d, d * d):
-        raise ValueError(
-            f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, "
-            f"perturbation has shape {np.shape(g)}"
-        )
+    if j_q.dim_out != j_q.dim_in:
+        raise ValueError(f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, not d->d")
     lam_min = float(np.linalg.eigvalsh(_check_hermitian(j_q.matrix))[0])
     if lam_min <= FULL_RANK_TOL:
         raise ValueError(
             f"channel is not full rank: smallest Choi eigenvalue {lam_min:.3e}"
         )
-    return lam_min / schatten_norm(g, np.inf)
+    return lam_min
 
 
 @dataclass(frozen=True)
@@ -153,24 +148,23 @@ def verify_pair(
 def perturb_channel(
     q: QuantumChannel,
     eps: float | None = None,
-    g: np.ndarray | None = None,
+    *,
     n_verify: int = 10000,
     rng=DEFAULT_SEED,
 ) -> NonUniqPair:
     """Build R with Choi matrix J(Q) + eps * j_g and verify the pair.
 
     eps must lie in (0, max_epsilon] and defaults to max_epsilon, which
-    gives the most distinguishable partner; g defaults to
+    gives the most distinguishable partner; j_g is
     build_g_operator(q.dim_in). R is reconstructed through a fresh Kraus
     extraction so it is a bona fide channel, not just a Choi matrix.
     """
     if q.dim_in != q.dim_out:
         raise ValueError("the construction needs a square channel")
     _check_budget(8 * n_verify, f"array of {n_verify} fidelity samples")
-    if g is None:
-        g = build_g_operator(q.dim_in)
+    g = build_g_operator(q.dim_in)
     j_q = choi_from_kraus(q)
-    limit = max_epsilon(j_q, g)
+    limit = max_epsilon(j_q)
     if eps is None:
         eps = limit
     if not 0.0 < eps <= limit * (1.0 + 1e-12):

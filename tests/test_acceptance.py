@@ -25,7 +25,7 @@ from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
     gate_fidelity_batch,
-    phase_min_distance,
+    overlap_distance,
     variance_bounds,
 )
 from gatefid.minimum import (
@@ -96,9 +96,8 @@ def test_criterion_2_twin_pair_certificates():
     ok = True
     for d in (4, 5):
         q = depolarizing(0.5, d)
-        g = build_g_operator(d)
-        eps = max_epsilon(choi_from_kraus(q), g)
-        pair = perturb_channel(q, eps, g, n_verify=10_000, rng=300 + d)
+        eps = max_epsilon(choi_from_kraus(q))
+        pair = perturb_channel(q, eps, n_verify=10_000, rng=300 + d)
         v = pair.verification
         adj_dist = schatten_norm(
             choi_from_kraus(pair.r).matrix - choi_from_kraus(adjoint(q)).matrix, 2
@@ -194,7 +193,8 @@ def test_criterion_5_lipschitz_sweep():
             fa = fidelity_samples(ch, None, 10_000, rng=500 + 10 * d + i)
             fb = fidelity_samples(ch, None, 10_000, rng=600 + 10 * d + i)
             gap = np.abs(fa - fb)
-            allowed = LIPSCHITZ_CONSTANT * phase_min_distance(a, b) + 1e-12
+            dists = overlap_distance(np.abs(np.sum(a.conj() * b, axis=-1)))
+            allowed = LIPSCHITZ_CONSTANT * dists + 1e-12
             violations += int(np.sum(gap > allowed))
             pairs += 10_000
     ok = violations == 0
@@ -304,7 +304,7 @@ def test_choi_perturbation_stays_cptp_at_limit():
     q = depolarizing(0.5, 4)
     g = build_g_operator(4)
     j_q = choi_from_kraus(q)
-    eps = max_epsilon(j_q, g)
+    eps = max_epsilon(j_q)
     report = validate_cptp(ChoiMatrix(4, 4, j_q.matrix + eps * g), tol=1e-9)
     assert report.is_cp and report.is_tp
     assert abs(report.min_eigenvalue) < 1e-9

@@ -21,7 +21,7 @@ from gatefid.fidelity import (
     depolarizing_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
-    phase_min_distance,
+    overlap_distance,
     symmetric_form,
     uses_symmetric_form,
     variance_bounds,
@@ -463,27 +463,27 @@ class TestDistanceHelpers:
         rng = np.random.default_rng(86)
         phis = np.stack([_rand_state(rng, 3) for _ in range(50)])
         psis = np.stack([_rand_state(rng, 3) for _ in range(50)])
-        dist = phase_min_distance(phis, psis)
+        dist = overlap_distance(np.abs(np.sum(phis.conj() * psis, axis=-1)))
         assert np.all(dist >= 0.0)
         assert np.all(dist <= np.sqrt(2.0) + 1e-12)
 
     def test_phase_min_distance_zero_up_to_phase(self):
         rng = np.random.default_rng(87)
         phi = _rand_state(rng, 4)
-        assert phase_min_distance(phi, phi) < 1e-7
-        assert phase_min_distance(phi, np.exp(0.7j) * phi) < 1e-7
+        assert overlap_distance(abs(np.vdot(phi, phi))) < 1e-7
+        assert overlap_distance(abs(np.vdot(phi, np.exp(0.7j) * phi))) < 1e-7
 
     def test_phase_min_distance_orthogonal(self):
         e0 = np.array([1.0, 0.0])
         e1 = np.array([0.0, 1.0])
-        assert abs(phase_min_distance(e0, e1) - np.sqrt(2.0)) < 1e-12
+        assert abs(overlap_distance(abs(np.vdot(e0, e1))) - np.sqrt(2.0)) < 1e-12
 
     def test_beats_naive_distance(self):
         rng = np.random.default_rng(88)
         phi = _rand_state(rng, 3)
         psi = _rand_state(rng, 3)
         naive = np.linalg.norm(phi - psi)
-        assert phase_min_distance(phi, psi) <= naive + 1e-12
+        assert overlap_distance(abs(np.vdot(phi, psi))) <= naive + 1e-12
 
     def test_lipschitz_constant_value(self):
         assert abs(LIPSCHITZ_CONSTANT - 3.0 * np.sqrt(2.0)) < 1e-15

@@ -16,7 +16,7 @@ from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
     gate_fidelity_batch,
-    phase_min_distance,
+    overlap_distance,
 )
 from gatefid.minimum import (
     LIFT_MAX_DIM,
@@ -40,6 +40,11 @@ from gatefid.sampling import (
 )
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _distances(a, b):
+    """Phase-minimized distances between broadcast batches of states."""
+    return overlap_distance(np.abs(np.sum(a.conj() * b, axis=-1)))
 
 
 def _reference_build_net(d, epsilon, rng, max_states=2000, confidence=0.99, stop_rejections=200):
@@ -134,7 +139,7 @@ class TestBuildNet:
     def test_packing_separation(self):
         # kept states honor the epsilon separation pairwise
         net = build_net(2, 0.7, rng=6)
-        gram = phase_min_distance(net.states[:, None, :], net.states[None, :, :])
+        gram = _distances(net.states[:, None, :], net.states[None, :, :])
         off = gram[~np.eye(len(net.states), dtype=bool)]
         assert np.min(off) >= net.epsilon - 1e-9
 
@@ -163,7 +168,7 @@ class TestBuildNet:
         # fresh batch must be near 1
         net = build_net(2, 0.6, rng=11)
         fresh = haar_states(2, 2000, rng=12)
-        dists = phase_min_distance(fresh[:, None, :], net.states[None, :, :]).min(axis=1)
+        dists = _distances(fresh[:, None, :], net.states[None, :, :]).min(axis=1)
         assert np.mean(dists < net.epsilon) >= 0.95
 
     def test_validation(self):
@@ -531,8 +536,8 @@ class TestDistanceHelpers:
         # broadcasting gives all pairwise distances between two batches
         a = haar_states(3, 4, rng=41)
         b = haar_states(3, 6, rng=42)
-        m = phase_min_distance(a[:, None, :], b[None, :, :])
+        m = _distances(a[:, None, :], b[None, :, :])
         assert m.shape == (4, 6)
-        self_m = phase_min_distance(a[:, None, :], a[None, :, :])
+        self_m = _distances(a[:, None, :], a[None, :, :])
         assert np.max(np.abs(np.diag(self_m))) < 1e-7
         assert np.max(np.abs(self_m - self_m.T)) < 1e-12

@@ -95,9 +95,11 @@ class TestGOperator:
         assert abs(schatten_norm(g, 2) - np.sqrt(6.0)) < 1e-12
 
     def test_embedding_keeps_norms(self):
-        g = build_g_operator(6)
-        assert abs(schatten_norm(g, np.inf) - 1.0) < 1e-12
-        assert abs(schatten_norm(g, 2) - np.sqrt(6.0)) < 1e-12
+        # max_epsilon rests on ||j_g||_inf = 1 at every d
+        for d in (5, 6, 8, 16):
+            g = build_g_operator(d)
+            assert abs(schatten_norm(g, np.inf) - 1.0) < 1e-12
+            assert abs(schatten_norm(g, 2) - np.sqrt(6.0)) < 1e-12
 
     def test_partial_transpose_links_the_two_forms(self):
         g = build_g_operator(4)
@@ -132,38 +134,36 @@ class TestMaxEpsilon:
     def test_depolarizing_closed_form(self):
         # lambda_min of J(dep_p) is (1-p)/d and ||j_g||_inf is 1
         for p, d in ((0.2, 4), (0.5, 4), (0.5, 5), (0.9, 4)):
-            g = build_g_operator(d)
             j = choi_from_kraus(depolarizing(p, d))
-            assert abs(max_epsilon(j, g) - (1.0 - p) / d) < 1e-12
+            assert abs(max_epsilon(j) - (1.0 - p) / d) < 1e-12
+
+    def test_smallest_choi_eigenvalue_without_svd(self, monkeypatch):
+        # ||j_g||_inf = 1, so the limit is lambda_min(J(Q)) with no norm taken
+        channels = [depolarizing(0.5, d) for d in (4, 5, 16)] + [_full_rank_channel(5, 94)]
+        chois = [choi_from_kraus(q) for q in channels]
+        expected = [validate_cptp(j).min_eigenvalue for j in chois]
+        # np.linalg.norm(m, 2) reaches the SVD through numpy's implementation module
+        monkeypatch.setattr(np.linalg._linalg, "svd", _refuse)
+        monkeypatch.setattr(np.linalg, "svd", _refuse)
+        assert [max_epsilon(j) for j in chois] == expected
 
     def test_rank_deficient_rejected(self):
-        g = build_g_operator(4)
         j = choi_from_kraus(depolarizing(1.0, 4))
         with pytest.raises(ValueError, match="full rank"):
-            max_epsilon(j, g)
-
-    def test_dimension_mismatch(self):
-        g = build_g_operator(5)
-        j = choi_from_kraus(depolarizing(0.5, 4))
-        with pytest.raises(ValueError, match="mismatch"):
-            max_epsilon(j, g)
+            max_epsilon(j)
 
     def test_wrong_shape_direction_refused(self):
-        j = choi_from_kraus(depolarizing(0.5, 4))
-        for g in (np.zeros((16, 9)), np.zeros(256), build_g_operator(5)):
-            with pytest.raises(ValueError, match=r"dimension mismatch: .* has shape"):
-                max_epsilon(j, g)
         # a 2 -> 8 Choi matrix is 16 x 16 too, but not a d = 4 one
         wide = choi_from_kraus(channel_from_kraus([np.eye(8)[:, :2]]))
         with pytest.raises(ValueError, match=r"dimension mismatch: Choi is 2->8"):
-            max_epsilon(wide, build_g_operator(4))
+            max_epsilon(wide)
 
     def test_perturbed_choi_stays_cptp_at_limit(self):
         g = build_g_operator(4)
         for seed in (91, 92):
             q = _full_rank_channel(4, seed)
             j_q = choi_from_kraus(q)
-            eps = max_epsilon(j_q, g)
+            eps = max_epsilon(j_q)
             shifted = ChoiMatrix(4, 4, j_q.matrix + eps * g)
             report = validate_cptp(shifted, tol=1e-9)
             assert report.is_cp and report.is_tp
@@ -174,7 +174,7 @@ class TestMaxEpsilon:
         g = build_g_operator(4)
         q = depolarizing(0.5, 4)
         j_q = choi_from_kraus(q)
-        eps = max_epsilon(j_q, g)
+        eps = max_epsilon(j_q)
         shifted = ChoiMatrix(4, 4, j_q.matrix + 1.5 * eps * g)
         report = validate_cptp(shifted, tol=1e-9)
         assert not report.is_cp
@@ -182,9 +182,8 @@ class TestMaxEpsilon:
 
 class TestPerturbChannel:
     def test_depolarizing_pair_at_limit(self):
-        g = build_g_operator(4)
         q = depolarizing(0.5, 4)
-        pair = perturb_channel(q, 0.125, g, n_verify=5000, rng=93)
+        pair = perturb_channel(q, 0.125, n_verify=5000, rng=93)
         assert abs(pair.max_epsilon - 0.125) < 1e-12
         v = pair.verification
         assert v.fidelity_residual_max <= 1e-10
@@ -195,10 +194,9 @@ class TestPerturbChannel:
         assert v.choi_distance > 1e-6
 
     def test_random_full_rank_d5(self):
-        g = build_g_operator(5)
         q = _full_rank_channel(5, 94)
-        eps = max_epsilon(choi_from_kraus(q), g)
-        pair = perturb_channel(q, eps, g, n_verify=3000, rng=95)
+        eps = max_epsilon(choi_from_kraus(q))
+        pair = perturb_channel(q, eps, n_verify=3000, rng=95)
         assert pair.verification.fidelity_residual_max <= 1e-10
         assert pair.verification.cptp_r.is_cp and pair.verification.cptp_r.is_tp
         assert pair.verification.choi_distance > 1e-6
@@ -208,13 +206,12 @@ class TestPerturbChannel:
         pair = perturb_channel(q, n_verify=500, rng=107)
         assert pair.epsilon == pair.max_epsilon
         assert abs(pair.epsilon - 0.1) < 1e-12
-        explicit = perturb_channel(q, pair.max_epsilon, build_g_operator(4), n_verify=500, rng=107)
+        explicit = perturb_channel(q, pair.max_epsilon, n_verify=500, rng=107)
         assert explicit.verification == pair.verification
 
     def test_partial_strength(self):
-        g = build_g_operator(4)
         q = depolarizing(0.6, 4)
-        pair = perturb_channel(q, 0.04, g, n_verify=2000, rng=96)
+        pair = perturb_channel(q, 0.04, n_verify=2000, rng=96)
         assert abs(pair.verification.choi_distance - 0.04 * np.sqrt(6.0)) < 1e-10
 
     def test_non_square_channel_refused_before_g(self, monkeypatch):
@@ -224,30 +221,36 @@ class TestPerturbChannel:
         with pytest.raises(ValueError, match="the construction needs a square channel"):
             perturb_channel(wide)
 
-    def test_epsilon_validation(self):
+    def test_stale_g_operand_refused(self):
+        # j_g is always build_g_operator(d); passing it is a TypeError, not a sample count
+        q = depolarizing(0.5, 4)
         g = build_g_operator(4)
+        with pytest.raises(TypeError):
+            perturb_channel(q, 0.125, g)
+        with pytest.raises(TypeError):
+            max_epsilon(choi_from_kraus(q), g)
+
+    def test_epsilon_validation(self):
         q = depolarizing(0.5, 4)
         with pytest.raises(ValueError):
-            perturb_channel(q, 0.0, g)
+            perturb_channel(q, 0.0)
         with pytest.raises(ValueError):
-            perturb_channel(q, 0.2, g)
+            perturb_channel(q, 0.2)
         with pytest.raises(ValueError):
-            perturb_channel(q, -0.1, g)
+            perturb_channel(q, -0.1)
 
     def test_partner_is_not_the_adjoint(self):
         # R differs from Q and also from Q's adjoint, so the pair is not a
         # relabeling; for self-adjoint Q the two distances coincide
-        g = build_g_operator(4)
         q = depolarizing(0.5, 4)
-        pair = perturb_channel(q, 0.125, g, n_verify=1000, rng=97)
+        pair = perturb_channel(q, 0.125, n_verify=1000, rng=97)
         j_r = choi_from_kraus(pair.r).matrix
         j_q_adj = choi_from_kraus(adjoint(q)).matrix
         assert schatten_norm(j_r - j_q_adj, 2) > 1e-3
 
     def test_fidelity_functions_agree_on_fresh_states(self):
         # check on a sample disjoint from the verification stream
-        g = build_g_operator(4)
-        pair = perturb_channel(depolarizing(0.5, 4), 0.125, g, n_verify=500, rng=98)
+        pair = perturb_channel(depolarizing(0.5, 4), 0.125, n_verify=500, rng=98)
         states = haar_states(4, 2000, rng=99)
         fq = gate_fidelity_batch(pair.q, None, states)
         fr = gate_fidelity_batch(pair.r, None, states)
@@ -256,8 +259,7 @@ class TestPerturbChannel:
     def test_constant_fidelity_partner_of_depolarizing(self):
         # R inherits the constant fidelity function of the depolarizing Q
         # while not being depolarizing itself
-        g = build_g_operator(4)
-        pair = perturb_channel(depolarizing(0.5, 4), 0.125, g, n_verify=500, rng=100)
+        pair = perturb_channel(depolarizing(0.5, 4), 0.125, n_verify=500, rng=100)
         states = haar_states(4, 5000, rng=101)
         fr = gate_fidelity_batch(pair.r, None, states)
         assert np.std(fr) <= 1e-10
@@ -384,8 +386,7 @@ class TestDepolarizingDistance:
     def test_twin_partner_distance(self):
         # R shares dep(0.5)'s fidelity function; its depolarizing distance
         # equals the perturbation size eps * ||j_g||_2
-        g = build_g_operator(4)
-        pair = perturb_channel(depolarizing(0.5, 4), 0.125, g, n_verify=500, rng=104)
+        pair = perturb_channel(depolarizing(0.5, 4), 0.125, n_verify=500, rng=104)
         dist = depolarizing_distance(pair.r)
         assert abs(dist - 0.125 * np.sqrt(6.0)) < 1e-8
         assert dist > 1e-6

@@ -14,7 +14,7 @@ from gatefid.channels import (
 from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
-    phase_min_distance,
+    overlap_distance,
 )
 from gatefid.minimum import effective_epsilon
 from gatefid.sampling import (
@@ -247,7 +247,7 @@ class TestMcStats:
         fa = fidelity_samples(ch, None, 10_000, rng=41)
         fb = fidelity_samples(ch, None, 10_000, rng=42)
         gaps = np.abs(fa - fb)
-        dists = phase_min_distance(a, b)
+        dists = overlap_distance(np.abs(np.sum(a.conj() * b, axis=-1)))
         assert np.all(gaps <= LIPSCHITZ_CONSTANT * dists + 1e-12)
 
 
