@@ -17,7 +17,7 @@ move are listed with their old and new digests.
 
 End to end: paired `perfbench/run.py --trace 0` runs of all four
 workloads, as scripts/bench_minimum.py makes them (its paired_runs and
-job_s_claim). Medians, inclusive quartiles and per-pair wins of setup_s,
+gain_claim). Medians, inclusive quartiles and per-pair wins of setup_s,
 job_s and peak_rss_mb go to BENCH_hash.json with the machine fingerprint
 (core count, BLAS name and BLAS thread count); the claim is job_s on
 stats-lowrank.
@@ -37,7 +37,7 @@ import tempfile
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
-from bench_minimum import WORKLOADS, job_s_claim, paired_runs
+from bench_minimum import WORKLOADS, gain_claim, paired_runs
 from child import blas_threads, fingerprint, run_job  # bench_kernel put perfbench/ on sys.path
 from workloads import STATS_D, STATS_N, STATS_RANK
 from workloads import WORKLOADS as SPECS
@@ -208,8 +208,7 @@ def main() -> None:
 
     end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
     perfbench_sha256 = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
-    claim = job_s_claim(end_to_end["stats-lowrank"], "stats-lowrank")
-    claim["median_fall"] = round(-claim["median_diff_s"] / claim["parent_median_s"], 4)
+    claim = gain_claim(end_to_end["stats-lowrank"], "stats-lowrank")
     record = {
         "topic": "hash",
         "harness": "PYTHONPATH=src python3 scripts/bench_hash.py --baseline PARENT",

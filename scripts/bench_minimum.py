@@ -242,21 +242,23 @@ def paired_runs(trees: dict, workload: str, seeds) -> dict:
     }
 
 
-def job_s_claim(record: dict, workload: str) -> dict:
-    """The gain rule applied to job_s of one workload's paired runs."""
-    job = record["job_s"]
-    wins = int(job["change_wins"].split("/")[0])
+def gain_claim(record: dict, workload: str, metric: str = "job_s") -> dict:
+    """The gain rule applied to one metric of one workload's paired runs."""
+    m = record[metric]
+    wins = int(m["change_wins"].split("/")[0])
+    parent_median = m["parent_q1_median_q3"][1]
     return {
-        "metric": "job_s",
+        "metric": metric,
         "workload": workload,
         "rule": "change wins >= 9/10 of alternating pairs and the median falls by more "
                 "than the parent's IQR",
-        "change_wins": job["change_wins"],
-        "parent_median_s": job["parent_q1_median_q3"][1],
-        "change_median_s": job["change_q1_median_q3"][1],
-        "median_diff_s": job["median_diff"],
-        "parent_iqr_s": job["parent_iqr"],
-        "met": wins >= 0.9 * len(record["seeds"]) and -job["median_diff"] > job["parent_iqr"],
+        "change_wins": m["change_wins"],
+        "parent_median": parent_median,
+        "change_median": m["change_q1_median_q3"][1],
+        "median_diff": m["median_diff"],
+        "median_fall": round(-m["median_diff"] / parent_median, 4),
+        "parent_iqr": m["parent_iqr"],
+        "met": wins >= 0.9 * len(record["seeds"]) and -m["median_diff"] > m["parent_iqr"],
     }
 
 
@@ -296,7 +298,7 @@ def main() -> None:
 
     end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
     artifacts = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
-    claim = job_s_claim(end_to_end["min-search"], "min-search")
+    claim = gain_claim(end_to_end["min-search"], "min-search")
     record = {
         "topic": "minimum",
         "harness": "PYTHONPATH=src python3 scripts/bench_minimum.py --baseline PARENT",

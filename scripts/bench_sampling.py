@@ -8,10 +8,19 @@ checkout. Their sampling.haar_s, fidelity.kernel_s, fidelity.kernel_gflops,
 sampling.samples_s and sampling.parallelism (with cli.cmd_s for scale) go to
 BENCH_sampling.json.
 
+Block peaks: in a fresh interpreter against each tree's src/, the
+tracemalloc peak, above what was allocated before the call, of one
+4096-state `_haar_block`, of `gate_fidelity_batch` on that block with a
+prebuilt kernel, and of `fidelity_samples` over two blocks at one thread,
+for a random channel at each d in BLOCK_DIMS and rank in BLOCK_RANKS. One
+warm-up draw runs first, so the generator's first-use allocations stay out.
+
 End to end: `perfbench/run.py --trace 0` pairs, alternating which side runs
-first, CLAIM_SEEDS on sweep-unitary (the claim, job_s) and CHECK_SEEDS on
-the other three workloads (no regression beyond BENCHMARK.json's bounds).
-Artifacts of every job index both sides reached are compared by sha256.
+first. CLAIM_SEEDS run on sweep-unitary (the claim, peak_rss_mb) and on
+stats-lowrank, whose per-run peaks show whether its run-to-run levels
+remain; CHECK_SEEDS run on the other two workloads. No metric may worsen
+beyond BENCHMARK.json's bounds. Artifacts of every job index both sides
+reached are compared by sha256.
 
 The machine fingerprint is perfbench's; its blas_threads is read before
 gatefid.cli.main runs, so it shows the process default. The thread count
@@ -23,12 +32,14 @@ the CLI runs at is probed separately and recorded as cli_blas_threads.
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
-from bench_minimum import ROOT, job_s_claim, paired_runs
+from bench_minimum import ROOT, gain_claim, paired_runs
 from child import blas_threads, fingerprint  # bench_kernel put perfbench/ on sys.path
 
 LAYER_METRICS = (
@@ -41,10 +52,13 @@ LAYER_METRICS = (
 )
 TRACED = ("sweep-unitary", "stats-lowrank")
 CLAIM = "sweep-unitary"
+CLAIM_METRIC = "peak_rss_mb"
 CHECKED = ("stats-lowrank", "twin-dense", "min-search")
 TRACE_SEEDS = (61, 62)
 CLAIM_SEEDS = range(51, 61)
 CHECK_SEEDS = range(51, 55)
+BLOCK_DIMS = (16, 64, 256)
+BLOCK_RANKS = (1, 4)
 OUT = ROOT / "BENCH_sampling.json"
 
 
@@ -54,6 +68,51 @@ def run_traced(tree: Path, workload: str, seed: int) -> dict:
     out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
     result = json.loads(out.splitlines()[-1])
     return {k: round(result["metrics"][k]["value"], 4) for k in LAYER_METRICS}
+
+
+def _peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
+
+
+def block_peaks() -> list:
+    """tracemalloc peaks (MiB) of one block's draw, its kernel and two blocks' samples."""
+    from gatefid.channels import random_channel
+    from gatefid.fidelity import fidelity_kernel, gate_fidelity_batch
+    from gatefid.sampling import BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block, fidelity_samples
+
+    spec = RngSpec(1)
+    _haar_block(BLOCK_DIMS[0], spec, TAG_MAIN, 0, 2)
+    rows = []
+    for d in BLOCK_DIMS:
+        haar = _peak_mib(lambda: _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE))
+        states = _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE)
+        for rank in BLOCK_RANKS:
+            ch = random_channel(d, rank, rng=1)
+            kernel = fidelity_kernel(ch)
+            rows.append({
+                "d": d,
+                "rank": rank,
+                "block_mib": round(states.nbytes / 2**20, 2),
+                "haar_block_mib": haar,
+                "kernel_mib": _peak_mib(lambda: gate_fidelity_batch(ch, None, states,
+                                                                    kernel=kernel)),
+                "two_blocks_mib": _peak_mib(lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE,
+                                                                     spec, threads=1)),
+            })
+    return rows
+
+
+def run_fresh(tree: Path, flag: str) -> list:
+    """The JSON line that this script prints under flag, run on tree's src/."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, __file__, flag], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
 
 
 def cli_blas_threads() -> int:
@@ -67,9 +126,20 @@ def cli_blas_threads() -> int:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, required=True, help="checkout of the parent commit")
+    ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
+    ap.add_argument("--block-peaks-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
+
+    if args.block_peaks_only:
+        print(json.dumps(block_peaks()))
+        return
+    if args.baseline is None:
+        ap.error("--baseline is required")
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
+
+    peaks = {side: run_fresh(tree, "--block-peaks-only") for side, tree in trees.items()}
+    for side, rows in peaks.items():
+        print(f"block peaks {side}: {rows}", flush=True)
 
     layers = {}
     for workload in TRACED:
@@ -78,16 +148,21 @@ def main() -> None:
             layers[workload][side] = [run_traced(tree, workload, s) for s in TRACE_SEEDS]
             print(f"{workload} traced {side}: {layers[workload][side]}", flush=True)
 
-    end_to_end = {w: paired_runs(trees, w, CLAIM_SEEDS if w == CLAIM else CHECK_SEEDS)
+    end_to_end = {w: paired_runs(trees, w, CLAIM_SEEDS if w in TRACED else CHECK_SEEDS)
                   for w in (CLAIM, *CHECKED)}
-    claim = job_s_claim(end_to_end[CLAIM], CLAIM)
     record = {
         "topic": "sampling",
         "harness": "PYTHONPATH=src python3 scripts/bench_sampling.py --baseline PARENT",
         "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
+        "block_peak": {
+            "unit": "MiB",
+            "inputs": "random_channel(d, rank, rng=1), 4096-state blocks of RngSpec(1), "
+                      "OPENBLAS_NUM_THREADS=1",
+            **peaks,
+        },
         "layers": layers,
         "end_to_end": end_to_end,
-        "claim": claim,
+        "claim": gain_claim(end_to_end[CLAIM], CLAIM, CLAIM_METRIC),
     }
     OUT.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {OUT}")

@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
-from bench_minimum import WORKLOADS, job_s_claim, paired_runs
+from bench_minimum import WORKLOADS, gain_claim, paired_runs
 from child import blas_threads, fingerprint  # bench_kernel put perfbench/ on sys.path
 
 D, P, N_VERIFY = 16, 0.5, 10000
@@ -90,8 +90,7 @@ def main() -> None:
 
     end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
     artifacts = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
-    claim = job_s_claim(end_to_end["twin-dense"], "twin-dense")
-    claim["median_fall"] = round(-claim["median_diff_s"] / claim["parent_median_s"], 4)
+    claim = gain_claim(end_to_end["twin-dense"], "twin-dense")
     record = {
         "topic": "twin",
         "harness": "PYTHONPATH=src python3 scripts/bench_twin.py --baseline PARENT",

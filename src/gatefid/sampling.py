@@ -5,6 +5,11 @@ run with seed s draws from PCG64 seeded by SeedSequence(s, spawn_key=(tag,
 b)), so the stream is reproducible across platforms and independent of how
 blocks are distributed over worker threads. Distinct tags keep the main,
 net-building and validation sample spaces disjoint.
+
+A block's working set is its own states plus a tile of scratch: the Haar
+draw normalizes tile by tile inside the block's memory, and the Kraus loop
+of the fidelity kernel evaluates 256 rows at a time. Both give the bits
+they gave on the whole block.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from .channels import QuantumChannel, _check_budget, _check_dense_budget
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     _check_dim,
+    _row_tiles,
     average_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
@@ -27,6 +33,10 @@ from .fidelity import (
 
 BLOCK_SIZE = 4096
 ALGORITHM_ID = "pcg64-block4096"
+
+# complex entries of scratch per tile of a Haar block: 256 rows at d = 256,
+# the whole block up to d = 16, two rows from d = 21846 on
+_HAAR_TILE_ENTRIES = 1 << 16
 
 # documented default seed for every seeded entry point
 DEFAULT_SEED = 0x5EED
@@ -71,33 +81,58 @@ def generator(spec: RngSpec, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _haar_block(d: int, spec: RngSpec, tag: int, block: int, count: int) -> np.ndarray:
+def _haar_block(
+    d: int, spec: RngSpec, tag: int, block: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """count Haar states, bit for bit (a + 1j*b) / np.linalg.norm(a + 1j*b, axis=1)
-    with a, b the block's two standard normal draws, in two block-sized buffers."""
+    with a, b the block's two standard normal draws.
+
+    The states are written into out, a C-contiguous complex (count, d) array,
+    when one is given, and into a new one otherwise. Beside it the block
+    needs one tile of scratch, _HAAR_TILE_ENTRIES complex entries or two
+    rows: a is drawn whole into the upper half of the block's own memory,
+    and b is drawn, interleaved with a and normalized tile by tile. A
+    generator's normal stream drawn in pieces equals the stream drawn whole.
+    """
     g = generator(spec, tag, block)
-    z = np.empty((count, d), dtype=complex)
-    z.real = g.standard_normal((count, d))
-    z.imag = g.standard_normal((count, d))
-    # the squared row norms exactly as np.linalg.norm forms them
-    work = np.conjugate(z)
-    np.multiply(work, z, out=work)
-    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
-    # dividing by a real equals multiplying both parts by its reciprocal
-    parts = z.view(np.float64).reshape(count, 2 * d)
-    parts *= inv_norm[:, None]
+    z = np.empty((count, d), dtype=complex) if out is None else out
+    # a's row r sits at float offset (count + r) * d; the tile over rows
+    # [start, stop) writes float offsets below 2 * stop * d, which reaches
+    # no row of a from stop on, so each tile copies out only its own rows
+    real = z.view(np.float64).reshape(-1)[count * d :].reshape(count, d)
+    g.standard_normal(out=real)
+    tile_rows = max(2, _HAAR_TILE_ENTRIES // d)
+    scratch = np.empty((min(count, tile_rows + 1), d), dtype=complex)
+    for start, stop in _row_tiles(count, tile_rows):
+        rows = z[start:stop]
+        work = scratch[: stop - start]
+        # the tile's a and b side by side in the scratch, then interleaved
+        a, b = work.view(np.float64).reshape(2, stop - start, d)
+        np.copyto(a, real[start:stop])
+        g.standard_normal(out=b)
+        rows.real = a
+        rows.imag = b
+        # the squared row norms exactly as np.linalg.norm forms them
+        np.conjugate(rows, out=work)
+        np.multiply(work, rows, out=work)
+        inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
+        # dividing by a real equals multiplying both parts by its reciprocal
+        parts = rows.view(np.float64)
+        parts *= inv_norm[:, None]
     return z
 
 
 def haar_states(d: int, n: int, rng, tag: int = TAG_MAIN) -> np.ndarray:
-    """n Haar-random states as rows of an (n, d) array."""
+    """n Haar-random states as rows of an (n, d) array, drawn into it block by block."""
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
     spec = as_rng_spec(rng)
-    parts = []
+    states = np.empty((n, d), dtype=complex)
     for block in range(math.ceil(n / BLOCK_SIZE)):
-        count = min(BLOCK_SIZE, n - block * BLOCK_SIZE)
-        parts.append(_haar_block(d, spec, tag, block, count))
-    return np.concatenate(parts, axis=0)
+        start = block * BLOCK_SIZE
+        stop = min(start + BLOCK_SIZE, n)
+        _haar_block(d, spec, tag, block, stop - start, out=states[start:stop])
+    return states
 
 
 def fidelity_samples(
@@ -105,10 +140,12 @@ def fidelity_samples(
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
-    States are generated and consumed per block so memory stays bounded at
-    large dimension. The evaluation path is chosen and built once, before
-    the first block. The returned array is identical for any thread count
-    because blocks land at fixed offsets.
+    States are generated and consumed per block, so each worker holds one
+    block of states, BLOCK_SIZE * d complex entries, plus a tile of scratch
+    for the draw and the kernel (see the module docstring). The evaluation
+    path is chosen and built once, before the first block. The returned
+    array is identical for any thread count because blocks land at fixed
+    offsets.
     """
     spec = as_rng_spec(rng)
     if n < 1:

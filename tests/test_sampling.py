@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,12 @@ from gatefid.channels import (
 )
 from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
+    _clamp_unit,
+    _kraus_values,
+    _row_tiles,
     average_gate_fidelity,
+    fidelity_kernel,
+    gate_fidelity_batch,
     overlap_distance,
 )
 from gatefid.minimum import effective_epsilon
@@ -189,6 +195,113 @@ class TestFidelitySamples:
         for n in (2**28 + 1, 10**12):
             with pytest.raises(ValueError, match=rf"array of {n} fidelity samples needs"):
                 fidelity_samples(ch, None, n, rng=26)
+
+
+# Whole-block forms of the Haar block and the Kraus loop, as they were before
+# both were tiled; the tiled ones must reproduce them bit for bit.
+def _whole_haar_block(d, spec, tag, block, count):
+    g = generator(spec, tag, block)
+    z = np.empty((count, d), dtype=complex)
+    z.real = g.standard_normal((count, d))
+    z.imag = g.standard_normal((count, d))
+    work = np.conjugate(z)
+    np.multiply(work, z, out=work)
+    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
+    parts = z.view(np.float64).reshape(count, 2 * d)
+    parts *= inv_norm[:, None]
+    return z
+
+
+def _whole_kraus_values(ops, states):
+    bra = states.conj()
+    total = np.zeros(states.shape[0])
+    for op in ops:
+        overlap = np.einsum("ni,ni->n", bra, states @ op.T)
+        total += np.abs(overlap) ** 2
+    return total
+
+
+def _traced_peak(fn):
+    """Bytes allocated above the level at the call, at their peak during fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+MIB = 2**20
+TILED_COUNTS = (1, 2, 255, 256, 257, 513, 1808, BLOCK_SIZE)
+
+
+class TestTiledBlocks:
+    def test_row_tiles_cover_rows_without_one_row_tiles(self):
+        for n in (1, 2, 3, 255, 256, 257, 258, 512, 513, 1808, BLOCK_SIZE, BLOCK_SIZE + 1):
+            tiles = list(_row_tiles(n, 256))
+            assert tiles[0][0] == 0 and tiles[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(tiles, tiles[1:]))
+            sizes = [stop - start for start, stop in tiles]
+            assert max(sizes) <= 257
+            assert n == 1 or min(sizes) >= 2
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64, 256])
+    def test_tiles_keep_the_whole_block_bits(self, d):
+        # a one-row tile split off any count of the form 256k + 1 changes
+        # the Kraus loop's bits (numpy's gemv path), so this fails on it
+        spec = RngSpec(17)
+        stacks = [fidelity_kernel(random_channel(d, rank, rng=40 + rank)).ops for rank in (1, 4)]
+        for count in TILED_COUNTS:
+            states = _haar_block(d, spec, TAG_MAIN, 3, count)
+            assert states.tobytes() == _whole_haar_block(d, spec, TAG_MAIN, 3, count).tobytes()
+            out = np.full((count, d), np.nan, dtype=complex)
+            assert _haar_block(d, spec, TAG_MAIN, 3, count, out=out) is out
+            assert out.tobytes() == states.tobytes()
+            for ops in stacks:
+                got = _kraus_values(ops, states)
+                assert got.tobytes() == _whole_kraus_values(ops, states).tobytes()
+
+    @pytest.mark.parametrize("d", [16, 256])
+    def test_fidelity_samples_keep_the_whole_block_bits(self, d):
+        ch = random_channel(d, 4, rng=43)
+        ops = fidelity_kernel(ch).ops
+        n = BLOCK_SIZE + 257
+        spec = RngSpec(19)
+        expected = np.concatenate([
+            _clamp_unit(_whole_kraus_values(ops, _whole_haar_block(d, spec, TAG_MAIN, b, c)))
+            for b, c in ((0, BLOCK_SIZE), (1, 257))
+        ])
+        for threads in (1, 2):
+            got = fidelity_samples(ch, None, n, spec, threads=threads)
+            assert got.tobytes() == expected.tobytes()
+
+    def test_haar_states_fill_one_array(self):
+        d, n = 5, 2 * BLOCK_SIZE + 3
+        expected = np.concatenate([
+            _whole_haar_block(d, RngSpec(23), TAG_VALIDATE, b, c)
+            for b, c in ((0, BLOCK_SIZE), (1, BLOCK_SIZE), (2, 3))
+        ])
+        assert haar_states(d, n, 23, tag=TAG_VALIDATE).tobytes() == expected.tobytes()
+
+    def test_haar_block_working_set(self):
+        # the 16 MiB block and one tile of scratch; whole, it peaked at 32 MiB
+        peak = _traced_peak(lambda: _haar_block(256, RngSpec(29), TAG_MAIN, 0, BLOCK_SIZE))
+        assert peak <= 25 * MIB
+
+    def test_kraus_batch_working_set(self):
+        # beside a 16 MiB rank-4 block, (256, d) bras and products; whole,
+        # the loop allocated another 32 MiB
+        ch = random_channel(256, 4, rng=31)
+        kernel = fidelity_kernel(ch)
+        states = _haar_block(256, RngSpec(31), TAG_MAIN, 0, BLOCK_SIZE)
+        peak = _traced_peak(lambda: gate_fidelity_batch(ch, None, states, kernel=kernel))
+        assert peak <= 4 * MIB
+
+    def test_haar_states_working_set(self):
+        # the 12 MiB result and one tile; concatenating blocks peaked at 24 MiB
+        d, n = 12288, 64
+        peak = _traced_peak(lambda: haar_states(d, n, 37))
+        assert peak <= 16 * n * d + 2 * MIB
 
 
 class TestMcStats:
