@@ -2,9 +2,9 @@
 
 The CLI pins numpy's bundled OpenBLAS to one thread: its BLAS kernels then
 take the same path whatever OPENBLAS_NUM_THREADS says, so artifact bytes do
-not depend on it, and the only parallelism left is the block workers of
-sampling.fidelity_samples. Importing gatefid does not pin anything; library
-users keep their own BLAS setting.
+not depend on it, and the only parallelism left is the sampling block
+workers (sampling.fidelity_samples, nonuniq.verify_pair). Importing gatefid
+does not pin anything; library users keep their own BLAS setting.
 """
 
 from __future__ import annotations

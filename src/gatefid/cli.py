@@ -245,7 +245,9 @@ def _cmd_nonuniq_construct(args):
         p = 0.5 if args.p is None else args.p
         q = depolarizing(p, 4 if args.d is None else args.d)
         p_or_hash = p
-    pair = perturb_channel(q, args.epsilon, n_verify=args.n, rng=args.seed)
+    pair = perturb_channel(
+        q, args.epsilon, n_verify=args.n, rng=args.seed, threads=_threads(args)
+    )
     v = pair.verification
     summary = (
         f"pair at d={q.dim_in}, eps={pair.epsilon:.6g} (max {pair.max_epsilon:.6g}): "
@@ -271,7 +273,9 @@ def _cmd_nonuniq_construct(args):
 def _cmd_nonuniq_verify(args):
     q = serialize.load_channel(args.q_path)
     r = serialize.load_channel(args.r_path)
-    v = verify_pair(q, r, n_samples=args.n, rng=args.seed, tol=args.tol)
+    v = verify_pair(
+        q, r, n_samples=args.n, rng=args.seed, tol=args.tol, threads=_threads(args)
+    )
     payload = {
         "d": q.dim_in,
         **_verification_fields(v),
@@ -505,12 +509,14 @@ def build_parser() -> _Parser:
                          help="perturbation strength (default: the maximum)")
     _add_seed(nq_make, seed_default)
     _add_n(nq_make, 10000)
+    _add_threads(nq_make)
     nq_verify = _command(nonuniq_sub, "verify", _cmd_nonuniq_verify, "check a stored pair")
     nq_verify.add_argument("--q", dest="q_path", required=True)
     nq_verify.add_argument("--r", dest="r_path", required=True)
     _add_seed(nq_verify, seed_default)
     _add_n(nq_verify, 10000)
     _add_tol(nq_verify)
+    _add_threads(nq_verify)
 
     minimum = groups.add_parser("min", help="minimum fidelity estimation")
     minimum_sub = minimum.add_subparsers(dest="action", required=True, metavar="ACTION")

@@ -121,7 +121,13 @@ def _fold(e: QuantumChannel, u) -> np.ndarray:
             f"gate fidelity needs a square channel, got {e.dim_in} -> {e.dim_out}"
         )
     u = _check_target(u, e.dim_in)
-    ops = np.stack(e.kraus)
+    # one operator is viewed, not copied: a unitary channel's U can be the
+    # largest array of a run. Every constructor here builds C-ordered
+    # operators, which np.stack laid out the same way.
+    if len(e.kraus) == 1:
+        ops = np.ascontiguousarray(e.kraus[0])[None]
+    else:
+        ops = np.stack(e.kraus)
     return ops if u is None else u.conj().T @ ops
 
 

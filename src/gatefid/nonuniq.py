@@ -33,7 +33,7 @@ from .linalg import (
     schatten_norm,
     vec,
 )
-from .sampling import DEFAULT_SEED, as_rng_spec, fidelity_samples
+from .sampling import DEFAULT_SEED, _block_fidelities, as_rng_spec
 
 FULL_RANK_TOL = 1e-10
 
@@ -115,13 +115,17 @@ def verify_pair(
     rng=DEFAULT_SEED,
     tol: float = 1e-9,
     choi_q: ChoiMatrix | None = None,
+    threads: int = 1,
 ) -> PairVerification:
     """Measure how far two channels are from sharing a fidelity function.
 
     Each Choi matrix is built once and shared by the distance, the CPTP
     checks and R's depolarizing distance; choi_q, when the caller already
     holds choi_from_kraus(q), is used instead of a rebuild. The residual
-    is taken over fidelity_samples at the seed, as `fidelity stats` draws.
+    is taken over the Haar states `fidelity stats` draws at the seed: each
+    block is drawn once and evaluated for Q and for R, by threads workers,
+    the calling thread among them. The samples of each channel are those
+    of fidelity_samples at the seed, for any thread count.
     """
     if (q.dim_in, q.dim_out) != (r.dim_in, r.dim_out):
         raise ValueError("the two channels have different dimensions")
@@ -132,8 +136,7 @@ def verify_pair(
     # checked before sampling, so a refused tol costs no samples
     cptp_q = validate_cptp(jq, tol)
     cptp_r = validate_cptp(jr, tol)
-    fq = fidelity_samples(q, None, n_samples, spec)
-    fr = fidelity_samples(r, None, n_samples, spec)
+    fq, fr = _block_fidelities([(q, None), (r, None)], n_samples, spec, threads)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),
         choi_distance=schatten_norm(jr.matrix - jq.matrix, 2),
@@ -151,6 +154,7 @@ def perturb_channel(
     *,
     n_verify: int = 10000,
     rng=DEFAULT_SEED,
+    threads: int = 1,
 ) -> NonUniqPair:
     """Build R with Choi matrix J(Q) + eps * j_g and verify the pair.
 
@@ -158,6 +162,7 @@ def perturb_channel(
     gives the most distinguishable partner; j_g is
     build_g_operator(q.dim_in). R is reconstructed through a fresh Kraus
     extraction so it is a bona fide channel, not just a Choi matrix.
+    The pair is verified on threads sampling workers (see verify_pair).
     """
     if q.dim_in != q.dim_out:
         raise ValueError("the construction needs a square channel")
@@ -173,7 +178,9 @@ def perturb_channel(
         dim_in=q.dim_in, dim_out=q.dim_out, matrix=j_q.matrix + eps * g
     )
     r = kraus_from_choi(j_r)
-    verification = verify_pair(q, r, n_samples=n_verify, rng=rng, choi_q=j_q)
+    verification = verify_pair(
+        q, r, n_samples=n_verify, rng=rng, choi_q=j_q, threads=threads
+    )
     return NonUniqPair(
         q=q, r=r, epsilon=float(eps), max_epsilon=limit, verification=verification
     )

@@ -6,15 +6,18 @@ b)), so the stream is reproducible across platforms and independent of how
 blocks are distributed over worker threads. Distinct tags keep the main,
 net-building and validation sample spaces disjoint.
 
-A block's working set is its own states plus a tile of scratch: the Haar
-draw normalizes tile by tile inside the block's memory, and the Kraus loop
-of the fidelity kernel evaluates 256 rows at a time. Both give the bits
-they gave on the whole block.
+Sampling with `threads` workers runs the calling thread and threads - 1
+pool workers, which take blocks from one shared counter. A block's working
+set is its own states plus a tile of scratch: the Haar draw normalizes
+tile by tile inside the block's memory, and the Kraus loop of the fidelity
+kernel evaluates 256 rows at a time. Both give the bits they gave on the
+whole block.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -143,38 +146,75 @@ def fidelity_samples(
     States are generated and consumed per block, so each worker holds one
     block of states, BLOCK_SIZE * d complex entries, plus a tile of scratch
     for the draw and the kernel (see the module docstring). The evaluation
-    path is chosen and built once, before the first block. The returned
-    array is identical for any thread count because blocks land at fixed
-    offsets.
+    path is chosen and built once, before the first block. threads counts
+    the workers, the calling thread among them. The returned array is
+    identical for any thread count because blocks land at fixed offsets.
+    """
+    (out,) = _block_fidelities([(e, u)], n, rng, threads)
+    return out
+
+
+def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
+    """Gate fidelity of every (channel, target) pair at the same n Haar states.
+
+    Each block is drawn once and evaluated by every pair's kernel, built
+    once before the first block. The calling thread and threads - 1 pool
+    workers take blocks from one shared counter; each block's values land
+    at its fixed offset of one array per pair, so the arrays do not depend
+    on the thread count. After a block raises, no worker starts another,
+    and the exception reaches the caller, unchanged, once every worker has
+    stopped.
     """
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
-    d = e.dim_in
-    kernel = fidelity_kernel(e, u)
-    blocks = [
-        (b, min(BLOCK_SIZE, n - b * BLOCK_SIZE)) for b in range(math.ceil(n / BLOCK_SIZE))
-    ]
+    d = pairs[0][0].dim_in
+    kernels = [fidelity_kernel(e, u) for e, u in pairs]
+    outs = [np.empty(n) for _ in pairs]
+    n_blocks = math.ceil(n / BLOCK_SIZE)
+    counter = iter(range(n_blocks))
+    lock = threading.Lock()
+    failed = False
 
-    def work(item):
-        block, count = item
-        states = _haar_block(d, spec, TAG_MAIN, block, count)
-        return block, gate_fidelity_batch(e, u, states, kernel=kernel)
+    def claim():
+        with lock:
+            return None if failed else next(counter, None)
 
-    out = np.empty(n)
-    if threads <= 1 or len(blocks) == 1:
-        results = map(work, blocks)
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            results = list(pool.map(work, blocks))
-        finally:
-            pool.shutdown()
-    for block, values in results:
-        start = block * BLOCK_SIZE
-        out[start : start + len(values)] = values
-    return out
+    def drain():
+        # each worker draws every block it takes into one buffer of its own;
+        # a fresh array per block left freed blocks resident in the calling
+        # thread's malloc arena (report convergence at d = 16, 64 and 256
+        # peaked at 113 MB of RSS against 82 MB with the buffer)
+        nonlocal failed
+        buffer = np.empty((min(BLOCK_SIZE, n), d), dtype=complex)
+        while (block := claim()) is not None:
+            start = block * BLOCK_SIZE
+            stop = min(start + BLOCK_SIZE, n)
+            try:
+                states = _haar_block(
+                    d, spec, TAG_MAIN, block, stop - start, out=buffer[: stop - start]
+                )
+                for (e, u), kernel, out in zip(pairs, kernels, outs):
+                    out[start:stop] = gate_fidelity_batch(e, u, states, kernel=kernel)
+            except BaseException:
+                with lock:
+                    failed = True
+                raise
+
+    helpers = min(threads, n_blocks) - 1
+    if helpers <= 0:
+        drain()
+        return outs
+    pool = ThreadPoolExecutor(max_workers=helpers)
+    try:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    finally:
+        pool.shutdown()
+    for future in futures:
+        future.result()
+    return outs
 
 
 @dataclass(frozen=True)

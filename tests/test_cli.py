@@ -342,6 +342,28 @@ class TestNonUniqCommands:
         assert code == 2
         assert "FAILED" in capsys.readouterr().out
 
+    def test_artifacts_do_not_depend_on_threads(self, tmp_path):
+        # three blocks, split differently over one, two and three workers
+        flags = ["--n", str(2 * 4096 + 5), "--seed", "11"]
+        certs = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"cert{threads}.json"
+            assert main(["nonuniq", "construct", "--d", "4", "--p", "0.5", *flags,
+                         "--threads", threads, "--out", str(out)]) == 0
+            certs[threads] = out.read_bytes()
+        assert certs["1"] == certs["2"] == certs["3"]
+        cert = serialize.read_json(tmp_path / "cert1.json")
+        q_path, r_path = tmp_path / "q.json", tmp_path / "r.json"
+        serialize.write_json(q_path, cert["q"])
+        serialize.write_json(r_path, cert["r"])
+        checks = {}
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"verify{threads}.json"
+            assert main(["nonuniq", "verify", "--q", str(q_path), "--r", str(r_path),
+                         *flags, "--threads", threads, "--out", str(out)]) == 0
+            checks[threads] = out.read_bytes()
+        assert checks["1"] == checks["2"] == checks["3"]
+
     def test_construct_defaults_to_depolarizing_d4(self, tmp_path):
         default, explicit = tmp_path / "default.json", tmp_path / "explicit.json"
         assert main(["nonuniq", "construct", "--n", "500", "--out", str(default)]) == 0
@@ -651,12 +673,24 @@ class TestInputBoundary:
         def no_sampling(*args, **kwargs):
             raise AssertionError("states were sampled before the tolerance check")
 
-        monkeypatch.setattr(nonuniq, "fidelity_samples", no_sampling)
+        monkeypatch.setattr(nonuniq, "_block_fidelities", no_sampling)
         argv = [ch_path if a == "CH" else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
         assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]
+
+    def test_verify_samples_through_the_guarded_name(self, tmp_path, monkeypatch):
+        # positive control for the guard above: a valid verify reaches it
+        ch_path = _write_channel(tmp_path / "ch.json", depolarizing(0.5, 4))
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("states were sampled")
+
+        monkeypatch.setattr(nonuniq, "_block_fidelities", no_sampling)
+        with pytest.raises(AssertionError, match="states were sampled"):
+            main(["nonuniq", "verify", "--q", ch_path, "--r", ch_path, "--n", "100",
+                  "--out", str(tmp_path / "v.json")])
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from gatefid import fidelity
 from gatefid.channels import (
+    QuantumChannel,
     channel_from_kraus,
     choi_from_kraus,
     depolarizing,
@@ -274,6 +277,37 @@ class TestKernelGradient:
         for x in haar_states(4, 5, rng=85):
             g = kernel.gradient(x)
             assert abs(np.real(np.vdot(x, g)) - 4 * gate_fidelity_batch(ch, u, x)) < 1e-13
+
+
+class TestKernelOperators:
+    def test_rank_one_channel_is_not_copied(self):
+        # a unitary channel's U, 64 MiB at d = 2048, is not held a second
+        # time; built as unitary_channel builds it, without its 10 s check
+        ch = QuantumChannel(2048, 2048, (np.eye(2048, dtype=complex),))
+        tracemalloc.start()
+        try:
+            kernel = fidelity_kernel(ch)
+            allocated = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert allocated <= 2**20
+        assert np.shares_memory(kernel.ops, ch.kraus[0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("with_target", [False, True])
+    def test_rank_one_operators_give_the_stacked_bits(self, with_target, order):
+        rng = np.random.default_rng(86)
+        ch = unitary_channel(np.asarray(_haar_unitary(rng, 5), order=order))
+        u = _haar_unitary(rng, 5) if with_target else None
+        stacked = np.stack(ch.kraus)
+        if u is not None:
+            stacked = u.conj().T @ stacked
+        kernel = fidelity_kernel(ch, u)
+        assert kernel.ops.flags.c_contiguous
+        assert kernel.ops.tobytes() == stacked.tobytes()
+        states = haar_states(5, 300, rng=87)
+        expected = FidelityKernel(ops=stacked, form=None).values(states)
+        assert kernel.values(states).tobytes() == expected.tobytes()
 
 
 class TestAverageGateFidelity:

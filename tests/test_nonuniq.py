@@ -34,7 +34,7 @@ from gatefid.nonuniq import (
     perturb_channel,
     verify_pair,
 )
-from gatefid.sampling import haar_states
+from gatefid.sampling import BLOCK_SIZE, fidelity_samples, haar_states
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -307,10 +307,42 @@ class TestVerifyPair:
         assert v.seed == 102
 
     def test_mismatched_dimensions_refused_before_choi_or_states(self, monkeypatch):
-        monkeypatch.setattr(nonuniq, "fidelity_samples", _refuse)
+        monkeypatch.setattr(nonuniq, "_block_fidelities", _refuse)
         monkeypatch.setattr(nonuniq, "choi_from_kraus", _refuse)
         with pytest.raises(ValueError, match="the two channels have different dimensions"):
             verify_pair(depolarizing(0.5, 4), random_channel(5, 3, 1))
+
+    def test_matched_dimensions_sample_through_the_guarded_name(self, monkeypatch):
+        # positive control for the guard above: valid input reaches it
+        monkeypatch.setattr(nonuniq, "_block_fidelities", _refuse)
+        with pytest.raises(AssertionError, match="work began"):
+            verify_pair(depolarizing(0.5, 4), random_channel(4, 3, 1))
+
+    @pytest.mark.parametrize("kind", ["twin-d16", "mixed"])
+    def test_samples_equal_two_serial_runs(self, kind, monkeypatch):
+        if kind == "twin-d16":
+            # both channels take the symmetric form
+            pair = perturb_channel(depolarizing(0.5, 16), n_verify=2, rng=105)
+            q, r = pair.q, pair.r
+        else:
+            # a symmetric-form Q and a Kraus-loop R
+            q, r = depolarizing(0.5, 4), random_channel(4, 2, rng=106)
+        n, seed = 2 * BLOCK_SIZE + 5, 107
+        expected = [fidelity_samples(ch, None, n, seed).tobytes() for ch in (q, r)]
+        seen = []
+        real = nonuniq._block_fidelities
+
+        def spy(pairs, count, rng, threads):
+            out = real(pairs, count, rng, threads)
+            seen.append([f.tobytes() for f in out])
+            return out
+
+        monkeypatch.setattr(nonuniq, "_block_fidelities", spy)
+        fq, fr = (np.frombuffer(b) for b in expected)
+        for threads in (1, 2, 3):
+            v = verify_pair(q, r, n_samples=n, rng=seed, threads=threads)
+            assert seen.pop() == expected
+            assert v.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
 
     def test_distinct_fidelity_functions_show_up(self):
         v = verify_pair(

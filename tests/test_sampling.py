@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -31,6 +32,7 @@ from gatefid.sampling import (
     RngSpec,
     TAG_MAIN,
     TAG_VALIDATE,
+    _block_fidelities,
     _haar_block,
     as_rng_spec,
     convergence_report,
@@ -302,6 +304,95 @@ class TestTiledBlocks:
         d, n = 12288, 64
         peak = _traced_peak(lambda: haar_states(d, n, 37))
         assert peak <= 16 * n * d + 2 * MIB
+
+
+class _Boom(Exception):
+    pass
+
+
+class TestBlockScheduler:
+    """The calling thread and threads - 1 pool workers share one block counter."""
+
+    @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1])
+    def test_samples_do_not_depend_on_threads(self, n):
+        ch = random_channel(3, 2, rng=50)
+        serial = fidelity_samples(ch, None, n, rng=51, threads=1)
+        assert serial.shape == (n,)
+        for threads in (2, 3):
+            got = fidelity_samples(ch, None, n, rng=51, threads=threads)
+            assert got.tobytes() == serial.tobytes()
+
+    def test_each_block_is_drawn_once_into_its_workers_buffer(self, monkeypatch):
+        drawn = []
+        real = sampling._haar_block
+
+        def counting(d, spec, tag, block, count, out=None):
+            drawn.append((block, threading.get_ident(), out.__array_interface__["data"][0]))
+            return real(d, spec, tag, block, count, out=out)
+
+        monkeypatch.setattr(sampling, "_haar_block", counting)
+        ch = random_channel(3, 2, rng=54)
+        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
+        assert sorted(block for block, _, _ in drawn) == [0, 1, 2, 3]
+        buffers = {}
+        for _, thread, address in drawn:
+            buffers.setdefault(thread, set()).add(address)
+        assert all(len(addresses) == 1 for addresses in buffers.values())
+
+    def _failing_run(self, monkeypatch, threads, n_blocks):
+        """Run _block_fidelities with block 0 raising; return (error, started blocks).
+
+        Every other block waits, once drawn, until block 0 has raised, so a
+        scheduler that kept going would start all n_blocks blocks.
+        """
+        boom = _Boom("block 0")
+        raised = threading.Event()
+        started = []
+        current = threading.local()
+        real_block, real_batch = sampling._haar_block, sampling.gate_fidelity_batch
+
+        def haar_block(d, spec, tag, block, count, out=None):
+            started.append(block)
+            current.block = block
+            states = real_block(d, spec, tag, block, count, out=out)
+            if block != 0:
+                assert raised.wait(timeout=30)
+            return states
+
+        def batch(e, u, states, kernel=None):
+            if current.block == 0:
+                raised.set()
+                raise boom
+            return real_batch(e, u, states, kernel=kernel)
+
+        monkeypatch.setattr(sampling, "_haar_block", haar_block)
+        monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
+        ch = random_channel(3, 2, rng=56)
+        with pytest.raises(_Boom) as info:
+            _block_fidelities([(ch, None)], n_blocks * BLOCK_SIZE, 57, threads)
+        assert info.value is boom
+        return info.value, started
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_block_error_reaches_the_caller_unchanged(self, monkeypatch, threads):
+        error, _ = self._failing_run(monkeypatch, threads, 4)
+        assert error.args == ("block 0",)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_no_block_starts_after_an_error(self, monkeypatch, threads):
+        # block 0 fails at once; each other worker finishes the block it
+        # holds and may have claimed one more before the failure was marked
+        _, started = self._failing_run(monkeypatch, threads, 16)
+        assert started.count(0) == 1
+        assert len(started) <= 1 + 2 * (threads - 1)
+
+    def test_worker_threads_end_with_the_call(self, monkeypatch):
+        before = threading.active_count()
+        ch = random_channel(3, 2, rng=58)
+        fidelity_samples(ch, None, 4 * BLOCK_SIZE, rng=59, threads=3)
+        assert threading.active_count() == before
+        self._failing_run(monkeypatch, 3, 8)
+        assert threading.active_count() == before
 
 
 class TestMcStats:
