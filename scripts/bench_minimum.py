@@ -2,9 +2,13 @@
 """Time net packing and the descent before and after a change, then end to end.
 
 Layers: build_net(3, 0.2) and reference_minimum on a d=16 phase-spread
-unitary with 8 starts, the inputs of the min-search workload, each the
-median of REPEATS runs after one warm-up. They run in a fresh
-interpreter against each tree's src/, and the same interpreter records
+unitary with 8 starts, the inputs of the min-search workload. One sample
+of every layer comes from one fresh interpreter against one tree's src/,
+with BLAS pinned to one thread as the CLI pins it: the first build_net
+of the process (cold, as in every CLI job), a second one (warm), and
+reference_minimum after one warm-up call. LAYER_REPEATS interpreters run
+per tree, the trees alternating which goes first; medians, quartiles and
+per-pair wins are recorded. One more interpreter per tree records
 reference_minimum at the first VALUE_JOBS job seeds of every entry of
 SEEDS (perfbench's job_seed), so the two trees' reference values can be
 compared where perfbench only shows differing sha256.
@@ -12,9 +16,10 @@ compared where perfbench only shows differing sha256.
 Scan routes: in a fresh interpreter on this tree's src/, with BLAS
 pinned to one thread as the CLI pins it, both routes of the net scan,
 _min_distances (np.abs of the complex overlap) and minimum._far (the real
-Gram matrix of lifted states), are timed two ways. Chunk scan: one
-256-sample chunk against a SCAN_NET-state net at each d in SCAN_DIMS, the
-chunk's lift included, the median of SCAN_REPEATS runs. Net build: whole
+Gram matrix of lifted states, written into one reused buffer as _grow
+does), are timed two ways. Chunk scan: one 256-sample chunk against a
+SCAN_NET-state net at each d in SCAN_DIMS, the chunk's lift included, the
+median of SCAN_REPEATS runs. Net build: whole
 build_net calls at each (d, epsilon) of NET_BUILDS, forced onto each
 route through minimum.LIFT_MAX_DIM, the median of REPEATS runs, with the
 tracemalloc peak of one more run; both routes must give the same net.
@@ -26,8 +31,9 @@ tree, from that tree's own checkout, alternating which side runs
 first. Every job index both runs reached has its artifacts' sha256
 compared. Medians, inclusive quartiles and per-pair wins of setup_s,
 job_s and peak_rss_mb go to BENCH_minimum.json with the machine
-fingerprint (core count, BLAS name and BLAS thread count); the claim is
-job_s on min-search.
+fingerprint (core count, BLAS name, BLAS thread count, and the BLAS
+thread count once the CLI has pinned it); the claim is job_s on
+min-search.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_minimum.py --baseline /tmp/parent
@@ -40,6 +46,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
@@ -49,8 +56,10 @@ METRICS = ("setup_s", "job_s", "peak_rss_mb")
 JOB_LINE = re.compile(r"^# job (\d+) traced=\d [\d.]+ s .* sha256 (.*)$")
 NET_D, NET_EPS, REF_D, REF_STARTS = 3, 0.2, 16, 8
 WORKLOADS = ("min-search", "stats-lowrank", "sweep-unitary", "twin-dense")
-SEEDS = range(31, 41)
-REPEATS = 5
+SEEDS = range(91, 101)
+LAYER_REPEATS = 15  # fresh interpreters per tree
+LAYER_KEYS = ("build_net_cold_ms", "build_net_warm_ms", "reference_minimum_ms")
+REPEATS = 5  # net_build runs per route, in one interpreter
 VALUE_JOBS = 3  # job seeds per entry of SEEDS whose reference values are compared
 VALUE_SEEDS = [job_seed(s, k) for s in SEEDS for k in range(VALUE_JOBS)]
 SCAN_DIMS = (2, 3, 4, 6, 8, 12, 16)
@@ -64,26 +73,72 @@ NET_BUILDS = ((3, 0.2), (4, 0.6), (6, 0.6), (8, 0.7), (8, 0.9), (12, 1.0), (16, 
 OUT = ROOT / "BENCH_minimum.json"
 
 
-def layers() -> dict:
-    """Layer times and reference values of the gatefid found on sys.path."""
+def _unitary(seed: int):
     import numpy as np
 
     from gatefid.channels import phase_spread_unitary
+
+    return phase_spread_unitary(REF_D, np.random.default_rng([seed, REF_D]))
+
+
+def _ms(fn) -> tuple:
+    start = time.perf_counter()
+    result = fn()
+    return round(1e3 * (time.perf_counter() - start), 3), result
+
+
+def layers() -> dict:
+    """One sample of each layer of the gatefid on sys.path, in a fresh interpreter."""
+    from gatefid._blas import pin_single_thread
     from gatefid.minimum import build_net, reference_minimum
 
-    def unitary(seed):
-        return phase_spread_unitary(REF_D, np.random.default_rng([seed, REF_D]))
-
-    ch = unitary(1)
-    net_s, net = _median_time(lambda: build_net(NET_D, NET_EPS, rng=1), REPEATS)
-    ref_s, _ = _median_time(lambda: reference_minimum(ch, None, REF_STARTS, rng=1), REPEATS)
-    values = {str(s): reference_minimum(unitary(s), None, REF_STARTS, rng=s) for s in VALUE_SEEDS}
+    pin_single_thread()
+    ch = _unitary(1)
+    cold_ms, net = _ms(lambda: build_net(NET_D, NET_EPS, rng=1))
+    warm_ms, _ = _ms(lambda: build_net(NET_D, NET_EPS, rng=1))
+    reference_minimum(ch, None, REF_STARTS, rng=1)
+    ref_ms, _ = _ms(lambda: reference_minimum(ch, None, REF_STARTS, rng=1))
     return {
-        "build_net_s": round(net_s, 6),
+        "build_net_cold_ms": cold_ms,
+        "build_net_warm_ms": warm_ms,
+        "reference_minimum_ms": ref_ms,
         "net_states": len(net.states),
-        "reference_minimum_s": round(ref_s, 6),
-        "reference_values": values,
+        "blas_threads": blas_threads(),
     }
+
+
+def reference_values() -> dict:
+    """reference_minimum at every job seed of VALUE_SEEDS, BLAS at one thread."""
+    from gatefid._blas import pin_single_thread
+    from gatefid.minimum import reference_minimum
+
+    pin_single_thread()
+    return {str(s): reference_minimum(_unitary(s), None, REF_STARTS, rng=s) for s in VALUE_SEEDS}
+
+
+def layer_record(trees: dict) -> dict:
+    """LAYER_REPEATS fresh-interpreter samples per tree, alternating which runs first."""
+    samples = {side: [] for side in trees}
+    for i in range(LAYER_REPEATS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            samples[side].append(run_fresh(trees[side], "--layers-only"))
+    record = {
+        "inputs": f"build_net({NET_D}, {NET_EPS}, rng=1), the first and the second of a "
+                  f"fresh interpreter; reference_minimum of phase_spread_unitary({REF_D}), "
+                  f"{REF_STARTS} starts, rng=1, after one warm-up call",
+        "interpreters_per_tree": LAYER_REPEATS,
+        "blas_threads": sorted({s["blas_threads"] for side in trees for s in samples[side]}),
+        "net_states": {side: sorted({s["net_states"] for s in samples[side]}) for side in trees},
+    }
+    for key in LAYER_KEYS:
+        parent = [s[key] for s in samples["parent"]]
+        change = [s[key] for s in samples["change"]]
+        record[key] = {
+            "parent_q1_median_q3": quartiles(parent),
+            "change_q1_median_q3": quartiles(change),
+            "change_wins": f"{sum(c < p for p, c in zip(parent, change))}/{LAYER_REPEATS}",
+        }
+    return record
 
 
 def scan_tables() -> dict:
@@ -95,16 +150,21 @@ def scan_tables() -> dict:
 
 
 def chunk_scan() -> dict:
+    import numpy as np
+
     from gatefid.minimum import _DISTANCE_CHUNK, LIFT_MAX_DIM, _far, _lift, _min_distances
     from gatefid.sampling import haar_states
 
     rows = []
+    scratch = np.empty(_DISTANCE_CHUNK * SCAN_NET)
     for d in SCAN_DIMS:
         net = haar_states(d, SCAN_NET, rng=d)
         chunk = haar_states(d, _DISTANCE_CHUNK, rng=1000 + d)
         lifted_net = _lift(net)
         exact_s, exact = _median_time(lambda: _min_distances(chunk, net) >= NET_EPS, SCAN_REPEATS)
-        lift_s, lifted = _median_time(lambda: _far(chunk, net, lifted_net, NET_EPS), SCAN_REPEATS)
+        lift_s, lifted = _median_time(
+            lambda: _far(chunk, net, lifted_net, NET_EPS, scratch), SCAN_REPEATS
+        )
         if not (exact == lifted).all():
             raise RuntimeError(f"the two routes decide differently at d={d}")
         rows.append({
@@ -116,7 +176,8 @@ def chunk_scan() -> dict:
         })
     return {
         "inputs": f"one {_DISTANCE_CHUNK}-sample chunk against a {SCAN_NET}-state net, "
-                  f"epsilon {NET_EPS}; lift_ms includes lifting the chunk",
+                  f"epsilon {NET_EPS}; lift_ms includes lifting the chunk, and its Gram "
+                  "matrix goes into a reused buffer",
         "blas_threads": blas_threads(),
         "rows": rows,
     }
@@ -182,8 +243,7 @@ def run_perfbench(tree: Path, workload: str, seed: int) -> dict:
 
 
 def quartiles(values: list) -> list:
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return [round(q1, 4), round(q2, 4), round(q3, 4)]
+    return [round(q, 4) for q in statistics.quantiles(values, n=4, method="inclusive")]
 
 
 def summarize(runs: list) -> dict:
@@ -266,20 +326,28 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
     ap.add_argument("--layers-only", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--values-only", action="store_true", help=argparse.SUPPRESS)
     ap.add_argument("--scan-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
-    if args.layers_only:
-        print(json.dumps(layers()))
-        return
-    if args.scan_only:
-        print(json.dumps(scan_tables()))
-        return
+    for flag, fn in ((args.layers_only, layers), (args.values_only, reference_values),
+                     (args.scan_only, scan_tables)):
+        if flag:
+            print(json.dumps(fn()))
+            return
     if args.baseline is None:
         ap.error("--baseline is required")
+    from bench_sampling import cli_blas_threads  # bench_sampling imports this module
 
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
-    layer = {side: run_fresh(tree, "--layers-only") for side, tree in trees.items()}
+    layer = layer_record(trees)
+    for key in LAYER_KEYS:
+        print(f"{key}: parent {layer[key]['parent_q1_median_q3'][1]} "
+              f"change {layer[key]['change_q1_median_q3'][1]} "
+              f"(change wins {layer[key]['change_wins']})", flush=True)
+    values = {side: run_fresh(tree, "--values-only") for side, tree in trees.items()}
+    diffs = [abs(values["parent"][s] - values["change"][s]) for s in values["parent"]]
+    print(f"reference_minimum max |diff| over {len(diffs)} job seeds: {max(diffs)}", flush=True)
     scan = run_fresh(ROOT, "--scan-only")
     for row in scan["chunk_scan"]["rows"]:
         print(f"chunk scan d={row['d']}: np.abs {row['abs_ms']} ms, lift {row['lift_ms']} ms",
@@ -288,13 +356,6 @@ def main() -> None:
         print(f"net build d={row['d']} eps={row['epsilon']}: "
               f"np.abs {row['abs_s']} s {row['abs_peak_mb']} MB, "
               f"lift {row['lift_s']} s {row['lift_peak_mb']} MB", flush=True)
-    ref_diff = max(
-        abs(layer["parent"]["reference_values"][s] - layer["change"]["reference_values"][s])
-        for s in layer["parent"]["reference_values"]
-    )
-    for side in trees:
-        print(f"{side}: build_net {layer[side]['build_net_s']:.4f}s "
-              f"reference_minimum {layer[side]['reference_minimum_s']:.4f}s", flush=True)
 
     end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
     artifacts = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
@@ -302,17 +363,13 @@ def main() -> None:
     record = {
         "topic": "minimum",
         "harness": "PYTHONPATH=src python3 scripts/bench_minimum.py --baseline PARENT",
-        "machine": fingerprint(),
-        "layers": {
-            "inputs": f"build_net({NET_D}, {NET_EPS}, rng=1); reference_minimum of "
-                      f"phase_spread_unitary({REF_D}), {REF_STARTS} starts, rng=1",
-            **{side: {k: v for k, v in layer[side].items() if k != "reference_values"}
-               for side in trees},
-        },
+        "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
+        "layers": layer,
         **scan,
         "reference_values": {
-            "job_seeds": len(VALUE_SEEDS),
-            "max_abs_diff": ref_diff,
+            "job_seeds": len(diffs),
+            "moved": sum(d > 0 for d in diffs),
+            "max_abs_diff": max(diffs),
         },
         "end_to_end": end_to_end,
         "artifacts": artifacts,

@@ -9,6 +9,7 @@ input data, 1 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -449,8 +450,17 @@ def _add_channel_source(parser) -> None:
 
 
 def build_parser() -> _Parser:
+    """The gatefid parser, built once per process for each GATEFID_SEED default.
+
+    Parsing leaves the parser unchanged and gives each call a fresh
+    namespace, so one parser serves every main() call of a process.
+    """
     # a malformed GATEFID_SEED is refused here, whatever the command
-    seed_default = _env_default_seed()
+    return _parser_with_seed_default(_env_default_seed())
+
+
+@functools.cache
+def _parser_with_seed_default(seed_default: int) -> _Parser:
     parser = _Parser(prog="gatefid", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
 

@@ -19,8 +19,9 @@ only through M, which is why distinct channels can share a fidelity
 function. High-rank channels at moderate d take the symmetric form
 (uses_symmetric_form); everything else takes the Kraus loop. Both paths
 evaluate a batch in tiles of _TILE_ROWS rows, so their scratch does not
-grow with the batch; the Kraus loop's tiles give every row the bits one
-pass over the whole batch gives it.
+grow with the batch. No tile has a single row, so in a batch of two rows
+or more every row gets the bits one pass over the whole batch gives it,
+whatever the other rows are.
 """
 
 from __future__ import annotations
@@ -187,20 +188,24 @@ def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarra
     i, j = np.triu_indices(d)
     weight = np.where(i == j, 1.0, np.sqrt(2.0))
     out = np.empty(states.shape[0])
-    for start in range(0, states.shape[0], _TILE_ROWS):
-        rows = states[start : start + _TILE_ROWS]
+    for start, stop in _row_tiles(states.shape[0], _TILE_ROWS):
+        rows = states[start:stop]
         # coordinates of phi (x) phi in the basis of symmetric_form
         y = rows[:, i] * rows[:, j] * weight
-        out[start : start + len(rows)] = np.einsum("na,na->n", y.conj(), y @ form.T).real
+        out[start:stop] = np.einsum("na,na->n", y.conj(), y @ form.T).real
     return out
 
 
-def _kraus_gradient(ops: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    # c_k = <phi|B_k|phi>; grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi)
-    b_phi = ops @ phi
-    bh_phi = (phi.conj() @ ops).conj()
-    c = b_phi @ phi.conj()
-    return 2.0 * (c.conj() @ b_phi + c @ bh_phi)
+def _kraus_gradient(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    # c_k = <phi|B_k|phi>; grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi),
+    # for each row phi; every product is a (rows, d) GEMM and every sum runs
+    # within one row, so a row's bits do not depend on the other rows of a
+    # call of two rows or more
+    bra = rows.conj()
+    b_phi = rows @ ops.transpose(0, 2, 1)
+    bh_phi = (bra @ ops).conj()
+    c = np.einsum("kni,ni->kn", b_phi, bra)
+    return 2.0 * (np.einsum("kn,kni->ni", c.conj(), b_phi) + np.einsum("kn,kni->ni", c, bh_phi))
 
 
 @dataclass(frozen=True)
@@ -224,16 +229,22 @@ class FidelityKernel:
         return _symmetric_values(self.form, self.ops.shape[-1], states)
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at a state phi.
+        """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at each row phi.
 
         B_k = U^dag A_k. F is read as a real function of (Re phi, Im phi)
         and extended off the unit sphere as the degree-4 polynomial above;
-        the result packs it as dF/dRe phi + i dF/dIm phi, a complex (d,)
-        vector. Its component along phi is 4F, so callers descending on
-        the sphere remove the radial part. It is computed from the folded
-        Kraus operators on either evaluation path.
+        the result packs it as dF/dRe phi + i dF/dIm phi, a complex array
+        of phi's shape: (n, d) for n rows, (d,) for one 1-D state, which
+        takes the same code as a one-row batch. Its component along phi is
+        4F, so callers descending on the sphere remove the radial part. It
+        is computed from the folded Kraus operators on either evaluation
+        path. A batch of two rows or more gives each row the same bits
+        whatever the other rows are; a one-row batch takes numpy's
+        matrix-vector products, whose last bits can differ.
         """
-        return _kraus_gradient(self.ops, np.asarray(phi, dtype=complex))
+        phi = np.asarray(phi, dtype=complex)
+        grad = _kraus_gradient(self.ops, np.atleast_2d(phi))
+        return grad[0] if phi.ndim == 1 else grad
 
 
 def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:

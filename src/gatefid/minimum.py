@@ -5,6 +5,14 @@ the Lipschitz constant 3 sqrt(2) turns it into the certified lower bound
 net_min - 3 sqrt(2) eps for the true minimum. A multi-start projected
 descent provides an independent reference value at small dimension, and
 concentration of measure gives the quantile-based effective minimum.
+
+Both searches pay numpy's per-call cost once per batch, not once per
+state: the net packing scans 256 samples at a time against the net,
+writing each chunk's Gram matrix into one buffer that grows with the net,
+and the descent moves every start at once. No overlap or evaluation is
+taken on a single row, which numpy computes by a matrix-vector product
+whose last bits can differ from the GEMM's; so a sample's distance and a
+start's value do not depend on which other rows share the call.
 """
 
 from __future__ import annotations
@@ -67,13 +75,13 @@ _DISTANCE_CHUNK = 256
 # _grow scans the net through _lift only up to this dimension. Whole
 # builds at one BLAS thread (scripts/bench_minimum.py, net_build in
 # BENCH_minimum.json), np.abs against lift: build_net(3, 0.2), 1587
-# states, 210 against 117 ms; build_net(8, 0.7), 1312 states, 171 against
-# 142 ms; a small net pays for lifting each chunk: build_net(8, 0.9), 86
-# states, 9.2 against 10.3 ms. Above d = 8 the real GEMM, whose work per
+# states, 226 against 93 ms; build_net(8, 0.7), 1312 states, 168 against
+# 132 ms; a small net pays for lifting each chunk: build_net(8, 0.9), 86
+# states, 9.5 against 11.8 ms. Above d = 8 the real GEMM, whose work per
 # pair of states grows as d^2 where the complex one grows as d, lost on
-# every net measured: 10 against 12 ms at d = 12, 28 against 118 ms at
-# d = 64, and 0.13 against 1.4 s at d = 256, where the build peaked at
-# 402 MB against 33 MB. A lifted row is d^2 doubles, 2 GiB at d = 16384.
+# every net measured: 11 against 15 ms at d = 12, 29 against 108 ms at
+# d = 64, and 0.10 against 1.3 s at d = 256, where the build peaked at
+# 402 MB against 18 MB. A lifted row is d^2 doubles, 2 GiB at d = 16384.
 LIFT_MAX_DIM = 8
 
 # a lifted maximum this close to the threshold is decided by _min_distances;
@@ -82,12 +90,26 @@ LIFT_MAX_DIM = 8
 _LIFT_MARGIN = 1e-9
 
 
+def _two_rows(rows: np.ndarray) -> np.ndarray:
+    """rows, a lone row repeated, so a matmul on it takes numpy's GEMM path.
+
+    A one-row operand takes the matrix-vector path instead, whose last bits
+    can differ from those the same row gets in a GEMM.
+    """
+    return rows[[0, 0]] if len(rows) == 1 else rows
+
+
 def _min_distances(points: np.ndarray, net_states: np.ndarray) -> np.ndarray:
-    """Distance from each point (row) to its nearest net state."""
+    """Distance from each point (row) to its nearest net state.
+
+    Every chunk of points is a GEMM of two rows or more, so a point's
+    distance has the same bits whatever the other points of the call.
+    """
     best = np.empty(len(points))
     for start in range(0, len(points), _DISTANCE_CHUNK):
         rows = points[start : start + _DISTANCE_CHUNK]
-        best[start : start + len(rows)] = np.abs(rows.conj() @ net_states.T).max(axis=1)
+        overlap = np.abs(_two_rows(rows).conj() @ net_states.T)
+        best[start : start + len(rows)] = overlap.max(axis=1)[: len(rows)]
     return overlap_distance(best)
 
 
@@ -103,17 +125,25 @@ def _lift(states: np.ndarray) -> np.ndarray:
     return np.concatenate((states.real**2 + states.imag**2, cross.real, cross.imag), axis=1)
 
 
-def _far(points: np.ndarray, net: np.ndarray, lifted_net: np.ndarray, epsilon: float):
+def _far(
+    points: np.ndarray, net: np.ndarray, lifted_net: np.ndarray, epsilon: float, scratch=None
+):
     """_min_distances(points, net) >= epsilon, bit for bit, through the lift.
 
     lifted_net is _lift(net). A point is far when its largest squared
     overlap, a row max of the real Gram matrix, lies below (1 - epsilon^2/2)^2,
     signed so that epsilon^2 > 2 leaves no point far. Maxima within
-    _LIFT_MARGIN of that edge are decided by _min_distances.
+    _LIFT_MARGIN of that edge are decided by _min_distances. The Gram
+    matrix is written to the front of scratch, a flat float64 array of at
+    least len(points) * len(net) entries, when one is given.
     """
     edge = 1.0 - 0.5 * float(epsilon) * float(epsilon)
     edge *= abs(edge)
-    best = (_lift(points) @ lifted_net.T).max(axis=1)
+    gram = None
+    if scratch is not None:
+        # a C-contiguous view, so the GEMM writes it as it writes a fresh array
+        gram = scratch[: len(points) * len(net)].reshape(len(points), len(net))
+    best = np.matmul(_lift(points), lifted_net.T, out=gram).max(axis=1)
     far = best < edge
     near = np.flatnonzero(np.abs(best - edge) <= _LIFT_MARGIN)
     if len(near):
@@ -143,8 +173,11 @@ def _grow(
     """
     d = net.shape[1]
     # up to LIFT_MAX_DIM, the net's first `lifted_n` states, lifted; it
-    # catches up before each chunk scan and has the net buffer's capacity
+    # catches up before each chunk scan and has the net buffer's capacity.
+    # gram is _far's scratch for one chunk against that capacity; it grows
+    # with lifted, so chunks reuse its pages instead of mapping fresh ones
     lifted = np.empty((0, d * d))
+    gram = np.empty(0)
     lifted_n = 0
     misses = 0
     block = 0
@@ -162,19 +195,26 @@ def _grow(
                 survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
             else:
                 if len(lifted) < n:
+                    gram = None  # freed before the larger one is allocated
                     lifted = _regrown(lifted, lifted_n, len(net))
+                    gram = np.empty(_DISTANCE_CHUNK * len(lifted))
                 lifted[lifted_n:n] = _lift(net[lifted_n:n])
                 lifted_n = n
-                survivors = np.flatnonzero(_far(chunk, net[:n], lifted[:n], epsilon)).tolist()
+                far = _far(chunk, net[:n], lifted[:n], epsilon, gram)
+                survivors = np.flatnonzero(far).tolist()
             last = -1
             for i in survivors:
                 misses += i - last - 1  # the samples between survivors
                 last = i
                 if misses >= stop:
                     break
-                if n > base and _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon:
-                    misses += 1
-                    continue
+                if n > base:
+                    # the survivor and a neighbour: two rows make the overlap
+                    # a GEMM (a chunk holds _DISTANCE_CHUNK rows)
+                    pair = min(i, len(chunk) - 2)
+                    if _min_distances(chunk[pair : pair + 2], net[base:n])[i - pair] < epsilon:
+                        misses += 1
+                        continue
                 if n == len(net):
                     net = _regrown(net, n, min(2 * len(net), cap))
                 net[n] = chunk[i]
@@ -270,38 +310,61 @@ def net_minimum(e: QuantumChannel, u, net: StateNet) -> MinEstimate:
     )
 
 
-def _descend(e: QuantumChannel, u, x: np.ndarray, kernel: FidelityKernel) -> float:
-    """Projected gradient descent from one start on the unit sphere."""
-    val = float(gate_fidelity_batch(e, u, x, kernel=kernel))
-    step = 0.25
+def _descend(e: QuantumChannel, u, kernel: FidelityKernel, starts: np.ndarray) -> np.ndarray:
+    """Projected gradient descent on the unit sphere from each row of starts.
+
+    Every start keeps its own step, 0.25 at first, times 1.3 on an accepted
+    candidate and 0.5 on a rejected one; a candidate is accepted when it
+    lowers the value by more than 1e-15 and tried only while the step
+    exceeds 1e-14. A start stops after 400 gradients, at a gradient below
+    1e-12, when no candidate was accepted, or when step * |gradient| falls
+    below 1e-10. The starts descend together: each iteration takes one
+    gradient of the starts still descending and each backtracking round
+    one evaluation of the starts still searching, both on two rows or more,
+    so a start's value has the same bits whatever the other starts are.
+    Returns the final value of each start.
+    """
+    x = np.array(starts, dtype=complex)
+    val = gate_fidelity_batch(e, u, _two_rows(x), kernel=kernel)[: len(x)]
+    step = np.full(len(x), 0.25)
+    live = np.arange(len(x))
     for _ in range(400):
-        grad = kernel.gradient(x)
-        grad -= np.real(np.vdot(x, grad)) * x  # radial part is irrelevant
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < 1e-12:
+        if not len(live):
             break
-        moved = False
-        while step > 1e-14:
-            cand = x - step * grad
-            cand /= np.linalg.norm(cand)
-            cval = float(gate_fidelity_batch(e, u, cand, kernel=kernel))
-            if cval < val - 1e-15:
-                x, val = cand, cval
-                step *= 1.3
-                moved = True
-                break
-            step *= 0.5
-        if not moved or step * gnorm < 1e-10:
-            break
+        here = x[live]
+        grad = kernel.gradient(_two_rows(here))[: len(live)]
+        grad -= np.einsum("ni,ni->n", here.conj(), grad).real[:, None] * here  # radial part
+        gnorm = np.linalg.norm(grad, axis=1)
+        keep = ~(gnorm < 1e-12)
+        live, grad, gnorm = live[keep], grad[keep], gnorm[keep]
+        moved = np.zeros(len(live), dtype=bool)
+        search = np.flatnonzero(step[live] > 1e-14)  # positions in live
+        while len(search):
+            rows = live[search]
+            cand = x[rows] - step[rows, None] * grad[search]
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            cval = gate_fidelity_batch(e, u, _two_rows(cand), kernel=kernel)[: len(rows)]
+            better = cval < val[rows] - 1e-15
+            won = rows[better]
+            x[won], val[won] = cand[better], cval[better]
+            step[won] *= 1.3
+            moved[search[better]] = True
+            step[rows[~better]] *= 0.5
+            search = search[~better]
+            search = search[step[live[search]] > 1e-14]
+        live = live[moved & ~(step[live] * gnorm < 1e-10)]
     return val
 
 
 def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED) -> float:
     """Best value over multi-start local descent; the desk-scale oracle.
 
-    Local descent cannot certify globality, so treat the result as a
-    consistent reference, not ground truth. Restricted to d <= 32 where
-    multi-start coverage of the sphere is still meaningful.
+    The n_starts unit starts are drawn one after another from the
+    optimizer stream of rng and descend together (_descend); each start's
+    value has the same bits whatever n_starts is. Local descent cannot
+    certify globality, so treat the result as a consistent reference, not
+    ground truth. Restricted to d <= 32 where multi-start coverage of the
+    sphere is still meaningful.
     """
     if e.dim_in > REFERENCE_DIM_LIMIT:
         raise ValueError(
@@ -312,12 +375,11 @@ def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED)
     spec = as_rng_spec(rng)
     g = generator(spec, TAG_OPTIMIZER)
     d = e.dim_in
-    kernel = fidelity_kernel(e, u)
-    best = np.inf
-    for _ in range(n_starts):
+    starts = np.empty((n_starts, d), dtype=complex)
+    for start in starts:
         z = g.standard_normal(d) + 1j * g.standard_normal(d)
-        best = min(best, _descend(e, u, z / np.linalg.norm(z), kernel))
-    return float(best)
+        start[:] = z / np.linalg.norm(z)
+    return float(_descend(e, u, fidelity_kernel(e, u), starts).min())
 
 
 def effective_epsilon(q: float, d: int) -> float:

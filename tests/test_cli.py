@@ -236,6 +236,38 @@ class TestFidelityCommands:
         assert "--channel" in capsys.readouterr().err
 
 
+class TestParserReuse:
+    def test_main_calls_share_one_parser_without_leaking_flags(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("GATEFID_SEED", raising=False)
+        parsers = []
+        parse = cli._Parser.parse_args
+
+        def spy(self, *args, **kwargs):
+            parsers.append(self)
+            return parse(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "parse_args", spy)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        assert main(["min", "reference", "--p", "0.7", "--d", "2", "--starts", "2",
+                     "--seed", "5", "--out", str(first)]) == 0
+        assert main(["min", "reference", "--p", "0.7", "--d", "2",
+                     "--out", str(second)]) == 0
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+        assert serialize.read_json(first)["seed"] == 5
+        assert serialize.read_json(second)["seed"] == sampling.DEFAULT_SEED
+        summaries = capsys.readouterr().out.splitlines()
+        assert "over 2 starts" in summaries[0] and "over 8 starts" in summaries[1]
+
+    def test_seed_default_follows_the_environment(self, monkeypatch):
+        monkeypatch.setenv("GATEFID_SEED", "41")
+        assert cli.build_parser() is cli.build_parser()
+        assert cli.build_parser().parse_args(["min", "reference", "--d", "2"]).seed == 41
+        monkeypatch.setenv("GATEFID_SEED", "42")
+        assert cli.build_parser().parse_args(["min", "reference", "--d", "2"]).seed == 42
+
+
 class TestSeedPlumbing:
     def test_env_seed_lands_in_artifact(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GATEFID_SEED", "99")

@@ -168,6 +168,16 @@ class TestSymmetricForm:
         form = FidelityKernel(ops=ops, form=symmetric_form(ch, u)).values(states)
         assert np.max(np.abs(form - kraus)) <= 1e-13
 
+    @pytest.mark.parametrize("d", [3, 6])
+    def test_row_bits_do_not_depend_on_the_batch(self, d):
+        # no tile has one row, which numpy's gemv path would evaluate
+        kernel = fidelity_kernel(random_channel(d, d * d, rng=88 + d))
+        assert kernel.form is not None
+        states = haar_states(d, 600, rng=90 + d)
+        whole = kernel.values(states)
+        for start, stop in ((0, 257), (100, 102), (0, 513), (300, 600)):
+            assert kernel.values(states[start:stop]).tobytes() == whole[start:stop].tobytes()
+
     def test_is_the_symmetric_block_of_the_partial_transpose(self):
         rng = np.random.default_rng(74)
         for d, rank in ((2, 3), (3, 9), (4, 7)):
@@ -269,6 +279,25 @@ class TestKernelGradient:
         for x in haar_states(d, 3, rng=8200 + 100 * d + rank):
             got = _tangent(x, kernel.gradient(x))
             assert np.max(np.abs(got - _tangent(x, _fd_gradient(ch, u, x)))) < 1e-6
+
+    @pytest.mark.parametrize("d,rank", [(2, 1), (3, 9), (8, 4), (16, 3)])
+    def test_rows_match_one_state_gradient(self, d, rank):
+        # the (d,) formula the row gradient replaced, and finite differences
+        ch = random_channel(d, rank, rng=[86, d, rank])
+        u = _haar_unitary(np.random.default_rng([87, d]), d)
+        kernel = fidelity_kernel(ch, u)
+        ops = kernel.ops
+        rows = haar_states(d, 5, rng=8700 + d)
+        grads = kernel.gradient(rows)
+        assert grads.shape == rows.shape
+        for x, g in zip(rows, grads):
+            b_phi = ops @ x
+            c = b_phi @ x.conj()
+            one = 2.0 * (c.conj() @ b_phi + c @ (x.conj() @ ops).conj())
+            assert np.max(np.abs(g - one)) < 1e-13
+            assert np.max(np.abs(_tangent(x, g) - _tangent(x, _fd_gradient(ch, u, x)))) < 1e-6
+        # a 1-D state is a one-row batch
+        assert kernel.gradient(rows[0]).tobytes() == kernel.gradient(rows[:1])[0].tobytes()
 
     def test_radial_part_is_4f(self):
         ch = random_channel(4, 16, rng=83)

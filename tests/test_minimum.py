@@ -15,12 +15,15 @@ from gatefid.channels import (
 from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     average_gate_fidelity,
+    fidelity_kernel,
     gate_fidelity_batch,
     overlap_distance,
 )
 from gatefid.minimum import (
+    _DISTANCE_CHUNK,
     LIFT_MAX_DIM,
     NetCoverageError,
+    _descend,
     _far,
     _lift,
     _min_distances,
@@ -33,9 +36,11 @@ from gatefid.minimum import (
 from gatefid.sampling import (
     BLOCK_SIZE,
     TAG_NET,
+    TAG_OPTIMIZER,
     TAG_VALIDATE,
     _haar_block,
     as_rng_spec,
+    generator,
     haar_states,
 )
 
@@ -335,6 +340,133 @@ class TestLiftedScan:
         _far(points, phi, _lift(phi), 0.5)
         _far(others, phi, _lift(phi), eps)
         assert calls == []
+
+
+class TestScanScratch:
+    """_grow's chunk scans share one Gram buffer, with the bits of a fresh one."""
+
+    @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
+    def test_far_with_scratch_is_bit_equal(self, d):
+        points = haar_states(d, _DISTANCE_CHUNK, rng=5700 + d)
+        for size in (1, 2, 5, 300):
+            net = haar_states(d, size, rng=5800 + size)
+            lifted_net = _lift(net)
+            scratch = np.full(_DISTANCE_CHUNK * 512, np.nan)
+            ties = _min_distances(points[:3], net)
+            for eps in [0.2, 0.9, *ties]:
+                fresh = _far(points, net, lifted_net, eps)
+                assert np.array_equal(_far(points, net, lifted_net, eps, scratch), fresh)
+            gram = scratch[: len(points) * size].reshape(len(points), size)
+            assert gram.tobytes() == (_lift(points) @ lifted_net.T).tobytes()
+
+    @pytest.mark.parametrize(
+        "phase,tag", [("packing", TAG_NET), ("coverage repair", TAG_VALIDATE)]
+    )
+    def test_grow_reallocates_scratch_only_when_the_net_doubles(self, phase, tag, monkeypatch):
+        # 1587 states take the net buffer through 256, 512 and 1024 rows to
+        # the 2001-row cap; each _grow lifts into buffers of its own
+        max_states = 2000
+        seen = []
+
+        def spy(points, net, lifted_net, epsilon, scratch=None):
+            assert scratch is not None and len(scratch) >= len(points) * len(net)
+            if not any(scratch is s for s in seen):
+                seen.append(scratch)
+            return _far(points, net, lifted_net, epsilon, scratch)
+
+        monkeypatch.setattr(minimum, "_far", spy)
+        net, n = minimum._grow(np.empty((256, 3), dtype=complex), 0, max_states + 1,
+                               as_rng_spec(1), tag, 0.2, 200, phase)
+        assert n > 1024
+        assert len(seen) <= math.ceil(math.log2(max_states / 256)) + 1
+        assert [len(s) // _DISTANCE_CHUNK for s in seen] == [256, 512, 1024, 2001]
+
+
+class TestDistanceRows:
+    """A point's distance to the net does not depend on the other points of the call."""
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_one_and_two_row_calls_match_the_batch(self, d):
+        points = haar_states(d, 1000, rng=5900 + d)
+        net = haar_states(d, 777, rng=6000 + d)
+        whole = _min_distances(points, net)
+        one = np.concatenate([_min_distances(points[i : i + 1], net) for i in range(1000)])
+        pairs = np.concatenate([_min_distances(points[i : i + 2], net) for i in range(0, 1000, 2)])
+        assert one.tobytes() == whole.tobytes()
+        assert pairs.tobytes() == whole.tobytes()
+        # a one-row remainder of the 256-row chunks joins the chunk before it
+        assert _min_distances(points[:257], net).tobytes() == whole[:257].tobytes()
+
+
+def _old_descend(e, u, x, kernel):
+    """The one-start descent that _descend replaced, for comparison."""
+    val = float(gate_fidelity_batch(e, u, x, kernel=kernel))
+    step = 0.25
+    for _ in range(400):
+        grad = kernel.gradient(x)
+        grad -= np.real(np.vdot(x, grad)) * x
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm < 1e-12:
+            break
+        moved = False
+        while step > 1e-14:
+            cand = x - step * grad
+            cand /= np.linalg.norm(cand)
+            cval = float(gate_fidelity_batch(e, u, cand, kernel=kernel))
+            if cval < val - 1e-15:
+                x, val = cand, cval
+                step *= 1.3
+                moved = True
+                break
+            step *= 0.5
+        if not moved or step * gnorm < 1e-10:
+            break
+    return val
+
+
+def _starts(d, n_starts, seed):
+    """The unit starts reference_minimum draws, in its order."""
+    g = generator(as_rng_spec(seed), TAG_OPTIMIZER)
+    z = [g.standard_normal(d) + 1j * g.standard_normal(d) for _ in range(n_starts)]
+    return np.array([v / np.linalg.norm(v) for v in z])
+
+
+_DESCENT_PANEL = {
+    "phase-spread-d3": lambda: (phase_spread_unitary(3, np.random.default_rng([3, 3])), None),
+    "phase-spread-d16": lambda: (phase_spread_unitary(16, np.random.default_rng([3, 16])), None),
+    "rank4-d8": lambda: (random_channel(8, 4, rng=31), None),
+    "amplitude-damping": lambda: (amplitude_damping(0.3), None),
+    "rank30-d6": lambda: (random_channel(6, 30, rng=32), None),
+    "target-u": lambda: (random_channel(4, 2, rng=33),
+                         phase_spread_unitary(4, np.random.default_rng(34)).kraus[0]),
+}
+
+
+class TestBatchedDescent:
+    @pytest.mark.parametrize("case", list(_DESCENT_PANEL))
+    def test_matches_one_start_descent(self, case):
+        e, u = _DESCENT_PANEL[case]()
+        kernel = fidelity_kernel(e, u)
+        if case == "rank30-d6":
+            assert kernel.form is not None
+        old = min(_old_descend(e, u, x, kernel) for x in _starts(e.dim_in, 8, 35))
+        assert abs(reference_minimum(e, u, n_starts=8, rng=35) - old) < 1e-12
+
+    @pytest.mark.parametrize("case", ["phase-spread-d16", "rank4-d8", "rank30-d6", "target-u"])
+    @pytest.mark.parametrize("n_starts", [1, 2, 3, 8])
+    def test_start_value_is_independent_of_the_other_starts(self, case, n_starts):
+        e, u = _DESCENT_PANEL[case]()
+        kernel = fidelity_kernel(e, u)
+        starts = _starts(e.dim_in, n_starts, 36)
+        together = _descend(e, u, kernel, starts)
+        assert together.shape == (n_starts,)
+        for k in range(n_starts):
+            alone = _descend(e, u, kernel, starts[k : k + 1])
+            assert alone.tobytes() == together[k : k + 1].tobytes()
+        # nor on how many starts are drawn after it
+        more = _descend(e, u, kernel, _starts(e.dim_in, n_starts + 1, 36))
+        assert more[:n_starts].tobytes() == together.tobytes()
+        assert reference_minimum(e, u, n_starts=n_starts, rng=36) == together.min()
 
 
 class TestNetMinimum:
