@@ -11,9 +11,11 @@ BENCH_sampling.json.
 Block peaks: in a fresh interpreter against each tree's src/, the
 tracemalloc peak, above what was allocated before the call, of one
 4096-state `_haar_block`, of `gate_fidelity_batch` on that block with a
-prebuilt kernel, and of `fidelity_samples` over two blocks at one thread,
-for a random channel at each d in BLOCK_DIMS and rank in BLOCK_RANKS. One
-warm-up draw runs first, so the generator's first-use allocations stay out.
+prebuilt kernel, and of `fidelity_samples` over two blocks at one thread
+(two_blocks_mib, what one sampling worker holds beside its kernel; a
+rank-1 random channel is a unitary), for a random channel at each d in
+BLOCK_DIMS and rank in BLOCK_RANKS. One warm-up draw runs first, so the
+generator's first-use allocations stay out.
 
 End to end: `perfbench/run.py --trace 0` pairs, alternating which side runs
 first. CLAIM_SEEDS run on sweep-unitary (the claim, peak_rss_mb) and on

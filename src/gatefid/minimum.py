@@ -17,6 +17,7 @@ start's value do not depend on which other rows share the call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +114,15 @@ def _min_distances(points: np.ndarray, net_states: np.ndarray) -> np.ndarray:
     return overlap_distance(best)
 
 
+@functools.lru_cache(maxsize=LIFT_MAX_DIM)
+def _upper_pairs(d: int) -> tuple:
+    """np.triu_indices(d, 1), built once per dimension and read-only, as shared."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
 def _lift(states: np.ndarray) -> np.ndarray:
     """Real coordinates x(psi) of each psi psi^dag, with <x(phi), x(psi)> = |<phi|psi>|^2.
 
@@ -120,7 +130,7 @@ def _lift(states: np.ndarray) -> np.ndarray:
     matrices: |psi_i|^2, then sqrt(2) Re and sqrt(2) Im of conj(psi_i) psi_j
     for i < j, d^2 coordinates per row.
     """
-    i, j = np.triu_indices(states.shape[1], 1)
+    i, j = _upper_pairs(states.shape[1])
     cross = math.sqrt(2.0) * states[:, i].conj() * states[:, j]
     return np.concatenate((states.real**2 + states.imag**2, cross.real, cross.imag), axis=1)
 
@@ -160,76 +170,81 @@ def _regrown(buf: np.ndarray, n: int, rows: int) -> np.ndarray:
     return grown
 
 
-def _grow(
-    net: np.ndarray, n: int, cap: int, spec, tag: int, epsilon: float, stop: int, phase: str
-) -> tuple:
-    """Add each sample of stream tag lying epsilon or more from the net.
+def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tuple:
+    """Add each sample lying epsilon or more from the net, pass by pass.
 
-    Each sample is measured against the net as it stands at that sample,
-    states added earlier in the same block included; the pass ends after
-    stop samples in a row were not added, counted across blocks. Returns
-    the buffer and its row count. A net past cap - 1 states raises
-    NetCoverageError naming the phase.
+    passes lists (tag, stop, phase) triples; a pass draws stream tag until
+    stop samples in a row were not added, counted across blocks. Each
+    sample is measured against the net as it stands at that sample, states
+    added earlier in the same block included. Returns the buffer and its
+    row count. A net past cap - 1 states raises NetCoverageError naming
+    the phase.
     """
     d = net.shape[1]
     # up to LIFT_MAX_DIM, the net's first `lifted_n` states, lifted; it
     # catches up before each chunk scan and has the net buffer's capacity.
-    # gram is _far's scratch for one chunk against that capacity; it grows
-    # with lifted, so chunks reuse its pages instead of mapping fresh ones
+    # gram is _far's scratch, one chunk against at least the net's states,
+    # doubled when the net outgrows it; both serve every pass, so chunks
+    # reuse their pages instead of mapping fresh ones; so does every block
+    samples = np.empty((BLOCK_SIZE, d), dtype=complex)
     lifted = np.empty((0, d * d))
     gram = np.empty(0)
     lifted_n = 0
-    misses = 0
-    block = 0
-    while misses < stop:
-        samples = _haar_block(d, spec, tag, block, BLOCK_SIZE)
-        block += 1
-        for start in range(0, len(samples), _DISTANCE_CHUNK):
-            chunk = samples[start : start + _DISTANCE_CHUNK]
-            # a sample is added when it is epsilon away from the net as it
-            # stood before this chunk and from the states this chunk added
-            base = n
-            if not n:
-                survivors = range(len(chunk))
-            elif d > LIFT_MAX_DIM:
-                survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon).tolist()
-            else:
-                if len(lifted) < n:
-                    gram = None  # freed before the larger one is allocated
-                    lifted = _regrown(lifted, lifted_n, len(net))
-                    gram = np.empty(_DISTANCE_CHUNK * len(lifted))
-                lifted[lifted_n:n] = _lift(net[lifted_n:n])
-                lifted_n = n
-                far = _far(chunk, net[:n], lifted[:n], epsilon, gram)
-                survivors = np.flatnonzero(far).tolist()
-            last = -1
-            for i in survivors:
-                misses += i - last - 1  # the samples between survivors
-                last = i
+    for tag, stop, phase in passes:
+        misses = 0
+        block = 0
+        while misses < stop:
+            _haar_block(d, spec, tag, block, BLOCK_SIZE, out=samples)
+            block += 1
+            for start in range(0, len(samples), _DISTANCE_CHUNK):
+                chunk = samples[start : start + _DISTANCE_CHUNK]
+                # a sample is added when it is epsilon away from the net
+                # before this chunk and from the states this chunk added
+                base = n
+                if not n:
+                    survivors = range(len(chunk))
+                elif d > LIFT_MAX_DIM:
+                    far = _min_distances(chunk, net[:n]) >= epsilon
+                    survivors = np.flatnonzero(far).tolist()
+                else:
+                    if len(lifted) < n:
+                        lifted = _regrown(lifted, lifted_n, len(net))
+                    if len(gram) < _DISTANCE_CHUNK * n:
+                        rows = min(max(n, 2 * len(gram) // _DISTANCE_CHUNK), cap)
+                        gram = None  # freed before the larger one is allocated
+                        gram = np.empty(_DISTANCE_CHUNK * rows)
+                    lifted[lifted_n:n] = _lift(net[lifted_n:n])
+                    lifted_n = n
+                    far = _far(chunk, net[:n], lifted[:n], epsilon, gram)
+                    survivors = np.flatnonzero(far).tolist()
+                last = -1
+                for i in survivors:
+                    misses += i - last - 1  # the samples between survivors
+                    last = i
+                    if misses >= stop:
+                        break
+                    if n > base:
+                        # the survivor and a neighbour: two rows make the
+                        # overlap a GEMM (a chunk holds _DISTANCE_CHUNK rows)
+                        pair = min(i, len(chunk) - 2)
+                        if _min_distances(chunk[pair : pair + 2], net[base:n])[i - pair] < epsilon:
+                            misses += 1
+                            continue
+                    if n == len(net):
+                        net = _regrown(net, n, min(2 * len(net), cap))
+                    net[n] = chunk[i]
+                    n += 1
+                    misses = 0
+                    if n >= cap:
+                        hint = "; enlarge max_states or epsilon" if phase == "packing" else ""
+                        raise NetCoverageError(
+                            f"{phase} exceeded the {cap - 1}-state budget at d={d}, "
+                            f"epsilon={epsilon}{hint}"
+                        )
+                else:
+                    misses += len(chunk) - last - 1
                 if misses >= stop:
                     break
-                if n > base:
-                    # the survivor and a neighbour: two rows make the overlap
-                    # a GEMM (a chunk holds _DISTANCE_CHUNK rows)
-                    pair = min(i, len(chunk) - 2)
-                    if _min_distances(chunk[pair : pair + 2], net[base:n])[i - pair] < epsilon:
-                        misses += 1
-                        continue
-                if n == len(net):
-                    net = _regrown(net, n, min(2 * len(net), cap))
-                net[n] = chunk[i]
-                n += 1
-                misses = 0
-                if n >= cap:
-                    hint = "; enlarge max_states or epsilon" if phase == "packing" else ""
-                    raise NetCoverageError(
-                        f"{phase} exceeded the {cap - 1}-state budget at d={d}, "
-                        f"epsilon={epsilon}{hint}"
-                    )
-            else:
-                misses += len(chunk) - last - 1
-            if misses >= stop:
-                break
     return net, n
 
 
@@ -270,11 +285,11 @@ def build_net(
     # grows by doubling up to one row past the budget, so the state that
     # breaks it still fits and a generous budget reserves no memory up front
     cap = max_states + 1
-    net = np.empty((min(cap, 256), d), dtype=complex)
-    net, n = _grow(net, 0, cap, spec, TAG_NET, epsilon, stop_rejections, "packing")
     miss = 1.0 - confidence
     needed = math.ceil(math.log(1.0 / miss) / miss)
-    net, n = _grow(net, n, cap, spec, TAG_VALIDATE, epsilon, needed, "coverage repair")
+    net = np.empty((min(cap, 256), d), dtype=complex)
+    passes = ((TAG_NET, stop_rejections, "packing"), (TAG_VALIDATE, needed, "coverage repair"))
+    net, n = _grow(net, 0, cap, spec, epsilon, passes)
     return StateNet(
         d=d,
         epsilon=float(epsilon),

@@ -7,11 +7,12 @@ blocks are distributed over worker threads. Distinct tags keep the main,
 net-building and validation sample spaces disjoint.
 
 Sampling with `threads` workers runs the calling thread and threads - 1
-pool workers, which take blocks from one shared counter. A block's working
-set is its own states plus a tile of scratch: the Haar draw normalizes
-tile by tile inside the block's memory, and the Kraus loop of the fidelity
-kernel evaluates 256 rows at a time. Both give the bits they gave on the
-whole block.
+pool workers, which take blocks from one shared counter. A worker holds a
+block's first normal array a, 4096 d doubles, and two tiles of states: it
+draws the rest of the block tile by tile, normalizes each tile and
+evaluates it before drawing the next. haar_states draws whole blocks, each
+normalized tile by tile inside its own memory. Both give the bits a draw
+and an evaluation of the whole block gave.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 
 from .channels import QuantumChannel, _check_budget, _check_dense_budget
 from .fidelity import (
+    _TILE_ROWS,
     LIPSCHITZ_CONSTANT,
     _check_dim,
     _row_tiles,
@@ -37,8 +39,8 @@ from .fidelity import (
 BLOCK_SIZE = 4096
 ALGORITHM_ID = "pcg64-block4096"
 
-# complex entries of scratch per tile of a Haar block: 256 rows at d = 256,
-# the whole block up to d = 16, two rows from d = 21846 on
+# complex entries per tile of a Haar block: the kernel's 256 rows up to
+# d = 256, fewer above, two rows from d = 21846 on
 _HAAR_TILE_ENTRIES = 1 << 16
 
 # documented default seed for every seeded entry point
@@ -84,6 +86,30 @@ def generator(spec: RngSpec, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def _tile_rows(d: int) -> int:
+    """Rows per tile of a Haar block, for its draw and its evaluation alike."""
+    return max(2, min(_TILE_ROWS, _HAAR_TILE_ENTRIES // d))
+
+
+def _haar_tile(g: np.random.Generator, a: np.ndarray, rows: np.ndarray, work: np.ndarray):
+    """Fill rows, complex (m, d), with a + 1j*b over its row norms.
+
+    b is g's next m*d normals, drawn into the back half of work, a complex
+    (m, d) scratch whose front half a may occupy.
+    """
+    b = work.view(np.float64).reshape(2, *rows.shape)[1]
+    g.standard_normal(out=b)
+    rows.real = a
+    rows.imag = b
+    # the squared row norms exactly as np.linalg.norm forms them
+    np.conjugate(rows, out=work)
+    np.multiply(work, rows, out=work)
+    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
+    # dividing by a real equals multiplying both parts by its reciprocal
+    parts = rows.view(np.float64)
+    parts *= inv_norm[:, None]
+
+
 def _haar_block(
     d: int, spec: RngSpec, tag: int, block: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -92,10 +118,10 @@ def _haar_block(
 
     The states are written into out, a C-contiguous complex (count, d) array,
     when one is given, and into a new one otherwise. Beside it the block
-    needs one tile of scratch, _HAAR_TILE_ENTRIES complex entries or two
-    rows: a is drawn whole into the upper half of the block's own memory,
-    and b is drawn, interleaved with a and normalized tile by tile. A
-    generator's normal stream drawn in pieces equals the stream drawn whole.
+    needs one tile of scratch: a is drawn whole into the upper half of the
+    block's own memory, and b is drawn, interleaved with a and normalized
+    tile by tile (_haar_tile). A generator's normal stream drawn in pieces
+    equals the stream drawn whole.
     """
     g = generator(spec, tag, block)
     z = np.empty((count, d), dtype=complex) if out is None else out
@@ -104,24 +130,13 @@ def _haar_block(
     # no row of a from stop on, so each tile copies out only its own rows
     real = z.view(np.float64).reshape(-1)[count * d :].reshape(count, d)
     g.standard_normal(out=real)
-    tile_rows = max(2, _HAAR_TILE_ENTRIES // d)
-    scratch = np.empty((min(count, tile_rows + 1), d), dtype=complex)
-    for start, stop in _row_tiles(count, tile_rows):
-        rows = z[start:stop]
+    rows = _tile_rows(d)
+    scratch = np.empty((min(count, rows + 1), d), dtype=complex)
+    for start, stop in _row_tiles(count, rows):
         work = scratch[: stop - start]
-        # the tile's a and b side by side in the scratch, then interleaved
-        a, b = work.view(np.float64).reshape(2, stop - start, d)
+        a = work.view(np.float64).reshape(2, stop - start, d)[0]
         np.copyto(a, real[start:stop])
-        g.standard_normal(out=b)
-        rows.real = a
-        rows.imag = b
-        # the squared row norms exactly as np.linalg.norm forms them
-        np.conjugate(rows, out=work)
-        np.multiply(work, rows, out=work)
-        inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
-        # dividing by a real equals multiplying both parts by its reciprocal
-        parts = rows.view(np.float64)
-        parts *= inv_norm[:, None]
+        _haar_tile(g, a, z[start:stop], work)
     return z
 
 
@@ -143,12 +158,12 @@ def fidelity_samples(
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
-    States are generated and consumed per block, so each worker holds one
-    block of states, BLOCK_SIZE * d complex entries, plus a tile of scratch
-    for the draw and the kernel (see the module docstring). The evaluation
-    path is chosen and built once, before the first block. threads counts
-    the workers, the calling thread among them. The returned array is
-    identical for any thread count because blocks land at fixed offsets.
+    States are generated and consumed tile by tile, so each worker holds a
+    block's first normal array, BLOCK_SIZE * d doubles, and two tiles of
+    states (see the module docstring). The evaluation path is chosen and
+    built once, before the first block. threads counts the workers, the
+    calling thread among them. The returned array is identical for any
+    thread count because blocks land at fixed offsets.
     """
     (out,) = _block_fidelities([(e, u)], n, rng, threads)
     return out
@@ -157,19 +172,20 @@ def fidelity_samples(
 def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
-    Each block is drawn once and evaluated by every pair's kernel, built
-    once before the first block. The calling thread and threads - 1 pool
-    workers take blocks from one shared counter; each block's values land
-    at its fixed offset of one array per pair, so the arrays do not depend
-    on the thread count. After a block raises, no worker starts another,
-    and the exception reaches the caller, unchanged, once every worker has
-    stopped.
+    Each block is drawn once, and each of its tiles is evaluated as soon as
+    it is drawn by every pair's kernel, built once before the first block.
+    The calling thread and threads - 1 pool workers take blocks from one
+    shared counter; each block's values land at its fixed offset of one
+    array per pair, so the arrays do not depend on the thread count. After
+    a block raises, no worker starts another, and the exception reaches
+    the caller, unchanged, once every worker has stopped.
     """
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
     d = pairs[0][0].dim_in
+    rows = _tile_rows(d)
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
     outs = [np.empty(n) for _ in pairs]
     n_blocks = math.ceil(n / BLOCK_SIZE)
@@ -182,21 +198,26 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
             return None if failed else next(counter, None)
 
     def drain():
-        # each worker draws every block it takes into one buffer of its own;
-        # a fresh array per block left freed blocks resident in the calling
+        # each worker draws every block it takes into buffers of its own; a
+        # fresh array per block left freed blocks resident in the calling
         # thread's malloc arena (report convergence at d = 16, 64 and 256
-        # peaked at 113 MB of RSS against 82 MB with the buffer)
+        # peaked at 113 MB of RSS against 82 MB with one buffer per worker)
         nonlocal failed
-        buffer = np.empty((min(BLOCK_SIZE, n), d), dtype=complex)
+        a = np.empty((min(BLOCK_SIZE, n), d))
+        states, work = np.empty((2, min(rows + 1, n), d), dtype=complex)
         while (block := claim()) is not None:
             start = block * BLOCK_SIZE
-            stop = min(start + BLOCK_SIZE, n)
+            count = min(BLOCK_SIZE, n - start)
             try:
-                states = _haar_block(
-                    d, spec, TAG_MAIN, block, stop - start, out=buffer[: stop - start]
-                )
-                for (e, u), kernel, out in zip(pairs, kernels, outs):
-                    out[start:stop] = gate_fidelity_batch(e, u, states, kernel=kernel)
+                g = generator(spec, TAG_MAIN, block)
+                g.standard_normal(out=a[:count])
+                for t0, t1 in _row_tiles(count, rows):
+                    tile = states[: t1 - t0]
+                    _haar_tile(g, a[t0:t1], tile, work[: t1 - t0])
+                    for (e, u), kernel, out in zip(pairs, kernels, outs):
+                        out[start + t0 : start + t1] = gate_fidelity_batch(
+                            e, u, tile, kernel=kernel
+                        )
             except BaseException:
                 with lock:
                     failed = True

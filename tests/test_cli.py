@@ -807,7 +807,8 @@ class TestSizeAndShapeBoundary:
         def no_sampling(*args, **kwargs):
             raise AssertionError("states were sampled before the shape check")
 
-        monkeypatch.setattr(sampling, "_haar_block", no_sampling)
+        # every block of fidelity stats starts at sampling.generator
+        monkeypatch.setattr(sampling, "generator", no_sampling)
         argv = [str(net_path) if a == "NET" else a for a in argv]
         out = tmp_path / "out.json"
         assert main(argv + ["--channel", ch_path, "--out", str(out)]) == 2
@@ -815,6 +816,23 @@ class TestSizeAndShapeBoundary:
         assert err.startswith("error: gate fidelity needs a square channel, got 2 -> 3")
         assert "Traceback" not in err
         assert not out.exists()
+
+    def test_square_channel_samples_through_the_guarded_name(self, tmp_path, monkeypatch):
+        # positive control for the guard above: a square channel's stats
+        # draw each block through sampling.generator
+        ch_path = _write_channel(tmp_path / "square.json", channel_from_kraus([np.eye(2)]))
+        blocks = []
+        real = sampling.generator
+
+        def spy(spec, *key):
+            blocks.append(key)
+            return real(spec, *key)
+
+        monkeypatch.setattr(sampling, "generator", spy)
+        out = tmp_path / "out.json"
+        assert main(["fidelity", "stats", "--n", "100", "--channel", ch_path,
+                     "--out", str(out)]) == 0
+        assert blocks == [(sampling.TAG_MAIN, 0)]
 
     @pytest.mark.parametrize(
         "argv, named",

@@ -168,6 +168,23 @@ class TestSymmetricForm:
         form = FidelityKernel(ops=ops, form=symmetric_form(ch, u)).values(states)
         assert np.max(np.abs(form - kraus)) <= 1e-13
 
+    def test_index_arrays_are_built_with_the_kernel(self, monkeypatch):
+        # the symmetric form's coordinates take their indices and weights
+        # from the kernel, not from a rebuild per batch
+        d = 4
+        kernel = fidelity_kernel(random_channel(d, d * d, rng=87))
+        whole = kernel.values(haar_states(d, 300, rng=86))
+        i, j = np.triu_indices(d)
+        assert np.array_equal(kernel.coords[0], i) and np.array_equal(kernel.coords[1], j)
+        assert np.array_equal(kernel.coords[2], np.where(i == j, 1.0, np.sqrt(2.0)))
+        assert fidelity_kernel(random_channel(d, 2, rng=87)).coords is None
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("index arrays rebuilt per batch")
+
+        monkeypatch.setattr(np, "triu_indices", rebuilt)
+        assert kernel.values(haar_states(d, 300, rng=86)).tobytes() == whole.tobytes()
+
     @pytest.mark.parametrize("d", [3, 6])
     def test_row_bits_do_not_depend_on_the_batch(self, d):
         # no tile has one row, which numpy's gemv path would evaluate

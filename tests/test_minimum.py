@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -359,27 +360,65 @@ class TestScanScratch:
             gram = scratch[: len(points) * size].reshape(len(points), size)
             assert gram.tobytes() == (_lift(points) @ lifted_net.T).tobytes()
 
-    @pytest.mark.parametrize(
-        "phase,tag", [("packing", TAG_NET), ("coverage repair", TAG_VALIDATE)]
-    )
-    def test_grow_reallocates_scratch_only_when_the_net_doubles(self, phase, tag, monkeypatch):
-        # 1587 states take the net buffer through 256, 512 and 1024 rows to
-        # the 2001-row cap; each _grow lifts into buffers of its own
-        max_states = 2000
+    @staticmethod
+    def _scratches(monkeypatch):
+        """Every distinct Gram scratch _far receives, with the net sizes it served."""
         seen = []
 
         def spy(points, net, lifted_net, epsilon, scratch=None):
             assert scratch is not None and len(scratch) >= len(points) * len(net)
-            if not any(scratch is s for s in seen):
-                seen.append(scratch)
+            if not seen or scratch is not seen[-1][0]:
+                seen.append((scratch, []))
+            seen[-1][1].append(len(net))
             return _far(points, net, lifted_net, epsilon, scratch)
 
         monkeypatch.setattr(minimum, "_far", spy)
+        return seen
+
+    @pytest.mark.parametrize(
+        "phase,tag", [("packing", TAG_NET), ("coverage repair", TAG_VALIDATE)]
+    )
+    def test_grow_reallocates_scratch_only_when_outgrown(self, phase, tag, monkeypatch):
+        # a scratch first holds one chunk against the net as it stands, and
+        # is replaced, at least doubled, only when the net outgrows it
+        max_states = 2000
+        seen = self._scratches(monkeypatch)
         net, n = minimum._grow(np.empty((256, 3), dtype=complex), 0, max_states + 1,
-                               as_rng_spec(1), tag, 0.2, 200, phase)
+                               as_rng_spec(1), 0.2, [(tag, 200, phase)])
         assert n > 1024
-        assert len(seen) <= math.ceil(math.log2(max_states / 256)) + 1
-        assert [len(s) // _DISTANCE_CHUNK for s in seen] == [256, 512, 1024, 2001]
+        rows = [len(scratch) // _DISTANCE_CHUNK for scratch, _ in seen]
+        assert rows[0] == seen[0][1][0]
+        for (_, served), grown, before in zip(seen[1:], rows[1:], rows):
+            assert served[0] > before and grown == min(max(served[0], 2 * before), max_states + 1)
+        assert len(rows) <= math.ceil(math.log2((max_states + 1) / rows[0])) + 1
+
+    def test_passes_share_one_scratch(self, monkeypatch):
+        # packing and coverage repair of build_net(3, 0.2) (1587 states) scan
+        # into scratches of 222, 444, 888 and 1776 rows, where a scratch of
+        # the net buffer's capacity took 2001 rows in each pass
+        seen = self._scratches(monkeypatch)
+        assert len(build_net(3, 0.2, rng=1).states) == 1587
+        assert [len(scratch) // _DISTANCE_CHUNK for scratch, _ in seen] == [222, 444, 888, 1776]
+
+    def test_build_peak(self):
+        # 1776 rows of scratch, one 4096-state block reused for every block,
+        # the net and its lift; the scratch at the net buffer's capacity
+        # peaked at 4.82 MiB
+        build_net(3, 0.9, rng=1)
+        tracemalloc.start()
+        try:
+            build_net(3, 0.2, rng=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.0 * 2**20
+
+    @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
+    def test_lift_indices_are_built_once_per_dimension(self, d):
+        pairs = minimum._upper_pairs(d)
+        assert minimum._upper_pairs(d) is pairs
+        assert np.array_equal(pairs, np.triu_indices(d, 1))
+        assert not any(index.flags.writeable for index in pairs)
 
 
 class TestDistanceRows:

@@ -22,8 +22,10 @@ from gatefid.fidelity import (
     fidelity_kernel,
     gate_fidelity_batch,
     overlap_distance,
+    uses_symmetric_form,
 )
 from gatefid.minimum import effective_epsilon
+from gatefid.nonuniq import verify_pair
 from gatefid.sampling import (
     ALGORITHM_ID,
     BLOCK_SIZE,
@@ -306,8 +308,94 @@ class TestTiledBlocks:
         assert peak <= 16 * n * d + 2 * MIB
 
 
+RUNNER_COUNTS = (1, 2, 257, BLOCK_SIZE + 1, BLOCK_SIZE + 257, 10_000)
+
+
+def _channels_of_both_paths(d):
+    """A rank-2 channel (the Kraus loop) and, up to d = 16, a symmetric-form one."""
+    channels = [random_channel(d, 2, rng=60 + d)]
+    if d <= 16:
+        rank = max(d + 1, (d * d + 3) // 4)
+        assert uses_symmetric_form(rank, d)
+        channels.append(random_channel(d, rank, rng=70 + d))
+    return channels
+
+
+def _reference_samples(ch, n, spec):
+    """Fidelities at the n states of spec, block by block from whole blocks.
+
+    A block of one row is a matrix-vector product on either path, so the
+    blocks are evaluated one by one, not as one batch.
+    """
+    kernel = fidelity_kernel(ch)
+    values = []
+    for b in range(math.ceil(n / BLOCK_SIZE)):
+        states = _whole_haar_block(ch.dim_in, spec, TAG_MAIN, b, min(BLOCK_SIZE, n - b * BLOCK_SIZE))
+        if kernel.form is None:
+            values.append(_clamp_unit(_whole_kraus_values(kernel.ops, states)))
+        else:
+            values.append(gate_fidelity_batch(ch, None, states, kernel=kernel))
+    return np.concatenate(values)
+
+
+class TestTileRunner:
+    """Each worker draws a block's tiles one at a time and evaluates each at once."""
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 64, 256, 300])
+    def test_runner_keeps_the_whole_block_bits(self, d):
+        # each channel alone, as fidelity_samples runs it, and both on one
+        # draw of each block, as verify_pair runs them
+        spec = RngSpec(61)
+        q, *rest = _channels_of_both_paths(d)
+        r = rest[0] if rest else random_channel(d, 1, rng=80 + d)
+        for k, n in enumerate(RUNNER_COUNTS):
+            expected = [_reference_samples(ch, n, spec).tobytes() for ch in (q, r)]
+            for threads in (1, 2, 3):
+                both = _block_fidelities([(q, None), (r, None)], n, spec, threads)
+                assert [f.tobytes() for f in both] == expected, (d, n, threads)
+            threads = 1 + k % 3  # each count of workers, over the counts of states
+            for ch, want in zip((q, r), expected):
+                (alone,) = _block_fidelities([(ch, None)], n, spec, threads)
+                assert alone.tobytes() == want, (d, n, threads)
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    def test_verify_pair_residual_from_the_whole_block_samples(self, d):
+        q, r = _channels_of_both_paths(d)
+        n = BLOCK_SIZE + 257
+        fq, fr = (_reference_samples(ch, n, RngSpec(63)) for ch in (q, r))
+        for threads in (1, 2, 3):
+            verified = verify_pair(q, r, n, 63, threads=threads)
+            assert verified.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
+
+    def test_worker_working_set(self):
+        # report convergence's unitary at d = 256: a worker holds a block's
+        # first normal array (8 MiB) and two tiles; holding whole blocks of
+        # states, it peaked at 18 MiB
+        ch = phase_spread_unitary(256, 64)
+        fidelity_samples(ch, None, 2, 65)
+        peak = _traced_peak(lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1))
+        assert peak <= 13 * MIB
+
+
 class _Boom(Exception):
     pass
+
+
+def _address(array) -> int:
+    return array.__array_interface__["data"][0]
+
+
+class _FirstDrawSpy:
+    """A block's generator, recording the buffer its first normal draw fills."""
+
+    def __init__(self, g, block, drawn):
+        self._g, self._block, self._drawn = g, block, drawn
+
+    def standard_normal(self, *, out):
+        if self._block is not None:
+            self._drawn.append((self._block, threading.get_ident(), _address(out), out.size))
+            self._block = None
+        return self._g.standard_normal(out=out)
 
 
 class TestBlockScheduler:
@@ -323,41 +411,73 @@ class TestBlockScheduler:
             assert got.tobytes() == serial.tobytes()
 
     def test_each_block_is_drawn_once_into_its_workers_buffer(self, monkeypatch):
-        drawn = []
-        real = sampling._haar_block
+        # a block's first normal array is drawn whole, once, into the buffer
+        # its worker keeps; every tile of it lands in that worker's one tile
+        drawn, tiles = [], []
+        real_generator, real_tile = sampling.generator, sampling._haar_tile
 
-        def counting(d, spec, tag, block, count, out=None):
-            drawn.append((block, threading.get_ident(), out.__array_interface__["data"][0]))
-            return real(d, spec, tag, block, count, out=out)
+        def generator(spec, tag, block):
+            return _FirstDrawSpy(real_generator(spec, tag, block), block, drawn)
 
-        monkeypatch.setattr(sampling, "_haar_block", counting)
+        def haar_tile(g, a, rows, work):
+            tiles.append((threading.get_ident(), _address(rows), _address(work)))
+            return real_tile(g, a, rows, work)
+
+        monkeypatch.setattr(sampling, "generator", generator)
+        monkeypatch.setattr(sampling, "_haar_tile", haar_tile)
         ch = random_channel(3, 2, rng=54)
-        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
-        assert sorted(block for block, _, _ in drawn) == [0, 1, 2, 3]
+        n = 3 * BLOCK_SIZE + 1
+        _block_fidelities([(ch, None), (ch, None)], n, 55, 2)
+        assert sorted(block for block, _, _, _ in drawn) == [0, 1, 2, 3]
+        assert sorted(size for _, _, _, size in drawn) == [3, *[3 * BLOCK_SIZE] * 3]
         buffers = {}
-        for _, thread, address in drawn:
+        for _, thread, address, _ in drawn:
             buffers.setdefault(thread, set()).add(address)
         assert all(len(addresses) == 1 for addresses in buffers.values())
+        assert len(tiles) == 3 * (BLOCK_SIZE // 256) + 1
+        for thread, rows, work in tiles:
+            assert {(r, w) for t, r, w in tiles if t == thread} == {(rows, work)}
+
+    def test_valid_calls_reach_the_guarded_names(self, monkeypatch):
+        # positive control for the guards below: the runner draws each
+        # block through sampling.generator and evaluates each tile through
+        # sampling.gate_fidelity_batch
+        blocks, rows = [], []
+        real_generator, real_batch = sampling.generator, sampling.gate_fidelity_batch
+
+        def generator(spec, tag, block):
+            blocks.append((tag, block))
+            return real_generator(spec, tag, block)
+
+        def batch(e, u, states, kernel=None):
+            rows.append(len(states))
+            return real_batch(e, u, states, kernel=kernel)
+
+        monkeypatch.setattr(sampling, "generator", generator)
+        monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
+        ch = random_channel(3, 2, rng=56)
+        fidelity_samples(ch, None, 2 * BLOCK_SIZE + 3, 57, threads=2)
+        assert sorted(blocks) == [(TAG_MAIN, 0), (TAG_MAIN, 1), (TAG_MAIN, 2)]
+        assert sum(rows) == 2 * BLOCK_SIZE + 3 and max(rows) <= 257
 
     def _failing_run(self, monkeypatch, threads, n_blocks):
         """Run _block_fidelities with block 0 raising; return (error, started blocks).
 
-        Every other block waits, once drawn, until block 0 has raised, so a
-        scheduler that kept going would start all n_blocks blocks.
+        Every other block waits, once started, until block 0 has raised, so
+        a scheduler that kept going would start all n_blocks blocks.
         """
         boom = _Boom("block 0")
         raised = threading.Event()
         started = []
         current = threading.local()
-        real_block, real_batch = sampling._haar_block, sampling.gate_fidelity_batch
+        real_generator, real_batch = sampling.generator, sampling.gate_fidelity_batch
 
-        def haar_block(d, spec, tag, block, count, out=None):
+        def generator(spec, tag, block):
             started.append(block)
             current.block = block
-            states = real_block(d, spec, tag, block, count, out=out)
             if block != 0:
                 assert raised.wait(timeout=30)
-            return states
+            return real_generator(spec, tag, block)
 
         def batch(e, u, states, kernel=None):
             if current.block == 0:
@@ -365,7 +485,7 @@ class TestBlockScheduler:
                 raise boom
             return real_batch(e, u, states, kernel=kernel)
 
-        monkeypatch.setattr(sampling, "_haar_block", haar_block)
+        monkeypatch.setattr(sampling, "generator", generator)
         monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
         ch = random_channel(3, 2, rng=56)
         with pytest.raises(_Boom) as info:
