@@ -26,8 +26,9 @@ whatever the other rows are.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -184,9 +185,20 @@ def _kraus_values(ops: np.ndarray, states: np.ndarray) -> np.ndarray:
     return total
 
 
-def _symmetric_values(form: np.ndarray, coords: tuple, states: np.ndarray) -> np.ndarray:
-    # coords: np.triu_indices(d) and the weight of each pair, 1 or sqrt(2)
-    i, j, weight = coords
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(d: int, k: int = 0) -> tuple:
+    """np.triu_indices(d, k) and each pair's weight, 1 if i == j and sqrt(2)
+    otherwise, built once per (d, k) and read-only, as shared.
+    """
+    i, j = np.triu_indices(d, k)
+    arrays = (i, j, np.where(i == j, 1.0, np.sqrt(2.0)))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarray:
+    i, j, weight = _upper_pairs(d)
     out = np.empty(states.shape[0])
     for start, stop in _row_tiles(states.shape[0], _TILE_ROWS):
         rows = states[start:stop]
@@ -216,24 +228,17 @@ class FidelityKernel:
     complex (rank, d, d) array. form holds symmetric_form(e, u) when
     uses_symmetric_form picks it; otherwise it is None and values come from
     the Kraus loop over ops. Build it with fidelity_kernel and hand it to
-    gate_fidelity_batch for every batch of the same pair; the index arrays
-    of the symmetric form are built once, with the kernel.
+    gate_fidelity_batch for every batch of the same pair.
     """
 
     ops: np.ndarray
     form: np.ndarray | None
-    coords: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.form is not None:
-            i, j = np.triu_indices(self.ops.shape[-1])
-            object.__setattr__(self, "coords", (i, j, np.where(i == j, 1.0, np.sqrt(2.0))))
 
     def values(self, states: np.ndarray) -> np.ndarray:
         """Unclamped fidelities of the rows of a complex (n, d) array."""
         if self.form is None:
             return _kraus_values(self.ops, states)
-        return _symmetric_values(self.form, self.coords, states)
+        return _symmetric_values(self.form, self.ops.shape[-1], states)
 
     def gradient(self, phi: np.ndarray) -> np.ndarray:
         """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at each row phi.

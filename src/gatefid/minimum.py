@@ -17,7 +17,6 @@ start's value do not depend on which other rows share the call.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -29,6 +28,7 @@ from .fidelity import (
     LIPSCHITZ_CONSTANT,
     FidelityKernel,
     _check_dim,
+    _upper_pairs,
     fidelity_kernel,
     gate_fidelity_batch,
     overlap_distance,
@@ -114,15 +114,6 @@ def _min_distances(points: np.ndarray, net_states: np.ndarray) -> np.ndarray:
     return overlap_distance(best)
 
 
-@functools.lru_cache(maxsize=LIFT_MAX_DIM)
-def _upper_pairs(d: int) -> tuple:
-    """np.triu_indices(d, 1), built once per dimension and read-only, as shared."""
-    pairs = np.triu_indices(d, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
 def _lift(states: np.ndarray) -> np.ndarray:
     """Real coordinates x(psi) of each psi psi^dag, with <x(phi), x(psi)> = |<phi|psi>|^2.
 
@@ -130,7 +121,7 @@ def _lift(states: np.ndarray) -> np.ndarray:
     matrices: |psi_i|^2, then sqrt(2) Re and sqrt(2) Im of conj(psi_i) psi_j
     for i < j, d^2 coordinates per row.
     """
-    i, j = _upper_pairs(states.shape[1])
+    i, j, _ = _upper_pairs(states.shape[1], 1)
     cross = math.sqrt(2.0) * states[:, i].conj() * states[:, j]
     return np.concatenate((states.real**2 + states.imag**2, cross.real, cross.imag), axis=1)
 

@@ -7,12 +7,13 @@ blocks are distributed over worker threads. Distinct tags keep the main,
 net-building and validation sample spaces disjoint.
 
 Sampling with `threads` workers runs the calling thread and threads - 1
-pool workers, which take blocks from one shared counter. A worker holds a
-block's first normal array a, 4096 d doubles, and two tiles of states: it
-draws the rest of the block tile by tile, normalizes each tile and
-evaluates it before drawing the next. haar_states draws whole blocks, each
-normalized tile by tile inside its own memory. Both give the bits a draw
-and an evaluation of the whole block gave.
+pool workers, which take blocks from one shared counter. Above d = 64 a
+worker holds a block's first normal array a, 4096 d doubles, and two
+tiles of states: it draws the rest of the block tile by tile, normalizes
+each tile and evaluates it before drawing the next. Up to d = 64 it draws
+each block whole into one buffer and evaluates it at once. haar_states
+draws whole blocks, each normalized tile by tile inside its own memory.
+All give the bits a draw and an evaluation of the whole block gave.
 """
 
 from __future__ import annotations
@@ -42,6 +43,14 @@ ALGORITHM_ID = "pcg64-block4096"
 # complex entries per tile of a Haar block: the kernel's 256 rows up to
 # d = 256, fewer above, two rows from d = 21846 on
 _HAAR_TILE_ENTRIES = 1 << 16
+
+# a sampling worker draws a block of at most this many complex entries
+# (4 MiB, d <= 64) whole, in tiles of _HAAR_TILE_ENTRIES entries, and
+# evaluates it in one kernel call per channel; a larger block is drawn and
+# evaluated tile by tile. Two workers trade the interpreter lock at each
+# numpy call: 16 tiles per block at d = 16 and 64 tripled the voluntary
+# context switches of report convergence and cost it about 10% of its time
+_WHOLE_BLOCK_ENTRIES = 1 << 18
 
 # documented default seed for every seeded entry point
 DEFAULT_SEED = 0x5EED
@@ -111,7 +120,13 @@ def _haar_tile(g: np.random.Generator, a: np.ndarray, rows: np.ndarray, work: np
 
 
 def _haar_block(
-    d: int, spec: RngSpec, tag: int, block: int, count: int, out: np.ndarray | None = None
+    d: int,
+    spec: RngSpec,
+    tag: int,
+    block: int,
+    count: int,
+    out: np.ndarray | None = None,
+    tile_rows: int | None = None,
 ) -> np.ndarray:
     """count Haar states, bit for bit (a + 1j*b) / np.linalg.norm(a + 1j*b, axis=1)
     with a, b the block's two standard normal draws.
@@ -120,8 +135,9 @@ def _haar_block(
     when one is given, and into a new one otherwise. Beside it the block
     needs one tile of scratch: a is drawn whole into the upper half of the
     block's own memory, and b is drawn, interleaved with a and normalized
-    tile by tile (_haar_tile). A generator's normal stream drawn in pieces
-    equals the stream drawn whole.
+    tile by tile (_haar_tile), in tiles of tile_rows rows, _tile_rows(d) by
+    default. A generator's normal stream drawn in pieces equals the stream
+    drawn whole, so the tile size does not change the bits.
     """
     g = generator(spec, tag, block)
     z = np.empty((count, d), dtype=complex) if out is None else out
@@ -130,7 +146,7 @@ def _haar_block(
     # no row of a from stop on, so each tile copies out only its own rows
     real = z.view(np.float64).reshape(-1)[count * d :].reshape(count, d)
     g.standard_normal(out=real)
-    rows = _tile_rows(d)
+    rows = _tile_rows(d) if tile_rows is None else tile_rows
     scratch = np.empty((min(count, rows + 1), d), dtype=complex)
     for start, stop in _row_tiles(count, rows):
         work = scratch[: stop - start]
@@ -158,12 +174,12 @@ def fidelity_samples(
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
-    States are generated and consumed tile by tile, so each worker holds a
-    block's first normal array, BLOCK_SIZE * d doubles, and two tiles of
-    states (see the module docstring). The evaluation path is chosen and
-    built once, before the first block. threads counts the workers, the
-    calling thread among them. The returned array is identical for any
-    thread count because blocks land at fixed offsets.
+    States are generated and consumed block by block, and above d = 64
+    tile by tile, so a worker holds at most a block's states (see the
+    module docstring). The evaluation path is chosen and built once, before
+    the first block. threads counts the workers, the calling thread among
+    them. The returned array is identical for any thread count because
+    blocks land at fixed offsets.
     """
     (out,) = _block_fidelities([(e, u)], n, rng, threads)
     return out
@@ -172,19 +188,21 @@ def fidelity_samples(
 def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
-    Each block is drawn once, and each of its tiles is evaluated as soon as
-    it is drawn by every pair's kernel, built once before the first block.
-    The calling thread and threads - 1 pool workers take blocks from one
-    shared counter; each block's values land at its fixed offset of one
-    array per pair, so the arrays do not depend on the thread count. After
-    a block raises, no worker starts another, and the exception reaches
-    the caller, unchanged, once every worker has stopped.
+    Each block is drawn once and evaluated by every pair's kernel, built
+    once before the first block; above _WHOLE_BLOCK_ENTRIES each tile of it
+    is evaluated as soon as it is drawn. The calling thread and threads - 1
+    pool workers take blocks from one shared counter; each block's values
+    land at its fixed offset of one array per pair, so the arrays do not
+    depend on the thread count. After a block raises, no worker starts
+    another, and the exception reaches the caller, unchanged, once every
+    worker has stopped.
     """
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
     d = pairs[0][0].dim_in
+    whole = BLOCK_SIZE * d <= _WHOLE_BLOCK_ENTRIES
     rows = _tile_rows(d)
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
     outs = [np.empty(n) for _ in pairs]
@@ -197,27 +215,37 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
         with lock:
             return None if failed else next(counter, None)
 
+    def evaluate(start, states):
+        for (e, u), kernel, out in zip(pairs, kernels, outs):
+            out[start : start + len(states)] = gate_fidelity_batch(e, u, states, kernel=kernel)
+
     def drain():
         # each worker draws every block it takes into buffers of its own; a
         # fresh array per block left freed blocks resident in the calling
         # thread's malloc arena (report convergence at d = 16, 64 and 256
         # peaked at 113 MB of RSS against 82 MB with one buffer per worker)
         nonlocal failed
-        a = np.empty((min(BLOCK_SIZE, n), d))
-        states, work = np.empty((2, min(rows + 1, n), d), dtype=complex)
+        if whole:
+            block_buffer = np.empty((min(BLOCK_SIZE, n), d), dtype=complex)
+        else:
+            a = np.empty((min(BLOCK_SIZE, n), d))
+            states, work = np.empty((2, min(rows + 1, n), d), dtype=complex)
         while (block := claim()) is not None:
             start = block * BLOCK_SIZE
             count = min(BLOCK_SIZE, n - start)
             try:
+                if whole:
+                    evaluate(start, _haar_block(
+                        d, spec, TAG_MAIN, block, count, out=block_buffer[:count],
+                        tile_rows=_HAAR_TILE_ENTRIES // d,
+                    ))
+                    continue
                 g = generator(spec, TAG_MAIN, block)
                 g.standard_normal(out=a[:count])
                 for t0, t1 in _row_tiles(count, rows):
                     tile = states[: t1 - t0]
                     _haar_tile(g, a[t0:t1], tile, work[: t1 - t0])
-                    for (e, u), kernel, out in zip(pairs, kernels, outs):
-                        out[start + t0 : start + t1] = gate_fidelity_batch(
-                            e, u, tile, kernel=kernel
-                        )
+                    evaluate(start + t0, tile)
             except BaseException:
                 with lock:
                     failed = True

@@ -20,6 +20,7 @@ from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     SYMMETRIC_FORM_MAX_DIM,
     FidelityKernel,
+    _upper_pairs,
     average_gate_fidelity,
     depolarizing_gate_fidelity,
     fidelity_kernel,
@@ -168,16 +169,17 @@ class TestSymmetricForm:
         form = FidelityKernel(ops=ops, form=symmetric_form(ch, u)).values(states)
         assert np.max(np.abs(form - kraus)) <= 1e-13
 
-    def test_index_arrays_are_built_with_the_kernel(self, monkeypatch):
+    def test_index_arrays_are_built_once_per_dimension(self, monkeypatch):
         # the symmetric form's coordinates take their indices and weights
-        # from the kernel, not from a rebuild per batch
+        # from a per-dimension cache, not from a rebuild per batch
         d = 4
         kernel = fidelity_kernel(random_channel(d, d * d, rng=87))
         whole = kernel.values(haar_states(d, 300, rng=86))
-        i, j = np.triu_indices(d)
-        assert np.array_equal(kernel.coords[0], i) and np.array_equal(kernel.coords[1], j)
-        assert np.array_equal(kernel.coords[2], np.where(i == j, 1.0, np.sqrt(2.0)))
-        assert fidelity_kernel(random_channel(d, 2, rng=87)).coords is None
+        i, j, weight = _upper_pairs(d)
+        assert _upper_pairs(d) is _upper_pairs(d)
+        assert np.array_equal(i, np.triu_indices(d)[0]) and np.array_equal(j, np.triu_indices(d)[1])
+        assert np.array_equal(weight, np.where(i == j, 1.0, np.sqrt(2.0)))
+        assert not any(array.flags.writeable for array in (i, j, weight))
 
         def rebuilt(*args, **kwargs):
             raise AssertionError("index arrays rebuilt per batch")

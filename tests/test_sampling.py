@@ -261,6 +261,9 @@ class TestTiledBlocks:
             out = np.full((count, d), np.nan, dtype=complex)
             assert _haar_block(d, spec, TAG_MAIN, 3, count, out=out) is out
             assert out.tobytes() == states.tobytes()
+            for rows in (2, 3, 1000, BLOCK_SIZE):
+                tiled = _haar_block(d, spec, TAG_MAIN, 3, count, tile_rows=rows)
+                assert tiled.tobytes() == states.tobytes(), rows
             for ops in stacks:
                 got = _kraus_values(ops, states)
                 assert got.tobytes() == _whole_kraus_values(ops, states).tobytes()
@@ -411,8 +414,28 @@ class TestBlockScheduler:
             assert got.tobytes() == serial.tobytes()
 
     def test_each_block_is_drawn_once_into_its_workers_buffer(self, monkeypatch):
-        # a block's first normal array is drawn whole, once, into the buffer
-        # its worker keeps; every tile of it lands in that worker's one tile
+        # up to d = 64 a block is drawn whole, by _haar_block, into the
+        # buffer its worker keeps
+        drawn = []
+        real = sampling._haar_block
+
+        def counting(d, spec, tag, block, count, out=None, tile_rows=None):
+            drawn.append((block, threading.get_ident(), _address(out)))
+            return real(d, spec, tag, block, count, out=out, tile_rows=tile_rows)
+
+        monkeypatch.setattr(sampling, "_haar_block", counting)
+        ch = random_channel(3, 2, rng=54)
+        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
+        assert sorted(block for block, _, _ in drawn) == [0, 1, 2, 3]
+        buffers = {}
+        for _, thread, address in drawn:
+            buffers.setdefault(thread, set()).add(address)
+        assert all(len(addresses) == 1 for addresses in buffers.values())
+
+    def test_each_large_block_is_drawn_once_into_its_workers_buffers(self, monkeypatch):
+        # above d = 64 a block's first normal array is drawn whole, once,
+        # into the buffer its worker keeps; every tile of it lands in that
+        # worker's one tile
         drawn, tiles = [], []
         real_generator, real_tile = sampling.generator, sampling._haar_tile
 
@@ -423,13 +446,17 @@ class TestBlockScheduler:
             tiles.append((threading.get_ident(), _address(rows), _address(work)))
             return real_tile(g, a, rows, work)
 
+        def no_block(*args, **kwargs):
+            raise AssertionError("a large block was drawn whole")
+
         monkeypatch.setattr(sampling, "generator", generator)
         monkeypatch.setattr(sampling, "_haar_tile", haar_tile)
-        ch = random_channel(3, 2, rng=54)
-        n = 3 * BLOCK_SIZE + 1
-        _block_fidelities([(ch, None), (ch, None)], n, 55, 2)
+        monkeypatch.setattr(sampling, "_haar_block", no_block)
+        d = 65
+        ch = random_channel(d, 2, rng=54)
+        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
         assert sorted(block for block, _, _, _ in drawn) == [0, 1, 2, 3]
-        assert sorted(size for _, _, _, size in drawn) == [3, *[3 * BLOCK_SIZE] * 3]
+        assert sorted(size for _, _, _, size in drawn) == [d, *[d * BLOCK_SIZE] * 3]
         buffers = {}
         for _, thread, address, _ in drawn:
             buffers.setdefault(thread, set()).add(address)
@@ -438,29 +465,38 @@ class TestBlockScheduler:
         for thread, rows, work in tiles:
             assert {(r, w) for t, r, w in tiles if t == thread} == {(rows, work)}
 
-    def test_valid_calls_reach_the_guarded_names(self, monkeypatch):
+    @pytest.mark.parametrize("d, tiles", [(3, 3), (64, 3), (65, 2 * (BLOCK_SIZE // 256) + 1)])
+    def test_valid_calls_reach_the_guarded_names(self, monkeypatch, d, tiles):
         # positive control for the guards below: the runner draws each
-        # block through sampling.generator and evaluates each tile through
-        # sampling.gate_fidelity_batch
-        blocks, rows = [], []
+        # block through sampling.generator, up to d = 64 through
+        # sampling._haar_block as well, and evaluates each block, or above
+        # d = 64 each tile, through sampling.gate_fidelity_batch
+        blocks, whole, rows = [], [], []
         real_generator, real_batch = sampling.generator, sampling.gate_fidelity_batch
+        real_block = sampling._haar_block
 
         def generator(spec, tag, block):
             blocks.append((tag, block))
             return real_generator(spec, tag, block)
+
+        def haar_block(d, spec, tag, block, count, out=None, tile_rows=None):
+            whole.append(block)
+            return real_block(d, spec, tag, block, count, out=out, tile_rows=tile_rows)
 
         def batch(e, u, states, kernel=None):
             rows.append(len(states))
             return real_batch(e, u, states, kernel=kernel)
 
         monkeypatch.setattr(sampling, "generator", generator)
+        monkeypatch.setattr(sampling, "_haar_block", haar_block)
         monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
-        ch = random_channel(3, 2, rng=56)
+        ch = random_channel(d, 2, rng=56)
         fidelity_samples(ch, None, 2 * BLOCK_SIZE + 3, 57, threads=2)
         assert sorted(blocks) == [(TAG_MAIN, 0), (TAG_MAIN, 1), (TAG_MAIN, 2)]
-        assert sum(rows) == 2 * BLOCK_SIZE + 3 and max(rows) <= 257
+        assert sorted(whole) == ([0, 1, 2] if d <= 64 else [])
+        assert sum(rows) == 2 * BLOCK_SIZE + 3 and len(rows) == tiles
 
-    def _failing_run(self, monkeypatch, threads, n_blocks):
+    def _failing_run(self, monkeypatch, threads, n_blocks, d=3):
         """Run _block_fidelities with block 0 raising; return (error, started blocks).
 
         Every other block waits, once started, until block 0 has raised, so
@@ -487,7 +523,7 @@ class TestBlockScheduler:
 
         monkeypatch.setattr(sampling, "generator", generator)
         monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
-        ch = random_channel(3, 2, rng=56)
+        ch = random_channel(d, 2, rng=56)
         with pytest.raises(_Boom) as info:
             _block_fidelities([(ch, None)], n_blocks * BLOCK_SIZE, 57, threads)
         assert info.value is boom
@@ -503,6 +539,14 @@ class TestBlockScheduler:
         # block 0 fails at once; each other worker finishes the block it
         # holds and may have claimed one more before the failure was marked
         _, started = self._failing_run(monkeypatch, threads, 16)
+        assert started.count(0) == 1
+        assert len(started) <= 1 + 2 * (threads - 1)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_no_large_block_starts_after_an_error(self, monkeypatch, threads):
+        # the same guard on blocks drawn and evaluated tile by tile
+        error, started = self._failing_run(monkeypatch, threads, 8, d=65)
+        assert error.args == ("block 0",)
         assert started.count(0) == 1
         assert len(started) <= 1 + 2 * (threads - 1)
 
