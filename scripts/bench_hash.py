@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the input hash and read before and after a change, then end to end.
+"""Time and size the input read and hash before and after a change, then end to end.
 
 Layers, on the inputs of the stats-lowrank workload (its rank-4 random
 channel at d = 256, written once by the workload's setup to an 11.9 MB
@@ -8,19 +8,28 @@ load_operator of the file. Each is the median of REPEATS runs after one
 warm-up, in a fresh interpreter against each tree's src/ with BLAS
 pinned to one thread as the CLI pins it.
 
+Read memory: the first load_operator of a fresh interpreter against each
+tree's src/, MEMORY_REPEATS interpreters per tree and measure, the trees
+alternating which goes first. One kind of interpreter records its peak
+RSS (VmHWM) after the imports and after the read; the other, run apart because
+tracemalloc slows the read and adds to the RSS, records the tracemalloc
+peak of the read. Medians go to the record.
+
 Artifacts: in a fresh interpreter against each tree, every CLI command
 runs once on fixed small inputs, and every benchmark workload runs
 ARTIFACT_JOBS jobs at ARTIFACT_SEED. Each artifact's bytes are compared
-between the trees twice: as they are, and with the value of every
-inputs_hash and p_or_channel_hash field set aside. The hash values that
-move are listed with their old and new digests.
+between the trees twice: as they are, hash fields included, and with the
+value of every inputs_hash and p_or_channel_hash field set aside. The hash
+values that move are listed with their old and new digests.
 
 End to end: paired `perfbench/run.py --trace 0` runs of all four
 workloads, as scripts/bench_minimum.py makes them (its paired_runs and
 gain_claim). Medians, inclusive quartiles and per-pair wins of setup_s,
 job_s and peak_rss_mb go to BENCH_hash.json with the machine fingerprint
-(core count, BLAS name and BLAS thread count); the claim is job_s on
-stats-lowrank.
+(core count, BLAS name, BLAS thread count, and the BLAS thread count once
+the CLI has pinned it); the claim is peak_rss_mb on stats-lowrank. Keep
+both checkouts in one directory: peak_rss_mb has been seen to shift with
+the checkout's location alone.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_hash.py --baseline /tmp/parent
@@ -31,9 +40,11 @@ import hashlib
 import json
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
@@ -43,8 +54,9 @@ from workloads import STATS_D, STATS_N, STATS_RANK
 from workloads import WORKLOADS as SPECS
 
 STATS_SEED = 1
-SEEDS = range(71, 81)
+SEEDS = range(121, 131)
 REPEATS = 7
+MEMORY_REPEATS = 7  # fresh interpreters per tree and measure
 ARTIFACT_SEED, ARTIFACT_JOBS = 5, 2
 HASH_FIELD = re.compile(rb'"(inputs_hash|p_or_channel_hash)":"([0-9a-f]{64})"')
 OUT = ROOT / "BENCH_hash.json"
@@ -92,6 +104,44 @@ def layers(channel_path: Path) -> dict:
         "load_operator_s": round(read_s, 6),
         "inputs_hash": digest,
         "blas_threads": blas_threads(),
+    }
+
+
+def read_memory(channel_path: Path, measure: str) -> dict:
+    """RSS or tracemalloc peak of this interpreter's first load_operator."""
+    from gatefid import _blas, serialize
+
+    _blas.pin_single_thread()
+    if measure == "tracemalloc":
+        tracemalloc.start()
+        serialize.load_operator(channel_path)
+        return {"tracemalloc_peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
+    before = _peak_rss_mib()
+    serialize.load_operator(channel_path)
+    return {"peak_rss_before_mib": before, "peak_rss_after_mib": _peak_rss_mib()}
+
+
+def _peak_rss_mib() -> float:
+    # VmHWM, the peak of this address space. ru_maxrss would not do: Linux
+    # carries the spawning process's peak into it across exec, so a child
+    # of this harness read its parent's 84 MiB before any read.
+    with open("/proc/self/status", encoding="ascii") as fh:
+        line = next(line for line in fh if line.startswith("VmHWM:"))
+    return int(line.split()[1]) / 1024
+
+
+def memory_record(trees: dict, channel_path: Path) -> dict:
+    samples = {side: [] for side in trees}
+    for i in range(MEMORY_REPEATS):
+        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
+        for side in order:
+            sample = {}
+            for measure in ("rss", "tracemalloc"):
+                sample.update(run_fresh(trees[side], "--memory-only", channel_path, measure))
+            samples[side].append(sample)
+    return {
+        side: {key: round(statistics.median(s[key] for s in runs), 2) for key in runs[0]}
+        for side, runs in samples.items()
     }
 
 
@@ -153,6 +203,7 @@ def compare_digests(parent: dict, change: dict) -> dict:
             ]
         rows[key] = row
     return {
+        "all_bytes_equal": all(r["exit_equal"] and r["bytes_equal"] for r in rows.values()),
         "all_equal_hashes_aside": all(
             r["exit_equal"] and r["bytes_equal_hashes_aside"] for r in rows.values()
         ),
@@ -177,8 +228,12 @@ def main() -> None:
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
     ap.add_argument("--layers-only", type=Path, help=argparse.SUPPRESS)
     ap.add_argument("--artifacts-only", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--memory-only", nargs=2, help=argparse.SUPPRESS)
     args = ap.parse_args()
 
+    if args.memory_only:
+        print(json.dumps(read_memory(Path(args.memory_only[0]), args.memory_only[1])))
+        return
     if args.layers_only:
         print(json.dumps(layers(args.layers_only)))
         return
@@ -187,6 +242,7 @@ def main() -> None:
         return
     if args.baseline is None:
         ap.error("--baseline is required")
+    from bench_sampling import cli_blas_threads
 
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
     with tempfile.TemporaryDirectory(prefix="bench-hash-") as tmp:
@@ -195,29 +251,36 @@ def main() -> None:
         channel_bytes = channel_path.stat().st_size
         layer = {side: run_fresh(tree, "--layers-only", channel_path)
                  for side, tree in trees.items()}
+        memory = memory_record(trees, channel_path)
         produced = {}
         for side, tree in trees.items():
             workdir = Path(tmp) / side
             workdir.mkdir()
             produced[side] = run_fresh(tree, "--artifacts-only", workdir)
     for side in trees:
-        print(f"{side}: {layer[side]}", flush=True)
+        print(f"{side}: {layer[side]} {memory[side]}", flush=True)
     compared = compare_digests(produced["parent"], produced["change"])
-    print(f"artifacts equal with hashes set aside: {compared['all_equal_hashes_aside']}; "
-          f"differing otherwise: {compared['other_differences']}", flush=True)
+    print(f"artifacts byte-equal: {compared['all_bytes_equal']}; equal with hashes set aside: "
+          f"{compared['all_equal_hashes_aside']}; differing otherwise: "
+          f"{compared['other_differences']}", flush=True)
 
     end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
     perfbench_sha256 = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
-    claim = gain_claim(end_to_end["stats-lowrank"], "stats-lowrank")
+    claim = gain_claim(end_to_end["stats-lowrank"], "stats-lowrank", metric="peak_rss_mb")
     record = {
         "topic": "hash",
         "harness": "PYTHONPATH=src python3 scripts/bench_hash.py --baseline PARENT",
-        "machine": fingerprint(),
+        "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
         "layers": {
             "inputs": f"random_channel({STATS_D}, {STATS_RANK}, {STATS_SEED}) written to a "
                       f"{channel_bytes} byte file; canonical_hash of the inputs of "
                       f"`fidelity stats --n {STATS_N}`",
             **layer,
+        },
+        "read_memory": {
+            "inputs": "the first load_operator of a fresh interpreter on the file above; "
+                      f"medians of {MEMORY_REPEATS} interpreters per tree and measure",
+            **memory,
         },
         "artifacts": {
             "cli_inputs": "dep2.json = depolarizing(0.5, 2), dep4.json = depolarizing(0.5, 4), "

@@ -5,8 +5,12 @@ doubles exactly, so re-reading an artifact reproduces bit-identical
 numbers and identical inputs produce byte-identical files. Complex
 matrices are stored row-major as [re, im] pairs. They stay numpy arrays
 until bytes are produced: a complex array is encoded a row at a time,
-with the same 17-significant-digit bytes the nested pair lists give, and
-a matrix field is decoded in one numpy conversion. A result record (a
+with the same 17-significant-digit bytes the nested pair lists give (a
+Kraus set as the one array it stacks to), and a matrix field is decoded
+in one numpy conversion. load_operator reads a Kraus file's 'kraus' list
+one operator at a time, converting each before the next is decoded, so a
+rank-r file never holds more than one operator as decoded lists; Choi,
+unitary, state and net files are decoded whole. A result record (a
 dataclass instance) is written as a JSON object of its fields in
 declaration order, so the dataclass is the one statement of its
 artifact's keys.
@@ -25,9 +29,11 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
+import re
 from typing import NoReturn
 
 import numpy as np
@@ -122,8 +128,18 @@ def _array_digest(arr: np.ndarray) -> str:
     return f'{{"dtype":"complex128","shape":[{shape}],"sha256":"{digest}"}}'
 
 
-def _emit(obj, out: list, array) -> None:
-    # array: the text that stands for a complex ndarray
+def _stackable(items) -> bool:
+    """True for two or more complex arrays of one shape, at least 1-d."""
+    first = items[0] if len(items) > 1 else None
+    return isinstance(first, np.ndarray) and first.ndim > 0 and all(
+        isinstance(a, np.ndarray) and a.dtype.kind == "c" and a.shape == first.shape
+        for a in items
+    )
+
+
+def _emit(obj, out: list, array, stack: bool = False) -> None:
+    # array: the text that stands for a complex ndarray; stack: write a
+    # list of equally shaped complex arrays as the one array they stack to
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -136,12 +152,15 @@ def _emit(obj, out: list, array) -> None:
         out.append(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
         out.append(array(obj))
+    elif isinstance(obj, (list, tuple)) and stack and _stackable(obj):
+        # the stack's text is the list's, byte for byte, in one encode
+        out.append(array(np.stack(obj)))
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, item in enumerate(obj):
             if i:
                 out.append(",")
-            _emit(item, out, array)
+            _emit(item, out, array, stack)
         out.append("]")
     elif isinstance(obj, dict):
         out.append("{")
@@ -152,11 +171,12 @@ def _emit(obj, out: list, array) -> None:
                 out.append(",")
             out.append(json.dumps(key))
             out.append(":")
-            _emit(value, out, array)
+            _emit(value, out, array, stack)
         out.append("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # the field order is the artifact's key order
-        _emit({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, out, array)
+        fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        _emit(fields, out, array, stack)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -165,11 +185,13 @@ def dumps_canonical(obj) -> str:
     """Deterministic JSON text: fixed float format, insertion-ordered keys.
 
     A complex numpy array is written as nested [re, im] pairs, byte for byte
-    as the equivalent nested lists of floats; a dataclass instance as an
-    object of its fields in declaration order.
+    as the equivalent nested lists of floats; a list or tuple of two or more
+    equally shaped complex arrays (a Kraus set) is encoded as their stack,
+    which gives the same bytes; a dataclass instance as an object of its
+    fields in declaration order.
     """
     out: list = []
-    _emit(obj, out, _complex_array_text)
+    _emit(obj, out, _complex_array_text, stack=True)
     return "".join(out)
 
 
@@ -193,13 +215,20 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def read_json(path):
+def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+        return fh.read()
+
+
+def _loads(text: str, path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"malformed JSON in {path}: {err}") from None
+
+
+def read_json(path):
+    return _loads(_read_text(path), path)
 
 
 def _name_bad_entry(rows, field: str) -> NoReturn:
@@ -304,7 +333,10 @@ def channel_from_dict(data: dict) -> QuantumChannel:
         raise ValueError("field 'kraus': expected a non-empty list of matrices")
     ops = []
     for i, entry in enumerate(raw):
-        op = pairs_to_matrix(entry, f"kraus[{i}]")
+        if isinstance(raw, _DecodedKraus) and isinstance(entry, np.ndarray):
+            op = entry
+        else:
+            op = pairs_to_matrix(entry, f"kraus[{i}]")
         if op.shape != (dim_out, dim_in):
             raise ValueError(
                 f"field 'kraus[{i}]': expected shape {dim_out}x{dim_in}, got "
@@ -334,9 +366,97 @@ def choi_from_dict(data: dict) -> ChoiMatrix:
     return ChoiMatrix(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
 
 
+# the JSON decoder json.loads uses, and the whitespace its scanner skips
+_DECODER = json.JSONDecoder()
+_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+class _DecodedKraus(list):
+    """A 'kraus' list read an entry at a time: each entry is pairs_to_matrix's
+    matrix, or the decoded entry itself where pairs_to_matrix refused it."""
+
+
+def _kraus_entries(text: str, i: int) -> tuple:
+    # text[i] opens the list. Each entry is converted before the next is
+    # decoded, so the decoded lists of one operator at a time are alive.
+    ops = _DecodedKraus()
+    i = _SPACE.match(text, i + 1).end()
+    if text.startswith("]", i):
+        return ops, i + 1
+    while True:
+        entry, i = _DECODER.raw_decode(text, i)
+        try:
+            entry = pairs_to_matrix(entry, f"kraus[{len(ops)}]")
+        except ValueError:
+            pass  # channel_from_dict refuses it in its turn, after the dims
+        ops.append(entry)
+        i = _SPACE.match(text, i).end()
+        if text.startswith("]", i):
+            return ops, i + 1
+        if not text.startswith(",", i):
+            raise ValueError("expected ',' or ']'")
+        i = _SPACE.match(text, i + 1).end()
+
+
+def _operator_fields(text: str) -> dict:
+    """The JSON object text holds, its list-valued 'kraus' field read an
+    operator at a time; ValueError if text is not one JSON object.
+
+    Other values are decoded whole by json's own scanner, keys in file
+    order, a repeated key's last value winning, as json.loads gives them.
+    """
+    i = _SPACE.match(text).end()
+    if not text.startswith("{", i):
+        raise ValueError("not an object")
+    data = {}
+    i = _SPACE.match(text, i + 1).end()
+    closed = text.startswith("}", i)
+    while not closed:
+        if not text.startswith('"', i):
+            raise ValueError("expected a key")
+        key, i = _DECODER.raw_decode(text, i)
+        i = _SPACE.match(text, i).end()
+        if not text.startswith(":", i):
+            raise ValueError("expected ':'")
+        i = _SPACE.match(text, i + 1).end()
+        if key == "kraus" and text.startswith("[", i):
+            data[key], i = _kraus_entries(text, i)
+        else:
+            data[key], i = _DECODER.raw_decode(text, i)
+        i = _SPACE.match(text, i).end()
+        closed = text.startswith("}", i)
+        if not closed:
+            if not text.startswith(",", i):
+                raise ValueError("expected ',' or '}'")
+            i = _SPACE.match(text, i + 1).end()
+    if _SPACE.match(text, i + 1).end() != len(text):
+        raise ValueError("extra data")
+    return data
+
+
 def load_operator(path) -> QuantumChannel | ChoiMatrix:
-    """Read a channel file in either Kraus or Choi form."""
-    data = read_json(path)
+    """Read a channel file in either Kraus or Choi form.
+
+    A Kraus file's 'kraus' list is decoded one operator at a time, each
+    converted to its matrix before the next is decoded, with the cyclic GC
+    paused (decoded JSON holds no cycles): a rank-r file never holds more
+    than one operator's decoded lists. The tokens go through json.loads's
+    own scanner, so every matrix has the bits json.loads would give.
+    Text that is not one JSON object is decoded whole by json.loads, so a
+    malformed file is refused with the message it gives.
+    """
+    text = _read_text(path)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        data = _operator_fields(text)
+    except ValueError:
+        data = None  # decoded whole below, as json.loads decodes any text
+    finally:
+        if enabled:
+            gc.enable()
+    if data is None:
+        data = _loads(text, path)
     if isinstance(data, dict) and "kraus" in data:
         return channel_from_dict(data)
     if isinstance(data, dict) and "choi" in data:

@@ -644,8 +644,10 @@ class TestInputBoundary:
         serialize.write_json(choi_path, serialize.choi_to_dict(choi))
         reads = []
         real_read = serialize.read_json
+        # every file the CLI reads, JSON or channel, is read through _read_text
+        real_text = serialize._read_text
         monkeypatch.setattr(
-            serialize, "read_json", lambda p: reads.append(str(p)) or real_read(p)
+            serialize, "_read_text", lambda p: reads.append(str(p)) or real_text(p)
         )
         out = tmp_path / "r.json"
         assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 0

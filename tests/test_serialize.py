@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gatefid.channels import ChoiMatrix, choi_from_kraus, depolarizing, validate_cptp
+from gatefid import serialize
+from gatefid.channels import (
+    ChoiMatrix,
+    choi_from_kraus,
+    depolarizing,
+    random_channel,
+    validate_cptp,
+)
+from gatefid.cli import main
 from gatefid.minimum import StateNet, build_net, net_minimum
 from gatefid.sampling import RngSpec, levy_bound, mc_fidelity_stats
 from gatefid.serialize import (
@@ -532,3 +542,211 @@ class TestArrayCodec:
     def test_nan_state_refused_with_entry(self):
         with pytest.raises(ValueError, match=r"'state'.*entry \(0,1\) is not finite"):
             state_from_dict({"state": [[1.0, 0.0], [float("nan"), 0.0]]})
+
+
+class TestKrausSetEncode:
+    """dumps_canonical writes a list of equally shaped arrays as their stack."""
+
+    @given(_complex_arrays(1, 3), st.integers(2, 4))
+    @settings(max_examples=80, deadline=None)
+    def test_stack_bytes_match_each_array(self, m, count):
+        arrays = [m, -m, m * 0.0, -m * 0.0][:count]  # with signed zeros
+        each = "[" + ",".join(dumps_canonical(a) for a in arrays) + "]"
+        assert dumps_canonical(arrays) == each
+        assert dumps_canonical(tuple(arrays)) == each
+        assert dumps_canonical({"kraus": arrays}) == '{"kraus":' + each + "}"
+
+    def test_one_encode_per_kraus_set(self, monkeypatch):
+        calls = []
+        real = serialize._complex_array_text
+        monkeypatch.setattr(
+            serialize, "_complex_array_text", lambda a: calls.append(a.shape) or real(a)
+        )
+        dumps_canonical(channel_to_dict(depolarizing(0.5, 3)))
+        assert calls == [(9, 3, 3)]
+        # unequal shapes, a lone array and a mixed list keep one encode per array
+        calls.clear()
+        dumps_canonical([np.eye(2, dtype=complex), np.ones((2, 3), complex)])
+        dumps_canonical([np.eye(2, dtype=complex)])
+        dumps_canonical([np.eye(2, dtype=complex), 1.5, np.eye(2, dtype=complex)])
+        assert calls == [(2, 2), (2, 3), (2, 2), (2, 2), (2, 2)]
+
+    def test_hash_keeps_one_digest_per_array(self):
+        arrays = [np.eye(2, dtype=complex), np.array([[0.5, -0.0], [1j, 2]])]
+        text = "[" + ",".join(_digest_json(a) for a in arrays) + "]"
+        assert canonical_hash(arrays) == hashlib.sha256(text.encode()).hexdigest()
+
+    def test_refusals_unchanged(self):
+        with pytest.raises(TypeError, match="0-d complex array"):
+            dumps_canonical([np.array(1j), np.array(2j)])
+        with pytest.raises(ValueError, match="non-finite float inf"):
+            dumps_canonical([np.eye(2, dtype=complex), np.full((2, 2), np.inf + 0j)])
+        with pytest.raises(TypeError, match="type ndarray"):
+            dumps_canonical([np.eye(2, dtype=complex), np.eye(2)])
+
+
+def _whole_text_load(path):
+    """load_operator as it read a file before Kraus lists were streamed."""
+    data = read_json(path)
+    if isinstance(data, dict) and "kraus" in data:
+        return channel_from_dict(data)
+    if isinstance(data, dict) and "choi" in data:
+        return choi_from_dict(data)
+    raise ValueError(f"{path}: neither 'kraus' nor 'choi' field present")
+
+
+_A = "[[[0.6,0.0],[-0.0,0]],[[0,-0],[0.6,-0.0]]]"
+_B = "[[[0,0.8],[true,false]],[[-0.0,-0],[0e0,8e-1]]]"
+_C = "[[[1E-1,-0.0],[false,0]],[[-0,1],[-1e-1,-0.0]]]"
+_DIMS = '"dim_in":2,"dim_out":2'
+
+# Kraus files the streamed read must give bit for bit as json.loads does:
+# signed zeros, the JSON ints 0 and -0, bools, exponents, padding, key
+# orders, extra and nested fields, repeated keys, one operator.
+_PANEL = {
+    "canonical": f'{{{_DIMS},"kraus":[{_A},{_B},{_C}]}}',
+    "padded": f' \n\t{{ "dim_in" : 2 ,\r\n "dim_out":2 , "kraus" : [ {_A} ,\n {_B} , {_C} ] }} \n',
+    "indented": json.dumps(
+        {"dim_in": 2, "dim_out": 2, "kraus": json.loads(f"[{_A},{_B},{_C}]")}, indent=2
+    ),
+    "kraus first": f'{{"kraus":[{_A},{_B}],"dim_out":2,"dim_in":2}}',
+    "kraus between": f'{{"dim_out":2,"kraus":[{_C}],"dim_in":2}}',
+    "extra fields": f'{{"note":{{"kraus":[1,2]}},{_DIMS},"kraus":[{_B}],"tags":["a",null]}}',
+    "escaped key": f'{{{_DIMS},"kr\\u0061us":[{_A},{_C}]}}',
+    "repeated kraus": f'{{"kraus":[{_A},{_B},{_C}],{_DIMS},"kraus":[{_C},{_A}]}}',
+    "repeated dims": f'{{"dim_in":3,{_DIMS},"kraus":[{_B}],"dim_out":2}}',
+    "one operator": f'{{{_DIMS},"kraus":[{_A}]}}',
+    "unitary": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": [[[[1, -0.0]]]]}),
+}
+
+# Files whose refusal must keep its message, word for word.
+_REFUSED = {
+    "bad token in kraus[2]": f'{{{_DIMS},"kraus":[{_A},{_B},[[[1,0],[0,0]],[[0,0],[1,x]]]]}}',
+    "trailing garbage": f'{{{_DIMS},"kraus":[{_A}]}} x',
+    "second object": f'{{{_DIMS},"kraus":[{_A}]}}{{}}',
+    "unclosed kraus": f'{{{_DIMS},"kraus":[{_A},{_B}',
+    "missing comma": f'{{{_DIMS},"kraus":[{_A} {_B}]}}',
+    "trailing comma": f'{{{_DIMS},"kraus":[{_A},]}}',
+    "bad key": f'{{{_DIMS},kraus:[{_A}]}}',
+    "byte order mark": f'﻿{{{_DIMS},"kraus":[{_A}]}}',
+    "empty text": "  ",
+    "top-level list": f"[{_A}]",
+    "kraus not a list": f'{{{_DIMS},"kraus":{{"0":{_A}}}}}',
+    "empty kraus": f'{{{_DIMS},"kraus":[]}}',
+    "last kraus not a list": f'{{"kraus":[{_A}],{_DIMS},"kraus":3}}',
+    "bad entry before dims": f'{{"kraus":[{_A},[[[1,0]]],[[["x",0]]]],"dim_in":2}}',
+    "bad entry, then shape": f'{{{_DIMS},"kraus":[{_A},[[[NaN,0]]],[[[1,0]]]]}}',
+    "shape, then bad entry": f'{{{_DIMS},"kraus":[{_A},[[[1,0]]],[[[NaN,0]]]]}}',
+    "non-finite token": f'{{{_DIMS},"kraus":[{_A},[[[Infinity,0],[0,0]],[[0,0],[1,0]]]]}}',
+    "neither form": '{"dim_in":2,"dim_out":2}',
+}
+
+
+class TestStreamedKrausRead:
+    """load_operator decodes a 'kraus' list one operator at a time."""
+
+    @pytest.mark.parametrize("name", sorted(_PANEL))
+    def test_arrays_bit_equal_to_whole_text_decode(self, tmp_path, name):
+        text = _PANEL[name]
+        path = tmp_path / "ch.json"
+        path.write_text(text, encoding="utf-8")
+        expected = channel_from_dict(json.loads(text))
+        got = load_operator(path)
+        assert (got.dim_in, got.dim_out) == (expected.dim_in, expected.dim_out)
+        assert len(got.kraus) == len(expected.kraus)
+        assert all(_same_bits(a, b) for a, b in zip(got.kraus, expected.kraus))
+        assert all(a.dtype == np.complex128 for a in got.kraus)
+
+    def test_int_minus_zero_reads_as_plus_zero(self, tmp_path):
+        path = tmp_path / "ch.json"
+        path.write_text(_PANEL["one operator"], encoding="utf-8")
+        op = load_operator(path).kraus[0]
+        assert _bits(op[1, 0].imag) == _bits(0.0)  # JSON int -0
+        assert _bits(op[0, 1].real) == _bits(-0.0)  # JSON float -0.0
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_refusals_keep_their_message(self, tmp_path, name):
+        path = tmp_path / "ch.json"
+        path.write_text(_REFUSED[name], encoding="utf-8")
+        with pytest.raises(ValueError) as expected:
+            _whole_text_load(path)
+        with pytest.raises(ValueError) as got:
+            load_operator(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_choi_file_reads_as_before(self, tmp_path):
+        path = tmp_path / "c.json"
+        write_json(path, choi_to_dict(choi_from_kraus(depolarizing(0.4, 2))))
+        assert _same_bits(load_operator(path).matrix, _whole_text_load(path).matrix)
+
+    @pytest.mark.parametrize("name", ["bad token in kraus[2]", "trailing garbage"])
+    def test_cli_refuses_malformed_text(self, tmp_path, capsys, name):
+        path = tmp_path / "broken.json"
+        path.write_text(_REFUSED[name], encoding="utf-8")
+        code = main(["channel", "validate", "--channel", str(path),
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"malformed JSON in {path}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_each_operator_is_converted_before_the_next_is_decoded(self, tmp_path,
+                                                                    monkeypatch):
+        path = tmp_path / "ch.json"
+        path.write_text(f'{{"dim_in":2,"kraus":[{_A},{_B},{_C}],"dim_out":2}}',
+                        encoding="utf-8")
+        decoded = []
+        converted = []
+        real_decoder = serialize._DECODER
+        real_convert = serialize.pairs_to_matrix
+
+        class SpyDecoder:
+            def raw_decode(self, s, idx=0):
+                obj, end = real_decoder.raw_decode(s, idx)
+                decoded.append(obj)
+                return obj, end
+
+        def spy_convert(rows, field):
+            # the operator converted is the value decoded last
+            converted.append((field, len(decoded), rows is decoded[-1]))
+            return real_convert(rows, field)
+
+        monkeypatch.setattr(serialize, "_DECODER", SpyDecoder())
+        monkeypatch.setattr(serialize, "pairs_to_matrix", spy_convert)
+        ch = load_operator(path)
+        assert len(ch.kraus) == 3
+        # keys and values: dim_in, 2, kraus, then one decode per operator
+        assert converted == [("kraus[0]", 4, True), ("kraus[1]", 5, True),
+                             ("kraus[2]", 6, True)]
+        assert len(decoded) == 8  # then dim_out, 2
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("text", [_PANEL["canonical"], _REFUSED["unclosed kraus"]])
+    def test_gc_state_is_restored(self, tmp_path, enabled, text):
+        path = tmp_path / "ch.json"
+        path.write_text(text, encoding="utf-8")
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            try:
+                load_operator(path)
+            except ValueError:
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+
+    def test_rank_4_d_256_read_peak(self, tmp_path):
+        # the stats-lowrank benchmark's channel shape: an 11.9 MB file
+        path = tmp_path / "ch.json"
+        ch = random_channel(256, 4, rng=1)
+        write_json(path, channel_to_dict(ch))
+        tracemalloc.start()
+        try:
+            back = load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(_same_bits(a, b) for a, b in zip(back.kraus, ch.kraus))
+        # 27,721,765 bytes (26.4 MiB) measured under numpy 2.4.6, most of it
+        # the file's bytes and text; the whole-text decode peaked at 47.5 MiB
+        assert peak <= 30 * 2**20
