@@ -14,16 +14,21 @@ SEEDS (perfbench's job_seed), so the two trees' reference values can be
 compared where perfbench only shows differing sha256.
 
 Scan routes: in a fresh interpreter on this tree's src/, with BLAS
-pinned to one thread as the CLI pins it, both routes of the net scan,
-_min_distances (np.abs of the complex overlap) and minimum._far (the real
-Gram matrix of lifted states, written into one reused buffer as _grow
-does), are timed two ways. Chunk scan: one 256-sample chunk against a
-SCAN_NET-state net at each d in SCAN_DIMS, the chunk's lift included, the
-median of SCAN_REPEATS runs. Net build: whole
-build_net calls at each (d, epsilon) of NET_BUILDS, forced onto each
-route through minimum.LIFT_MAX_DIM, the median of REPEATS runs, with the
-tracemalloc peak of one more run; both routes must give the same net.
-The two tables back minimum.LIFT_MAX_DIM.
+pinned to one thread as the CLI pins it, the net scan and the survivor
+check are timed three ways. Chunk scan: one 256-sample chunk against a
+SCAN_NET-state net at each d in SCAN_DIMS, the chunk's lift included,
+the median of SCAN_REPEATS runs, through _min_distances (np.abs of the
+complex overlap), through one lifted Gram matrix of the whole net, and
+through minimum._far, which scans the lifted net block by block and
+drops a point at the first block that holds a state near it. Survivor
+check: the first chunk of a net, whose samples all survive the empty
+net's scan, decided among themselves by one _min_distances call per
+survivor and by one Gram matrix with a running maximum, as _grow does;
+both must add the same samples. Net build: whole build_net calls at each
+(d, epsilon) of NET_BUILDS, forced onto each route through
+minimum.LIFT_MAX_DIM, the median of REPEATS runs, with the tracemalloc
+peak of one more run; both routes must give the same net. The tables
+back minimum.LIFT_MAX_DIM.
 
 End to end: for each of the four workloads and each seed in SEEDS, one
 `perfbench/run.py --workload W --seed S --seconds 20 --trace 0` run per
@@ -56,7 +61,7 @@ METRICS = ("setup_s", "job_s", "peak_rss_mb")
 JOB_LINE = re.compile(r"^# job (\d+) traced=\d [\d.]+ s .* sha256 (.*)$")
 NET_D, NET_EPS, REF_D, REF_STARTS = 3, 0.2, 16, 8
 WORKLOADS = ("min-search", "stats-lowrank", "sweep-unitary", "twin-dense")
-SEEDS = range(91, 101)
+SEEDS = range(141, 151)
 LAYER_REPEATS = 15  # fresh interpreters per tree
 LAYER_KEYS = ("build_net_cold_ms", "build_net_warm_ms", "reference_minimum_ms")
 REPEATS = 5  # net_build runs per route, in one interpreter
@@ -146,7 +151,8 @@ def scan_tables() -> dict:
     from gatefid._blas import pin_single_thread
 
     pin_single_thread()
-    return {"chunk_scan": chunk_scan(), "net_build": net_build()}
+    return {"chunk_scan": chunk_scan(), "survivor_check": survivor_check(),
+            "net_build": net_build()}
 
 
 def chunk_scan() -> dict:
@@ -155,29 +161,85 @@ def chunk_scan() -> dict:
     from gatefid.minimum import _DISTANCE_CHUNK, LIFT_MAX_DIM, _far, _lift, _min_distances
     from gatefid.sampling import haar_states
 
+    edge = (1.0 - 0.5 * NET_EPS * NET_EPS) ** 2
     rows = []
-    scratch = np.empty(_DISTANCE_CHUNK * SCAN_NET)
     for d in SCAN_DIMS:
         net = haar_states(d, SCAN_NET, rng=d)
         chunk = haar_states(d, _DISTANCE_CHUNK, rng=1000 + d)
         lifted_net = _lift(net)
         exact_s, exact = _median_time(lambda: _min_distances(chunk, net) >= NET_EPS, SCAN_REPEATS)
-        lift_s, lifted = _median_time(
-            lambda: _far(chunk, net, lifted_net, NET_EPS, scratch), SCAN_REPEATS
+        whole_s, whole = _median_time(
+            lambda: (_lift(chunk) @ lifted_net.T).max(axis=1) < edge, SCAN_REPEATS
         )
-        if not (exact == lifted).all():
-            raise RuntimeError(f"the two routes decide differently at d={d}")
+        block_s, block = _median_time(lambda: _far(chunk, net, lifted_net, NET_EPS), SCAN_REPEATS)
+        if not (exact == block).all() or not (exact == whole).all():
+            raise RuntimeError(f"the routes decide differently at d={d}")
         rows.append({
             "d": d,
             "abs_ms": round(1e3 * exact_s, 4),
-            "lift_ms": round(1e3 * lift_s, 4),
-            "speedup": round(exact_s / lift_s, 2),
+            "lift_whole_ms": round(1e3 * whole_s, 4),
+            "lift_block_ms": round(1e3 * block_s, 4),
+            "speedup": round(exact_s / block_s, 2),
+            "far_points": int(exact.sum()),
             "lifted_in_grow": d <= LIFT_MAX_DIM,
         })
     return {
-        "inputs": f"one {_DISTANCE_CHUNK}-sample chunk against a {SCAN_NET}-state net, "
-                  f"epsilon {NET_EPS}; lift_ms includes lifting the chunk, and its Gram "
-                  "matrix goes into a reused buffer",
+        "inputs": f"one {_DISTANCE_CHUNK}-sample chunk against a {SCAN_NET}-state Haar net, "
+                  f"epsilon {NET_EPS}; the lifted times include lifting the chunk; speedup "
+                  "is abs over block; far points scan every block",
+        "blas_threads": blas_threads(),
+        "rows": rows,
+    }
+
+
+def survivor_check() -> dict:
+    import numpy as np
+
+    from gatefid.minimum import _DISTANCE_CHUNK, _LIFT_MARGIN, _min_distances
+    from gatefid.sampling import haar_states
+
+    edge = 1.0 - 0.5 * NET_EPS * NET_EPS
+
+    def per_survivor(chunk):
+        net, added = chunk.copy(), [0]
+        for i in range(1, len(chunk)):
+            pair = min(i, len(chunk) - 2)
+            if _min_distances(chunk[pair : pair + 2], net[: len(added)])[i - pair] >= NET_EPS:
+                net[len(added)] = chunk[i]
+                added.append(i)
+        return added
+
+    def gram(chunk):
+        overlap = np.abs(chunk.conj() @ chunk.T)
+        closest = overlap[0].copy()
+        added = [0]
+        for i in range(1, len(chunk)):
+            top = closest[i]
+            if abs(top - edge) <= _LIFT_MARGIN:
+                raise RuntimeError("an overlap on the edge")  # no such tie in these inputs
+            if top < edge:
+                added.append(i)
+                np.maximum(closest, overlap[i], out=closest)
+        return added
+
+    rows = []
+    for d in SCAN_DIMS:
+        chunk = haar_states(d, _DISTANCE_CHUNK, rng=2000 + d)
+        loop_s, loop = _median_time(lambda: per_survivor(chunk), SCAN_REPEATS)
+        gram_s, kept = _median_time(lambda: gram(chunk), SCAN_REPEATS)
+        if loop != kept:
+            raise RuntimeError(f"the survivor checks add different samples at d={d}")
+        rows.append({
+            "d": d,
+            "added": len(kept),
+            "per_survivor_ms": round(1e3 * loop_s, 4),
+            "gram_ms": round(1e3 * gram_s, 4),
+            "speedup": round(loop_s / gram_s, 2),
+        })
+    return {
+        "inputs": f"the {_DISTANCE_CHUNK} samples of a chunk against an empty net, epsilon "
+                  f"{NET_EPS}: one _min_distances call per survivor against the samples "
+                  "added, or one Gram matrix and a running maximum",
         "blas_threads": blas_threads(),
         "rows": rows,
     }
@@ -350,8 +412,11 @@ def main() -> None:
     print(f"reference_minimum max |diff| over {len(diffs)} job seeds: {max(diffs)}", flush=True)
     scan = run_fresh(ROOT, "--scan-only")
     for row in scan["chunk_scan"]["rows"]:
-        print(f"chunk scan d={row['d']}: np.abs {row['abs_ms']} ms, lift {row['lift_ms']} ms",
-              flush=True)
+        print(f"chunk scan d={row['d']}: np.abs {row['abs_ms']} ms, lift whole "
+              f"{row['lift_whole_ms']} ms, lift by block {row['lift_block_ms']} ms", flush=True)
+    for row in scan["survivor_check"]["rows"]:
+        print(f"survivor check d={row['d']}: per survivor {row['per_survivor_ms']} ms, "
+              f"Gram {row['gram_ms']} ms", flush=True)
     for row in scan["net_build"]["rows"]:
         print(f"net build d={row['d']} eps={row['epsilon']}: "
               f"np.abs {row['abs_s']} s {row['abs_peak_mb']} MB, "

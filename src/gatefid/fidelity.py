@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _UNITARY_TOL, QuantumChannel, _choi_gemm
-from .linalg import schatten_norm
+from .channels import _UNITARY_TOL, QuantumChannel, _choi_gemm, _is_unitary
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
 # metric on unit vectors, valid for every channel and every dimension.
@@ -107,7 +106,7 @@ def _check_target(u, d: int):
     u = np.asarray(u, dtype=complex)
     if u.shape != (d, d):
         raise ValueError(f"unitary shape {u.shape} does not match dimension {d}")
-    if schatten_norm(u.conj().T @ u - np.eye(d), np.inf) > _UNITARY_TOL:
+    if not _is_unitary(u):
         raise ValueError(f"target matrix is not unitary within {_UNITARY_TOL:g}")
     return u
 

@@ -7,12 +7,14 @@ descent provides an independent reference value at small dimension, and
 concentration of measure gives the quantile-based effective minimum.
 
 Both searches pay numpy's per-call cost once per batch, not once per
-state: the net packing scans 256 samples at a time against the net,
-writing each chunk's Gram matrix into one buffer that grows with the net,
-and the descent moves every start at once. No overlap or evaluation is
-taken on a single row, which numpy computes by a matrix-vector product
-whose last bits can differ from the GEMM's; so a sample's distance and a
-start's value do not depend on which other rows share the call.
+state: the net packing scans 256 samples at a time against the net, 256
+net states per Gram matrix, then decides a chunk's survivors among
+themselves from one more, and the descent moves every start at once.
+Overlaps within rounding of the epsilon edge are recomputed exactly, and
+no exact overlap or evaluation is taken on a single row, which numpy
+computes by a matrix-vector product whose last bits can differ from the
+GEMM's; so a sample's distance and a start's value do not depend on
+which other rows share the call.
 """
 
 from __future__ import annotations
@@ -76,19 +78,23 @@ _DISTANCE_CHUNK = 256
 # _grow scans the net through _lift only up to this dimension. Whole
 # builds at one BLAS thread (scripts/bench_minimum.py, net_build in
 # BENCH_minimum.json), np.abs against lift: build_net(3, 0.2), 1587
-# states, 226 against 93 ms; build_net(8, 0.7), 1312 states, 168 against
-# 132 ms; a small net pays for lifting each chunk: build_net(8, 0.9), 86
-# states, 9.5 against 11.8 ms. Above d = 8 the real GEMM, whose work per
-# pair of states grows as d^2 where the complex one grows as d, lost on
-# every net measured: 11 against 15 ms at d = 12, 29 against 108 ms at
-# d = 64, and 0.10 against 1.3 s at d = 256, where the build peaked at
-# 402 MB against 18 MB. A lifted row is d^2 doubles, 2 GiB at d = 16384.
+# states, 185-220 against 40-65 ms; build_net(8, 0.7), 1312 states,
+# 145-195 against 65-95 ms; a small net is level: build_net(8, 0.9), 86
+# states, 7-9 ms either way. Above d = 8 the real GEMM, whose work per pair
+# of states grows as d^2 where the complex one grows as d, lost on every
+# net measured: 8-10 against 10-14 ms at d = 12, 26-31 against 100-145 ms
+# at d = 64, and 0.12 against 1.3-1.6 s at d = 256, where the build peaked
+# at 402 MB against 20 MB. A lifted row is d^2 doubles, 2 GiB at d = 16384.
 LIFT_MAX_DIM = 8
 
 # a lifted maximum this close to the threshold is decided by _min_distances;
 # for unit rows both routes are within a few d^2 ulp of |<phi|psi>|^2, far
-# inside it
+# inside it. _grow's survivor check uses it too, on |<phi|psi>| itself
 _LIFT_MARGIN = 1e-9
+
+# net states per Gram matrix of _far's scan, which a point leaves at the
+# first block that holds a net state near it
+_SCAN_BLOCK = 256
 
 
 def _two_rows(rows: np.ndarray) -> np.ndarray:
@@ -126,27 +132,32 @@ def _lift(states: np.ndarray) -> np.ndarray:
     return np.concatenate((states.real**2 + states.imag**2, cross.real, cross.imag), axis=1)
 
 
-def _far(
-    points: np.ndarray, net: np.ndarray, lifted_net: np.ndarray, epsilon: float, scratch=None
-):
+def _far(points: np.ndarray, net: np.ndarray, lifted_net: np.ndarray, epsilon: float):
     """_min_distances(points, net) >= epsilon, bit for bit, through the lift.
 
     lifted_net is _lift(net). A point is far when its largest squared
     overlap, a row max of the real Gram matrix, lies below (1 - epsilon^2/2)^2,
-    signed so that epsilon^2 > 2 leaves no point far. Maxima within
-    _LIFT_MARGIN of that edge are decided by _min_distances. The Gram
-    matrix is written to the front of scratch, a flat float64 array of at
-    least len(points) * len(net) entries, when one is given.
+    signed so that epsilon^2 > 2 leaves no point far. The net is scanned
+    _SCAN_BLOCK states at a time, and a point leaves the scan once a block
+    holds a squared overlap above the edge by more than _LIFT_MARGIN; the
+    points left after the last block have their full maxima. Maxima within
+    _LIFT_MARGIN of the edge are decided by _min_distances.
     """
     edge = 1.0 - 0.5 * float(epsilon) * float(epsilon)
     edge *= abs(edge)
-    gram = None
-    if scratch is not None:
-        # a C-contiguous view, so the GEMM writes it as it writes a fresh array
-        gram = scratch[: len(points) * len(net)].reshape(len(points), len(net))
-    best = np.matmul(_lift(points), lifted_net.T, out=gram).max(axis=1)
-    far = best < edge
-    near = np.flatnonzero(np.abs(best - edge) <= _LIFT_MARGIN)
+    rows = _lift(points)
+    active = np.arange(len(points))
+    best = np.full(len(points), -np.inf)
+    for start in range(0, len(net), _SCAN_BLOCK):
+        np.maximum(best, (rows @ lifted_net[start : start + _SCAN_BLOCK].T).max(axis=1), out=best)
+        keep = best <= edge + _LIFT_MARGIN
+        if not keep.all():
+            rows, active, best = rows[keep], active[keep], best[keep]
+            if not len(active):
+                break
+    far = np.zeros(len(points), dtype=bool)
+    far[active] = best < edge
+    near = active[np.abs(best - edge) <= _LIFT_MARGIN]
     if len(near):
         # on all the points: a row's overlap can differ in its last bit
         # when the GEMM gets a different number of rows
@@ -170,16 +181,20 @@ def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tu
     added earlier in the same block included. Returns the buffer and its
     row count. A net past cap - 1 states raises NetCoverageError naming
     the phase.
+
+    A chunk's survivors, the samples far from the net before it, are then
+    decided among themselves from one Gram matrix |S^dag S| and a running
+    maximum over the survivors added; maxima within _LIFT_MARGIN of the
+    edge 1 - epsilon^2/2 are decided by _min_distances.
     """
     d = net.shape[1]
+    edge = 1.0 - 0.5 * float(epsilon) * float(epsilon)
     # up to LIFT_MAX_DIM, the net's first `lifted_n` states, lifted; it
     # catches up before each chunk scan and has the net buffer's capacity.
-    # gram is _far's scratch, one chunk against at least the net's states,
-    # doubled when the net outgrows it; both serve every pass, so chunks
-    # reuse their pages instead of mapping fresh ones; so does every block
+    # It serves every pass, and so does one block buffer, so blocks reuse
+    # their pages instead of mapping fresh ones
     samples = np.empty((BLOCK_SIZE, d), dtype=complex)
     lifted = np.empty((0, d * d))
-    gram = np.empty(0)
     lifted_n = 0
     for tag, stop, phase in passes:
         misses = 0
@@ -193,32 +208,33 @@ def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tu
                 # before this chunk and from the states this chunk added
                 base = n
                 if not n:
-                    survivors = range(len(chunk))
+                    survivors = np.arange(len(chunk))
                 elif d > LIFT_MAX_DIM:
-                    far = _min_distances(chunk, net[:n]) >= epsilon
-                    survivors = np.flatnonzero(far).tolist()
+                    survivors = np.flatnonzero(_min_distances(chunk, net[:n]) >= epsilon)
                 else:
                     if len(lifted) < n:
                         lifted = _regrown(lifted, lifted_n, len(net))
-                    if len(gram) < _DISTANCE_CHUNK * n:
-                        rows = min(max(n, 2 * len(gram) // _DISTANCE_CHUNK), cap)
-                        gram = None  # freed before the larger one is allocated
-                        gram = np.empty(_DISTANCE_CHUNK * rows)
                     lifted[lifted_n:n] = _lift(net[lifted_n:n])
                     lifted_n = n
-                    far = _far(chunk, net[:n], lifted[:n], epsilon, gram)
-                    survivors = np.flatnonzero(far).tolist()
+                    survivors = np.flatnonzero(_far(chunk, net[:n], lifted[:n], epsilon))
+                overlap = np.abs(chunk[survivors].conj() @ chunk[survivors].T)
+                # each survivor's largest overlap with the survivors added
+                closest = np.full(len(survivors), -np.inf)
                 last = -1
-                for i in survivors:
+                for k, i in enumerate(survivors.tolist()):
                     misses += i - last - 1  # the samples between survivors
                     last = i
                     if misses >= stop:
                         break
                     if n > base:
-                        # the survivor and a neighbour: two rows make the
-                        # overlap a GEMM (a chunk holds _DISTANCE_CHUNK rows)
-                        pair = min(i, len(chunk) - 2)
-                        if _min_distances(chunk[pair : pair + 2], net[base:n])[i - pair] < epsilon:
+                        near = closest[k] > edge
+                        if abs(closest[k] - edge) <= _LIFT_MARGIN:
+                            # the survivor and a neighbour: two rows make the
+                            # overlap a GEMM (a chunk holds _DISTANCE_CHUNK rows)
+                            pair = min(i, len(chunk) - 2)
+                            exact = _min_distances(chunk[pair : pair + 2], net[base:n])
+                            near = exact[i - pair] < epsilon
+                        if near:
                             misses += 1
                             continue
                     if n == len(net):
@@ -226,6 +242,7 @@ def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tu
                     net[n] = chunk[i]
                     n += 1
                     misses = 0
+                    np.maximum(closest, overlap[k], out=closest)
                     if n >= cap:
                         hint = "; enlarge max_states or epsilon" if phase == "packing" else ""
                         raise NetCoverageError(

@@ -307,6 +307,36 @@ class TestUnitaryChannels:
         with pytest.raises(ValueError):
             unitary_channel(np.zeros((2, 3)))
 
+    def test_perturbed_unitary_refused(self):
+        # U^dag U - I has spectral norm 2e-9, above the 1e-10 tolerance
+        u = _haar_unitary(np.random.default_rng(25), 8) @ np.diag([1.0 + 1e-9] + [1.0] * 7)
+        with pytest.raises(ValueError, match="^matrix is not unitary within tolerance$"):
+            unitary_channel(u)
+
+    @staticmethod
+    def _norm_orders(monkeypatch):
+        orders = []
+
+        def spy(m, p):
+            orders.append(p)
+            return schatten_norm(m, p)
+
+        monkeypatch.setattr(channels_module, "schatten_norm", spy)
+        return orders
+
+    def test_unitary_takes_no_svd(self, monkeypatch):
+        orders = self._norm_orders(monkeypatch)
+        unitary_channel(_haar_unitary(np.random.default_rng(26), 64))
+        assert orders == [2]
+
+    def test_svd_decides_past_the_frobenius_bound(self, monkeypatch):
+        # a gap of 8e-11 on each of 64 diagonal entries: Frobenius norm
+        # 6.4e-10, spectral norm 8e-11, so the SVD runs and accepts
+        orders = self._norm_orders(monkeypatch)
+        u = _haar_unitary(np.random.default_rng(27), 64) * np.sqrt(1.0 + 8e-11)
+        unitary_channel(u)
+        assert orders == [2, np.inf]
+
     def test_haar_unitary_validates(self):
         rng = np.random.default_rng(24)
         ch = unitary_channel(_haar_unitary(rng, 4))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gatefid import fidelity
+from gatefid import channels, fidelity
 from gatefid.channels import (
     QuantumChannel,
     channel_from_kraus,
@@ -30,7 +30,7 @@ from gatefid.fidelity import (
     uses_symmetric_form,
     variance_bounds,
 )
-from gatefid.linalg import partial_transpose
+from gatefid.linalg import partial_transpose, schatten_norm
 from gatefid.sampling import haar_states, mc_fidelity_stats
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -481,6 +481,17 @@ class TestTargetCheck:
     def test_non_unitary_target_refused(self, call):
         with pytest.raises(ValueError, match="target matrix is not unitary within 1e-10"):
             call(depolarizing(0.9, 2), self.NOT_UNITARY)
+
+    def test_unitary_target_takes_no_svd(self, monkeypatch):
+        orders = []
+        monkeypatch.setattr(
+            channels, "schatten_norm", lambda m, p: orders.append(p) or schatten_norm(m, p)
+        )
+        assert fidelity._check_target(PAULI_X, 2) is not None
+        assert orders == [2]
+        with pytest.raises(ValueError, match="target matrix is not unitary within 1e-10"):
+            fidelity._check_target(self.NOT_UNITARY, 2)
+        assert orders == [2, 2, np.inf]
 
     def test_near_unitary_target_accepted(self):
         u = PAULI_X + 1e-12

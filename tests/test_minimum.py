@@ -22,6 +22,7 @@ from gatefid.fidelity import (
 )
 from gatefid.minimum import (
     _DISTANCE_CHUNK,
+    _SCAN_BLOCK,
     LIFT_MAX_DIM,
     NetCoverageError,
     _descend,
@@ -281,6 +282,12 @@ class TestBuildNetOracle:
         with pytest.raises(NetCoverageError, match="^packing exceeded the 600-state"):
             build_net(2, 0.05, rng=7, max_states=600)
 
+    @pytest.mark.parametrize("d,eps,seed,states", [(3, 0.25, 8, 680), (4, 0.4, 8, 825)])
+    def test_net_spans_three_scan_blocks(self, d, eps, seed, states):
+        # the last chunk scans hold three and four blocks of _SCAN_BLOCK states
+        _assert_matches_reference(d, eps, seed)
+        assert len(build_net(d, eps, rng=seed).states) == states > 2 * _SCAN_BLOCK
+
     def test_rejects_empty_budget_and_stop(self):
         with pytest.raises(ValueError):
             build_net(2, 0.5, max_states=-1)
@@ -343,67 +350,64 @@ class TestLiftedScan:
         assert calls == []
 
 
-class TestScanScratch:
-    """_grow's chunk scans share one Gram buffer, with the bits of a fresh one."""
+class TestBlockScan:
+    """_far scans the net _SCAN_BLOCK states at a time and decides as _min_distances."""
 
     @pytest.mark.parametrize("d", [2, 3, LIFT_MAX_DIM])
-    def test_far_with_scratch_is_bit_equal(self, d):
-        points = haar_states(d, _DISTANCE_CHUNK, rng=5700 + d)
-        for size in (1, 2, 5, 300):
+    def test_matches_min_distances_across_block_edges(self, d):
+        # nets of one state, one block give or take one, and about three
+        # blocks; the last 8 points lie next to the net's last state, so their
+        # maxima sit in the last block, and epsilons equal to computed
+        # distances put maxima on the edge itself
+        for size in (1, _SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 700):
             net = haar_states(d, size, rng=5800 + size)
+            close = net[-1] + 0.02 * haar_states(d, 8, rng=5900 + size)
+            close /= np.linalg.norm(close, axis=1, keepdims=True)
+            points = np.concatenate((haar_states(d, _DISTANCE_CHUNK - 8, rng=5700 + d), close))
             lifted_net = _lift(net)
-            scratch = np.full(_DISTANCE_CHUNK * 512, np.nan)
-            ties = _min_distances(points[:3], net)
-            for eps in [0.2, 0.9, *ties]:
-                fresh = _far(points, net, lifted_net, eps)
-                assert np.array_equal(_far(points, net, lifted_net, eps, scratch), fresh)
-            gram = scratch[: len(points) * size].reshape(len(points), size)
-            assert gram.tobytes() == (_lift(points) @ lifted_net.T).tobytes()
+            ties = _min_distances(points[[0, 1, -2, -1]], net)
+            for eps in [0.05, 0.2, 0.9, math.sqrt(2.0), 1.5, *ties]:
+                got = _far(points, net, lifted_net, eps)
+                assert np.array_equal(got, _min_distances(points, net) >= eps)
 
-    @staticmethod
-    def _scratches(monkeypatch):
-        """Every distinct Gram scratch _far receives, with the net sizes it served."""
-        seen = []
+    @pytest.mark.parametrize("nudge", [False, True])
+    def test_survivor_on_the_edge_is_decided_exactly(self, nudge, monkeypatch):
+        # an empty net keeps its first sample, and the second is then checked
+        # against it with its neighbour: at epsilon equal to that distance
+        # their overlap sits on the edge, so _min_distances decides, keeping
+        # the sample at the tie and dropping it one ulp of epsilon above
+        first = _haar_block(2, as_rng_spec(1), TAG_NET, 0, BLOCK_SIZE)[:3]
+        eps = float(_min_distances(first[1:], first[:1])[0])
+        if nudge:
+            eps = float(np.nextafter(eps, np.inf))
+        calls = []
 
-        def spy(points, net, lifted_net, epsilon, scratch=None):
-            assert scratch is not None and len(scratch) >= len(points) * len(net)
-            if not seen or scratch is not seen[-1][0]:
-                seen.append((scratch, []))
-            seen[-1][1].append(len(net))
-            return _far(points, net, lifted_net, epsilon, scratch)
+        def counted(p, n):
+            calls.append((p.tobytes(), n.tobytes()))
+            return _min_distances(p, n)
 
-        monkeypatch.setattr(minimum, "_far", spy)
-        return seen
+        monkeypatch.setattr(minimum, "_min_distances", counted)
+        net = build_net(2, eps, rng=1)
+        assert (first[1:].tobytes(), first[:1].tobytes()) in calls
+        assert (net.states[1].tobytes() == first[1].tobytes()) == (not nudge)
 
-    @pytest.mark.parametrize(
-        "phase,tag", [("packing", TAG_NET), ("coverage repair", TAG_VALIDATE)]
-    )
-    def test_grow_reallocates_scratch_only_when_outgrown(self, phase, tag, monkeypatch):
-        # a scratch first holds one chunk against the net as it stands, and
-        # is replaced, at least doubled, only when the net outgrows it
-        max_states = 2000
-        seen = self._scratches(monkeypatch)
-        net, n = minimum._grow(np.empty((256, 3), dtype=complex), 0, max_states + 1,
-                               as_rng_spec(1), 0.2, [(tag, 200, phase)])
-        assert n > 1024
-        rows = [len(scratch) // _DISTANCE_CHUNK for scratch, _ in seen]
-        assert rows[0] == seen[0][1][0]
-        for (_, served), grown, before in zip(seen[1:], rows[1:], rows):
-            assert served[0] > before and grown == min(max(served[0], 2 * before), max_states + 1)
-        assert len(rows) <= math.ceil(math.log2((max_states + 1) / rows[0])) + 1
-
-    def test_passes_share_one_scratch(self, monkeypatch):
-        # packing and coverage repair of build_net(3, 0.2) (1587 states) scan
-        # into scratches of 222, 444, 888 and 1776 rows, where a scratch of
-        # the net buffer's capacity took 2001 rows in each pass
-        seen = self._scratches(monkeypatch)
+    def test_build_takes_few_exact_checks(self, monkeypatch):
+        # only overlaps within _LIFT_MARGIN of the edge are checked exactly
+        calls = []
+        monkeypatch.setattr(
+            minimum, "_min_distances", lambda p, n: calls.append(len(n)) or _min_distances(p, n)
+        )
         assert len(build_net(3, 0.2, rng=1).states) == 1587
-        assert [len(scratch) // _DISTANCE_CHUNK for scratch, _ in seen] == [222, 444, 888, 1776]
+        assert len(calls) < 20
+
+
+class TestScanScratch:
+    """What the net scan allocates: its peak and the lift's index pairs."""
 
     def test_build_peak(self):
-        # 1776 rows of scratch, one 4096-state block reused for every block,
-        # the net and its lift: 3.97 MiB (4,162,772 bytes) under numpy
-        # 2.4.6; the scratch at the net buffer's capacity peaked at 4.82 MiB
+        # one 4096-state block reused for every block, the net and its lift,
+        # and Gram matrices of at most 256 x 256: 1.71 MiB (1,797,425 bytes)
+        # under numpy 2.4.6
         build_net(3, 0.9, rng=1)
         tracemalloc.start()
         try:
