@@ -8,6 +8,12 @@ checkout. Their sampling.haar_s, fidelity.kernel_s, fidelity.kernel_gflops,
 sampling.samples_s and sampling.parallelism (with cli.cmd_s for scale) go to
 BENCH_sampling.json.
 
+Haar draw: in HAAR_ROUNDS fresh interpreters per tree, the trees
+alternating which goes first, with BLAS at one thread, the median time of
+HAAR_REPEATS draws of one 4096-state `_haar_block` at each d in HAAR_DIMS,
+after one warm-up draw. Medians, quartiles and per-round wins go to
+BENCH_sampling.json with each tree's ALGORITHM_ID.
+
 Block peaks: in a fresh interpreter against each tree's src/, the
 tracemalloc peak, above what was allocated before the call, of one
 4096-state `_haar_block`, of `gate_fidelity_batch` on that block with a
@@ -18,11 +24,11 @@ BLOCK_DIMS and rank in BLOCK_RANKS. One warm-up draw runs first, so the
 generator's first-use allocations stay out.
 
 End to end: `perfbench/run.py --trace 0` pairs, alternating which side runs
-first. CLAIM_SEEDS run on sweep-unitary (the claim, peak_rss_mb) and on
-stats-lowrank, whose per-run peaks show whether its run-to-run levels
-remain; CHECK_SEEDS run on the other two workloads. No metric may worsen
-beyond BENCHMARK.json's bounds. Artifacts of every job index both sides
-reached are compared by sha256.
+first, one per seed of SEEDS on each of the four workloads; the claim is
+peak_rss_mb on sweep-unitary. No metric may worsen beyond BENCHMARK.json's
+bounds. Artifacts of every job index both sides reached are compared by
+sha256; when the trees' ALGORITHM_IDs differ, every sampled artifact is
+expected to differ, and the record says so.
 
 The machine fingerprint is perfbench's; its blas_threads is read before
 gatefid.cli.main runs, so it shows the process default. The thread count
@@ -35,13 +41,15 @@ the CLI runs at is probed separately and recorded as cli_blas_threads.
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
-from bench_minimum import ROOT, gain_claim, paired_runs
+from bench_minimum import ROOT, gain_claim, paired_runs, quartiles
 from child import blas_threads, fingerprint  # bench_kernel put perfbench/ on sys.path
 
 LAYER_METRICS = (
@@ -56,11 +64,13 @@ TRACED = ("sweep-unitary", "stats-lowrank")
 CLAIM = "sweep-unitary"
 CLAIM_METRIC = "peak_rss_mb"
 CHECKED = ("stats-lowrank", "twin-dense", "min-search")
-TRACE_SEEDS = (61, 62)
-CLAIM_SEEDS = range(51, 61)
-CHECK_SEEDS = range(51, 55)
+TRACE_SEEDS = (171, 172)
+SEEDS = range(161, 171)
 BLOCK_DIMS = (16, 64, 256)
 BLOCK_RANKS = (1, 4)
+HAAR_DIMS = (16, 64, 256, 1024)
+HAAR_ROUNDS = 5
+HAAR_REPEATS = 15
 OUT = ROOT / "BENCH_sampling.json"
 
 
@@ -109,7 +119,46 @@ def block_peaks() -> list:
     return rows
 
 
-def run_fresh(tree: Path, flag: str) -> list:
+def haar_times() -> dict:
+    """Median ms of one 4096-state _haar_block at each d, and the tree's ALGORITHM_ID."""
+    from gatefid.sampling import ALGORITHM_ID, BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block
+
+    spec = RngSpec(1)
+    times = {}
+    for d in HAAR_DIMS:
+        out = _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE)
+        samples = []
+        for _ in range(HAAR_REPEATS):
+            start = time.perf_counter()
+            _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE, out=out)
+            samples.append(1e3 * (time.perf_counter() - start))
+        times[str(d)] = round(statistics.median(samples), 3)
+    return {"algorithm_id": ALGORITHM_ID, "ms": times}
+
+
+def haar_record(trees: dict) -> dict:
+    """HAAR_ROUNDS fresh interpreters per tree, alternating which runs first."""
+    samples = {side: [] for side in trees}
+    for i in range(HAAR_ROUNDS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            samples[side].append(run_fresh(trees[side], "--haar-only"))
+    record = {
+        "inputs": f"one {HAAR_REPEATS}-draw median per interpreter of _haar_block(d, RngSpec(1), "
+                  "TAG_MAIN, 0, 4096) into one reused array, OPENBLAS_NUM_THREADS=1",
+        "algorithm_id": {side: samples[side][0]["algorithm_id"] for side in trees},
+    }
+    for d in map(str, HAAR_DIMS):
+        parent = [s["ms"][d] for s in samples["parent"]]
+        change = [s["ms"][d] for s in samples["change"]]
+        record[f"d{d}_ms"] = {
+            "parent_q1_median_q3": quartiles(parent),
+            "change_q1_median_q3": quartiles(change),
+            "change_wins": f"{sum(c < p for p, c in zip(parent, change))}/{HAAR_ROUNDS}",
+        }
+    return record
+
+
+def run_fresh(tree: Path, flag: str):
     """The JSON line that this script prints under flag, run on tree's src/."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, __file__, flag], env=env, check=True,
@@ -130,15 +179,22 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
     ap.add_argument("--block-peaks-only", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--haar-only", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
 
-    if args.block_peaks_only:
-        print(json.dumps(block_peaks()))
-        return
+    for flag, fn in ((args.block_peaks_only, block_peaks), (args.haar_only, haar_times)):
+        if flag:
+            print(json.dumps(fn()))
+            return
     if args.baseline is None:
         ap.error("--baseline is required")
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
 
+    haar = haar_record(trees)
+    for d in HAAR_DIMS:
+        m = haar[f"d{d}_ms"]
+        print(f"haar d={d}: parent {m['parent_q1_median_q3'][1]} ms, change "
+              f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
     peaks = {side: run_fresh(tree, "--block-peaks-only") for side, tree in trees.items()}
     for side, rows in peaks.items():
         print(f"block peaks {side}: {rows}", flush=True)
@@ -150,12 +206,14 @@ def main() -> None:
             layers[workload][side] = [run_traced(tree, workload, s) for s in TRACE_SEEDS]
             print(f"{workload} traced {side}: {layers[workload][side]}", flush=True)
 
-    end_to_end = {w: paired_runs(trees, w, CLAIM_SEEDS if w in TRACED else CHECK_SEEDS)
-                  for w in (CLAIM, *CHECKED)}
+    end_to_end = {w: paired_runs(trees, w, SEEDS) for w in (CLAIM, *CHECKED)}
     record = {
         "topic": "sampling",
         "harness": "PYTHONPATH=src python3 scripts/bench_sampling.py --baseline PARENT",
         "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
+        "algorithm_id": haar["algorithm_id"],
+        "artifacts_expected_to_match": len(set(haar["algorithm_id"].values())) == 1,
+        "haar_draw": haar,
         "block_peak": {
             "unit": "MiB",
             "inputs": "random_channel(d, rank, rng=1), 4096-state blocks of RngSpec(1), "

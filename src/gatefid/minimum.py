@@ -42,6 +42,7 @@ from .sampling import (
     TAG_OPTIMIZER,
     TAG_VALIDATE,
     _haar_block,
+    _haar_fill,
     as_rng_spec,
     generator,
 )
@@ -382,12 +383,12 @@ def _descend(e: QuantumChannel, u, kernel: FidelityKernel, starts: np.ndarray) -
 def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED) -> float:
     """Best value over multi-start local descent; the desk-scale oracle.
 
-    The n_starts unit starts are drawn one after another from the
-    optimizer stream of rng and descend together (_descend); each start's
-    value has the same bits whatever n_starts is. Local descent cannot
-    certify globality, so treat the result as a consistent reference, not
-    ground truth. Restricted to d <= 32 where multi-start coverage of the
-    sphere is still meaningful.
+    The n_starts unit starts are Haar states drawn one after another from
+    the optimizer stream of rng, in a block's layout, and descend together
+    (_descend); each start's value has the same bits whatever n_starts is.
+    Local descent cannot certify globality, so treat the result as a
+    consistent reference, not ground truth. Restricted to d <= 32 where
+    multi-start coverage of the sphere is still meaningful.
     """
     if e.dim_in > REFERENCE_DIM_LIMIT:
         raise ValueError(
@@ -396,12 +397,7 @@ def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED)
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
     spec = as_rng_spec(rng)
-    g = generator(spec, TAG_OPTIMIZER)
-    d = e.dim_in
-    starts = np.empty((n_starts, d), dtype=complex)
-    for start in starts:
-        z = g.standard_normal(d) + 1j * g.standard_normal(d)
-        start[:] = z / np.linalg.norm(z)
+    starts = _haar_fill(generator(spec, TAG_OPTIMIZER), np.empty((n_starts, e.dim_in), complex))
     return float(_descend(e, u, fidelity_kernel(e, u), starts).min())
 
 

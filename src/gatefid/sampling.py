@@ -6,14 +6,17 @@ b)), so the stream is reproducible across platforms and independent of how
 blocks are distributed over worker threads. Distinct tags keep the main,
 net-building and validation sample spaces disjoint.
 
+A state is its block's next 2d standard normals, read as the interleaved
+real and imaginary parts of d complex entries, over its norm. A normal
+stream drawn in pieces equals the stream drawn whole, so a block is the
+sequence of its tiles and no tile size changes the bits.
+
 Sampling with `threads` workers runs the calling thread and threads - 1
-pool workers, which take blocks from one shared counter. Above d = 64 a
-worker holds a block's first normal array a, 4096 d doubles, and two
-tiles of states: it draws the rest of the block tile by tile, normalizes
-each tile and evaluates it before drawing the next. Up to d = 64 it draws
-each block whole into one buffer and evaluates it at once. haar_states
-draws whole blocks, each normalized tile by tile inside its own memory.
-All give the bits a draw and an evaluation of the whole block gave.
+pool workers, which take blocks from one shared counter. A worker draws
+each tile of a block into one buffer of its own and evaluates it before
+drawing the next: up to d = 64 a tile is the whole block (4 MiB), above
+it _tile_rows(d) rows (1 MiB). Normalizing takes at most 1 MiB more, freed
+before the evaluation.
 """
 
 from __future__ import annotations
@@ -38,18 +41,19 @@ from .fidelity import (
 )
 
 BLOCK_SIZE = 4096
-ALGORITHM_ID = "pcg64-block4096"
+ALGORITHM_ID = "pcg64-interleaved-block4096"
 
 # complex entries per tile of a Haar block: the kernel's 256 rows up to
 # d = 256, fewer above, two rows from d = 21846 on
 _HAAR_TILE_ENTRIES = 1 << 16
 
 # a sampling worker draws a block of at most this many complex entries
-# (4 MiB, d <= 64) whole, in tiles of _HAAR_TILE_ENTRIES entries, and
-# evaluates it in one kernel call per channel; a larger block is drawn and
-# evaluated tile by tile. Two workers trade the interpreter lock at each
-# numpy call: 16 tiles per block at d = 16 and 64 tripled the voluntary
-# context switches of report convergence and cost it about 10% of its time
+# (4 MiB, d <= 64) as one tile, which _haar_block normalizes in pieces of
+# _HAAR_TILE_ENTRIES entries, and evaluates it in one kernel call per
+# channel; a larger block is drawn and evaluated in tiles of _tile_rows(d)
+# rows. Two workers trade the interpreter lock at each numpy call: 16
+# tiles per block at d = 16 and 64 tripled the voluntary context switches
+# of report convergence and cost it about 10% of its time
 _WHOLE_BLOCK_ENTRIES = 1 << 18
 
 # documented default seed for every seeded entry point
@@ -96,63 +100,45 @@ def generator(spec: RngSpec, *key: int) -> np.random.Generator:
 
 
 def _tile_rows(d: int) -> int:
-    """Rows per tile of a Haar block, for its draw and its evaluation alike."""
+    """Rows per tile a sampling worker draws and evaluates above d = 64."""
     return max(2, min(_TILE_ROWS, _HAAR_TILE_ENTRIES // d))
 
 
-def _haar_tile(g: np.random.Generator, a: np.ndarray, rows: np.ndarray, work: np.ndarray):
-    """Fill rows, complex (m, d), with a + 1j*b over its row norms.
+def _haar_fill(g: np.random.Generator, z: np.ndarray) -> np.ndarray:
+    """z, a C-contiguous complex (m, d) array, filled with m Haar states.
 
-    b is g's next m*d normals, drawn into the back half of work, a complex
-    (m, d) scratch whose front half a may occupy.
+    They are g's next 2md standard normals, read as interleaved real and
+    imaginary parts, each row over its norm: bit for bit
+    z / np.linalg.norm(z, axis=1, keepdims=True). Takes one scratch array
+    of z's size, freed on return.
     """
-    b = work.view(np.float64).reshape(2, *rows.shape)[1]
-    g.standard_normal(out=b)
-    rows.real = a
-    rows.imag = b
+    g.standard_normal(out=z.view(np.float64))
     # the squared row norms exactly as np.linalg.norm forms them
-    np.conjugate(rows, out=work)
-    np.multiply(work, rows, out=work)
-    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
+    square = np.conjugate(z)
+    np.multiply(square, z, out=square)
+    inv_norm = 1.0 / np.sqrt(np.add.reduce(square.real, axis=1))
     # dividing by a real equals multiplying both parts by its reciprocal
-    parts = rows.view(np.float64)
+    parts = z.view(np.float64)
     parts *= inv_norm[:, None]
+    return z
 
 
 def _haar_block(
-    d: int,
-    spec: RngSpec,
-    tag: int,
-    block: int,
-    count: int,
-    out: np.ndarray | None = None,
-    tile_rows: int | None = None,
+    d: int, spec: RngSpec, tag: int, block: int, count: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """count Haar states, bit for bit (a + 1j*b) / np.linalg.norm(a + 1j*b, axis=1)
-    with a, b the block's two standard normal draws.
+    """The first count Haar states of one block of the (spec, tag) stream.
 
-    The states are written into out, a C-contiguous complex (count, d) array,
-    when one is given, and into a new one otherwise. Beside it the block
-    needs one tile of scratch: a is drawn whole into the upper half of the
-    block's own memory, and b is drawn, interleaved with a and normalized
-    tile by tile (_haar_tile), in tiles of tile_rows rows, _tile_rows(d) by
-    default. A generator's normal stream drawn in pieces equals the stream
-    drawn whole, so the tile size does not change the bits.
+    Bit for bit z / np.linalg.norm(z, axis=1, keepdims=True), where z is
+    the block's first 2 count d standard normals viewed as a complex
+    (count, d) array. The states are written into out, a C-contiguous
+    complex (count, d) array, when one is given, and into a new one
+    otherwise. They are drawn by _haar_fill in tiles of
+    _HAAR_TILE_ENTRIES entries, so the scratch stays one tile.
     """
     g = generator(spec, tag, block)
     z = np.empty((count, d), dtype=complex) if out is None else out
-    # a's row r sits at float offset (count + r) * d; the tile over rows
-    # [start, stop) writes float offsets below 2 * stop * d, which reaches
-    # no row of a from stop on, so each tile copies out only its own rows
-    real = z.view(np.float64).reshape(-1)[count * d :].reshape(count, d)
-    g.standard_normal(out=real)
-    rows = _tile_rows(d) if tile_rows is None else tile_rows
-    scratch = np.empty((min(count, rows + 1), d), dtype=complex)
-    for start, stop in _row_tiles(count, rows):
-        work = scratch[: stop - start]
-        a = work.view(np.float64).reshape(2, stop - start, d)[0]
-        np.copyto(a, real[start:stop])
-        _haar_tile(g, a, z[start:stop], work)
+    for start, stop in _row_tiles(count, max(2, _HAAR_TILE_ENTRIES // d)):
+        _haar_fill(g, z[start:stop])
     return z
 
 
@@ -174,12 +160,11 @@ def fidelity_samples(
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
-    States are generated and consumed block by block, and above d = 64
-    tile by tile, so a worker holds at most a block's states (see the
-    module docstring). The evaluation path is chosen and built once, before
-    the first block. threads counts the workers, the calling thread among
-    them. The returned array is identical for any thread count because
-    blocks land at fixed offsets.
+    States are generated and consumed tile by tile, so a worker holds at
+    most one tile of states (see the module docstring). The evaluation
+    path is chosen and built once, before the first block. threads counts
+    the workers, the calling thread among them. The returned array is
+    identical for any thread count because blocks land at fixed offsets.
     """
     (out,) = _block_fidelities([(e, u)], n, rng, threads)
     return out
@@ -188,14 +173,14 @@ def fidelity_samples(
 def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
-    Each block is drawn once and evaluated by every pair's kernel, built
-    once before the first block; above _WHOLE_BLOCK_ENTRIES each tile of it
-    is evaluated as soon as it is drawn. The calling thread and threads - 1
-    pool workers take blocks from one shared counter; each block's values
-    land at its fixed offset of one array per pair, so the arrays do not
-    depend on the thread count. After a block raises, no worker starts
-    another, and the exception reaches the caller, unchanged, once every
-    worker has stopped.
+    Each tile of a block is drawn once and evaluated at once by every
+    pair's kernel, built once before the first block. Up to
+    _WHOLE_BLOCK_ENTRIES the tile is the whole block, drawn by _haar_block.
+    The calling thread and threads - 1 pool workers take blocks from one
+    shared counter; each block's values land at its fixed offset of one
+    array per pair, so the arrays do not depend on the thread count. After
+    a block raises, no worker starts another, and the exception reaches
+    the caller, unchanged, once every worker has stopped.
     """
     spec = as_rng_spec(rng)
     if n < 1:
@@ -203,7 +188,7 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     _check_budget(8 * n, f"array of {n} fidelity samples")
     d = pairs[0][0].dim_in
     whole = BLOCK_SIZE * d <= _WHOLE_BLOCK_ENTRIES
-    rows = _tile_rows(d)
+    rows = BLOCK_SIZE if whole else _tile_rows(d)
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
     outs = [np.empty(n) for _ in pairs]
     n_blocks = math.ceil(n / BLOCK_SIZE)
@@ -215,37 +200,28 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
         with lock:
             return None if failed else next(counter, None)
 
-    def evaluate(start, states):
-        for (e, u), kernel, out in zip(pairs, kernels, outs):
-            out[start : start + len(states)] = gate_fidelity_batch(e, u, states, kernel=kernel)
-
     def drain():
-        # each worker draws every block it takes into buffers of its own; a
-        # fresh array per block left freed blocks resident in the calling
+        # each worker draws every tile it takes into one buffer of its own;
+        # a fresh array per block left freed blocks resident in the calling
         # thread's malloc arena (report convergence at d = 16, 64 and 256
         # peaked at 113 MB of RSS against 82 MB with one buffer per worker)
         nonlocal failed
-        if whole:
-            block_buffer = np.empty((min(BLOCK_SIZE, n), d), dtype=complex)
-        else:
-            a = np.empty((min(BLOCK_SIZE, n), d))
-            states, work = np.empty((2, min(rows + 1, n), d), dtype=complex)
+        buffer = np.empty((min(n, rows + 1, BLOCK_SIZE), d), dtype=complex)
         while (block := claim()) is not None:
             start = block * BLOCK_SIZE
             count = min(BLOCK_SIZE, n - start)
             try:
-                if whole:
-                    evaluate(start, _haar_block(
-                        d, spec, TAG_MAIN, block, count, out=block_buffer[:count],
-                        tile_rows=_HAAR_TILE_ENTRIES // d,
-                    ))
-                    continue
-                g = generator(spec, TAG_MAIN, block)
-                g.standard_normal(out=a[:count])
+                g = None if whole else generator(spec, TAG_MAIN, block)
                 for t0, t1 in _row_tiles(count, rows):
-                    tile = states[: t1 - t0]
-                    _haar_tile(g, a[t0:t1], tile, work[: t1 - t0])
-                    evaluate(start + t0, tile)
+                    states = buffer[: t1 - t0]
+                    if whole:
+                        _haar_block(d, spec, TAG_MAIN, block, count, out=states)
+                    else:
+                        _haar_fill(g, states)
+                    for (e, u), kernel, out in zip(pairs, kernels, outs):
+                        out[start + t0 : start + t1] = gate_fidelity_batch(
+                            e, u, states, kernel=kernel
+                        )
             except BaseException:
                 with lock:
                     failed = True

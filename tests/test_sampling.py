@@ -36,6 +36,7 @@ from gatefid.sampling import (
     TAG_VALIDATE,
     _block_fidelities,
     _haar_block,
+    _haar_fill,
     as_rng_spec,
     convergence_report,
     generator,
@@ -59,6 +60,14 @@ class TestRngSpec:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError):
             as_rng_spec(RngSpec(seed=1, algorithm_id="mt19937"))
+
+    def test_refuses_the_previous_layout(self):
+        # pcg64-block4096 drew all of a block's real parts before its
+        # imaginary ones; its seeds name other states under this layout
+        with pytest.raises(ValueError) as info:
+            as_rng_spec(RngSpec(seed=1, algorithm_id="pcg64-block4096"))
+        assert "'pcg64-block4096'" in str(info.value)
+        assert repr(ALGORITHM_ID) in str(info.value)
 
     def test_rejects_out_of_range_seed(self):
         with pytest.raises(ValueError):
@@ -101,16 +110,27 @@ class TestHaarStates:
     @pytest.mark.parametrize("count", [1, 7, BLOCK_SIZE])
     @pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 16, 17, 64, 100, 128, 256])
     def test_block_stream_is_pinned(self, d, count):
-        # the bytes behind ALGORITHM_ID: normalized a + 1j*b from the
-        # block's two standard normal draws, normed by np.linalg.norm
+        # the bytes behind ALGORITHM_ID: the block's first 2 count d standard
+        # normals as interleaved real and imaginary parts, normed by
+        # np.linalg.norm
         spec = RngSpec(11)
         for tag, block in ((TAG_MAIN, 0), (TAG_VALIDATE, 5)):
             g = generator(spec, tag, block)
-            z = g.standard_normal((count, d)) + 1j * g.standard_normal((count, d))
+            z = g.standard_normal((count, 2 * d)).view(complex)
             expected = z / np.linalg.norm(z, axis=1, keepdims=True)
             got = _haar_block(d, spec, tag, block, count)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("d, n", [(2, 40_000), (3, 40_000), (16, 20_000), (256, 8192)])
+    def test_every_entry_has_haar_moments(self, d, n):
+        # E |phi_i|^2 = 1/d and E |phi_i|^4 = 2 / (d (d + 1)) for every
+        # entry i, real and imaginary parts drawn interleaved
+        weights = np.abs(haar_states(d, n, rng=14)) ** 2
+        for power, exact in ((1, 1.0 / d), (2, 2.0 / (d * (d + 1)))):
+            t = weights**power
+            sigma = t.std(axis=0, ddof=1) / math.sqrt(n)
+            assert np.all(np.abs(t.mean(axis=0) - exact) < 4.0 * sigma), power
 
     def test_tags_give_disjoint_streams(self):
         a = haar_states(2, 10, rng=7, tag=0)
@@ -160,11 +180,14 @@ class TestHaarStates:
 
 class TestFidelitySamples:
     def test_determinism_across_threads(self):
-        ch = random_channel(3, 2, rng=20)
+        # whole blocks at d = 3, tiles at d = 65
         n = 2 * BLOCK_SIZE + 123
-        serial = fidelity_samples(ch, None, n, rng=21, threads=1)
-        threaded = fidelity_samples(ch, None, n, rng=21, threads=4)
-        assert np.array_equal(serial, threaded)
+        for d in (3, 65):
+            ch = random_channel(d, 2, rng=20)
+            serial = fidelity_samples(ch, None, n, rng=21, threads=1)
+            for threads in (2, 3, 4):
+                threaded = fidelity_samples(ch, None, n, rng=21, threads=threads)
+                assert serial.tobytes() == threaded.tobytes(), (d, threads)
 
     def test_prefix_property(self):
         ch = depolarizing(0.5, 2)
@@ -201,18 +224,21 @@ class TestFidelitySamples:
                 fidelity_samples(ch, None, n, rng=26)
 
 
-# Whole-block forms of the Haar block and the Kraus loop, as they were before
-# both were tiled; the tiled ones must reproduce them bit for bit.
+# Whole-block forms of the Haar block (one draw of all its normals, normed by
+# np.linalg.norm) and of the Kraus loop; the tiled ones must reproduce them
+# bit for bit.
 def _whole_haar_block(d, spec, tag, block, count):
     g = generator(spec, tag, block)
+    z = g.standard_normal((count, 2 * d)).view(complex)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def _drawn_in_pieces(d, spec, tag, block, count, rows):
+    """The block's first count states, drawn by _haar_fill in pieces of rows rows."""
+    g = generator(spec, tag, block)
     z = np.empty((count, d), dtype=complex)
-    z.real = g.standard_normal((count, d))
-    z.imag = g.standard_normal((count, d))
-    work = np.conjugate(z)
-    np.multiply(work, z, out=work)
-    inv_norm = 1.0 / np.sqrt(np.add.reduce(work.real, axis=1))
-    parts = z.view(np.float64).reshape(count, 2 * d)
-    parts *= inv_norm[:, None]
+    for start in range(0, count, rows):
+        _haar_fill(g, z[start : start + rows])
     return z
 
 
@@ -261,8 +287,9 @@ class TestTiledBlocks:
             out = np.full((count, d), np.nan, dtype=complex)
             assert _haar_block(d, spec, TAG_MAIN, 3, count, out=out) is out
             assert out.tobytes() == states.tobytes()
-            for rows in (2, 3, 1000, BLOCK_SIZE):
-                tiled = _haar_block(d, spec, TAG_MAIN, 3, count, tile_rows=rows)
+            # a normal stream drawn in pieces equals the stream drawn whole
+            for rows in (1, 2, 3, 256, 1000, BLOCK_SIZE):
+                tiled = _drawn_in_pieces(d, spec, TAG_MAIN, 3, count, rows)
                 assert tiled.tobytes() == states.tobytes(), rows
             for ops in stacks:
                 got = _kraus_values(ops, states)
@@ -371,13 +398,14 @@ class TestTileRunner:
             assert verified.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
 
     def test_worker_working_set(self):
-        # report convergence's unitary at d = 256: a worker holds a block's
-        # first normal array (8 MiB) and two tiles; holding whole blocks of
-        # states, it peaked at 18 MiB
+        # report convergence's unitary at d = 256: a worker holds one tile
+        # of states (1 MiB) and one tile of scratch while it draws, then the
+        # kernel's two; holding a block's first normal array (8 MiB) as well,
+        # it peaked at 12 MiB, and holding whole blocks of states, at 18 MiB
         ch = phase_spread_unitary(256, 64)
         fidelity_samples(ch, None, 2, 65)
         peak = _traced_peak(lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1))
-        assert peak <= 13 * MIB
+        assert peak <= 4 * MIB
 
 
 class _Boom(Exception):
@@ -386,19 +414,6 @@ class _Boom(Exception):
 
 def _address(array) -> int:
     return array.__array_interface__["data"][0]
-
-
-class _FirstDrawSpy:
-    """A block's generator, recording the buffer its first normal draw fills."""
-
-    def __init__(self, g, block, drawn):
-        self._g, self._block, self._drawn = g, block, drawn
-
-    def standard_normal(self, *, out):
-        if self._block is not None:
-            self._drawn.append((self._block, threading.get_ident(), _address(out), out.size))
-            self._block = None
-        return self._g.standard_normal(out=out)
 
 
 class TestBlockScheduler:
@@ -419,9 +434,9 @@ class TestBlockScheduler:
         drawn = []
         real = sampling._haar_block
 
-        def counting(d, spec, tag, block, count, out=None, tile_rows=None):
+        def counting(d, spec, tag, block, count, out=None):
             drawn.append((block, threading.get_ident(), _address(out)))
-            return real(d, spec, tag, block, count, out=out, tile_rows=tile_rows)
+            return real(d, spec, tag, block, count, out=out)
 
         monkeypatch.setattr(sampling, "_haar_block", counting)
         ch = random_channel(3, 2, rng=54)
@@ -433,37 +448,36 @@ class TestBlockScheduler:
         assert all(len(addresses) == 1 for addresses in buffers.values())
 
     def test_each_large_block_is_drawn_once_into_its_workers_buffers(self, monkeypatch):
-        # above d = 64 a block's first normal array is drawn whole, once,
-        # into the buffer its worker keeps; every tile of it lands in that
-        # worker's one tile
-        drawn, tiles = [], []
-        real_generator, real_tile = sampling.generator, sampling._haar_tile
+        # above d = 64 each block's stream is opened once and drawn tile by
+        # tile, by _haar_fill, into the one tile its worker keeps; no block
+        # is drawn whole
+        opened, tiles = [], []
+        real_generator, real_fill = sampling.generator, sampling._haar_fill
 
         def generator(spec, tag, block):
-            return _FirstDrawSpy(real_generator(spec, tag, block), block, drawn)
+            opened.append(block)
+            return real_generator(spec, tag, block)
 
-        def haar_tile(g, a, rows, work):
-            tiles.append((threading.get_ident(), _address(rows), _address(work)))
-            return real_tile(g, a, rows, work)
+        def haar_fill(g, z):
+            tiles.append((threading.get_ident(), _address(z), len(z)))
+            return real_fill(g, z)
 
         def no_block(*args, **kwargs):
             raise AssertionError("a large block was drawn whole")
 
         monkeypatch.setattr(sampling, "generator", generator)
-        monkeypatch.setattr(sampling, "_haar_tile", haar_tile)
+        monkeypatch.setattr(sampling, "_haar_fill", haar_fill)
         monkeypatch.setattr(sampling, "_haar_block", no_block)
         d = 65
         ch = random_channel(d, 2, rng=54)
         _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
-        assert sorted(block for block, _, _, _ in drawn) == [0, 1, 2, 3]
-        assert sorted(size for _, _, _, size in drawn) == [d, *[d * BLOCK_SIZE] * 3]
+        assert sorted(opened) == [0, 1, 2, 3]
+        assert len(tiles) == 3 * (BLOCK_SIZE // 256) + 1
+        assert sum(rows for _, _, rows in tiles) == 3 * BLOCK_SIZE + 1
         buffers = {}
-        for _, thread, address, _ in drawn:
+        for thread, address, _ in tiles:
             buffers.setdefault(thread, set()).add(address)
         assert all(len(addresses) == 1 for addresses in buffers.values())
-        assert len(tiles) == 3 * (BLOCK_SIZE // 256) + 1
-        for thread, rows, work in tiles:
-            assert {(r, w) for t, r, w in tiles if t == thread} == {(rows, work)}
 
     @pytest.mark.parametrize("d, tiles", [(3, 3), (64, 3), (65, 2 * (BLOCK_SIZE // 256) + 1)])
     def test_valid_calls_reach_the_guarded_names(self, monkeypatch, d, tiles):
@@ -479,9 +493,9 @@ class TestBlockScheduler:
             blocks.append((tag, block))
             return real_generator(spec, tag, block)
 
-        def haar_block(d, spec, tag, block, count, out=None, tile_rows=None):
+        def haar_block(d, spec, tag, block, count, out=None):
             whole.append(block)
-            return real_block(d, spec, tag, block, count, out=out, tile_rows=tile_rows)
+            return real_block(d, spec, tag, block, count, out=out)
 
         def batch(e, u, states, kernel=None):
             rows.append(len(states))
