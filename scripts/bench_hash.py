@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
-"""Time and size the input read and hash before and after a change, then end to end.
+"""Time and size the channel-file read, write and hash before and after a change, then end to end.
 
 Layers, on the inputs of the stats-lowrank workload (its rank-4 random
 channel at d = 256, written once by the workload's setup to an 11.9 MB
-file that both trees read): canonical_hash of the inputs `fidelity stats` hashes, and
-load_operator of the file. Each is the median of REPEATS runs after one
-warm-up, in a fresh interpreter against each tree's src/ with BLAS
-pinned to one thread as the CLI pins it.
+file that both trees read): canonical_hash of the inputs `fidelity stats`
+hashes, load_operator of the file, and write_json of the channel's dict;
+and load_operator of a d = 32 Choi file (CHOI_D, a 1024 x 1024 matrix in
+48.5 MB of text). Each is the median of REPEATS runs (CHOI_REPEATS for the
+Choi read) after one warm-up, in a fresh interpreter against each tree's
+src/ with BLAS pinned to one thread as the CLI pins it.
 
-Read memory: the first load_operator of a fresh interpreter against each
-tree's src/, MEMORY_REPEATS interpreters per tree and measure, the trees
-alternating which goes first. One kind of interpreter records its peak
-RSS (VmHWM) after the imports and after the read; the other, run apart because
-tracemalloc slows the read and adds to the RSS, records the tracemalloc
-peak of the read. Medians go to the record.
+Memory: the first load_operator of each file, and the first write_json of
+the channel, of a fresh interpreter against each tree's src/,
+MEMORY_REPEATS interpreters per tree, operation and measure (CHOI_REPEATS
+for the Choi read), the trees alternating which goes first. One kind of
+interpreter records its peak RSS (VmHWM) before and after the operation;
+the other, run apart because tracemalloc slows the operation and adds to
+the RSS, records its tracemalloc peak. Medians go to the record.
 
 Artifacts: in a fresh interpreter against each tree, every CLI command
 runs once on fixed small inputs, and every benchmark workload runs
@@ -36,6 +39,7 @@ the checkout's location alone.
 """
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -54,9 +58,11 @@ from workloads import STATS_D, STATS_N, STATS_RANK
 from workloads import WORKLOADS as SPECS
 
 STATS_SEED = 1
-SEEDS = range(121, 131)
+CHOI_D, CHOI_RANK = 32, 4
+SEEDS = range(201, 211)
 REPEATS = 7
-MEMORY_REPEATS = 7  # fresh interpreters per tree and measure
+CHOI_REPEATS = 3  # the whole-text Choi read takes seconds and 0.3 GB
+MEMORY_REPEATS = 7  # fresh interpreters per tree, operation and measure
 ARTIFACT_SEED, ARTIFACT_JOBS = 5, 2
 HASH_FIELD = re.compile(rb'"(inputs_hash|p_or_channel_hash)":"([0-9a-f]{64})"')
 OUT = ROOT / "BENCH_hash.json"
@@ -90,8 +96,8 @@ CLI_COMMANDS = (
 )
 
 
-def layers(channel_path: Path) -> dict:
-    """Hash and read times of the gatefid found on sys.path, BLAS at one thread."""
+def layers(channel_path: Path, choi_path: Path) -> dict:
+    """Hash, read and write times of the gatefid found on sys.path, BLAS at one thread."""
     from gatefid import _blas, cli, serialize
 
     _blas.pin_single_thread()
@@ -99,26 +105,48 @@ def layers(channel_path: Path) -> dict:
     # the inputs `fidelity stats --channel FILE --n STATS_N` hashes
     inputs = cli._channel_inputs(ch, None, {"n": STATS_N})
     hash_s, digest = _median_time(lambda: serialize.canonical_hash(inputs), REPEATS)
+    out, obj = _written(channel_path), serialize.channel_to_dict(ch)
+    write_s, _ = _median_time(lambda: serialize.write_json(out, obj), REPEATS)
+    written = hashlib.sha256(out.read_bytes()).hexdigest()
+    out.unlink()
+    choi_s, _ = _median_time(lambda: serialize.load_operator(choi_path), CHOI_REPEATS)
     return {
         "canonical_hash_s": round(hash_s, 6),
         "load_operator_s": round(read_s, 6),
+        "write_json_s": round(write_s, 6),
+        "load_operator_choi_s": round(choi_s, 6),
         "inputs_hash": digest,
+        "written_sha256": written,
         "blas_threads": blas_threads(),
     }
 
 
-def read_memory(channel_path: Path, measure: str) -> dict:
-    """RSS or tracemalloc peak of this interpreter's first load_operator."""
+def _written(channel_path: Path) -> Path:
+    return channel_path.with_name(f"written-{os.getpid()}.json")
+
+
+def op_memory(path: Path, measure: str, op: str) -> dict:
+    """RSS or tracemalloc peak of this interpreter's first load_operator of
+    path (op "read"), or first write_json of the stats-lowrank channel (op "write")."""
+    import gatefid
     from gatefid import _blas, serialize
 
     _blas.pin_single_thread()
-    if measure == "tracemalloc":
-        tracemalloc.start()
-        serialize.load_operator(channel_path)
-        return {"tracemalloc_peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
-    before = _peak_rss_mib()
-    serialize.load_operator(channel_path)
-    return {"peak_rss_before_mib": before, "peak_rss_after_mib": _peak_rss_mib()}
+    if op == "read":
+        run = functools.partial(serialize.load_operator, path)
+    else:
+        ch = gatefid.random_channel(STATS_D, STATS_RANK, STATS_SEED)
+        run = functools.partial(serialize.write_json, _written(path), serialize.channel_to_dict(ch))
+    try:
+        if measure == "tracemalloc":
+            tracemalloc.start()
+            run()
+            return {"tracemalloc_peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
+        before = _peak_rss_mib()
+        run()
+        return {"peak_rss_before_mib": before, "peak_rss_after_mib": _peak_rss_mib()}
+    finally:
+        _written(path).unlink(missing_ok=True)
 
 
 def _peak_rss_mib() -> float:
@@ -130,14 +158,14 @@ def _peak_rss_mib() -> float:
     return int(line.split()[1]) / 1024
 
 
-def memory_record(trees: dict, channel_path: Path) -> dict:
+def memory_record(trees: dict, path: Path, op: str, repeats: int) -> dict:
     samples = {side: [] for side in trees}
-    for i in range(MEMORY_REPEATS):
+    for i in range(repeats):
         order = list(trees) if i % 2 == 0 else list(trees)[::-1]
         for side in order:
             sample = {}
             for measure in ("rss", "tracemalloc"):
-                sample.update(run_fresh(trees[side], "--memory-only", channel_path, measure))
+                sample.update(run_fresh(trees[side], "--memory-only", path, measure, op))
             samples[side].append(sample)
     return {
         side: {key: round(statistics.median(s[key] for s in runs), 2) for key in runs[0]}
@@ -226,16 +254,17 @@ def run_fresh(tree: Path, *flags) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--layers-only", type=Path, help=argparse.SUPPRESS)
+    ap.add_argument("--layers-only", type=Path, nargs=2, help=argparse.SUPPRESS)
     ap.add_argument("--artifacts-only", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--memory-only", nargs=2, help=argparse.SUPPRESS)
+    ap.add_argument("--memory-only", nargs=3, help=argparse.SUPPRESS)
     args = ap.parse_args()
 
     if args.memory_only:
-        print(json.dumps(read_memory(Path(args.memory_only[0]), args.memory_only[1])))
+        path, measure, op = args.memory_only
+        print(json.dumps(op_memory(Path(path), measure, op)))
         return
     if args.layers_only:
-        print(json.dumps(layers(args.layers_only)))
+        print(json.dumps(layers(*args.layers_only)))
         return
     if args.artifacts_only:
         print(json.dumps(artifacts(args.artifacts_only)))
@@ -244,21 +273,31 @@ def main() -> None:
         ap.error("--baseline is required")
     from bench_sampling import cli_blas_threads
 
+    from gatefid import serialize
+    from gatefid.channels import choi_from_kraus, random_channel
+
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
     with tempfile.TemporaryDirectory(prefix="bench-hash-") as tmp:
         SPECS["stats-lowrank"].setup(Path(tmp), STATS_SEED)
         channel_path = Path(tmp) / "channel.json"
         channel_bytes = channel_path.stat().st_size
-        layer = {side: run_fresh(tree, "--layers-only", channel_path)
+        choi_path = Path(tmp) / "choi.json"
+        choi = choi_from_kraus(random_channel(CHOI_D, CHOI_RANK, STATS_SEED))
+        serialize.write_json(choi_path, serialize.choi_to_dict(choi))
+        choi_bytes = choi_path.stat().st_size
+        layer = {side: run_fresh(tree, "--layers-only", channel_path, choi_path)
                  for side, tree in trees.items()}
-        memory = memory_record(trees, channel_path)
+        memory = memory_record(trees, channel_path, "read", MEMORY_REPEATS)
+        write_memory = memory_record(trees, channel_path, "write", MEMORY_REPEATS)
+        choi_memory = memory_record(trees, choi_path, "read", CHOI_REPEATS)
         produced = {}
         for side, tree in trees.items():
             workdir = Path(tmp) / side
             workdir.mkdir()
             produced[side] = run_fresh(tree, "--artifacts-only", workdir)
     for side in trees:
-        print(f"{side}: {layer[side]} {memory[side]}", flush=True)
+        print(f"{side}: {layer[side]} read {memory[side]} write {write_memory[side]} "
+              f"choi read {choi_memory[side]}", flush=True)
     compared = compare_digests(produced["parent"], produced["change"])
     print(f"artifacts byte-equal: {compared['all_bytes_equal']}; equal with hashes set aside: "
           f"{compared['all_equal_hashes_aside']}; differing otherwise: "
@@ -274,13 +313,27 @@ def main() -> None:
         "layers": {
             "inputs": f"random_channel({STATS_D}, {STATS_RANK}, {STATS_SEED}) written to a "
                       f"{channel_bytes} byte file; canonical_hash of the inputs of "
-                      f"`fidelity stats --n {STATS_N}`",
+                      f"`fidelity stats --n {STATS_N}`; write_json of the channel's dict; "
+                      f"choi_from_kraus(random_channel({CHOI_D}, {CHOI_RANK}, {STATS_SEED})) "
+                      f"written to a {choi_bytes} byte file",
             **layer,
         },
         "read_memory": {
-            "inputs": "the first load_operator of a fresh interpreter on the file above; "
+            "inputs": "the first load_operator of a fresh interpreter on the channel file; "
                       f"medians of {MEMORY_REPEATS} interpreters per tree and measure",
             **memory,
+        },
+        "write_memory": {
+            "inputs": "the first write_json of the channel's dict in a fresh interpreter, "
+                      "after random_channel has built it (peak_rss_before_mib includes "
+                      f"that build); medians of {MEMORY_REPEATS} interpreters per tree "
+                      "and measure",
+            **write_memory,
+        },
+        "choi_read_memory": {
+            "inputs": "the first load_operator of a fresh interpreter on the Choi file; "
+                      f"medians of {CHOI_REPEATS} interpreters per tree and measure",
+            **choi_memory,
         },
         "artifacts": {
             "cli_inputs": "dep2.json = depolarizing(0.5, 2), dep4.json = depolarizing(0.5, 4), "

@@ -1,19 +1,25 @@
-"""Deterministic JSON and CSV serialization.
+"""Deterministic JSON and CSV serialization, streamed both ways.
 
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so re-reading an artifact reproduces bit-identical
 numbers and identical inputs produce byte-identical files. Complex
 matrices are stored row-major as [re, im] pairs. They stay numpy arrays
-until bytes are produced: a complex array is encoded a row at a time,
-with the same 17-significant-digit bytes the nested pair lists give (a
-Kraus set as the one array it stacks to), and a matrix field is decoded
-in one numpy conversion. load_operator reads a Kraus file's 'kraus' list
-one operator at a time, converting each before the next is decoded, so a
-rank-r file never holds more than one operator as decoded lists; Choi,
-unitary, state and net files are decoded whole. A result record (a
-dataclass instance) is written as a JSON object of its fields in
-declaration order, so the dataclass is the one statement of its
-artifact's keys.
+until bytes are produced, with the bytes the nested pair lists give (a
+Kraus set as the one array it stacks to). A result record (a dataclass
+instance) is written as a JSON object of its fields in declaration order,
+so the dataclass is the one statement of its artifact's keys.
+
+No path holds a whole channel file's text. write_json and write_csv write
+to the open file as they encode, a complex array _CHUNK_PAIRS pairs at a
+time. A first pass that writes nothing refuses what the encoder refuses
+(a non-finite float, a non-string key, an unknown type) before the file
+is opened, so a failed encode leaves no file and an existing file keeps
+its bytes. load_operator reads _PIECE characters at a time and parses
+the top-level object through json's own scanner, so every number has the
+bits json.loads gives it: a Kraus file's operators one at a time, a Choi
+matrix a row at a time into a preallocated matrix. A file the streamed
+read does not take is re-read whole by json.loads, so every refusal keeps
+its message. Unitary, state and net files are small and decoded whole.
 
 canonical_hash digests the same canonical JSON, except that each complex
 array stands as {"dtype":"complex128","shape":[...],"sha256":"<hex>"},
@@ -27,8 +33,8 @@ time with a ValueError naming the field and the entry.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import gc
 import hashlib
 import json
@@ -38,13 +44,15 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channels import ChoiMatrix, QuantumChannel, kraus_from_choi
+from .channels import ChoiMatrix, QuantumChannel, _check_dense_budget, kraus_from_choi
 from .minimum import StateNet
 
 # How _fmt_float writes an entry of each class, as a template piece: a
 # signed zero literally, another integral |x| < 1e17 as "%.1f" (the
 # "%.17g" digits and ".0"), anything else as "%.17g".
 _ENTRY_PIECES = ("0.0", "-0.0", "%.1f", "%.17g")
+# pairs of a complex array formatted and written at a time, in whole rows
+_CHUNK_PAIRS = 4096
 
 
 def _fmt_float(x: float) -> str:
@@ -54,48 +62,6 @@ def _fmt_float(x: float) -> str:
     if "." not in s and "e" not in s and "E" not in s:
         s += ".0"  # keep the token a float on re-parse
     return s
-
-
-def _pairs_text(floats: np.ndarray, row: str) -> str:
-    # floats: a complex array viewed as float64; row: the template of one row
-    if floats.ndim == 1:
-        return row % tuple(floats.tolist())
-    return "[" + ",".join([_pairs_text(sub, row) for sub in floats]) + "]"
-
-
-@functools.cache
-def _pair_pieces(depth: int) -> tuple:
-    # a pair's template piece and the separator after it, indexed by
-    # 16 * (brackets it closes) + 4 * (class of re) + (class of im)
-    return tuple(
-        f"[{real},{imag}]" + "]" * c + "," + "[" * c
-        for c in range(depth + 1)
-        for real in _ENTRY_PIECES
-        for imag in _ENTRY_PIECES
-    )
-
-
-def _classed_text(floats: np.ndarray, integral: np.ndarray) -> str:
-    # floats: a complex array viewed as float64; integral: its entries
-    # that "%.17g" writes as bare integers. One template piece per pair,
-    # then one % over the entries that are not zero.
-    zero = floats == 0
-    kind = np.where(zero, np.signbit(floats), np.where(integral, 2, 3))
-    pair = (4 * kind[..., 0::2] + kind[..., 1::2]).reshape(-1)
-    # the brackets a pair closes: one per trailing axis that ends at it
-    shape = floats.shape[:-1] + (floats.shape[-1] // 2,)
-    ends = np.arange(1, pair.size + 1)
-    closes = 0
-    span = 1
-    for size in reversed(shape):
-        span *= size
-        closes = closes + (ends % span == 0)
-    depth = len(shape)
-    lookup = _pair_pieces(depth)
-    pieces = [lookup[i] for i in (16 * closes + pair).tolist()]
-    # the last pair closes every bracket; drop the separator after it
-    template = "[" * depth + "".join(pieces)[: -(depth + 1)]
-    return template % tuple(floats[~zero].tolist())
 
 
 def _finite_floats(arr: np.ndarray) -> np.ndarray:
@@ -110,15 +76,45 @@ def _finite_floats(arr: np.ndarray) -> np.ndarray:
     return floats
 
 
+def _write_array(arr: np.ndarray, write) -> None:
+    """Write a complex array as nested [re, im] pairs, each entry as
+    _fmt_float writes it, _CHUNK_PAIRS pairs (whole rows) at a time."""
+    floats = _finite_floats(arr)
+    if not arr.size:  # nested empty lists
+        return write(json.dumps(np.empty(arr.shape).tolist(), separators=(",", ":")))
+    rows = floats.reshape(-1, floats.shape[-1])
+    # the brackets a row's last pair closes: its row's, and one for each
+    # axis whose span of rows ends there
+    ends = np.arange(1, len(rows) + 1)
+    closes = np.ones(len(rows), dtype=np.int64)
+    for k in range(arr.ndim - 1):
+        closes += ends % math.prod(arr.shape[k:-1]) == 0
+    # a pair's template piece and the separator after it, indexed by
+    # 16 * (brackets it closes) + 4 * (class of re) + (class of im)
+    lookup = [f"[{real},{imag}]" + "]" * c + "," + "[" * c
+              for c in range(arr.ndim + 1) for real in _ENTRY_PIECES for imag in _ENTRY_PIECES]
+    step = max(1, _CHUNK_PAIRS // arr.shape[-1])
+    write("[" * arr.ndim)
+    for start in range(0, len(rows), step):
+        chunk = rows[start : start + step]
+        # "%.17g" writes an integral |x| < 1e17 as a bare integer, so each
+        # entry's piece follows its class; the zeros are written literally
+        zero = chunk == 0
+        integral = (np.trunc(chunk) == chunk) & (np.abs(chunk) < 1e17)
+        kind = np.where(zero, np.signbit(chunk), np.where(integral, 2, 3))
+        pair = 4 * kind[:, 0::2] + kind[:, 1::2]
+        pair[:, -1] += 16 * closes[start : start + step]
+        template = "".join([lookup[i] for i in pair.ravel().tolist()])
+        if start + step >= len(rows):
+            template = template[: -(arr.ndim + 1)]  # no separator after the last pair
+        write(template % tuple(chunk[~zero].tolist()))
+
+
 def _complex_array_text(arr: np.ndarray) -> str:
     """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
-    floats = _finite_floats(arr)
-    # "%.17g" writes a bare integer exactly for integral |x| < 1e17
-    integral = (np.trunc(floats) == floats) & (np.abs(floats) < 1e17)
-    if integral.any():
-        return _classed_text(floats, integral)
-    row = "[" + ",".join(["[%.17g,%.17g]"] * arr.shape[-1]) + "]"
-    return _pairs_text(floats, row)
+    out: list = []
+    _write_array(arr, out.append)
+    return "".join(out)
 
 
 def _array_digest(arr: np.ndarray) -> str:
@@ -137,46 +133,46 @@ def _stackable(items) -> bool:
     )
 
 
-def _emit(obj, out: list, array, stack: bool = False) -> None:
-    # array: the text that stands for a complex ndarray; stack: write a
-    # list of equally shaped complex arrays as the one array they stack to
+def _emit(obj, write, array, stack: bool = False) -> None:
+    # write: takes the text a piece at a time; array(arr, write) writes a
+    # complex ndarray; stack: write a list of equally shaped complex arrays
+    # as the one array they stack to
     if obj is None:
-        out.append("null")
+        write("null")
     elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
+        write("true" if obj else "false")
     elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
+        write(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(_fmt_float(float(obj)))
+        write(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
-        out.append(array(obj))
+        array(obj, write)
     elif isinstance(obj, (list, tuple)) and stack and _stackable(obj):
         # the stack's text is the list's, byte for byte, in one encode
-        out.append(array(np.stack(obj)))
+        array(np.stack(obj), write)
     elif isinstance(obj, (list, tuple)):
-        out.append("[")
+        write("[")
         for i, item in enumerate(obj):
             if i:
-                out.append(",")
-            _emit(item, out, array, stack)
-        out.append("]")
+                write(",")
+            _emit(item, write, array, stack)
+        write("]")
     elif isinstance(obj, dict):
-        out.append("{")
+        write("{")
         for i, (key, value) in enumerate(obj.items()):
             if not isinstance(key, str):
                 raise TypeError(f"JSON keys must be strings, got {key!r}")
             if i:
-                out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
-            _emit(value, out, array, stack)
-        out.append("}")
+                write(",")
+            write(json.dumps(key) + ":")
+            _emit(value, write, array, stack)
+        write("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # the field order is the artifact's key order
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        _emit(fields, out, array, stack)
+        _emit(fields, write, array, stack)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -191,7 +187,7 @@ def dumps_canonical(obj) -> str:
     fields in declaration order.
     """
     out: list = []
-    _emit(obj, out, _complex_array_text, stack=True)
+    _emit(obj, out.append, lambda arr, write: write(_complex_array_text(arr)), stack=True)
     return "".join(out)
 
 
@@ -203,32 +199,39 @@ def canonical_hash(obj) -> str:
     byte order and decimal text do not matter, and a signed zero does.
     """
     out: list = []
-    _emit(obj, out, _array_digest)
+    _emit(obj, out.append, lambda arr, write: write(_array_digest(arr)))
     return hashlib.sha256("".join(out).encode("utf-8")).hexdigest()
 
 
+def _check_encodable(obj) -> None:
+    """Raise what encoding obj would raise, writing nothing."""
+    _emit(obj, lambda text: None, lambda arr, write: _finite_floats(arr), stack=True)
+
+
 def write_json(path, obj) -> None:
-    # encoded before the file is opened, so a failed encode leaves no file
-    text = dumps_canonical(obj)
+    """Write obj's canonical JSON text and a newline, streamed to the file."""
+    _check_encodable(obj)  # before the file is opened: a failed encode leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        _emit(obj, fh.write, _write_array, stack=True)
         fh.write("\n")
 
 
-def _read_text(path) -> str:
+# characters of a file's text read at a time
+_PIECE = 2**18
+
+
+def _read_text(path):
+    """The file's UTF-8 text in pieces of _PIECE characters, read as they are taken."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
-def _loads(text: str, path):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"malformed JSON in {path}: {err}") from None
+        while piece := fh.read(_PIECE):
+            yield piece
 
 
 def read_json(path):
-    return _loads(_read_text(path), path)
+    try:
+        return json.loads("".join(_read_text(path)))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"malformed JSON in {path}: {err}") from None
 
 
 def _name_bad_entry(rows, field: str) -> NoReturn:
@@ -278,8 +281,7 @@ def pairs_to_matrix(rows, field: str) -> np.ndarray:
 
 
 def pairs_to_vector(entries, field: str) -> np.ndarray:
-    matrix = pairs_to_matrix([entries], field)
-    return matrix[0]
+    return pairs_to_matrix([entries], field)[0]
 
 
 def _require(data: dict, field: str):
@@ -325,7 +327,8 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
     }
 
 
-def channel_from_dict(data: dict) -> QuantumChannel:
+def channel_from_dict(data: dict, convert=pairs_to_matrix) -> QuantumChannel:
+    """A channel from its fields, convert(entry, field) giving each Kraus matrix."""
     dim_in = _positive_int(data, "dim_in")
     dim_out = _positive_int(data, "dim_out")
     raw = _require(data, "kraus")
@@ -333,10 +336,7 @@ def channel_from_dict(data: dict) -> QuantumChannel:
         raise ValueError("field 'kraus': expected a non-empty list of matrices")
     ops = []
     for i, entry in enumerate(raw):
-        if isinstance(raw, _DecodedKraus) and isinstance(entry, np.ndarray):
-            op = entry
-        else:
-            op = pairs_to_matrix(entry, f"kraus[{i}]")
+        op = convert(entry, f"kraus[{i}]")
         if op.shape != (dim_out, dim_in):
             raise ValueError(
                 f"field 'kraus[{i}]': expected shape {dim_out}x{dim_in}, got "
@@ -354,10 +354,10 @@ def choi_to_dict(choi: ChoiMatrix) -> dict:
     }
 
 
-def choi_from_dict(data: dict) -> ChoiMatrix:
+def choi_from_dict(data: dict, convert=pairs_to_matrix) -> ChoiMatrix:
     dim_in = _positive_int(data, "dim_in")
     dim_out = _positive_int(data, "dim_out")
-    matrix = pairs_to_matrix(_require(data, "choi"), "choi")
+    matrix = convert(_require(data, "choi"), "choi")
     n = dim_in * dim_out
     if matrix.shape != (n, n):
         raise ValueError(
@@ -366,110 +366,143 @@ def choi_from_dict(data: dict) -> ChoiMatrix:
     return ChoiMatrix(dim_in=dim_in, dim_out=dim_out, matrix=matrix)
 
 
-# the JSON decoder json.loads uses, and the whitespace its scanner skips
+# the decoder json.loads uses, the whitespace its scanner skips, and the
+# characters that may go on a number
 _DECODER = json.JSONDecoder()
 _SPACE = re.compile(r"[ \t\n\r]*")
+_NUMBER_TAIL = re.compile(r"[-+.0-9eE]*")
 
 
-class _DecodedKraus(list):
-    """A 'kraus' list read an entry at a time: each entry is pairs_to_matrix's
-    matrix, or the decoded entry itself where pairs_to_matrix refused it."""
+class _Window:
+    """The unread front of a file's text, read on as far as a value needs."""
+
+    text, i, ended, last = "", 0, False, 0  # text[:i] is parsed; last: the last value's length
+
+    def __init__(self, pieces):
+        self.pieces = pieces
+
+    def _fill(self, size: int) -> None:
+        # drop the parsed text, then read on until size characters are unread
+        text, self.text, self.i = self.text[self.i :], "", 0
+        while len(text) < size and not self.ended:
+            piece = next(self.pieces, "")
+            self.ended = not piece
+            text += piece
+        self.text = text
+
+    def peek(self) -> str:
+        """The next character after whitespace; "" at the end of the text."""
+        self.i = _SPACE.match(self.text, self.i).end()
+        while self.i == len(self.text) and not self.ended:
+            self._fill(1)
+            self.i = _SPACE.match(self.text).end()
+        return self.text[self.i : self.i + 1]
+
+    def take(self, char: str) -> bool:
+        found = self.peek() == char
+        self.i += found
+        return found
+
+    def expect(self, char: str) -> None:
+        if not self.take(char):
+            raise ValueError(f"expected {char!r}")
+
+    def value(self):
+        """The JSON value at the front, decoded once its text is all read."""
+        self.peek()
+        if len(self.text) - self.i < self.last:
+            self._fill(self.last)  # values come in runs of one size: operators, rows
+        while True:
+            try:
+                obj, end = _DECODER.raw_decode(self.text, self.i)
+            except json.JSONDecodeError:
+                if self.ended:
+                    raise
+                end = len(self.text)  # not whole yet: read on
+            # a number may go on in the next piece
+            if self.ended or _NUMBER_TAIL.match(self.text, end).end() < len(self.text):
+                self.last, self.i = end - self.i, end
+                if 2 * end > len(self.text):
+                    self._fill(0)  # free the parsed text while obj is converted
+                return obj
+            self._fill(16 * (len(self.text) - self.i) + 1)
 
 
-def _kraus_entries(text: str, i: int) -> tuple:
-    # text[i] opens the list. Each entry is converted before the next is
-    # decoded, so the decoded lists of one operator at a time are alive.
-    ops = _DecodedKraus()
-    i = _SPACE.match(text, i + 1).end()
-    if text.startswith("]", i):
-        return ops, i + 1
-    while True:
-        entry, i = _DECODER.raw_decode(text, i)
-        try:
-            entry = pairs_to_matrix(entry, f"kraus[{len(ops)}]")
-        except ValueError:
-            pass  # channel_from_dict refuses it in its turn, after the dims
-        ops.append(entry)
-        i = _SPACE.match(text, i).end()
-        if text.startswith("]", i):
-            return ops, i + 1
-        if not text.startswith(",", i):
-            raise ValueError("expected ',' or ']'")
-        i = _SPACE.match(text, i + 1).end()
+def _streamed_kraus(win: _Window) -> list:
+    # each operator is converted before the next is decoded
+    win.expect("[")
+    ops: list = []
+    while not win.take("]"):
+        if ops:
+            win.expect(",")
+        ops.append(pairs_to_matrix(win.value(), f"kraus[{len(ops)}]"))
+    return ops
 
 
-def _operator_fields(text: str) -> dict:
-    """The JSON object text holds, its list-valued 'kraus' field read an
-    operator at a time; ValueError if text is not one JSON object.
+def _streamed_choi(win: _Window) -> np.ndarray:
+    # each row is decoded into a matrix allocated once the first gives its size
+    win.expect("[")
+    row = pairs_to_vector(win.value(), "choi")
+    n = len(row)
+    _check_dense_budget(n, f"{n}x{n} Choi matrix")
+    matrix = np.empty((n, n), dtype=np.complex128)
+    for k in range(n):
+        if k:
+            win.expect(",")
+            row = pairs_to_vector(win.value(), "choi")
+        if row.shape != (n,):
+            raise ValueError("not a square matrix")
+        matrix[k] = row
+    win.expect("]")
+    return matrix
 
-    Other values are decoded whole by json's own scanner, keys in file
-    order, a repeated key's last value winning, as json.loads gives them.
-    """
-    i = _SPACE.match(text).end()
-    if not text.startswith("{", i):
-        raise ValueError("not an object")
+
+def _streamed_fields(pieces) -> dict:
+    """A channel file's JSON object, 'kraus' and 'choi' converted as decoded."""
+    win = _Window(pieces)
+    win.expect("{")
     data = {}
-    i = _SPACE.match(text, i + 1).end()
-    closed = text.startswith("}", i)
-    while not closed:
-        if not text.startswith('"', i):
+    while not win.take("}"):
+        if data:
+            win.expect(",")
+        if win.peek() != '"':
             raise ValueError("expected a key")
-        key, i = _DECODER.raw_decode(text, i)
-        i = _SPACE.match(text, i).end()
-        if not text.startswith(":", i):
-            raise ValueError("expected ':'")
-        i = _SPACE.match(text, i + 1).end()
-        if key == "kraus" and text.startswith("[", i):
-            data[key], i = _kraus_entries(text, i)
-        else:
-            data[key], i = _DECODER.raw_decode(text, i)
-        i = _SPACE.match(text, i).end()
-        closed = text.startswith("}", i)
-        if not closed:
-            if not text.startswith(",", i):
-                raise ValueError("expected ',' or '}'")
-            i = _SPACE.match(text, i + 1).end()
-    if _SPACE.match(text, i + 1).end() != len(text):
+        key = win.value()
+        win.expect(":")
+        read = {"kraus": _streamed_kraus, "choi": _streamed_choi}.get(key, _Window.value)
+        data[key] = read(win)
+    if win.peek():
         raise ValueError("extra data")
     return data
 
 
 def load_operator(path) -> QuantumChannel | ChoiMatrix:
-    """Read a channel file in either Kraus or Choi form.
-
-    A Kraus file's 'kraus' list is decoded one operator at a time, each
-    converted to its matrix before the next is decoded, with the cyclic GC
-    paused (decoded JSON holds no cycles): a rank-r file never holds more
-    than one operator's decoded lists. The tokens go through json.loads's
-    own scanner, so every matrix has the bits json.loads would give.
-    Text that is not one JSON object is decoded whole by json.loads, so a
-    malformed file is refused with the message it gives.
-    """
-    text = _read_text(path)
+    """Read a channel file in either Kraus or Choi form, streamed as the
+    module docstring says, with the cyclic GC paused (decoded JSON holds no
+    cycles); a file the streamed read does not take goes through read_json."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        data = _operator_fields(text)
+        with contextlib.closing(_read_text(path)) as pieces:
+            data, convert = _streamed_fields(pieces), lambda matrix, field: matrix
     except ValueError:
-        data = None  # decoded whole below, as json.loads decodes any text
+        data = None
     finally:
         if enabled:
             gc.enable()
     if data is None:
-        data = _loads(text, path)
+        data, convert = read_json(path), pairs_to_matrix
     if isinstance(data, dict) and "kraus" in data:
-        return channel_from_dict(data)
+        return channel_from_dict(data, convert)
     if isinstance(data, dict) and "choi" in data:
-        return choi_from_dict(data)
+        return choi_from_dict(data, convert)
     raise ValueError(f"{path}: neither 'kraus' nor 'choi' field present")
 
 
 def load_channel(path) -> QuantumChannel:
     """Read a channel file, extracting Kraus operators if stored as Choi."""
     obj = load_operator(path)
-    if isinstance(obj, ChoiMatrix):
-        return kraus_from_choi(obj)
-    return obj
+    return kraus_from_choi(obj) if isinstance(obj, ChoiMatrix) else obj
 
 
 def unitary_from_dict(data: dict) -> np.ndarray:
@@ -520,11 +553,13 @@ def net_from_dict(data: dict) -> StateNet:
 
 
 def write_csv(path, rows, columns) -> None:
-    """Write dict rows in a fixed column order with deterministic floats."""
+    """Write dict rows in a fixed column order with deterministic floats, a line at a time."""
     def cell(value) -> str:
         return value if isinstance(value, str) else dumps_canonical(value)
 
-    lines = [",".join(columns)]
-    lines += [",".join(cell(row[c]) for c in columns) for row in rows]
+    table = [[row[c] for c in columns] for row in rows]
+    _check_encodable(table)  # before the file is opened, as in write_json
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for cells in table:
+            fh.write(",".join(cell(value) for value in cells) + "\n")

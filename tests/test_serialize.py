@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import json
@@ -21,6 +22,7 @@ from gatefid.channels import (
 )
 from gatefid.cli import main
 from gatefid.minimum import StateNet, build_net, net_minimum
+from gatefid.nonuniq import perturb_channel
 from gatefid.sampling import RngSpec, levy_bound, mc_fidelity_stats
 from gatefid.serialize import (
     canonical_hash,
@@ -747,6 +749,235 @@ class TestStreamedKrausRead:
         finally:
             tracemalloc.stop()
         assert all(_same_bits(a, b) for a, b in zip(back.kraus, ch.kraus))
-        # 27,721,765 bytes (26.4 MiB) measured under numpy 2.4.6, most of it
-        # the file's bytes and text; the whole-text decode peaked at 47.5 MiB
-        assert peak <= 30 * 2**20
+        # 15,931,351 bytes (15.2 MiB) measured under numpy 2.4.6: one
+        # operator's text and decoded lists, and the operators read before
+        # it. Reading the whole text first peaked at 26.4 MiB, the
+        # whole-text decode at 47.5 MiB.
+        assert peak <= 17.5 * 2**20
+
+
+def _kraus_variants() -> dict:
+    """One Kraus object as texts the window must read alike: layouts,
+    line ends, key orders, repeated keys, number forms, a non-ASCII string."""
+    obj = json.loads(dumps_canonical(channel_to_dict(random_channel(3, 2, rng=5))))
+    canonical = dumps_canonical(obj)
+    first = {"kraus": obj["kraus"], "dim_in": 3, "dim_out": 3}
+    return {
+        "canonical": canonical,
+        "indent=2": json.dumps(obj, indent=2),
+        "crlf": json.dumps(obj, indent=2).replace("\n", "\r\n"),
+        "spaced separators": json.dumps(obj),
+        "kraus before dim_in": dumps_canonical(first),
+        "repeated kraus": '{"kraus":[[[[1,0]]]],' + canonical[1:],
+        "utf-8 note": '{"note":"Gr\u00fc\u00dfe \u2603 \U0001d53d",' + canonical[1:],
+        "long numbers": '{"scale":-12.5e+3,"seed":1234567,' + canonical[1:],
+        "ints, -0, exponents": _PANEL["canonical"],
+        "padded": _PANEL["padded"],
+    }
+
+
+def _write_text(path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8"))  # line ends as given
+
+
+class TestWindowBoundaries:
+    """With pieces of a few characters every token, pair and operator
+    crosses a piece boundary; each read must give json.loads's bits."""
+
+    @pytest.fixture(params=[1, 2, 3, 7, 64], autouse=True)
+    def piece(self, request, monkeypatch):
+        monkeypatch.setattr(serialize, "_PIECE", request.param)
+        return request.param
+
+    @pytest.fixture
+    def streamed_only(self, monkeypatch):
+        # a valid file is never re-read whole, wherever the pieces split it
+        monkeypatch.setattr(serialize, "read_json", lambda path: pytest.fail("read whole"))
+
+    @pytest.mark.parametrize("name", sorted(_kraus_variants()))
+    def test_kraus_variants_bit_equal(self, tmp_path, name, streamed_only):
+        text = _kraus_variants()[name]
+        path = tmp_path / "ch.json"
+        _write_text(path, text)
+        expected = channel_from_dict(json.loads(text))
+        got = load_operator(path)
+        assert (got.dim_in, got.dim_out) == (expected.dim_in, expected.dim_out)
+        assert len(got.kraus) == len(expected.kraus)
+        assert all(_same_bits(a, b) for a, b in zip(got.kraus, expected.kraus))
+
+    @pytest.mark.parametrize("indent", [None, 1])
+    def test_choi_bit_equal(self, tmp_path, indent, streamed_only):
+        data = json.loads(dumps_canonical(choi_to_dict(choi_from_kraus(random_channel(2, 3, 4)))))
+        text = json.dumps(data, indent=indent)
+        path = tmp_path / "c.json"
+        _write_text(path, text)
+        assert _same_bits(load_operator(path).matrix, choi_from_dict(json.loads(text)).matrix)
+
+    @pytest.mark.parametrize("name", sorted(_REFUSED))
+    def test_refusals_keep_their_message(self, tmp_path, name):
+        path = tmp_path / "ch.json"
+        _write_text(path, _REFUSED[name])
+        with pytest.raises(ValueError) as expected:
+            _whole_text_load(path)
+        with pytest.raises(ValueError) as got:
+            load_operator(path)
+        assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("pieces", [['{"a":1', "2.5e", "+3}"], ['{"a":-', "0,", '"b":1}']])
+def test_a_number_split_by_pieces_is_read_on(pieces):
+    # "12.5" and "-" parse (or fail) alone; the number goes on in the next piece
+    assert serialize._streamed_fields(iter(pieces)) == json.loads("".join(pieces))
+
+
+_ROW = "[[0.5,0],[0,-0.0]]"
+# Choi files whose refusal must keep the message of the whole-text decode
+_CHOI_REFUSED = {
+    "extra row": f'{{{_DIMS},"choi":[{_ROW},{_ROW},{_ROW}]}}'.replace('"dim_out":2', '"dim_out":1'),
+    "missing row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW}]}}',
+    "ragged row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]]]}}',
+    "one-wide row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]],[[1,0]]]}}',
+    "non-finite": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0],[NaN,0]]]}}',
+    "not a list": '{"dim_in":1,"dim_out":1,"choi":3}',
+    "empty": '{"dim_in":1,"dim_out":1,"choi":[]}',
+    "empty row": '{"dim_in":1,"dim_out":1,"choi":[[]]}',
+    "wrong size": f'{{"dim_in":2,"dim_out":2,"choi":[{_ROW},[[1,0],[0,1]]]}}',
+}
+
+
+class TestStreamedChoiRead:
+    """load_operator decodes a 'choi' matrix a row at a time."""
+
+    @pytest.mark.parametrize("name", sorted(_CHOI_REFUSED))
+    def test_refusals_keep_their_message(self, tmp_path, name):
+        path = tmp_path / "c.json"
+        _write_text(path, _CHOI_REFUSED[name])
+        with pytest.raises(ValueError) as expected:
+            _whole_text_load(path)
+        with pytest.raises(ValueError) as got:
+            load_operator(path)
+        assert str(got.value) == str(expected.value)
+
+    def test_budget_is_checked_before_the_matrix_is_allocated(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.json"
+        write_json(path, choi_to_dict(choi_from_kraus(depolarizing(0.4, 3))))
+        sides = []
+        monkeypatch.setattr(serialize, "_check_dense_budget", lambda n, what: sides.append(n))
+        assert load_operator(path).matrix.shape == (9, 9)
+        assert sides == [9]
+
+    def test_d_32_read_peak(self, tmp_path):
+        # a 1024 x 1024 Choi matrix: 16 MiB of complex entries, 48.5 MB of text
+        path = tmp_path / "c.json"
+        choi = choi_from_kraus(random_channel(32, 4, rng=1))
+        write_json(path, choi_to_dict(choi))
+        tracemalloc.start()
+        try:
+            back = load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_bits(back.matrix, choi.matrix)
+        # 17,903,120 bytes (17.1 MiB) measured under numpy 2.4.6, the matrix
+        # and a window of text; the whole-text decode peaked at 238.9 MiB
+        assert peak <= 20 * 2**20
+
+
+@functools.cache
+def _artifacts() -> dict:
+    """One object of each artifact kind write_json streams."""
+    pair = perturb_channel(depolarizing(0.5, 4), n_verify=100, rng=1)
+    signed = np.array([[0.0, -0.0, 3.0], [-2.0 + 0.5j, 1e16 - 0.0j, complex(-0.0, 7.0)]])
+    return {
+        "kraus set": channel_to_dict(random_channel(5, 3, rng=2)),
+        "choi": choi_to_dict(choi_from_kraus(depolarizing(0.3, 3))),
+        "twin certificate": {"epsilon": pair.epsilon, "q": channel_to_dict(pair.q),
+                             "r": channel_to_dict(pair.r), "signed": signed},
+        "net": build_net(2, 0.7, rng=3),
+        "stats": mc_fidelity_stats(depolarizing(0.7, 2), None, 500, rng=11),
+    }
+
+
+class TestStreamedWrite:
+    """write_json writes to the open file as it encodes, with the bytes of
+    dumps_canonical, and refuses everything before the file is opened."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    @pytest.mark.parametrize("kind", sorted(_artifacts()))
+    def test_bytes_equal_dumps(self, tmp_path, monkeypatch, kind, chunk):
+        obj = _artifacts()[kind]
+        monkeypatch.setattr(serialize, "_CHUNK_PAIRS", chunk)  # rows split across chunks
+        write_json(tmp_path / "a.json", obj)
+        assert (tmp_path / "a.json").read_bytes() == (dumps_canonical(obj) + "\n").encode()
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0), (2, 0, 3), (3, 2, 0)])
+    def test_empty_axes(self, shape):
+        m = np.zeros(shape, complex)
+        assert dumps_canonical(m) == dumps_canonical(_nested_pairs(m))
+
+    def test_writes_while_encoding(self, tmp_path, monkeypatch):
+        writes = []
+        real_open = open
+
+        def spy_open(*args, **kwargs):
+            fh = real_open(*args, **kwargs)
+            real_write = fh.write
+            fh.write = lambda text: writes.append(len(text)) or real_write(text)
+            return fh
+
+        monkeypatch.setattr("builtins.open", spy_open)
+        obj = channel_to_dict(random_channel(64, 4, rng=3))
+        write_json(tmp_path / "k.json", obj)
+        assert sum(writes) == len(dumps_canonical(obj)) + 1
+        assert max(writes) < sum(writes) / 3  # a chunk of pairs, not the file
+
+    @staticmethod
+    def _failures():
+        ops = [np.eye(3, dtype=complex) for _ in range(4)]
+        ops[-1][2, 2] = np.nan  # in the last operator
+        return [
+            (ValueError, {"dim_in": 3, "dim_out": 3, "kraus": ops}),
+            (TypeError, {"a": 1.5, "b": [np.eye(2, dtype=complex)], "z": object()}),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["nan in the last operator", "unknown type last"])
+    def test_failed_encode_leaves_no_file(self, tmp_path, case):
+        error, obj = self._failures()[case]
+        with pytest.raises(error):
+            write_json(tmp_path / "out.json", obj)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["nan in the last operator", "unknown type last"])
+    def test_failed_encode_keeps_an_existing_file(self, tmp_path, case):
+        error, obj = self._failures()[case]
+        path = tmp_path / "out.json"
+        path.write_bytes(b'{"kept":true}\n')
+        with pytest.raises(error):
+            write_json(path, obj)
+        assert path.read_bytes() == b'{"kept":true}\n'
+
+    def test_failed_csv_keeps_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"kept\n")
+        rows = [{"a": 1.0, "b": "x"}, {"a": 2.0, "b": "y"}, {"a": float("inf"), "b": "z"}]
+        with pytest.raises(ValueError, match="non-finite"):
+            write_csv(path, rows, columns=("b", "a"))
+        assert path.read_bytes() == b"kept\n"
+        rows[-1]["a"] = 3.0
+        write_csv(path, rows, columns=("b", "a"))
+        assert path.read_text() == "b,a\nx,1.0\ny,2.0\nz,3.0\n"
+
+    def test_rank_4_d_256_write_peak(self, tmp_path):
+        # the stats-lowrank benchmark's channel, written to an 11.9 MB file
+        obj = channel_to_dict(random_channel(256, 4, rng=1))
+        tracemalloc.start()
+        try:
+            write_json(tmp_path / "ch.json", obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "ch.json").read_text() == dumps_canonical(obj) + "\n"
+        # 4,877,427 bytes (4.7 MiB) measured under numpy 2.4.6: the 4 MiB
+        # stack of the Kraus set and one chunk; joining the text first
+        # peaked at 27.3 MiB
+        assert peak <= 5.5 * 2**20
