@@ -52,7 +52,7 @@ import tracemalloc
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
-from bench_minimum import WORKLOADS, gain_claim, paired_runs
+from bench_minimum import WORKLOADS, cli_blas_threads, gain_claim, paired_runs
 from child import blas_threads, fingerprint, run_job  # bench_kernel put perfbench/ on sys.path
 from workloads import STATS_D, STATS_N, STATS_RANK
 from workloads import WORKLOADS as SPECS
@@ -271,8 +271,6 @@ def main() -> None:
         return
     if args.baseline is None:
         ap.error("--baseline is required")
-    from bench_sampling import cli_blas_threads
-
     from gatefid import serialize
     from gatefid.channels import choi_from_kraus, random_channel
 

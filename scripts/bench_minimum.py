@@ -51,6 +51,7 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -364,6 +365,15 @@ def paired_runs(trees: dict, workload: str, seeds) -> dict:
     }
 
 
+def cli_blas_threads() -> int:
+    """BLAS threads after gatefid.cli.main has run once in this process."""
+    from gatefid.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        main(["bounds", "levy", "--d", "2", "--eps", "0.5", "--out", f"{tmp}/levy.json"])
+    return blas_threads()
+
+
 def gain_claim(record: dict, workload: str, metric: str = "job_s") -> dict:
     """The gain rule applied to one metric of one workload's paired runs."""
     m = record[metric]
@@ -399,8 +409,6 @@ def main() -> None:
             return
     if args.baseline is None:
         ap.error("--baseline is required")
-    from bench_sampling import cli_blas_threads  # bench_sampling imports this module
-
     trees = {"parent": args.baseline.resolve(), "change": ROOT}
     layer = layer_record(trees)
     for key in LAYER_KEYS:

@@ -10,13 +10,16 @@ BENCH_sampling.json.
 
 Haar draw: in HAAR_ROUNDS fresh interpreters per tree, the trees
 alternating which goes first, with BLAS at one thread, the median time of
-HAAR_REPEATS draws of one 4096-state `_haar_block` at each d in HAAR_DIMS,
-after one warm-up draw. Medians, quartiles and per-round wins go to
-BENCH_sampling.json with each tree's ALGORITHM_ID.
+HAAR_REPEATS draws of one 4096-state block at each d in HAAR_DIMS, each one
+`_haar_block(generator(...), out)` call into one reused array, after one
+warm-up draw. Medians, quartiles and per-round wins go to
+BENCH_sampling.json with each tree's ALGORITHM_ID. This round and the
+block peaks call `_haar_block(g, z)`, so the baseline must have that
+signature.
 
 Block peaks: in a fresh interpreter against each tree's src/, the
 tracemalloc peak, above what was allocated before the call, of one
-4096-state `_haar_block`, of `gate_fidelity_batch` on that block with a
+4096-state block's draw, of `gate_fidelity_batch` on that block with a
 prebuilt kernel, and of `fidelity_samples` over two blocks at one thread
 (two_blocks_mib, what one sampling worker holds beside its kernel; a
 rank-1 random channel is a unitary), for a random channel at each d in
@@ -44,13 +47,14 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-from bench_minimum import ROOT, gain_claim, paired_runs, quartiles
-from child import blas_threads, fingerprint  # bench_kernel put perfbench/ on sys.path
+import numpy as np
+
+from bench_minimum import ROOT, cli_blas_threads, gain_claim, paired_runs, quartiles
+from child import fingerprint  # bench_kernel put perfbench/ on sys.path
 
 LAYER_METRICS = (
     "cli.cmd_s",
@@ -95,14 +99,20 @@ def block_peaks() -> list:
     """tracemalloc peaks (MiB) of one block's draw, its kernel and two blocks' samples."""
     from gatefid.channels import random_channel
     from gatefid.fidelity import fidelity_kernel, gate_fidelity_batch
-    from gatefid.sampling import BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block, fidelity_samples
+    from gatefid.sampling import (
+        BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block, fidelity_samples, generator,
+    )
 
     spec = RngSpec(1)
-    _haar_block(BLOCK_DIMS[0], spec, TAG_MAIN, 0, 2)
+
+    def draw(d, count=BLOCK_SIZE):
+        return _haar_block(generator(spec, TAG_MAIN, 0), np.empty((count, d), dtype=complex))
+
+    draw(BLOCK_DIMS[0], 2)
     rows = []
     for d in BLOCK_DIMS:
-        haar = _peak_mib(lambda: _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE))
-        states = _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE)
+        haar = _peak_mib(lambda: draw(d))
+        states = draw(d)
         for rank in BLOCK_RANKS:
             ch = random_channel(d, rank, rng=1)
             kernel = fidelity_kernel(ch)
@@ -121,16 +131,16 @@ def block_peaks() -> list:
 
 def haar_times() -> dict:
     """Median ms of one 4096-state _haar_block at each d, and the tree's ALGORITHM_ID."""
-    from gatefid.sampling import ALGORITHM_ID, BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block
+    from gatefid.sampling import ALGORITHM_ID, BLOCK_SIZE, TAG_MAIN, RngSpec, _haar_block, generator
 
     spec = RngSpec(1)
     times = {}
     for d in HAAR_DIMS:
-        out = _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE)
+        out = _haar_block(generator(spec, TAG_MAIN, 0), np.empty((BLOCK_SIZE, d), dtype=complex))
         samples = []
         for _ in range(HAAR_REPEATS):
             start = time.perf_counter()
-            _haar_block(d, spec, TAG_MAIN, 0, BLOCK_SIZE, out=out)
+            _haar_block(generator(spec, TAG_MAIN, 0), out)
             samples.append(1e3 * (time.perf_counter() - start))
         times[str(d)] = round(statistics.median(samples), 3)
     return {"algorithm_id": ALGORITHM_ID, "ms": times}
@@ -143,8 +153,9 @@ def haar_record(trees: dict) -> dict:
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             samples[side].append(run_fresh(trees[side], "--haar-only"))
     record = {
-        "inputs": f"one {HAAR_REPEATS}-draw median per interpreter of _haar_block(d, RngSpec(1), "
-                  "TAG_MAIN, 0, 4096) into one reused array, OPENBLAS_NUM_THREADS=1",
+        "inputs": f"one {HAAR_REPEATS}-draw median per interpreter of _haar_block(generator("
+                  "RngSpec(1), TAG_MAIN, 0), out), out one reused (4096, d) array, "
+                  "OPENBLAS_NUM_THREADS=1",
         "algorithm_id": {side: samples[side][0]["algorithm_id"] for side in trees},
     }
     for d in map(str, HAAR_DIMS):
@@ -164,15 +175,6 @@ def run_fresh(tree: Path, flag: str):
     out = subprocess.run([sys.executable, __file__, flag], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out.splitlines()[-1])
-
-
-def cli_blas_threads() -> int:
-    """BLAS threads after gatefid.cli.main has run once in this process."""
-    from gatefid.cli import main
-
-    with tempfile.TemporaryDirectory() as tmp:
-        main(["bounds", "levy", "--d", "2", "--eps", "0.5", "--out", f"{tmp}/levy.json"])
-    return blas_threads()
 
 
 def main() -> None:

@@ -34,8 +34,7 @@ import sys
 from pathlib import Path
 
 from bench_kernel import ROOT, _median_time
-from bench_minimum import WORKLOADS, gain_claim, paired_runs
-from bench_sampling import cli_blas_threads
+from bench_minimum import WORKLOADS, cli_blas_threads, gain_claim, paired_runs
 from child import blas_threads, fingerprint  # bench_kernel put perfbench/ on sys.path
 
 D, P, N_VERIFY = 16, 0.5, 10000

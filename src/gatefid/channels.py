@@ -95,11 +95,15 @@ def _check_dense_budget(side: int, what: str) -> None:
     _check_budget(16 * side * side, what)
 
 
+class _OverBudget(ValueError):
+    """A refusal by _check_budget, which no other reading of the input lifts."""
+
+
 def _check_budget(need: int, what: str) -> None:
     """Refuse an array of need bytes above MAX_DENSE_BYTES, before allocating it."""
     if need > MAX_DENSE_BYTES:
         gib = need / 2**30 if need < 2**1024 else math.inf  # beyond float range
-        raise ValueError(
+        raise _OverBudget(
             f"the {what} needs {gib:.3g} GiB, above the "
             f"{MAX_DENSE_BYTES / 2**30:g} GiB dense-operator limit"
         )

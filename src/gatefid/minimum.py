@@ -42,7 +42,6 @@ from .sampling import (
     TAG_OPTIMIZER,
     TAG_VALIDATE,
     _haar_block,
-    _haar_fill,
     as_rng_spec,
     generator,
 )
@@ -201,7 +200,7 @@ def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tu
         misses = 0
         block = 0
         while misses < stop:
-            _haar_block(d, spec, tag, block, BLOCK_SIZE, out=samples)
+            _haar_block(generator(spec, tag, block), samples)
             block += 1
             for start in range(0, len(samples), _DISTANCE_CHUNK):
                 chunk = samples[start : start + _DISTANCE_CHUNK]
@@ -397,7 +396,7 @@ def reference_minimum(e: QuantumChannel, u, n_starts: int = 8, rng=DEFAULT_SEED)
     if n_starts < 1:
         raise ValueError(f"need at least one start, got {n_starts}")
     spec = as_rng_spec(rng)
-    starts = _haar_fill(generator(spec, TAG_OPTIMIZER), np.empty((n_starts, e.dim_in), complex))
+    starts = _haar_block(generator(spec, TAG_OPTIMIZER), np.empty((n_starts, e.dim_in), complex))
     return float(_descend(e, u, fidelity_kernel(e, u), starts).min())
 
 

@@ -14,9 +14,9 @@ sequence of its tiles and no tile size changes the bits.
 Sampling with `threads` workers runs the calling thread and threads - 1
 pool workers, which take blocks from one shared counter. A worker draws
 each tile of a block into one buffer of its own and evaluates it before
-drawing the next: up to d = 64 a tile is the whole block (4 MiB), above
-it _tile_rows(d) rows (1 MiB). Normalizing takes at most 1 MiB more, freed
-before the evaluation.
+drawing the next. A tile is min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
+rows (1 MiB): a whole block up to d = 16, a quarter at d = 64. Normalizing
+takes at most 1 MiB more, freed before the evaluation.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 
 from .channels import QuantumChannel, _check_budget, _check_dense_budget
 from .fidelity import (
-    _TILE_ROWS,
     LIPSCHITZ_CONSTANT,
     _check_dim,
     _row_tiles,
@@ -43,18 +42,11 @@ from .fidelity import (
 BLOCK_SIZE = 4096
 ALGORITHM_ID = "pcg64-interleaved-block4096"
 
-# complex entries per tile of a Haar block: the kernel's 256 rows up to
-# d = 256, fewer above, two rows from d = 21846 on
+# complex entries per tile (1 MiB): _haar_block draws in pieces of this many,
+# and a worker evaluates min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d)) rows
+# at once. Not fewer: two workers trade the interpreter lock at each numpy
+# call, and 256-row tiles at d = 16 and 64 cost report convergence about 10%
 _HAAR_TILE_ENTRIES = 1 << 16
-
-# a sampling worker draws a block of at most this many complex entries
-# (4 MiB, d <= 64) as one tile, which _haar_block normalizes in pieces of
-# _HAAR_TILE_ENTRIES entries, and evaluates it in one kernel call per
-# channel; a larger block is drawn and evaluated in tiles of _tile_rows(d)
-# rows. Two workers trade the interpreter lock at each numpy call: 16
-# tiles per block at d = 16 and 64 tripled the voluntary context switches
-# of report convergence and cost it about 10% of its time
-_WHOLE_BLOCK_ENTRIES = 1 << 18
 
 # documented default seed for every seeded entry point
 DEFAULT_SEED = 0x5EED
@@ -99,46 +91,25 @@ def generator(spec: RngSpec, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-def _tile_rows(d: int) -> int:
-    """Rows per tile a sampling worker draws and evaluates above d = 64."""
-    return max(2, min(_TILE_ROWS, _HAAR_TILE_ENTRIES // d))
-
-
-def _haar_fill(g: np.random.Generator, z: np.ndarray) -> np.ndarray:
+def _haar_block(g: np.random.Generator, z: np.ndarray) -> np.ndarray:
     """z, a C-contiguous complex (m, d) array, filled with m Haar states.
 
     They are g's next 2md standard normals, read as interleaved real and
     imaginary parts, each row over its norm: bit for bit
-    z / np.linalg.norm(z, axis=1, keepdims=True). Takes one scratch array
-    of z's size, freed on return.
+    z / np.linalg.norm(z, axis=1, keepdims=True). They are drawn and
+    normalized in pieces of _HAAR_TILE_ENTRIES entries, so the scratch
+    stays one piece, freed on return.
     """
-    g.standard_normal(out=z.view(np.float64))
-    # the squared row norms exactly as np.linalg.norm forms them
-    square = np.conjugate(z)
-    np.multiply(square, z, out=square)
-    inv_norm = 1.0 / np.sqrt(np.add.reduce(square.real, axis=1))
-    # dividing by a real equals multiplying both parts by its reciprocal
-    parts = z.view(np.float64)
-    parts *= inv_norm[:, None]
-    return z
-
-
-def _haar_block(
-    d: int, spec: RngSpec, tag: int, block: int, count: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """The first count Haar states of one block of the (spec, tag) stream.
-
-    Bit for bit z / np.linalg.norm(z, axis=1, keepdims=True), where z is
-    the block's first 2 count d standard normals viewed as a complex
-    (count, d) array. The states are written into out, a C-contiguous
-    complex (count, d) array, when one is given, and into a new one
-    otherwise. They are drawn by _haar_fill in tiles of
-    _HAAR_TILE_ENTRIES entries, so the scratch stays one tile.
-    """
-    g = generator(spec, tag, block)
-    z = np.empty((count, d), dtype=complex) if out is None else out
-    for start, stop in _row_tiles(count, max(2, _HAAR_TILE_ENTRIES // d)):
-        _haar_fill(g, z[start:stop])
+    for start, stop in _row_tiles(len(z), max(2, _HAAR_TILE_ENTRIES // z.shape[1])):
+        tile = z[start:stop]
+        g.standard_normal(out=tile.view(np.float64))
+        # the squared row norms exactly as np.linalg.norm forms them
+        square = np.conjugate(tile)
+        np.multiply(square, tile, out=square)
+        inv_norm = 1.0 / np.sqrt(np.add.reduce(square.real, axis=1))
+        # dividing by a real equals multiplying both parts by its reciprocal
+        parts = tile.view(np.float64)
+        parts *= inv_norm[:, None]
     return z
 
 
@@ -148,10 +119,8 @@ def haar_states(d: int, n: int, rng, tag: int = TAG_MAIN) -> np.ndarray:
         raise ValueError("d and n must be positive")
     spec = as_rng_spec(rng)
     states = np.empty((n, d), dtype=complex)
-    for block in range(math.ceil(n / BLOCK_SIZE)):
-        start = block * BLOCK_SIZE
-        stop = min(start + BLOCK_SIZE, n)
-        _haar_block(d, spec, tag, block, stop - start, out=states[start:stop])
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        _haar_block(generator(spec, tag, block), states[start : start + BLOCK_SIZE])
     return states
 
 
@@ -174,21 +143,19 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
     Each tile of a block is drawn once and evaluated at once by every
-    pair's kernel, built once before the first block. Up to
-    _WHOLE_BLOCK_ENTRIES the tile is the whole block, drawn by _haar_block.
-    The calling thread and threads - 1 pool workers take blocks from one
-    shared counter; each block's values land at its fixed offset of one
-    array per pair, so the arrays do not depend on the thread count. After
-    a block raises, no worker starts another, and the exception reaches
-    the caller, unchanged, once every worker has stopped.
+    pair's kernel, built once before the first block. The calling thread
+    and threads - 1 pool workers take blocks from one shared counter; each
+    block's values land at its fixed offset of one array per pair, so the
+    arrays do not depend on the thread count. After a block raises, no
+    worker starts another, and the exception reaches the caller,
+    unchanged, once every worker has stopped.
     """
     spec = as_rng_spec(rng)
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
     d = pairs[0][0].dim_in
-    whole = BLOCK_SIZE * d <= _WHOLE_BLOCK_ENTRIES
-    rows = BLOCK_SIZE if whole else _tile_rows(d)
+    rows = min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
     outs = [np.empty(n) for _ in pairs]
     n_blocks = math.ceil(n / BLOCK_SIZE)
@@ -211,13 +178,9 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
             start = block * BLOCK_SIZE
             count = min(BLOCK_SIZE, n - start)
             try:
-                g = None if whole else generator(spec, TAG_MAIN, block)
+                g = generator(spec, TAG_MAIN, block)
                 for t0, t1 in _row_tiles(count, rows):
-                    states = buffer[: t1 - t0]
-                    if whole:
-                        _haar_block(d, spec, TAG_MAIN, block, count, out=states)
-                    else:
-                        _haar_fill(g, states)
+                    states = _haar_block(g, buffer[: t1 - t0])
                     for (e, u), kernel, out in zip(pairs, kernels, outs):
                         out[start + t0 : start + t1] = gate_fidelity_batch(
                             e, u, states, kernel=kernel

@@ -19,7 +19,8 @@ the top-level object through json's own scanner, so every number has the
 bits json.loads gives it: a Kraus file's operators one at a time, a Choi
 matrix a row at a time into a preallocated matrix. A file the streamed
 read does not take is re-read whole by json.loads, so every refusal keeps
-its message. Unitary, state and net files are small and decoded whole.
+its message; a matrix over the dense-operator budget is refused at once.
+Unitary, state and net files are small and decoded whole.
 
 canonical_hash digests the same canonical JSON, except that each complex
 array stands as {"dtype":"complex128","shape":[...],"sha256":"<hex>"},
@@ -44,7 +45,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channels import ChoiMatrix, QuantumChannel, _check_dense_budget, kraus_from_choi
+from .channels import ChoiMatrix, QuantumChannel, _check_dense_budget, _OverBudget, kraus_from_choi
 from .minimum import StateNet
 
 # How _fmt_float writes an entry of each class, as a template piece: a
@@ -204,8 +205,8 @@ def canonical_hash(obj) -> str:
 
 
 def _check_encodable(obj) -> None:
-    """Raise what encoding obj would raise, writing nothing."""
-    _emit(obj, lambda text: None, lambda arr, write: _finite_floats(arr), stack=True)
+    """Raise what encoding obj would raise, writing nothing (a Kraus set unstacked)."""
+    _emit(obj, lambda text: None, lambda arr, write: _finite_floats(arr))
 
 
 def write_json(path, obj) -> None:
@@ -477,14 +478,16 @@ def _streamed_fields(pieces) -> dict:
 
 
 def load_operator(path) -> QuantumChannel | ChoiMatrix:
-    """Read a channel file in either Kraus or Choi form, streamed as the
-    module docstring says, with the cyclic GC paused (decoded JSON holds no
-    cycles); a file the streamed read does not take goes through read_json."""
+    """Read a channel file in either Kraus or Choi form, streamed as the module
+    docstring says, with the cyclic GC paused (decoded JSON holds no cycles); a
+    file the streamed read refuses, but for the budget, goes through read_json."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         with contextlib.closing(_read_text(path)) as pieces:
             data, convert = _streamed_fields(pieces), lambda matrix, field: matrix
+    except _OverBudget:
+        raise
     except ValueError:
         data = None
     finally:

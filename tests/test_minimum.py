@@ -49,6 +49,11 @@ from gatefid.sampling import (
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def _block(d, spec, tag, block):
+    """One whole Haar block of the (spec, tag) stream."""
+    return _haar_block(generator(spec, tag, block), np.empty((BLOCK_SIZE, d), dtype=complex))
+
+
 def _distances(a, b):
     """Phase-minimized distances between broadcast batches of states."""
     return overlap_distance(np.abs(np.sum(a.conj() * b, axis=-1)))
@@ -76,7 +81,7 @@ def _reference_build_net(d, epsilon, rng, max_states=2000, confidence=0.99, stop
     rejections = 0
     block = 0
     while rejections < stop_rejections:
-        candidates = _haar_block(d, spec, TAG_NET, block, BLOCK_SIZE)
+        candidates = _block(d, spec, TAG_NET, block)
         block += 1
         for row in candidates:
             if len(kept) == 0 or float(nearest(row[None, :], matrix)[0]) >= epsilon:
@@ -94,7 +99,7 @@ def _reference_build_net(d, epsilon, rng, max_states=2000, confidence=0.99, stop
     streak = 0
     vblock = 0
     while streak < needed:
-        samples = _haar_block(d, spec, TAG_VALIDATE, vblock, BLOCK_SIZE)
+        samples = _block(d, spec, TAG_VALIDATE, vblock)
         vblock += 1
         for row in samples:
             if float(nearest(row[None, :], matrix)[0]) < epsilon:
@@ -376,7 +381,7 @@ class TestBlockScan:
         # against it with its neighbour: at epsilon equal to that distance
         # their overlap sits on the edge, so _min_distances decides, keeping
         # the sample at the tie and dropping it one ulp of epsilon above
-        first = _haar_block(2, as_rng_spec(1), TAG_NET, 0, BLOCK_SIZE)[:3]
+        first = _block(2, as_rng_spec(1), TAG_NET, 0)[:3]
         eps = float(_min_distances(first[1:], first[:1])[0])
         if nudge:
             eps = float(np.nextafter(eps, np.inf))

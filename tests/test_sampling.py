@@ -36,7 +36,6 @@ from gatefid.sampling import (
     TAG_VALIDATE,
     _block_fidelities,
     _haar_block,
-    _haar_fill,
     as_rng_spec,
     convergence_report,
     generator,
@@ -118,7 +117,7 @@ class TestHaarStates:
             g = generator(spec, tag, block)
             z = g.standard_normal((count, 2 * d)).view(complex)
             expected = z / np.linalg.norm(z, axis=1, keepdims=True)
-            got = _haar_block(d, spec, tag, block, count)
+            got = _drawn_block(d, spec, tag, block, count)
             assert got.dtype == expected.dtype and got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
 
@@ -233,12 +232,17 @@ def _whole_haar_block(d, spec, tag, block, count):
     return z / np.linalg.norm(z, axis=1, keepdims=True)
 
 
+def _drawn_block(d, spec, tag, block, count):
+    """The block's first count states, drawn by _haar_block in one call."""
+    return _haar_block(generator(spec, tag, block), np.empty((count, d), dtype=complex))
+
+
 def _drawn_in_pieces(d, spec, tag, block, count, rows):
-    """The block's first count states, drawn by _haar_fill in pieces of rows rows."""
+    """The block's first count states, drawn by _haar_block in pieces of rows rows."""
     g = generator(spec, tag, block)
     z = np.empty((count, d), dtype=complex)
     for start in range(0, count, rows):
-        _haar_fill(g, z[start : start + rows])
+        _haar_block(g, z[start : start + rows])
     return z
 
 
@@ -282,10 +286,10 @@ class TestTiledBlocks:
         spec = RngSpec(17)
         stacks = [fidelity_kernel(random_channel(d, rank, rng=40 + rank)).ops for rank in (1, 4)]
         for count in TILED_COUNTS:
-            states = _haar_block(d, spec, TAG_MAIN, 3, count)
+            states = _drawn_block(d, spec, TAG_MAIN, 3, count)
             assert states.tobytes() == _whole_haar_block(d, spec, TAG_MAIN, 3, count).tobytes()
             out = np.full((count, d), np.nan, dtype=complex)
-            assert _haar_block(d, spec, TAG_MAIN, 3, count, out=out) is out
+            assert _haar_block(generator(spec, TAG_MAIN, 3), out) is out
             assert out.tobytes() == states.tobytes()
             # a normal stream drawn in pieces equals the stream drawn whole
             for rows in (1, 2, 3, 256, 1000, BLOCK_SIZE):
@@ -319,7 +323,7 @@ class TestTiledBlocks:
 
     def test_haar_block_working_set(self):
         # the 16 MiB block and one tile of scratch; whole, it peaked at 32 MiB
-        peak = _traced_peak(lambda: _haar_block(256, RngSpec(29), TAG_MAIN, 0, BLOCK_SIZE))
+        peak = _traced_peak(lambda: _drawn_block(256, RngSpec(29), TAG_MAIN, 0, BLOCK_SIZE))
         assert peak <= 25 * MIB
 
     def test_kraus_batch_working_set(self):
@@ -327,7 +331,7 @@ class TestTiledBlocks:
         # the loop allocated another 32 MiB
         ch = random_channel(256, 4, rng=31)
         kernel = fidelity_kernel(ch)
-        states = _haar_block(256, RngSpec(31), TAG_MAIN, 0, BLOCK_SIZE)
+        states = _drawn_block(256, RngSpec(31), TAG_MAIN, 0, BLOCK_SIZE)
         peak = _traced_peak(lambda: gate_fidelity_batch(ch, None, states, kernel=kernel))
         assert peak <= 4 * MIB
 
@@ -398,14 +402,18 @@ class TestTileRunner:
             assert verified.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
 
     def test_worker_working_set(self):
-        # report convergence's unitary at d = 256: a worker holds one tile
-        # of states (1 MiB) and one tile of scratch while it draws, then the
-        # kernel's two; holding a block's first normal array (8 MiB) as well,
-        # it peaked at 12 MiB, and holding whole blocks of states, at 18 MiB
-        ch = phase_spread_unitary(256, 64)
-        fidelity_samples(ch, None, 2, 65)
-        peak = _traced_peak(lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1))
-        assert peak <= 4 * MIB
+        # report convergence's unitary: a worker holds one tile of states
+        # (1 MiB) and one tile of scratch while it draws, then the kernel's
+        # two. At d = 256, holding a block's first normal array (8 MiB) as
+        # well, it peaked at 12 MiB, and holding whole blocks of states, at
+        # 18 MiB; at d = 64, holding a whole block (4 MiB), at 5.1 MiB
+        for d in (256, 64):
+            ch = phase_spread_unitary(d, 64)
+            fidelity_samples(ch, None, 2, 65)
+            peak = _traced_peak(
+                lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1)
+            )
+            assert peak <= 4 * MIB, d
 
 
 class _Boom(Exception):
@@ -428,87 +436,93 @@ class TestBlockScheduler:
             got = fidelity_samples(ch, None, n, rng=51, threads=threads)
             assert got.tobytes() == serial.tobytes()
 
-    def test_each_block_is_drawn_once_into_its_workers_buffer(self, monkeypatch):
-        # up to d = 64 a block is drawn whole, by _haar_block, into the
-        # buffer its worker keeps
-        drawn = []
-        real = sampling._haar_block
+    def _recorded_run(self, monkeypatch, d, n):
+        """Run two pairs over n states at dimension d with two threads.
 
-        def counting(d, spec, tag, block, count, out=None):
-            drawn.append((block, threading.get_ident(), _address(out)))
-            return real(d, spec, tag, block, count, out=out)
-
-        monkeypatch.setattr(sampling, "_haar_block", counting)
-        ch = random_channel(3, 2, rng=54)
-        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
-        assert sorted(block for block, _, _ in drawn) == [0, 1, 2, 3]
-        buffers = {}
-        for _, thread, address in drawn:
-            buffers.setdefault(thread, set()).add(address)
-        assert all(len(addresses) == 1 for addresses in buffers.values())
-
-    def test_each_large_block_is_drawn_once_into_its_workers_buffers(self, monkeypatch):
-        # above d = 64 each block's stream is opened once and drawn tile by
-        # tile, by _haar_fill, into the one tile its worker keeps; no block
-        # is drawn whole
-        opened, tiles = [], []
-        real_generator, real_fill = sampling.generator, sampling._haar_fill
+        Returns the (tag, block) of each stream opened through
+        sampling.generator, the (thread, buffer address, rows) of each
+        sampling._haar_block call and the rows of each
+        sampling.gate_fidelity_batch call.
+        """
+        opened, tiles, evaluated = [], [], []
+        real_generator, real_block = sampling.generator, sampling._haar_block
+        real_batch = sampling.gate_fidelity_batch
 
         def generator(spec, tag, block):
-            opened.append(block)
+            opened.append((tag, block))
             return real_generator(spec, tag, block)
 
-        def haar_fill(g, z):
+        def haar_block(g, z):
             tiles.append((threading.get_ident(), _address(z), len(z)))
-            return real_fill(g, z)
-
-        def no_block(*args, **kwargs):
-            raise AssertionError("a large block was drawn whole")
-
-        monkeypatch.setattr(sampling, "generator", generator)
-        monkeypatch.setattr(sampling, "_haar_fill", haar_fill)
-        monkeypatch.setattr(sampling, "_haar_block", no_block)
-        d = 65
-        ch = random_channel(d, 2, rng=54)
-        _block_fidelities([(ch, None), (ch, None)], 3 * BLOCK_SIZE + 1, 55, 2)
-        assert sorted(opened) == [0, 1, 2, 3]
-        assert len(tiles) == 3 * (BLOCK_SIZE // 256) + 1
-        assert sum(rows for _, _, rows in tiles) == 3 * BLOCK_SIZE + 1
-        buffers = {}
-        for thread, address, _ in tiles:
-            buffers.setdefault(thread, set()).add(address)
-        assert all(len(addresses) == 1 for addresses in buffers.values())
-
-    @pytest.mark.parametrize("d, tiles", [(3, 3), (64, 3), (65, 2 * (BLOCK_SIZE // 256) + 1)])
-    def test_valid_calls_reach_the_guarded_names(self, monkeypatch, d, tiles):
-        # positive control for the guards below: the runner draws each
-        # block through sampling.generator, up to d = 64 through
-        # sampling._haar_block as well, and evaluates each block, or above
-        # d = 64 each tile, through sampling.gate_fidelity_batch
-        blocks, whole, rows = [], [], []
-        real_generator, real_batch = sampling.generator, sampling.gate_fidelity_batch
-        real_block = sampling._haar_block
-
-        def generator(spec, tag, block):
-            blocks.append((tag, block))
-            return real_generator(spec, tag, block)
-
-        def haar_block(d, spec, tag, block, count, out=None):
-            whole.append(block)
-            return real_block(d, spec, tag, block, count, out=out)
+            return real_block(g, z)
 
         def batch(e, u, states, kernel=None):
-            rows.append(len(states))
+            evaluated.append(len(states))
             return real_batch(e, u, states, kernel=kernel)
 
         monkeypatch.setattr(sampling, "generator", generator)
         monkeypatch.setattr(sampling, "_haar_block", haar_block)
         monkeypatch.setattr(sampling, "gate_fidelity_batch", batch)
-        ch = random_channel(d, 2, rng=56)
-        fidelity_samples(ch, None, 2 * BLOCK_SIZE + 3, 57, threads=2)
-        assert sorted(blocks) == [(TAG_MAIN, 0), (TAG_MAIN, 1), (TAG_MAIN, 2)]
-        assert sorted(whole) == ([0, 1, 2] if d <= 64 else [])
-        assert sum(rows) == 2 * BLOCK_SIZE + 3 and len(rows) == tiles
+        ch = random_channel(d, 1, rng=54)
+        _block_fidelities([(ch, None), (ch, None)], n, 55, 2)
+        return opened, tiles, evaluated
+
+    @staticmethod
+    def _one_buffer_per_worker(tiles) -> bool:
+        buffers = {}
+        for thread, address, _ in tiles:
+            buffers.setdefault(thread, set()).add(address)
+        return all(len(addresses) == 1 for addresses in buffers.values())
+
+    def test_each_block_is_drawn_once_into_its_workers_buffer(self, monkeypatch):
+        # up to d = 16 a tile is the whole block: one _haar_block call per
+        # block, into the buffer its worker keeps
+        opened, tiles, _ = self._recorded_run(monkeypatch, 3, 3 * BLOCK_SIZE + 1)
+        assert sorted(block for _, block in opened) == [0, 1, 2, 3]
+        assert sorted(rows for _, _, rows in tiles) == [1] + 3 * [BLOCK_SIZE]
+        assert self._one_buffer_per_worker(tiles)
+
+    def test_each_large_block_is_drawn_once_into_its_workers_buffers(self, monkeypatch):
+        # at d = 65 each block's stream is opened once and drawn in five
+        # tiles of at most 2^16 // 65 = 1008 rows, into the one tile its
+        # worker keeps
+        n = 3 * BLOCK_SIZE + 1
+        opened, tiles, _ = self._recorded_run(monkeypatch, 65, n)
+        assert sorted(block for _, block in opened) == [0, 1, 2, 3]
+        assert len(tiles) == 3 * 5 + 1
+        assert sum(rows for _, _, rows in tiles) == n
+        assert all(rows <= 1008 for _, _, rows in tiles)
+        assert self._one_buffer_per_worker(tiles)
+
+    @pytest.mark.parametrize("d, per_block", [(64, 4), (256, 16)])
+    def test_each_tile_is_one_draw_into_its_workers_buffer(self, monkeypatch, d, per_block):
+        # each tile of min(BLOCK_SIZE, max(2, 2^16 // d)) rows is one
+        # _haar_block call into the one buffer its worker keeps
+        n = 2 * BLOCK_SIZE + 3
+        opened, tiles, _ = self._recorded_run(monkeypatch, d, n)
+        assert sorted(opened) == [(TAG_MAIN, 0), (TAG_MAIN, 1), (TAG_MAIN, 2)]
+        rows = min(BLOCK_SIZE, max(2, 2**16 // d))
+        assert math.ceil(BLOCK_SIZE / rows) == per_block
+        assert len(tiles) == 2 * per_block + 1
+        assert sum(size for _, _, size in tiles) == n
+        assert all(size <= rows for _, _, size in tiles)
+        assert self._one_buffer_per_worker(tiles)
+
+    @pytest.mark.parametrize("d, tiles", [(3, 3), (65, 33)])
+    def test_valid_calls_reach_the_guarded_names(self, monkeypatch, d, tiles):
+        # positive control for the guards below: the runner opens each
+        # block's stream through sampling.generator, draws each tile through
+        # sampling._haar_block and evaluates it for every pair through
+        # sampling.gate_fidelity_batch. n is tiles - 1 full tiles and a
+        # last one of 3 rows
+        rows = min(BLOCK_SIZE, max(2, 2**16 // d))
+        per_block = math.ceil(BLOCK_SIZE / rows)
+        full_blocks, full_tiles = divmod(tiles - 1, per_block)
+        n = full_blocks * BLOCK_SIZE + full_tiles * rows + 3
+        opened, drawn, evaluated = self._recorded_run(monkeypatch, d, n)
+        assert sorted(opened) == [(TAG_MAIN, block) for block in range(full_blocks + 1)]
+        assert len(drawn) == tiles and sum(size for _, _, size in drawn) == n
+        assert sorted(evaluated) == sorted(2 * [size for _, _, size in drawn])
 
     def _failing_run(self, monkeypatch, threads, n_blocks, d=3):
         """Run _block_fidelities with block 0 raising; return (error, started blocks).

@@ -866,6 +866,25 @@ class TestStreamedChoiRead:
         assert load_operator(path).matrix.shape == (9, 9)
         assert sides == [9]
 
+    def test_over_budget_matrix_is_refused_without_a_whole_read(self, tmp_path, monkeypatch, capsys):
+        # a 9 x 9 matrix needs 1296 bytes, above a budget of 1024: the
+        # refusal stands, with no whole-text read that would decode it anyway
+        path = tmp_path / "c.json"
+        write_json(path, choi_to_dict(choi_from_kraus(depolarizing(0.4, 3))))
+        monkeypatch.setattr("gatefid.channels.MAX_DENSE_BYTES", 16 * 8 * 8)
+
+        def no_whole_read(path):
+            raise AssertionError("the file was re-read whole")
+
+        monkeypatch.setattr(serialize, "read_json", no_whole_read)
+        message = r"the 9x9 Choi matrix needs .* dense-operator limit"
+        with pytest.raises(ValueError, match=message):
+            load_operator(path)
+        out = tmp_path / "r.json"
+        assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_d_32_read_peak(self, tmp_path):
         # a 1024 x 1024 Choi matrix: 16 MiB of complex entries, 48.5 MB of text
         path = tmp_path / "c.json"
@@ -955,6 +974,26 @@ class TestStreamedWrite:
         with pytest.raises(error):
             write_json(path, obj)
         assert path.read_bytes() == b'{"kept":true}\n'
+
+    def test_kraus_set_is_checked_an_operator_at_a_time(self, tmp_path):
+        # the first non-finite entry in operator order is the stack's first
+        ops = [np.eye(3, dtype=complex) for _ in range(4)]
+        ops[1][2, 2] = complex(0.0, -np.inf)
+        ops[2][0, 0] = np.nan
+        obj = {"kraus": ops}
+        for encode in (dumps_canonical, lambda obj: write_json(tmp_path / "out.json", obj)):
+            with pytest.raises(ValueError, match=re.escape("non-finite float -inf")):
+                encode(obj)
+        assert list(tmp_path.iterdir()) == []
+        # the check pass holds one operator's flags, not the 4 MiB stack
+        obj = channel_to_dict(random_channel(256, 4, rng=1))
+        tracemalloc.start()
+        try:
+            serialize._check_encodable(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_failed_csv_keeps_an_existing_file(self, tmp_path):
         path = tmp_path / "out.csv"
