@@ -7,8 +7,8 @@ file that both trees read): canonical_hash of the inputs `fidelity stats`
 hashes, load_operator of the file, and write_json of the channel's dict;
 and load_operator of a d = 32 Choi file (CHOI_D, a 1024 x 1024 matrix in
 48.5 MB of text). Each is the median of REPEATS runs (CHOI_REPEATS for the
-Choi read) after one warm-up, in a fresh interpreter against each tree's
-src/ with BLAS pinned to one thread as the CLI pins it.
+Choi read) after one warm-up, in a probe interpreter against each tree's
+src/.
 
 Memory: the first load_operator of each file, and the first write_json of
 the channel, of a fresh interpreter against each tree's src/,
@@ -25,37 +25,24 @@ between the trees twice: as they are, hash fields included, and with the
 value of every inputs_hash and p_or_channel_hash field set aside. The hash
 values that move are listed with their old and new digests.
 
-End to end: paired `perfbench/run.py --trace 0` runs of all four
-workloads, as scripts/bench_minimum.py makes them (its paired_runs and
-gain_claim). Medians, inclusive quartiles and per-pair wins of setup_s,
-job_s and peak_rss_mb go to BENCH_hash.json with the machine fingerprint
-(core count, BLAS name, BLAS thread count, and the BLAS thread count once
-the CLI has pinned it); the claim is peak_rss_mb on stats-lowrank. Keep
-both checkouts in one directory: peak_rss_mb has been seen to shift with
-the checkout's location alone.
+End to end, as scripts/bench_common.py runs it; the claim is peak_rss_mb
+on stats-lowrank.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_hash.py --baseline /tmp/parent
 """
 
-import argparse
 import functools
 import hashlib
-import json
 import os
 import re
 import statistics
-import subprocess
-import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
 
-from bench_kernel import ROOT, _median_time
-from bench_minimum import WORKLOADS, cli_blas_threads, gain_claim, paired_runs
-from child import blas_threads, fingerprint, run_job  # bench_kernel put perfbench/ on sys.path
-from workloads import STATS_D, STATS_N, STATS_RANK
-from workloads import WORKLOADS as SPECS
+from bench_common import SPECS, alternating, blas_threads, main, median_time, run_fresh, run_job
+from workloads import STATS_D, STATS_N, STATS_RANK  # bench_common put perfbench/ on sys.path
 
 STATS_SEED = 1
 CHOI_D, CHOI_RANK = 32, 4
@@ -65,7 +52,6 @@ CHOI_REPEATS = 3  # the whole-text Choi read takes seconds and 0.3 GB
 MEMORY_REPEATS = 7  # fresh interpreters per tree, operation and measure
 ARTIFACT_SEED, ARTIFACT_JOBS = 5, 2
 HASH_FIELD = re.compile(rb'"(inputs_hash|p_or_channel_hash)":"([0-9a-f]{64})"')
-OUT = ROOT / "BENCH_hash.json"
 
 # Every CLI command once, on inputs the commands before it write.
 CLI_COMMANDS = (
@@ -96,20 +82,19 @@ CLI_COMMANDS = (
 )
 
 
-def layers(channel_path: Path, choi_path: Path) -> dict:
-    """Hash, read and write times of the gatefid found on sys.path, BLAS at one thread."""
-    from gatefid import _blas, cli, serialize
+def layers(channel_path: str, choi_path: str) -> dict:
+    """Hash, read and write times of the gatefid found on sys.path."""
+    from gatefid import cli, serialize
 
-    _blas.pin_single_thread()
-    read_s, ch = _median_time(lambda: serialize.load_operator(channel_path), REPEATS)
+    read_s, ch = median_time(lambda: serialize.load_operator(channel_path), REPEATS)
     # the inputs `fidelity stats --channel FILE --n STATS_N` hashes
     inputs = cli._channel_inputs(ch, None, {"n": STATS_N})
-    hash_s, digest = _median_time(lambda: serialize.canonical_hash(inputs), REPEATS)
+    hash_s, digest = median_time(lambda: serialize.canonical_hash(inputs), REPEATS)
     out, obj = _written(channel_path), serialize.channel_to_dict(ch)
-    write_s, _ = _median_time(lambda: serialize.write_json(out, obj), REPEATS)
+    write_s, _ = median_time(lambda: serialize.write_json(out, obj), REPEATS)
     written = hashlib.sha256(out.read_bytes()).hexdigest()
     out.unlink()
-    choi_s, _ = _median_time(lambda: serialize.load_operator(choi_path), CHOI_REPEATS)
+    choi_s, _ = median_time(lambda: serialize.load_operator(choi_path), CHOI_REPEATS)
     return {
         "canonical_hash_s": round(hash_s, 6),
         "load_operator_s": round(read_s, 6),
@@ -121,24 +106,23 @@ def layers(channel_path: Path, choi_path: Path) -> dict:
     }
 
 
-def _written(channel_path: Path) -> Path:
-    return channel_path.with_name(f"written-{os.getpid()}.json")
+def _written(channel_path: str) -> Path:
+    return Path(channel_path).with_name(f"written-{os.getpid()}.json")
 
 
-def op_memory(path: Path, measure: str, op: str) -> dict:
+def op_memory(path: str, gauge: str, op: str) -> dict:
     """RSS or tracemalloc peak of this interpreter's first load_operator of
     path (op "read"), or first write_json of the stats-lowrank channel (op "write")."""
     import gatefid
-    from gatefid import _blas, serialize
+    from gatefid import serialize
 
-    _blas.pin_single_thread()
     if op == "read":
         run = functools.partial(serialize.load_operator, path)
     else:
         ch = gatefid.random_channel(STATS_D, STATS_RANK, STATS_SEED)
         run = functools.partial(serialize.write_json, _written(path), serialize.channel_to_dict(ch))
     try:
-        if measure == "tracemalloc":
+        if gauge == "tracemalloc":
             tracemalloc.start()
             run()
             return {"tracemalloc_peak_mib": tracemalloc.get_traced_memory()[1] / 2**20}
@@ -159,14 +143,11 @@ def _peak_rss_mib() -> float:
 
 
 def memory_record(trees: dict, path: Path, op: str, repeats: int) -> dict:
-    samples = {side: [] for side in trees}
-    for i in range(repeats):
-        order = list(trees) if i % 2 == 0 else list(trees)[::-1]
-        for side in order:
-            sample = {}
-            for measure in ("rss", "tracemalloc"):
-                sample.update(run_fresh(trees[side], "--memory-only", path, measure, op))
-            samples[side].append(sample)
+    def sample(tree, _):
+        rss = run_fresh(__file__, tree, "memory", path, "rss", op)
+        return {**rss, **run_fresh(__file__, tree, "memory", path, "tracemalloc", op)}
+
+    samples = alternating(trees, range(repeats), sample)
     return {
         side: {key: round(statistics.median(s[key] for s in runs), 2) for key in runs[0]}
         for side, runs in samples.items()
@@ -182,13 +163,14 @@ def _digests(path: Path) -> dict:
     }
 
 
-def artifacts(workdir: Path) -> dict:
+def artifacts(workdir: str) -> dict:
     """Artifact digests of every CLI command and every workload, of the gatefid on sys.path."""
     import numpy as np
 
     from gatefid import cli, serialize
 
     out = {}
+    workdir = Path(workdir)
     cli_dir = workdir / "cli"
     cli_dir.mkdir()
     serialize.write_json(cli_dir / "x.json", {"unitary": np.array([[0, 1], [1, 0]], complex)})
@@ -243,38 +225,10 @@ def compare_digests(parent: dict, change: dict) -> dict:
     }
 
 
-def run_fresh(tree: Path, *flags) -> dict:
-    """The JSON line that this script prints under flags, run on tree's src/."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    cmd = [sys.executable, __file__, *map(str, flags)]
-    out = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--layers-only", type=Path, nargs=2, help=argparse.SUPPRESS)
-    ap.add_argument("--artifacts-only", type=Path, help=argparse.SUPPRESS)
-    ap.add_argument("--memory-only", nargs=3, help=argparse.SUPPRESS)
-    args = ap.parse_args()
-
-    if args.memory_only:
-        path, measure, op = args.memory_only
-        print(json.dumps(op_memory(Path(path), measure, op)))
-        return
-    if args.layers_only:
-        print(json.dumps(layers(*args.layers_only)))
-        return
-    if args.artifacts_only:
-        print(json.dumps(artifacts(args.artifacts_only)))
-        return
-    if args.baseline is None:
-        ap.error("--baseline is required")
+def measure(trees: dict) -> dict:
     from gatefid import serialize
     from gatefid.channels import choi_from_kraus, random_channel
 
-    trees = {"parent": args.baseline.resolve(), "change": ROOT}
     with tempfile.TemporaryDirectory(prefix="bench-hash-") as tmp:
         SPECS["stats-lowrank"].setup(Path(tmp), STATS_SEED)
         channel_path = Path(tmp) / "channel.json"
@@ -283,7 +237,7 @@ def main() -> None:
         choi = choi_from_kraus(random_channel(CHOI_D, CHOI_RANK, STATS_SEED))
         serialize.write_json(choi_path, serialize.choi_to_dict(choi))
         choi_bytes = choi_path.stat().st_size
-        layer = {side: run_fresh(tree, "--layers-only", channel_path, choi_path)
+        layer = {side: run_fresh(__file__, tree, "layers", channel_path, choi_path)
                  for side, tree in trees.items()}
         memory = memory_record(trees, channel_path, "read", MEMORY_REPEATS)
         write_memory = memory_record(trees, channel_path, "write", MEMORY_REPEATS)
@@ -292,7 +246,7 @@ def main() -> None:
         for side, tree in trees.items():
             workdir = Path(tmp) / side
             workdir.mkdir()
-            produced[side] = run_fresh(tree, "--artifacts-only", workdir)
+            produced[side] = run_fresh(__file__, tree, "artifacts", workdir)
     for side in trees:
         print(f"{side}: {layer[side]} read {memory[side]} write {write_memory[side]} "
               f"choi read {choi_memory[side]}", flush=True)
@@ -300,14 +254,7 @@ def main() -> None:
     print(f"artifacts byte-equal: {compared['all_bytes_equal']}; equal with hashes set aside: "
           f"{compared['all_equal_hashes_aside']}; differing otherwise: "
           f"{compared['other_differences']}", flush=True)
-
-    end_to_end = {workload: paired_runs(trees, workload, SEEDS) for workload in WORKLOADS}
-    perfbench_sha256 = {workload: rec.pop("artifacts") for workload, rec in end_to_end.items()}
-    claim = gain_claim(end_to_end["stats-lowrank"], "stats-lowrank", metric="peak_rss_mb")
-    record = {
-        "topic": "hash",
-        "harness": "PYTHONPATH=src python3 scripts/bench_hash.py --baseline PARENT",
-        "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
+    return {
         "layers": {
             "inputs": f"random_channel({STATS_D}, {STATS_RANK}, {STATS_SEED}) written to a "
                       f"{channel_bytes} byte file; canonical_hash of the inputs of "
@@ -340,13 +287,10 @@ def main() -> None:
             "workload_jobs": ARTIFACT_JOBS,
             **compared,
         },
-        "end_to_end": end_to_end,
-        "perfbench_artifact_sha256": perfbench_sha256,
-        "claim": claim,
     }
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
-    main()
+    main(__file__, __doc__,
+                      {"layers": layers, "memory": op_memory, "artifacts": artifacts},
+                      measure, ("stats-lowrank", "peak_rss_mb"), SEEDS)

@@ -15,30 +15,14 @@ are kept.
 
 import argparse
 import json
-import statistics
-import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
+from bench_common import ROOT, fingerprint, median_time
 from gatefid.channels import random_channel
 from gatefid.fidelity import FidelityKernel, symmetric_form, uses_symmetric_form
 from gatefid.sampling import BLOCK_SIZE, haar_states
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "perfbench"))
-from child import fingerprint  # noqa: E402
-
-
-def _median_time(fn, repeats: int):
-    fn()  # warm-up: first-call and BLAS thread start-up costs stay out
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times), result
 
 
 def measure(d: int, rank: int, rows: int, repeats: int, seed: int) -> dict:
@@ -46,10 +30,10 @@ def measure(d: int, rank: int, rows: int, repeats: int, seed: int) -> dict:
     states = haar_states(d, rows, seed)
     ops = np.stack(ch.kraus)
     kraus = FidelityKernel(ops=ops, form=None)
-    kraus_s, kraus_f = _median_time(lambda: kraus.values(states), repeats)
-    build_s, form = _median_time(lambda: symmetric_form(ch), repeats)
+    kraus_s, kraus_f = median_time(lambda: kraus.values(states), repeats)
+    build_s, form = median_time(lambda: symmetric_form(ch), repeats)
     sym = FidelityKernel(ops=ops, form=form)
-    sym_s, sym_f = _median_time(lambda: sym.values(states), repeats)
+    sym_s, sym_f = median_time(lambda: sym.values(states), repeats)
     return {
         "d": d,
         "rank": rank,

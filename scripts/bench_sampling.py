@@ -8,16 +8,15 @@ checkout. Their sampling.haar_s, fidelity.kernel_s, fidelity.kernel_gflops,
 sampling.samples_s and sampling.parallelism (with cli.cmd_s for scale) go to
 BENCH_sampling.json.
 
-Haar draw: in HAAR_ROUNDS fresh interpreters per tree, the trees
-alternating which goes first, with BLAS at one thread, the median time of
-HAAR_REPEATS draws of one 4096-state block at each d in HAAR_DIMS, each one
-`_haar_block(generator(...), out)` call into one reused array, after one
-warm-up draw. Medians, quartiles and per-round wins go to
+Haar draw: in HAAR_ROUNDS probe interpreters per tree, the median time
+of HAAR_REPEATS draws of one 4096-state block at each d in HAAR_DIMS,
+each one `_haar_block(generator(...), out)` call into one reused array,
+after one warm-up draw. Medians, quartiles and per-round wins go to
 BENCH_sampling.json with each tree's ALGORITHM_ID. This round and the
 block peaks call `_haar_block(g, z)`, so the baseline must have that
 signature.
 
-Block peaks: in a fresh interpreter against each tree's src/, the
+Block peaks: in a probe interpreter against each tree's src/, the
 tracemalloc peak, above what was allocated before the call, of one
 4096-state block's draw, of `gate_fidelity_batch` on that block with a
 prebuilt kernel, and of `fidelity_samples` over two blocks at one thread
@@ -26,35 +25,21 @@ rank-1 random channel is a unitary), for a random channel at each d in
 BLOCK_DIMS and rank in BLOCK_RANKS. One warm-up draw runs first, so the
 generator's first-use allocations stay out.
 
-End to end: `perfbench/run.py --trace 0` pairs, alternating which side runs
-first, one per seed of SEEDS on each of the four workloads; the claim is
-peak_rss_mb on sweep-unitary. No metric may worsen beyond BENCHMARK.json's
-bounds. Artifacts of every job index both sides reached are compared by
-sha256; when the trees' ALGORITHM_IDs differ, every sampled artifact is
-expected to differ, and the record says so.
-
-The machine fingerprint is perfbench's; its blas_threads is read before
-gatefid.cli.main runs, so it shows the process default. The thread count
-the CLI runs at is probed separately and recorded as cli_blas_threads.
+End to end, as scripts/bench_common.py runs it; the claim is peak_rss_mb
+on sweep-unitary. When the trees' ALGORITHM_IDs differ, every sampled
+artifact is expected to differ, and the record says so.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_sampling.py --baseline /tmp/parent
 """
 
-import argparse
-import json
-import os
 import statistics
-import subprocess
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
-from bench_minimum import ROOT, cli_blas_threads, gain_claim, paired_runs, quartiles
-from child import fingerprint  # bench_kernel put perfbench/ on sys.path
+from bench_common import alternating, compare, main, run_fresh, run_perfbench
 
 LAYER_METRICS = (
     "cli.cmd_s",
@@ -65,9 +50,6 @@ LAYER_METRICS = (
     "sampling.parallelism",
 )
 TRACED = ("sweep-unitary", "stats-lowrank")
-CLAIM = "sweep-unitary"
-CLAIM_METRIC = "peak_rss_mb"
-CHECKED = ("stats-lowrank", "twin-dense", "min-search")
 TRACE_SEEDS = (171, 172)
 SEEDS = range(161, 171)
 BLOCK_DIMS = (16, 64, 256)
@@ -75,15 +57,6 @@ BLOCK_RANKS = (1, 4)
 HAAR_DIMS = (16, 64, 256, 1024)
 HAAR_ROUNDS = 5
 HAAR_REPEATS = 15
-OUT = ROOT / "BENCH_sampling.json"
-
-
-def run_traced(tree: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", "20", "--trace", "1"]
-    out = subprocess.run(cmd, cwd=tree, check=True, capture_output=True, text=True).stdout
-    result = json.loads(out.splitlines()[-1])
-    return {k: round(result["metrics"][k]["value"], 4) for k in LAYER_METRICS}
 
 
 def _peak_mib(fn) -> float:
@@ -147,57 +120,27 @@ def haar_times() -> dict:
 
 
 def haar_record(trees: dict) -> dict:
-    """HAAR_ROUNDS fresh interpreters per tree, alternating which runs first."""
-    samples = {side: [] for side in trees}
-    for i in range(HAAR_ROUNDS):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            samples[side].append(run_fresh(trees[side], "--haar-only"))
+    samples = alternating(
+        trees, range(HAAR_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "haar"))
     record = {
         "inputs": f"one {HAAR_REPEATS}-draw median per interpreter of _haar_block(generator("
                   "RngSpec(1), TAG_MAIN, 0), out), out one reused (4096, d) array, "
-                  "OPENBLAS_NUM_THREADS=1",
+                  "BLAS at one thread",
         "algorithm_id": {side: samples[side][0]["algorithm_id"] for side in trees},
     }
     for d in map(str, HAAR_DIMS):
-        parent = [s["ms"][d] for s in samples["parent"]]
-        change = [s["ms"][d] for s in samples["change"]]
-        record[f"d{d}_ms"] = {
-            "parent_q1_median_q3": quartiles(parent),
-            "change_q1_median_q3": quartiles(change),
-            "change_wins": f"{sum(c < p for p, c in zip(parent, change))}/{HAAR_ROUNDS}",
-        }
+        record[f"d{d}_ms"] = compare([s["ms"][d] for s in samples["parent"]],
+                                     [s["ms"][d] for s in samples["change"]])
     return record
 
 
-def run_fresh(tree: Path, flag: str):
-    """The JSON line that this script prints under flag, run on tree's src/."""
-    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, __file__, flag], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--baseline", type=Path, help="checkout of the parent commit")
-    ap.add_argument("--block-peaks-only", action="store_true", help=argparse.SUPPRESS)
-    ap.add_argument("--haar-only", action="store_true", help=argparse.SUPPRESS)
-    args = ap.parse_args()
-
-    for flag, fn in ((args.block_peaks_only, block_peaks), (args.haar_only, haar_times)):
-        if flag:
-            print(json.dumps(fn()))
-            return
-    if args.baseline is None:
-        ap.error("--baseline is required")
-    trees = {"parent": args.baseline.resolve(), "change": ROOT}
-
+def measure(trees: dict) -> dict:
     haar = haar_record(trees)
     for d in HAAR_DIMS:
         m = haar[f"d{d}_ms"]
         print(f"haar d={d}: parent {m['parent_q1_median_q3'][1]} ms, change "
               f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
-    peaks = {side: run_fresh(tree, "--block-peaks-only") for side, tree in trees.items()}
+    peaks = {side: run_fresh(__file__, tree, "block-peaks") for side, tree in trees.items()}
     for side, rows in peaks.items():
         print(f"block peaks {side}: {rows}", flush=True)
 
@@ -205,30 +148,24 @@ def main() -> None:
     for workload in TRACED:
         layers[workload] = {"seeds": list(TRACE_SEEDS)}
         for side, tree in trees.items():
-            layers[workload][side] = [run_traced(tree, workload, s) for s in TRACE_SEEDS]
+            layers[workload][side] = [
+                {k: run_perfbench(tree, workload, s, trace=1)["metrics"][k]
+                 for k in LAYER_METRICS} for s in TRACE_SEEDS]
             print(f"{workload} traced {side}: {layers[workload][side]}", flush=True)
-
-    end_to_end = {w: paired_runs(trees, w, SEEDS) for w in (CLAIM, *CHECKED)}
-    record = {
-        "topic": "sampling",
-        "harness": "PYTHONPATH=src python3 scripts/bench_sampling.py --baseline PARENT",
-        "machine": {**fingerprint(), "cli_blas_threads": cli_blas_threads()},
+    return {
         "algorithm_id": haar["algorithm_id"],
         "artifacts_expected_to_match": len(set(haar["algorithm_id"].values())) == 1,
         "haar_draw": haar,
         "block_peak": {
             "unit": "MiB",
             "inputs": "random_channel(d, rank, rng=1), 4096-state blocks of RngSpec(1), "
-                      "OPENBLAS_NUM_THREADS=1",
+                      "BLAS at one thread",
             **peaks,
         },
         "layers": layers,
-        "end_to_end": end_to_end,
-        "claim": gain_claim(end_to_end[CLAIM], CLAIM, CLAIM_METRIC),
     }
-    OUT.write_text(json.dumps(record, indent=1) + "\n")
-    print(f"wrote {OUT}")
 
 
 if __name__ == "__main__":
-    main()
+    main(__file__, __doc__, {"haar": haar_times, "block-peaks": block_peaks},
+                      measure, ("sweep-unitary", "peak_rss_mb"), SEEDS)

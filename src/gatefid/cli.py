@@ -64,7 +64,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
+    if args.threads < 0:
+        raise UsageError(f"--threads must be 0 or more, got {args.threads}")
+    return args.threads or (os.cpu_count() or 1)
 
 
 def _record(quantity: str, value, d: int, inputs: dict, seed=None) -> dict:
@@ -211,6 +213,8 @@ def _cmd_bounds_variance(args):
     if args.qubits is not None and args.d is not None:
         raise UsageError("--d conflicts with --qubits")
     if args.qubits is not None:
+        if args.qubits >= 256:  # refused as variance_bounds refuses d, before 2**qubits is formed
+            raise ValueError(f"d must be below about 2**256, got log2(d) = {args.qubits:.6g}")
         d = 2**args.qubits
     elif args.d is not None:
         d = args.d

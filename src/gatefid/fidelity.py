@@ -155,12 +155,11 @@ def _form_of(ops: np.ndarray) -> np.ndarray:
 def _sym_block(g: np.ndarray) -> np.ndarray:
     # P_sym g^T2 P_sym in the basis of symmetric_form, for a Choi-space
     # operator g[i, j, l, m] = J[(i,j),(l,m)] on C^d (x) C^d
-    d = g.shape[0]
-    i, m = np.triu_indices(d)
+    i, m, weight = _upper_pairs(g.shape[0])
     a1, a2, b1, b2 = i[:, None], m[:, None], i[None, :], m[None, :]
     # <xy|J^T2|zw> = J[(x,z),(w,y)], summed over both orderings of each pair
     t = g[a1, b1, b2, a2] + g[a1, b2, b1, a2] + g[a2, b1, b2, a1] + g[a2, b2, b1, a1]
-    scale = np.where(i == m, 0.5, np.sqrt(0.5))
+    scale = 0.5 * weight
     return t * np.outer(scale, scale)
 
 

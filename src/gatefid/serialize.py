@@ -111,13 +111,6 @@ def _write_array(arr: np.ndarray, write) -> None:
         write(template % tuple(chunk[~zero].tolist()))
 
 
-def _complex_array_text(arr: np.ndarray) -> str:
-    """Nested [re, im] pair text of a complex array, as _fmt_float writes it."""
-    out: list = []
-    _write_array(arr, out.append)
-    return "".join(out)
-
-
 def _array_digest(arr: np.ndarray) -> str:
     """The canonical JSON that stands for a complex array in canonical_hash."""
     digest = hashlib.sha256(_finite_floats(arr)).hexdigest()
@@ -188,7 +181,7 @@ def dumps_canonical(obj) -> str:
     fields in declaration order.
     """
     out: list = []
-    _emit(obj, out.append, lambda arr, write: write(_complex_array_text(arr)), stack=True)
+    _emit(obj, out.append, _write_array, stack=True)
     return "".join(out)
 
 

@@ -64,6 +64,25 @@ class TestUsageErrors:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fidelity", "stats", "--p", "0.9", "--d", "2", "--n", "100"],
+            ["nonuniq", "construct", "--d", "4", "--n", "100"],
+            ["nonuniq", "verify", "--q", "CH", "--r", "CH", "--n", "100"],
+            ["report", "convergence", "--d-list", "2,4", "--n", "100"],
+        ],
+        ids=["stats", "construct", "verify", "convergence"],
+    )
+    def test_negative_threads(self, argv, tmp_path, monkeypatch, capsys):
+        # 0 means every core; a negative count is a mistake, not a synonym for it
+        ch_path = _write_channel(tmp_path / "ch.json", depolarizing(0.5, 4))
+        monkeypatch.chdir(tmp_path)
+        argv = [ch_path if a == "CH" else a for a in argv]
+        assert main(argv + ["--threads", "-3"]) == 1
+        assert "--threads must be 0 or more, got -3" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["ch.json"]
+
+    @pytest.mark.parametrize(
         "flags",
         [["--p", "0.9", "--d", "2"], ["--p", "0.9"], ["--d", "2"]],
         ids=["p-and-d", "p", "d"],
@@ -684,6 +703,8 @@ class TestInputBoundary:
             (["bounds", "variance", "--qubits", "256"], "d must be below"),
             (["bounds", "variance", "--qubits", "341"], "d must be below"),
             (["bounds", "variance", "--qubits", "342"], "d must be below"),
+            # refused before 2**qubits, an integer of about 125 GB, is formed
+            (["bounds", "variance", "--qubits", str(10**12)], "d must be below"),
             (["bounds", "variance", "--d", "9" * 400], "d must be below"),
             (["bounds", "levy", "--d", "9" * 400, "--eps", "0.1"], "d must be below 2**1024"),
             (["min", "effective", "--avg", "0.9", "--q", "0.01", "--d", "9" * 400],
@@ -696,7 +717,7 @@ class TestInputBoundary:
             (["fidelity", "avg", "--p", "0.9", "--d", "2", "--out", "missing/avg.json"],
              "missing/avg.json"),
         ],
-        ids=["k-nan", "k-inf", "qubits-256", "qubits-341", "qubits-342", "d-huge",
+        ids=["k-nan", "k-inf", "qubits-256", "qubits-341", "qubits-342", "qubits-huge", "d-huge",
              "levy-d-huge", "effective-d-huge", "effective-q-tiny",
              "validate-tol-nan", "validate-tol-negative", "verify-tol-nan", "out-dir-missing"],
     )

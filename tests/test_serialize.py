@@ -560,9 +560,9 @@ class TestKrausSetEncode:
 
     def test_one_encode_per_kraus_set(self, monkeypatch):
         calls = []
-        real = serialize._complex_array_text
+        real = serialize._write_array
         monkeypatch.setattr(
-            serialize, "_complex_array_text", lambda a: calls.append(a.shape) or real(a)
+            serialize, "_write_array", lambda a, write: calls.append(a.shape) or real(a, write)
         )
         dumps_canonical(channel_to_dict(depolarizing(0.5, 3)))
         assert calls == [(9, 3, 3)]
