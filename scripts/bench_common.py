@@ -14,12 +14,15 @@ quartiles and the change's per-round wins (lower wins).
 End to end: for each benchmark workload and each seed of the script's
 SEEDS, one `perfbench/run.py --workload W --seed S --seconds 20 --trace 0`
 run per tree, from that tree's own checkout, alternating which side runs
-first. Medians, quartiles and per-pair wins of setup_s, job_s and
-peak_rss_mb are recorded, and every job index both sides reached has its
-artifacts' sha256 compared. The claim is the gain rule applied to the
-script's (workload, metric). The record, BENCH_<topic>.json, also holds
-the machine fingerprint: core count, BLAS name, the process's BLAS thread
-count (read before the CLI pins it) and the thread count the CLI runs at.
+first. Both trees run without bytecode: every __pycache__ under each
+src/ is removed first and the runs get PYTHONDONTWRITEBYTECODE=1, since
+.pyc files alone move peak_rss_mb by about 2 MB. Medians, quartiles and
+per-pair wins of setup_s, job_s and peak_rss_mb are recorded, and every
+job index both sides reached has its artifacts' sha256 compared. The
+claim is the gain rule applied to the script's (workload, metric). The
+record, BENCH_<topic>.json, also holds the machine fingerprint: core
+count, BLAS name, the process's BLAS thread count (read before the CLI
+pins it) and the thread count the CLI runs at.
 Keep both checkouts in one directory: peak_rss_mb has been seen to shift
 with the checkout's location alone.
 
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import statistics
 import subprocess
 import sys
@@ -44,6 +48,7 @@ from child import blas_threads, fingerprint, job_seed, run_job  # noqa: E402,F40
 from workloads import WORKLOADS as SPECS  # noqa: E402
 
 METRICS = ("setup_s", "job_s", "peak_rss_mb")
+BYTECODE = "none: __pycache__ removed under each src/, runs with PYTHONDONTWRITEBYTECODE=1"
 JOB_LINE = re.compile(r"^# job (\d+) traced=\d [\d.]+ s .* sha256 (.*)$")
 
 
@@ -89,7 +94,8 @@ def compare(parent: list, change: list) -> dict:
 def run_perfbench(tree: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", "20", "--trace", str(trace)]
-    lines = subprocess.run(cmd, cwd=tree, check=True, capture_output=True,
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    lines = subprocess.run(cmd, cwd=tree, env=env, check=True, capture_output=True,
                            text=True).stdout.splitlines()
     result = json.loads(lines[-1])
     jobs = {}
@@ -125,10 +131,14 @@ def paired_runs(trees: dict, workload: str, seeds) -> dict:
               flush=True)
         return result
 
+    for tree in trees.values():
+        for cache in (tree / "src").rglob("__pycache__"):
+            shutil.rmtree(cache)
     seeds = list(seeds)
     runs = alternating(trees, seeds, run)
     record = {
         "seeds": seeds,
+        "bytecode": BYTECODE,
         "first_in_pair": [list(trees)[i % 2] for i in range(len(seeds))],
         "failed_of_attempted": {
             side: "{}/{}".format(*[sum(r["failed_attempted"][i] for r in runs[side])

@@ -21,12 +21,20 @@ tracemalloc peak, above what was allocated before the call, of one
 4096-state block's draw, of `gate_fidelity_batch` on that block with a
 prebuilt kernel, and of `fidelity_samples` over two blocks at one thread
 (two_blocks_mib, what one sampling worker holds beside its kernel; a
-rank-1 random channel is a unitary), for a random channel at each d in
+rank-1 random channel is a unitary, which takes the spectral route), for
+a random channel at each d in
 BLOCK_DIMS and rank in BLOCK_RANKS. One warm-up draw runs first, so the
 generator's first-use allocations stay out.
 
-End to end, as scripts/bench_common.py runs it; the claim is peak_rss_mb
-on sweep-unitary. When the trees' ALGORITHM_IDs differ, every sampled
+Unitary samples: in SAMPLE_ROUNDS probe interpreters per tree, the median
+time of SAMPLE_REPEATS `fidelity_samples(phase_spread_unitary(d, 1), None,
+SAMPLE_N, RngSpec(1), threads=1)` calls at each d in HAAR_DIMS, after one
+warm-up call: the Haar draw and kernel row per state at the parent, d
+exponentials and one (rows, d) x (d, 3) product per state on the spectral
+route.
+
+End to end, as scripts/bench_common.py runs it; the claim is job_s on
+sweep-unitary. When the trees' ALGORITHM_IDs differ, every sampled
 artifact is expected to differ, and the record says so.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
@@ -39,7 +47,7 @@ import tracemalloc
 
 import numpy as np
 
-from bench_common import alternating, compare, main, run_fresh, run_perfbench
+from bench_common import alternating, compare, main, median_time, run_fresh, run_perfbench
 
 LAYER_METRICS = (
     "cli.cmd_s",
@@ -57,6 +65,9 @@ BLOCK_RANKS = (1, 4)
 HAAR_DIMS = (16, 64, 256, 1024)
 HAAR_ROUNDS = 5
 HAAR_REPEATS = 15
+SAMPLE_N = 16384
+SAMPLE_ROUNDS = 5
+SAMPLE_REPEATS = 3
 
 
 def _peak_mib(fn) -> float:
@@ -119,6 +130,37 @@ def haar_times() -> dict:
     return {"algorithm_id": ALGORITHM_ID, "ms": times}
 
 
+def sample_times() -> dict:
+    """Median ms of SAMPLE_N phase-spread unitary fidelity samples at each d, one worker."""
+    from gatefid.channels import phase_spread_unitary
+    from gatefid.sampling import RngSpec, fidelity_samples
+
+    times = {}
+    for d in HAAR_DIMS:
+        ch = phase_spread_unitary(d, 1)
+        seconds, _ = median_time(
+            lambda: fidelity_samples(ch, None, SAMPLE_N, RngSpec(1), threads=1), SAMPLE_REPEATS)
+        times[str(d)] = round(1e3 * seconds, 3)
+    return times
+
+
+def sample_record(trees: dict) -> dict:
+    samples = alternating(
+        trees, range(SAMPLE_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "samples"))
+    record = {
+        "inputs": f"one {SAMPLE_REPEATS}-call median per interpreter of fidelity_samples("
+                  f"phase_spread_unitary(d, 1), None, {SAMPLE_N}, RngSpec(1), threads=1), "
+                  "BLAS at one thread",
+    }
+    for d in map(str, HAAR_DIMS):
+        record[f"d{d}_ms"] = compare([s[d] for s in samples["parent"]],
+                                     [s[d] for s in samples["change"]])
+        m = record[f"d{d}_ms"]
+        print(f"unitary samples d={d}: parent {m['parent_q1_median_q3'][1]} ms, change "
+              f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
+    return record
+
+
 def haar_record(trees: dict) -> dict:
     samples = alternating(
         trees, range(HAAR_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "haar"))
@@ -140,6 +182,7 @@ def measure(trees: dict) -> dict:
         m = haar[f"d{d}_ms"]
         print(f"haar d={d}: parent {m['parent_q1_median_q3'][1]} ms, change "
               f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
+    unitary_samples = sample_record(trees)
     peaks = {side: run_fresh(__file__, tree, "block-peaks") for side, tree in trees.items()}
     for side, rows in peaks.items():
         print(f"block peaks {side}: {rows}", flush=True)
@@ -156,6 +199,7 @@ def measure(trees: dict) -> dict:
         "algorithm_id": haar["algorithm_id"],
         "artifacts_expected_to_match": len(set(haar["algorithm_id"].values())) == 1,
         "haar_draw": haar,
+        "unitary_samples": unitary_samples,
         "block_peak": {
             "unit": "MiB",
             "inputs": "random_channel(d, rank, rng=1), 4096-state blocks of RngSpec(1), "
@@ -167,5 +211,6 @@ def measure(trees: dict) -> dict:
 
 
 if __name__ == "__main__":
-    main(__file__, __doc__, {"haar": haar_times, "block-peaks": block_peaks},
-                      measure, ("sweep-unitary", "peak_rss_mb"), SEEDS)
+    main(__file__, __doc__,
+         {"haar": haar_times, "block-peaks": block_peaks, "samples": sample_times},
+         measure, ("sweep-unitary", "job_s"), SEEDS)

@@ -11,12 +11,24 @@ real and imaginary parts of d complex entries, over its norm. A normal
 stream drawn in pieces equals the stream drawn whole, so a block is the
 sequence of its tiles and no tile size changes the bits.
 
+One route skips the states. When fidelity_samples' channel, folded with its
+target, is one unitary B with eigenvalues lambda_i, a Haar state's weights
+|<v_i|phi>|^2 on B's eigenvectors are d i.i.d. Exp(1) variables x_i over
+their sum, and F = |sum_i lambda_i x_i|^2 / (sum_i x_i)^2 in distribution.
+There a sample is its block's next d standard exponentials, summed against
+(Re lambda, Im lambda, 1) in one (rows, d) x (d, 3) product per tile: O(d)
+per state, not the O(d^2) of a state and its kernel row. lambda comes from
+np.linalg.eigvals, whose last bits may differ between numpy and LAPACK
+builds. Two pairs (verify_pair), higher ranks and rank-1 maps that are not
+unitary keep the Haar states.
+
 Sampling with `threads` workers runs the calling thread and threads - 1
 pool workers, which take blocks from one shared counter. A worker draws
 each tile of a block into one buffer of its own and evaluates it before
 drawing the next. A tile is min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
-rows (1 MiB): a whole block up to d = 16, a quarter at d = 64. Normalizing
-takes at most 1 MiB more, freed before the evaluation.
+rows (1 MiB of states, half that of exponentials): a whole block up to
+d = 16, a quarter at d = 64. Normalizing takes at most 1 MiB more, freed
+before the evaluation.
 """
 
 from __future__ import annotations
@@ -28,10 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_budget, _check_dense_budget
+from .channels import QuantumChannel, _check_budget, _check_dense_budget, _is_unitary
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     _check_dim,
+    _clamp_unit,
     _row_tiles,
     average_gate_fidelity,
     fidelity_kernel,
@@ -40,7 +53,7 @@ from .fidelity import (
 )
 
 BLOCK_SIZE = 4096
-ALGORITHM_ID = "pcg64-interleaved-block4096"
+ALGORITHM_ID = "pcg64-interleaved-spectral-block4096"
 
 # complex entries per tile (1 MiB): _haar_block draws in pieces of this many,
 # and a worker evaluates min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d)) rows
@@ -129,11 +142,12 @@ def fidelity_samples(
 ) -> np.ndarray:
     """Gate fidelity at n Haar states, evaluated block by block.
 
-    States are generated and consumed tile by tile, so a worker holds at
-    most one tile of states (see the module docstring). The evaluation
-    path is chosen and built once, before the first block. threads counts
-    the workers, the calling thread among them. The returned array is
-    identical for any thread count because blocks land at fixed offsets.
+    States, or a unitary's spectral weights, are generated and consumed
+    tile by tile, so a worker holds at most one tile of them (see the
+    module docstring). The evaluation path is chosen and built once,
+    before the first block. threads counts the workers, the calling
+    thread among them. The returned array is identical for any thread
+    count because blocks land at fixed offsets.
     """
     (out,) = _block_fidelities([(e, u)], n, rng, threads)
     return out
@@ -143,10 +157,12 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
     Each tile of a block is drawn once and evaluated at once by every
-    pair's kernel, built once before the first block. The calling thread
-    and threads - 1 pool workers take blocks from one shared counter; each
-    block's values land at its fixed offset of one array per pair, so the
-    arrays do not depend on the thread count. After a block raises, no
+    pair's kernel, built once before the first block. One pair whose
+    folded channel is a unitary draws exponentials instead of states (see
+    _spectral_weights). The calling thread and threads - 1 pool workers
+    take blocks from one shared counter; each block's values land at its
+    fixed offset of one array per pair, so the arrays do not depend on the
+    thread count. After a block raises, no
     worker starts another, and the exception reaches the caller,
     unchanged, once every worker has stopped.
     """
@@ -157,6 +173,7 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     d = pairs[0][0].dim_in
     rows = min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
+    weights = _spectral_weights(kernels)
     outs = [np.empty(n) for _ in pairs]
     n_blocks = math.ceil(n / BLOCK_SIZE)
     counter = iter(range(n_blocks))
@@ -173,13 +190,20 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
         # thread's malloc arena (report convergence at d = 16, 64 and 256
         # peaked at 113 MB of RSS against 82 MB with one buffer per worker)
         nonlocal failed
-        buffer = np.empty((min(n, rows + 1, BLOCK_SIZE), d), dtype=complex)
+        dtype = complex if weights is None else float
+        buffer = np.empty((min(n, rows + 1, BLOCK_SIZE), d), dtype=dtype)
         while (block := claim()) is not None:
             start = block * BLOCK_SIZE
             count = min(BLOCK_SIZE, n - start)
             try:
                 g = generator(spec, TAG_MAIN, block)
                 for t0, t1 in _row_tiles(count, rows):
+                    if weights is not None:
+                        # r = sum_i (Re lambda_i, Im lambda_i, 1) x_i per row
+                        r = g.standard_exponential(out=buffer[: t1 - t0]) @ weights
+                        t = (r[:, 0] ** 2 + r[:, 1] ** 2) / r[:, 2] ** 2
+                        outs[0][start + t0 : start + t1] = _clamp_unit(t)
+                        continue
                     states = _haar_block(g, buffer[: t1 - t0])
                     for (e, u), kernel, out in zip(pairs, kernels, outs):
                         out[start + t0 : start + t1] = gate_fidelity_batch(
@@ -203,6 +227,17 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     for future in futures:
         future.result()
     return outs
+
+
+def _spectral_weights(kernels):
+    """The (d, 3) columns Re lambda, Im lambda, 1 of B's eigenvalues lambda,
+    for one pair whose folded channel is one unitary B (the spectral route
+    of the module docstring); None otherwise.
+    """
+    if len(kernels) != 1 or len(kernels[0].ops) != 1 or not _is_unitary(kernels[0].ops[0]):
+        return None
+    lam = np.linalg.eigvals(kernels[0].ops[0])
+    return np.stack([lam.real, lam.imag, np.ones(len(lam))], axis=1)
 
 
 @dataclass(frozen=True)

@@ -190,8 +190,10 @@ def test_criterion_5_lipschitz_sweep():
             ch = random_channel(d, (i % 3) + 1, rng=400 + 10 * d + i)
             a = haar_states(d, 10_000, rng=500 + 10 * d + i)
             b = haar_states(d, 10_000, rng=600 + 10 * d + i)
-            fa = fidelity_samples(ch, None, 10_000, rng=500 + 10 * d + i)
-            fb = fidelity_samples(ch, None, 10_000, rng=600 + 10 * d + i)
+            # F at the very states a and b; rank 1 is a unitary, whose
+            # fidelity_samples draw spectral weights, not these states
+            fa = gate_fidelity_batch(ch, None, a)
+            fb = gate_fidelity_batch(ch, None, b)
             gap = np.abs(fa - fb)
             dists = overlap_distance(np.abs(np.sum(a.conj() * b, axis=-1)))
             allowed = LIPSCHITZ_CONSTANT * dists + 1e-12

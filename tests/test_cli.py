@@ -247,7 +247,7 @@ class TestFidelityCommands:
         stats = payload["value"]
         assert stats["n"] == 2000
         assert abs(stats["mean"] - 0.9) < 1e-12
-        assert stats["seed"]["algorithm_id"] == "pcg64-interleaved-block4096"
+        assert stats["seed"]["algorithm_id"] == "pcg64-interleaved-spectral-block4096"
 
     def test_missing_channel_source(self, tmp_path, capsys):
         code = main(["fidelity", "avg", "--out", str(tmp_path / "x.json")])

@@ -7,6 +7,7 @@ import pytest
 
 from gatefid import sampling
 from gatefid.channels import (
+    QuantumChannel,
     depolarizing,
     identity_channel,
     phase_spread_unitary,
@@ -66,6 +67,14 @@ class TestRngSpec:
         with pytest.raises(ValueError) as info:
             as_rng_spec(RngSpec(seed=1, algorithm_id="pcg64-block4096"))
         assert "'pcg64-block4096'" in str(info.value)
+        assert repr(ALGORITHM_ID) in str(info.value)
+
+    def test_refuses_the_haar_only_id(self):
+        # pcg64-interleaved-block4096 drew Haar states for unitary channels
+        # too; its seeds name other samples of those under this id
+        with pytest.raises(ValueError) as info:
+            as_rng_spec(RngSpec(seed=1, algorithm_id="pcg64-interleaved-block4096"))
+        assert "'pcg64-interleaved-block4096'" in str(info.value)
         assert repr(ALGORITHM_ID) in str(info.value)
 
     def test_rejects_out_of_range_seed(self):
@@ -372,13 +381,34 @@ def _reference_samples(ch, n, spec):
     return np.concatenate(values)
 
 
+def _spectral_reference(ch, n, spec):
+    """A lone unitary's fidelities at n: each block's first count * d exponentials,
+    drawn whole as a (count, d) array and summed against the columns Re lambda,
+    Im lambda, 1 of its eigenvalues in the runner's tiles of
+    min(BLOCK_SIZE, max(2, 2^16 // d)) rows.
+    """
+    d = ch.dim_in
+    lam = np.linalg.eigvals(ch.kraus[0])
+    w = np.stack([lam.real, lam.imag, np.ones(d)], axis=1)
+    rows = min(BLOCK_SIZE, max(2, 2**16 // d))
+    values = []
+    for b in range(math.ceil(n / BLOCK_SIZE)):
+        count = min(BLOCK_SIZE, n - b * BLOCK_SIZE)
+        x = generator(spec, TAG_MAIN, b).standard_exponential((count, d))
+        for start, stop in _row_tiles(count, rows):
+            r = x[start:stop] @ w
+            values.append((r[:, 0] ** 2 + r[:, 1] ** 2) / r[:, 2] ** 2)
+    return _clamp_unit(np.concatenate(values))
+
+
 class TestTileRunner:
     """Each worker draws a block's tiles one at a time and evaluates each at once."""
 
     @pytest.mark.parametrize("d", [2, 3, 16, 64, 256, 300])
     def test_runner_keeps_the_whole_block_bits(self, d):
         # each channel alone, as fidelity_samples runs it, and both on one
-        # draw of each block, as verify_pair runs them
+        # draw of each block, as verify_pair runs them. Above d = 16, r is a
+        # rank-1 random channel, a unitary: alone it takes the spectral route
         spec = RngSpec(61)
         q, *rest = _channels_of_both_paths(d)
         r = rest[0] if rest else random_channel(d, 1, rng=80 + d)
@@ -387,6 +417,8 @@ class TestTileRunner:
             for threads in (1, 2, 3):
                 both = _block_fidelities([(q, None), (r, None)], n, spec, threads)
                 assert [f.tobytes() for f in both] == expected, (d, n, threads)
+            if not rest:
+                expected[1] = _spectral_reference(r, n, spec).tobytes()
             threads = 1 + k % 3  # each count of workers, over the counts of states
             for ch, want in zip((q, r), expected):
                 (alone,) = _block_fidelities([(ch, None)], n, spec, threads)
@@ -402,18 +434,122 @@ class TestTileRunner:
             assert verified.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
 
     def test_worker_working_set(self):
-        # report convergence's unitary: a worker holds one tile of states
-        # (1 MiB) and one tile of scratch while it draws, then the kernel's
-        # two. At d = 256, holding a block's first normal array (8 MiB) as
-        # well, it peaked at 12 MiB, and holding whole blocks of states, at
-        # 18 MiB; at d = 64, holding a whole block (4 MiB), at 5.1 MiB
+        # a Haar worker holds one tile of states (1 MiB) and one tile of
+        # scratch while it draws, then the kernel's two. At d = 256, holding
+        # a block's first normal array (8 MiB) as well, it peaked at 12 MiB,
+        # and holding whole blocks of states, at 18 MiB; at d = 64, holding a
+        # whole block (4 MiB), at 5.1 MiB. The rank-2 channel's folded stack
+        # (2 MiB at d = 256) is a copy its kernel holds, so it is counted
+        # apart; report convergence's unitary takes the spectral route, one
+        # real tile of exponentials and eigvals' copy of B
         for d in (256, 64):
-            ch = phase_spread_unitary(d, 64)
-            fidelity_samples(ch, None, 2, 65)
-            peak = _traced_peak(
-                lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1)
-            )
-            assert peak <= 4 * MIB, d
+            for ch in (phase_spread_unitary(d, 64), random_channel(d, 2, rng=66)):
+                stacked = 0 if len(ch.kraus) == 1 else fidelity_kernel(ch).ops.nbytes
+                fidelity_samples(ch, None, 2, 65)
+                peak = _traced_peak(
+                    lambda: fidelity_samples(ch, None, 2 * BLOCK_SIZE, 65, threads=1)
+                )
+                assert peak <= 4 * MIB + stacked, (d, len(ch.kraus))
+
+
+def _moment_errors(f):
+    """f's mean, variance and 4th central moment, and their standard errors.
+
+    By the delta method, a k-th central moment's estimate has variance
+    (mu_2k - mu_k^2 - 2k mu_(k-1) mu_(k+1) + k^2 mu_(k-1)^2 mu_2) / n.
+    """
+    c = f - f.mean()
+    mu = [1.0, 0.0, *(np.mean(c**k) for k in range(2, 9))]  # mu[k]: k-th central moment
+    se = [math.sqrt(mu[2] / len(f))]
+    for k in (2, 4):
+        v = mu[2 * k] - mu[k] ** 2 - 2 * k * mu[k - 1] * mu[k + 1] + k * k * mu[k - 1] ** 2 * mu[2]
+        se.append(math.sqrt(v / len(f)))
+    return [f.mean(), mu[2], mu[4]], se
+
+
+class TestSpectralRoute:
+    """One (channel, target) pair whose folded channel is one unitary B samples
+    F = |sum_i lambda_i x_i|^2 / (sum_i x_i)^2 from d exponentials x per state."""
+
+    @pytest.mark.parametrize("d", [3, 16, 64])
+    def test_values_are_fidelities_at_states_of_those_weights(self, d):
+        # B = V Lambda V^dag; the state V sqrt(x / sum x) has weights x / sum x
+        ch, u = random_channel(d, 1, rng=90 + d), random_channel(d, 1, rng=91 + d).kraus[0]
+        b = u.conj().T @ ch.kraus[0]
+        _, v = np.linalg.eig(b)
+        count = min(BLOCK_SIZE, max(2, 2**16 // d))  # one tile
+        x = generator(RngSpec(92), TAG_MAIN, 0).standard_exponential((count, d))
+        states = np.sqrt(x / x.sum(axis=1, keepdims=True)) @ v.T
+        want = gate_fidelity_batch(ch, u, states)
+        got = fidelity_samples(ch, u, count, RngSpec(92))
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    def test_moments_agree_with_the_haar_path(self, d):
+        # the Haar path is any run of two pairs; mean, variance and 4th
+        # central moment within 4 sigma, and the mean within 4 sigma of the
+        # closed-form average
+        n = 5 * BLOCK_SIZE
+        target = random_channel(d, 1, rng=94 + d).kraus[0]
+        spread = phase_spread_unitary(d, 64)
+        for ch, u in ((spread, None), (random_channel(d, 1, rng=93 + d), target)):
+            spectral = fidelity_samples(ch, u, n, 95)
+            haar, _ = _block_fidelities([(ch, u), (ch, u)], n, 96, 2)
+            (ms, es), (mh, eh) = _moment_errors(spectral), _moment_errors(haar)
+            for k, (a, b, ea, eb) in enumerate(zip(ms, mh, es, eh)):
+                assert abs(a - b) <= 4.0 * math.hypot(ea, eb), (d, k, a, b)
+            assert abs(ms[0] - average_gate_fidelity(ch, u)) <= 4.0 * es[0], d
+
+    @pytest.mark.parametrize("d", [3, 64, 256, 300])
+    def test_block_stream_is_pinned(self, d):
+        # block b's values come from its first count * d standard exponentials
+        ch = phase_spread_unitary(d, 64)
+        spec = RngSpec(97)
+        for n in (1, 2, 257, BLOCK_SIZE + 257):
+            got = fidelity_samples(ch, None, n, spec)
+            assert got.tobytes() == _spectral_reference(ch, n, spec).tobytes(), (d, n)
+
+    @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1])
+    def test_samples_do_not_depend_on_threads(self, n):
+        for d in (3, 65):
+            ch = random_channel(d, 1, rng=98)
+            serial = fidelity_samples(ch, None, n, 99, threads=1)
+            assert serial.shape == (n,)
+            for threads in (2, 3):
+                got = fidelity_samples(ch, None, n, 99, threads=threads)
+                assert got.tobytes() == serial.tobytes(), (d, threads)
+
+    @pytest.mark.parametrize("d", [3, 64])
+    def test_other_rank_one_maps_and_pairs_keep_the_haar_path(self, d):
+        # 0.5 U is not unitary, nor is a non-normal rank-1 operator; two
+        # pairs of one unitary take the Haar draw whatever their channels
+        rng = np.random.default_rng(100 + d)
+        u = phase_spread_unitary(d, 64).kraus[0]
+        upper = np.triu(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        upper /= np.linalg.norm(upper, 2)
+        spec, n = RngSpec(101), BLOCK_SIZE + 257
+        for op in (0.5 * u, upper):
+            ch = QuantumChannel(dim_in=d, dim_out=d, kraus=(op,))
+            want = _reference_samples(ch, n, spec).tobytes()
+            assert fidelity_samples(ch, None, n, spec).tobytes() == want
+        ch = unitary_channel(u)
+        want = _reference_samples(ch, n, spec).tobytes()
+        for threads in (1, 2):
+            pair = _block_fidelities([(ch, None), (ch, None)], n, spec, threads)
+            assert [f.tobytes() for f in pair] == [want, want]
+
+    def test_unitary_against_itself(self):
+        # U^dag U is exactly I for the identity and a permutation, so every
+        # eigenvalue is 1 and F is exactly 1.0; for a general U it is I up
+        # to rounding, and F is 1 within a few ulps on either path
+        perm = np.eye(5)[[2, 0, 4, 1, 3]].astype(complex)
+        for ch, u in ((identity_channel(4), None), (unitary_channel(perm), perm),
+                      (unitary_channel(PAULI_X), PAULI_X)):
+            f = fidelity_samples(ch, u, BLOCK_SIZE + 3, 102)
+            assert np.all(f == 1.0)
+        u = random_channel(16, 1, rng=103).kraus[0]
+        f = fidelity_samples(unitary_channel(u), u, BLOCK_SIZE, 104)
+        assert np.all(np.abs(f - 1.0) <= 1e-14)
 
 
 class _Boom(Exception):

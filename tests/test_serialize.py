@@ -207,7 +207,7 @@ class TestSmallObjects:
     def test_stats_dict_carries_seed(self):
         stats = mc_fidelity_stats(depolarizing(0.7, 2), None, 500, rng=11)
         data = _text_round_trip(stats)
-        assert data["seed"] == {"seed": 11, "algorithm_id": "pcg64-interleaved-block4096"}
+        assert data["seed"] == {"seed": 11, "algorithm_id": "pcg64-interleaved-spectral-block4096"}
         assert data["n"] == 500
         assert list(data) == ["n", "mean", "variance", "min", "max", "stderr", "seed"]
 
@@ -346,7 +346,7 @@ class TestCsv:
 class TestRngSpecValidation:
     def test_defaults(self):
         spec = RngSpec(seed=3)
-        assert spec.algorithm_id == "pcg64-interleaved-block4096"
+        assert spec.algorithm_id == "pcg64-interleaved-spectral-block4096"
 
 
 def _nested_pairs(m) -> list:
