@@ -33,9 +33,16 @@ warm-up call: the Haar draw and kernel row per state at the parent, d
 exponentials and one (rows, d) x (d, 3) product per state on the spectral
 route.
 
+Convergence report: in SAMPLE_ROUNDS probe interpreters per tree, the
+median time of SAMPLE_REPEATS calls of the handler of `report convergence
+--d-list 16,64,256 --n 49152`, parsed by that tree's CLI, so each tree
+runs its own family; nothing is written.
+
 End to end, as scripts/bench_common.py runs it; the claim is job_s on
-sweep-unitary. When the trees' ALGORITHM_IDs differ, every sampled
-artifact is expected to differ, and the record says so.
+sweep-unitary. The record says which artifacts are expected to match:
+all but sweep.csv, whose samples pair the family's eigenvalues with the
+exponentials in linspace order rather than eigvals' order, when the
+trees share an ALGORITHM_ID; none when the ids differ.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_sampling.py --baseline /tmp/parent
@@ -47,7 +54,9 @@ import tracemalloc
 
 import numpy as np
 
-from bench_common import alternating, compare, main, median_time, run_fresh, run_perfbench
+from bench_common import (
+    SPECS, alternating, compare, main, median_time, run_fresh, run_perfbench,
+)
 
 LAYER_METRICS = (
     "cli.cmd_s",
@@ -68,6 +77,8 @@ HAAR_REPEATS = 15
 SAMPLE_N = 16384
 SAMPLE_ROUNDS = 5
 SAMPLE_REPEATS = 3
+CONVERGENCE_ARGV = ("report", "convergence", "--d-list", "16,64,256", "--n", "49152")
+MOVED_ARTIFACTS = ("sweep.csv",)
 
 
 def _peak_mib(fn) -> float:
@@ -144,6 +155,29 @@ def sample_times() -> dict:
     return times
 
 
+def convergence_time() -> float:
+    """Median ms of the report convergence handler over CONVERGENCE_ARGV, one worker."""
+    from gatefid.cli import build_parser
+
+    args = build_parser().parse_args(CONVERGENCE_ARGV)
+    seconds, _ = median_time(lambda: args.handler(args), SAMPLE_REPEATS)
+    return round(1e3 * seconds, 3)
+
+
+def convergence_record(trees: dict) -> dict:
+    samples = alternating(
+        trees, range(SAMPLE_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "convergence"))
+    m = compare(samples["parent"], samples["change"])
+    print(f"report convergence: parent {m['parent_q1_median_q3'][1]} ms, change "
+          f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
+    return {
+        "inputs": f"one {SAMPLE_REPEATS}-call median per interpreter of the handler of "
+                  f"`{' '.join(CONVERGENCE_ARGV)}`, parsed by the tree's own CLI, "
+                  "BLAS at one thread",
+        "ms": m,
+    }
+
+
 def sample_record(trees: dict) -> dict:
     samples = alternating(
         trees, range(SAMPLE_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "samples"))
@@ -183,6 +217,7 @@ def measure(trees: dict) -> dict:
         print(f"haar d={d}: parent {m['parent_q1_median_q3'][1]} ms, change "
               f"{m['change_q1_median_q3'][1]} ms (change wins {m['change_wins']})", flush=True)
     unitary_samples = sample_record(trees)
+    convergence = convergence_record(trees)
     peaks = {side: run_fresh(__file__, tree, "block-peaks") for side, tree in trees.items()}
     for side, rows in peaks.items():
         print(f"block peaks {side}: {rows}", flush=True)
@@ -197,9 +232,13 @@ def measure(trees: dict) -> dict:
             print(f"{workload} traced {side}: {layers[workload][side]}", flush=True)
     return {
         "algorithm_id": haar["algorithm_id"],
-        "artifacts_expected_to_match": len(set(haar["algorithm_id"].values())) == 1,
+        "artifacts_expected_to_match": {
+            name: len(set(haar["algorithm_id"].values())) == 1 and name not in MOVED_ARTIFACTS
+            for spec in SPECS.values() for name in spec.artifacts
+        },
         "haar_draw": haar,
         "unitary_samples": unitary_samples,
+        "convergence_report": convergence,
         "block_peak": {
             "unit": "MiB",
             "inputs": "random_channel(d, rank, rng=1), 4096-state blocks of RngSpec(1), "
@@ -212,5 +251,6 @@ def measure(trees: dict) -> dict:
 
 if __name__ == "__main__":
     main(__file__, __doc__,
-         {"haar": haar_times, "block-peaks": block_peaks, "samples": sample_times},
+         {"haar": haar_times, "block-peaks": block_peaks, "samples": sample_times,
+          "convergence": convergence_time},
          measure, ("sweep-unitary", "job_s"), SEEDS)

@@ -17,6 +17,7 @@ from .channels import (
     depolarizing,
     identity_channel,
     kraus_from_choi,
+    phase_spread_spectrum,
     phase_spread_unitary,
     random_channel,
     unitary_channel,

@@ -296,5 +296,13 @@ def phase_spread_unitary(d: int, rng) -> QuantumChannel:
     raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     q, r = np.linalg.qr(raw)
     q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))  # Haar phase fix
-    phases = np.exp(1j * np.linspace(-1.0, 1.0, d))
-    return unitary_channel((q * phases) @ q.conj().T)
+    return unitary_channel((q * phase_spread_spectrum(d)) @ q.conj().T)
+
+
+def phase_spread_spectrum(d: int) -> np.ndarray:
+    """The eigenvalues exp(i t) of phase_spread_unitary(d, .), t = linspace(-1, 1, d).
+
+    They do not depend on the eigenbasis, so a convergence report samples
+    the family from them alone, with no d x d unitary.
+    """
+    return np.exp(1j * np.linspace(-1.0, 1.0, d))

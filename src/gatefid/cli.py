@@ -20,7 +20,7 @@ from .channels import (
     choi_from_kraus,
     depolarizing,
     kraus_from_choi,
-    phase_spread_unitary,
+    phase_spread_spectrum,
     validate_cptp,
 )
 from .fidelity import (
@@ -350,8 +350,9 @@ def _cmd_min_reference(args):
 
 
 def _cmd_report_convergence(args):
+    # the phase-spread family, sampled from its closed-form spectrum
     rows = convergence_report(
-        phase_spread_unitary,
+        lambda d, _: phase_spread_spectrum(d),
         list(args.d_list),
         args.n,
         RngSpec(args.seed),

@@ -11,16 +11,18 @@ real and imaginary parts of d complex entries, over its norm. A normal
 stream drawn in pieces equals the stream drawn whole, so a block is the
 sequence of its tiles and no tile size changes the bits.
 
-One route skips the states. When fidelity_samples' channel, folded with its
-target, is one unitary B with eigenvalues lambda_i, a Haar state's weights
-|<v_i|phi>|^2 on B's eigenvectors are d i.i.d. Exp(1) variables x_i over
-their sum, and F = |sum_i lambda_i x_i|^2 / (sum_i x_i)^2 in distribution.
-There a sample is its block's next d standard exponentials, summed against
-(Re lambda, Im lambda, 1) in one (rows, d) x (d, 3) product per tile: O(d)
-per state, not the O(d^2) of a state and its kernel row. lambda comes from
-np.linalg.eigvals, whose last bits may differ between numpy and LAPACK
-builds. Two pairs (verify_pair), higher ranks and rank-1 maps that are not
-unitary keep the Haar states.
+One route skips the states. For a unitary B with eigenvalues lambda_i, a
+Haar state's weights |<v_i|phi>|^2 on B's eigenvectors are d i.i.d. Exp(1)
+variables x_i over their sum, and F = |sum_i lambda_i x_i|^2 / (sum_i x_i)^2
+in distribution. There a sample is its block's next d standard
+exponentials, summed against (Re lambda, Im lambda, 1) in one
+(rows, d) x (d, 3) product per tile: O(d) per state, not the O(d^2) of a
+state and its kernel row. lambda is either given, as a convergence
+report's family may give it in closed form, or taken by np.linalg.eigvals
+when fidelity_samples' channel, folded with its target, is one unitary;
+eigvals' last bits may differ between numpy and LAPACK builds. Two pairs
+(verify_pair), higher ranks and rank-1 maps that are not unitary keep the
+Haar states.
 
 Sampling with `threads` workers runs the calling thread and threads - 1
 pool workers, which take blocks from one shared counter. A worker draws
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import QuantumChannel, _check_budget, _check_dense_budget, _is_unitary
+from .channels import _UNITARY_TOL, QuantumChannel, _check_budget, _is_unitary
 from .fidelity import (
     LIPSCHITZ_CONSTANT,
     _check_dim,
@@ -153,13 +155,22 @@ def fidelity_samples(
     return out
 
 
-def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
+def _tile_rows(n: int, d: int) -> tuple:
+    """A worker's tile rows at d and the rows of its buffer, which holds the
+    one-row remainder _row_tiles joins to the tile before it."""
+    rows = min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
+    return rows, min(n, rows + 1, BLOCK_SIZE)
+
+
+def _block_fidelities(pairs, n: int, rng, threads: int, spectrum=None) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
     Each tile of a block is drawn once and evaluated at once by every
     pair's kernel, built once before the first block. One pair whose
     folded channel is a unitary draws exponentials instead of states (see
-    _spectral_weights). The calling thread and threads - 1 pool workers
+    _spectral_weights), as does a spectrum, the eigenvalues of a unitary
+    measured against the identity, given with no pairs; it returns one
+    array. The calling thread and threads - 1 pool workers
     take blocks from one shared counter; each block's values land at its
     fixed offset of one array per pair, so the arrays do not depend on the
     thread count. After a block raises, no
@@ -170,11 +181,11 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
-    d = pairs[0][0].dim_in
-    rows = min(BLOCK_SIZE, max(2, _HAAR_TILE_ENTRIES // d))
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
-    weights = _spectral_weights(kernels)
-    outs = [np.empty(n) for _ in pairs]
+    weights = _spectral_weights(kernels, spectrum)
+    d = pairs[0][0].dim_in if pairs else len(weights)
+    rows, buffer_rows = _tile_rows(n, d)
+    outs = [np.empty(n) for _ in pairs or [weights]]
     n_blocks = math.ceil(n / BLOCK_SIZE)
     counter = iter(range(n_blocks))
     lock = threading.Lock()
@@ -191,7 +202,7 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
         # peaked at 113 MB of RSS against 82 MB with one buffer per worker)
         nonlocal failed
         dtype = complex if weights is None else float
-        buffer = np.empty((min(n, rows + 1, BLOCK_SIZE), d), dtype=dtype)
+        buffer = np.empty((buffer_rows, d), dtype=dtype)
         while (block := claim()) is not None:
             start = block * BLOCK_SIZE
             count = min(BLOCK_SIZE, n - start)
@@ -229,15 +240,39 @@ def _block_fidelities(pairs, n: int, rng, threads: int) -> list:
     return outs
 
 
-def _spectral_weights(kernels):
-    """The (d, 3) columns Re lambda, Im lambda, 1 of B's eigenvalues lambda,
-    for one pair whose folded channel is one unitary B (the spectral route
-    of the module docstring); None otherwise.
+def _spectral_weights(kernels, lam=None):
+    """The (d, 3) columns Re lambda, Im lambda, 1 of a unitary's eigenvalues
+    lambda (the spectral route of the module docstring): lam when given,
+    else B's for one pair whose folded channel is one unitary B, else None.
     """
-    if len(kernels) != 1 or len(kernels[0].ops) != 1 or not _is_unitary(kernels[0].ops[0]):
-        return None
-    lam = np.linalg.eigvals(kernels[0].ops[0])
+    if lam is None:
+        if len(kernels) != 1 or len(kernels[0].ops) != 1 or not _is_unitary(kernels[0].ops[0]):
+            return None
+        lam = np.linalg.eigvals(kernels[0].ops[0])
     return np.stack([lam.real, lam.imag, np.ones(len(lam))], axis=1)
+
+
+def _checked_spectrum(values, d: int) -> np.ndarray:
+    """values as the d eigenvalues of a unitary, or a ValueError.
+
+    | |lambda|^2 - 1 | is the gap ||U^dag U - I|| of a normal U with that
+    spectrum, held to _UNITARY_TOL as _is_unitary holds it.
+    """
+    lam = np.asarray(values, dtype=complex)
+    if lam.shape != (d,):
+        raise ValueError(f"family returned a spectrum of shape {lam.shape} at d={d}")
+    if not np.all(np.isfinite(lam)):
+        raise ValueError(f"family returned a non-finite eigenvalue at d={d}")
+    if np.max(np.abs(lam.real**2 + lam.imag**2 - 1.0)) > _UNITARY_TOL:
+        raise ValueError(f"family returned an eigenvalue off the unit circle at d={d}")
+    return lam
+
+
+def _spectrum_average(lam: np.ndarray) -> float:
+    """average_gate_fidelity of a unitary with eigenvalues lam: its one Kraus
+    operator has trace sum_i lambda_i, so (|sum_i lambda_i|^2 + d) / (d^2 + d)."""
+    d = len(lam)
+    return float(_clamp_unit((abs(lam.sum()) ** 2 + d) / (d * d + d)))
 
 
 @dataclass(frozen=True)
@@ -332,8 +367,15 @@ def convergence_report(
 ) -> list:
     """Per-dimension fidelity statistics for a family of channels.
 
-    e_family(d, generator) must return a square channel of dimension d,
-    measured here against the identity target. One row per (d, eps) pair:
+    e_family(d, generator) must return either a square channel of dimension
+    d or the d eigenvalues of a unitary channel, as a 1-D complex array,
+    each measured here against the identity target. A spectrum is sampled
+    on the spectral route (see the module docstring) with no d x d
+    operator, and its average is (|sum_i lambda_i|^2 + d) / (d^2 + d); it
+    must be finite with |lambda_i| = 1 within _UNITARY_TOL. Before any
+    family call, the spectral route's working set at the largest d (the
+    eigenvalues, their (d, 3) weights and a worker's tile) is held to the
+    dense budget. One row per (d, eps) pair:
     sample mean/variance/std, both variance bounds, the Levy bound at eps
     and the empirical deviation fraction around the closed-form average.
     The Levy bound column is reported even where it exceeds 1 (small d);
@@ -352,14 +394,20 @@ def convergence_report(
     spec = as_rng_spec(rng)
     # every bound and size check runs before the first sample, so bad input costs none
     bounds = [(d, variance_bounds(d), [levy_bound(d, eps) for eps in eps_grid]) for d in d_list]
-    _check_dense_budget(d_list[-1], f"d={d_list[-1]} family unitary")  # the largest
+    top = d_list[-1]  # the largest: complex eigenvalues, (d, 3) real weights, a real tile
+    _check_budget(8 * top * (2 + 3 + _tile_rows(n, top)[1]), f"d={top} family spectrum")
     rows = []
     for d, var_bounds, levys in bounds:
         ch = e_family(d, generator(spec, TAG_FAMILY, d))
-        if ch.dim_in != d or ch.dim_out != d:
-            raise ValueError(f"family returned a {ch.dim_in}->{ch.dim_out} channel at d={d}")
-        f = fidelity_samples(ch, None, n, spec, threads=threads)
-        avg = average_gate_fidelity(ch)
+        if isinstance(ch, QuantumChannel):
+            if ch.dim_in != d or ch.dim_out != d:
+                raise ValueError(f"family returned a {ch.dim_in}->{ch.dim_out} channel at d={d}")
+            f = fidelity_samples(ch, None, n, spec, threads=threads)
+            avg = average_gate_fidelity(ch)
+        else:
+            lam = _checked_spectrum(ch, d)
+            (f,) = _block_fidelities([], n, spec, threads, lam)
+            avg = _spectrum_average(lam)
         mean = float(np.mean(f))
         var = float(np.var(f, ddof=1))
         for eps, levy in zip(eps_grid, levys):

@@ -533,6 +533,15 @@ class TestReportCommand:
         assert main(args + ["--out", str(b), "--threads", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_dimension_past_a_dense_unitary_admitted(self, tmp_path):
+        # the family is sampled from its spectrum, so d = 11586, whose d x d
+        # unitary would pass the 2 GiB budget, needs under 1 MiB
+        out = tmp_path / "conv.csv"
+        assert main(["report", "convergence", "--d-list", "11586", "--n", "8",
+                     "--eps-grid", "0.1", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2 and lines[1].split(",")[0] == "11586"
+
     @pytest.mark.parametrize(
         "flags, named",
         [
@@ -550,6 +559,7 @@ class TestReportCommand:
             raise AssertionError("states were sampled before the input check")
 
         monkeypatch.setattr(sampling, "fidelity_samples", no_sampling)
+        monkeypatch.setattr(sampling, "_block_fidelities", no_sampling)
         monkeypatch.chdir(tmp_path)
         argv = ["report", "convergence", "--d-list", "2,4", "--n", "100"] + flags
         assert main(argv) == 2
@@ -897,7 +907,7 @@ class TestSizeAndShapeBoundary:
             (["min", "net-build", "--d", "100000000", "--eps", "0.5"],
              "4096-state Haar block at d=100000000 needs 6.1e+03 GiB"),
             (["report", "convergence", "--d-list", "100000000", "--n", "10"],
-             "d=100000000 family unitary needs 1.49e+08 GiB"),
+             "d=100000000 family spectrum needs 5.96 GiB"),
         ],
         ids=["stats-n", "construct-n", "verify-n", "report-n", "net-build-d", "report-d"],
     )
@@ -912,7 +922,7 @@ class TestSizeAndShapeBoundary:
         monkeypatch.setattr(sampling, "fidelity_kernel", refuse)
         monkeypatch.setattr(nonuniq, "build_g_operator", refuse)
         monkeypatch.setattr(nonuniq, "choi_from_kraus", refuse)
-        monkeypatch.setattr(cli, "phase_spread_unitary", refuse)
+        monkeypatch.setattr(cli, "phase_spread_spectrum", refuse)
         monkeypatch.setattr(np, "empty", refuse)
         argv = [ch_path if a == "CH" else a for a in argv]
         assert main(argv) == 2

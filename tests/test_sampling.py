@@ -10,6 +10,7 @@ from gatefid.channels import (
     QuantumChannel,
     depolarizing,
     identity_channel,
+    phase_spread_spectrum,
     phase_spread_unitary,
     random_channel,
     unitary_channel,
@@ -37,6 +38,7 @@ from gatefid.sampling import (
     TAG_VALIDATE,
     _block_fidelities,
     _haar_block,
+    _spectrum_average,
     as_rng_spec,
     convergence_report,
     generator,
@@ -381,14 +383,13 @@ def _reference_samples(ch, n, spec):
     return np.concatenate(values)
 
 
-def _spectral_reference(ch, n, spec):
-    """A lone unitary's fidelities at n: each block's first count * d exponentials,
-    drawn whole as a (count, d) array and summed against the columns Re lambda,
-    Im lambda, 1 of its eigenvalues in the runner's tiles of
+def _spectral_reference(lam, n, spec):
+    """A unitary's fidelities at n from its eigenvalues lam: each block's first
+    count * d exponentials, drawn whole as a (count, d) array and summed against
+    the columns Re lambda, Im lambda, 1 in the runner's tiles of
     min(BLOCK_SIZE, max(2, 2^16 // d)) rows.
     """
-    d = ch.dim_in
-    lam = np.linalg.eigvals(ch.kraus[0])
+    d = len(lam)
     w = np.stack([lam.real, lam.imag, np.ones(d)], axis=1)
     rows = min(BLOCK_SIZE, max(2, 2**16 // d))
     values = []
@@ -418,7 +419,8 @@ class TestTileRunner:
                 both = _block_fidelities([(q, None), (r, None)], n, spec, threads)
                 assert [f.tobytes() for f in both] == expected, (d, n, threads)
             if not rest:
-                expected[1] = _spectral_reference(r, n, spec).tobytes()
+                lam = np.linalg.eigvals(r.kraus[0])
+                expected[1] = _spectral_reference(lam, n, spec).tobytes()
             threads = 1 + k % 3  # each count of workers, over the counts of states
             for ch, want in zip((q, r), expected):
                 (alone,) = _block_fidelities([(ch, None)], n, spec, threads)
@@ -507,7 +509,8 @@ class TestSpectralRoute:
         spec = RngSpec(97)
         for n in (1, 2, 257, BLOCK_SIZE + 257):
             got = fidelity_samples(ch, None, n, spec)
-            assert got.tobytes() == _spectral_reference(ch, n, spec).tobytes(), (d, n)
+            want = _spectral_reference(np.linalg.eigvals(ch.kraus[0]), n, spec)
+            assert got.tobytes() == want.tobytes(), (d, n)
 
     @pytest.mark.parametrize("n", [1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 1])
     def test_samples_do_not_depend_on_threads(self, n):
@@ -907,15 +910,17 @@ class TestConvergenceReport:
             )
 
     def test_family_unitary_above_budget_refused_before_any_family(self):
-        # a d x d complex unitary fills the 2 GiB budget just above d = 11585
+        # the spectral route at the largest d holds d complex eigenvalues,
+        # (d, 3) real weights and a 3-row real tile: 64 d bytes, which fill
+        # the 2 GiB budget just above d = 2^25
         def no_family(d, gen):
             raise AssertionError("a family channel was built before the size check")
 
         with pytest.raises(AssertionError, match="before the size check"):
-            convergence_report(no_family, [2, 11585], 10, rng=63)
-        with pytest.raises(ValueError, match=r"the d=11586 family unitary needs 2 GiB"):
-            convergence_report(no_family, [2, 11585, 11586], 10, rng=63)
-        with pytest.raises(ValueError, match=r"d=100000000 family unitary needs 1\.49e\+08 GiB"):
+            convergence_report(no_family, [2, 2**25], 10, rng=63)
+        with pytest.raises(ValueError, match=r"the d=33554433 family spectrum needs 2 GiB"):
+            convergence_report(no_family, [2, 2**25, 2**25 + 1], 10, rng=63)
+        with pytest.raises(ValueError, match=r"d=100000000 family spectrum needs 5\.96 GiB"):
             convergence_report(no_family, [10**8], 10, rng=63)
 
     def test_std_shrinks_for_spread_family(self):
@@ -950,3 +955,93 @@ class TestConvergenceReport:
         a = convergence_report(_spread_family, [2, 4], 1000, rng=67, eps_grid=(0.1,))
         b = convergence_report(_spread_family, [2, 4], 1000, rng=67, eps_grid=(0.1,))
         assert a == b
+
+
+def _spectrum_family(d, gen):
+    return phase_spread_spectrum(d)
+
+
+def _old_phase_spread_unitary(d, rng):
+    """phase_spread_unitary as written with its spectrum inline."""
+    g = np.random.default_rng(rng)
+    raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    q, r = np.linalg.qr(raw)
+    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    phases = np.exp(1j * np.linspace(-1.0, 1.0, d))
+    return (q * phases) @ q.conj().T
+
+
+class TestFamilySpectrum:
+    """A family may give a unitary's eigenvalues in place of its channel."""
+
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
+    def test_closed_form_is_the_unitarys_spectrum(self, d):
+        lam = phase_spread_spectrum(d)
+        got = np.linalg.eigvals(phase_spread_unitary(d, np.random.default_rng([5, d])).kraus[0])
+        lam, got = (v[np.argsort(np.angle(v))] for v in (lam, got))
+        assert np.max(np.abs(lam - got)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 16, 256])
+    def test_phase_spread_unitary_keeps_its_bits(self, d):
+        for seed in (1, [3, d]):
+            got = phase_spread_unitary(d, np.random.default_rng(seed)).kraus[0]
+            want = _old_phase_spread_unitary(d, np.random.default_rng(seed))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 64, 300])
+    def test_block_stream_is_pinned(self, d):
+        # the spectrum's samples are the spectral route's, in linspace order
+        lam, spec = phase_spread_spectrum(d), RngSpec(110)
+        for n in (2, 257, BLOCK_SIZE + 257):
+            (got,) = _block_fidelities([], n, spec, 1, lam)
+            assert got.tobytes() == _spectral_reference(lam, n, spec).tobytes(), (d, n)
+
+    @pytest.mark.parametrize("d", [16, 64, 256])
+    def test_moments_agree_with_the_channel_family(self, d):
+        # mean, variance and 4th central moment within 4 sigma
+        n = 5 * BLOCK_SIZE
+        (spectral,) = _block_fidelities([], n, 111, 1, phase_spread_spectrum(d))
+        channel = fidelity_samples(phase_spread_unitary(d, 64), None, n, 112)
+        (ms, es), (mc, ec) = _moment_errors(spectral), _moment_errors(channel)
+        for k, (a, b, ea, eb) in enumerate(zip(ms, mc, es, ec)):
+            assert abs(a - b) <= 4.0 * math.hypot(ea, eb), (d, k, a, b)
+
+    @pytest.mark.parametrize("d", [2, 16, 64, 256])
+    def test_closed_form_average(self, d):
+        ch = phase_spread_unitary(d, np.random.default_rng([6, d]))
+        got = _spectrum_average(phase_spread_spectrum(d))
+        assert abs(got - average_gate_fidelity(ch)) <= 1e-12
+
+    def test_rows_do_not_depend_on_threads(self):
+        rows = [
+            convergence_report(_spectrum_family, [2, 16, 64, 256], 2 * BLOCK_SIZE + 3, 113,
+                               eps_grid=(0.1, 0.01), threads=threads)
+            for threads in (1, 2, 3)
+        ]
+        assert rows[0] == rows[1] == rows[2]
+        assert [r["d"] for r in rows[0]] == [2, 2, 16, 16, 64, 64, 256, 256]
+
+    @pytest.mark.parametrize(
+        "values, named",
+        [
+            (lambda d: phase_spread_spectrum(d + 1), r"shape \(3,\) at d=2"),
+            (lambda d: phase_spread_spectrum(d)[:, None], r"shape \(2, 1\) at d=2"),
+            (lambda d: np.array([1.0, np.nan]), "non-finite"),
+            (lambda d: np.array([1.0, complex(0.0, np.inf)]), "non-finite"),
+            (lambda d: np.array([1.0, 1.0 + 1e-9]), "off the unit circle"),
+            (lambda d: 0.5 * phase_spread_spectrum(d), "off the unit circle"),
+        ],
+        ids=["long", "column", "nan", "inf", "radius-above", "radius-half"],
+    )
+    def test_bad_spectrum_refused(self, values, named, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled a refused spectrum")
+
+        monkeypatch.setattr(sampling, "_block_fidelities", no_sampling)
+        with pytest.raises(ValueError, match=named):
+            convergence_report(lambda d, g: values(d), [2], 100, rng=115)
+
+    def test_spectrum_within_tolerance_admitted(self):
+        lam = np.array([1.0, 1.0 + 1e-11])
+        rows = convergence_report(lambda d, g: lam, [2], 100, rng=116, eps_grid=(0.1,))
+        assert len(rows) == 1
