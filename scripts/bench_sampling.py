@@ -39,10 +39,8 @@ median time of SAMPLE_REPEATS calls of the handler of `report convergence
 runs its own family; nothing is written.
 
 End to end, as scripts/bench_common.py runs it; the claim is job_s on
-sweep-unitary. The record says which artifacts are expected to match:
-all but sweep.csv, whose samples pair the family's eigenvalues with the
-exponentials in linspace order rather than eigvals' order, when the
-trees share an ALGORITHM_ID; none when the ids differ.
+sweep-unitary. When the trees' ALGORITHM_IDs differ, every sampled
+artifact is expected to differ, and the record says so.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_sampling.py --baseline /tmp/parent
@@ -54,9 +52,7 @@ import tracemalloc
 
 import numpy as np
 
-from bench_common import (
-    SPECS, alternating, compare, main, median_time, run_fresh, run_perfbench,
-)
+from bench_common import alternating, compare, main, median_time, run_fresh, run_perfbench
 
 LAYER_METRICS = (
     "cli.cmd_s",
@@ -78,7 +74,6 @@ SAMPLE_N = 16384
 SAMPLE_ROUNDS = 5
 SAMPLE_REPEATS = 3
 CONVERGENCE_ARGV = ("report", "convergence", "--d-list", "16,64,256", "--n", "49152")
-MOVED_ARTIFACTS = ("sweep.csv",)
 
 
 def _peak_mib(fn) -> float:
@@ -232,10 +227,7 @@ def measure(trees: dict) -> dict:
             print(f"{workload} traced {side}: {layers[workload][side]}", flush=True)
     return {
         "algorithm_id": haar["algorithm_id"],
-        "artifacts_expected_to_match": {
-            name: len(set(haar["algorithm_id"].values())) == 1 and name not in MOVED_ARTIFACTS
-            for spec in SPECS.values() for name in spec.artifacts
-        },
+        "artifacts_expected_to_match": len(set(haar["algorithm_id"].values())) == 1,
         "haar_draw": haar,
         "unitary_samples": unitary_samples,
         "convergence_report": convergence,

@@ -290,8 +290,10 @@ def phase_spread_unitary(d: int, rng) -> QuantumChannel:
     eigenbasis. Unlike a fully Haar unitary, the spectrum does not fill the
     circle, so the gate fidelity against the identity keeps an O(1) mean
     while its per-state fluctuations shrink like 1/sqrt(d). Used as the
-    default family in convergence reports.
+    default family in convergence reports, which sample it from
+    phase_spread_spectrum alone.
     """
+    _check_dense_budget(d, f"d={d} phase-spread unitary")
     g = np.random.default_rng(rng)
     raw = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
     q, r = np.linalg.qr(raw)

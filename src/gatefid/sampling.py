@@ -183,9 +183,9 @@ def _block_fidelities(pairs, n: int, rng, threads: int, spectrum=None) -> list:
     _check_budget(8 * n, f"array of {n} fidelity samples")
     kernels = [fidelity_kernel(e, u) for e, u in pairs]
     weights = _spectral_weights(kernels, spectrum)
-    d = pairs[0][0].dim_in if pairs else len(weights)
+    d = len(spectrum) if spectrum is not None else pairs[0][0].dim_in
     rows, buffer_rows = _tile_rows(n, d)
-    outs = [np.empty(n) for _ in pairs or [weights]]
+    outs = [np.empty(n) for _ in pairs] or [np.empty(n)]
     n_blocks = math.ceil(n / BLOCK_SIZE)
     counter = iter(range(n_blocks))
     lock = threading.Lock()
@@ -374,8 +374,8 @@ def convergence_report(
     operator, and its average is (|sum_i lambda_i|^2 + d) / (d^2 + d); it
     must be finite with |lambda_i| = 1 within _UNITARY_TOL. Before any
     family call, the spectral route's working set at the largest d (the
-    eigenvalues, their (d, 3) weights and a worker's tile) is held to the
-    dense budget. One row per (d, eps) pair:
+    eigenvalues, their (d, 3) weights and every worker's tile) is held to
+    the dense budget. One row per (d, eps) pair:
     sample mean/variance/std, both variance bounds, the Levy bound at eps
     and the empirical deviation fraction around the closed-form average.
     The Levy bound column is reported even where it exceeds 1 (small d);
@@ -394,8 +394,10 @@ def convergence_report(
     spec = as_rng_spec(rng)
     # every bound and size check runs before the first sample, so bad input costs none
     bounds = [(d, variance_bounds(d), [levy_bound(d, eps) for eps in eps_grid]) for d in d_list]
-    top = d_list[-1]  # the largest: complex eigenvalues, (d, 3) real weights, a real tile
-    _check_budget(8 * top * (2 + 3 + _tile_rows(n, top)[1]), f"d={top} family spectrum")
+    # at the largest d: complex eigenvalues, (d, 3) real weights and one
+    # real tile for each of the workers that take a block
+    top, workers = d_list[-1], max(1, min(threads, math.ceil(n / BLOCK_SIZE)))
+    _check_budget(8 * top * (2 + 3 + workers * _tile_rows(n, top)[1]), f"d={top} family spectrum")
     rows = []
     for d, var_bounds, levys in bounds:
         ch = e_family(d, generator(spec, TAG_FAMILY, d))

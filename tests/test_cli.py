@@ -908,8 +908,11 @@ class TestSizeAndShapeBoundary:
              "4096-state Haar block at d=100000000 needs 6.1e+03 GiB"),
             (["report", "convergence", "--d-list", "100000000", "--n", "10"],
              "d=100000000 family spectrum needs 5.96 GiB"),
+            (["report", "convergence", "--d-list", "33554432", "--n", "8192", "--threads", "2"],
+             "d=33554432 family spectrum needs 2.75 GiB"),
         ],
-        ids=["stats-n", "construct-n", "verify-n", "report-n", "net-build-d", "report-d"],
+        ids=["stats-n", "construct-n", "verify-n", "report-n", "net-build-d", "report-d",
+             "report-d-threads"],
     )
     def test_sizes_refused_before_allocation(self, argv, named, tmp_path, monkeypatch, capsys):
         ch_path = _write_channel(tmp_path / "ch.json", depolarizing(0.5, 4))

@@ -923,6 +923,29 @@ class TestConvergenceReport:
         with pytest.raises(ValueError, match=r"d=100000000 family spectrum needs 5\.96 GiB"):
             convergence_report(no_family, [10**8], 10, rng=63)
 
+    def test_every_workers_tile_counts_toward_the_budget(self):
+        # two blocks on two workers hold two 3-row tiles: 88 d bytes at d = 2^25
+        def no_family(d, gen):
+            raise AssertionError("a family channel was built before the size check")
+
+        with pytest.raises(AssertionError, match="before the size check"):
+            convergence_report(no_family, [2**25], 2 * BLOCK_SIZE, rng=63, threads=1)
+        with pytest.raises(AssertionError, match="before the size check"):
+            convergence_report(no_family, [2**25], BLOCK_SIZE, rng=63, threads=2)
+        with pytest.raises(ValueError, match=r"the d=33554432 family spectrum needs 2\.75 GiB"):
+            convergence_report(no_family, [2**25], 2 * BLOCK_SIZE, rng=63, threads=2)
+        with pytest.raises(ValueError, match=r"the d=33554432 family spectrum needs 2\.75 GiB"):
+            convergence_report(no_family, [2**25], 2 * BLOCK_SIZE, rng=63, threads=64)
+
+    def test_channel_family_above_budget_refused_before_its_unitary(self, monkeypatch):
+        # the spectrum's bound admits d = 11586, but its d x d unitary is 2 GiB
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the unitary was drawn before the size check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=r"the d=11586 phase-spread unitary needs 2 GiB"):
+            convergence_report(phase_spread_unitary, [11586], 10, rng=63)
+
     def test_std_shrinks_for_spread_family(self):
         rows = convergence_report(_spread_family, [2, 8, 32], 4000, rng=62, eps_grid=(0.1,))
         stds = [row["std"] for row in rows]
