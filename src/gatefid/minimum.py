@@ -226,17 +226,13 @@ def _grow(net: np.ndarray, n: int, cap: int, spec, epsilon: float, passes) -> tu
                     last = i
                     if misses >= stop:
                         break
-                    if n > base:
-                        near = closest[k] > edge
-                        if abs(closest[k] - edge) <= _LIFT_MARGIN:
-                            # the survivor and a neighbour: two rows make the
-                            # overlap a GEMM (a chunk holds _DISTANCE_CHUNK rows)
-                            pair = min(i, len(chunk) - 2)
-                            exact = _min_distances(chunk[pair : pair + 2], net[base:n])
-                            near = exact[i - pair] < epsilon
-                        if near:
-                            misses += 1
-                            continue
+                    # closest is -inf, so neither test fires, until the chunk adds a state
+                    near = closest[k] > edge
+                    if abs(closest[k] - edge) <= _LIFT_MARGIN:
+                        near = _min_distances(chunk[i : i + 1], net[base:n])[0] < epsilon
+                    if near:
+                        misses += 1
+                        continue
                     if n == len(net):
                         net = _regrown(net, n, min(2 * len(net), cap))
                     net[n] = chunk[i]

@@ -16,11 +16,13 @@ time. A first pass that writes nothing refuses what the encoder refuses
 is opened, so a failed encode leaves no file and an existing file keeps
 its bytes. load_operator reads _PIECE characters at a time and parses
 the top-level object through json's own scanner, so every number has the
-bits json.loads gives it: a Kraus file's operators one at a time, a Choi
-matrix a row at a time into a preallocated matrix. A file the streamed
-read does not take is re-read whole by json.loads, so every refusal keeps
-its message; a matrix over the dense-operator budget is refused at once.
-Unitary, state and net files are small and decoded whole.
+bits json.loads gives it. Every matrix, each Kraus operator and a Choi
+matrix alike, is decoded a row at a time into an array allocated from
+its first row's width: square, doubled for a taller operator, trimmed
+for a wider one. A file the streamed read does not take is re-read whole
+by json.loads, so every refusal keeps its message; a matrix over the
+dense-operator budget is refused at once. Unitary, state and net files
+are small and decoded whole.
 
 canonical_hash digests the same canonical JSON, except that each complex
 array stands as {"dtype":"complex128","shape":[...],"sha256":"<hex>"},
@@ -36,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import gc
 import hashlib
 import json
 import math
@@ -45,7 +46,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channels import ChoiMatrix, QuantumChannel, _check_dense_budget, _OverBudget, kraus_from_choi
+from .channels import ChoiMatrix, QuantumChannel, _OverBudget, kraus_from_choi
+from .channels import _check_budget, _check_dense_budget
 from .minimum import StateNet
 
 # How _fmt_float writes an entry of each class, as a template piece: a
@@ -405,7 +407,7 @@ class _Window:
         """The JSON value at the front, decoded once its text is all read."""
         self.peek()
         if len(self.text) - self.i < self.last:
-            self._fill(self.last)  # values come in runs of one size: operators, rows
+            self._fill(self.last)  # values come in runs of one size: a matrix's rows
         while True:
             try:
                 obj, end = _DECODER.raw_decode(self.text, self.i)
@@ -422,33 +424,39 @@ class _Window:
             self._fill(16 * (len(self.text) - self.i) + 1)
 
 
-def _streamed_kraus(win: _Window) -> list:
-    # each operator is converted before the next is decoded
+def _streamed_matrix(win: _Window, field: str) -> np.ndarray:
+    # each row is decoded into a matrix allocated once the first gives its
+    # width: square, then doubled (budget first) or trimmed to the rows read
+    what = "Choi matrix" if field == "choi" else f"{field} operator"
+    win.expect("[")
+    row = pairs_to_vector(win.value(), field)
+    width = len(row)
+    _check_dense_budget(width, f"{width}x{width} {what}")
+    matrix = np.empty((width, width), dtype=np.complex128)
+    rows = 0
+    while True:
+        if row.shape != (width,):
+            raise ValueError("ragged rows")
+        if rows == len(matrix):
+            _check_budget(32 * rows * width, f"{2 * rows}x{width} {what}")
+            matrix = np.resize(matrix, (2 * rows, width))
+        matrix[rows] = row
+        rows += 1
+        if win.take("]"):
+            return matrix if rows == len(matrix) else matrix[:rows].copy()
+        win.expect(",")
+        row = pairs_to_vector(win.value(), field)
+
+
+def _streamed_kraus(win: _Window, field: str) -> list:
+    # each operator is complete before the next one's first row is decoded
     win.expect("[")
     ops: list = []
     while not win.take("]"):
         if ops:
             win.expect(",")
-        ops.append(pairs_to_matrix(win.value(), f"kraus[{len(ops)}]"))
+        ops.append(_streamed_matrix(win, f"{field}[{len(ops)}]"))
     return ops
-
-
-def _streamed_choi(win: _Window) -> np.ndarray:
-    # each row is decoded into a matrix allocated once the first gives its size
-    win.expect("[")
-    row = pairs_to_vector(win.value(), "choi")
-    n = len(row)
-    _check_dense_budget(n, f"{n}x{n} Choi matrix")
-    matrix = np.empty((n, n), dtype=np.complex128)
-    for k in range(n):
-        if k:
-            win.expect(",")
-            row = pairs_to_vector(win.value(), "choi")
-        if row.shape != (n,):
-            raise ValueError("not a square matrix")
-        matrix[k] = row
-    win.expect("]")
-    return matrix
 
 
 def _streamed_fields(pieces) -> dict:
@@ -463,8 +471,8 @@ def _streamed_fields(pieces) -> dict:
             raise ValueError("expected a key")
         key = win.value()
         win.expect(":")
-        read = {"kraus": _streamed_kraus, "choi": _streamed_choi}.get(key, _Window.value)
-        data[key] = read(win)
+        read = {"kraus": _streamed_kraus, "choi": _streamed_matrix}.get(key)
+        data[key] = read(win, key) if read else win.value()
     if win.peek():
         raise ValueError("extra data")
     return data
@@ -472,21 +480,14 @@ def _streamed_fields(pieces) -> dict:
 
 def load_operator(path) -> QuantumChannel | ChoiMatrix:
     """Read a channel file in either Kraus or Choi form, streamed as the module
-    docstring says, with the cyclic GC paused (decoded JSON holds no cycles); a
-    file the streamed read refuses, but for the budget, goes through read_json."""
-    enabled = gc.isenabled()
-    gc.disable()
+    docstring says; a file the streamed read refuses, but for the budget, goes
+    through read_json."""
     try:
         with contextlib.closing(_read_text(path)) as pieces:
             data, convert = _streamed_fields(pieces), lambda matrix, field: matrix
     except _OverBudget:
         raise
     except ValueError:
-        data = None
-    finally:
-        if enabled:
-            gc.enable()
-    if data is None:
         data, convert = read_json(path), pairs_to_matrix
     if isinstance(data, dict) and "kraus" in data:
         return channel_from_dict(data, convert)

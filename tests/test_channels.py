@@ -177,6 +177,17 @@ class TestKrausFromChoi:
         with pytest.raises(ValueError):
             kraus_from_choi(j)
 
+    def test_rejects_zero_choi(self):
+        from gatefid.channels import ChoiMatrix
+
+        j = ChoiMatrix(dim_in=2, dim_out=2, matrix=np.zeros((4, 4), dtype=complex))
+        with pytest.raises(ValueError, match="^Choi matrix has no eigenvalue above RANK_TOL$"):
+            kraus_from_choi(j)
+
+    def test_random_channel_needs_a_positive_rank(self):
+        with pytest.raises(ValueError, match="^kraus_rank must be positive$"):
+            random_channel(3, 0, 1)
+
 
 class TestValidateCptp:
     def test_identity_choi(self):

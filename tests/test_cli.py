@@ -818,6 +818,53 @@ class TestInputBoundary:
         assert not out.exists()
 
 
+# JSON inputs each refused at the boundary, named as a command reads them
+_BAD_INPUTS = {
+    "list": "[1, 2]",
+    "dim-zero": '{"dim_in":0,"dim_out":2,"kraus":[[[[1,0],[0,0]],[[0,0],[1,0]]]]}',
+    "dim-true": '{"dim_in":true,"dim_out":2,"kraus":[[[[1,0],[0,0]],[[0,0],[1,0]]]]}',
+    "no-states": json.dumps({"d": 2, "epsilon": 0.5, "metric_id": "euclidean", "states": [],
+                             "coverage_confidence": 0.9, "seed": 1}),
+}
+
+
+class TestRefusalMessages:
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["report", "convergence", "--d-list", "2,x"], 1,
+             "usage error: argument --d-list: expected comma-separated integers, got '2,x'"),
+            (["report", "convergence", "--eps-grid", "0.1,y"], 1,
+             "usage error: argument --eps-grid: expected comma-separated floats, got '0.1,y'"),
+            (["fidelity", "point", "--p", "0.5", "--d", "2", "--state", "list"], 2,
+             "error: expected a JSON object, got list"),
+            (["fidelity", "stats", "--p", "0.5", "--d", "2", "--unitary", "list"], 2,
+             "error: expected a JSON object, got list"),
+            (["min", "net-min", "--p", "0.5", "--d", "2", "--net", "list"], 2,
+             "error: expected a JSON object, got list"),
+            (["channel", "validate", "--channel", "dim-zero"], 2,
+             "error: field 'dim_in': expected a positive integer, got 0"),
+            (["channel", "validate", "--channel", "dim-true"], 2,
+             "error: field 'dim_in': expected a positive integer, got True"),
+            (["min", "net-min", "--p", "0.5", "--d", "2", "--net", "no-states"], 2,
+             "error: field 'states': expected a non-empty list"),
+        ],
+        ids=["d-list", "eps-grid", "state-list", "unitary-list", "net-list", "dim-in-zero",
+             "dim-in-true", "net-no-states"],
+    )
+    def test_refused_with_its_message_and_no_artifact(self, argv, code, message, tmp_path,
+                                                       monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        for name, text in _BAD_INPUTS.items():
+            (tmp_path / f"{name}.json").write_text(text, encoding="utf-8")
+        argv = [f"{a}.json" if a in _BAD_INPUTS else a for a in argv]
+        assert main([*argv, "--out", "out.json"]) == code
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n" and captured.out == ""
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == sorted(f"{name}.json" for name in _BAD_INPUTS)
+
+
 class TestSizeAndShapeBoundary:
     @pytest.mark.parametrize(
         "argv",
@@ -926,7 +973,17 @@ class TestSizeAndShapeBoundary:
         monkeypatch.setattr(nonuniq, "build_g_operator", refuse)
         monkeypatch.setattr(nonuniq, "choi_from_kraus", refuse)
         monkeypatch.setattr(cli, "phase_spread_spectrum", refuse)
-        monkeypatch.setattr(np, "empty", refuse)
+        if "CH" in argv:
+            # the reader fills np.empty rows: refuse it once both files are read
+            real_verify = cli.verify_pair
+
+            def verify(*args, **kwargs):
+                monkeypatch.setattr(np, "empty", refuse)
+                return real_verify(*args, **kwargs)
+
+            monkeypatch.setattr(cli, "verify_pair", verify)
+        else:
+            monkeypatch.setattr(np, "empty", refuse)
         argv = [ch_path if a == "CH" else a for a in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err

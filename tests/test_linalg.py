@@ -104,6 +104,10 @@ class TestPartialTranspose:
         assert np.array_equal(swapped.real, oracle)
         assert np.array_equal(swapped, swap_matrix(d).astype(complex))
 
+    def test_unknown_factor_refused(self):
+        with pytest.raises(ValueError, match="^factor must be 'first' or 'second', got 'both'$"):
+            partial_transpose(np.eye(4), 2, 2, "both")
+
 
 class TestVec:
     def test_matrix_unit(self):

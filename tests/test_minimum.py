@@ -378,11 +378,11 @@ class TestBlockScan:
     @pytest.mark.parametrize("nudge", [False, True])
     def test_survivor_on_the_edge_is_decided_exactly(self, nudge, monkeypatch):
         # an empty net keeps its first sample, and the second is then checked
-        # against it with its neighbour: at epsilon equal to that distance
-        # their overlap sits on the edge, so _min_distances decides, keeping
-        # the sample at the tie and dropping it one ulp of epsilon above
-        first = _block(2, as_rng_spec(1), TAG_NET, 0)[:3]
-        eps = float(_min_distances(first[1:], first[:1])[0])
+        # against it alone: at epsilon equal to that distance their overlap
+        # sits on the edge, so _min_distances decides, keeping the sample at
+        # the tie and dropping it one ulp of epsilon above
+        first = _block(2, as_rng_spec(1), TAG_NET, 0)[:2]
+        eps = float(_min_distances(first[1:2], first[:1])[0])
         if nudge:
             eps = float(np.nextafter(eps, np.inf))
         calls = []
@@ -393,7 +393,7 @@ class TestBlockScan:
 
         monkeypatch.setattr(minimum, "_min_distances", counted)
         net = build_net(2, eps, rng=1)
-        assert (first[1:].tobytes(), first[:1].tobytes()) in calls
+        assert (first[1:2].tobytes(), first[:1].tobytes()) in calls
         assert (net.states[1].tobytes() == first[1].tobytes()) == (not nudge)
 
     def test_build_takes_few_exact_checks(self, monkeypatch):

@@ -21,6 +21,18 @@ def test_help_exits_zero(script):
     assert done.returncode == 0, done.stderr
 
 
+def test_estimate_minimum_runs():
+    # one amplitude-damping channel: the reference descent reaches 1 - gamma
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["--gammas", "0.3", "--eps", "0.9", "--starts", "2"]
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / "estimate_minimum.py"), *argv],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, row = done.stdout.splitlines()[-2:]
+    assert header.split()[-1] == "reference"
+    assert row.split()[0] == "0.30" and row.split()[-1] == "0.700000"
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=[p.name for p in SCRIPTS])
 def test_no_script_imports_another_but_bench_common(script):
     others = {p.stem for p in SCRIPTS} - {"bench_common"}

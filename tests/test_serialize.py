@@ -697,9 +697,10 @@ class TestStreamedKrausRead:
         path.write_text(f'{{"dim_in":2,"kraus":[{_A},{_B},{_C}],"dim_out":2}}',
                         encoding="utf-8")
         decoded = []
-        converted = []
+        events = []
         real_decoder = serialize._DECODER
-        real_convert = serialize.pairs_to_matrix
+        real_convert = serialize.pairs_to_vector
+        real_matrix = serialize._streamed_matrix
 
         class SpyDecoder:
             def raw_decode(self, s, idx=0):
@@ -707,35 +708,86 @@ class TestStreamedKrausRead:
                 decoded.append(obj)
                 return obj, end
 
-        def spy_convert(rows, field):
-            # the operator converted is the value decoded last
-            converted.append((field, len(decoded), rows is decoded[-1]))
-            return real_convert(rows, field)
+        def spy_convert(entries, field):
+            # the row converted is the value decoded last
+            events.append((field, len(decoded), entries is decoded[-1]))
+            return real_convert(entries, field)
+
+        def spy_matrix(win, field):
+            matrix = real_matrix(win, field)
+            events.append((field, len(decoded), "complete"))
+            return matrix
 
         monkeypatch.setattr(serialize, "_DECODER", SpyDecoder())
-        monkeypatch.setattr(serialize, "pairs_to_matrix", spy_convert)
+        monkeypatch.setattr(serialize, "pairs_to_vector", spy_convert)
+        monkeypatch.setattr(serialize, "_streamed_matrix", spy_matrix)
         ch = load_operator(path)
         assert len(ch.kraus) == 3
-        # keys and values: dim_in, 2, kraus, then one decode per operator
-        assert converted == [("kraus[0]", 4, True), ("kraus[1]", 5, True),
-                             ("kraus[2]", 6, True)]
-        assert len(decoded) == 8  # then dim_out, 2
+        # keys and values: dim_in, 2, kraus, then one decode per row, each
+        # operator complete before the next one's first row is decoded
+        assert events == [
+            ("kraus[0]", 4, True), ("kraus[0]", 5, True), ("kraus[0]", 5, "complete"),
+            ("kraus[1]", 6, True), ("kraus[1]", 7, True), ("kraus[1]", 7, "complete"),
+            ("kraus[2]", 8, True), ("kraus[2]", 9, True), ("kraus[2]", 9, "complete"),
+        ]
+        assert len(decoded) == 11  # then dim_out, 2
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("text", [_PANEL["canonical"], _REFUSED["unclosed kraus"]])
-    def test_gc_state_is_restored(self, tmp_path, enabled, text):
+    def test_gc_state_is_restored(self, tmp_path, enabled, text, monkeypatch):
+        # the read never touches the process-wide GC setting
         path = tmp_path / "ch.json"
         path.write_text(text, encoding="utf-8")
         was = gc.isenabled()
         try:
             gc.enable() if enabled else gc.disable()
-            try:
-                load_operator(path)
-            except ValueError:
-                pass
+            with monkeypatch.context() as m:
+                m.setattr(gc, "disable", lambda: pytest.fail("the read paused the GC"))
+                m.setattr(gc, "enable", lambda: pytest.fail("the read resumed the GC"))
+                try:
+                    load_operator(path)
+                except ValueError:
+                    pass
             assert gc.isenabled() is enabled
         finally:
             gc.enable() if was else gc.disable()
+
+    def test_over_budget_operator_is_refused_on_its_first_row(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # a 9 x 9 operator needs 1296 bytes, above a budget of 1024: refused
+        # once its first row gives the width, with no whole-text read
+        path = tmp_path / "ch.json"
+        write_json(path, channel_to_dict(random_channel(9, 2, rng=3)))
+        monkeypatch.setattr("gatefid.channels.MAX_DENSE_BYTES", 16 * 8 * 8)
+        monkeypatch.setattr(serialize, "read_json", lambda path: pytest.fail("read whole"))
+        rows = []
+        real_convert = serialize.pairs_to_vector
+        monkeypatch.setattr(serialize, "pairs_to_vector",
+                            lambda row, field: rows.append(field) or real_convert(row, field))
+        message = r"the 9x9 kraus\[0\] operator needs .* dense-operator limit"
+        with pytest.raises(ValueError, match=message):
+            load_operator(path)
+        assert rows == ["kraus[0]"]
+        out = tmp_path / "r.json"
+        assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_taller_operator_is_refused_before_it_grows(self, tmp_path, monkeypatch):
+        # an 8 x 2 operator starts as 2 x 2 and doubles; the 8 x 2 array
+        # needs 256 bytes, above a budget of 200, and is never allocated
+        path = tmp_path / "ch.json"
+        op = np.arange(16).reshape(8, 2) + 1j
+        write_json(path, {"dim_in": 2, "dim_out": 8, "kraus": [op]})
+        monkeypatch.setattr("gatefid.channels.MAX_DENSE_BYTES", 200)
+        monkeypatch.setattr(serialize, "read_json", lambda path: pytest.fail("read whole"))
+        grown = []
+        real_resize = np.resize
+        monkeypatch.setattr(np, "resize",
+                            lambda a, shape: grown.append(shape) or real_resize(a, shape))
+        with pytest.raises(ValueError, match=r"the 8x2 kraus\[0\] operator needs"):
+            load_operator(path)
+        assert grown == [(4, 2)]
 
     def test_rank_4_d_256_read_peak(self, tmp_path):
         # the stats-lowrank benchmark's channel shape: an 11.9 MB file
@@ -749,11 +801,11 @@ class TestStreamedKrausRead:
         finally:
             tracemalloc.stop()
         assert all(_same_bits(a, b) for a, b in zip(back.kraus, ch.kraus))
-        # 15,931,351 bytes (15.2 MiB) measured under numpy 2.4.6: one
-        # operator's text and decoded lists, and the operators read before
-        # it. Reading the whole text first peaked at 26.4 MiB, the
-        # whole-text decode at 47.5 MiB.
-        assert peak <= 17.5 * 2**20
+        # 5,269,693 bytes (5.03 MiB) measured under numpy 2.4.6: the four
+        # operators and a window of text. Decoding each operator as one
+        # list peaked at 15.2 MiB, reading the whole text first at 26.4 MiB
+        # and the whole-text decode at 47.5 MiB.
+        assert peak <= 7 * 2**20
 
 
 def _kraus_variants() -> dict:
@@ -774,6 +826,21 @@ def _kraus_variants() -> dict:
         "ints, -0, exponents": _PANEL["canonical"],
         "padded": _PANEL["padded"],
     }
+
+
+_ROW = "[[0.5,0],[0,-0.0]]"
+# Choi files whose refusal must keep the message of the whole-text decode
+_CHOI_REFUSED = {
+    "extra row": f'{{{_DIMS},"choi":[{_ROW},{_ROW},{_ROW}]}}'.replace('"dim_out":2', '"dim_out":1'),
+    "missing row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW}]}}',
+    "ragged row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]]]}}',
+    "one-wide row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]],[[1,0]]]}}',
+    "non-finite": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0],[NaN,0]]]}}',
+    "not a list": '{"dim_in":1,"dim_out":1,"choi":3}',
+    "empty": '{"dim_in":1,"dim_out":1,"choi":[]}',
+    "empty row": '{"dim_in":1,"dim_out":1,"choi":[[]]}',
+    "wrong size": f'{{"dim_in":2,"dim_out":2,"choi":[{_ROW},[[1,0],[0,1]]]}}',
+}
 
 
 def _write_text(path, text: str) -> None:
@@ -813,10 +880,41 @@ class TestWindowBoundaries:
         _write_text(path, text)
         assert _same_bits(load_operator(path).matrix, choi_from_dict(json.loads(text)).matrix)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2)], ids=["2->3", "3->2"])
+    @pytest.mark.parametrize("dims_first", [True, False], ids=["dims first", "dims last"])
+    def test_rectangular_kraus_bit_equal(self, tmp_path, dims, dims_first, streamed_only):
+        # a 3 x 2 operator grows past its first row's width, a 2 x 3 one is trimmed
+        d_in, d_out = dims
+        g = np.random.default_rng(7)
+        ops = [g.standard_normal((d_out, d_in)) + 1j * g.standard_normal((d_out, d_in))
+               for _ in range(2)]
+        fields = {"dim_in": d_in, "dim_out": d_out}
+        obj = {**fields, "kraus": ops} if dims_first else {"kraus": ops, **fields}
+        text = dumps_canonical(obj)
+        path = tmp_path / "ch.json"
+        _write_text(path, text)
+        got = load_operator(path)
+        expected = channel_from_dict(json.loads(text))
+        assert (got.dim_in, got.dim_out) == (d_in, d_out)
+        assert all(a.shape == (d_out, d_in) and a.flags.c_contiguous for a in got.kraus)
+        # and holds no rows beyond its own
+        assert all((a if a.base is None else a.base).nbytes == a.nbytes for a in got.kraus)
+        assert all(_same_bits(a, b) for a, b in zip(got.kraus, expected.kraus))
+
     @pytest.mark.parametrize("name", sorted(_REFUSED))
     def test_refusals_keep_their_message(self, tmp_path, name):
         path = tmp_path / "ch.json"
         _write_text(path, _REFUSED[name])
+        with pytest.raises(ValueError) as expected:
+            _whole_text_load(path)
+        with pytest.raises(ValueError) as got:
+            load_operator(path)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("name", sorted(_CHOI_REFUSED))
+    def test_choi_refusals_keep_their_message(self, tmp_path, name):
+        path = tmp_path / "c.json"
+        _write_text(path, _CHOI_REFUSED[name])
         with pytest.raises(ValueError) as expected:
             _whole_text_load(path)
         with pytest.raises(ValueError) as got:
@@ -828,21 +926,6 @@ class TestWindowBoundaries:
 def test_a_number_split_by_pieces_is_read_on(pieces):
     # "12.5" and "-" parse (or fail) alone; the number goes on in the next piece
     assert serialize._streamed_fields(iter(pieces)) == json.loads("".join(pieces))
-
-
-_ROW = "[[0.5,0],[0,-0.0]]"
-# Choi files whose refusal must keep the message of the whole-text decode
-_CHOI_REFUSED = {
-    "extra row": f'{{{_DIMS},"choi":[{_ROW},{_ROW},{_ROW}]}}'.replace('"dim_out":2', '"dim_out":1'),
-    "missing row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW}]}}',
-    "ragged row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]]]}}',
-    "one-wide row": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0]],[[1,0]]]}}',
-    "non-finite": f'{{"dim_in":1,"dim_out":2,"choi":[{_ROW},[[1,0],[NaN,0]]]}}',
-    "not a list": '{"dim_in":1,"dim_out":1,"choi":3}',
-    "empty": '{"dim_in":1,"dim_out":1,"choi":[]}',
-    "empty row": '{"dim_in":1,"dim_out":1,"choi":[[]]}',
-    "wrong size": f'{{"dim_in":2,"dim_out":2,"choi":[{_ROW},[[1,0],[0,1]]]}}',
-}
 
 
 class TestStreamedChoiRead:
