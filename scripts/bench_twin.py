@@ -11,12 +11,19 @@ each worker count of VERIFY_THREADS. Each is the median of REPEATS runs
 (VERIFY_REPEATS for verify_pair) after one warm-up, in a probe
 interpreter against each tree's src/.
 
+Channel construction, in the same probe: depolarizing(0.5, d) at each d
+of DEPOLARIZING_DIMS (time, and tracemalloc peak of one more call),
+kraus_from_choi(J(R)), and the tracemalloc peak of validate_cptp on the
+Choi matrix of random_channel(32, 4, rng=1).
+
 End to end, as scripts/bench_common.py runs it; the claim is job_s on
 twin-dense.
 
     git archive --prefix=parent/ PARENT | tar -x -C /tmp
     PYTHONPATH=src python3 scripts/bench_twin.py --baseline /tmp/parent
 """
+
+import tracemalloc
 
 from bench_common import blas_threads, main, median_time, run_fresh
 
@@ -25,12 +32,28 @@ SEEDS = range(61, 71)
 REPEATS = 5
 VERIFY_REPEATS = 15
 VERIFY_THREADS = (1, 2)
+DEPOLARIZING_DIMS = (16, 48, 63, 64)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
+    finally:
+        tracemalloc.stop()
 
 
 def layers() -> dict:
     """Layer times of the gatefid found on sys.path."""
     from gatefid import serialize
-    from gatefid.channels import choi_from_kraus, depolarizing, validate_cptp
+    from gatefid.channels import (
+        choi_from_kraus,
+        depolarizing,
+        kraus_from_choi,
+        random_channel,
+        validate_cptp,
+    )
     from gatefid.nonuniq import perturb_channel, verify_pair
 
     q = depolarizing(P, D)
@@ -47,6 +70,14 @@ def layers() -> dict:
     encode_q_s, _ = median_time(lambda: serialize.dumps_canonical(cert["q"]), REPEATS)
     choi_s, choi = median_time(lambda: choi_from_kraus(q), REPEATS)
     validate_s, _ = median_time(lambda: validate_cptp(choi), REPEATS)
+    choi_r = choi_from_kraus(pair.r)
+    kraus_s, _ = median_time(lambda: kraus_from_choi(choi_r), REPEATS)
+    build = {}
+    for d in DEPOLARIZING_DIMS:
+        seconds, _ = median_time(lambda: depolarizing(P, d), REPEATS)
+        build[f"d_{d}"] = {"s": round(seconds, 6),
+                           "peak_mib": traced_peak_mib(lambda: depolarizing(P, d))}
+    choi_32 = choi_from_kraus(random_channel(32, 4, rng=1))
     return {
         "encode_s": round(encode_s, 6),
         "encode_mb": round(len(text) / 1e6, 3),
@@ -55,6 +86,9 @@ def layers() -> dict:
         "validate_cptp_s": round(validate_s, 6),
         "perturb_channel_s": round(perturb_s, 6),
         "verify_pair_s": verify_s,
+        "depolarizing": build,
+        "kraus_from_choi_r_s": round(kraus_s, 6),
+        "validate_cptp_d32_peak_mib": traced_peak_mib(lambda: validate_cptp(choi_32)),
         "blas_threads": blas_threads(),
     }
 
@@ -68,7 +102,10 @@ def measure(trees: dict) -> dict:
             "inputs": f"Q = depolarizing({P}, {D}) and R from perturb_channel(Q, "
                       f"n_verify={N_VERIFY}, rng=1); the encode writes Q's and R's Kraus "
                       "sets; validate_cptp takes J(Q); verify_pair(Q, R) takes "
-                      f"{N_VERIFY} samples at rng=1, timed per worker count",
+                      f"{N_VERIFY} samples at rng=1, timed per worker count; "
+                      f"depolarizing({P}, d) at d = {DEPOLARIZING_DIMS}; kraus_from_choi "
+                      "takes J(R); the d = 32 validate_cptp takes the Choi matrix of "
+                      "random_channel(32, 4, rng=1)",
             **layer,
         },
     }

@@ -13,13 +13,12 @@ factor). With row-major vectorization this is J = sum_k vec(A_k) vec(A_k)^dag.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm, unvec
+from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm
 
 DEFAULT_ATOL = 1e-9
 RANK_TOL = 1e-10
@@ -145,18 +144,21 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
         raise ValueError(
             f"Choi matrix has negative eigenvalue {vals[0]:.3e}, map is not CP"
         )
-    ops = []
-    for i in range(len(vals) - 1, -1, -1):
-        if vals[i] <= RANK_TOL:
-            break
-        col = vecs[:, i]
-        anchor = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        phase = col[anchor] / abs(col[anchor])
-        col = col * phase.conj()
-        ops.append(unvec(np.sqrt(vals[i]) * col, choi.dim_out, choi.dim_in))
-    if not ops:
+    r = np.count_nonzero(vals > RANK_TOL)
+    if not r:
         raise ValueError("Choi matrix has no eigenvalue above RANK_TOL")
+    top = vecs[:, ::-1][:, :r].T  # the kept eigenvectors as rows, largest eigenvalue first
+    ops = np.multiply(top, _unit_phases(top).conj()[:, None], order="C")
+    np.multiply(np.sqrt(vals[::-1][:r, None]), ops, out=ops)
+    ops = ops.reshape(r, choi.dim_out, choi.dim_in)
     return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
+
+
+def _unit_phases(rows: np.ndarray) -> np.ndarray:
+    """Each row's first entry above 1e-12 of its largest, divided by its modulus."""
+    mag = np.abs(rows)
+    lead = rows[np.arange(len(rows)), np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), 1)]
+    return lead / np.hypot(lead.real, lead.imag)  # hypot has the bits of a scalar's abs()
 
 
 def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
@@ -218,27 +220,25 @@ def _pauli_strings(n: int) -> np.ndarray:
     return ops
 
 
-def _clock_shift(d: int):
-    omega = np.exp(2j * np.pi / d)
-    x = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        x[(j + 1) % d, j] = 1.0
-    z = np.diag(omega ** np.arange(d))
-    for a, b in itertools.product(range(d), repeat=2):
-        yield np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+def _clock_shift(d: int) -> np.ndarray:
+    # X^a Z^b, a slowest, is Z^b's diagonal moved down a rows (X|j> = |j + 1 mod d>)
+    z = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+    diagonals = [np.diagonal(np.linalg.matrix_power(z, b)) for b in range(d)]
+    ops, j = np.zeros((d, d, d, d), dtype=complex), np.arange(d)
+    for a in range(d):
+        ops[a][:, (j + a) % d, j] = diagonals
+    return ops.reshape(d * d, d, d)
 
 
-def unitary_operator_basis(d: int) -> list:
-    """d^2 unitaries, identity first, orthogonal under tr(P_i^dag P_j) = d delta_ij.
+def unitary_operator_basis(d: int) -> np.ndarray:
+    """d^2 unitaries in one (d^2, d, d) array, identity first, tr(P_i^dag P_j) = d delta_ij.
 
     Pauli strings when d is a power of two, clock and shift monomials
     otherwise. Either family averages any state to the maximally mixed one,
     which is the property the depolarizing construction relies on.
     """
     n = d.bit_length() - 1
-    if d == 2**n:
-        return list(_pauli_strings(n))
-    return list(_clock_shift(d))
+    return _pauli_strings(n) if d == 2**n else _clock_shift(d)
 
 
 def depolarizing(p: float, d: int) -> QuantumChannel:
@@ -250,11 +250,10 @@ def depolarizing(p: float, d: int) -> QuantumChannel:
     # d^2 Kraus operators of d x d entries: as large as a d^2 x d^2 operator
     _check_dense_budget(d * d, f"Kraus set of the d={d} depolarizing channel")
     basis = unitary_operator_basis(d)
-    ops = [np.sqrt(p + (1.0 - p) / d**2) * basis[0]]
-    w = np.sqrt(1.0 - p) / d
-    ops.extend(w * b for b in basis[1:])
-    # the scaled operators are fresh complex arrays: no copy through channel_from_kraus
-    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(ops))
+    first = np.sqrt(p + (1.0 - p) / d**2) * basis[0]
+    basis *= np.sqrt(1.0 - p) / d  # a fresh array: its operators become the Kraus set
+    basis[0] = first
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(basis))
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
@@ -276,11 +275,9 @@ def random_channel(d: int, kraus_rank: int, rng) -> QuantumChannel:
     if kraus_rank < 1:
         raise ValueError("kraus_rank must be positive")
     g = np.random.default_rng(rng)
-    raw = g.standard_normal((d * kraus_rank, d)) + 1j * g.standard_normal(
-        (d * kraus_rank, d)
-    )
-    q, _ = np.linalg.qr(raw)
-    return channel_from_kraus(tuple(q[i * d : (i + 1) * d, :] for i in range(kraus_rank)))
+    shape = (d * kraus_rank, d)
+    q, _ = np.linalg.qr(g.standard_normal(shape) + 1j * g.standard_normal(shape))
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(q.reshape(kraus_rank, d, d)))
 
 
 def phase_spread_unitary(d: int, rng) -> QuantumChannel:

@@ -92,7 +92,9 @@ def _hermitian_part(m: np.ndarray) -> tuple:
     adj = m.conj().T
     exact = np.isfinite(m).all() and np.array_equal(m, adj)
     gap = 0.0 if exact else schatten_norm(m - adj, np.inf)
-    return gap, 0.5 * (m + adj)
+    if np.iscomplexobj(m):  # the sum goes into the buffer m.conj() made
+        return gap, np.multiply(np.add(adj, m, out=adj), 0.5, out=adj)
+    return gap, 0.5 * (m + adj)  # a real m.conj() is m itself
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:
@@ -122,12 +124,8 @@ def hermitian_eig(m: np.ndarray) -> tuple:
 
 
 def swap_matrix(d: int) -> np.ndarray:
-    """Swap operator on C^d (x) C^d."""
-    s = np.zeros((d * d, d * d))
-    for a in range(d):
-        for b in range(d):
-            s[a * d + b, b * d + a] = 1.0
-    return s
+    """Swap operator on C^d (x) C^d, |ab> -> |ba>: the identity with its column factors swapped."""
+    return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)
 
 
 def antisym_projector(d: int) -> np.ndarray:

@@ -46,8 +46,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .channels import ChoiMatrix, QuantumChannel, _OverBudget, kraus_from_choi
-from .channels import _check_budget, _check_dense_budget
+from .channels import ChoiMatrix, QuantumChannel, _OverBudget, _check_budget, kraus_from_choi
 from .minimum import StateNet
 
 # How _fmt_float writes an entry of each class, as a template piece: a
@@ -424,15 +423,17 @@ class _Window:
             self._fill(16 * (len(self.text) - self.i) + 1)
 
 
-def _streamed_matrix(win: _Window, field: str) -> np.ndarray:
+def _streamed_matrix(win: _Window, field: str, height=None) -> np.ndarray:
     # each row is decoded into a matrix allocated once the first gives its
-    # width: square, then doubled (budget first) or trimmed to the rows read
+    # width: min(height, width) rows for a positive int height, else square;
+    # then doubled (budget first) or trimmed to the rows read
     what = "Choi matrix" if field == "choi" else f"{field} operator"
     win.expect("[")
     row = pairs_to_vector(win.value(), field)
     width = len(row)
-    _check_dense_budget(width, f"{width}x{width} {what}")
-    matrix = np.empty((width, width), dtype=np.complex128)
+    height = min(height, width) if type(height) is int and height > 0 else width
+    _check_budget(16 * height * width, f"{height}x{width} {what}")
+    matrix = np.empty((height, width), dtype=np.complex128)
     rows = 0
     while True:
         if row.shape != (width,):
@@ -448,14 +449,15 @@ def _streamed_matrix(win: _Window, field: str) -> np.ndarray:
         row = pairs_to_vector(win.value(), field)
 
 
-def _streamed_kraus(win: _Window, field: str) -> list:
-    # each operator is complete before the next one's first row is decoded
+def _streamed_kraus(win: _Window, field: str, dim_out=None) -> list:
+    # each operator is complete before the next one's first row is decoded;
+    # a dim_out read before the list is each operator's first height
     win.expect("[")
     ops: list = []
     while not win.take("]"):
         if ops:
             win.expect(",")
-        ops.append(_streamed_matrix(win, f"{field}[{len(ops)}]"))
+        ops.append(_streamed_matrix(win, f"{field}[{len(ops)}]", dim_out))
     return ops
 
 
@@ -471,8 +473,10 @@ def _streamed_fields(pieces) -> dict:
             raise ValueError("expected a key")
         key = win.value()
         win.expect(":")
-        read = {"kraus": _streamed_kraus, "choi": _streamed_matrix}.get(key)
-        data[key] = read(win, key) if read else win.value()
+        if key == "kraus":
+            data[key] = _streamed_kraus(win, key, data.get("dim_out"))
+        else:
+            data[key] = _streamed_matrix(win, key) if key == "choi" else win.value()
     if win.peek():
         raise ValueError("extra data")
     return data

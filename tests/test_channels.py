@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 from gatefid import channels as channels_module
 from gatefid.channels import (
     MAX_DENSE_BYTES,
+    RANK_TOL,
+    ChoiMatrix,
     _check_dense_budget,
     adjoint,
     amplitude_damping,
@@ -22,7 +25,8 @@ from gatefid.channels import (
     unitary_operator_basis,
     validate_cptp,
 )
-from gatefid.linalg import partial_trace, schatten_norm, vec
+from gatefid.linalg import hermitian_eig, partial_trace, schatten_norm, vec
+from gatefid.nonuniq import build_g_operator, max_epsilon
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -282,18 +286,7 @@ class TestDepolarizing:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pauli_basis_bitwise_equal_to_kron_chains(self, n):
-        one = [
-            np.eye(2, dtype=complex),
-            np.array([[0, 1], [1, 0]], dtype=complex),
-            np.array([[0, -1j], [1j, 0]], dtype=complex),
-            np.array([[1, 0], [0, -1]], dtype=complex),
-        ]
-        reference = []
-        for combo in itertools.product(one, repeat=n):
-            op = combo[0]
-            for factor in combo[1:]:
-                op = np.kron(op, factor)
-            reference.append(op)
+        reference = _kron_chains(n)
         basis = unitary_operator_basis(2**n)
         assert len(basis) == len(reference) == 4**n
         for got, want in zip(basis, reference):
@@ -309,6 +302,149 @@ class TestDepolarizing:
             rho = _rand_density(rng, d)
             avg = sum(b @ rho @ b.conj().T for b in basis) / d**2
             assert np.max(np.abs(avg - np.eye(d) / d)) < 1e-12
+
+
+def _kron_chains(n: int) -> list:
+    """The 4^n Pauli strings as np.kron chains, first factor slowest."""
+    one = [
+        np.eye(2, dtype=complex),
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    ]
+    reference = []
+    for combo in itertools.product(one, repeat=n):
+        op = combo[0]
+        for factor in combo[1:]:
+            op = np.kron(op, factor)
+        reference.append(op)
+    return reference
+
+
+def _product_basis(d: int) -> list:
+    """The clock-and-shift monomials as X^a @ Z^b matrix products, a slowest."""
+    omega = np.exp(2j * np.pi / d)
+    x = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        x[(j + 1) % d, j] = 1.0
+    z = np.diag(omega ** np.arange(d))
+    return [np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+            for a, b in itertools.product(range(d), repeat=2)]
+
+
+def _loop_depolarizing(p: float, basis) -> list:
+    """The depolarizing Kraus set scaled one basis operator at a time."""
+    d = len(basis[0])
+    w = np.sqrt(1.0 - p) / d
+    return [np.sqrt(p + (1.0 - p) / d**2) * basis[0]] + [w * b for b in basis[1:]]
+
+
+def _loop_kraus(choi) -> list:
+    """kraus_from_choi's operators, built one eigenvector at a time."""
+    vals, vecs = hermitian_eig(choi.matrix)
+    ops = []
+    for i in range(len(vals) - 1, -1, -1):
+        if vals[i] <= RANK_TOL:
+            break
+        col = vecs[:, i]
+        anchor = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
+        phase = col[anchor] / abs(col[anchor])
+        col = col * phase.conj()
+        ops.append((np.sqrt(vals[i]) * col).reshape(choi.dim_out, choi.dim_in))
+    return ops
+
+
+def _same_bytes(ops, reference) -> bool:
+    return len(ops) == len(reference) and all(
+        a.shape == b.shape and np.ascontiguousarray(a).tobytes() == b.tobytes()
+        for a, b in zip(ops, reference)
+    )
+
+
+def _one_base(ops) -> bool:
+    """Every operator is a view of one array."""
+    return ops[0].base is not None and all(op.base is ops[0].base for op in ops)
+
+
+def _twin_choi(d: int) -> ChoiMatrix:
+    """J(R) = J(Q) + eps G of the twin construction, Q = depolarizing(0.5, d)."""
+    j_q = choi_from_kraus(depolarizing(0.5, d))
+    return ChoiMatrix(d, d, j_q.matrix + max_epsilon(j_q) * build_g_operator(d))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWholeArrayBuilders:
+    """Operator sets built as one array keep the bytes of the per-operator builders."""
+
+    @pytest.mark.parametrize("d", [3, 5, 6, 7, 12])
+    def test_clock_shift_equals_the_products(self, d):
+        basis = unitary_operator_basis(d)
+        assert isinstance(basis, np.ndarray) and basis.shape == (d * d, d, d)
+        reference = _product_basis(d)
+        assert np.array_equal(basis, np.stack(reference))
+        # the products' BLAS-made -0.0 entries read +0.0; every other bit is kept
+        parts = basis.view(float)
+        assert not np.signbit(parts[parts == 0]).any()
+        assert _same_bytes(basis, [op + 0.0 for op in reference])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_depolarizing_bytes_at_powers_of_two(self, d, p):
+        ch = depolarizing(p, d)
+        assert _same_bytes(ch.kraus, _loop_depolarizing(p, _kron_chains(d.bit_length() - 1)))
+        assert _one_base(ch.kraus)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("d", [3, 5, 6])
+    def test_depolarizing_bytes_from_the_products(self, d, p):
+        basis = [op + 0.0 for op in _product_basis(d)]
+        assert _same_bytes(depolarizing(p, d).kraus, _loop_depolarizing(p, basis))
+
+    @pytest.mark.parametrize(
+        "choi",
+        [
+            lambda: choi_from_kraus(depolarizing(0.5, 4)),
+            lambda: choi_from_kraus(depolarizing(0.5, 16)),
+            lambda: choi_from_kraus(random_channel(16, 4, rng=1)),
+            lambda: choi_from_kraus(random_channel(32, 1024, rng=2)),
+            lambda: _twin_choi(4),
+            lambda: _twin_choi(5),
+            lambda: _twin_choi(6),
+            lambda: _twin_choi(16),
+        ],
+        ids=["depolarizing-4", "depolarizing-16", "random-16-rank-4", "random-32-rank-1024",
+             "twin-4", "twin-5", "twin-6", "twin-16"],
+    )
+    def test_kraus_from_choi_bytes(self, choi):
+        choi = choi()
+        ch = kraus_from_choi(choi)
+        assert _same_bytes(ch.kraus, _loop_kraus(choi))
+        assert _one_base(ch.kraus) and all(op.flags.c_contiguous for op in ch.kraus)
+
+    def test_random_channel_blocks_of_one_isometry(self):
+        ch = random_channel(256, 4, rng=1)
+        g = np.random.default_rng(1)
+        raw = g.standard_normal((1024, 256)) + 1j * g.standard_normal((1024, 256))
+        q, _ = np.linalg.qr(raw)
+        assert _same_bytes(ch.kraus, [q[i * 256 : (i + 1) * 256].copy() for i in range(4)])
+        assert _one_base(ch.kraus) and (ch.dim_in, ch.dim_out) == (256, 256)
+
+    def test_depolarizing_peak_is_one_kraus_set(self):
+        # d^4 complex entries at d = 48: 81 MiB; 163 MiB with a second set
+        assert _traced_peak(lambda: depolarizing(0.5, 48)) <= 100 * 2**20
+
+    def test_validate_cptp_peak_is_one_more_choi_size(self):
+        # a 1024 x 1024 Choi matrix is 16 MiB; 32.1 MiB with a second buffer
+        choi = choi_from_kraus(random_channel(32, 4, rng=1))
+        assert _traced_peak(lambda: validate_cptp(choi)) <= 20 * 2**20
 
 
 class TestUnitaryChannels:

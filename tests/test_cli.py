@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -128,6 +129,18 @@ class TestChannelCommands:
         payload = serialize.read_json(report_out)
         assert payload["quantity"] == "cptp_report"
         assert payload["value"]["is_cp"] is True
+
+    def test_clock_shift_channel_has_no_negative_zero(self, tmp_path, capsys):
+        # d = 6 is not a power of two: the clock-and-shift basis, whose
+        # operators once carried BLAS-made -0.0 entries from matrix products
+        out = tmp_path / "dep.json"
+        assert main(["channel", "make-depolarizing", "--p", "0.5", "--d", "6",
+                     "--out", str(out)]) == 0
+        assert not re.search(r"[\[,]-0\.0[,\]]", out.read_text(encoding="utf-8"))
+        assert len(serialize.load_channel(out).kraus) == 36
+        report_out = tmp_path / "report.json"
+        assert main(["channel", "validate", "--channel", str(out), "--out", str(report_out)]) == 0
+        assert "is_cp=True" in capsys.readouterr().out
 
     def test_validate_rejects_non_tp(self, tmp_path, capsys):
         bad = channel_from_kraus((0.9 * np.eye(2),))

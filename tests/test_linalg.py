@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatefid.linalg import (
+    _hermitian_part,
     antisym_projector,
     hermitian_eig,
     partial_trace,
@@ -286,7 +289,58 @@ class TestHermitianEig:
         assert np.all(np.diff(vals) >= 0)
 
 
+def _bits(a: np.ndarray) -> bytes:
+    return np.ascontiguousarray(a).tobytes()
+
+
+class TestHermitianPart:
+    """_hermitian_part keeps the bits of 0.5 (M + M^dag) and its input."""
+
+    @staticmethod
+    def _inputs() -> dict:
+        g = np.random.default_rng(14)
+        m = _rand_complex(g, 6, 6)
+        return {
+            "hermitian": m + m.conj().T,
+            "non-hermitian": m,
+            "signed zeros": np.array([[complex(-0.0, 0.0), complex(1, -0.0)],
+                                      [complex(1, 0.0), complex(0.0, -0.0)]]),
+            "real": g.standard_normal((5, 5)),
+            "integer": np.arange(9).reshape(3, 3),
+        }
+
+    @pytest.mark.parametrize("name", ["hermitian", "non-hermitian", "signed zeros", "real", "integer"])
+    def test_bits_of_the_expression(self, name):
+        m = self._inputs()[name]
+        before = _bits(m)
+        expected = 0.5 * (m + m.conj().T)
+        gap, sym = _hermitian_part(m)
+        assert sym.dtype == expected.dtype and _bits(sym) == _bits(expected)
+        assert _bits(m) == before  # a real m.conj() is m itself: no sum goes into it
+        assert (gap == 0.0) == (name in ("hermitian", "signed zeros"))
+
+    def test_complex_sum_takes_no_second_buffer(self):
+        # the d = 32 Choi size: one 16 MiB buffer for the adjoint and the sum
+        m = _rand_complex(np.random.default_rng(15), 1024, 1024)
+        m += m.conj().T
+        tracemalloc.start()
+        try:
+            _hermitian_part(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * m.nbytes
+
+
 class TestProjectors:
+    def test_swap_matches_its_entries(self):
+        for d in (1, 2, 3, 5):
+            s = np.zeros((d * d, d * d))
+            for a in range(d):
+                for b in range(d):
+                    s[a * d + b, b * d + a] = 1.0
+            assert _bits(swap_matrix(d)) == _bits(s)
+
     def test_singlet_d2(self):
         p = antisym_projector(2)
         assert abs(np.trace(p) - 1.0) < 1e-14

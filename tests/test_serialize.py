@@ -644,6 +644,16 @@ _REFUSED = {
 }
 
 
+@pytest.fixture
+def empty_shapes(monkeypatch) -> list:
+    """The shapes np.empty is asked for from here on, in order."""
+    shapes = []
+    real_empty = np.empty
+    monkeypatch.setattr(np, "empty",
+                        lambda shape, *args, **kw: shapes.append(shape) or real_empty(shape, *args, **kw))
+    return shapes
+
+
 class TestStreamedKrausRead:
     """load_operator decodes a 'kraus' list one operator at a time."""
 
@@ -713,8 +723,8 @@ class TestStreamedKrausRead:
             events.append((field, len(decoded), entries is decoded[-1]))
             return real_convert(entries, field)
 
-        def spy_matrix(win, field):
-            matrix = real_matrix(win, field)
+        def spy_matrix(win, field, *height):
+            matrix = real_matrix(win, field, *height)
             events.append((field, len(decoded), "complete"))
             return matrix
 
@@ -788,6 +798,54 @@ class TestStreamedKrausRead:
         with pytest.raises(ValueError, match=r"the 8x2 kraus\[0\] operator needs"):
             load_operator(path)
         assert grown == [(4, 2)]
+
+    @pytest.mark.parametrize("dims_first", [True, False], ids=["dims first", "dims last"])
+    def test_wide_operator_starts_at_dim_out_rows(self, tmp_path, monkeypatch, dims_first,
+                                                  empty_shapes):
+        # a dim_out read before "kraus" sizes the first allocation; read
+        # after it, the operator starts square and is trimmed, as before
+        op = np.arange(6).reshape(2, 3) + 1j
+        fields = {"dim_in": 3, "dim_out": 2}
+        path = tmp_path / "ch.json"
+        write_json(path, {**fields, "kraus": [op]} if dims_first else {"kraus": [op], **fields})
+        monkeypatch.setattr(serialize, "read_json", lambda path: pytest.fail("read whole"))
+        assert _same_bits(load_operator(path).kraus[0], op)
+        assert empty_shapes == [(2, 3) if dims_first else (3, 3)]
+
+    @pytest.mark.parametrize("dim_out", [True, 0, -1, 2.0, "1"])
+    def test_only_a_positive_int_dim_out_sizes_the_start(self, tmp_path, dim_out, empty_shapes):
+        # the file is refused on its dims as before, after a square start
+        path = tmp_path / "ch.json"
+        write_json(path, {"dim_in": 3, "dim_out": dim_out, "kraus": [np.ones((2, 3), dtype=complex)]})
+        with pytest.raises(ValueError, match="field 'dim_out': expected a positive integer"):
+            load_operator(path)
+        assert empty_shapes[0] == (3, 3)
+
+    def test_2048_to_1_read_peak(self, tmp_path):
+        # a 41 kB file: a 2048 x 2048 start peaked at 64 MiB
+        path = tmp_path / "ch.json"
+        op = np.random.default_rng(2).standard_normal((1, 2048)) + 0j
+        write_json(path, {"dim_in": 2048, "dim_out": 1, "kraus": [op]})
+        tracemalloc.start()
+        try:
+            back = load_operator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert _same_bits(back.kraus[0], op)
+        assert peak < 2**20
+
+    def test_1_by_12000_operator_is_read(self, tmp_path, monkeypatch):
+        # 192 kB of entries; a 12000 x 12000 start needed 2.15 GiB and was refused
+        path = tmp_path / "ch.json"
+        g = np.random.default_rng(3)
+        write_json(path, {"dim_in": 12000, "dim_out": 1,
+                          "kraus": [g.standard_normal((1, 12000)) + 1j * g.standard_normal((1, 12000))]})
+        monkeypatch.setattr(serialize, "read_json", lambda path: pytest.fail("read whole"))
+        got = load_operator(path)
+        expected = channel_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        assert (got.dim_in, got.dim_out) == (12000, 1)
+        assert _same_bits(got.kraus[0], expected.kraus[0])
 
     def test_rank_4_d_256_read_peak(self, tmp_path):
         # the stats-lowrank benchmark's channel shape: an 11.9 MB file
@@ -944,10 +1002,10 @@ class TestStreamedChoiRead:
     def test_budget_is_checked_before_the_matrix_is_allocated(self, tmp_path, monkeypatch):
         path = tmp_path / "c.json"
         write_json(path, choi_to_dict(choi_from_kraus(depolarizing(0.4, 3))))
-        sides = []
-        monkeypatch.setattr(serialize, "_check_dense_budget", lambda n, what: sides.append(n))
+        checks = []
+        monkeypatch.setattr(serialize, "_check_budget", lambda need, what: checks.append(need))
         assert load_operator(path).matrix.shape == (9, 9)
-        assert sides == [9]
+        assert checks == [16 * 9 * 9]
 
     def test_over_budget_matrix_is_refused_without_a_whole_read(self, tmp_path, monkeypatch, capsys):
         # a 9 x 9 matrix needs 1296 bytes, above a budget of 1024: the
