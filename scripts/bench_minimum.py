@@ -11,6 +11,14 @@ first VALUE_JOBS job seeds of every entry of SEEDS (perfbench's
 job_seed), so the two trees' reference values can be compared where
 perfbench only shows differing sha256.
 
+Descent: reference_minimum with 8 starts, rng=1, on each channel of
+DESCENT_PANEL, in DESCENT_ROUNDS interpreters per tree, alternating. Each
+interpreter counts the product batches of one call and times the median of
+DESCENT_REPEATS calls after one warm-up. A product batch is one product of
+every folded Kraus operator with the rows of a batch: an evaluation
+(minimum.gate_fidelity_batch) is one, a gradient (FidelityKernel.gradient)
+two, and a call of fidelity._kraus_products, where the tree has it, two.
+
 Scan routes: in a probe interpreter on this tree's src/, the net scan and
 the survivor check are timed three ways. Chunk scan: one 256-sample chunk
 against a SCAN_NET-state net at each d in SCAN_DIMS, the chunk's lift
@@ -39,12 +47,15 @@ import time
 from bench_common import alternating, blas_threads, compare, job_seed, main, median_time, run_fresh
 
 NET_D, NET_EPS, REF_D, REF_STARTS = 3, 0.2, 16, 8
-SEEDS = range(141, 151)
+SEEDS = range(251, 261)
 LAYER_REPEATS = 15  # fresh interpreters per tree
 LAYER_KEYS = ("build_net_cold_ms", "build_net_warm_ms", "reference_minimum_ms")
 REPEATS = 5  # net_build runs per route, in one interpreter
 VALUE_JOBS = 3  # job seeds per entry of SEEDS whose reference values are compared
 VALUE_SEEDS = [job_seed(s, k) for s in SEEDS for k in range(VALUE_JOBS)]
+DESCENT_ROUNDS = 5  # fresh interpreters per tree
+DESCENT_REPEATS = 15  # timed calls per channel, in one interpreter
+DESCENT_STARTS = 8
 SCAN_DIMS = (2, 3, 4, 6, 8, 12, 16)
 SCAN_NET = 1500
 SCAN_REPEATS = 41
@@ -67,6 +78,75 @@ def _ms(fn) -> tuple:
     start = time.perf_counter()
     result = fn()
     return round(1e3 * (time.perf_counter() - start), 3), result
+
+
+def _descent_panel() -> dict:
+    from gatefid.channels import amplitude_damping, random_channel
+
+    return {
+        "phase-spread-d16": _unitary(1),
+        "random-d16-rank4": random_channel(16, 4, rng=1),
+        "random-d32-rank3": random_channel(32, 3, rng=1),
+        "amplitude-damping-0.3": amplitude_damping(0.3),
+    }
+
+
+def _product_batches(fn) -> int:
+    """Product batches fn() makes through the descent's entry points, in either tree."""
+    from gatefid import fidelity, minimum
+
+    count = [0]
+    spies = [(minimum, "gate_fidelity_batch", 1), (fidelity.FidelityKernel, "gradient", 2)]
+    if hasattr(minimum, "_kraus_products"):
+        spies.append((minimum, "_kraus_products", 2))
+    originals = [(owner, name, getattr(owner, name)) for owner, name, _ in spies]
+    for (owner, name, batches), (_, _, original) in zip(spies, originals):
+        def counted(*args, _original=original, _batches=batches, **kwargs):
+            count[0] += _batches
+            return _original(*args, **kwargs)
+
+        setattr(owner, name, counted)
+    try:
+        fn()
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    return count[0]
+
+
+def descent() -> dict:
+    """Product batches and the median ms of reference_minimum on each panel channel."""
+    from gatefid.minimum import reference_minimum
+
+    out = {}
+    for name, ch in _descent_panel().items():
+        call = lambda: reference_minimum(ch, None, DESCENT_STARTS, rng=1)  # noqa: E731
+        batches = _product_batches(call)
+        seconds, value = median_time(call, DESCENT_REPEATS)
+        out[name] = {"product_batches": batches, "ms": round(1e3 * seconds, 3), "value": value}
+    return out
+
+
+def descent_record(trees: dict) -> dict:
+    samples = alternating(
+        trees, range(DESCENT_ROUNDS), lambda tree, _: run_fresh(__file__, tree, "descent"))
+    record = {
+        "inputs": f"reference_minimum(channel, None, {DESCENT_STARTS}, rng=1): the d=16 "
+                  "phase-spread unitary of the layers, random_channel(16, 4, rng=1), "
+                  "random_channel(32, 3, rng=1) and amplitude_damping(0.3); ms is each "
+                  f"interpreter's median of {DESCENT_REPEATS} calls after one warm-up",
+        "interpreters_per_tree": DESCENT_ROUNDS,
+    }
+    for name in samples["parent"][0]:
+        row = {
+            side: {"product_batches": sorted({s[name]["product_batches"] for s in samples[side]}),
+                   "values": sorted({s[name]["value"] for s in samples[side]})}
+            for side in trees
+        }
+        row["ms"] = compare([s[name]["ms"] for s in samples["parent"]],
+                            [s[name]["ms"] for s in samples["change"]])
+        record[name] = row
+    return record
 
 
 def layers() -> dict:
@@ -246,6 +326,13 @@ def measure(trees: dict) -> dict:
         print(f"{key}: parent {layer[key]['parent_q1_median_q3'][1]} "
               f"change {layer[key]['change_q1_median_q3'][1]} "
               f"(change wins {layer[key]['change_wins']})", flush=True)
+    descent_layer = descent_record(trees)
+    for name, row in descent_layer.items():
+        if isinstance(row, dict):
+            print(f"descent {name}: product batches parent {row['parent']['product_batches']} "
+                  f"change {row['change']['product_batches']}, ms parent "
+                  f"{row['ms']['parent_q1_median_q3'][1]} change "
+                  f"{row['ms']['change_q1_median_q3'][1]}", flush=True)
     values = {side: run_fresh(__file__, tree, "values") for side, tree in trees.items()}
     diffs = [abs(values["parent"][s] - values["change"][s]) for s in values["parent"]]
     print(f"reference_minimum max |diff| over {len(diffs)} job seeds: {max(diffs)}", flush=True)
@@ -262,6 +349,7 @@ def measure(trees: dict) -> dict:
               f"lift {row['lift_s']} s {row['lift_peak_mb']} MB", flush=True)
     return {
         "layers": layer,
+        "descent": descent_layer,
         **scan,
         "reference_values": {
             "job_seeds": len(diffs),
@@ -273,5 +361,6 @@ def measure(trees: dict) -> dict:
 
 if __name__ == "__main__":
     main(__file__, __doc__,
-                      {"layers": layers, "values": reference_values, "scan": scan_tables},
+                      {"layers": layers, "descent": descent, "values": reference_values,
+                       "scan": scan_tables},
                       measure, ("min-search", "job_s"), SEEDS)

@@ -206,16 +206,19 @@ def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarra
     return out
 
 
-def _kraus_gradient(ops: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    # c_k = <phi|B_k|phi>; grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi),
-    # for each row phi; every product is a (rows, d) GEMM and every sum runs
-    # within one row, so a row's bits do not depend on the other rows of a
-    # call of two rows or more
-    bra = rows.conj()
-    b_phi = rows @ ops.transpose(0, 2, 1)
-    bh_phi = (bra @ ops).conj()
-    c = np.einsum("kni,ni->kn", b_phi, bra)
-    return 2.0 * (np.einsum("kn,kni->ni", c.conj(), b_phi) + np.einsum("kn,kni->ni", c, bh_phi))
+def _kraus_products(ops: np.ndarray, rows: np.ndarray) -> tuple:
+    # B_k phi and B_k^dag phi for each row phi, as two (rank, n, d) arrays:
+    # two batches of (rows, d) GEMMs, one GEMM per operator, so a row's bits
+    # do not depend on the other rows of a call of two rows or more
+    return rows @ ops.transpose(0, 2, 1), (rows.conj() @ ops).conj()
+
+
+def _kraus_gradient(rows: np.ndarray, b_phi: np.ndarray, bh_phi: np.ndarray) -> tuple:
+    # c_k = <phi|B_k|phi> and grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi)
+    # for each row phi, from its _kraus_products; every sum runs within one row
+    c = np.einsum("kni,ni->kn", b_phi, rows.conj())
+    grad = np.einsum("kn,kni->ni", c.conj(), b_phi) + np.einsum("kn,kni->ni", c, bh_phi)
+    return c, 2.0 * grad
 
 
 @dataclass(frozen=True)
@@ -253,7 +256,8 @@ class FidelityKernel:
         matrix-vector products, whose last bits can differ.
         """
         phi = np.asarray(phi, dtype=complex)
-        grad = _kraus_gradient(self.ops, np.atleast_2d(phi))
+        rows = np.atleast_2d(phi)
+        grad = _kraus_gradient(rows, *_kraus_products(self.ops, rows))[1]
         return grad[0] if phi.ndim == 1 else grad
 
 

@@ -15,6 +15,8 @@ from gatefid.channels import (
 )
 from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
+    _kraus_gradient,
+    _kraus_products,
     average_gate_fidelity,
     fidelity_kernel,
     gate_fidelity_batch,
@@ -25,9 +27,11 @@ from gatefid.minimum import (
     _SCAN_BLOCK,
     LIFT_MAX_DIM,
     NetCoverageError,
+    _circle_coefficients,
     _descend,
     _far,
     _lift,
+    _line_minimum,
     _min_distances,
     build_net,
     effective_epsilon,
@@ -506,15 +510,94 @@ class TestBatchedDescent:
         e, u = _DESCENT_PANEL[case]()
         kernel = fidelity_kernel(e, u)
         starts = _starts(e.dim_in, n_starts, 36)
-        together = _descend(e, u, kernel, starts)
+        together = _descend(e, u, kernel, starts)[0]
         assert together.shape == (n_starts,)
         for k in range(n_starts):
-            alone = _descend(e, u, kernel, starts[k : k + 1])
+            alone = _descend(e, u, kernel, starts[k : k + 1])[0]
             assert alone.tobytes() == together[k : k + 1].tobytes()
         # nor on how many starts are drawn after it
-        more = _descend(e, u, kernel, _starts(e.dim_in, n_starts + 1, 36))
+        more = _descend(e, u, kernel, _starts(e.dim_in, n_starts + 1, 36))[0]
         assert more[:n_starts].tobytes() == together.tobytes()
         assert reference_minimum(e, u, n_starts=n_starts, rng=36) == together.min()
+
+
+def _great_circles(case, n, seed):
+    """n random great circles cos t phi + sin t v of a panel case, with their lines."""
+    e, u = _DESCENT_PANEL[case]()
+    kernel = fidelity_kernel(e, u)
+    d = e.dim_in
+    phi = haar_states(d, n, rng=seed)
+    v = np.random.default_rng(seed).standard_normal((n, 2 * d)).view(complex)
+    v -= np.sum(phi.conj() * v, axis=1, keepdims=True) * phi
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    b_phi, bh_phi = _kraus_products(kernel.ops, phi)
+    c = _kraus_gradient(phi, b_phi, bh_phi)[0]
+    line = _circle_coefficients(phi, v, c, b_phi, _kraus_products(kernel.ops, v)[0])
+    return e, u, kernel, phi, v, line
+
+
+def _on_circle(phi, v, s):
+    """The states at angles s = 2t of the great circle cos t phi + sin t v."""
+    return np.cos(s / 2)[:, None] * phi + np.sin(s / 2)[:, None] * v
+
+
+_CIRCLE_CASES = ["phase-spread-d16", "rank4-d8", "rank30-d6", "target-u"]
+
+
+class TestConjugateGradient:
+    @pytest.mark.parametrize("case", _CIRCLE_CASES)
+    def test_five_coefficients_reproduce_f_on_the_circle(self, case):
+        e, u, kernel, phi, v, line = _great_circles(case, 4, 40)
+        if case == "rank30-d6":
+            assert kernel.form is not None  # F on the circle comes from the form route
+        a0, a1, b1 = line[:, 0].real, line[:, 1].real, -line[:, 1].imag
+        a2, b2 = line[:, 2].real, -line[:, 2].imag
+        assert np.all(line[:, 0].imag == 0.0)
+        s = 2.0 * np.pi * np.arange(16) / 16
+        for k in range(len(phi)):
+            series = a0[k] + a1[k] * np.cos(s) + b1[k] * np.sin(s) + a2[k] * np.cos(2 * s)
+            series += b2[k] * np.sin(2 * s)
+            direct = gate_fidelity_batch(e, u, _on_circle(phi[k], v[k], s), kernel=kernel)
+            assert np.max(np.abs(series - direct)) < 1e-14
+
+    @pytest.mark.parametrize("case", _CIRCLE_CASES)
+    def test_line_minimum_is_below_a_fine_scan(self, case):
+        e, u, kernel, phi, v, line = _great_circles(case, 64, 41)
+        s, low, start = _line_minimum(line)
+        scan = 2.0 * np.pi * np.arange(1024) / 1024
+        waves = np.exp(np.outer([0, 1j, 2j], scan))
+        assert np.all(low <= (line @ waves).real.min(axis=1) + 1e-15)
+        for k in range(len(phi)):
+            at = gate_fidelity_batch(e, u, _on_circle(phi[k], v[k], s[k : k + 1]), kernel=kernel)
+            direct = gate_fidelity_batch(e, u, _on_circle(phi[k], v[k], scan), kernel=kernel)
+            assert abs(at[0] - low[k]) < 1e-14
+            assert low[k] <= direct.min() + 1e-14
+        assert np.max(np.abs(start - gate_fidelity_batch(e, u, phi, kernel=kernel))) < 1e-14
+
+    @pytest.mark.parametrize("case", list(_DESCENT_PANEL))
+    def test_values_are_the_evaluation_at_the_returned_states(self, case):
+        e, u = _DESCENT_PANEL[case]()
+        kernel = fidelity_kernel(e, u)
+        starts = _starts(e.dim_in, 8, 42)
+        values, states = _descend(e, u, kernel, starts)
+        assert states.shape == starts.shape
+        assert np.max(np.abs(np.linalg.norm(states, axis=1) - 1.0)) < 1e-14
+        assert values.tobytes() == gate_fidelity_batch(e, u, states, kernel=kernel).tobytes()
+        assert np.all(values <= gate_fidelity_batch(e, u, starts, kernel=kernel))
+
+    def test_product_batches_at_d16(self, monkeypatch):
+        calls = []
+
+        def counted(ops, rows):
+            calls.append(len(rows))
+            return _kraus_products(ops, rows)
+
+        monkeypatch.setattr(minimum, "_kraus_products", counted)
+        ch = phase_spread_unitary(16, np.random.default_rng([3, 16]))
+        reference_minimum(ch, None, n_starts=8, rng=3)
+        # one call at the starts and one per step, each two product batches
+        assert 2 * len(calls) <= 200
+        assert min(calls) >= 2
 
 
 class TestNetMinimum:
@@ -607,6 +690,15 @@ class TestReferenceMinimum:
         ch = phase_spread_unitary(16, np.random.default_rng([3, 16]))
         got = reference_minimum(ch, None, n_starts=8, rng=3)
         assert abs(got - math.cos(1.0) ** 2) < 1e-8
+
+    def test_phase_spread_unitary_reaches_cos2_1_to_rounding(self):
+        ch = phase_spread_unitary(16, np.random.default_rng([3, 16]))
+        got = reference_minimum(ch, None, n_starts=8, rng=3)
+        assert abs(got - math.cos(1.0) ** 2) < 1e-14
+
+    def test_amplitude_damping_reaches_its_minimum_to_rounding(self):
+        got = reference_minimum(amplitude_damping(0.3), None, n_starts=8, rng=23)
+        assert abs(got - 0.7) < 1e-12
 
     def test_dimension_limit(self):
         with pytest.raises(ValueError):
