@@ -16,6 +16,17 @@ of DEPOLARIZING_DIMS (time, and tracemalloc peak of one more call),
 kraus_from_choi(J(R)), and the tracemalloc peak of validate_cptp on the
 Choi matrix of random_channel(32, 4, rng=1).
 
+R's extraction, at each d of PARTNER_DIMS, with Q = depolarizing(0.5, d)
+and J(R) = J(Q) + max_epsilon * j_g: kraus_from_choi(J(R)) against the
+route perturb_channel takes (channels._sqrt_kraus, the square root of
+J(R) block by block, where the tree has it); R's operator and nonzero
+counts; the number of blocks of J(Q)'s and J(R)'s exact zero pattern
+(null in a tree without linalg._pattern_blocks); validate_cptp and
+max_epsilon on J(Q); and the noise move: the largest change of R's entries
+when NOISE_DRAWS seeded Hermitian noises of size 1e-15 are added to J(R),
+each through the tree's route. PARTNER_REPEATS runs at d = 32, where
+kraus_from_choi takes over a second.
+
 End to end, as scripts/bench_common.py runs it; the claim is job_s on
 twin-dense.
 
@@ -28,8 +39,11 @@ import tracemalloc
 from bench_common import blas_threads, main, median_time, run_fresh
 
 D, P, N_VERIFY = 16, 0.5, 10000
-SEEDS = range(61, 71)
+SEEDS = range(411, 421)
 REPEATS = 5
+PARTNER_DIMS = (16, 32)
+PARTNER_REPEATS = {16: REPEATS, 32: 2}
+NOISE_DRAWS = 5
 VERIFY_REPEATS = 15
 VERIFY_THREADS = (1, 2)
 DEPOLARIZING_DIMS = (16, 48, 63, 64)
@@ -42,6 +56,45 @@ def traced_peak_mib(fn) -> float:
         return round(tracemalloc.get_traced_memory()[1] / 2**20, 2)
     finally:
         tracemalloc.stop()
+
+
+def partner(d: int) -> dict:
+    """R's extraction from J(R) at d, on the gatefid found on sys.path."""
+    import numpy as np
+
+    from gatefid import channels, linalg
+    from gatefid.nonuniq import build_g_operator, max_epsilon
+
+    route = getattr(channels, "_sqrt_kraus", channels.kraus_from_choi)
+    blocks = getattr(linalg, "_pattern_blocks", None)
+    repeats = PARTNER_REPEATS[d]
+    j_q = channels.choi_from_kraus(channels.depolarizing(P, d))
+    j_r = channels.ChoiMatrix(d, d, j_q.matrix + max_epsilon(j_q) * build_g_operator(d))
+    eigh_s, _ = median_time(lambda: channels.kraus_from_choi(j_r), repeats)
+    route_s, r = median_time(lambda: route(j_r), repeats)
+    ops = np.stack(r.kraus)
+    rng = np.random.default_rng(d)
+    moves = []
+    for _ in range(NOISE_DRAWS):
+        h = rng.standard_normal(j_r.matrix.shape) + 1j * rng.standard_normal(j_r.matrix.shape)
+        h += h.conj().T
+        noisy = channels.ChoiMatrix(d, d, j_r.matrix + 1e-15 * h / np.abs(h).max())
+        moved = np.stack(route(noisy).kraus)
+        moves.append(float(np.abs(moved - ops).max()) if moved.shape == ops.shape else None)
+    validate_s, _ = median_time(lambda: channels.validate_cptp(j_q), repeats)
+    max_epsilon_s, _ = median_time(lambda: max_epsilon(j_q), repeats)
+    return {
+        "kraus_from_choi_s": round(eigh_s, 6),
+        "perturb_route_s": round(route_s, 6),
+        "r_operators": len(ops),
+        "r_nonzeros": int(np.count_nonzero(ops)),
+        "r_entries": ops.size,
+        "blocks_q": None if blocks is None else len(blocks(j_q.matrix)),
+        "blocks_r": None if blocks is None else len(blocks(j_r.matrix)),
+        "validate_cptp_q_s": round(validate_s, 6),
+        "max_epsilon_s": round(max_epsilon_s, 6),
+        "noise_move": None if None in moves else max(moves),
+    }
 
 
 def layers() -> dict:
@@ -89,6 +142,7 @@ def layers() -> dict:
         "depolarizing": build,
         "kraus_from_choi_r_s": round(kraus_s, 6),
         "validate_cptp_d32_peak_mib": traced_peak_mib(lambda: validate_cptp(choi_32)),
+        "partner": {f"d_{d}": partner(d) for d in PARTNER_DIMS},
         "blas_threads": blas_threads(),
     }
 
@@ -105,7 +159,10 @@ def measure(trees: dict) -> dict:
                       f"{N_VERIFY} samples at rng=1, timed per worker count; "
                       f"depolarizing({P}, d) at d = {DEPOLARIZING_DIMS}; kraus_from_choi "
                       "takes J(R); the d = 32 validate_cptp takes the Choi matrix of "
-                      "random_channel(32, 4, rng=1)",
+                      "random_channel(32, 4, rng=1); partner: R's extraction from J(R) "
+                      f"at d = {PARTNER_DIMS}, kraus_from_choi against the tree's "
+                      "perturb_channel route, with the 1e-15 noise move over "
+                      f"{NOISE_DRAWS} draws",
             **layer,
         },
     }

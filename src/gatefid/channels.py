@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _hermitian_part, hermitian_eig, partial_trace, schatten_norm
+from .linalg import (
+    _block_eigh,
+    _check_hermitian,
+    _hermitian_part,
+    hermitian_eig,
+    partial_trace,
+    schatten_norm,
+)
 
 DEFAULT_ATOL = 1e-9
 RANK_TOL = 1e-10
@@ -139,18 +146,55 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     give identical tuples up to eigenspace degeneracy.
     """
     vals, vecs = hermitian_eig(choi.matrix)
-    scale = max(1.0, float(vals[-1]))
-    if vals[0] < -RANK_TOL * scale:
-        raise ValueError(
-            f"Choi matrix has negative eigenvalue {vals[0]:.3e}, map is not CP"
-        )
+    _cp_scale(vals[0], vals[-1])
     r = np.count_nonzero(vals > RANK_TOL)
     if not r:
-        raise ValueError("Choi matrix has no eigenvalue above RANK_TOL")
+        raise ValueError(_NO_RANK)
     top = vecs[:, ::-1][:, :r].T  # the kept eigenvectors as rows, largest eigenvalue first
     ops = np.multiply(top, _unit_phases(top).conj()[:, None], order="C")
     np.multiply(np.sqrt(vals[::-1][:r, None]), ops, out=ops)
     ops = ops.reshape(r, choi.dim_out, choi.dim_in)
+    return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
+
+
+_NO_RANK = "Choi matrix has no eigenvalue above RANK_TOL"
+
+
+def _cp_scale(lowest: float, highest: float) -> float:
+    """max(1, highest), which RANK_TOL scales; refuses a lowest eigenvalue below -RANK_TOL times it."""
+    scale = max(1.0, float(highest))
+    if lowest < -RANK_TOL * scale:
+        raise ValueError(f"Choi matrix has negative eigenvalue {lowest:.3e}, map is not CP")
+    return scale
+
+
+def _sqrt_kraus(choi: ChoiMatrix) -> QuantumChannel:
+    """Kraus operators A_j = unvec(column j of S) over the nonzero columns of S = sqrt(J).
+
+    S is V diag(sqrt(lambda)) V^dag, formed block by block along J's exact
+    zero pattern (linalg._block_eigh), with every eigenvalue at or below
+    RANK_TOL * max(1, lambda_max) set to exactly 0 and one below minus that
+    refused as in kraus_from_choi. Then sum_j vec(A_j) vec(A_j)^dag =
+    S S^dag = J. S does not depend on the basis eigh picks inside a
+    degenerate eigenspace, so a last-bit change of J moves the operators in
+    their last bits only, where kraus_from_choi's eigenvectors may turn
+    inside the eigenspace. The set is not minimal: it holds one operator per
+    nonzero column of J, in column order, as views of one array.
+    """
+    stacks = _block_eigh(_check_hermitian(choi.matrix), vectors=True)
+    lowest = min(vals[:, 0].min() for _, (vals, _) in stacks)
+    scale = _cp_scale(lowest, max(vals[:, -1].max() for _, (vals, _) in stacks))
+    n = choi.dim_in * choi.dim_out
+    columns = np.zeros((n, n), dtype=complex)  # row j is column j of S
+    for index, (vals, vecs) in stacks:
+        root = np.sqrt(np.where(vals > RANK_TOL * scale, vals, 0.0))
+        block = (vecs * root[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        columns[index[:, :, None], index[:, None, :]] = block.swapaxes(1, 2)
+    kept = columns.any(axis=1)
+    if not kept.any():
+        raise ValueError(_NO_RANK)
+    ops = columns if kept.all() else columns[kept]
+    ops = ops.reshape(len(ops), choi.dim_out, choi.dim_in)
     return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
 
 
@@ -165,15 +209,18 @@ def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
     """Check complete positivity and trace preservation of a channel or Choi.
 
     Always returns a report; callers decide whether a violation is fatal.
-    The trace-preservation residual is taken on the partial trace over the
-    output (first) factor, which must equal the input-space identity.
+    The smallest eigenvalue is taken block by block along the exact zero
+    pattern of the symmetrized Choi matrix (linalg._block_eigh); a dense
+    one is a single block and one eigvalsh. The trace-preservation residual
+    is taken on the partial trace over the output (first) factor, which must
+    equal the input-space identity.
     """
     if not 0 <= tol < math.inf:
         raise ValueError(f"tolerance tol must be non-negative and finite, got {tol}")
     choi = choi_from_kraus(obj) if isinstance(obj, QuantumChannel) else obj
     j = choi.matrix
     gap, sym = _hermitian_part(j)
-    min_eig = float(np.linalg.eigvalsh(sym)[0])
+    min_eig = float(min(vals[:, 0].min() for _, vals in _block_eigh(sym)))
     marginal = partial_trace(j, choi.dim_out, choi.dim_in, factor="first")
     tp_residual = schatten_norm(marginal - np.eye(choi.dim_in), np.inf)
     return CptpReport(

@@ -123,6 +123,54 @@ def hermitian_eig(m: np.ndarray) -> tuple:
     return np.linalg.eigh(_check_hermitian(m))
 
 
+def _pattern_blocks(m: np.ndarray) -> list:
+    """Index arrays of the connected blocks of a square matrix's symmetric nonzero pattern.
+
+    Exact zeros split the blocks. Each vertex takes the least label among
+    itself and its neighbours, then its label's label, until no label moves;
+    a block is then the ascending indices of one label, the least index of
+    the block, and blocks come in the order of that index. A sweep reads the
+    rows a quarter at a time, so no temporary outgrows one n x n boolean.
+    """
+    n = len(m)
+    label = np.arange(n, dtype=np.min_scalar_type(n))
+    step = -(-n // 4)
+    while True:
+        new = label.copy()
+        for lo in range(0, n, step):
+            near = np.where(m[lo : lo + step] != 0, label, n).min(axis=1)
+            np.minimum(new[lo : lo + step], near, out=new[lo : lo + step])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
+
+
+def _block_eigh(m: np.ndarray, vectors: bool = False) -> list:
+    """eigvalsh, or eigh when vectors is set, of a Hermitian matrix block by block.
+
+    The blocks are those of its exact zero pattern (_pattern_blocks); blocks
+    of one size are stacked, and each is one LAPACK call. Returns one
+    (index, result) pair per size: index is a (k, size) array of the blocks'
+    rows in m, and result the solver's output on the (k, size, size) stack.
+    A single block is the matrix itself, so a dense matrix keeps the bits of
+    one solve. The spectrum of m is the union of the blocks' spectra.
+    """
+    blocks = _pattern_blocks(m)
+    if len(blocks) == 1:
+        stacks = [(blocks[0][None], m[None])]
+    else:
+        by_size = {}
+        for block in blocks:
+            by_size.setdefault(len(block), []).append(block)
+        index = [np.array(same) for same in by_size.values()]
+        stacks = [(i, m[i[:, :, None], i[:, None, :]]) for i in index]
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    return [(i, solve(stack)) for i, stack in stacks]
+
+
 def swap_matrix(d: int) -> np.ndarray:
     """Swap operator on C^d (x) C^d, |ab> -> |ba>: the identity with its column factors swapped."""
     return np.eye(d * d).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(d * d, d * d)

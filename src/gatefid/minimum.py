@@ -25,6 +25,7 @@ share the call.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -341,7 +342,7 @@ def net_minimum(e: QuantumChannel, u, net: StateNet) -> MinEstimate:
 # for j = 0, 1, 2, with C_0 = A0 and C_j = A_j - i B_j. Row j of
 # _DERIVATIVES holds (ij)^p for p = 0, 1, 2, so the real parts of
 # (C_j e^{ijs}) @ _DERIVATIVES are F, F' and F''. It evaluates F at the
-# _LINE_GRID angles, columns 1 to 128 of _GRID_WAVES, whose first and last
+# _LINE_GRID angles, columns 1 to 128 of _grid_waves(), whose first and last
 # columns repeat the angles either side of the circle's ends. On 6000 random
 # great circles of three channels (d = 16 rank 1, d = 8 rank 4, d = 6 rank
 # 30), polishing only the best of 16 or 32 angles, by three Newton steps,
@@ -350,8 +351,7 @@ def net_minimum(e: QuantumChannel, u, net: StateNet) -> MinEstimate:
 # 65536-angle scan on every circle
 _LINE_GRID = 2.0 * np.pi * np.arange(128) / 128
 _HARMONICS = np.array([0.0, 1j, 2j])
-_GRID_WAVES = np.exp(_HARMONICS[:, None] * _LINE_GRID[[-1, *range(128), 0]])
-_DERIVATIVES = _HARMONICS[:, None] ** np.arange(3)
+_DERIVATIVES = np.array([[1, 0, 0], [1, 1j, -1], [1, 2j, -4]], dtype=complex)
 _NEWTON_STEPS = 2
 # (C_0, C_1, C_2) from the real Gram matrix G of (2 alpha, 2 beta, 2 gamma)
 # of _circle_coefficients, summed over k and flattened: A0 = |alpha|^2 +
@@ -361,6 +361,12 @@ _GRAM_TO_LINE = np.zeros((9, 3), dtype=complex)
 _GRAM_TO_LINE[[0, 4, 8], 0] = [1 / 4, 1 / 8, 1 / 8]
 _GRAM_TO_LINE[[1, 2], 1] = [1 / 2, -1j / 2]
 _GRAM_TO_LINE[[4, 8, 5], 2] = [1 / 8, -1 / 8, -1j / 4]
+
+
+@functools.cache
+def _grid_waves() -> np.ndarray:
+    # built on first use: a complex exp at import costs every process memory
+    return np.exp(_HARMONICS[:, None] * _LINE_GRID[[-1, *range(128), 0]])
 
 
 def _re_dot(x: np.ndarray, *ys: np.ndarray) -> np.ndarray:
@@ -407,7 +413,7 @@ def _line_minimum(line: np.ndarray) -> tuple:
     polish that ends above its grid value is dropped, and the lower of the
     two is kept.
     """
-    ext = (line @ _GRID_WAVES).real
+    ext = (line @ _grid_waves()).real
     grid = ext[:, 1:-1]
     dips = (grid <= ext[:, :-2]) & (grid < ext[:, 2:])
     best = np.where(dips, grid, np.inf).argsort(axis=1, kind="stable")[:, :2]

@@ -6,7 +6,10 @@ of C^d (x) C^d. Adding it to the Choi matrix of any full-rank channel Q
 changes the channel but not a single value of the gate fidelity, because
 the fidelity only probes the symmetric subspace through psi (x) psi. This
 module builds the perturbation, computes the largest admissible strength,
-produces the perturbed partner R and verifies the pair.
+produces the perturbed partner R and verifies the pair. Eigenvalues are
+taken block by block along the Choi matrices' exact zero patterns, and R's
+Kraus set comes from the square root of J(R), so last-bit changes of J(R)
+move R in its last bits only.
 """
 
 from __future__ import annotations
@@ -21,17 +24,17 @@ from .channels import (
     QuantumChannel,
     _check_budget,
     _check_dense_budget,
+    _sqrt_kraus,
     choi_from_kraus,
-    kraus_from_choi,
     validate_cptp,
 )
 from .fidelity import _sym_block
 from .linalg import (
+    _block_eigh,
     _check_hermitian,
     partial_trace,
     partial_transpose,
     schatten_norm,
-    vec,
 )
 from .sampling import DEFAULT_SEED, _block_fidelities, as_rng_spec
 
@@ -73,12 +76,14 @@ def max_epsilon(j_q: ChoiMatrix) -> float:
 
     Equals lambda_min(J(Q)) / ||j_g||_inf, and ||j_g||_inf is 1 at every d
     (the d = 4 block, embedded), so it is lambda_min(J(Q)) of the d -> d
-    Choi matrix. Q must be full rank; a singular Choi matrix admits no
-    two-sided slack.
+    Choi matrix, taken block by block along its exact zero pattern as
+    validate_cptp takes it, with the same bits. Q must be full rank; a
+    singular Choi matrix admits no two-sided slack.
     """
     if j_q.dim_out != j_q.dim_in:
         raise ValueError(f"dimension mismatch: Choi is {j_q.dim_in}->{j_q.dim_out}, not d->d")
-    lam_min = float(np.linalg.eigvalsh(_check_hermitian(j_q.matrix))[0])
+    stacks = _block_eigh(_check_hermitian(j_q.matrix))
+    lam_min = float(min(vals[:, 0].min() for _, vals in stacks))
     if lam_min <= FULL_RANK_TOL:
         raise ValueError(
             f"channel is not full rank: smallest Choi eigenvalue {lam_min:.3e}"
@@ -160,9 +165,14 @@ def perturb_channel(
 
     eps must lie in (0, max_epsilon] and defaults to max_epsilon, which
     gives the most distinguishable partner; j_g is
-    build_g_operator(q.dim_in). R is reconstructed through a fresh Kraus
-    extraction so it is a bona fide channel, not just a Choi matrix.
-    The pair is verified on threads sampling workers (see verify_pair).
+    build_g_operator(q.dim_in). R is a bona fide channel, not just a Choi
+    matrix: its Kraus operators are the nonzero columns of S = sqrt(J(R)),
+    formed block by block along J(R)'s exact zero pattern
+    (channels._sqrt_kraus). S does not depend on the eigenbasis picked
+    inside a degenerate eigenspace, so certificates from two installs
+    differ in R's last bits only. For a depolarizing Q, R has one sparse
+    operator per row of J(R). The pair is verified on threads sampling
+    workers (see verify_pair).
     """
     if q.dim_in != q.dim_out:
         raise ValueError("the construction needs a square channel")
@@ -177,7 +187,7 @@ def perturb_channel(
     j_r = ChoiMatrix(
         dim_in=q.dim_in, dim_out=q.dim_out, matrix=j_q.matrix + eps * g
     )
-    r = kraus_from_choi(j_r)
+    r = _sqrt_kraus(j_r)
     verification = verify_pair(
         q, r, n_samples=n_verify, rng=rng, choi_q=j_q, threads=threads
     )
@@ -224,17 +234,20 @@ def depolarizing_distance(r) -> float:
     p J(id) + (1 - p) J(mix), p in [0, 1], with J(id) = vec(I) vec(I)^dag
     and J(mix) = I/d. The squared objective is a convex quadratic in p, so
     the minimizer is the projection of J(R) - J(mix) onto J(id) - J(mix),
-    whose squared norm is d^2 - 1, clipped to [0, 1]. Returns 0 (to float
-    noise) exactly when R is depolarizing.
+    whose squared norm is d^2 - 1, clipped to [0, 1]. The residual is formed
+    in place on one copy of J(R), the only Choi-size array allocated.
+    Returns 0 (to float noise) exactly when R is depolarizing.
     """
     choi = choi_from_kraus(r) if isinstance(r, QuantumChannel) else r
     if choi.dim_in != choi.dim_out:
         raise ValueError(f"need a square channel, got {choi.dim_in}->{choi.dim_out}")
     d = choi.dim_in
-    j_r = choi.matrix
-    v_id = vec(np.eye(d))
-    j_id = np.outer(v_id, v_id)
-    j_mix = np.eye(d * d) / d
-    p = np.vdot(j_id - j_mix, j_r - j_mix).real / (d * d - 1)
+    residual = choi.matrix.copy()
+    ii = np.arange(d) * (d + 1)  # vec(I) = sum_i |ii>, so J(id) is 1 on (ii, ll)
+    diagonal = np.einsum("ii->i", residual)  # a writable view
+    # <J(id) - J(mix), J - J(mix)> = <vec(I)|J|vec(I)> - tr J / d
+    p = (residual[np.ix_(ii, ii)].sum() - diagonal.sum() / d).real / (d * d - 1)
     p = float(np.clip(p, 0.0, 1.0))
-    return schatten_norm(j_r - p * j_id - (1.0 - p) * j_mix, 2)
+    residual[np.ix_(ii, ii)] -= p
+    diagonal -= (1.0 - p) / d
+    return schatten_norm(residual, 2)

@@ -12,6 +12,7 @@ from gatefid.channels import (
     RANK_TOL,
     ChoiMatrix,
     _check_dense_budget,
+    _sqrt_kraus,
     adjoint,
     amplitude_damping,
     channel_from_kraus,
@@ -445,6 +446,67 @@ class TestWholeArrayBuilders:
         # a 1024 x 1024 Choi matrix is 16 MiB; 32.1 MiB with a second buffer
         choi = choi_from_kraus(random_channel(32, 4, rng=1))
         assert _traced_peak(lambda: validate_cptp(choi)) <= 20 * 2**20
+
+
+class TestSqrtKraus:
+    """_sqrt_kraus: R's operators are the nonzero columns of sqrt(J)."""
+
+    @staticmethod
+    def _rebuilt(ch) -> np.ndarray:
+        return choi_from_kraus(ch).matrix
+
+    def test_zero_columns_are_dropped(self):
+        # J(id) and J(damping at gamma = 1) have zero rows and columns
+        for ch, rank in ((identity_channel(3), 3), (amplitude_damping(1.0), 2)):
+            j = choi_from_kraus(ch)
+            root = _sqrt_kraus(j)
+            assert len(root.kraus) == rank
+            assert all(np.any(op) for op in root.kraus)
+            assert np.max(np.abs(self._rebuilt(root) - j.matrix)) <= 1e-14
+
+    def test_twin_partner_is_one_sparse_array(self):
+        j = _twin_choi(16)
+        r = _sqrt_kraus(j)
+        assert len(r.kraus) == 256 and _one_base(r.kraus)
+        assert np.count_nonzero(np.stack(r.kraus)) < 256 * 256 // 16
+        assert np.max(np.abs(self._rebuilt(r) - j.matrix)) <= 1e-14
+
+    def test_small_eigenvalues_clip_against_the_largest_of_every_block(self):
+        # 2e-10 is above RANK_TOL but at most RANK_TOL * 4, the largest eigenvalue
+        j = ChoiMatrix(2, 2, np.diag([4.0, 2e-10, 1.0, 0.0]).astype(complex))
+        r = _sqrt_kraus(j)
+        assert [op.tolist() for op in r.kraus] == [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+
+    def test_a_non_cp_block_is_refused_as_kraus_from_choi_refuses_it(self):
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.ix_([0, 3], [0, 3])] = [[1.0, 0.5], [0.5, 1.0]]
+        m[np.ix_([1, 2], [1, 2])] = [[0.5, 1.0], [1.0, 0.5]]  # eigenvalues 1.5 and -0.5
+        j = ChoiMatrix(2, 2, m)
+        with pytest.raises(ValueError) as expected:
+            kraus_from_choi(j)
+        with pytest.raises(ValueError, match="^Choi matrix has negative eigenvalue -5.000e-01, map is not CP$") as got:
+            _sqrt_kraus(j)
+        assert str(got.value) == str(expected.value)
+
+    def test_non_hermitian_input_is_refused(self):
+        m = choi_from_kraus(identity_channel(2)).matrix.copy()
+        m[0, 3] += 1e-3
+        with pytest.raises(ValueError, match="^matrix is not Hermitian"):
+            _sqrt_kraus(ChoiMatrix(2, 2, m))
+
+    def test_zero_choi_is_refused(self):
+        j = ChoiMatrix(dim_in=2, dim_out=2, matrix=np.zeros((4, 4), dtype=complex))
+        with pytest.raises(ValueError, match="^Choi matrix has no eigenvalue above RANK_TOL$"):
+            _sqrt_kraus(j)
+
+    def test_dense_choi_keeps_the_bits_of_one_eigvalsh(self):
+        # a random channel's Choi matrix is one block: validate_cptp and
+        # max_epsilon keep the bits of one eigvalsh of the whole matrix
+        for d, rank, seed in ((4, 16, 1), (5, 25, 2), (8, 64, 3)):
+            j = choi_from_kraus(random_channel(d, rank, rng=seed))
+            whole = float(np.linalg.eigvalsh(j.matrix)[0])
+            assert validate_cptp(j).min_eigenvalue == whole
+            assert max_epsilon(j) == whole
 
 
 class TestUnitaryChannels:

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatefid.linalg import (
+    _block_eigh,
     _hermitian_part,
+    _pattern_blocks,
     antisym_projector,
     hermitian_eig,
     partial_trace,
@@ -368,3 +370,66 @@ class TestProjectors:
             assert np.max(np.abs(pa @ pa - pa)) < 1e-14
             assert np.max(np.abs(pa + ps - np.eye(d * d))) < 1e-14
             assert np.max(np.abs(pa @ ps)) < 1e-14
+
+
+def _scattered_blocks(rng, sizes) -> tuple:
+    """A Hermitian matrix whose dense blocks of the given sizes sit on shuffled rows."""
+    order = rng.permutation(sum(sizes))
+    blocks = np.split(order, np.cumsum(sizes)[:-1])
+    m = np.zeros((len(order), len(order)), dtype=complex)
+    for rows in blocks:
+        m[np.ix_(rows, rows)] = _rand_hermitian(rng, len(rows))
+    return m, sorted((np.sort(rows) for rows in blocks), key=lambda rows: rows[0])
+
+
+class TestBlockEigh:
+    """_block_eigh solves a Hermitian matrix along the blocks of its exact zeros."""
+
+    def test_scattered_blocks_are_found(self):
+        rng = np.random.default_rng(40)
+        m, blocks = _scattered_blocks(rng, [3, 1, 5, 3, 2, 1])
+        found = _pattern_blocks(m)
+        assert [b.tolist() for b in found] == [b.tolist() for b in blocks]
+
+    def test_a_chain_is_one_block(self):
+        # each row meets only its neighbours, so labels cross it step by step
+        n = 40
+        m = np.diag(np.ones(n)) + np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+        order = np.random.default_rng(41).permutation(n)
+        assert [b.tolist() for b in _pattern_blocks(m[np.ix_(order, order)])] == [list(range(n))]
+
+    def test_spectrum_is_the_union_of_the_blocks(self):
+        m, _ = _scattered_blocks(np.random.default_rng(42), [4, 4, 2, 6, 1])
+        for vectors in (False, True):
+            stacks = _block_eigh(m, vectors)
+            vals = [r[0] if vectors else r for _, r in stacks]
+            union = np.sort(np.concatenate([v.ravel() for v in vals]))
+            assert np.max(np.abs(union - np.linalg.eigvalsh(m))) < 1e-13
+        for index, (vals, vecs) in _block_eigh(m, vectors=True):
+            block = m[index[:, :, None], index[:, None, :]]
+            assert np.max(np.abs(block @ vecs - vecs * vals[:, None, :])) < 1e-13
+
+    def test_a_dense_matrix_keeps_the_bits_of_one_solve(self):
+        m = _rand_hermitian(np.random.default_rng(43), 30)
+        (index, vals), = _block_eigh(m)
+        assert index.tolist() == [list(range(30))]
+        assert _bits(vals[0]) == _bits(np.linalg.eigvalsh(m))
+        (index, (vals, vecs)), = _block_eigh(m, vectors=True)
+        ref_vals, ref_vecs = np.linalg.eigh(m)
+        assert _bits(vals[0]) == _bits(ref_vals) and _bits(vecs[0]) == _bits(ref_vecs)
+
+    def test_zero_rows_are_blocks_of_their_own(self):
+        m = np.zeros((5, 5), dtype=complex)
+        m[np.ix_([1, 3], [1, 3])] = [[2.0, 1.0j], [-1.0j, 2.0]]
+        assert [b.tolist() for b in _pattern_blocks(m)] == [[0], [1, 3], [2], [4]]
+
+    def test_search_holds_at_most_one_boolean_of_the_matrix_size(self):
+        n = 1024
+        m = _rand_hermitian(np.random.default_rng(44), n)
+        tracemalloc.start()
+        try:
+            _pattern_blocks(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -598,6 +602,26 @@ class TestConjugateGradient:
         # one call at the starts and one per step, each two product batches
         assert 2 * len(calls) <= 200
         assert min(calls) >= 2
+
+
+class TestLineSearchConstants:
+    """The line-search tables keep the bits of the expressions they replace."""
+
+    def test_derivative_table_is_the_harmonic_powers(self):
+        harmonics = np.array([0.0, 1j, 2j])
+        assert minimum._DERIVATIVES.tobytes() == (harmonics[:, None] ** np.arange(3)).tobytes()
+
+    def test_grid_waves_are_the_harmonics_at_the_grid_angles(self):
+        expected = np.exp(minimum._HARMONICS[:, None] * minimum._LINE_GRID[[-1, *range(128), 0]])
+        assert minimum._grid_waves().tobytes() == expected.tobytes()
+
+    def test_import_builds_no_grid_waves(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        probe = "import gatefid, gatefid.minimum as m; print(m._grid_waves.cache_info().currsize)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout.strip() == "0"
 
 
 class TestNetMinimum:

@@ -2,6 +2,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from gatefid import nonuniq
 from gatefid.channels import (
     ChoiMatrix,
+    _sqrt_kraus,
     adjoint,
     channel_from_kraus,
     choi_from_kraus,
@@ -266,6 +268,33 @@ class TestPerturbChannel:
         assert abs(float(np.mean(fr)) - (0.5 + 0.5 / 4.0)) < 1e-10
 
 
+class TestSqrtPartner:
+    """R's Kraus set is sqrt(J(R)) block by block, stable in J(R)'s last bits."""
+
+    @pytest.mark.parametrize("d", [4, 5, 8, 16])
+    def test_last_bit_noise_moves_r_in_its_last_bits(self, d):
+        q = depolarizing(0.5, d)
+        j_q = choi_from_kraus(q)
+        j_r = j_q.matrix + max_epsilon(j_q) * build_g_operator(d)
+        r = np.stack(_sqrt_kraus(ChoiMatrix(d, d, j_r)).kraus)
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            h = rng.standard_normal(j_r.shape) + 1j * rng.standard_normal(j_r.shape)
+            noise = 1e-15 * (h + h.conj().T) / np.abs(h + h.conj().T).max()
+            moved = np.stack(_sqrt_kraus(ChoiMatrix(d, d, j_r + noise)).kraus)
+            assert moved.shape == r.shape
+            assert np.max(np.abs(moved - r)) <= 1e-12
+
+    @pytest.mark.parametrize("d", [4, 5, 16])
+    def test_partner_rebuilds_its_choi_matrix(self, d):
+        q = depolarizing(0.5, d)
+        pair = perturb_channel(q, n_verify=2000, rng=d)
+        expected = choi_from_kraus(q).matrix + pair.epsilon * build_g_operator(d)
+        assert np.max(np.abs(choi_from_kraus(pair.r).matrix - expected)) <= 1e-14
+        assert pair.verification.fidelity_residual_max <= 1e-12
+        assert len(pair.r.kraus) == d * d  # J(R) has no zero column
+
+
 class TestExactTwinCheck:
     """Sample-free certificate: equal fidelity functions are equal forms.
 
@@ -464,6 +493,43 @@ class TestDepolarizingDistance:
     def test_accepts_the_choi_matrix(self):
         ch = random_channel(4, 5, rng=106)
         assert depolarizing_distance(choi_from_kraus(ch)) == depolarizing_distance(ch)
+
+    @staticmethod
+    def _old_distance(j_r: np.ndarray, d: int) -> float:
+        # the expression with J(id), J(mix) and three differences built whole
+        v_id = np.eye(d).reshape(-1)
+        j_id = np.outer(v_id, v_id)
+        j_mix = np.eye(d * d) / d
+        p = float(np.clip(np.vdot(j_id - j_mix, j_r - j_mix).real / (d * d - 1), 0.0, 1.0))
+        return schatten_norm(j_r - p * j_id - (1.0 - p) * j_mix, 2)
+
+    def test_agrees_with_the_whole_array_expression(self):
+        panel = [
+            random_channel(4, 5, rng=110),
+            random_channel(6, 2, rng=111),
+            unitary_channel(PAULI_X),
+            depolarizing(0.3, 5),
+            perturb_channel(depolarizing(0.5, 5), n_verify=100, rng=112).r,
+        ]
+        for ch in panel:
+            j = choi_from_kraus(ch)
+            assert abs(depolarizing_distance(j) - self._old_distance(j.matrix, ch.dim_in)) <= 1e-14
+
+    def test_depolarizing_channels_sit_on_the_family(self):
+        for d in (2, 3, 4, 5, 8, 16):
+            for p in (0.0, 0.25, 0.5, 1.0):
+                assert depolarizing_distance(depolarizing(p, d)) <= 1e-14
+
+    def test_peak_is_one_choi_copy(self):
+        # a d = 32 Choi matrix is 16 MiB; the whole-array expression held 3.5 of them
+        j = choi_from_kraus(depolarizing(0.5, 32))
+        tracemalloc.start()
+        try:
+            depolarizing_distance(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * j.matrix.nbytes
 
     def test_shape_guard(self):
         tall = channel_from_kraus((np.zeros((3, 2)),))
