@@ -28,7 +28,7 @@ from gatefid.sampling import BLOCK_SIZE, haar_states
 def measure(d: int, rank: int, rows: int, repeats: int, seed: int) -> dict:
     ch = random_channel(d, rank, rng=[seed, d, rank])
     states = haar_states(d, rows, seed)
-    ops = np.stack(ch.kraus)
+    ops = np.asarray(ch.kraus)  # the array itself; a parent tree's tuple is stacked
     kraus = FidelityKernel(ops=ops, form=None)
     kraus_s, kraus_f = median_time(lambda: kraus.values(states), repeats)
     build_s, form = median_time(lambda: symmetric_form(ch), repeats)

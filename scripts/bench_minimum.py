@@ -16,8 +16,9 @@ DESCENT_PANEL, in DESCENT_ROUNDS interpreters per tree, alternating. Each
 interpreter counts the product batches of one call and times the median of
 DESCENT_REPEATS calls after one warm-up. A product batch is one product of
 every folded Kraus operator with the rows of a batch: an evaluation
-(minimum.gate_fidelity_batch) is one, a gradient (FidelityKernel.gradient)
-two, and a call of fidelity._kraus_products, where the tree has it, two.
+(minimum.gate_fidelity_batch) is one, a gradient (FidelityKernel.gradient,
+where the tree has it) two, and a call of fidelity._kraus_products, where
+the tree has it, two.
 
 Scan routes: in a probe interpreter on this tree's src/, the net scan and
 the survivor check are timed three ways. Chunk scan: one 256-sample chunk
@@ -96,7 +97,9 @@ def _product_batches(fn) -> int:
     from gatefid import fidelity, minimum
 
     count = [0]
-    spies = [(minimum, "gate_fidelity_batch", 1), (fidelity.FidelityKernel, "gradient", 2)]
+    spies = [(minimum, "gate_fidelity_batch", 1)]
+    if hasattr(fidelity.FidelityKernel, "gradient"):
+        spies.append((fidelity.FidelityKernel, "gradient", 2))
     if hasattr(minimum, "_kraus_products"):
         spies.append((minimum, "_kraus_products", 2))
     originals = [(owner, name, getattr(owner, name)) for owner, name, _ in spies]

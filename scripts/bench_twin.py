@@ -72,14 +72,14 @@ def partner(d: int) -> dict:
     j_r = channels.ChoiMatrix(d, d, j_q.matrix + max_epsilon(j_q) * build_g_operator(d))
     eigh_s, _ = median_time(lambda: channels.kraus_from_choi(j_r), repeats)
     route_s, r = median_time(lambda: route(j_r), repeats)
-    ops = np.stack(r.kraus)
+    ops = np.asarray(r.kraus)  # the array itself; a parent tree's tuple is stacked
     rng = np.random.default_rng(d)
     moves = []
     for _ in range(NOISE_DRAWS):
         h = rng.standard_normal(j_r.matrix.shape) + 1j * rng.standard_normal(j_r.matrix.shape)
         h += h.conj().T
         noisy = channels.ChoiMatrix(d, d, j_r.matrix + 1e-15 * h / np.abs(h).max())
-        moved = np.stack(route(noisy).kraus)
+        moved = np.asarray(route(noisy).kraus)
         moves.append(float(np.abs(moved - ops).max()) if moved.shape == ops.shape else None)
     validate_s, _ = median_time(lambda: channels.validate_cptp(j_q), repeats)
     max_epsilon_s, _ = median_time(lambda: max_epsilon(j_q), repeats)

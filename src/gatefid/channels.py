@@ -1,8 +1,8 @@
 """Quantum channels in Kraus and Choi form.
 
-A channel is stored as a tuple of Kraus operators A_k mapping C^dim_in to
-C^dim_out, Lambda(rho) = sum_k A_k rho A_k^dag. The Choi matrix follows the
-convention
+A channel is stored as one array of Kraus operators A_k mapping C^dim_in
+to C^dim_out, Lambda(rho) = sum_k A_k rho A_k^dag. The Choi matrix follows
+the convention
 
     J(Lambda) = sum_{a,b} Lambda(|a><b|) (x) |a><b|
 
@@ -22,6 +22,7 @@ from .linalg import (
     _block_eigh,
     _check_hermitian,
     _hermitian_part,
+    _row_tiles,
     hermitian_eig,
     partial_trace,
     schatten_norm,
@@ -48,11 +49,12 @@ MAX_DENSE_BYTES = 2**31
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Kraus representation of a linear map from dim_in to dim_out."""
+    """Kraus representation of a linear map from dim_in to dim_out: kraus is
+    one C-contiguous complex128 (rank, dim_out, dim_in) array, kraus[k] = A_k."""
 
     dim_in: int
     dim_out: int
-    kraus: tuple
+    kraus: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,17 +85,17 @@ class CptpReport:
 
 def channel_from_kraus(ops) -> QuantumChannel:
     """Build a channel from an iterable of equally shaped Kraus operators."""
-    kraus = tuple(np.array(op, dtype=complex) for op in ops)
-    if not kraus:
+    ops = [np.asarray(op, dtype=complex) for op in ops]
+    if not ops:
         raise ValueError("a channel needs at least one Kraus operator")
-    shape = kraus[0].shape
+    shape = ops[0].shape
     if len(shape) != 2:
         raise ValueError(f"Kraus operators must be matrices, got shape {shape}")
-    for op in kraus[1:]:
+    for op in ops[1:]:
         if op.shape != shape:
             raise ValueError(f"inconsistent Kraus shapes {shape} and {op.shape}")
     d_out, d_in = shape
-    return QuantumChannel(dim_in=d_in, dim_out=d_out, kraus=kraus)
+    return QuantumChannel(dim_in=d_in, dim_out=d_out, kraus=np.array(ops))  # C-ordered
 
 
 def _check_dense_budget(side: int, what: str) -> None:
@@ -115,23 +117,36 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
+# columns of J per GEMM and per block of its symmetrization
+_CHOI_BLOCK = 128
+
+
 def _choi_gemm(ops: np.ndarray) -> np.ndarray:
     """sum_k vec(A_k) vec(A_k)^dag of operators stacked as (rank, d_out, d_in).
 
-    One GEMM, J[(i,j),(l,m)] = sum_k A_k[i,j] conj(A_k[l,m]); the product
-    is Hermitian only up to its rounding.
+    J[(i,j),(l,m)] = sum_k A_k[i,j] conj(A_k[l,m]), one GEMM per _row_tiles
+    block of columns, so no copy of the whole set is conjugated; each entry
+    has the bits of one GEMM over the whole. J is Hermitian up to rounding.
     """
-    flat = ops.reshape(ops.shape[0], -1)
-    return flat.T @ flat.conj()
+    flat = ops.reshape(len(ops), -1)
+    n = flat.shape[1]
+    j = np.empty((n, n), dtype=complex)
+    for start, stop in _row_tiles(n, _CHOI_BLOCK):
+        np.matmul(flat.T, flat[:, start:stop].conj(), out=j[:, start:stop])
+    return j
 
 
 def choi_from_kraus(ch: QuantumChannel) -> ChoiMatrix:
-    """The Choi matrix, symmetrized so that it equals its adjoint exactly."""
+    """The Choi matrix, symmetrized so that it equals its adjoint exactly: entry
+    (x, y) is 0.5 (J[x, y] + conj(J[y, x])), formed in place a block pair at a time."""
     n = ch.dim_in * ch.dim_out
     _check_dense_budget(n, f"{n}x{n} Choi matrix")
-    j = _choi_gemm(np.stack(ch.kraus))
-    j += j.conj().T
-    j *= 0.5
+    j = _choi_gemm(ch.kraus)
+    tiles = [slice(*tile) for tile in _row_tiles(n, _CHOI_BLOCK)]
+    for b, cols in enumerate(tiles):
+        for rows in tiles[: b + 1]:
+            up, low = j[rows, cols], j[cols, rows]
+            up[...], low[...] = 0.5 * (up + low.conj().T), 0.5 * (low + up.conj().T)
     return ChoiMatrix(dim_in=ch.dim_in, dim_out=ch.dim_out, matrix=j)
 
 
@@ -143,7 +158,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     positive and is rejected. Kraus operators come out ordered by
     descending eigenvalue with the first nonzero component of each
     eigenvector rotated to the positive real axis, so equal Choi matrices
-    give identical tuples up to eigenspace degeneracy.
+    give identical arrays up to eigenspace degeneracy.
     """
     vals, vecs = hermitian_eig(choi.matrix)
     _cp_scale(vals[0], vals[-1])
@@ -154,7 +169,7 @@ def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:
     ops = np.multiply(top, _unit_phases(top).conj()[:, None], order="C")
     np.multiply(np.sqrt(vals[::-1][:r, None]), ops, out=ops)
     ops = ops.reshape(r, choi.dim_out, choi.dim_in)
-    return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
+    return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=ops)
 
 
 _NO_RANK = "Choi matrix has no eigenvalue above RANK_TOL"
@@ -179,7 +194,7 @@ def _sqrt_kraus(choi: ChoiMatrix) -> QuantumChannel:
     degenerate eigenspace, so a last-bit change of J moves the operators in
     their last bits only, where kraus_from_choi's eigenvectors may turn
     inside the eigenspace. The set is not minimal: it holds one operator per
-    nonzero column of J, in column order, as views of one array.
+    nonzero column of J, in column order.
     """
     stacks = _block_eigh(_check_hermitian(choi.matrix), vectors=True)
     lowest = min(vals[:, 0].min() for _, (vals, _) in stacks)
@@ -195,7 +210,7 @@ def _sqrt_kraus(choi: ChoiMatrix) -> QuantumChannel:
         raise ValueError(_NO_RANK)
     ops = columns if kept.all() else columns[kept]
     ops = ops.reshape(len(ops), choi.dim_out, choi.dim_in)
-    return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=tuple(ops))
+    return QuantumChannel(dim_in=choi.dim_in, dim_out=choi.dim_out, kraus=ops)
 
 
 def _unit_phases(rows: np.ndarray) -> np.ndarray:
@@ -235,17 +250,18 @@ def validate_cptp(obj, tol: float = DEFAULT_ATOL) -> CptpReport:
 
 def adjoint(ch: QuantumChannel) -> QuantumChannel:
     """Adjoint map with respect to the Hilbert-Schmidt inner product."""
-    return channel_from_kraus(tuple(op.conj().T for op in ch.kraus))
+    return channel_from_kraus(ch.kraus.conj().swapaxes(1, 2))
 
 
 def unitary_channel(u: np.ndarray) -> QuantumChannel:
-    u = np.asarray(u, dtype=complex)
+    """The channel rho -> U rho U^dag; U is copied only if not C-ordered complex128."""
+    u = np.ascontiguousarray(u, dtype=complex)
     d = u.shape[0]
     if u.shape != (d, d):
         raise ValueError(f"expected a square matrix, got shape {u.shape}")
     if not _is_unitary(u):
         raise ValueError("matrix is not unitary within tolerance")
-    return QuantumChannel(dim_in=d, dim_out=d, kraus=(u,))
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=u[None])
 
 
 def identity_channel(d: int) -> QuantumChannel:
@@ -298,9 +314,9 @@ def depolarizing(p: float, d: int) -> QuantumChannel:
     _check_dense_budget(d * d, f"Kraus set of the d={d} depolarizing channel")
     basis = unitary_operator_basis(d)
     first = np.sqrt(p + (1.0 - p) / d**2) * basis[0]
-    basis *= np.sqrt(1.0 - p) / d  # a fresh array: its operators become the Kraus set
+    basis *= np.sqrt(1.0 - p) / d  # a fresh array: it becomes the Kraus set
     basis[0] = first
-    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(basis))
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=basis)
 
 
 def amplitude_damping(gamma: float) -> QuantumChannel:
@@ -324,7 +340,7 @@ def random_channel(d: int, kraus_rank: int, rng) -> QuantumChannel:
     g = np.random.default_rng(rng)
     shape = (d * kraus_rank, d)
     q, _ = np.linalg.qr(g.standard_normal(shape) + 1j * g.standard_normal(shape))
-    return QuantumChannel(dim_in=d, dim_out=d, kraus=tuple(q.reshape(kraus_rank, d, d)))
+    return QuantumChannel(dim_in=d, dim_out=d, kraus=q.reshape(kraus_rank, d, d))
 
 
 def phase_spread_unitary(d: int, rng) -> QuantumChannel:

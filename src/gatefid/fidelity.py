@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _UNITARY_TOL, QuantumChannel, _choi_gemm, _is_unitary
+from .linalg import _row_tiles
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
 # metric on unit vectors, valid for every channel and every dimension.
@@ -74,17 +75,6 @@ SYMMETRIC_FORM_MAX_DIM = 32
 _TILE_ROWS = 256
 
 
-def _row_tiles(n: int, rows: int):
-    """(start, stop) bounds of consecutive tiles of at most `rows` rows over n rows.
-
-    A one-row remainder joins the tile before it: a one-row matmul takes
-    numpy's gemv path, whose last bits differ from the GEMM the same row
-    gets inside a larger batch.
-    """
-    stops = [*range(rows, n - 1, rows), n]
-    return zip([0, *stops[:-1]], stops)
-
-
 def uses_symmetric_form(rank: int, d: int) -> bool:
     """Dispatch rule: the symmetric form for Kraus rank >= d^2/4, above d.
 
@@ -122,14 +112,7 @@ def _fold(e: QuantumChannel, u) -> np.ndarray:
             f"gate fidelity needs a square channel, got {e.dim_in} -> {e.dim_out}"
         )
     u = _check_target(u, e.dim_in)
-    # one operator is viewed, not copied: a unitary channel's U can be the
-    # largest array of a run. Every constructor here builds C-ordered
-    # operators, which np.stack laid out the same way.
-    if len(e.kraus) == 1:
-        ops = np.ascontiguousarray(e.kraus[0])[None]
-    else:
-        ops = np.stack(e.kraus)
-    return ops if u is None else u.conj().T @ ops
+    return e.kraus if u is None else u.conj().T @ e.kraus
 
 
 def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
@@ -215,7 +198,9 @@ def _kraus_products(ops: np.ndarray, rows: np.ndarray) -> tuple:
 
 def _kraus_gradient(rows: np.ndarray, b_phi: np.ndarray, bh_phi: np.ndarray) -> tuple:
     # c_k = <phi|B_k|phi> and grad = 2 sum_k (conj(c_k) B_k phi + c_k B_k^dag phi)
-    # for each row phi, from its _kraus_products; every sum runs within one row
+    # for each row phi, from its _kraus_products; every sum runs within one row.
+    # grad is dF/dRe phi + i dF/dIm phi of F = sum_k |c_k|^2 read as a degree-4
+    # polynomial in (Re phi, Im phi); its component along phi is 4F
     c = np.einsum("kni,ni->kn", b_phi, rows.conj())
     grad = np.einsum("kn,kni->ni", c.conj(), b_phi) + np.einsum("kn,kni->ni", c, bh_phi)
     return c, 2.0 * grad
@@ -226,7 +211,8 @@ class FidelityKernel:
     """Evaluation path of F_{E,U}, chosen once per (channel, target) pair.
 
     ops holds the folded Kraus operators B_k = U^dag A_k, stacked as a
-    complex (rank, d, d) array. form holds symmetric_form(e, u) when
+    complex (rank, d, d) array; at the identity target it is the channel's
+    own kraus array. form holds symmetric_form(e, u) when
     uses_symmetric_form picks it; otherwise it is None and values come from
     the Kraus loop over ops. Build it with fidelity_kernel and hand it to
     gate_fidelity_batch for every batch of the same pair.
@@ -240,25 +226,6 @@ class FidelityKernel:
         if self.form is None:
             return _kraus_values(self.ops, states)
         return _symmetric_values(self.form, self.ops.shape[-1], states)
-
-    def gradient(self, phi: np.ndarray) -> np.ndarray:
-        """Exact gradient of F = sum_k |<phi|B_k|phi>|^2 at each row phi.
-
-        B_k = U^dag A_k. F is read as a real function of (Re phi, Im phi)
-        and extended off the unit sphere as the degree-4 polynomial above;
-        the result packs it as dF/dRe phi + i dF/dIm phi, a complex array
-        of phi's shape: (n, d) for n rows, (d,) for one 1-D state, which
-        takes the same code as a one-row batch. Its component along phi is
-        4F, so callers descending on the sphere remove the radial part. It
-        is computed from the folded Kraus operators on either evaluation
-        path. A batch of two rows or more gives each row the same bits
-        whatever the other rows are; a one-row batch takes numpy's
-        matrix-vector products, whose last bits can differ.
-        """
-        phi = np.asarray(phi, dtype=complex)
-        rows = np.atleast_2d(phi)
-        grad = _kraus_gradient(rows, *_kraus_products(self.ops, rows))[1]
-        return grad[0] if phi.ndim == 1 else grad
 
 
 def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:

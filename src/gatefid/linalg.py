@@ -12,6 +12,17 @@ import numpy as np
 HERMITICITY_RTOL = 1e-10
 
 
+def _row_tiles(n: int, rows: int):
+    """(start, stop) bounds of consecutive tiles of at most `rows` rows over n rows.
+
+    A one-row remainder joins the tile before it: a one-row matmul takes
+    numpy's gemv path, whose last bits differ from the GEMM the same row
+    gets inside a larger batch.
+    """
+    stops = [*range(rows, n - 1, rows), n]
+    return zip([0, *stops[:-1]], stops)
+
+
 def _check_bipartite(m: np.ndarray, dim_first: int, dim_second: int) -> np.ndarray:
     m = np.asarray(m)
     n = dim_first * dim_second

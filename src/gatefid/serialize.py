@@ -4,10 +4,11 @@ Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly, so re-reading an artifact reproduces bit-identical
 numbers and identical inputs produce byte-identical files. Complex
 matrices are stored row-major as [re, im] pairs. They stay numpy arrays
-until bytes are produced, with the bytes the nested pair lists give (a
-Kraus set as the one array it stacks to). A result record (a dataclass
-instance) is written as a JSON object of its fields in declaration order,
-so the dataclass is the one statement of its artifact's keys.
+until bytes are produced, with the bytes the nested pair lists give, a
+Kraus set as one (rank, dim_out, dim_in) array. A result record (a
+dataclass instance) is written as a JSON object of its fields in
+declaration order, so the dataclass is the one statement of its
+artifact's keys.
 
 No path holds a whole channel file's text. write_json and write_csv write
 to the open file as they encode, a complex array _CHUNK_PAIRS pairs at a
@@ -19,8 +20,9 @@ the top-level object through json's own scanner, so every number has the
 bits json.loads gives it. Every matrix, each Kraus operator and a Choi
 matrix alike, is decoded a row at a time into an array allocated from
 its first row's width: square, doubled for a taller operator, trimmed
-for a wider one. A file the streamed read does not take is re-read whole
-by json.loads, so every refusal keeps its message; a matrix over the
+for a wider one; the first Kraus operator sizes the set's one array, into
+which the others are decoded. A file the streamed read does not take is
+re-read whole by json.loads, so every refusal keeps its message; a matrix over the
 dense-operator budget is refused at once. Unitary, state and net files
 are small and decoded whole.
 
@@ -119,19 +121,9 @@ def _array_digest(arr: np.ndarray) -> str:
     return f'{{"dtype":"complex128","shape":[{shape}],"sha256":"{digest}"}}'
 
 
-def _stackable(items) -> bool:
-    """True for two or more complex arrays of one shape, at least 1-d."""
-    first = items[0] if len(items) > 1 else None
-    return isinstance(first, np.ndarray) and first.ndim > 0 and all(
-        isinstance(a, np.ndarray) and a.dtype.kind == "c" and a.shape == first.shape
-        for a in items
-    )
-
-
-def _emit(obj, write, array, stack: bool = False) -> None:
+def _emit(obj, write, array) -> None:
     # write: takes the text a piece at a time; array(arr, write) writes a
-    # complex ndarray; stack: write a list of equally shaped complex arrays
-    # as the one array they stack to
+    # complex ndarray
     if obj is None:
         write("null")
     elif isinstance(obj, bool):
@@ -144,15 +136,12 @@ def _emit(obj, write, array, stack: bool = False) -> None:
         write(json.dumps(obj))
     elif isinstance(obj, np.ndarray) and obj.dtype.kind == "c":
         array(obj, write)
-    elif isinstance(obj, (list, tuple)) and stack and _stackable(obj):
-        # the stack's text is the list's, byte for byte, in one encode
-        array(np.stack(obj), write)
     elif isinstance(obj, (list, tuple)):
         write("[")
         for i, item in enumerate(obj):
             if i:
                 write(",")
-            _emit(item, write, array, stack)
+            _emit(item, write, array)
         write("]")
     elif isinstance(obj, dict):
         write("{")
@@ -162,12 +151,12 @@ def _emit(obj, write, array, stack: bool = False) -> None:
             if i:
                 write(",")
             write(json.dumps(key) + ":")
-            _emit(value, write, array, stack)
+            _emit(value, write, array)
         write("}")
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         # the field order is the artifact's key order
         fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-        _emit(fields, write, array, stack)
+        _emit(fields, write, array)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
@@ -176,13 +165,11 @@ def dumps_canonical(obj) -> str:
     """Deterministic JSON text: fixed float format, insertion-ordered keys.
 
     A complex numpy array is written as nested [re, im] pairs, byte for byte
-    as the equivalent nested lists of floats; a list or tuple of two or more
-    equally shaped complex arrays (a Kraus set) is encoded as their stack,
-    which gives the same bytes; a dataclass instance as an object of its
-    fields in declaration order.
+    as the equivalent nested lists of floats; a dataclass instance as an
+    object of its fields in declaration order.
     """
     out: list = []
-    _emit(obj, out.append, _write_array, stack=True)
+    _emit(obj, out.append, _write_array)
     return "".join(out)
 
 
@@ -199,7 +186,7 @@ def canonical_hash(obj) -> str:
 
 
 def _check_encodable(obj) -> None:
-    """Raise what encoding obj would raise, writing nothing (a Kraus set unstacked)."""
+    """Raise what encoding obj would raise, writing nothing."""
     _emit(obj, lambda text: None, lambda arr, write: _finite_floats(arr))
 
 
@@ -207,7 +194,7 @@ def write_json(path, obj) -> None:
     """Write obj's canonical JSON text and a newline, streamed to the file."""
     _check_encodable(obj)  # before the file is opened: a failed encode leaves no file
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _emit(obj, fh.write, _write_array, stack=True)
+        _emit(obj, fh.write, _write_array)
         fh.write("\n")
 
 
@@ -318,27 +305,29 @@ def channel_to_dict(ch: QuantumChannel) -> dict:
     return {
         "dim_in": ch.dim_in,
         "dim_out": ch.dim_out,
-        "kraus": [np.asarray(op, dtype=np.complex128) for op in ch.kraus],
+        "kraus": ch.kraus,
     }
 
 
-def channel_from_dict(data: dict, convert=pairs_to_matrix) -> QuantumChannel:
-    """A channel from its fields, convert(entry, field) giving each Kraus matrix."""
+def channel_from_dict(data: dict) -> QuantumChannel:
+    """A channel from its fields: a 'kraus' list of [re, im] pair matrices,
+    stacked once all pass their checks, or load_operator's streamed array."""
     dim_in = _positive_int(data, "dim_in")
     dim_out = _positive_int(data, "dim_out")
     raw = _require(data, "kraus")
-    if not isinstance(raw, list) or not raw:
+    if not isinstance(raw, (list, np.ndarray)) or not len(raw):
         raise ValueError("field 'kraus': expected a non-empty list of matrices")
+    streamed = isinstance(raw, np.ndarray)  # its operators have one shape
     ops = []
-    for i, entry in enumerate(raw):
-        op = convert(entry, f"kraus[{i}]")
+    for i, entry in enumerate(raw[:1] if streamed else raw):
+        op = entry if streamed else pairs_to_matrix(entry, f"kraus[{i}]")
         if op.shape != (dim_out, dim_in):
             raise ValueError(
                 f"field 'kraus[{i}]': expected shape {dim_out}x{dim_in}, got "
                 f"{op.shape[0]}x{op.shape[1]}"
             )
         ops.append(op)
-    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, kraus=tuple(ops))
+    return QuantumChannel(dim_in=dim_in, dim_out=dim_out, kraus=raw if streamed else np.array(ops))
 
 
 def choi_to_dict(choi: ChoiMatrix) -> dict:
@@ -349,10 +338,13 @@ def choi_to_dict(choi: ChoiMatrix) -> dict:
     }
 
 
-def choi_from_dict(data: dict, convert=pairs_to_matrix) -> ChoiMatrix:
+def choi_from_dict(data: dict) -> ChoiMatrix:
+    """A Choi matrix from [re, im] pair rows, or load_operator's streamed array."""
     dim_in = _positive_int(data, "dim_in")
     dim_out = _positive_int(data, "dim_out")
-    matrix = convert(_require(data, "choi"), "choi")
+    matrix = _require(data, "choi")
+    if not isinstance(matrix, np.ndarray):
+        matrix = pairs_to_matrix(matrix, "choi")
     n = dim_in * dim_out
     if matrix.shape != (n, n):
         raise ValueError(
@@ -423,18 +415,20 @@ class _Window:
             self._fill(16 * (len(self.text) - self.i) + 1)
 
 
-def _streamed_matrix(win: _Window, field: str, height=None) -> np.ndarray:
+def _streamed_matrix(win: _Window, field: str, height=None, out=None) -> np.ndarray:
     # each row is decoded into a matrix allocated once the first gives its
     # width: min(height, width) rows for a positive int height, else square;
-    # then doubled (budget first) or trimmed to the rows read
+    # then doubled (budget first) or trimmed to the rows read. Given out, the
+    # rows fill it in its place, and it grows or is trimmed like any other.
     what = "Choi matrix" if field == "choi" else f"{field} operator"
     win.expect("[")
     row = pairs_to_vector(win.value(), field)
-    width = len(row)
-    height = min(height, width) if type(height) is int and height > 0 else width
-    _check_budget(16 * height * width, f"{height}x{width} {what}")
-    matrix = np.empty((height, width), dtype=np.complex128)
-    rows = 0
+    if out is None:
+        width = len(row)
+        height = min(height, width) if type(height) is int and height > 0 else width
+        _check_budget(16 * height * width, f"{height}x{width} {what}")
+        out = np.empty((height, width), dtype=np.complex128)
+    matrix, width, rows = out, out.shape[1], 0
     while True:
         if row.shape != (width,):
             raise ValueError("ragged rows")
@@ -449,15 +443,24 @@ def _streamed_matrix(win: _Window, field: str, height=None) -> np.ndarray:
         row = pairs_to_vector(win.value(), field)
 
 
-def _streamed_kraus(win: _Window, field: str, dim_out=None) -> list:
-    # each operator is complete before the next one's first row is decoded;
-    # a dim_out read before the list is each operator's first height
+def _streamed_kraus(win: _Window, field: str, dim_out=None):
+    # one (rank, h, w) array, its shape from the first operator (a dim_out
+    # read before the list is its first height), the rest decoded into it
+    # as it doubles in place, then trimmed; an operator of another shape is
+    # refused, for the whole-text read to name. An empty list stays a list.
     win.expect("[")
-    ops: list = []
+    if win.take("]"):
+        return []
+    ops = _streamed_matrix(win, f"{field}[0]", dim_out)[None].copy()
+    rank = 1
     while not win.take("]"):
-        if ops:
-            win.expect(",")
-        ops.append(_streamed_matrix(win, f"{field}[{len(ops)}]", dim_out))
+        win.expect(",")
+        if rank == len(ops):  # no view of ops is alive here
+            ops.resize((2 * rank, *ops.shape[1:]), refcheck=False)
+        if _streamed_matrix(win, f"{field}[{rank}]", None, ops[rank]).base is not ops:
+            raise ValueError("ragged rows")  # not in its slot: it grew or was trimmed
+        rank += 1
+    ops.resize((rank, *ops.shape[1:]), refcheck=False)
     return ops
 
 
@@ -488,15 +491,15 @@ def load_operator(path) -> QuantumChannel | ChoiMatrix:
     through read_json."""
     try:
         with contextlib.closing(_read_text(path)) as pieces:
-            data, convert = _streamed_fields(pieces), lambda matrix, field: matrix
+            data = _streamed_fields(pieces)
     except _OverBudget:
         raise
     except ValueError:
-        data, convert = read_json(path), pairs_to_matrix
+        data = read_json(path)
     if isinstance(data, dict) and "kraus" in data:
-        return channel_from_dict(data, convert)
+        return channel_from_dict(data)
     if isinstance(data, dict) and "choi" in data:
-        return choi_from_dict(data, convert)
+        return choi_from_dict(data)
     raise ValueError(f"{path}: neither 'kraus' nor 'choi' field present")
 
 

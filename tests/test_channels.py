@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatefid import channels as channels_module
+from gatefid import serialize
 from gatefid.channels import (
     MAX_DENSE_BYTES,
     RANK_TOL,
@@ -131,6 +132,42 @@ class TestChoiGemm:
         assert np.array_equal(j, j.conj().T)
         assert np.max(np.abs(j - _outer_sum_choi(ch))) <= 1e-14
         assert validate_cptp(ch).hermiticity_gap == 0.0
+
+    @pytest.mark.parametrize(
+        "ch",
+        [
+            lambda: random_channel(12, 3, rng=25),
+            lambda: random_channel(23, 2, rng=26),
+            lambda: random_channel(8, 64, rng=27),
+            lambda: _isometry_map(3, 43, 2, 28),
+            lambda: amplitude_damping(0.3),
+            lambda: identity_channel(4),
+            lambda: depolarizing(0.5, 5),
+            lambda: depolarizing(0.5, 12),
+            lambda: depolarizing(0.5, 32),
+            lambda: _sqrt_kraus(_twin_choi(4)),
+            lambda: _sqrt_kraus(_twin_choi(16)),
+        ],
+        ids=["random-12-rank-3", "random-23-rank-2", "random-8-rank-64", "3to43",
+             "damping", "identity", "depolarizing-5", "depolarizing-12", "depolarizing-32",
+             "twin-4", "twin-16"],
+    )
+    def test_blocks_keep_the_bits_of_the_whole_matrix_expression(self, ch):
+        # the one GEMM and whole-matrix symmetrization choi_from_kraus ran
+        # before it worked a block at a time; 3to43 has 129 columns, so a
+        # lone last column joins the block before it
+        ch = ch()
+        flat = ch.kraus.reshape(len(ch.kraus), -1)
+        j = flat.T @ flat.conj()
+        j += j.conj().T
+        j *= 0.5
+        assert choi_from_kraus(ch).matrix.tobytes() == j.tobytes()
+
+    def test_peak_is_one_choi_size(self):
+        # the 1024 x 1024 matrix is 16 MiB; a stacked copy of the Kraus set,
+        # its conjugate and J's conjugate took the peak to 48 MiB
+        ch = depolarizing(0.5, 32)
+        assert _traced_peak(lambda: choi_from_kraus(ch)) <= 1.25 * 16 * 2**20
 
     def test_exactly_hermitian_choi_validated_without_svd(self, monkeypatch):
         # only the Choi-size SVD is refused: the small TP residual keeps its own
@@ -362,9 +399,17 @@ def _same_bytes(ops, reference) -> bool:
     )
 
 
-def _one_base(ops) -> bool:
-    """Every operator is a view of one array."""
-    return ops[0].base is not None and all(op.base is ops[0].base for op in ops)
+def _one_array(ch) -> bool:
+    """The Kraus set is one C-contiguous complex128 (rank, dim_out, dim_in) array."""
+    kraus = ch.kraus
+    return (
+        isinstance(kraus, np.ndarray)
+        and kraus.dtype == np.complex128
+        and kraus.flags.c_contiguous
+        and kraus.ndim == 3
+        and len(kraus) > 0
+        and kraus.shape[1:] == (ch.dim_out, ch.dim_in)
+    )
 
 
 def _twin_choi(d: int) -> ChoiMatrix:
@@ -401,7 +446,7 @@ class TestWholeArrayBuilders:
     def test_depolarizing_bytes_at_powers_of_two(self, d, p):
         ch = depolarizing(p, d)
         assert _same_bytes(ch.kraus, _loop_depolarizing(p, _kron_chains(d.bit_length() - 1)))
-        assert _one_base(ch.kraus)
+        assert _one_array(ch)
 
     @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("d", [3, 5, 6])
@@ -428,7 +473,7 @@ class TestWholeArrayBuilders:
         choi = choi()
         ch = kraus_from_choi(choi)
         assert _same_bytes(ch.kraus, _loop_kraus(choi))
-        assert _one_base(ch.kraus) and all(op.flags.c_contiguous for op in ch.kraus)
+        assert _one_array(ch)
 
     def test_random_channel_blocks_of_one_isometry(self):
         ch = random_channel(256, 4, rng=1)
@@ -436,7 +481,7 @@ class TestWholeArrayBuilders:
         raw = g.standard_normal((1024, 256)) + 1j * g.standard_normal((1024, 256))
         q, _ = np.linalg.qr(raw)
         assert _same_bytes(ch.kraus, [q[i * 256 : (i + 1) * 256].copy() for i in range(4)])
-        assert _one_base(ch.kraus) and (ch.dim_in, ch.dim_out) == (256, 256)
+        assert _one_array(ch) and (ch.dim_in, ch.dim_out) == (256, 256)
 
     def test_depolarizing_peak_is_one_kraus_set(self):
         # d^4 complex entries at d = 48: 81 MiB; 163 MiB with a second set
@@ -446,6 +491,58 @@ class TestWholeArrayBuilders:
         # a 1024 x 1024 Choi matrix is 16 MiB; 32.1 MiB with a second buffer
         choi = choi_from_kraus(random_channel(32, 4, rng=1))
         assert _traced_peak(lambda: validate_cptp(choi)) <= 20 * 2**20
+
+
+def _read_back(load, form: str, text: str = ""):
+    """A producer that writes a channel file (Kraus or Choi form, or text) and reads it with load."""
+    def produce(tmp_path):
+        path = tmp_path / "ch.json"
+        ch = random_channel(3, 2, rng=3)
+        if text:
+            path.write_text(text, encoding="utf-8")
+        elif form == "kraus":
+            serialize.write_json(path, serialize.channel_to_dict(ch))
+        else:
+            serialize.write_json(path, serialize.choi_to_dict(choi_from_kraus(ch)))
+        return load(path)
+    return produce
+
+
+# every producer of a channel, each a function of a scratch directory
+_PRODUCERS = {
+    "random_channel": lambda _: random_channel(5, 3, rng=1),
+    "depolarizing-4": lambda _: depolarizing(0.5, 4),
+    "depolarizing-5": lambda _: depolarizing(0.5, 5),
+    "unitary_channel-C": lambda _: unitary_channel(np.array(HADAMARD, dtype=complex)),
+    "unitary_channel-F": lambda _: unitary_channel(np.asfortranarray(HADAMARD)),
+    "identity_channel": lambda _: identity_channel(3),
+    "amplitude_damping": lambda _: amplitude_damping(0.3),
+    "channel_from_kraus": lambda _: channel_from_kraus([PAULI_X, np.eye(2)]),
+    "adjoint": lambda _: adjoint(_isometry_map(2, 3, 4, 23)),
+    "kraus_from_choi": lambda _: kraus_from_choi(choi_from_kraus(random_channel(3, 2, rng=2))),
+    "_sqrt_kraus": lambda _: _sqrt_kraus(_twin_choi(4)),
+    "load_operator-kraus": _read_back(serialize.load_operator, "kraus"),
+    # the streamed read refuses the first 'kraus'; json.loads keeps the last
+    "load_operator-whole-text": _read_back(
+        serialize.load_operator, "kraus",
+        '{"kraus":3,"dim_in":2,"dim_out":2,"kraus":[[[[1,0],[0,0]],[[0,0],[1,0]]]]}',
+    ),
+    "load_channel-kraus": _read_back(serialize.load_channel, "kraus"),
+    "load_channel-choi": _read_back(serialize.load_channel, "choi"),
+}
+
+
+class TestKrausFormat:
+    @pytest.mark.parametrize("name", sorted(_PRODUCERS))
+    def test_every_producer_returns_one_array(self, name, tmp_path):
+        assert _one_array(_PRODUCERS[name](tmp_path))
+
+    def test_unitary_copied_only_when_not_c_ordered(self):
+        u = np.array(HADAMARD, dtype=complex)
+        assert np.shares_memory(unitary_channel(u).kraus, u)
+        f = np.asfortranarray(u)
+        ch = unitary_channel(f)
+        assert not np.shares_memory(ch.kraus, f) and np.array_equal(ch.kraus[0], u)
 
 
 class TestSqrtKraus:
@@ -467,8 +564,8 @@ class TestSqrtKraus:
     def test_twin_partner_is_one_sparse_array(self):
         j = _twin_choi(16)
         r = _sqrt_kraus(j)
-        assert len(r.kraus) == 256 and _one_base(r.kraus)
-        assert np.count_nonzero(np.stack(r.kraus)) < 256 * 256 // 16
+        assert len(r.kraus) == 256 and _one_array(r)
+        assert np.count_nonzero(r.kraus) < 256 * 256 // 16
         assert np.max(np.abs(self._rebuilt(r) - j.matrix)) <= 1e-14
 
     def test_small_eigenvalues_clip_against_the_largest_of_every_block(self):

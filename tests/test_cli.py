@@ -166,6 +166,7 @@ class TestChannelCommands:
 
     def test_bad_kraus_entry_named(self, tmp_path, capsys):
         data = serialize.channel_to_dict(depolarizing(0.5, 2))
+        data["kraus"] = list(data["kraus"])  # the one (4, 2, 2) array, as a list to edit
         data["kraus"][1] = [[[1.0, 0.0]]]
         path = tmp_path / "shape.json"
         serialize.write_json(path, data)
@@ -667,9 +668,9 @@ class TestInputBoundary:
         assert main(["fidelity", "stats", "--channel", ch_path, "--unitary", str(u_path),
                      "--n", "500", "--out", str(out)]) == 0
         assert reads.count(str(u_path)) == 1
-        # recomputed without gatefid: each array enters as its shape and byte digest
-        kraus = ",".join(_digest_json(k) for k in ch.kraus)
-        text = (f'{{"channel":{{"dim_in":2,"dim_out":2,"kraus":[{kraus}]}},'
+        # recomputed without gatefid: each array enters as its shape and byte
+        # digest, the Kraus set as one (4, 2, 2) array
+        text = (f'{{"channel":{{"dim_in":2,"dim_out":2,"kraus":{_digest_json(ch.kraus)}}},'
                 f'"unitary":{_digest_json(u)},"n":500}}')
         assert real_read(out)["inputs_hash"] == hashlib.sha256(text.encode()).hexdigest()
 
@@ -694,7 +695,7 @@ class TestInputBoundary:
         out = tmp_path / "r.json"
         assert main(["channel", "validate", "--channel", str(path), "--out", str(out)]) == 0
         assert reads == [str(path)]
-        decoded = QuantumChannel(1, 1, (np.array([[0.6 + 0j]]), np.array([[0.8j]])))
+        decoded = QuantumChannel(1, 1, np.array([[[0.6 + 0j]], [[0.8j]]]))
         expected = serialize.canonical_hash({"path_content": serialize.channel_to_dict(decoded)})
         assert real_read(out)["inputs_hash"] == expected
         # a canonical file's hash is that of its decoded arrays, not of its pair lists
@@ -702,7 +703,7 @@ class TestInputBoundary:
             assert main(["channel", "validate", "--channel", canonical, "--out", str(out)]) == 0
             raw = json.loads(open(canonical, encoding="utf-8").read())
             arrays = np.array(raw[field]).view(complex)[..., 0]
-            decoded = {**raw, field: list(arrays) if field == "kraus" else arrays}
+            decoded = {**raw, field: arrays}  # a Kraus set as one array
             got = real_read(out)["inputs_hash"]
             assert got == serialize.canonical_hash({"path_content": decoded})
             assert got != serialize.canonical_hash({"path_content": raw})

@@ -20,6 +20,8 @@ from gatefid.fidelity import (
     LIPSCHITZ_CONSTANT,
     SYMMETRIC_FORM_MAX_DIM,
     FidelityKernel,
+    _kraus_gradient,
+    _kraus_products,
     _upper_pairs,
     average_gate_fidelity,
     depolarizing_gate_fidelity,
@@ -282,6 +284,11 @@ def _fd_gradient(ch, u, x, h=1e-6):
     return diff[:d] + 1j * diff[d:]
 
 
+def _gradient(kernel, rows):
+    """The exact gradient of F at each row, from the kernel's folded operators."""
+    return _kraus_gradient(rows, *_kraus_products(kernel.ops, rows))[1]
+
+
 class TestKernelGradient:
     @pytest.mark.parametrize(
         "d,rank,symmetric",
@@ -296,7 +303,7 @@ class TestKernelGradient:
         kernel = fidelity_kernel(ch, u)
         assert (kernel.form is not None) == symmetric
         for x in haar_states(d, 3, rng=8200 + 100 * d + rank):
-            got = _tangent(x, kernel.gradient(x))
+            got = _tangent(x, _gradient(kernel, x[None])[0])
             assert np.max(np.abs(got - _tangent(x, _fd_gradient(ch, u, x)))) < 1e-6
 
     @pytest.mark.parametrize("d,rank", [(2, 1), (3, 9), (8, 4), (16, 3)])
@@ -307,7 +314,7 @@ class TestKernelGradient:
         kernel = fidelity_kernel(ch, u)
         ops = kernel.ops
         rows = haar_states(d, 5, rng=8700 + d)
-        grads = kernel.gradient(rows)
+        grads = _gradient(kernel, rows)
         assert grads.shape == rows.shape
         for x, g in zip(rows, grads):
             b_phi = ops @ x
@@ -315,23 +322,23 @@ class TestKernelGradient:
             one = 2.0 * (c.conj() @ b_phi + c @ (x.conj() @ ops).conj())
             assert np.max(np.abs(g - one)) < 1e-13
             assert np.max(np.abs(_tangent(x, g) - _tangent(x, _fd_gradient(ch, u, x)))) < 1e-6
-        # a 1-D state is a one-row batch
-        assert kernel.gradient(rows[0]).tobytes() == kernel.gradient(rows[:1])[0].tobytes()
 
     def test_radial_part_is_4f(self):
         ch = random_channel(4, 16, rng=83)
         u = _haar_unitary(np.random.default_rng(84), 4)
         kernel = fidelity_kernel(ch, u)
         for x in haar_states(4, 5, rng=85):
-            g = kernel.gradient(x)
+            g = _gradient(kernel, x[None])[0]
             assert abs(np.real(np.vdot(x, g)) - 4 * gate_fidelity_batch(ch, u, x)) < 1e-13
 
 
 class TestKernelOperators:
     def test_rank_one_channel_is_not_copied(self):
-        # a unitary channel's U, 64 MiB at d = 2048, is not held a second
-        # time; built as unitary_channel builds it, without its 10 s check
-        ch = QuantumChannel(2048, 2048, (np.eye(2048, dtype=complex),))
+        # at the identity target the kernel reads the channel's one Kraus
+        # array in place, at every rank. A unitary channel's U, 64 MiB at
+        # d = 2048, is not held a second time; built as unitary_channel
+        # builds it, without its 10 s check.
+        ch = QuantumChannel(2048, 2048, np.eye(2048, dtype=complex)[None])
         tracemalloc.start()
         try:
             kernel = fidelity_kernel(ch)
@@ -339,7 +346,9 @@ class TestKernelOperators:
         finally:
             tracemalloc.stop()
         assert allocated <= 2**20
-        assert np.shares_memory(kernel.ops, ch.kraus[0])
+        assert np.shares_memory(kernel.ops, ch.kraus)
+        for ch in (random_channel(256, 4, rng=1), depolarizing(0.5, 16)):
+            assert fidelity_kernel(ch).ops is ch.kraus
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("with_target", [False, True])

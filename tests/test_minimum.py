@@ -459,7 +459,7 @@ def _old_descend(e, u, x, kernel):
     val = float(gate_fidelity_batch(e, u, x, kernel=kernel))
     step = 0.25
     for _ in range(400):
-        grad = kernel.gradient(x)
+        grad = _kraus_gradient(x[None], *_kraus_products(kernel.ops, x[None]))[1][0]
         grad -= np.real(np.vdot(x, grad)) * x
         gnorm = float(np.linalg.norm(grad))
         if gnorm < 1e-12:

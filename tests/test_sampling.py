@@ -532,7 +532,7 @@ class TestSpectralRoute:
         upper /= np.linalg.norm(upper, 2)
         spec, n = RngSpec(101), BLOCK_SIZE + 257
         for op in (0.5 * u, upper):
-            ch = QuantumChannel(dim_in=d, dim_out=d, kraus=(op,))
+            ch = QuantumChannel(dim_in=d, dim_out=d, kraus=op[None])
             want = _reference_samples(ch, n, spec).tobytes()
             assert fidelity_samples(ch, None, n, spec).tobytes() == want
         ch = unitary_channel(u)

@@ -483,8 +483,8 @@ class TestArrayCodec:
 
     def test_dict_helpers_hash_arrays_by_bytes(self):
         ch = depolarizing(0.3, 3)
-        kraus = ",".join(_digest_json(k) for k in ch.kraus)
-        text = f'{{"dim_in":3,"dim_out":3,"kraus":[{kraus}]}}'
+        # the Kraus set is one (9, 3, 3) array, hashed as one digest
+        text = f'{{"dim_in":3,"dim_out":3,"kraus":{_digest_json(ch.kraus)}}}'
         assert canonical_hash(channel_to_dict(ch)) == hashlib.sha256(text.encode()).hexdigest()
         # nested lists are not arrays: they are hashed by their decimal text
         nested = {"dim_in": 3, "dim_out": 3, "kraus": [_nested_pairs(k) for k in ch.kraus]}
@@ -547,7 +547,8 @@ class TestArrayCodec:
 
 
 class TestKrausSetEncode:
-    """dumps_canonical writes a list of equally shaped arrays as their stack."""
+    """A list of equally shaped arrays has the bytes of their stack, and a
+    channel's Kraus set, one array, is encoded once."""
 
     @given(_complex_arrays(1, 3), st.integers(2, 4))
     @settings(max_examples=80, deadline=None)
@@ -618,6 +619,7 @@ _PANEL = {
     "repeated kraus": f'{{"kraus":[{_A},{_B},{_C}],{_DIMS},"kraus":[{_C},{_A}]}}',
     "repeated dims": f'{{"dim_in":3,{_DIMS},"kraus":[{_B}],"dim_out":2}}',
     "one operator": f'{{{_DIMS},"kraus":[{_A}]}}',
+    "five operators": f'{{{_DIMS},"kraus":[{_A},{_B},{_C},{_A},{_B}]}}',
     "unitary": json.dumps({"dim_in": 1, "dim_out": 1, "kraus": [[[[1, -0.0]]]]}),
 }
 
@@ -641,6 +643,12 @@ _REFUSED = {
     "shape, then bad entry": f'{{{_DIMS},"kraus":[{_A},[[[1,0]]],[[[NaN,0]]]]}}',
     "non-finite token": f'{{{_DIMS},"kraus":[{_A},[[[Infinity,0],[0,0]],[[0,0],[1,0]]]]}}',
     "neither form": '{"dim_in":2,"dim_out":2}',
+    # a later operator of another shape than the first
+    "taller later operator": f'{{{_DIMS},"kraus":[{_A},[[[1,0],[0,0]],[[0,1],[1,0]],[[0,0],[2,0]]]]}}',
+    "shorter later operator": f'{{{_DIMS},"kraus":[{_A},{_B},[[[1,0],[0,0]]]]}}',
+    "wider later operator": f'{{{_DIMS},"kraus":[{_A},[[[1,0],[0,0],[3,0]],[[0,0],[1,0],[0,0]]]]}}',
+    "one-wide later operator": f'{{{_DIMS},"kraus":[{_A},[[[1,0]],[[0,1]]]]}}',
+    "every operator 1x1": f'{{{_DIMS},"kraus":[[[[1,0]]],[[[0,1]]]]}}',
 }
 
 
@@ -954,9 +962,9 @@ class TestWindowBoundaries:
         got = load_operator(path)
         expected = channel_from_dict(json.loads(text))
         assert (got.dim_in, got.dim_out) == (d_in, d_out)
-        assert all(a.shape == (d_out, d_in) and a.flags.c_contiguous for a in got.kraus)
-        # and holds no rows beyond its own
-        assert all((a if a.base is None else a.base).nbytes == a.nbytes for a in got.kraus)
+        assert got.kraus.shape == (2, d_out, d_in) and got.kraus.flags.c_contiguous
+        # and the one array holds no rows beyond its own
+        assert (got.kraus if got.kraus.base is None else got.kraus.base).nbytes == 2 * 16 * d_out * d_in
         assert all(_same_bits(a, b) for a, b in zip(got.kraus, expected.kraus))
 
     @pytest.mark.parametrize("name", sorted(_REFUSED))
@@ -1117,7 +1125,7 @@ class TestStreamedWrite:
         assert path.read_bytes() == b'{"kept":true}\n'
 
     def test_kraus_set_is_checked_an_operator_at_a_time(self, tmp_path):
-        # the first non-finite entry in operator order is the stack's first
+        # the first non-finite entry in operator order is the one named
         ops = [np.eye(3, dtype=complex) for _ in range(4)]
         ops[1][2, 2] = complex(0.0, -np.inf)
         ops[2][0, 0] = np.nan
@@ -1126,7 +1134,7 @@ class TestStreamedWrite:
             with pytest.raises(ValueError, match=re.escape("non-finite float -inf")):
                 encode(obj)
         assert list(tmp_path.iterdir()) == []
-        # the check pass holds one operator's flags, not the 4 MiB stack
+        # the check pass holds the set's finite flags (0.5 MiB), not a copy of it
         obj = channel_to_dict(random_channel(256, 4, rng=1))
         tracemalloc.start()
         try:
@@ -1157,7 +1165,7 @@ class TestStreamedWrite:
         finally:
             tracemalloc.stop()
         assert (tmp_path / "ch.json").read_text() == dumps_canonical(obj) + "\n"
-        # 4,877,427 bytes (4.7 MiB) measured under numpy 2.4.6: the 4 MiB
-        # stack of the Kraus set and one chunk; joining the text first
-        # peaked at 27.3 MiB
+        # 681,424 bytes (0.65 MiB) measured under numpy 2.4.6: the set's
+        # finite flags and one chunk; a stacked copy of the Kraus set took
+        # it to 4.7 MiB, and joining the text first to 27.3 MiB
         assert peak <= 5.5 * 2**20
