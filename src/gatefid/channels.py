@@ -23,6 +23,7 @@ from .linalg import (
     _check_hermitian,
     _hermitian_part,
     _row_tiles,
+    _symmetrize,
     hermitian_eig,
     partial_trace,
     schatten_norm,
@@ -117,7 +118,7 @@ def _check_budget(need: int, what: str) -> None:
         )
 
 
-# columns of J per GEMM and per block of its symmetrization
+# columns of J per GEMM
 _CHOI_BLOCK = 128
 
 
@@ -138,16 +139,12 @@ def _choi_gemm(ops: np.ndarray) -> np.ndarray:
 
 def choi_from_kraus(ch: QuantumChannel) -> ChoiMatrix:
     """The Choi matrix, symmetrized so that it equals its adjoint exactly: entry
-    (x, y) is 0.5 (J[x, y] + conj(J[y, x])), formed in place a block pair at a time."""
+    (x, y) is 0.5 (J[x, y] + conj(J[y, x])), formed in place a tile pair at a time
+    (linalg._symmetrize)."""
     n = ch.dim_in * ch.dim_out
     _check_dense_budget(n, f"{n}x{n} Choi matrix")
     j = _choi_gemm(ch.kraus)
-    tiles = [slice(*tile) for tile in _row_tiles(n, _CHOI_BLOCK)]
-    for b, cols in enumerate(tiles):
-        for rows in tiles[: b + 1]:
-            up, low = j[rows, cols], j[cols, rows]
-            up[...], low[...] = 0.5 * (up + low.conj().T), 0.5 * (low + up.conj().T)
-    return ChoiMatrix(dim_in=ch.dim_in, dim_out=ch.dim_out, matrix=j)
+    return ChoiMatrix(dim_in=ch.dim_in, dim_out=ch.dim_out, matrix=_symmetrize(j, j))
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> QuantumChannel:

@@ -17,8 +17,11 @@ is the partially transposed Choi matrix of U^dag o E restricted to the
 symmetric subspace, of dimension d(d+1)/2. The fidelity sees a channel
 only through M, which is why distinct channels can share a fidelity
 function. High-rank channels at moderate d take the symmetric form
-(uses_symmetric_form); everything else takes the Kraus loop. Both paths
-evaluate a batch in tiles of _TILE_ROWS rows, so their scratch does not
+(uses_symmetric_form); everything else takes the Kraus loop. The form is
+evaluated by one GEMM over the whole of M, or, when M is mostly exact
+zeros (SYMMETRIC_FORM_MAX_FILL), as in depolarizing channels and their
+twins, on its stored entries alone: the pattern route. Every path
+evaluates a batch in tiles of _TILE_ROWS rows, so its scratch does not
 grow with the batch. No tile has a single row, so in a batch of two rows
 or more every row gets the bits one pass over the whole batch gives it,
 whatever the other rows are.
@@ -32,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _UNITARY_TOL, QuantumChannel, _choi_gemm, _is_unitary
-from .linalg import _row_tiles
+from .channels import _UNITARY_TOL, ChoiMatrix, QuantumChannel, _choi_gemm, _is_unitary
+from .linalg import _row_tiles, _symmetrize
 
 # Lipschitz constant of phi -> F_{E,U}(phi) with respect to the Euclidean
 # metric on unit vectors, valid for every channel and every dimension.
@@ -69,6 +72,15 @@ def _clamp_unit(values):
 # needs neither, is kept.
 SYMMETRIC_FORM_MAX_DIM = 32
 
+# Share of the symmetric form's entries that are exact nonzeros, at or below
+# which the form is evaluated on its stored entries (the pattern route) in
+# place of one GEMM over the whole form. On one 4096-state block of random
+# Hermitian forms (scripts/bench_kernel.py, BENCH_kernel.json "crossover",
+# one BLAS thread, two runs) the pattern route stops winning at a fill of
+# 0.046-0.050 at d = 16, 0.034 at d = 24 and 0.031-0.034 at d = 32, and not
+# below 0.088 at d = 8. This sits under all of them.
+SYMMETRIC_FORM_MAX_FILL = 0.028
+
 # rows per GEMM on both evaluation paths, so the scratch of a batch (the
 # (rows, d(d+1)/2) coordinates of the symmetric form, the (rows, d) bras and
 # products of the Kraus loop) stays small next to the states themselves
@@ -77,6 +89,10 @@ _TILE_ROWS = 256
 
 def uses_symmetric_form(rank: int, d: int) -> bool:
     """Dispatch rule: the symmetric form for Kraus rank >= d^2/4, above d.
+
+    This picks the form over the Kraus loop; whether the form is then
+    evaluated by its GEMM or on its stored entries is decided from M's
+    exact zeros (SYMMETRIC_FORM_MAX_FILL), once M is built.
 
     The Kraus loop costs rank * d^2 per state, the symmetric form about
     d^4/4. On one 4096-state block (scripts/bench_kernel.py,
@@ -126,11 +142,7 @@ def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     numpy.triu_indices(d). Two channels have the same gate fidelity
     function against U exactly when their forms are equal.
     """
-    return _form_of(_fold(e, u))
-
-
-def _form_of(ops: np.ndarray) -> np.ndarray:
-    # symmetric_form of the folded operators B_k, stacked as (rank, d, d)
+    ops = _fold(e, u)
     d = ops.shape[-1]
     return _sym_block(_choi_gemm(ops).reshape(d, d, d, d))
 
@@ -189,6 +201,70 @@ def _symmetric_values(form: np.ndarray, d: int, states: np.ndarray) -> np.ndarra
     return out
 
 
+@dataclass(frozen=True)
+class _FormPattern:
+    """A sparse symmetric form M as its stored entries, for phi of dimension d.
+
+    F = p^T D p + Re sum_k c_k conj(phi_a phi_b) phi_x phi_y, with p = |phi|^2
+    entry by entry. D is the real (d, d) matrix of M's diagonal, entry
+    (i, j) and (j, i) both Re M at the pair (i, j), so the basis weights
+    fold in. Entry k stands for one nonzero (r, s), r < s, of the Hermitian
+    part of M: index[:, k] = (a, b, x, y), with pairs r = (a, b) and
+    s = (x, y), and c_k = (M[r, s] + conj(M[s, r])) w_r w_s, where w is the
+    basis weight. That part is what the GEMM route's real part reads, and
+    twice it, 2 Re, is the pair of mirrored entries.
+    """
+
+    diag: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
+
+
+def _form_pattern(form: np.ndarray, d: int) -> _FormPattern:
+    """The stored entries of a symmetric form of phi in C^d."""
+    i, j, weight = _upper_pairs(d)
+    diag = np.zeros((d, d))
+    diag[i, j] = diag[j, i] = form.diagonal().real
+    r, s = np.nonzero(np.triu(form + form.conj().T, 1))
+    coef = (form[r, s] + form[s, r].conj()) * (weight[r] * weight[s])
+    return _FormPattern(diag=diag, index=np.stack([i[r], j[r], i[s], j[s]]), coef=coef[:, None])
+
+
+def _pattern_values(pattern: _FormPattern, states: np.ndarray) -> np.ndarray:
+    # tile by tile, as on the GEMM route; the entry products are formed on the
+    # transposed tile and its conjugate, whose rows are the d coordinates, so
+    # each gather copies whole contiguous rows. Each row sums its terms in the
+    # order of the stored entries; the scratch, 2d + 2K transposed tile rows
+    # for K entries, is allocated once per call
+    n, d = states.shape
+    a, b, x, y = pattern.index
+    k = len(a)
+    width = min(n, _TILE_ROWS + 1)
+    coords = np.empty(2 * d * width, dtype=complex)
+    terms = np.empty(2 * k * width, dtype=complex)
+    probs = np.empty((width, d))
+    out = np.empty(n)
+    for start, stop in _row_tiles(n, _TILE_ROWS):
+        rows, m = states[start:stop], stop - start
+        ket, bra = coords[: 2 * d * m].reshape(2, d, m)
+        acc, factor = terms[: 2 * k * m].reshape(2, k, m)
+        np.copyto(ket, rows.T)
+        np.conjugate(ket, out=bra)
+        # the indices are in range by construction: mode="clip" skips the
+        # buffered bounds check of np.take's default
+        np.take(bra, a, axis=0, out=acc, mode="clip")
+        for source, index in ((bra, b), (ket, x), (ket, y)):
+            np.take(source, index, axis=0, out=factor, mode="clip")
+            acc *= factor
+        acc *= pattern.coef
+        p = probs[:m]
+        np.add(np.square(rows.real), np.square(rows.imag), out=p)
+        out[start:stop] = np.einsum("ni,ni->n", p @ pattern.diag, p) + np.add.reduce(
+            acc.real, axis=0
+        )
+    return out
+
+
 def _kraus_products(ops: np.ndarray, rows: np.ndarray) -> tuple:
     # B_k phi and B_k^dag phi for each row phi, as two (rank, n, d) arrays:
     # two batches of (rows, d) GEMMs, one GEMM per operator, so a row's bits
@@ -212,19 +288,28 @@ class FidelityKernel:
 
     ops holds the folded Kraus operators B_k = U^dag A_k, stacked as a
     complex (rank, d, d) array; at the identity target it is the channel's
-    own kraus array. form holds symmetric_form(e, u) when
+    own kraus array. form holds the symmetric form M when
     uses_symmetric_form picks it; otherwise it is None and values come from
-    the Kraus loop over ops. Build it with fidelity_kernel and hand it to
-    gate_fidelity_batch for every batch of the same pair.
+    the Kraus loop over ops. pattern holds M's stored entries when M's fill
+    is at most SYMMETRIC_FORM_MAX_FILL, and values then come from them
+    alone; form is then M as built from the symmetrized Choi matrix that
+    choi_from_kraus returns, and may differ from symmetric_form(e, u) in
+    its last bits. Otherwise pattern is None and form is
+    symmetric_form(e, u), evaluated by one GEMM. Build it with
+    fidelity_kernel and hand it to gate_fidelity_batch for every batch of
+    the same pair.
     """
 
     ops: np.ndarray
     form: np.ndarray | None
+    pattern: _FormPattern | None = None
 
     def values(self, states: np.ndarray) -> np.ndarray:
         """Unclamped fidelities of the rows of a complex (n, d) array."""
         if self.form is None:
             return _kraus_values(self.ops, states)
+        if self.pattern is not None:
+            return _pattern_values(self.pattern, states)
         return _symmetric_values(self.form, self.ops.shape[-1], states)
 
 
@@ -232,8 +317,37 @@ def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:
     """Pick the evaluation path for (e, u) and build what it needs."""
     ops = _fold(e, u)
     rank, d, _ = ops.shape
-    form = _form_of(ops) if uses_symmetric_form(rank, d) else None
-    return FidelityKernel(ops=ops, form=form)
+    if not uses_symmetric_form(rank, d):
+        return FidelityKernel(ops=ops, form=None)
+    j = _choi_gemm(ops)
+    form = _sym_block(j.reshape(d, d, d, d))
+    # the pattern route reads the form of the symmetrized Choi matrix, which
+    # choi_from_kraus returns, so a caller that holds it builds the same
+    # kernel from it (_held_choi_kernel); a dense form keeps the raw GEMM's
+    return _pattern_kernel(ops, _symmetrize(j, j)) or FidelityKernel(ops=ops, form=form)
+
+
+def _pattern_kernel(ops: np.ndarray, choi: np.ndarray) -> FidelityKernel | None:
+    """The pattern-route kernel of the folded operators ops from their
+    symmetrized Choi matrix, or None when the form is too full for it."""
+    d = ops.shape[-1]
+    form = _sym_block(choi.reshape(d, d, d, d))
+    if np.count_nonzero(form) > SYMMETRIC_FORM_MAX_FILL * form.size:
+        return None
+    return FidelityKernel(ops=ops, form=form, pattern=_form_pattern(form, d))
+
+
+def _held_choi_kernel(e: QuantumChannel, choi: ChoiMatrix) -> FidelityKernel:
+    """fidelity_kernel(e), bit for bit, given choi = choi_from_kraus(e).
+
+    A pattern-route form is read from choi, so no second Choi GEMM runs; a
+    form too full for that route, and a channel on the Kraus loop, go
+    through fidelity_kernel.
+    """
+    ops = _fold(e, None)
+    rank, d, _ = ops.shape
+    kernel = _pattern_kernel(ops, choi.matrix) if uses_symmetric_form(rank, d) else None
+    return kernel or fidelity_kernel(e)
 
 
 def gate_fidelity_batch(

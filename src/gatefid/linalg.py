@@ -93,19 +93,51 @@ def schatten_norm(m: np.ndarray, p) -> float:
     raise ValueError(f"unsupported Schatten order {p!r}, use 2 or inf")
 
 
+# rows and columns of a tile of the adjoint passes: a complex tile is 64 KiB,
+# so a tile and its transposed partner are read from cache, not with a
+# stride of the whole row
+_ADJOINT_TILE = 64
+
+
+def _tile_pairs(n: int) -> list:
+    """(rows, cols) slices of the tiles on and above the diagonal of an n x n matrix;
+    each stands for itself and its mirror (cols, rows)."""
+    tiles = [slice(*tile) for tile in _row_tiles(n, _ADJOINT_TILE)]
+    return [(rows, cols) for b, cols in enumerate(tiles) for rows in tiles[: b + 1]]
+
+
+def _adjoint_pass(m: np.ndarray, f, out: np.ndarray) -> np.ndarray:
+    """out[x, y] = f(M[x, y], conj(M[y, x])) for a square M, a tile pair at a time.
+
+    Each pair of tiles mirrored across the diagonal is read before either
+    is written, so out may be m itself.
+    """
+    for rows, cols in _tile_pairs(len(m)):
+        up, low = m[rows, cols], m[cols, rows]
+        out[rows, cols], out[cols, rows] = f(up, low.conj().T), f(low, up.conj().T)
+    return out
+
+
+def _symmetrize(m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """0.5 (M + M^dag) into out, which may be m: entry (x, y) is (conj(M[y, x]) + M[x, y]) * 0.5."""
+    return _adjoint_pass(m, lambda x, adj: (adj + x) * 0.5, out)
+
+
 def _hermitian_part(m: np.ndarray) -> tuple:
     """(||M - M^dag||_inf, 0.5 (M + M^dag)) of a square matrix.
 
     A finite matrix equal to its adjoint entry for entry has a gap of
     exactly 0.0, so the SVD that measures the gap runs only on one that is
-    not.
+    not. The compare, the difference and the mean all run tile pair by
+    tile pair into one matrix-size buffer.
     """
-    adj = m.conj().T
-    exact = np.isfinite(m).all() and np.array_equal(m, adj)
-    gap = 0.0 if exact else schatten_norm(m - adj, np.inf)
-    if np.iscomplexobj(m):  # the sum goes into the buffer m.conj() made
-        return gap, np.multiply(np.add(adj, m, out=adj), 0.5, out=adj)
-    return gap, 0.5 * (m + adj)  # a real m.conj() is m itself
+    exact = np.isfinite(m).all() and all(
+        np.array_equal(m[rows, cols], m[cols, rows].conj().T)
+        for rows, cols in _tile_pairs(len(m))
+    )
+    out = np.empty(m.shape, dtype=np.result_type(m, 0.5))
+    gap = 0.0 if exact else schatten_norm(_adjoint_pass(m, np.subtract, out), np.inf)
+    return gap, _symmetrize(m, out)
 
 
 def _check_hermitian(m: np.ndarray) -> np.ndarray:

@@ -28,12 +28,11 @@ from .channels import (
     choi_from_kraus,
     validate_cptp,
 )
-from .fidelity import _sym_block
+from .fidelity import _held_choi_kernel, _sym_block
 from .linalg import (
     _block_eigh,
     _check_hermitian,
     partial_trace,
-    partial_transpose,
     schatten_norm,
 )
 from .sampling import DEFAULT_SEED, _block_fidelities, as_rng_spec
@@ -41,34 +40,32 @@ from .sampling import DEFAULT_SEED, _block_fidelities, as_rng_spec
 FULL_RANK_TOL = 1e-10
 
 
-def _pair_state(d: int, i: int, j: int) -> np.ndarray:
-    """The antisymmetric combination (|ij> - |ji>)/sqrt(2)."""
-    v = np.zeros(d * d, dtype=complex)
-    v[i * d + j] = 1.0 / np.sqrt(2.0)
-    v[j * d + i] = -1.0 / np.sqrt(2.0)
-    return v
-
-
 def build_g_operator(d: int) -> np.ndarray:
     """The fidelity-invisible perturbation direction j_g on C^d (x) C^d, d >= 4.
 
-    Three pairs of orthonormal antisymmetric vectors built from basis
-    states 0..3 are cross-coupled into S = sum_i (|a_i><b_i| + |b_i><a_i|);
-    j_g, a Hermitian traceless d^2 x d^2 matrix, is the partial transpose
-    of S, and S is partial_transpose(j_g, d, d). Both partial traces of j_g
-    vanish, so adding eps * j_g to a channel's Choi matrix preserves trace
-    preservation for every eps. Dimensions above 4 simply carry the same
-    vectors embedded in the first four basis states.
+    Three pairs of orthonormal antisymmetric vectors (|ij> - |ji>)/sqrt(2)
+    built from basis states 0..3, (01, 23), (02, 13) and (03, 12), are
+    cross-coupled into S = sum_i (|a_i><b_i| + |b_i><a_i|); j_g, a
+    Hermitian traceless d^2 x d^2 matrix, is the partial transpose of S,
+    and S is partial_transpose(j_g, d, d). Its 24 nonzeros, +-1/2 each,
+    are placed directly. Both partial traces of j_g vanish, so adding
+    eps * j_g to a channel's Choi matrix preserves trace preservation for
+    every eps. Dimensions above 4 simply carry the same vectors embedded in
+    the first four basis states.
     """
     if d < 4:
         raise ValueError(f"the construction needs dimension >= 4, got {d}")
     _check_dense_budget(d * d, f"d={d} perturbation direction G")
-    alpha = [_pair_state(d, 0, 1), _pair_state(d, 0, 2), _pair_state(d, 0, 3)]
-    beta = [_pair_state(d, 2, 3), _pair_state(d, 1, 3), _pair_state(d, 1, 2)]
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for a, b in zip(alpha, beta):
-        s += np.outer(a, b.conj()) + np.outer(b, a.conj())
-    return partial_transpose(s, d, d, factor="second")
+    amplitude = 1.0 / np.sqrt(2.0)
+    half = amplitude * amplitude  # <xy|S|zw>: one product of two amplitudes
+    g = np.zeros((d * d, d * d), dtype=complex)
+    for a, b in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        for (i, j), (k, l) in ((a, b), (b, a)):
+            # S[(x1, x2), (y1, y2)] lands at ((x1, y2), (y1, x2)) of j_g
+            for x1, x2, sx in ((i, j, 1), (j, i, -1)):
+                for y1, y2, sy in ((k, l, 1), (l, k, -1)):
+                    g[x1 * d + y2, y1 * d + x2] = sx * sy * half
+    return g
 
 
 def max_epsilon(j_q: ChoiMatrix) -> float:
@@ -125,12 +122,14 @@ def verify_pair(
     """Measure how far two channels are from sharing a fidelity function.
 
     Each Choi matrix is built once and shared by the distance, the CPTP
-    checks and R's depolarizing distance; choi_q, when the caller already
-    holds choi_from_kraus(q), is used instead of a rebuild. The residual
-    is taken over the Haar states `fidelity stats` draws at the seed: each
-    block is drawn once and evaluated for Q and for R, by threads workers,
-    the calling thread among them. The samples of each channel are those
-    of fidelity_samples at the seed, for any thread count.
+    checks, R's depolarizing distance and the fidelity kernels, which read
+    a sparse symmetric form from it (fidelity._held_choi_kernel); choi_q,
+    when the caller already holds choi_from_kraus(q), is used instead of a
+    rebuild. The residual is taken over the Haar states `fidelity stats`
+    draws at the seed: each block is drawn once and evaluated for Q and for
+    R, by threads workers, the calling thread among them. The samples of
+    each channel are those of fidelity_samples at the seed, for any thread
+    count.
     """
     if (q.dim_in, q.dim_out) != (r.dim_in, r.dim_out):
         raise ValueError("the two channels have different dimensions")
@@ -141,7 +140,8 @@ def verify_pair(
     # checked before sampling, so a refused tol costs no samples
     cptp_q = validate_cptp(jq, tol)
     cptp_r = validate_cptp(jr, tol)
-    fq, fr = _block_fidelities([(q, None), (r, None)], n_samples, spec, threads)
+    pairs = [(ch, None, _held_choi_kernel(ch, j)) for ch, j in ((q, jq), (r, jr))]
+    fq, fr = _block_fidelities(pairs, n_samples, spec, threads)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),
         choi_distance=schatten_norm(jr.matrix - jq.matrix, 2),

@@ -166,8 +166,9 @@ def _block_fidelities(pairs, n: int, rng, threads: int, spectrum=None) -> list:
     """Gate fidelity of every (channel, target) pair at the same n Haar states.
 
     Each tile of a block is drawn once and evaluated at once by every
-    pair's kernel, built once before the first block. One pair whose
-    folded channel is a unitary draws exponentials instead of states (see
+    pair's kernel, built once before the first block; a pair may carry its
+    kernel, already built, as a third item. One pair whose folded channel
+    is a unitary draws exponentials instead of states (see
     _spectral_weights), as does a spectrum, the eigenvalues of a unitary
     measured against the identity, given with no pairs; it returns one
     array. The calling thread and threads - 1 pool workers
@@ -181,7 +182,7 @@ def _block_fidelities(pairs, n: int, rng, threads: int, spectrum=None) -> list:
     if n < 1:
         raise ValueError(f"sample count must be positive, got {n}")
     _check_budget(8 * n, f"array of {n} fidelity samples")
-    kernels = [fidelity_kernel(e, u) for e, u in pairs]
+    kernels = [held[0] if held else fidelity_kernel(e, u) for e, u, *held in pairs]
     weights = _spectral_weights(kernels, spectrum)
     d = len(spectrum) if spectrum is not None else pairs[0][0].dim_in
     rows, buffer_rows = _tile_rows(n, d)
@@ -216,7 +217,7 @@ def _block_fidelities(pairs, n: int, rng, threads: int, spectrum=None) -> list:
                         outs[0][start + t0 : start + t1] = _clamp_unit(t)
                         continue
                     states = _haar_block(g, buffer[: t1 - t0])
-                    for (e, u), kernel, out in zip(pairs, kernels, outs):
+                    for (e, u, *_), kernel, out in zip(pairs, kernels, outs):
                         out[start + t0 : start + t1] = gate_fidelity_batch(
                             e, u, states, kernel=kernel
                         )

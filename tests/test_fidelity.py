@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,10 @@ from gatefid.fidelity import (
     CONCENTRATION_C,
     LIPSCHITZ_CONSTANT,
     SYMMETRIC_FORM_MAX_DIM,
+    SYMMETRIC_FORM_MAX_FILL,
     FidelityKernel,
+    _form_pattern,
+    _held_choi_kernel,
     _kraus_gradient,
     _kraus_products,
     _upper_pairs,
@@ -33,6 +37,7 @@ from gatefid.fidelity import (
     variance_bounds,
 )
 from gatefid.linalg import partial_transpose, schatten_norm
+from gatefid.nonuniq import perturb_channel
 from gatefid.sampling import haar_states, mc_fidelity_stats
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -189,11 +194,13 @@ class TestSymmetricForm:
         monkeypatch.setattr(np, "triu_indices", rebuilt)
         assert kernel.values(haar_states(d, 300, rng=86)).tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("d", [3, 6])
+    @pytest.mark.parametrize("d", [3, 6, 16])
     def test_row_bits_do_not_depend_on_the_batch(self, d):
-        # no tile has one row, which numpy's gemv path would evaluate
-        kernel = fidelity_kernel(random_channel(d, d * d, rng=88 + d))
-        assert kernel.form is not None
+        # no tile has one row, which numpy's gemv path would evaluate; the
+        # d = 16 depolarizing form takes the pattern route
+        ch = depolarizing(0.5, d) if d == 16 else random_channel(d, d * d, rng=88 + d)
+        kernel = fidelity_kernel(ch)
+        assert kernel.form is not None and (kernel.pattern is not None) == (d == 16)
         states = haar_states(d, 600, rng=90 + d)
         whole = kernel.values(states)
         for start, stop in ((0, 257), (100, 102), (0, 513), (300, 600)):
@@ -365,6 +372,108 @@ class TestKernelOperators:
         states = haar_states(5, 300, rng=87)
         expected = FidelityKernel(ops=stacked, form=None).values(states)
         assert kernel.values(states).tobytes() == expected.tobytes()
+
+
+def _weyl_diagonal(weights: np.ndarray, d: int) -> QuantumChannel:
+    # rho -> sum_k weights_k W_k rho W_k^dag over the clock and shift
+    # monomials W_k = X^a Z^b, k = a d + b
+    return channel_from_kraus(np.sqrt(weights)[:, None, None] * channels._clock_shift(d))
+
+
+def _twin(d: int, side: str) -> QuantumChannel:
+    return getattr(perturb_channel(depolarizing(0.5, d), n_verify=2, rng=122), side)
+
+
+def _dephasing(d: int) -> QuantumChannel:
+    weights = np.zeros(d * d)
+    weights[:d] = np.random.default_rng(121).dirichlet(np.ones(d))  # Z^b only
+    return _weyl_diagonal(weights, d)
+
+
+# channels whose symmetric forms are mostly exact zeros, built on use
+_STRUCTURED = {
+    **{f"depolarizing-{d}": functools.partial(depolarizing, 0.5, d) for d in range(2, 33)},
+    **{f"twin-{side}-{d}": functools.partial(_twin, d, side) for d in (4, 5, 16) for side in "qr"},
+    "dephasing-6": functools.partial(_dephasing, 6),
+    "weyl-diagonal-5": lambda: _weyl_diagonal(np.random.default_rng(121).dirichlet(np.ones(25)), 5),
+}
+
+
+class TestPatternRoute:
+    """The symmetric form evaluated on its stored entries."""
+
+    @pytest.mark.parametrize("name", list(_STRUCTURED))
+    def test_agrees_with_the_gemm_route(self, name):
+        # forced onto both routes, whatever the fill
+        ch = _STRUCTURED[name]()
+        held = _held_form(ch)
+        gemm = FidelityKernel(ops=ch.kraus, form=symmetric_form(ch))
+        pattern = FidelityKernel(ops=ch.kraus, form=held, pattern=_form_pattern(held, ch.dim_in))
+        states = haar_states(ch.dim_in, 600, rng=123)
+        assert np.max(np.abs(pattern.values(states) - gemm.values(states))) <= 1e-14
+
+    @pytest.mark.parametrize("d", [3, 6, 16])
+    def test_dense_forms_keep_the_gemm_bits(self, d):
+        ch = random_channel(d, d * d, rng=124 + d)
+        kernel = fidelity_kernel(ch)
+        form = symmetric_form(ch)
+        assert kernel.pattern is None and kernel.form.tobytes() == form.tobytes()
+        states = haar_states(d, 600, rng=125)
+        expected = FidelityKernel(ops=ch.kraus, form=form).values(states)
+        assert kernel.values(states).tobytes() == expected.tobytes()
+
+    def test_route_follows_the_fill(self):
+        # Pauli-basis depolarizing forms are sparse; at d = 24 the clock and
+        # shift sums leave rounding in every entry of a d x d block of J
+        for d, sparse in ((16, True), (24, False), (32, True)):
+            kernel = fidelity_kernel(depolarizing(0.5, d))
+            fill = np.count_nonzero(kernel.form) / kernel.form.size
+            assert (kernel.pattern is not None) == (fill <= SYMMETRIC_FORM_MAX_FILL) == sparse
+        for d in range(2, 9):  # fills of 0.07 and above
+            assert fidelity_kernel(depolarizing(0.5, d)).pattern is None
+
+    def test_planted_anti_hermitian_part_is_not_read(self):
+        # the GEMM route's real part reads only the Hermitian part of M
+        d = 16
+        form = _held_form(depolarizing(0.5, d))
+        g = np.random.default_rng(126)
+        noise = np.where(g.random(form.shape) < 0.05, g.standard_normal(form.shape), 0.0)
+        planted = form + 1e-17j * (noise + noise.T)  # i times a real symmetric matrix
+        pattern = _form_pattern(planted, d)
+        assert pattern.coef.shape == _form_pattern(form, d).coef.shape
+        states = haar_states(d, 600, rng=127)
+        ops = np.empty((1, d, d), dtype=complex)  # read for d alone
+        gemm = FidelityKernel(ops=ops, form=planted).values(states)
+        got = FidelityKernel(ops=ops, form=planted, pattern=pattern).values(states)
+        assert np.max(np.abs(got - gemm)) <= 1e-14
+
+    @pytest.mark.parametrize("d", [4, 5, 16])
+    def test_held_choi_kernel_is_fidelity_kernel(self, d, monkeypatch):
+        # same route and same bits, and no Choi GEMM for a pattern-route form
+        pair = perturb_channel(depolarizing(0.5, d), n_verify=2, rng=128)
+        states = haar_states(d, 600, rng=129)
+        held = [(ch, fidelity_kernel(ch), choi_from_kraus(ch)) for ch in (pair.q, pair.r)]
+        if d == 16:
+            monkeypatch.setattr(fidelity, "_choi_gemm", _no_gemm)
+        for ch, want, choi in held:
+            got = _held_choi_kernel(ch, choi)
+            assert (got.pattern is None) == (want.pattern is None) == (d != 16)
+            assert got.values(states).tobytes() == want.values(states).tobytes()
+
+    def test_held_choi_kernel_keeps_the_kraus_loop(self):
+        ch = random_channel(5, 2, rng=130)
+        kernel = _held_choi_kernel(ch, choi_from_kraus(ch))
+        assert kernel.form is None and kernel.ops is ch.kraus
+
+
+def _held_form(ch) -> np.ndarray:
+    # the symmetric form of the symmetrized Choi matrix, which the pattern route reads
+    d = ch.dim_in
+    return fidelity._sym_block(choi_from_kraus(ch).matrix.reshape(d, d, d, d))
+
+
+def _no_gemm(*args, **kwargs):
+    raise AssertionError("a Choi GEMM ran")
 
 
 class TestAverageGateFidelity:

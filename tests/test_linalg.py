@@ -321,6 +321,18 @@ class TestHermitianPart:
         assert _bits(m) == before  # a real m.conj() is m itself: no sum goes into it
         assert (gap == 0.0) == (name in ("hermitian", "signed zeros"))
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 129, 200])
+    @pytest.mark.parametrize("hermitian", [True, False])
+    def test_tile_edges_keep_the_bits(self, n, hermitian):
+        # sizes around the tile and a one-row remainder, which joins the tile before it
+        m = _rand_complex(np.random.default_rng(n), n, n)
+        if hermitian:
+            m = 0.5 * (m + m.conj().T)
+        gap, sym = _hermitian_part(m)
+        assert _bits(sym) == _bits(0.5 * (m + m.conj().T))
+        expected_gap = 0.0 if hermitian else schatten_norm(m - m.conj().T, np.inf)
+        assert gap == expected_gap
+
     def test_complex_sum_takes_no_second_buffer(self):
         # the d = 32 Choi size: one 16 MiB buffer for the adjoint and the sum
         m = _rand_complex(np.random.default_rng(15), 1024, 1024)

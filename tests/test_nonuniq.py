@@ -113,6 +113,25 @@ class TestGOperator:
             with pytest.raises(ValueError):
                 build_g_operator(d)
 
+    @pytest.mark.parametrize("d", [4, 5, 8, 16, 32])
+    def test_bits_of_the_outer_product_construction(self, d):
+        # the six pair states' outer products, summed and partially
+        # transposed, as j_g was first built
+        def pair_state(i, j):
+            v = np.zeros(d * d, dtype=complex)
+            v[i * d + j] = 1.0 / np.sqrt(2.0)
+            v[j * d + i] = -1.0 / np.sqrt(2.0)
+            return v
+
+        s = np.zeros((d * d, d * d), dtype=complex)
+        for (i, j), (k, l) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+            a, b = pair_state(i, j), pair_state(k, l)
+            s += np.outer(a, b.conj()) + np.outer(b, a.conj())
+        expected = partial_transpose(s, d, d, factor="second")
+        g = build_g_operator(d)
+        assert g.flags.c_contiguous and g.tobytes() == expected.tobytes()
+        assert np.count_nonzero(g) == 24
+
     def test_refused_above_dense_budget_before_allocation(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("allocated past the dense-operator budget check")
@@ -372,6 +391,12 @@ class TestVerifyPair:
             v = verify_pair(q, r, n_samples=n, rng=seed, threads=threads)
             assert seen.pop() == expected
             assert v.fidelity_residual_max == float(np.max(np.abs(fq - fr)))
+
+    @pytest.mark.parametrize("d", [4, 5, 16])
+    def test_twin_residual_is_rounding(self, d):
+        # at d = 16 both forms take the pattern route, at d = 4 and 5 the GEMM
+        pair = perturb_channel(depolarizing(0.5, d), n_verify=BLOCK_SIZE + 7, rng=108)
+        assert pair.verification.fidelity_residual_max <= 1e-15
 
     def test_distinct_fidelity_functions_show_up(self):
         v = verify_pair(
