@@ -13,18 +13,19 @@ operators are B_k = U^dag A_k, and every reader of a pair works from them.
 Pointwise values come from one of two evaluation paths, chosen once per
 pair by fidelity_kernel. The Kraus loop sums |<phi|B_k phi>|^2. The
 symmetric form evaluates F = <phi phi|M|phi phi>, where M (symmetric_form)
-is the partially transposed Choi matrix of U^dag o E restricted to the
-symmetric subspace, of dimension d(d+1)/2. The fidelity sees a channel
-only through M, which is why distinct channels can share a fidelity
-function. High-rank channels at moderate d take the symmetric form
-(uses_symmetric_form); everything else takes the Kraus loop. The form is
-evaluated by one GEMM over the whole of M, or, when M is mostly exact
-zeros (SYMMETRIC_FORM_MAX_FILL), as in depolarizing channels and their
-twins, on its stored entries alone: the pattern route. Every path
-evaluates a batch in tiles of _TILE_ROWS rows, so its scratch does not
-grow with the batch. No tile has a single row, so in a batch of two rows
-or more every row gets the bits one pass over the whole batch gives it,
-whatever the other rows are.
+is the partially transposed symmetrized Choi matrix of U^dag o E
+restricted to the symmetric subspace, of dimension d(d+1)/2. The fidelity
+sees a channel only through M, which is why distinct channels can share a
+fidelity function. High-rank channels at moderate d take the symmetric
+form (uses_symmetric_form); everything else takes the Kraus loop. M is
+built in one place, from the Choi matrix a caller holds or from one Choi
+GEMM, and the one kernel reads it by one GEMM over the whole of M, or,
+when M is mostly exact zeros (SYMMETRIC_FORM_MAX_FILL), as in depolarizing
+channels and their twins, on its stored entries alone: the pattern route.
+Every path evaluates a batch in tiles of _TILE_ROWS rows, so its scratch
+does not grow with the batch. No tile has a single row, so in a batch of
+two rows or more every row gets the bits one pass over the whole batch
+gives it, whatever the other rows are.
 """
 
 from __future__ import annotations
@@ -134,17 +135,28 @@ def _fold(e: QuantumChannel, u) -> np.ndarray:
 def symmetric_form(e: QuantumChannel, u=None) -> np.ndarray:
     """The matrix M with F_{E,U}(phi) = <phi phi|M|phi phi>.
 
-    M = P_sym J^T2 P_sym, where J is the Choi matrix of the folded channel
-    rho -> U^dag E(rho) U (Kraus operators U^dag A_k), T2 the partial
-    transpose and P_sym the projector onto the symmetric subspace of
-    C^d (x) C^d. It is returned as a complex d(d+1)/2 square matrix in the
-    orthonormal basis |ii>, (|ij> + |ji>)/sqrt(2) for i < j, ordered as
-    numpy.triu_indices(d). Two channels have the same gate fidelity
-    function against U exactly when their forms are equal.
+    M = P_sym J^T2 P_sym, where J is the symmetrized Choi matrix of the
+    folded channel rho -> U^dag E(rho) U (Kraus operators U^dag A_k), as
+    choi_from_kraus builds it, T2 the partial transpose and P_sym the
+    projector onto the symmetric subspace of C^d (x) C^d. It is returned as
+    a complex d(d+1)/2 square matrix in the orthonormal basis |ii>,
+    (|ij> + |ji>)/sqrt(2) for i < j, ordered as numpy.triu_indices(d). Two
+    channels have the same gate fidelity function against U exactly when
+    their forms are equal. fidelity_kernel(e, u).form is this matrix, bit
+    for bit, whenever the kernel holds a form.
     """
-    ops = _fold(e, u)
+    return _form_of(_fold(e, u))
+
+
+def _form_of(ops: np.ndarray, choi: np.ndarray | None = None) -> np.ndarray:
+    # the one place a Choi matrix becomes M: choi, when held, is the
+    # symmetrized Choi matrix of ops (choi_from_kraus); otherwise it is built
+    # here the same way, one GEMM symmetrized in place
     d = ops.shape[-1]
-    return _sym_block(_choi_gemm(ops).reshape(d, d, d, d))
+    if choi is None:
+        choi = _choi_gemm(ops)
+        _symmetrize(choi, choi)
+    return _sym_block(choi.reshape(d, d, d, d))
 
 
 def _sym_block(g: np.ndarray) -> np.ndarray:
@@ -288,16 +300,13 @@ class FidelityKernel:
 
     ops holds the folded Kraus operators B_k = U^dag A_k, stacked as a
     complex (rank, d, d) array; at the identity target it is the channel's
-    own kraus array. form holds the symmetric form M when
-    uses_symmetric_form picks it; otherwise it is None and values come from
-    the Kraus loop over ops. pattern holds M's stored entries when M's fill
-    is at most SYMMETRIC_FORM_MAX_FILL, and values then come from them
-    alone; form is then M as built from the symmetrized Choi matrix that
-    choi_from_kraus returns, and may differ from symmetric_form(e, u) in
-    its last bits. Otherwise pattern is None and form is
-    symmetric_form(e, u), evaluated by one GEMM. Build it with
-    fidelity_kernel and hand it to gate_fidelity_batch for every batch of
-    the same pair.
+    own kraus array. form holds the symmetric form M, symmetric_form(e, u)
+    bit for bit, when uses_symmetric_form picks it; otherwise it is None and
+    values come from the Kraus loop over ops. pattern holds M's stored
+    entries when M's fill is at most SYMMETRIC_FORM_MAX_FILL, and values
+    then come from them alone; otherwise it is None and M is evaluated by
+    one GEMM. Build it with fidelity_kernel and hand it to
+    gate_fidelity_batch for every batch of the same pair.
     """
 
     ops: np.ndarray
@@ -313,41 +322,26 @@ class FidelityKernel:
         return _symmetric_values(self.form, self.ops.shape[-1], states)
 
 
-def fidelity_kernel(e: QuantumChannel, u=None) -> FidelityKernel:
-    """Pick the evaluation path for (e, u) and build what it needs."""
+def fidelity_kernel(e: QuantumChannel, u=None, choi: ChoiMatrix | None = None) -> FidelityKernel:
+    """Pick the evaluation path for (e, u) and build what it needs.
+
+    choi, when the caller holds choi_from_kraus(e), is read in place of a
+    Choi GEMM; the kernel has the same bits with it or without it. It is
+    E's own Choi matrix, not U^dag o E's, so a target u or other
+    dimensions than E's refuse it.
+    """
+    if choi is not None and u is not None:
+        raise ValueError("a held Choi matrix is the channel's own: it takes u=None, not a target")
+    if choi is not None and (choi.dim_in, choi.dim_out) != (e.dim_in, e.dim_out):
+        got, want = (choi.dim_in, choi.dim_out), (e.dim_in, e.dim_out)
+        raise ValueError(f"held Choi matrix (dim_in, dim_out) {got} is not the channel's {want}")
     ops = _fold(e, u)
     rank, d, _ = ops.shape
     if not uses_symmetric_form(rank, d):
         return FidelityKernel(ops=ops, form=None)
-    j = _choi_gemm(ops)
-    form = _sym_block(j.reshape(d, d, d, d))
-    # the pattern route reads the form of the symmetrized Choi matrix, which
-    # choi_from_kraus returns, so a caller that holds it builds the same
-    # kernel from it (_held_choi_kernel); a dense form keeps the raw GEMM's
-    return _pattern_kernel(ops, _symmetrize(j, j)) or FidelityKernel(ops=ops, form=form)
-
-
-def _pattern_kernel(ops: np.ndarray, choi: np.ndarray) -> FidelityKernel | None:
-    """The pattern-route kernel of the folded operators ops from their
-    symmetrized Choi matrix, or None when the form is too full for it."""
-    d = ops.shape[-1]
-    form = _sym_block(choi.reshape(d, d, d, d))
-    if np.count_nonzero(form) > SYMMETRIC_FORM_MAX_FILL * form.size:
-        return None
-    return FidelityKernel(ops=ops, form=form, pattern=_form_pattern(form, d))
-
-
-def _held_choi_kernel(e: QuantumChannel, choi: ChoiMatrix) -> FidelityKernel:
-    """fidelity_kernel(e), bit for bit, given choi = choi_from_kraus(e).
-
-    A pattern-route form is read from choi, so no second Choi GEMM runs; a
-    form too full for that route, and a channel on the Kraus loop, go
-    through fidelity_kernel.
-    """
-    ops = _fold(e, None)
-    rank, d, _ = ops.shape
-    kernel = _pattern_kernel(ops, choi.matrix) if uses_symmetric_form(rank, d) else None
-    return kernel or fidelity_kernel(e)
+    form = _form_of(ops, None if choi is None else choi.matrix)
+    sparse = np.count_nonzero(form) <= SYMMETRIC_FORM_MAX_FILL * form.size
+    return FidelityKernel(ops=ops, form=form, pattern=_form_pattern(form, d) if sparse else None)
 
 
 def gate_fidelity_batch(

@@ -28,7 +28,7 @@ from .channels import (
     choi_from_kraus,
     validate_cptp,
 )
-from .fidelity import _held_choi_kernel, _sym_block
+from .fidelity import _sym_block, fidelity_kernel
 from .linalg import (
     _block_eigh,
     _check_hermitian,
@@ -123,7 +123,7 @@ def verify_pair(
 
     Each Choi matrix is built once and shared by the distance, the CPTP
     checks, R's depolarizing distance and the fidelity kernels, which read
-    a sparse symmetric form from it (fidelity._held_choi_kernel); choi_q,
+    their symmetric forms from it (fidelity_kernel(ch, choi=...)); choi_q,
     when the caller already holds choi_from_kraus(q), is used instead of a
     rebuild. The residual is taken over the Haar states `fidelity stats`
     draws at the seed: each block is drawn once and evaluated for Q and for
@@ -140,7 +140,7 @@ def verify_pair(
     # checked before sampling, so a refused tol costs no samples
     cptp_q = validate_cptp(jq, tol)
     cptp_r = validate_cptp(jr, tol)
-    pairs = [(ch, None, _held_choi_kernel(ch, j)) for ch, j in ((q, jq), (r, jr))]
+    pairs = [(ch, None, fidelity_kernel(ch, choi=j)) for ch, j in ((q, jq), (r, jr))]
     fq, fr = _block_fidelities(pairs, n_samples, spec, threads)
     return PairVerification(
         fidelity_residual_max=float(np.max(np.abs(fq - fr))),

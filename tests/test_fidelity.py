@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gatefid import channels, fidelity
 from gatefid.channels import (
+    ChoiMatrix,
     QuantumChannel,
     channel_from_kraus,
     choi_from_kraus,
@@ -23,7 +24,6 @@ from gatefid.fidelity import (
     SYMMETRIC_FORM_MAX_FILL,
     FidelityKernel,
     _form_pattern,
-    _held_choi_kernel,
     _kraus_gradient,
     _kraus_products,
     _upper_pairs,
@@ -406,9 +406,9 @@ class TestPatternRoute:
     def test_agrees_with_the_gemm_route(self, name):
         # forced onto both routes, whatever the fill
         ch = _STRUCTURED[name]()
-        held = _held_form(ch)
-        gemm = FidelityKernel(ops=ch.kraus, form=symmetric_form(ch))
-        pattern = FidelityKernel(ops=ch.kraus, form=held, pattern=_form_pattern(held, ch.dim_in))
+        form = symmetric_form(ch)
+        gemm = FidelityKernel(ops=ch.kraus, form=form)
+        pattern = FidelityKernel(ops=ch.kraus, form=form, pattern=_form_pattern(form, ch.dim_in))
         states = haar_states(ch.dim_in, 600, rng=123)
         assert np.max(np.abs(pattern.values(states) - gemm.values(states))) <= 1e-14
 
@@ -435,7 +435,7 @@ class TestPatternRoute:
     def test_planted_anti_hermitian_part_is_not_read(self):
         # the GEMM route's real part reads only the Hermitian part of M
         d = 16
-        form = _held_form(depolarizing(0.5, d))
+        form = symmetric_form(depolarizing(0.5, d))
         g = np.random.default_rng(126)
         noise = np.where(g.random(form.shape) < 0.05, g.standard_normal(form.shape), 0.0)
         planted = form + 1e-17j * (noise + noise.T)  # i times a real symmetric matrix
@@ -447,29 +447,50 @@ class TestPatternRoute:
         got = FidelityKernel(ops=ops, form=planted, pattern=pattern).values(states)
         assert np.max(np.abs(got - gemm)) <= 1e-14
 
-    @pytest.mark.parametrize("d", [4, 5, 16])
-    def test_held_choi_kernel_is_fidelity_kernel(self, d, monkeypatch):
-        # same route and same bits, and no Choi GEMM for a pattern-route form
+    # the dephasing channel's rank d keeps the Kraus loop
+    @pytest.mark.parametrize("name", [name for name in _STRUCTURED if name != "dephasing-6"])
+    def test_kernel_form_is_the_symmetric_form(self, name):
+        ch = _STRUCTURED[name]()
+        kernel = fidelity_kernel(ch)
+        assert kernel.form.tobytes() == symmetric_form(ch).tobytes()
+
+    @pytest.mark.parametrize("target", [False, True], ids=["identity", "unitary"])
+    @pytest.mark.parametrize("d", [5, 11])
+    def test_dense_kernel_form_is_the_symmetric_form(self, d, target):
+        ch = random_channel(d, d * d, rng=131 + d)
+        u = _haar_unitary(np.random.default_rng(132 + d), d) if target else None
+        kernel = fidelity_kernel(ch, u)
+        assert kernel.pattern is None and kernel.form.tobytes() == symmetric_form(ch, u).tobytes()
+
+    @pytest.mark.parametrize("d", [4, 5, 8, 16])
+    def test_held_choi_gives_the_same_kernel(self, d, monkeypatch):
+        # same route and same bits, and no Choi GEMM, whatever the route
         pair = perturb_channel(depolarizing(0.5, d), n_verify=2, rng=128)
         states = haar_states(d, 600, rng=129)
         held = [(ch, fidelity_kernel(ch), choi_from_kraus(ch)) for ch in (pair.q, pair.r)]
-        if d == 16:
-            monkeypatch.setattr(fidelity, "_choi_gemm", _no_gemm)
+        monkeypatch.setattr(fidelity, "_choi_gemm", _no_gemm)
         for ch, want, choi in held:
-            got = _held_choi_kernel(ch, choi)
+            got = fidelity_kernel(ch, choi=choi)
             assert (got.pattern is None) == (want.pattern is None) == (d != 16)
+            assert got.form.tobytes() == want.form.tobytes()
             assert got.values(states).tobytes() == want.values(states).tobytes()
 
     def test_held_choi_kernel_keeps_the_kraus_loop(self):
         ch = random_channel(5, 2, rng=130)
-        kernel = _held_choi_kernel(ch, choi_from_kraus(ch))
+        unread = ChoiMatrix(dim_in=5, dim_out=5, matrix=None)  # reading it would raise
+        kernel = fidelity_kernel(ch, choi=unread)
         assert kernel.form is None and kernel.ops is ch.kraus
 
+    def test_held_choi_with_a_target_refused(self):
+        ch = depolarizing(0.5, 4)
+        u = _haar_unitary(np.random.default_rng(133), 4)
+        with pytest.raises(ValueError, match=r"held Choi matrix is the channel's own: it takes u=None"):
+            fidelity_kernel(ch, u, choi=choi_from_kraus(ch))
 
-def _held_form(ch) -> np.ndarray:
-    # the symmetric form of the symmetrized Choi matrix, which the pattern route reads
-    d = ch.dim_in
-    return fidelity._sym_block(choi_from_kraus(ch).matrix.reshape(d, d, d, d))
+    def test_held_choi_of_other_dimensions_refused(self):
+        ch = depolarizing(0.5, 4)
+        with pytest.raises(ValueError, match=r"\(dim_in, dim_out\) \(5, 5\) is not the channel's \(4, 4\)"):
+            fidelity_kernel(ch, choi=choi_from_kraus(depolarizing(0.5, 5)))
 
 
 def _no_gemm(*args, **kwargs):
